@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast lint bench bench-quick bench-smoke experiments sweep-parallel report docs docs-check examples clean
+.PHONY: install test test-fast lint bench bench-quick bench-smoke bench-e2e-smoke experiments sweep-parallel report docs docs-check examples clean
 
 install:
 	pip install -e .
@@ -35,6 +35,16 @@ bench-quick:
 bench-smoke:     ## CI gate: fast-path + batch-kernel speedups vs baselines
 	$(PY) benchmarks/bench_micro_substrate.py --smoke
 	$(PY) benchmarks/bench_kernels.py --smoke
+
+# One short traced pass of the end-to-end benchmark's baseline_count
+# workload (T1's KLO and token baselines); fails unless the run's last
+# line, a JSON summary, reports "correct": true.
+bench-e2e-smoke: ## CI gate: end-to-end baseline_count run is correct
+	$(PY) perfbench/run.py --workload baseline_count --seed 1 --seconds 1 \
+	    --trace 1 > .bench-e2e-smoke.out
+	tail -n 1 .bench-e2e-smoke.out | $(PY) -c "import json, sys; \
+	    sys.exit(0 if json.load(sys.stdin)['correct'] is True \
+	    else 'bench-e2e-smoke: run did not report correct: true')"
 
 experiments:     ## same data via the CLI
 	$(PY) -m repro.harness.cli --all --out results/

@@ -63,6 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .._validate import require_positive_int
 from ..errors import AlgorithmViolation
+from ..simnet.backends.batch import KCommitteeBatchKernel
 from ..simnet.message import NodeId
 from ..simnet.node import Algorithm, RoundContext
 
@@ -329,6 +330,13 @@ class KCommitteeCount(Algorithm):
 
         self.mark_changed(changed)
         self._advance(stage)
+
+    @classmethod
+    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+        """Phase-structured CSR kernel (:mod:`repro.simnet.backends.batch`)."""
+        if cls is not KCommitteeCount:
+            return None
+        return KCommitteeBatchKernel.build(nodes, id_bits)
 
     def _advance(self, stage: int) -> None:
         """Advance the epoch-round counter; jump epochs on failure."""

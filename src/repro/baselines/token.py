@@ -23,9 +23,11 @@ As a Count baseline it comes in two knowledge flavours:
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Any, List, Optional
 
 from .._validate import require_positive_int
+from ..simnet.backends.batch import TokenBatchKernel
 from ..simnet.message import NodeId
 from ..simnet.node import Algorithm, RoundContext
 
@@ -47,7 +49,12 @@ class RandomTokenDissemination(Algorithm):
         if target_count is not None:
             require_positive_int(target_count, "target_count")
         self.target_count = target_count
-        self.tokens = {node_id}
+        self.tokens = {self.node_id}
+        # ``tokens`` in ascending order, kept in step by ``deliver`` so
+        # compose does not re-sort the set each round.  ``tokens`` stays
+        # the source of truth: tokens only ever grow, so a size mismatch
+        # means the set was updated directly and the list is rebuilt.
+        self._sorted_tokens = [self.node_id]
 
     @property
     def progress(self) -> int:
@@ -55,18 +62,31 @@ class RandomTokenDissemination(Algorithm):
         return len(self.tokens)
 
     def compose(self, ctx: RoundContext) -> Any:
-        known = sorted(self.tokens)
+        known = self._sorted_tokens
+        if len(known) != len(self.tokens):
+            known = self._sorted_tokens = sorted(self.tokens)
         pick = known[int(ctx.rng.integers(0, len(known)))]
         return NodeId(pick)
 
     def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
-        before = len(self.tokens)
+        tokens = self.tokens
+        before = len(tokens)
         for token in inbox:
-            self.tokens.add(int(token))
-        self.mark_changed(len(self.tokens) != before)
+            token = int(token)
+            if token not in tokens:
+                tokens.add(token)
+                insort(self._sorted_tokens, token)
+        self.mark_changed(len(tokens) != before)
         if (self.target_count is not None and not self.decided
                 and len(self.tokens) >= self.target_count):
             self.decide(len(self.tokens))
+
+    @classmethod
+    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+        """Membership-row kernel (:mod:`repro.simnet.backends.batch`)."""
+        if cls is not RandomTokenDissemination:
+            return None
+        return TokenBatchKernel.build(nodes, id_bits)
 
 
 def dissemination_complete(nodes: List[RandomTokenDissemination],

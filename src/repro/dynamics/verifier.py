@@ -9,7 +9,8 @@ intersection of window ``[r, r+T-1]`` iff its consecutive-presence run
 ending at ``r+T-1`` has length ``≥ T``).
 
 All schedule generators in :mod:`repro.dynamics` are tested against this
-verifier, and experiments certify their schedules before trusting results.
+verifier.  The experiment grids do not call it; the end-to-end benchmark
+(``perfbench/run.py``) certifies every schedule its cells ran on.
 """
 
 from __future__ import annotations

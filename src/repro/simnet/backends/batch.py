@@ -7,7 +7,9 @@ active node per round, so for the aggregate-style algorithms the
 however, are associative reductions over neighbour payloads — max,
 boolean OR, set union, coordinate-wise min — which evaluate in one shot
 as NumPy segment-reduces over the CSR adjacency the fast engine already
-caches.
+caches.  The KLO and random token-dissemination baselines fit the same
+mould: phase-structured min-folds, and per-node RNG picks of set bits
+(see the baseline kernels below).
 
 This module defines the opt-in **batch kernel protocol**:
 
@@ -64,10 +66,12 @@ exactly the semantics of a node with an empty inbox.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
+from ...errors import AlgorithmViolation
 from ..message import bit_size
 from .base import Capabilities, CapabilityDiff, EngineBackend
 
@@ -91,6 +95,8 @@ __all__ = [
     "FloodMaxBatchKernel",
     "FloodTokenBatchKernel",
     "FloodBroadcastBatchKernel",
+    "TokenBatchKernel",
+    "KCommitteeBatchKernel",
 ]
 
 #: Events a kernel reports back: ``(kind, node_index, value)`` with kind
@@ -912,6 +918,531 @@ class FloodBroadcastBatchKernel(BatchKernel):
         for i, node in enumerate(nodes):
             node.best = payload_by_sid.get(sid[i])
             node._state_changed = changed[i]
+
+
+# --------------------------------------------------------------------------
+# baseline kernels (random token dissemination, KLO k-committee counting)
+# --------------------------------------------------------------------------
+
+#: Per byte value: its set bits (little-endian bit order), their count,
+#: and the position of its r-th set bit in column r.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").astype(bool)
+_BYTE_ONES = _BYTE_BITS.sum(axis=1, dtype=np.int64)
+_BYTE_SELECT = np.argsort(~_BYTE_BITS, axis=1, kind="stable")
+
+
+def _csr_receivers(csr: Any) -> np.ndarray:
+    """Receiver index of every CSR entry."""
+    indptr = csr.indptr
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+class TokenBatchKernel(BatchKernel):
+    """Membership-row kernel for one-token-per-round random forwarding.
+
+    Row *i* of the boolean ``(n, n)`` membership matrix marks the tokens
+    node *i* knows, columns in ascending token-id order — the order of
+    the per-node sorted token list, so the ``idx``-th set bit of a row
+    is the token the per-node path picks.  Each round draws
+    ``rngs[i].integers(0, count_i)`` in ascending node order (the
+    per-node draw, call for call), selects the picked bits from the
+    byte-packed rows, scatters the picks through the CSR, and decides a
+    node once its count reaches its target.
+    """
+
+    def __init__(self, algs: Sequence[Any], token_ids: List[int],
+                 known: np.ndarray, targets: np.ndarray,
+                 id_bits: int) -> None:
+        self.n = len(algs)
+        self._token_ids = token_ids   # column -> token id, ascending
+        self._known = known
+        self._counts = np.count_nonzero(known, axis=1)
+        self._targets = targets
+        self._rows = np.arange(self.n)
+        self._bits = np.full(self.n, id_bits, dtype=np.int64)
+        self._picks = np.zeros(self.n, dtype=np.int64)
+        self._draws: Optional[List[Callable[..., Any]]] = None
+        self.decided = np.array([a._decided for a in algs], dtype=bool)
+        self.changed_last = np.array([a._state_changed for a in algs],
+                                     dtype=bool)
+
+    @classmethod
+    def build(cls, algs: Sequence[Any],
+              id_bits: int) -> "Optional[TokenBatchKernel]":
+        token_ids = sorted(a.node_id for a in algs)
+        column = {token: c for c, token in enumerate(token_ids)}
+        n = len(algs)
+        known = np.zeros((n, n), dtype=bool)
+        try:
+            for i, alg in enumerate(algs):
+                known[i, [column[token] for token in alg.tokens]] = True
+        except (KeyError, TypeError):
+            return None  # a token outside the population
+        if not known.any(axis=1).all():
+            return None  # an empty token set: the per-node draw raises
+        never = n + 1  # no row ever counts more than n tokens
+        targets = np.array(
+            [never if a.target_count is None else a.target_count
+             for a in algs], dtype=np.int64)
+        return cls(algs, token_ids, known, targets, id_bits)
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        if self._draws is None:
+            self._draws = [rng.integers for rng in ctx.rngs]
+        idx = np.array([draw(0, count) for draw, count
+                        in zip(self._draws, self._counts.tolist())],
+                       dtype=np.int64)
+        # Select the idx-th set bit per row: find its byte by a running
+        # popcount over the packed row, then its bit within the byte.
+        packed = np.packbits(self._known, axis=1, bitorder="little")
+        ones = _BYTE_ONES[packed]
+        seen = np.cumsum(ones, axis=1)
+        byte = np.count_nonzero(seen <= idx[:, None], axis=1)
+        rows = self._rows
+        rank = idx - seen[rows, byte] + ones[rows, byte]
+        self._picks = 8 * byte + _BYTE_SELECT[packed[rows, byte], rank]
+        return None, self._bits
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        self._known[_csr_receivers(csr), self._picks[csr.indices]] = True
+        counts = np.count_nonzero(self._known, axis=1)
+        changed = counts != self._counts
+        self._counts = counts
+        self.changed_last = changed
+        events: Events = []
+        newly = ~self.decided & (counts >= self._targets)
+        if newly.any():
+            self.decided |= newly
+            for i in np.nonzero(newly)[0].tolist():
+                events.append(("decide", i, int(counts[i])))
+        return bool(changed.any()), events
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        token_ids = self._token_ids
+        changed = self.changed_last.tolist()
+        for i, node in enumerate(nodes):
+            known = [token_ids[c]
+                     for c in np.nonzero(self._known[i])[0].tolist()]
+            node._sorted_tokens = known
+            node.tokens = set(known)
+            node._state_changed = changed[i]
+
+
+#: KLO round kinds: the three cycle phases, then the two epoch stages.
+_POLL, _REQUEST, _GRANT, _VERIFY, _DISSEMINATE = range(5)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+class KCommitteeBatchKernel(BatchKernel):
+    """Phase-structured CSR reductions for KLO k-committee counting.
+
+    Ids are replaced by their rank in ascending id order (every min and
+    every comparison the per-node fold makes is order-only), with ``n``
+    standing for "none".  Per node the kernel keeps the epoch position
+    ``(k, t)``, the committee, the poll minimum, an addressee→requester
+    matrix ``req``, a leader→grantee matrix ``grant``, the pollution
+    flags and the heard counts.  Each round:
+
+    * poll is a segment-min of the broadcast candidate ranks;
+    * request and grant are row-wise segment-mins over the gathered
+      ``req`` / ``grant`` rows;
+    * verify tests "heard a different committee or the pollution
+      marker" with a segment min and max;
+    * dissemination floods the count, raising on conflicts.
+
+    The per-node grant fold keeps the *first* entry it hears per leader
+    and a node joins the *first* leader naming it.  Both equal the
+    segment-min because a leader grants one node per cycle and a node
+    requests one leader, so every entry for a leader names the same
+    grantee and no node is named twice; :meth:`build` declines state
+    that breaks this.
+
+    Engagement needs one shared epoch position and guess growth.  Loss
+    can split the positions later (polluted nodes restart their epoch
+    while the clean ones disseminate), so each round computes every
+    node's position and runs each phase masked to the nodes in it; a
+    phase's messages are read only by receivers in the same phase, as
+    in the per-node fold.
+    """
+
+    def __init__(self, algs: Sequence[Any], id_bits: int,
+                 state: Dict[str, Any]) -> None:
+        self.n = len(algs)
+        self.id_bits = id_bits
+        self._ids = state["ids"]            # rank -> node id
+        self._own = state["own"]            # node index -> own rank
+        self._growth = state["growth"]
+        self._k = state["k"]
+        self._t = state["t"]
+        self._committee = state["committee"]
+        self._grants = state["grants"]
+        self._granted = state["granted"]    # (n, n) bool, column = rank
+        self._poll = state["poll"]
+        self._req = state["req"]
+        self._grant = state["grant"]
+        self._polluted = state["polluted"]
+        self._count = state["count"]        # -1: no count heard
+        self.decided = np.array([a._decided for a in algs], dtype=bool)
+        self.changed_last = np.array([a._state_changed for a in algs],
+                                     dtype=bool)
+
+    # -- import / export -----------------------------------------------------
+
+    @classmethod
+    def build(cls, algs: Sequence[Any],
+              id_bits: int) -> "Optional[KCommitteeBatchKernel]":
+        first = algs[0]
+        k, t, growth = first.k, first._epoch_round, first.guess_growth
+        if any(a.k != k or a._epoch_round != t or a.guess_growth != growth
+               for a in algs):
+            return None
+        cycles_len, verify_len = 3 * k * k, k + 2
+        if t >= cycles_len + 2 * verify_len:
+            return None  # past the epoch: the per-node position raises
+        counts = [a.count_heard for a in algs]
+        if not all(c is None or (_eligible_int(c) and c >= 0)
+                   for c in counts):
+            return None
+        polluted = np.array([bool(a.polluted) for a in algs])
+        if t >= cycles_len + verify_len and polluted.any():
+            return None  # the per-node dissemination raises
+        n = len(algs)
+        ids = sorted(a.node_id for a in algs)
+        rank = {node_id: r for r, node_id in enumerate(ids)}
+
+        def ranks(values: Iterable[Any]) -> List[int]:
+            return [n if v is None else rank[v] for v in values]
+
+        req = np.full((n, n), n, dtype=np.int64)
+        grant = np.full((n, n), n, dtype=np.int64)
+        granted = np.zeros((n, n), dtype=bool)
+        try:
+            committee = ranks(a.committee for a in algs)
+            poll = ranks(a.poll_min for a in algs)
+            for i, alg in enumerate(algs):
+                addressees = ranks(alg.request_best)
+                requesters = ranks(alg.request_best.values())
+                leaders = ranks(alg.grant_seen)
+                grantees = ranks(alg.grant_seen.values())
+                members = ranks(alg.granted_ids)
+                if n in addressees + requesters + leaders + grantees + members:
+                    return None
+                req[i, addressees] = requesters
+                grant[i, leaders] = grantees
+                granted[i, members] = True
+        except (KeyError, TypeError):
+            return None  # an id outside the population
+        if t >= cycles_len and n in committee:
+            return None  # verification would send NodeId(None)
+        # One grantee per leader, and no grantee under two leaders.
+        named = np.where(grant == n, -1, grant).max(axis=0)
+        if ((grant != n) & (grant != named)).any():
+            return None
+        named = named[named >= 0]
+        if len(np.unique(named)) != len(named):
+            return None
+        state = {
+            "ids": ids,
+            "own": np.array([rank[a.node_id] for a in algs],
+                            dtype=np.int64),
+            "growth": growth,
+            "k": np.full(n, k, dtype=np.int64),
+            "t": np.full(n, t, dtype=np.int64),
+            "committee": np.array(committee, dtype=np.int64),
+            "grants": np.array([a.grants_made for a in algs],
+                               dtype=np.int64),
+            "granted": granted,
+            "poll": np.array(poll, dtype=np.int64),
+            "req": req,
+            "grant": grant,
+            "polluted": polluted,
+            "count": np.array([-1 if c is None else c for c in counts],
+                              dtype=np.int64),
+        }
+        return cls(algs, id_bits, state)
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        n = self.n
+        ids = self._ids
+
+        def table(row: List[int]) -> Dict[int, int]:
+            return {ids[key]: ids[value]
+                    for key, value in enumerate(row) if value != n}
+
+        k, t = self._k.tolist(), self._t.tolist()
+        committee, poll = self._committee.tolist(), self._poll.tolist()
+        grants, count = self._grants.tolist(), self._count.tolist()
+        polluted = self._polluted.tolist()
+        changed = self.changed_last.tolist()
+        for i, node in enumerate(nodes):
+            node.k = k[i]
+            node._epoch_round = t[i]
+            node.committee = None if committee[i] == n else ids[committee[i]]
+            node.poll_min = None if poll[i] == n else ids[poll[i]]
+            node.grants_made = grants[i]
+            node.granted_ids = {
+                ids[r] for r in np.nonzero(self._granted[i])[0].tolist()}
+            node.request_best = table(self._req[i].tolist())
+            node.grant_seen = table(self._grant[i].tolist())
+            node.polluted = polluted[i]
+            node.count_heard = None if count[i] < 0 else count[i]
+            node._state_changed = changed[i]
+
+    # -- rounds ---------------------------------------------------------------
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        n = self.n
+        kind_of, cycle, pr = self._positions()
+        # Framing, tag, k and (in the cycles) the cycle.
+        head = 24 + int_payload_bits(self._k)
+        in_cycles = kind_of < _VERIFY
+        head[in_cycles] += int_payload_bits(cycle[in_cycles])
+        into = [kind_of == code for code in range(5)]
+        kinds = [code for code in range(5) if into[code].any()]
+        self._into, self._kinds = into, kinds
+        self._cycle, self._pr = cycle, pr
+        self._uncommitted = self._committee == n
+        bits = np.zeros(n, dtype=np.int64)
+        sends = np.zeros(n, dtype=bool)
+        self._sends = sends
+        if _POLL in kinds:
+            value = np.where(self._uncommitted,
+                             np.minimum(self._poll, self._own), self._poll)
+            send = into[_POLL] & (value != n)
+            self._poll_value = value
+            self._poll_msg = np.where(send, value, n)
+            sends |= send
+            bits = np.where(send, head + self.id_bits, bits)
+        for code, rows in ((_REQUEST, self._req), (_GRANT, self._grant)):
+            if code in kinds:
+                entries = np.count_nonzero(rows != n, axis=1)
+                send = into[code] & (entries > 0)
+                sends |= send
+                bits = np.where(
+                    send, head + 8 + entries * (8 + 2 * self.id_bits), bits)
+        if _VERIFY in kinds:
+            send = into[_VERIFY]
+            value = np.where(self._polluted, -1, self._committee)
+            self._verify_lo = np.where(send, value, n + 1)
+            self._verify_hi = np.where(send, value, -2)
+            sends |= send
+            bits = np.where(
+                send, head + np.where(self._polluted, 16, self.id_bits), bits)
+        if _DISSEMINATE in kinds:
+            send = into[_DISSEMINATE] & (self._count >= 0)
+            self._count_msg = np.where(send, self._count, -1)
+            sends |= send
+            bits = np.where(send, head + int_payload_bits(self._count), bits)
+        return sends, bits
+
+    def _positions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's ``(kind, cycle, round-within-phase)``: epoch
+        round ``t`` at guess ``k`` lies in cycle ``t // 3k`` while that
+        is below ``k`` (phase ``(t mod 3k) // k``), then in the ``k + 2``
+        verification rounds, then in dissemination."""
+        k, t = self._k, self._t
+        cycle, rem = np.divmod(t, 3 * k)
+        phase, pr = np.divmod(rem, k)
+        into = t - 3 * k * k
+        verifying = into < k + 2
+        kind = np.where(cycle < k, phase,
+                        np.where(verifying, _VERIFY, _DISSEMINATE))
+        pr = np.where(cycle < k, pr,
+                      np.where(verifying, into, into - (k + 2)))
+        return kind, cycle, pr
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        kinds = self._kinds
+        changed = np.zeros(self.n, dtype=bool)
+        events: Events = []
+        # Dissemination first: a violation raises before this round
+        # writes any state.
+        if _DISSEMINATE in kinds:
+            self._disseminate(csr, changed, events)
+        if _POLL in kinds:
+            self._poll_round(csr, changed)
+        if _REQUEST in kinds:
+            end = self._merge_rows(_REQUEST, self._req, csr, changed)
+            if end is not None:
+                self._end_request(end)
+        if _GRANT in kinds:
+            end = self._merge_rows(_GRANT, self._grant, csr, changed)
+            if end is not None:
+                self._end_grant(end)
+        if _VERIFY in kinds:
+            self._verify_round(csr, changed)
+        self._advance()
+        self.changed_last = changed
+        return bool(changed.any()), events
+
+    def _phase_end(self, code: int, last: int) -> Optional[np.ndarray]:
+        """Nodes in phase *code* whose round-within-phase is ``k + last``
+        (``None`` when there are none)."""
+        end = self._into[code] & (self._pr == self._k + last)
+        return end if end.any() else None
+
+    def _heard(self, csr: Any, sent: np.ndarray, silent: int,
+               ufunc: np.ufunc) -> np.ndarray:
+        """Per-receiver *ufunc* fold of the senders' *sent* values
+        (*silent* for receivers that heard nothing)."""
+        out = np.full(self.n, silent, dtype=np.int64)
+        return segment_reduce(ufunc, sent[csr.indices], csr.indptr, out)
+
+    def _poll_round(self, csr: Any, changed: np.ndarray) -> None:
+        n = self.n
+        into = self._into[_POLL]
+        best = self._poll_value.copy()
+        segment_reduce(np.minimum, self._poll_msg[csr.indices],
+                       csr.indptr, best)
+        poll = self._poll
+        changed |= into & (best != poll)
+        poll[into] = best[into]
+        end = self._phase_end(_POLL, -1)
+        if end is not None:
+            # Poll phase ends: uncommitted non-leaders file their own
+            # join request, addressed to their poll minimum.
+            own = self._own
+            self._req[end] = n
+            files = end & self._uncommitted & (poll != n) & (poll != own)
+            self._req[files, poll[files]] = own[files]
+            changed |= end
+
+    def _merge_rows(self, code: int, rows: np.ndarray, csr: Any,
+                    changed: np.ndarray) -> Optional[np.ndarray]:
+        """Fold the phase's ``(key, value)`` messages into *rows* by
+        per-key minimum, for the receivers in phase *code*; returns the
+        nodes whose phase ends this round."""
+        into = self._into[code]
+        heard = rows[csr.indices]
+        heard[~(self._sends & into)[csr.indices]] = self.n
+        merged = rows.copy()
+        segment_reduce(np.minimum, heard, csr.indptr, merged)
+        changed |= into & (merged != rows).any(axis=1)
+        rows[into] = merged[into]
+        end = self._phase_end(code, -1)
+        if end is not None:
+            changed |= end
+        return end
+
+    def _end_request(self, end: np.ndarray) -> None:
+        """Request phase ends: each leader grants its best requester."""
+        n, own = self.n, self._own
+        self._grant[end] = n
+        best = self._req[np.arange(n), own]
+        grants = (end & self._uncommitted & (self._poll == own)
+                  & (best != n) & (best != own))
+        self._grant[grants, own[grants]] = best[grants]
+        self._grants[grants] += 1
+        self._granted[grants, best[grants]] = True
+
+    def _end_grant(self, end: np.ndarray) -> None:
+        """Grant phase ends: a granted node joins its leader; then the
+        cycle's state resets, and after the last cycle the still
+        uncommitted nodes form singleton committees."""
+        n, own = self.n, self._own
+        joins = ((self._grant == own[:, None])
+                 & (end & (self._committee == n))[:, None])
+        joined = joins.any(axis=1)
+        self._committee[joined] = np.argmax(joins[joined], axis=1)
+        self._poll[end] = n
+        self._req[end] = n
+        self._grant[end] = n
+        singles = (end & (self._cycle == self._k - 1)
+                   & (self._committee == n))
+        self._committee[singles] = own[singles]
+
+    def _verify_round(self, csr: Any, changed: np.ndarray) -> None:
+        n = self.n
+        into = self._into[_VERIFY]
+        lo = self._heard(csr, self._verify_lo, n + 1, np.minimum)
+        hi = self._heard(csr, self._verify_hi, -2, np.maximum)
+        committee = self._committee
+        newly = (into & ~self._polluted & (lo <= n)
+                 & ((lo != committee) | (hi != committee)))
+        self._polluted |= newly
+        changed |= newly
+        end = self._phase_end(_VERIFY, 1)
+        if end is not None:
+            # Verification ends; on success the unique leader seeds the
+            # count for dissemination.
+            seeds = end & ~self._polluted & (committee == self._own)
+            self._count[seeds] = self._grants[seeds] + 1
+            changed |= end
+
+    def _disseminate(self, csr: Any, changed: np.ndarray,
+                     events: Events) -> None:
+        into = self._into[_DISSEMINATE]
+        sent = self._count_msg
+        lo = self._heard(csr, np.where(sent < 0, _INT64_MAX, sent),
+                         _INT64_MAX, np.minimum)
+        hi = self._heard(csr, sent, -1, np.maximum)
+        count = self._count
+        heard = into & (hi >= 0)
+        conflict = heard & np.where(count < 0, lo != hi,
+                                    (lo != count) | (hi != count))
+        fresh = heard & (count < 0)
+        end = self._phase_end(_DISSEMINATE, 1)
+        bad = conflict
+        if end is not None:
+            bad = bad | (end & (count < 0) & ~fresh)
+        if bad.any():
+            self._raise_violation(int(np.argmax(bad)), csr)
+        count[fresh] = lo[fresh]
+        changed |= fresh
+        if end is not None:
+            values = count.tolist()
+            for i in np.nonzero(end)[0].tolist():
+                events.append(("decide", i, values[i]))
+                events.append(("halt", i, None))
+            self.decided |= end
+
+    def _raise_violation(self, i: int, csr: Any) -> None:
+        """Raise node *i*'s dissemination violation, worded as the
+        per-node fold words it (replaying its inbox in order)."""
+        node_id = self._ids[int(self._own[i])]
+        heard = int(self._count[i]) if self._count[i] >= 0 else None
+        start, stop = int(csr.indptr[i]), int(csr.indptr[i + 1])
+        for s in csr.indices[start:stop].tolist():
+            value = int(self._count_msg[s])
+            if value < 0:
+                continue
+            if heard is None:
+                heard = value
+            elif heard != value:
+                raise AlgorithmViolation(
+                    f"node {node_id}: conflicting counts {heard} vs "
+                    f"{value}")
+        raise AlgorithmViolation(
+            f"node {node_id}: dissemination ended without a count "
+            f"(k={int(self._k[i])})")
+
+    def _advance(self) -> None:
+        """Advance every epoch position; a polluted node ending its
+        verification restarts with a grown guess."""
+        self._t += 1
+        end = (self._phase_end(_VERIFY, 1)
+               if _VERIFY in self._kinds else None)
+        if end is None:
+            return
+        restart = end & self._polluted
+        if not restart.any():
+            return
+        n = self.n
+        self._k[restart] *= self._growth
+        self._t[restart] = 0
+        self._committee[restart] = n
+        self._grants[restart] = 0
+        self._granted[restart] = False
+        self._poll[restart] = n
+        self._req[restart] = n
+        self._grant[restart] = n
+        self._polluted[restart] = False
+        self._count[restart] = -1
 
 
 # --------------------------------------------------------------------------

@@ -145,8 +145,9 @@ def set_engine_default(engine: str) -> None:
     _ENGINE_DEFAULT = engine
     env = os.environ.get("REPRO_ENGINE", "")
     # Env-wins is a documented invariant; fail loudly if it regresses.
-    assert engine_default() == (env or engine), (
-        "REPRO_ENGINE must take precedence over set_engine_default()")
+    if engine_default() != (env or engine):
+        raise ConfigurationError(
+            "REPRO_ENGINE must take precedence over set_engine_default()")
 
 
 def engine_default() -> str:

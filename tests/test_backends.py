@@ -294,6 +294,18 @@ def test_set_engine_default_validates_against_registry(monkeypatch):
         set_engine_default("warp-drive")
 
 
+def test_set_engine_default_raises_if_precedence_regresses(monkeypatch):
+    """The env-wins check raises a real error (not an ``assert``, which
+    ``python -O`` strips) when the resolved default disagrees."""
+    from repro.simnet import engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "_ENGINE_DEFAULT", None)
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.setattr(engine_mod, "engine_default", lambda: "fast")
+    with pytest.raises(ConfigurationError, match="precedence"):
+        set_engine_default("reference")
+
+
 # --------------------------------------------------------------------------
 # telemetry-column normalization (obs.* / cache.* never enter the cache)
 # --------------------------------------------------------------------------

@@ -20,18 +20,24 @@ Also here: the numpy-scalar `bit_size` regression tests (kernels hand
 the equal Python ``int``).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.flooding import FloodBroadcast, FloodMax, FloodToken
+from repro.baselines.klo import KCommitteeCount
+from repro.baselines.token import RandomTokenDissemination
 from repro.core.approx_count import ApproxCount, ApproxCountKnownBound
 from repro.core.exact_count import ExactCount, ExactCountKnownBound
 from repro.core.max_compute import MaxKnownBound, SublinearMax
 from repro.core.termination import QuiescenceController
 from repro.dynamics import ExplicitSchedule
+from repro.errors import AlgorithmViolation
 from repro.simnet import RngRegistry, Simulator
+from repro.simnet.backends.batch import BatchContext
 from repro.simnet.batch import (
     BatchQuiescence,
     build_batch_kernel,
@@ -41,6 +47,7 @@ from repro.simnet.batch import (
     segment_reduce,
 )
 from repro.simnet.message import bit_size
+from repro.simnet.node import RoundContext
 
 
 # --------------------------------------------------------------------------
@@ -324,3 +331,196 @@ def test_build_batch_kernel_declines_plain_algorithms():
             self.mark_changed(False)
 
     assert build_batch_kernel([Plain(i) for i in range(3)]) is None
+
+
+# --------------------------------------------------------------------------
+# baseline kernels (KLO, random token dissemination): per-round fold
+# --------------------------------------------------------------------------
+
+def _scattered_ids(n):
+    """Distinct ids whose order differs from the node-index order."""
+    return [(37 * i + 5) % 101 for i in range(n)]
+
+
+def _fold_outcome(step):
+    """Run *step*; return ``None`` or the raised violation's wording."""
+    try:
+        step()
+    except AlgorithmViolation as exc:
+        return str(exc)
+    return None
+
+
+def _assert_kernel_folds_per_round(factory, seed, rounds=60, id_bits=12,
+                                   schedule=None):
+    """Step a batch kernel and a per-node population side by side on a
+    schedule (default: seeded-random, with empty rounds and isolated
+    nodes) and compare every round: who sends, each payload's bit cost,
+    every node's changed flag, and the decide/halt events.  A violation
+    must be raised by both, with the same wording, in the same round.
+    Returns how the run ended: ``"violation"``, ``"halted"`` or
+    ``"running"``."""
+    if schedule is None:
+        schedule = ExplicitSchedule(10, _random_rounds(seed, 10),
+                                    cycle=True, interval=None)
+    n = schedule.num_nodes
+    nodes, mirror = factory(n), factory(n)
+    kernel = build_batch_kernel(mirror, id_bits=id_bits)
+    assert kernel is not None
+    rngs = RngRegistry(seed)
+    node_rngs = [rngs.for_node("node", node.node_id) for node in nodes]
+    kernel_rngs = RngRegistry(seed)
+    ctx = BatchContext(0, [kernel_rngs.for_node("node", node.node_id)
+                           for node in mirror], lambda *a: None)
+    for r in range(1, rounds + 1):
+        ctx.round_index = r
+        payloads = [node.compose(RoundContext(r, node_rngs[i],
+                                              lambda *a: None))
+                    for i, node in enumerate(nodes)]
+        sends, bits = kernel.compose(ctx)
+        sends = [True] * n if sends is None else sends.tolist()
+        assert sends == [p is not None for p in payloads], f"round {r}"
+        for i, payload in enumerate(payloads):
+            if payload is not None:
+                assert bits[i] == bit_size(payload, id_bits), f"round {r}"
+        csr = schedule.adjacency(r)
+
+        def per_node():
+            for j, node in enumerate(nodes):
+                inbox = [payloads[s] for s in csr.neighbors_of(j).tolist()
+                         if payloads[s] is not None]
+                node.deliver(RoundContext(r, node_rngs[j], None), inbox)
+
+        result = {}
+
+        def batched():
+            result["events"] = kernel.deliver(ctx, csr, None)[1]
+
+        expected = _fold_outcome(per_node)
+        assert _fold_outcome(batched) == expected, f"round {r}"
+        if expected is not None:
+            return "violation"
+        assert kernel.changed_last.tolist() == [
+            node.state_changed for node in nodes], f"round {r}"
+        want = sorted((event[0], i, event[1] if len(event) > 1 else None)
+                      for i, node in enumerate(nodes)
+                      for event in node._drain_events())
+        assert sorted(result["events"]) == want, f"round {r}"
+        if any(node.halted for node in nodes):
+            return "halted"
+    return "running"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_token_kernel_folds_per_round(seed):
+    _assert_kernel_folds_per_round(
+        lambda n: [RandomTokenDissemination(i, target_count=n)
+                   for i in _scattered_ids(n)], seed)
+
+
+@pytest.mark.parametrize("growth", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_klo_kernel_folds_per_round(seed, growth):
+    """Sparse random graphs break KLO's connectivity promise, so runs
+    also reach split epoch positions and dissemination violations."""
+    _assert_kernel_folds_per_round(
+        lambda n: [KCommitteeCount(i, guess_growth=growth)
+                   for i in _scattered_ids(n)], seed, rounds=150)
+
+
+@pytest.mark.parametrize("params", [
+    [{"initial_guess": 1}, {"initial_guess": 2}],
+    [{"guess_growth": 2}, {"guess_growth": 3}],
+])
+def test_klo_kernel_declines_mixed_guess_parameters(params):
+    from repro.dynamics import StaticAdversary, line_graph
+    from repro.obs import Recorder
+
+    n = 6
+    nodes = [KCommitteeCount(i, **params[i % 2]) for i in range(n)]
+    assert build_batch_kernel(nodes) is None
+    recorder = Recorder.in_memory()
+    sim = Simulator(StaticAdversary(n, line_graph(n)), nodes,
+                    rng=RngRegistry(0), engine="fast", recorder=recorder)
+    sim.run(max_rounds=4, until="halted", allow_timeout=True)
+    assert sim._tier_rounds["batch"] == 0
+    (select,) = [e for e in recorder.of_kind("engine_tier")
+                 if e.action == "select"]
+    assert select.tier == "fast"
+    declined = {p["backend"]: p for p in select.declined}
+    assert declined["batch"]["missing"] == ["kernel-population"]
+    assert declined["batch"]["detail"].startswith(
+        "KCommitteeCount.__batch_kernel__ declined")
+
+
+@pytest.mark.parametrize("late_edges,wording,at_round", [
+    # Node 1 hears its leader's count 2 and the singleton's count 1.
+    ([(0, 1), (1, 2)], "node 1: conflicting counts 2 vs 1", 7),
+    # Node 1 never hears its leader's count.
+    ([], "node 1: dissemination ended without a count (k=1)", 9),
+])
+def test_klo_kernel_raises_per_node_violations(late_edges, wording,
+                                               at_round):
+    """With k=1, nodes 0 and 1 form one committee while node 2 stays
+    isolated and forms another; both verify clean, so dissemination
+    carries two counts (or none) and must raise as the per-node fold."""
+    rounds = [[(0, 1)]] * 6 + [late_edges] * 3
+    schedule = ExplicitSchedule(3, rounds, interval=None)
+    factory = lambda n: [KCommitteeCount(i) for i in range(n)]  # noqa: E731
+    assert _assert_kernel_folds_per_round(
+        factory, 0, rounds=9, schedule=schedule) == "violation"
+    sim = Simulator(ExplicitSchedule(3, rounds, interval=None), factory(3),
+                    rng=RngRegistry(0), engine="fast")
+    with pytest.raises(AlgorithmViolation, match=re.escape(wording)):
+        sim.run(max_rounds=9)
+    assert sim._tier_rounds["batch"] == sim.round_index == at_round
+
+
+@pytest.mark.parametrize("cut", [1, 5, 11, 23, 32])
+@pytest.mark.parametrize("factory", [
+    lambda n: [KCommitteeCount(i) for i in _scattered_ids(n)],
+    lambda n: [RandomTokenDissemination(i, target_count=n)
+               for i in _scattered_ids(n)],
+], ids=["klo", "token"])
+def test_baseline_kernels_resume_split_runs(factory, cut):
+    """A batch run cut after *cut* rounds and resumed (the second
+    ``run()`` re-imports the state ``finalize`` wrote back, mid-epoch for
+    KLO) equals one uninterrupted per-node run."""
+    from repro.dynamics import OverlapHandoffAdversary
+
+    n = 9
+
+    def run(engine):
+        sim = Simulator(OverlapHandoffAdversary(n, 2, noise_edges=1, seed=4),
+                        factory(n), rng=RngRegistry(4), engine=engine)
+        sim.run(max_rounds=cut, until="halted", allow_timeout=True)
+        return sim, sim.run(max_rounds=2000, until="halted",
+                            allow_timeout=True)
+
+    split_sim, split = run("fast")
+    _, whole = run("fast-nobatch")
+    assert split_sim._tier_rounds["batch"] == split.rounds
+    assert split == whole
+
+
+def test_token_tiers_agree_after_direct_token_updates():
+    """Tokens added straight to ``tokens`` (as adaptive adversaries and
+    tests do) are forwarded alike by the per-node and batch tiers."""
+    from repro.dynamics import OverlapHandoffAdversary
+
+    n = 9
+
+    def run(engine):
+        nodes = [RandomTokenDissemination(i, target_count=n)
+                 for i in range(n)]
+        for i, node in enumerate(nodes):
+            node.tokens.update({(i + 3) % n, (i + 5) % n})
+        sim = Simulator(OverlapHandoffAdversary(n, 2, noise_edges=1, seed=4),
+                        nodes, rng=RngRegistry(4), engine=engine)
+        result = sim.run(max_rounds=2000, until="decided")
+        return sim, result, [sorted(node.tokens) for node in nodes]
+
+    batch_sim, *batch = run("fast")
+    assert batch_sim._tier_rounds["batch"] == batch[0].rounds
+    for engine in ("fast-nobatch", "reference"):
+        assert run(engine)[1:] == tuple(batch)

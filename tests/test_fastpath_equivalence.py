@@ -563,3 +563,71 @@ def test_executor_strips_phase_columns_from_cache(tmp_path):
     report2 = ParallelExecutor(cache=str(tmp_path)).run([(spec, 7)])
     assert report2.cache_hits == 1
     assert not any(k.startswith("phase.") for k in report2.rows[0])
+
+
+# --------------------------------------------------------------------------
+# baseline kernels: KLO and random token dissemination on the batch tier
+# --------------------------------------------------------------------------
+
+def _klo_spec(n, T, **params):
+    return TrialSpec(
+        schedule="lowdiam_handoff", schedule_params={"n": n, "T": T},
+        nodes="klo_count", node_params={"n": n, **params},
+        max_rounds=20000, until="halted")
+
+
+def _token_spec(n, T):
+    return TrialSpec(
+        schedule="lowdiam_handoff", schedule_params={"n": n, "T": T},
+        nodes="token_dissemination",
+        node_params={"n": n, "known_count": True},
+        max_rounds=40 * n + 400, until="decided")
+
+
+def _run_baseline_tiers(spec, seed, loss_rate=0.0):
+    """Run *spec* on every tier via direct Simulators (loss is not a
+    spec field); returns ``{engine: (RunResult, tier_rounds)}``."""
+    config = spec.to_config()
+    runs = {}
+    for engine in ENGINES:
+        schedule = config.schedule_factory(seed)
+        nodes = list(config.node_factory(schedule, seed))
+        sim = Simulator(schedule, nodes, rng=RngRegistry(seed),
+                        loss_rate=loss_rate, engine=engine)
+        result = sim.run(max_rounds=config.max_rounds, until=config.until)
+        runs[engine] = (result, dict(sim._tier_rounds))
+    return runs
+
+
+BASELINE_CELLS = [
+    # T3's guess-growth ablation values, plus a larger first guess.
+    pytest.param(_klo_spec(10, 2, guess_growth=3), id="klo/growth=3"),
+    pytest.param(_klo_spec(12, 2, guess_growth=4), id="klo/growth=4"),
+    pytest.param(_klo_spec(9, 2, guess_growth=8), id="klo/growth=8"),
+    pytest.param(_klo_spec(12, 4, initial_guess=4), id="klo/initial_guess=4"),
+    pytest.param(_klo_spec(10, 4, initial_guess=3, guess_growth=3),
+                 id="klo/initial_guess=3,growth=3"),
+] + [
+    pytest.param(_token_spec(n, T), id=f"token/n={n},T={T}")
+    for n in (16, 33) for T in (2, 4)
+]
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.2])
+@pytest.mark.parametrize("spec", BASELINE_CELLS)
+def test_baseline_kernels_match_reference(spec, loss_rate):
+    """The KLO and token kernels run every round on the batch tier and
+    match the per-node tiers bit for bit, with and without loss."""
+    n = spec.node_params["n"]
+    runs = _run_baseline_tiers(spec, 3, loss_rate)
+    ref, ref_tiers = runs["reference"]
+    assert ref_tiers["reference"] == ref.rounds
+    for engine in ENGINES[:-1]:
+        _assert_run_results_equal(runs[engine][0], ref)
+    batch, tiers = runs["fast"]
+    assert tiers["batch"] == batch.rounds
+    assert runs["fast-nobatch"][1]["fast"] == batch.rounds
+    assert set(batch.outputs.values()) == {n}
+    if loss_rate:
+        assert batch.metrics.counters.get("messages_lost", 0) > 0
+
