@@ -13,17 +13,19 @@ test:
 test-fast:
 	$(PY) -m pytest tests/ -m "not slow" -x -q
 
-# Lint + strict type-check the engine-backend package (the pluggable
-# registry in src/repro/simnet/backends/ is held to the strictest bar;
-# config in pyproject.toml).  Each tool is skipped with a notice when
+# Lint + strict type-check the engine's tier modules: the batch kernels
+# and their round (src/repro/simnet/batch.py) and the per-node round
+# loops (src/repro/simnet/rounds.py) are held to the strictest bar;
+# config in pyproject.toml.  Each tool is skipped with a notice when
 # not installed, so the target is usable from the bare runtime
 # environment; CI installs both and enforces them.
+LINT_MODULES = src/repro/simnet/batch.py src/repro/simnet/rounds.py
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-	    ruff check src/repro/simnet/backends; \
+	    ruff check $(LINT_MODULES); \
 	else echo "[lint] ruff not installed; skipping (pip install ruff)"; fi
 	@if command -v mypy >/dev/null 2>&1; then \
-	    mypy --strict src/repro/simnet/backends; \
+	    mypy --strict $(LINT_MODULES); \
 	else echo "[lint] mypy not installed; skipping (pip install mypy)"; fi
 
 bench:           ## full-size: regenerates every table/figure into results/

@@ -116,7 +116,7 @@ LOSSY_N = 1024
 def lossy_comparison(n=LOSSY_N, rounds=None):
     """Kernel-vs-fast rounds/sec at *n* with per-edge Bernoulli loss.
 
-    The batch backend serves lossy runs through vectorised per-edge
+    The batch tier serves lossy runs through vectorised per-edge
     loss masks (``lossy_delivery_view``); this row proves the masked
     kernels still beat the per-node fast path rather than merely
     matching its results.

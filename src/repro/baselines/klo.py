@@ -63,7 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .._validate import require_positive_int
 from ..errors import AlgorithmViolation
-from ..simnet.backends.batch import KCommitteeBatchKernel
+from ..simnet.batch import KCommitteeBatchKernel
 from ..simnet.message import NodeId
 from ..simnet.node import Algorithm, RoundContext
 
@@ -333,7 +333,7 @@ class KCommitteeCount(Algorithm):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Phase-structured CSR kernel (:mod:`repro.simnet.backends.batch`)."""
+        """Phase-structured CSR kernel (:mod:`repro.simnet.batch`)."""
         if cls is not KCommitteeCount:
             return None
         return KCommitteeBatchKernel.build(nodes, id_bits)

@@ -27,7 +27,7 @@ from bisect import insort
 from typing import Any, List, Optional
 
 from .._validate import require_positive_int
-from ..simnet.backends.batch import TokenBatchKernel
+from ..simnet.batch import TokenBatchKernel
 from ..simnet.message import NodeId
 from ..simnet.node import Algorithm, RoundContext
 
@@ -83,7 +83,7 @@ class RandomTokenDissemination(Algorithm):
 
     @classmethod
     def __batch_kernel__(cls, nodes, id_bits: int = 32):
-        """Membership-row kernel (:mod:`repro.simnet.backends.batch`)."""
+        """Membership-row kernel (:mod:`repro.simnet.batch`)."""
         if cls is not RandomTokenDissemination:
             return None
         return TokenBatchKernel.build(nodes, id_bits)

@@ -141,18 +141,15 @@ def _parser() -> argparse.ArgumentParser:
                           "and merge them into DIR/events.jsonl (cached "
                           "cells execute no trial, so they emit no "
                           "events); see docs/OBSERVABILITY.md")
-    from ..simnet.backends import available_engines
+    from ..simnet.engine import ENGINES
 
-    run.add_argument("--engine", default=None, choices=available_engines(),
+    run.add_argument("--engine", default=None, choices=ENGINES,
                      help="engine for every trial (exported as "
                           "REPRO_ENGINE so worker processes inherit it; "
-                          "all built-in choices produce identical rows)")
+                          "all choices produce identical rows)")
 
     sub.add_parser("builders",
                    help="list registered schedule/node/oracle builders")
-    sub.add_parser("engines",
-                   help="list registered engine backends (priorities and "
-                        "capability flags; see docs/ENGINES.md)")
 
     cache = sub.add_parser("cache", help="inspect or clear a result cache")
     cache.add_argument("--dir", required=True, metavar="DIR",
@@ -168,8 +165,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         import os
 
         # The environment variable is the spawn-safe channel: worker
-        # processes inherit it, and engine_default() gives it precedence
-        # over any in-process set_engine_default() call.
+        # processes inherit it.
         os.environ["REPRO_ENGINE"] = args.engine
     if args.events:
         import os
@@ -231,11 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_run(args)
     if args.verb == "builders":
         return _cmd_builders()
-    if args.verb == "engines":
-        from ..harness.cli import render_engine_list
-
-        print(render_engine_list())
-        return 0
     if args.verb == "cache":
         return _cmd_cache(args)
     _parser().print_help()

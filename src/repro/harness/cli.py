@@ -29,35 +29,11 @@ import time
 from typing import List, Optional
 
 from ..exec.executor import ExecOptions
-from ..simnet.backends import available_engines, registered_backends
+from ..simnet.engine import ENGINES
 from .experiments import EXPERIMENTS, run_experiment, run_f1, run_f5, run_t1
 from .io import save_experiment
 
-__all__ = ["main", "render_engine_list"]
-
-
-def render_engine_list() -> str:
-    """The registered engine backends, one line each (``--list-engines``).
-
-    Lists the selection aliases first, then every registered backend
-    with its negotiation priority and the capability flags it declares
-    (see ``docs/ENGINES.md``); third-party backends added through
-    :func:`repro.simnet.backends.register_backend` appear automatically.
-    """
-    lines = ["engines: " + " ".join(available_engines())]
-    for backend in registered_backends():
-        info = backend.describe()
-        supports = list(info["supports"])
-        tags = []
-        if info["auto"]:
-            tags.append("auto")
-        if info["overlay"]:
-            tags.append("overlay")
-        tag_text = f" [{', '.join(tags)}]" if tags else ""
-        lines.append(
-            f"  {info['name']:<12} priority={info['priority']:<3}{tag_text} "
-            f"supports: {', '.join(supports) if supports else '(none)'}")
-    return "\n".join(lines)
+__all__ = ["main"]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -94,17 +70,11 @@ def _parser() -> argparse.ArgumentParser:
                              "per-tier dispatch counts (batch kernels / "
                              "fast / reference) and print an aggregate "
                              "after each experiment")
-    parser.add_argument("--engine", default=None,
-                        choices=available_engines(),
+    parser.add_argument("--engine", default=None, choices=ENGINES,
                         help="engine for every simulator the experiments "
                              "construct (default: fast, with batch-kernel "
                              "dispatch; all choices produce identical "
-                             "results; registered backends appear "
-                             "automatically — see --list-engines)")
-    parser.add_argument("--list-engines", action="store_true",
-                        help="list the registered engine backends with "
-                             "their priorities and capability flags, "
-                             "then exit")
+                             "results; exported as REPRO_ENGINE)")
     parser.add_argument("--events", default=None, metavar="DIR",
                         help="record schema-validated JSONL event streams "
                              "(one trial-*.jsonl per trial) under DIR and "
@@ -161,9 +131,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for exp_id in EXPERIMENTS:
             print(exp_id)
         return 0
-    if args.list_engines:
-        print(render_engine_list())
-        return 0
     if args.claims:
         from .claims import check_claims, render_claims
 
@@ -185,9 +152,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         set_profile_default(True)
     if args.engine:
-        from ..simnet.engine import set_engine_default
+        import os
 
-        set_engine_default(args.engine)
+        # Exported, so executor worker processes inherit it.
+        os.environ["REPRO_ENGINE"] = args.engine
     if args.events:
         import os
 

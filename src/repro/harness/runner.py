@@ -149,11 +149,8 @@ class TrialConfig:
     engine:
         Engine selection forwarded to :class:`Simulator` (``"fast"``,
         ``"fast-nobatch"``, or ``"reference"``; all produce identical
-        results).  ``None`` defers to the process-wide default (set by
-        the CLI's ``--engine`` flag or ``REPRO_ENGINE``).
-    batch_kernels:
-        Forwarded to :class:`Simulator`; ``None`` keeps batch-kernel
-        dispatch on under ``engine="fast"``.
+        results).  ``None`` defers to ``REPRO_ENGINE``, which the CLIs'
+        ``--engine`` flags export.
     profile:
         Per-phase wall-clock profiling; ``None`` defers to the
         process-wide default (set by the CLI's ``--profile`` flag).
@@ -169,7 +166,6 @@ class TrialConfig:
     bandwidth_bits: Optional[int] = None
     allow_timeout: bool = False
     engine: Optional[str] = None
-    batch_kernels: Optional[bool] = None
     profile: Optional[bool] = None
 
 
@@ -277,7 +273,6 @@ def run_trial(config: TrialLike, seed: int) -> TrialResult:
         bandwidth_bits=config.bandwidth_bits,
         engine=config.engine,
         profile=config.profile,
-        batch_kernels=config.batch_kernels,
         recorder=recorder,
     )
     try:

@@ -159,14 +159,13 @@ class EngineTierEvent(Event):
     or ``"fallback"`` (a mid-run deactivation, e.g. the batch kernel
     retiring on the first halt event); ``reason`` says why, in the
     engine's own words — the strings the dispatch conditions produce,
-    e.g. ``"population has no batch kernel"`` or ``"halt event
+    e.g. ``"trace recorder attached"`` or ``"halt event
     deactivated the batch kernel"``.
 
     ``declined`` is the structured form of ``reason``: a list of
-    capability diffs (``{"backend", "missing", "detail"}`` dicts, see
-    :meth:`repro.simnet.backends.base.CapabilityDiff.to_payload`), one
-    per backend the negotiator passed over — ``None`` when nothing was
-    declined.
+    ``{"tier", "reason"}`` dicts, one per tier
+    :func:`repro.simnet.engine.select_tier` passed over — ``None`` when
+    nothing was declined.
     """
 
     kind = "engine_tier"

@@ -1,43 +1,89 @@
-"""Compatibility shim: the batch-kernel tier moved to the backends package.
+"""The batch tier: struct-of-arrays kernels, CSR segment-reduce delivery.
 
-The kernel protocol, the concrete kernels, and the numeric helpers now
-live in :mod:`repro.simnet.backends.batch`, where the batch tier is one
-pluggable :class:`~repro.simnet.backends.base.EngineBackend` among the
-registered execution tiers.  This module re-exports the public surface
-so existing ``from repro.simnet.batch import ...`` imports (algorithm
-hooks, tests, downstream code) keep working unchanged.
+The engine's per-node fast path (see :mod:`repro.simnet.rounds`)
+still makes one Python ``compose()`` and one ``deliver()`` call per
+active node per round, so for the aggregate-style algorithms the
+*algorithm layer* dominates at large ``N``.  Their per-round updates,
+however, are associative reductions over neighbour payloads — max,
+boolean OR, set union, coordinate-wise min — which evaluate in one shot
+as NumPy segment-reduces over the CSR adjacency the fast engine already
+caches.  The KLO and random token-dissemination baselines fit the same
+mould: phase-structured min-folds, and per-node RNG picks of set bits
+(see the baseline kernels below).
+
+This module defines the opt-in **batch kernel protocol**:
+
+* an algorithm class exposes a classmethod hook ``__batch_kernel__(nodes,
+  id_bits=...)`` returning a :class:`BatchKernel` (or ``None`` when the
+  concrete node population is not eligible — heterogeneous bounds,
+  exotic state types, subclasses with overridden semantics);
+* the kernel holds the whole population's state as struct-of-arrays
+  (values, bitsets, sketch matrices, decided flags, quiescence windows)
+  and implements ``compose``/``deliver`` over the entire active set;
+* the engine engages the kernel when :func:`repro.simnet.engine.select_tier`
+  picks the batch tier for a run; :func:`run_batch_round` reconciles
+  decisions/halts/metrics from the arrays, and :func:`deactivate_batch`
+  writes the state back into the node objects before anything else can
+  observe them.
+
+Equivalence contract
+--------------------
+A kernel must be *bit-for-bit* equivalent to running the per-node
+``compose``/``deliver`` fold: same per-round changed flags (quiescence),
+same decide/retract/halt events with the same values, the same payload
+bit costs (:func:`repro.simnet.message.bit_size` of the per-node
+encoding), and the same per-node RNG consumption.  The three-way golden
+grid in ``tests/test_fastpath_equivalence.py`` and the fold-matching
+property tests in ``tests/test_batch_kernels.py`` enforce this.
+
+Message loss
+------------
+The batch tier executes lossy runs (``loss_rate > 0``) natively: the
+per-edge Bernoulli keep mask is drawn **vectorised** from the shared
+``"loss"`` RNG stream and applied by handing every kernel a filtered
+*delivery view* of the round's CSR (:func:`lossy_delivery_view`).  The
+draw order is bit-identical to the per-node engines' — those draw
+``rng.random(len(inbox))`` per non-halted receiver in ascending receiver
+order, where each inbox holds exactly the payload-bearing edges of the
+receiver's CSR row in row order; since NumPy's ``Generator.random``
+consumes one state increment per double, one flat draw over the
+concatenated sender-edges reproduces the per-receiver stream exactly.
+Broadcast accounting stays on the *unfiltered* CSR (loss happens at
+delivery; ``delivered_messages`` counts pre-loss degrees, exactly as the
+per-node paths do), and the total dropped count feeds the same
+``messages_lost`` counter.
+
+Segment reduction over CSR
+--------------------------
+``np.ufunc.reduceat(data, indptr[:-1])`` mishandles empty segments (it
+returns ``data[start]`` for them), so :func:`segment_reduce` passes only
+the *non-empty* starts: consecutive non-empty starts span the empty
+segments between them correctly, and the results scatter back through
+the non-empty mask while empty segments keep the receiver's own state —
+exactly the semantics of a node with an empty inbox.
 """
 
 from __future__ import annotations
 
-from .backends.batch import (  # noqa: F401
-    Events,
-    _INT_SENTINEL,
-    BatchContext,
-    BatchKernel,
-    BatchQuiescence,
-    FloodBroadcastBatchKernel,
-    FloodMaxBatchKernel,
-    FloodTokenBatchKernel,
-    IdSetBatchKernel,
-    MaxBatchKernel,
-    MinVectorBatchKernel,
-    aggregate_batch_kernel,
-    build_batch_kernel,
-    describe_batch_ineligibility,
-    int_payload_bits,
-    popcount64,
-    segment_counts,
-    segment_reduce,
-)
+from time import perf_counter
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
+
+import numpy as np
+
+from ..errors import AlgorithmViolation
+from .message import bit_size
 
 __all__ = [
     "BatchContext",
     "BatchKernel",
     "BatchQuiescence",
     "build_batch_kernel",
-    "describe_batch_ineligibility",
+    "engage_batch",
+    "run_batch_round",
+    "deactivate_batch",
     "aggregate_batch_kernel",
+    "lossy_delivery_view",
     "segment_reduce",
     "segment_counts",
     "int_payload_bits",
@@ -48,4 +94,1489 @@ __all__ = [
     "FloodMaxBatchKernel",
     "FloodTokenBatchKernel",
     "FloodBroadcastBatchKernel",
+    "TokenBatchKernel",
+    "KCommitteeBatchKernel",
 ]
+
+#: Events a kernel reports back: ``(kind, node_index, value)`` with kind
+#: one of ``"decide"`` / ``"retract"`` / ``"halt"`` (value ``None`` for
+#: the latter two), in ascending node-index order per kind.
+Events = List[Tuple[str, int, Any]]
+
+#: Sentinel for "no value" in int64 payload arrays; larger than any
+#: eligible real value (eligibility requires ``|v| < 2**62``).
+_INT_SENTINEL = np.int64(2 ** 62)
+
+_CONTAINER_FRAMING_BITS = 8  # matches repro.simnet.message
+
+
+# --------------------------------------------------------------------------
+# numeric helpers
+# --------------------------------------------------------------------------
+
+if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+    def popcount64(x: np.ndarray) -> np.ndarray:
+        """Per-element population count of a uint64 array (int64 result)."""
+        return np.bitwise_count(x).astype(np.int64)
+else:  # pragma: no cover - exercised only on numpy < 2
+    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+    def popcount64(x: np.ndarray) -> np.ndarray:
+        """Per-element population count of a uint64 array (int64 result)."""
+        flat = np.ascontiguousarray(x).view(np.uint8)
+        return _POP8[flat].reshape(x.shape + (8,)).sum(axis=-1)
+
+
+def int_payload_bits(values: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`~repro.simnet.message.bit_size` for int payloads.
+
+    ``bit_size(int)`` is ``max(1, v.bit_length()) + 1``; Python's
+    ``bit_length`` of a negative int is that of its absolute value.  The
+    bit length is computed *exactly* via an OR-smear + popcount on the
+    uint64 view — float tricks (``frexp``/``log2``) are inexact near the
+    2**53 mantissa boundary and would silently mis-cost large payloads.
+    """
+    x = np.abs(values.astype(np.int64, copy=True)).astype(np.uint64)
+    for shift in (1, 2, 4, 8, 16, 32):
+        x |= x >> np.uint64(shift)
+    lengths = popcount64(x)
+    return np.maximum(lengths, 1) + 1
+
+
+def segment_reduce(ufunc: np.ufunc, data: np.ndarray, indptr: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Merge per-segment reductions of *data* into *out* (in place).
+
+    ``data`` holds one row per delivered message in receiver-grouped CSR
+    order; segment ``j`` is ``data[indptr[j]:indptr[j+1]]``.  ``out``
+    must be pre-initialised with each receiver's own state: non-empty
+    segments are reduced with *ufunc* and merged into the receiver's row
+    (again with *ufunc*), empty segments — empty inboxes — are left
+    untouched.
+    """
+    starts = indptr[:-1]
+    nonempty = indptr[1:] > starts
+    if not nonempty.any():
+        return out
+    reduced = ufunc.reduceat(data, starts[nonempty], axis=0)
+    out[nonempty] = ufunc(out[nonempty], reduced)
+    return out
+
+
+def segment_counts(values: np.ndarray, indptr: np.ndarray,
+                   indices: np.ndarray) -> np.ndarray:
+    """Per-receiver sum of ``values[sender]`` over its CSR neighbours.
+
+    Uses a prefix sum (cumsum is total, so empty segments need no
+    special-casing, unlike ``reduceat``).
+    """
+    cum = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(values[indices], out=cum[1:])
+    return cum[indptr[1:]] - cum[indptr[:-1]]
+
+
+# --------------------------------------------------------------------------
+# lossy delivery views
+# --------------------------------------------------------------------------
+
+class _DeliveryView:
+    """A filtered CSR the kernels consume in place of the round's graph.
+
+    Kernels read only ``indices`` / ``indptr``, so a loss-filtered (or
+    sender-filtered) edge set presents as an ordinary CSR — no kernel
+    needs to know loss exists.
+    """
+
+    __slots__ = ("indices", "indptr")
+
+    def __init__(self, indices: np.ndarray, indptr: np.ndarray) -> None:
+        self.indices = indices
+        self.indptr = indptr
+
+
+def lossy_delivery_view(csr: Any, sender_mask: Optional[np.ndarray],
+                        loss_rng: np.random.Generator,
+                        loss_rate: float) -> Tuple[Any, int]:
+    """Draw the round's per-edge Bernoulli loss; returns ``(view, dropped)``.
+
+    The keep mask is drawn over the *sender-bearing* edges (edges whose
+    sender broadcast this round) in CSR row-major order — exactly the
+    concatenation of the per-receiver inboxes the per-node engines draw
+    over, receiver-ascending with in-row inbox order, so the shared
+    ``"loss"`` stream is consumed bit-identically.  The returned view's
+    rows contain only the kept sender edges; receivers whose inbox was
+    emptied become empty CSR segments, which every kernel already treats
+    as "keep your own state".
+    """
+    indices = csr.indices
+    indptr = csr.indptr
+    if sender_mask is None:
+        edge_has_sender = None
+        sender_edges = indices
+    else:
+        edge_has_sender = sender_mask[indices]
+        sender_edges = indices[edge_has_sender]
+    total = int(sender_edges.shape[0])
+    if total == 0:
+        empty_indptr = np.zeros(len(indptr), dtype=np.int64)
+        return _DeliveryView(indices[:0], empty_indptr), 0
+    kept = loss_rng.random(total) >= loss_rate
+    dropped = total - int(kept.sum())
+    if edge_has_sender is None:
+        if dropped == 0:
+            return csr, 0
+        kept_edges = kept
+    else:
+        kept_edges = np.zeros(indices.shape[0], dtype=bool)
+        kept_edges[edge_has_sender] = kept
+    cum = np.zeros(indices.shape[0] + 1, dtype=np.int64)
+    np.cumsum(kept_edges, out=cum[1:])
+    return _DeliveryView(indices[kept_edges], cum[indptr]), dropped
+
+
+# --------------------------------------------------------------------------
+# the protocol
+# --------------------------------------------------------------------------
+
+class BatchContext:
+    """Round information handed to a batch kernel by the engine.
+
+    Mirrors :class:`~repro.simnet.node.RoundContext` at the population
+    level: the 1-based ``round_index``, the per-node private generators
+    (``rngs[i]`` is node *i*'s stream — kernels must consume exactly the
+    draws the per-node path would, in ascending node order within a
+    round), and the run-level counter hook ``incr``.
+    """
+
+    __slots__ = ("round_index", "rngs", "incr")
+
+    def __init__(self, round_index: int,
+                 rngs: Sequence[np.random.Generator],
+                 incr: Callable[..., None]) -> None:
+        self.round_index = round_index
+        self.rngs = rngs
+        self.incr = incr
+
+
+class BatchKernel:
+    """Base class for whole-population round kernels.
+
+    Subclasses maintain struct-of-arrays state for all ``n`` nodes and
+    implement:
+
+    * :meth:`compose` — advance the compose phase for every node at
+      once, returning ``(sender_mask, bits)``: a boolean mask of nodes
+      that broadcast this round (``None`` means *everyone*) and an int64
+      array of per-node payload bit costs (read only at sender
+      positions), exactly matching ``bit_size(node.compose(ctx))``;
+    * :meth:`deliver` — fold every inbox via the CSR in one shot,
+      returning ``(changed_any, events)`` where ``changed_any`` mirrors
+      the engine's quiescence tracking (true iff any node's
+      ``mark_changed(True)``) and *events* reports the round's
+      decide/retract/halt lifecycle per node index;
+    * :meth:`finalize` — write the array state back into the node
+      objects (state, controller fields, changed flags), so that after
+      the engine leaves batch mode the nodes are indistinguishable from
+      having run the per-node path.
+
+    The ``decided`` attribute (bool array) must mirror
+    ``node._decided`` at all times — the engine's stop conditions read
+    it instead of touching the node objects.
+    """
+
+    decided: np.ndarray
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        raise NotImplementedError
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        raise NotImplementedError
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        raise NotImplementedError
+
+
+def build_batch_kernel(nodes: Sequence[Any], id_bits: int = 32
+                       ) -> Tuple[Optional[BatchKernel], str]:
+    """Build a kernel for a homogeneous, eligible node population.
+
+    Returns ``(kernel, "")``, or ``(None, reason)`` — and the engine
+    stays on the per-node fast path — when the population is empty or
+    heterogeneous, any node has already halted, the class exposes no
+    ``__batch_kernel__`` hook, or the hook itself declines (state it
+    cannot represent exactly).  *reason* is the clause the engine's
+    ``engine_tier`` events carry.
+    """
+    if not nodes:
+        return None, "empty node population"
+    cls = type(nodes[0])
+    hook = getattr(cls, "__batch_kernel__", None)
+    if hook is None:
+        return None, f"{cls.__name__} exposes no __batch_kernel__ hook"
+    for node in nodes:
+        if type(node) is not cls:
+            return None, (f"heterogeneous population "
+                          f"({cls.__name__} + {type(node).__name__})")
+        if node._halted:
+            return None, "population already contains halted nodes"
+    kernel: Optional[BatchKernel] = hook(nodes, id_bits=id_bits)
+    if kernel is None:
+        return None, (f"{cls.__name__}.__batch_kernel__ declined the "
+                      f"population (state it cannot represent exactly)")
+    return kernel, ""
+
+
+# --------------------------------------------------------------------------
+# vectorised quiescence controller
+# --------------------------------------------------------------------------
+
+class BatchQuiescence:
+    """Struct-of-arrays mirror of per-node ``QuiescenceController`` state.
+
+    :meth:`observe` advances every node's controller one round and
+    returns the ``(decide, retract)`` verdict masks; the update rule is
+    the exact vectorisation of
+    :meth:`repro.core.termination.QuiescenceController.observe`.
+    """
+
+    __slots__ = ("growth", "window", "quiet", "holding", "retractions")
+
+    def __init__(self, controllers: Sequence[Any]) -> None:
+        self.growth = controllers[0].growth
+        self.window = np.array([c.window for c in controllers],
+                               dtype=np.int64)
+        self.quiet = np.array([c.quiet_streak for c in controllers],
+                              dtype=np.int64)
+        self.holding = np.array([c.holding for c in controllers], dtype=bool)
+        self.retractions = np.array([c.retraction_count for c in controllers],
+                                    dtype=np.int64)
+
+    @classmethod
+    def from_controllers(cls, controllers: Sequence[Any]
+                         ) -> "Optional[BatchQuiescence]":
+        growth = controllers[0].growth
+        if any(c.growth != growth for c in controllers):
+            return None
+        return cls(controllers)
+
+    def observe(self, changed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        retract = changed & self.holding
+        np.add(self.quiet, 1, out=self.quiet)
+        self.quiet[changed] = 0
+        self.holding &= ~changed
+        if retract.any():
+            self.retractions[retract] += 1
+            self.window[retract] *= self.growth
+        decide = ~changed & ~self.holding & (self.quiet >= self.window)
+        self.holding |= decide
+        return decide, retract
+
+    def restore(self, controllers: Sequence[Any]) -> None:
+        window = self.window.tolist()
+        quiet = self.quiet.tolist()
+        holding = self.holding.tolist()
+        retractions = self.retractions.tolist()
+        for i, controller in enumerate(controllers):
+            controller.window = window[i]
+            controller.quiet_streak = quiet[i]
+            controller.holding = holding[i]
+            controller.retraction_count = retractions[i]
+
+
+# --------------------------------------------------------------------------
+# aggregate-family kernels (SublinearMax / ExactCount / ApproxCount + the
+# *KnownBound halting variants)
+# --------------------------------------------------------------------------
+
+def _uniform_contributed(nodes: Sequence[Any]) -> Optional[bool]:
+    """All-or-nothing ``_contributed`` flag, or ``None`` when mixed."""
+    first = nodes[0]._contributed
+    if any(node._contributed is not first for node in nodes):
+        return None
+    return bool(first)
+
+
+class _AggregateKernel(BatchKernel):
+    """Common decide/retract/halt plumbing for aggregate-style kernels.
+
+    Subclasses supply the array representation: ``_contribute`` (first
+    compose — must draw from ``ctx.rngs`` in ascending node order),
+    ``_merge`` (one delivery fold, returns the per-node changed mask),
+    ``_bits`` (per-node payload cost), ``_output`` (decide value for one
+    node), and ``_restore_state`` (write node *i*'s state back).
+    """
+
+    def __init__(self, algs: Sequence[Any],
+                 controller: Optional[BatchQuiescence],
+                 rounds_bound: Optional[int]) -> None:
+        self._algs = list(algs)
+        self.n = len(algs)
+        self.name = type(algs[0]).name
+        self.controller = controller
+        self.rounds_bound = rounds_bound
+        self.decided = np.array([a._decided for a in algs], dtype=bool)
+        self.changed_last = np.array([a._state_changed for a in algs],
+                                     dtype=bool)
+        self._need_contribution = not algs[0]._contributed
+
+    # hooks ------------------------------------------------------------------
+    def _contribute(self, ctx: BatchContext) -> None:
+        raise NotImplementedError
+
+    def _merge(self, csr: Any) -> np.ndarray:
+        raise NotImplementedError
+
+    def _bits(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def _output(self, i: int) -> Any:
+        raise NotImplementedError
+
+    def _restore_state(self, node: Any, i: int) -> None:
+        raise NotImplementedError
+
+    # protocol ---------------------------------------------------------------
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        if self._need_contribution:
+            self._contribute(ctx)
+            self._need_contribution = False
+        return None, self._bits()
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        changed = self._merge(csr)
+        self.changed_last = changed
+        events: Events = []
+        if self.controller is not None:
+            decide, retract = self.controller.observe(changed)
+            if retract.any():
+                # The per-node path bumps the counter on every retract
+                # verdict but emits the event only when actually decided.
+                ctx.incr(f"{self.name}.retractions", int(retract.sum()))
+                retract_ev = retract & self.decided
+                self.decided &= ~retract
+                for i in np.nonzero(retract_ev)[0].tolist():
+                    events.append(("retract", i, None))
+            decide &= ~self.decided
+            if decide.any():
+                self.decided |= decide
+                for i in np.nonzero(decide)[0].tolist():
+                    events.append(("decide", i, self._output(i)))
+        elif ctx.round_index >= self.rounds_bound:
+            for i in range(self.n):
+                events.append(("decide", i, self._output(i)))
+                events.append(("halt", i, None))
+            self.decided[:] = True
+        return bool(changed.any()), events
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        changed = self.changed_last.tolist()
+        contributed = not self._need_contribution
+        for i, node in enumerate(nodes):
+            self._restore_state(node, i)
+            node._contributed = contributed
+            node._state_changed = changed[i]
+        if self.controller is not None:
+            self.controller.restore([node.controller for node in nodes])
+
+
+def _eligible_int(value: Any) -> bool:
+    """Exactly-int payloads the int64 kernels can cost and compare."""
+    return type(value) is int and -2 ** 62 < value < 2 ** 62
+
+
+class MaxBatchKernel(_AggregateKernel):
+    """Segment-max kernel for the ``MaxAggregate`` family (int values)."""
+
+    def __init__(self, algs: Sequence[Any],
+                 controller: Optional[BatchQuiescence],
+                 rounds_bound: Optional[int],
+                 values: np.ndarray, state: Optional[np.ndarray]) -> None:
+        super().__init__(algs, controller, rounds_bound)
+        self._values = values
+        self._state = state
+
+    @classmethod
+    def build(cls, algs: Sequence[Any],
+              controller: Optional[BatchQuiescence],
+              rounds_bound: Optional[int]) -> "Optional[MaxBatchKernel]":
+        contributed = _uniform_contributed(algs)
+        if contributed is None:
+            return None
+        if not all(_eligible_int(a.value) for a in algs):
+            return None
+        values = np.array([a.value for a in algs], dtype=np.int64)
+        if contributed:
+            if not all(_eligible_int(a.state) for a in algs):
+                return None
+            state = np.array([a.state for a in algs], dtype=np.int64)
+        else:
+            if any(a.state is not None for a in algs):
+                return None
+            state = None
+        return cls(algs, controller, rounds_bound, values, state)
+
+    def _contribute(self, ctx: BatchContext) -> None:
+        # make_contribution returns self.value and draws nothing; the
+        # merge with the (None) initial state is the value itself.
+        self._state = self._values.copy()
+
+    def _merge(self, csr: Any) -> np.ndarray:
+        gathered = self._state[csr.indices]
+        new = self._state.copy()
+        segment_reduce(np.maximum, gathered, csr.indptr, new)
+        changed = new > self._state
+        self._state = new
+        return changed
+
+    def _bits(self) -> np.ndarray:
+        return int_payload_bits(self._state)
+
+    def _output(self, i: int) -> int:
+        return int(self._state[i])
+
+    def _restore_state(self, node: Any, i: int) -> None:
+        node.state = int(self._state[i]) if self._state is not None else None
+
+
+class IdSetBatchKernel(_AggregateKernel):
+    """uint64-bitset kernel for the id-set union family (exact Count)."""
+
+    def __init__(self, algs: Sequence[Any],
+                 controller: Optional[BatchQuiescence],
+                 rounds_bound: Optional[int], id_bits: int,
+                 ids: List[int], rows: Optional[np.ndarray]) -> None:
+        super().__init__(algs, controller, rounds_bound)
+        self.id_bits = id_bits
+        self._ids = np.array(ids, dtype=np.int64)
+        self._rows = rows  # (n, W) uint64, None before contribution
+        self._words = (self.n + 63) // 64
+
+    @classmethod
+    def build(cls, algs: Sequence[Any],
+              controller: Optional[BatchQuiescence],
+              rounds_bound: Optional[int],
+              id_bits: int) -> "Optional[IdSetBatchKernel]":
+        contributed = _uniform_contributed(algs)
+        if contributed is None:
+            return None
+        ids = [a.node_id for a in algs]
+        pos = {node_id: k for k, node_id in enumerate(ids)}
+        n, words = len(algs), (len(algs) + 63) // 64
+        rows: Optional[np.ndarray] = None
+        if contributed:
+            rows = np.zeros((n, words), dtype=np.uint64)
+            for i, alg in enumerate(algs):
+                state = alg.state
+                if not isinstance(state, frozenset):
+                    return None
+                for member in state:
+                    k = pos.get(member)
+                    if k is None:  # id outside the population: bail
+                        return None
+                    rows[i, k >> 6] |= np.uint64(1) << np.uint64(k & 63)
+        elif any(a.state is not None for a in algs):
+            return None
+        return cls(algs, controller, rounds_bound, id_bits, ids, rows)
+
+    def _contribute(self, ctx: BatchContext) -> None:
+        rows = np.zeros((self.n, self._words), dtype=np.uint64)
+        k = np.arange(self.n)
+        rows[k, k >> 6] = np.uint64(1) << (k & 63).astype(np.uint64)
+        self._rows = rows
+
+    def _merge(self, csr: Any) -> np.ndarray:
+        gathered = self._rows[csr.indices]
+        new = self._rows.copy()
+        segment_reduce(np.bitwise_or, gathered, csr.indptr, new)
+        changed = (new != self._rows).any(axis=1)
+        self._rows = new
+        return changed
+
+    def _counts(self) -> np.ndarray:
+        return popcount64(self._rows).sum(axis=1)
+
+    def _bits(self) -> np.ndarray:
+        return _CONTAINER_FRAMING_BITS + self.id_bits * self._counts()
+
+    def _output(self, i: int) -> int:
+        return int(popcount64(self._rows[i]).sum())
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        self._members = None
+        if self._rows is not None:
+            unpacked = np.unpackbits(
+                np.ascontiguousarray(self._rows).view(np.uint8),
+                bitorder="little").reshape(self.n, -1)
+            self._members = unpacked
+        super().finalize(nodes)
+
+    def _restore_state(self, node: Any, i: int) -> None:
+        if self._rows is None:
+            node.state = None
+            return
+        positions = np.nonzero(self._members[i][:self.n])[0]
+        node.state = frozenset(self._ids[positions].tolist())
+
+
+class MinVectorBatchKernel(_AggregateKernel):
+    """Coordinate-wise-minimum kernel for the sketch family (approx Count)."""
+
+    def __init__(self, algs: Sequence[Any],
+                 controller: Optional[BatchQuiescence],
+                 rounds_bound: Optional[int],
+                 width: int, matrix: Optional[np.ndarray]) -> None:
+        super().__init__(algs, controller, rounds_bound)
+        self.width = width
+        self._matrix = matrix  # (n, width) float64, None before contribution
+
+    @classmethod
+    def build(cls, algs: Sequence[Any],
+              controller: Optional[BatchQuiescence],
+              rounds_bound: Optional[int]) -> "Optional[MinVectorBatchKernel]":
+        contributed = _uniform_contributed(algs)
+        if contributed is None:
+            return None
+        width = algs[0].aggregate.width
+        if any(a.aggregate.width != width for a in algs):
+            return None
+        matrix: Optional[np.ndarray] = None
+        if contributed:
+            states = [a.state for a in algs]
+            if any(not isinstance(s, np.ndarray) or s.shape != (width,)
+                   for s in states):
+                return None
+            matrix = np.array(states, dtype=np.float64)
+        elif any(a.state is not None for a in algs):
+            return None
+        return cls(algs, controller, rounds_bound, width, matrix)
+
+    def _contribute(self, ctx: BatchContext) -> None:
+        # One draw per node from its private stream, ascending node
+        # order — byte-identical RNG consumption to the per-node path.
+        rows = [alg.make_contribution(ctx.rngs[i])
+                for i, alg in enumerate(self._algs)]
+        self._matrix = np.array(rows, dtype=np.float64)
+
+    def _merge(self, csr: Any) -> np.ndarray:
+        gathered = self._matrix[csr.indices]
+        new = self._matrix.copy()
+        segment_reduce(np.minimum, gathered, csr.indptr, new)
+        changed = (new < self._matrix).any(axis=1)
+        self._matrix = new
+        return changed
+
+    def _bits(self) -> np.ndarray:
+        bits = _CONTAINER_FRAMING_BITS + 64 * self.width
+        return np.full(self.n, bits, dtype=np.int64)
+
+    def _output(self, i: int) -> float:
+        return self._algs[i].sketch.estimate(self._matrix[i])
+
+    def _restore_state(self, node: Any, i: int) -> None:
+        node.state = (self._matrix[i].copy()
+                      if self._matrix is not None else None)
+
+
+def aggregate_batch_kernel(build: Callable[..., Optional[BatchKernel]],
+                           nodes: Sequence[Any], *,
+                           known_bound: bool) -> Optional[BatchKernel]:
+    """Shared eligibility plumbing for the aggregate-family hooks.
+
+    *build* is a ``SomeKernel.build``-shaped callable taking
+    ``(nodes, controller, rounds_bound)``.  Stabilizing populations get a
+    :class:`BatchQuiescence` (bailing on mixed growth factors); halting
+    populations require a uniform ``rounds_bound`` — staggered halting
+    would break the kernels' all-alive invariant.
+    """
+    if known_bound:
+        bound = nodes[0].rounds_bound
+        if any(node.rounds_bound != bound for node in nodes):
+            return None
+        return build(nodes, None, bound)
+    controller = BatchQuiescence.from_controllers(
+        [node.controller for node in nodes])
+    if controller is None:
+        return None
+    return build(nodes, controller, None)
+
+
+# --------------------------------------------------------------------------
+# flooding kernels
+# --------------------------------------------------------------------------
+
+class FloodMaxBatchKernel(BatchKernel):
+    """Segment-max kernel for the known-bound flooding Max baseline."""
+
+    def __init__(self, algs: Sequence[Any], best: np.ndarray,
+                 rounds_bound: int) -> None:
+        self._algs = list(algs)
+        self.n = len(algs)
+        self.rounds_bound = rounds_bound
+        self._best = best
+        self.decided = np.array([a._decided for a in algs], dtype=bool)
+        self.changed_last = np.array([a._state_changed for a in algs],
+                                     dtype=bool)
+
+    @classmethod
+    def build(cls, algs: Sequence[Any]) -> "Optional[FloodMaxBatchKernel]":
+        bound = algs[0].rounds_bound
+        if any(a.rounds_bound != bound for a in algs):
+            return None
+        if not all(_eligible_int(a.best) for a in algs):
+            return None
+        best = np.array([a.best for a in algs], dtype=np.int64)
+        return cls(algs, best, bound)
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        return None, int_payload_bits(self._best)
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        gathered = self._best[csr.indices]
+        new = self._best.copy()
+        segment_reduce(np.maximum, gathered, csr.indptr, new)
+        changed = new > self._best
+        self._best = new
+        self.changed_last = changed
+        events: Events = []
+        if ctx.round_index >= self.rounds_bound:
+            best = self._best.tolist()
+            for i in range(self.n):
+                events.append(("decide", i, best[i]))
+                events.append(("halt", i, None))
+            self.decided[:] = True
+        return bool(changed.any()), events
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        best = self._best.tolist()
+        changed = self.changed_last.tolist()
+        for i, node in enumerate(nodes):
+            node.best = best[i]
+            node._state_changed = changed[i]
+
+
+class FloodTokenBatchKernel(BatchKernel):
+    """Boolean-OR reach kernel for epidemic token dissemination."""
+
+    def __init__(self, algs: Sequence[Any], informed: np.ndarray) -> None:
+        self._algs = list(algs)
+        self.n = len(algs)
+        self._informed = informed
+        self.decided = informed.copy()
+        self.changed_last = np.array([a._state_changed for a in algs],
+                                     dtype=bool)
+        self._ones = np.ones(self.n, dtype=np.int64)
+
+    @classmethod
+    def build(cls, algs: Sequence[Any]) -> "Optional[FloodTokenBatchKernel]":
+        # A token node is decided exactly when informed; anything else
+        # means hand-modified state the kernel cannot represent.
+        if any(bool(a.informed) != bool(a._decided) for a in algs):
+            return None
+        informed = np.array([a.informed for a in algs], dtype=bool)
+        return cls(algs, informed)
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        return self._informed, self._ones
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        heard = segment_counts(self._informed, csr.indptr, csr.indices)
+        newly = ~self._informed & (heard > 0)
+        events: Events = []
+        if newly.any():
+            self._informed = self._informed | newly
+            self.decided |= newly
+            for i in np.nonzero(newly)[0].tolist():
+                events.append(("decide", i, True))
+        self.changed_last = newly
+        return bool(newly.any()), events
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        informed = self._informed.tolist()
+        changed = self.changed_last.tolist()
+        for i, node in enumerate(nodes):
+            node.informed = informed[i]
+            node._state_changed = changed[i]
+
+
+class FloodBroadcastBatchKernel(BatchKernel):
+    """Min-source-id reach kernel for the known-bound broadcast baseline."""
+
+    def __init__(self, algs: Sequence[Any], sid: np.ndarray,
+                 payload_by_sid: Dict[int, tuple],
+                 bits_by_sid: Dict[int, int], rounds_bound: int) -> None:
+        self._algs = list(algs)
+        self.n = len(algs)
+        self.rounds_bound = rounds_bound
+        self._sid = sid                    # int64; _INT_SENTINEL == no payload
+        self._payload_by_sid = payload_by_sid  # preserves tuple identity
+        self._bits_by_sid = bits_by_sid
+        self._bits = np.array([bits_by_sid.get(s, 0) for s in sid.tolist()],
+                              dtype=np.int64)
+        self.decided = np.array([a._decided for a in algs], dtype=bool)
+        self.changed_last = np.array([a._state_changed for a in algs],
+                                     dtype=bool)
+
+    @classmethod
+    def build(cls, algs: Sequence[Any],
+              id_bits: int) -> "Optional[FloodBroadcastBatchKernel]":
+        bound = algs[0].rounds_bound
+        if any(a.rounds_bound != bound for a in algs):
+            return None
+        sid = np.full(len(algs), _INT_SENTINEL, dtype=np.int64)
+        payload_by_sid: Dict[int, tuple] = {}
+        bits_by_sid: Dict[int, int] = {}
+        for i, alg in enumerate(algs):
+            best = alg.best
+            if best is None:
+                continue
+            source = int(best[0])
+            if not -2 ** 62 < source < 2 ** 62:
+                return None
+            sid[i] = source
+            if source not in payload_by_sid:
+                payload_by_sid[source] = best
+                try:
+                    bits_by_sid[source] = bit_size(best, id_bits)
+                    # The per-node path compares (source, payload) tuples
+                    # and raises for unorderable payloads when the same
+                    # source is heard twice; mirror by refusing them.
+                    best < best
+                except TypeError:
+                    return None  # per-node path defines the behaviour
+        return cls(algs, sid, payload_by_sid, bits_by_sid, bound)
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        return self._sid != _INT_SENTINEL, self._bits
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        gathered = self._sid[csr.indices]
+        new = self._sid.copy()
+        segment_reduce(np.minimum, gathered, csr.indptr, new)
+        changed = new < self._sid
+        if changed.any():
+            self._sid = new
+            bits_by_sid = self._bits_by_sid
+            for i in np.nonzero(changed)[0].tolist():
+                self._bits[i] = bits_by_sid[int(new[i])]
+        self.changed_last = changed
+        events: Events = []
+        if ctx.round_index >= self.rounds_bound:
+            payload_by_sid = self._payload_by_sid
+            sid = self._sid.tolist()
+            for i in range(self.n):
+                best = payload_by_sid.get(sid[i])
+                events.append(("decide", i,
+                               None if best is None else best[1]))
+                events.append(("halt", i, None))
+            self.decided[:] = True
+        return bool(changed.any()), events
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        payload_by_sid = self._payload_by_sid
+        sid = self._sid.tolist()
+        changed = self.changed_last.tolist()
+        for i, node in enumerate(nodes):
+            node.best = payload_by_sid.get(sid[i])
+            node._state_changed = changed[i]
+
+
+# --------------------------------------------------------------------------
+# baseline kernels (random token dissemination, KLO k-committee counting)
+# --------------------------------------------------------------------------
+
+#: Per byte value: its set bits (little-endian bit order), their count,
+#: and the position of its r-th set bit in column r.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").astype(bool)
+_BYTE_ONES = _BYTE_BITS.sum(axis=1, dtype=np.int64)
+_BYTE_SELECT = np.argsort(~_BYTE_BITS, axis=1, kind="stable")
+
+
+def _csr_receivers(csr: Any) -> np.ndarray:
+    """Receiver index of every CSR entry."""
+    indptr = csr.indptr
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+class TokenBatchKernel(BatchKernel):
+    """Membership-row kernel for one-token-per-round random forwarding.
+
+    Row *i* of the boolean ``(n, n)`` membership matrix marks the tokens
+    node *i* knows, columns in ascending token-id order — the order of
+    the per-node sorted token list, so the ``idx``-th set bit of a row
+    is the token the per-node path picks.  Each round draws
+    ``rngs[i].integers(0, count_i)`` in ascending node order (the
+    per-node draw, call for call), selects the picked bits from the
+    byte-packed rows, scatters the picks through the CSR, and decides a
+    node once its count reaches its target.
+    """
+
+    def __init__(self, algs: Sequence[Any], token_ids: List[int],
+                 known: np.ndarray, targets: np.ndarray,
+                 id_bits: int) -> None:
+        self.n = len(algs)
+        self._token_ids = token_ids   # column -> token id, ascending
+        self._known = known
+        self._counts = np.count_nonzero(known, axis=1)
+        self._targets = targets
+        self._rows = np.arange(self.n)
+        self._bits = np.full(self.n, id_bits, dtype=np.int64)
+        self._picks = np.zeros(self.n, dtype=np.int64)
+        self._draws: Optional[List[Callable[..., Any]]] = None
+        self.decided = np.array([a._decided for a in algs], dtype=bool)
+        self.changed_last = np.array([a._state_changed for a in algs],
+                                     dtype=bool)
+
+    @classmethod
+    def build(cls, algs: Sequence[Any],
+              id_bits: int) -> "Optional[TokenBatchKernel]":
+        token_ids = sorted(a.node_id for a in algs)
+        column = {token: c for c, token in enumerate(token_ids)}
+        n = len(algs)
+        known = np.zeros((n, n), dtype=bool)
+        try:
+            for i, alg in enumerate(algs):
+                known[i, [column[token] for token in alg.tokens]] = True
+        except (KeyError, TypeError):
+            return None  # a token outside the population
+        if not known.any(axis=1).all():
+            return None  # an empty token set: the per-node draw raises
+        never = n + 1  # no row ever counts more than n tokens
+        targets = np.array(
+            [never if a.target_count is None else a.target_count
+             for a in algs], dtype=np.int64)
+        return cls(algs, token_ids, known, targets, id_bits)
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        if self._draws is None:
+            self._draws = [rng.integers for rng in ctx.rngs]
+        idx = np.array([draw(0, count) for draw, count
+                        in zip(self._draws, self._counts.tolist())],
+                       dtype=np.int64)
+        # Select the idx-th set bit per row: find its byte by a running
+        # popcount over the packed row, then its bit within the byte.
+        packed = np.packbits(self._known, axis=1, bitorder="little")
+        ones = _BYTE_ONES[packed]
+        seen = np.cumsum(ones, axis=1)
+        byte = np.count_nonzero(seen <= idx[:, None], axis=1)
+        rows = self._rows
+        rank = idx - seen[rows, byte] + ones[rows, byte]
+        self._picks = 8 * byte + _BYTE_SELECT[packed[rows, byte], rank]
+        return None, self._bits
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        self._known[_csr_receivers(csr), self._picks[csr.indices]] = True
+        counts = np.count_nonzero(self._known, axis=1)
+        changed = counts != self._counts
+        self._counts = counts
+        self.changed_last = changed
+        events: Events = []
+        newly = ~self.decided & (counts >= self._targets)
+        if newly.any():
+            self.decided |= newly
+            for i in np.nonzero(newly)[0].tolist():
+                events.append(("decide", i, int(counts[i])))
+        return bool(changed.any()), events
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        token_ids = self._token_ids
+        changed = self.changed_last.tolist()
+        for i, node in enumerate(nodes):
+            known = [token_ids[c]
+                     for c in np.nonzero(self._known[i])[0].tolist()]
+            node._sorted_tokens = known
+            node.tokens = set(known)
+            node._state_changed = changed[i]
+
+
+#: KLO round kinds: the three cycle phases, then the two epoch stages.
+_POLL, _REQUEST, _GRANT, _VERIFY, _DISSEMINATE = range(5)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+class KCommitteeBatchKernel(BatchKernel):
+    """Phase-structured CSR reductions for KLO k-committee counting.
+
+    Ids are replaced by their rank in ascending id order (every min and
+    every comparison the per-node fold makes is order-only), with ``n``
+    standing for "none".  Per node the kernel keeps the epoch position
+    ``(k, t)``, the committee, the poll minimum, an addressee→requester
+    matrix ``req``, a leader→grantee matrix ``grant``, the pollution
+    flags and the heard counts.  Each round:
+
+    * poll is a segment-min of the broadcast candidate ranks;
+    * request and grant are row-wise segment-mins over the gathered
+      ``req`` / ``grant`` rows;
+    * verify tests "heard a different committee or the pollution
+      marker" with a segment min and max;
+    * dissemination floods the count, raising on conflicts.
+
+    The per-node grant fold keeps the *first* entry it hears per leader
+    and a node joins the *first* leader naming it.  Both equal the
+    segment-min because a leader grants one node per cycle and a node
+    requests one leader, so every entry for a leader names the same
+    grantee and no node is named twice; :meth:`build` declines state
+    that breaks this.
+
+    Engagement needs one shared epoch position and guess growth.  Loss
+    can split the positions later (polluted nodes restart their epoch
+    while the clean ones disseminate), so each round computes every
+    node's position and runs each phase masked to the nodes in it; a
+    phase's messages are read only by receivers in the same phase, as
+    in the per-node fold.
+    """
+
+    def __init__(self, algs: Sequence[Any], id_bits: int,
+                 state: Dict[str, Any]) -> None:
+        self.n = len(algs)
+        self.id_bits = id_bits
+        self._ids = state["ids"]            # rank -> node id
+        self._own = state["own"]            # node index -> own rank
+        self._growth = state["growth"]
+        self._k = state["k"]
+        self._t = state["t"]
+        self._committee = state["committee"]
+        self._grants = state["grants"]
+        self._granted = state["granted"]    # (n, n) bool, column = rank
+        self._poll = state["poll"]
+        self._req = state["req"]
+        self._grant = state["grant"]
+        self._polluted = state["polluted"]
+        self._count = state["count"]        # -1: no count heard
+        self.decided = np.array([a._decided for a in algs], dtype=bool)
+        self.changed_last = np.array([a._state_changed for a in algs],
+                                     dtype=bool)
+
+    # -- import / export -----------------------------------------------------
+
+    @classmethod
+    def build(cls, algs: Sequence[Any],
+              id_bits: int) -> "Optional[KCommitteeBatchKernel]":
+        first = algs[0]
+        k, t, growth = first.k, first._epoch_round, first.guess_growth
+        if any(a.k != k or a._epoch_round != t or a.guess_growth != growth
+               for a in algs):
+            return None
+        cycles_len, verify_len = 3 * k * k, k + 2
+        if t >= cycles_len + 2 * verify_len:
+            return None  # past the epoch: the per-node position raises
+        counts = [a.count_heard for a in algs]
+        if not all(c is None or (_eligible_int(c) and c >= 0)
+                   for c in counts):
+            return None
+        polluted = np.array([bool(a.polluted) for a in algs])
+        if t >= cycles_len + verify_len and polluted.any():
+            return None  # the per-node dissemination raises
+        n = len(algs)
+        ids = sorted(a.node_id for a in algs)
+        rank = {node_id: r for r, node_id in enumerate(ids)}
+
+        def ranks(values: Iterable[Any]) -> List[int]:
+            return [n if v is None else rank[v] for v in values]
+
+        req = np.full((n, n), n, dtype=np.int64)
+        grant = np.full((n, n), n, dtype=np.int64)
+        granted = np.zeros((n, n), dtype=bool)
+        try:
+            committee = ranks(a.committee for a in algs)
+            poll = ranks(a.poll_min for a in algs)
+            for i, alg in enumerate(algs):
+                addressees = ranks(alg.request_best)
+                requesters = ranks(alg.request_best.values())
+                leaders = ranks(alg.grant_seen)
+                grantees = ranks(alg.grant_seen.values())
+                members = ranks(alg.granted_ids)
+                if n in addressees + requesters + leaders + grantees + members:
+                    return None
+                req[i, addressees] = requesters
+                grant[i, leaders] = grantees
+                granted[i, members] = True
+        except (KeyError, TypeError):
+            return None  # an id outside the population
+        if t >= cycles_len and n in committee:
+            return None  # verification would send NodeId(None)
+        # One grantee per leader, and no grantee under two leaders.
+        named = np.where(grant == n, -1, grant).max(axis=0)
+        if ((grant != n) & (grant != named)).any():
+            return None
+        named = named[named >= 0]
+        if len(np.unique(named)) != len(named):
+            return None
+        state = {
+            "ids": ids,
+            "own": np.array([rank[a.node_id] for a in algs],
+                            dtype=np.int64),
+            "growth": growth,
+            "k": np.full(n, k, dtype=np.int64),
+            "t": np.full(n, t, dtype=np.int64),
+            "committee": np.array(committee, dtype=np.int64),
+            "grants": np.array([a.grants_made for a in algs],
+                               dtype=np.int64),
+            "granted": granted,
+            "poll": np.array(poll, dtype=np.int64),
+            "req": req,
+            "grant": grant,
+            "polluted": polluted,
+            "count": np.array([-1 if c is None else c for c in counts],
+                              dtype=np.int64),
+        }
+        return cls(algs, id_bits, state)
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        n = self.n
+        ids = self._ids
+
+        def table(row: List[int]) -> Dict[int, int]:
+            return {ids[key]: ids[value]
+                    for key, value in enumerate(row) if value != n}
+
+        k, t = self._k.tolist(), self._t.tolist()
+        committee, poll = self._committee.tolist(), self._poll.tolist()
+        grants, count = self._grants.tolist(), self._count.tolist()
+        polluted = self._polluted.tolist()
+        changed = self.changed_last.tolist()
+        for i, node in enumerate(nodes):
+            node.k = k[i]
+            node._epoch_round = t[i]
+            node.committee = None if committee[i] == n else ids[committee[i]]
+            node.poll_min = None if poll[i] == n else ids[poll[i]]
+            node.grants_made = grants[i]
+            node.granted_ids = {
+                ids[r] for r in np.nonzero(self._granted[i])[0].tolist()}
+            node.request_best = table(self._req[i].tolist())
+            node.grant_seen = table(self._grant[i].tolist())
+            node.polluted = polluted[i]
+            node.count_heard = None if count[i] < 0 else count[i]
+            node._state_changed = changed[i]
+
+    # -- rounds ---------------------------------------------------------------
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        n = self.n
+        kind_of, cycle, pr = self._positions()
+        # Framing, tag, k and (in the cycles) the cycle.
+        head = 24 + int_payload_bits(self._k)
+        in_cycles = kind_of < _VERIFY
+        head[in_cycles] += int_payload_bits(cycle[in_cycles])
+        into = [kind_of == code for code in range(5)]
+        kinds = [code for code in range(5) if into[code].any()]
+        self._into, self._kinds = into, kinds
+        self._cycle, self._pr = cycle, pr
+        self._uncommitted = self._committee == n
+        bits = np.zeros(n, dtype=np.int64)
+        sends = np.zeros(n, dtype=bool)
+        self._sends = sends
+        if _POLL in kinds:
+            value = np.where(self._uncommitted,
+                             np.minimum(self._poll, self._own), self._poll)
+            send = into[_POLL] & (value != n)
+            self._poll_value = value
+            self._poll_msg = np.where(send, value, n)
+            sends |= send
+            bits = np.where(send, head + self.id_bits, bits)
+        for code, rows in ((_REQUEST, self._req), (_GRANT, self._grant)):
+            if code in kinds:
+                entries = np.count_nonzero(rows != n, axis=1)
+                send = into[code] & (entries > 0)
+                sends |= send
+                bits = np.where(
+                    send, head + 8 + entries * (8 + 2 * self.id_bits), bits)
+        if _VERIFY in kinds:
+            send = into[_VERIFY]
+            value = np.where(self._polluted, -1, self._committee)
+            self._verify_lo = np.where(send, value, n + 1)
+            self._verify_hi = np.where(send, value, -2)
+            sends |= send
+            bits = np.where(
+                send, head + np.where(self._polluted, 16, self.id_bits), bits)
+        if _DISSEMINATE in kinds:
+            send = into[_DISSEMINATE] & (self._count >= 0)
+            self._count_msg = np.where(send, self._count, -1)
+            sends |= send
+            bits = np.where(send, head + int_payload_bits(self._count), bits)
+        return sends, bits
+
+    def _positions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's ``(kind, cycle, round-within-phase)``: epoch
+        round ``t`` at guess ``k`` lies in cycle ``t // 3k`` while that
+        is below ``k`` (phase ``(t mod 3k) // k``), then in the ``k + 2``
+        verification rounds, then in dissemination."""
+        k, t = self._k, self._t
+        cycle, rem = np.divmod(t, 3 * k)
+        phase, pr = np.divmod(rem, k)
+        into = t - 3 * k * k
+        verifying = into < k + 2
+        kind = np.where(cycle < k, phase,
+                        np.where(verifying, _VERIFY, _DISSEMINATE))
+        pr = np.where(cycle < k, pr,
+                      np.where(verifying, into, into - (k + 2)))
+        return kind, cycle, pr
+
+    def deliver(self, ctx: BatchContext, csr: Any,
+                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        kinds = self._kinds
+        changed = np.zeros(self.n, dtype=bool)
+        events: Events = []
+        # Dissemination first: a violation raises before this round
+        # writes any state.
+        if _DISSEMINATE in kinds:
+            self._disseminate(csr, changed, events)
+        if _POLL in kinds:
+            self._poll_round(csr, changed)
+        if _REQUEST in kinds:
+            end = self._merge_rows(_REQUEST, self._req, csr, changed)
+            if end is not None:
+                self._end_request(end)
+        if _GRANT in kinds:
+            end = self._merge_rows(_GRANT, self._grant, csr, changed)
+            if end is not None:
+                self._end_grant(end)
+        if _VERIFY in kinds:
+            self._verify_round(csr, changed)
+        self._advance()
+        self.changed_last = changed
+        return bool(changed.any()), events
+
+    def _phase_end(self, code: int, last: int) -> Optional[np.ndarray]:
+        """Nodes in phase *code* whose round-within-phase is ``k + last``
+        (``None`` when there are none)."""
+        end = self._into[code] & (self._pr == self._k + last)
+        return end if end.any() else None
+
+    def _heard(self, csr: Any, sent: np.ndarray, silent: int,
+               ufunc: np.ufunc) -> np.ndarray:
+        """Per-receiver *ufunc* fold of the senders' *sent* values
+        (*silent* for receivers that heard nothing)."""
+        out = np.full(self.n, silent, dtype=np.int64)
+        return segment_reduce(ufunc, sent[csr.indices], csr.indptr, out)
+
+    def _poll_round(self, csr: Any, changed: np.ndarray) -> None:
+        n = self.n
+        into = self._into[_POLL]
+        best = self._poll_value.copy()
+        segment_reduce(np.minimum, self._poll_msg[csr.indices],
+                       csr.indptr, best)
+        poll = self._poll
+        changed |= into & (best != poll)
+        poll[into] = best[into]
+        end = self._phase_end(_POLL, -1)
+        if end is not None:
+            # Poll phase ends: uncommitted non-leaders file their own
+            # join request, addressed to their poll minimum.
+            own = self._own
+            self._req[end] = n
+            files = end & self._uncommitted & (poll != n) & (poll != own)
+            self._req[files, poll[files]] = own[files]
+            changed |= end
+
+    def _merge_rows(self, code: int, rows: np.ndarray, csr: Any,
+                    changed: np.ndarray) -> Optional[np.ndarray]:
+        """Fold the phase's ``(key, value)`` messages into *rows* by
+        per-key minimum, for the receivers in phase *code*; returns the
+        nodes whose phase ends this round."""
+        into = self._into[code]
+        heard = rows[csr.indices]
+        heard[~(self._sends & into)[csr.indices]] = self.n
+        merged = rows.copy()
+        segment_reduce(np.minimum, heard, csr.indptr, merged)
+        changed |= into & (merged != rows).any(axis=1)
+        rows[into] = merged[into]
+        end = self._phase_end(code, -1)
+        if end is not None:
+            changed |= end
+        return end
+
+    def _end_request(self, end: np.ndarray) -> None:
+        """Request phase ends: each leader grants its best requester."""
+        n, own = self.n, self._own
+        self._grant[end] = n
+        best = self._req[np.arange(n), own]
+        grants = (end & self._uncommitted & (self._poll == own)
+                  & (best != n) & (best != own))
+        self._grant[grants, own[grants]] = best[grants]
+        self._grants[grants] += 1
+        self._granted[grants, best[grants]] = True
+
+    def _end_grant(self, end: np.ndarray) -> None:
+        """Grant phase ends: a granted node joins its leader; then the
+        cycle's state resets, and after the last cycle the still
+        uncommitted nodes form singleton committees."""
+        n, own = self.n, self._own
+        joins = ((self._grant == own[:, None])
+                 & (end & (self._committee == n))[:, None])
+        joined = joins.any(axis=1)
+        self._committee[joined] = np.argmax(joins[joined], axis=1)
+        self._poll[end] = n
+        self._req[end] = n
+        self._grant[end] = n
+        singles = (end & (self._cycle == self._k - 1)
+                   & (self._committee == n))
+        self._committee[singles] = own[singles]
+
+    def _verify_round(self, csr: Any, changed: np.ndarray) -> None:
+        n = self.n
+        into = self._into[_VERIFY]
+        lo = self._heard(csr, self._verify_lo, n + 1, np.minimum)
+        hi = self._heard(csr, self._verify_hi, -2, np.maximum)
+        committee = self._committee
+        newly = (into & ~self._polluted & (lo <= n)
+                 & ((lo != committee) | (hi != committee)))
+        self._polluted |= newly
+        changed |= newly
+        end = self._phase_end(_VERIFY, 1)
+        if end is not None:
+            # Verification ends; on success the unique leader seeds the
+            # count for dissemination.
+            seeds = end & ~self._polluted & (committee == self._own)
+            self._count[seeds] = self._grants[seeds] + 1
+            changed |= end
+
+    def _disseminate(self, csr: Any, changed: np.ndarray,
+                     events: Events) -> None:
+        into = self._into[_DISSEMINATE]
+        sent = self._count_msg
+        lo = self._heard(csr, np.where(sent < 0, _INT64_MAX, sent),
+                         _INT64_MAX, np.minimum)
+        hi = self._heard(csr, sent, -1, np.maximum)
+        count = self._count
+        heard = into & (hi >= 0)
+        conflict = heard & np.where(count < 0, lo != hi,
+                                    (lo != count) | (hi != count))
+        fresh = heard & (count < 0)
+        end = self._phase_end(_DISSEMINATE, 1)
+        bad = conflict
+        if end is not None:
+            bad = bad | (end & (count < 0) & ~fresh)
+        if bad.any():
+            self._raise_violation(int(np.argmax(bad)), csr)
+        count[fresh] = lo[fresh]
+        changed |= fresh
+        if end is not None:
+            values = count.tolist()
+            for i in np.nonzero(end)[0].tolist():
+                events.append(("decide", i, values[i]))
+                events.append(("halt", i, None))
+            self.decided |= end
+
+    def _raise_violation(self, i: int, csr: Any) -> None:
+        """Raise node *i*'s dissemination violation, worded as the
+        per-node fold words it (replaying its inbox in order)."""
+        node_id = self._ids[int(self._own[i])]
+        heard = int(self._count[i]) if self._count[i] >= 0 else None
+        start, stop = int(csr.indptr[i]), int(csr.indptr[i + 1])
+        for s in csr.indices[start:stop].tolist():
+            value = int(self._count_msg[s])
+            if value < 0:
+                continue
+            if heard is None:
+                heard = value
+            elif heard != value:
+                raise AlgorithmViolation(
+                    f"node {node_id}: conflicting counts {heard} vs "
+                    f"{value}")
+        raise AlgorithmViolation(
+            f"node {node_id}: dissemination ended without a count "
+            f"(k={int(self._k[i])})")
+
+    def _advance(self) -> None:
+        """Advance every epoch position; a polluted node ending its
+        verification restarts with a grown guess."""
+        self._t += 1
+        end = (self._phase_end(_VERIFY, 1)
+               if _VERIFY in self._kinds else None)
+        if end is None:
+            return
+        restart = end & self._polluted
+        if not restart.any():
+            return
+        n = self.n
+        self._k[restart] *= self._growth
+        self._t[restart] = 0
+        self._committee[restart] = n
+        self._grants[restart] = 0
+        self._granted[restart] = False
+        self._poll[restart] = n
+        self._req[restart] = n
+        self._grant[restart] = n
+        self._polluted[restart] = False
+        self._count[restart] = -1
+
+
+# --------------------------------------------------------------------------
+# the tier's round
+# --------------------------------------------------------------------------
+
+def engage_batch(sim: Any) -> None:
+    """Put *sim* on the batch tier, running the kernel that
+    :func:`~repro.simnet.engine.select_tier` built into
+    ``sim._batch_kernel``.
+
+    Pending decision events (e.g. a ``FloodToken`` seed deciding in
+    ``__init__``) are captured here and replayed into metrics in the
+    first batch round, exactly when the per-node drain would surface
+    them.
+    """
+    pending: List[Tuple[int, List[tuple]]] = []
+    for i, node in enumerate(sim.nodes):
+        if node._events:
+            pending.append((i, node._events))
+            node._events = []
+    sim._batch_pending = pending
+    sim._batch_ctx = BatchContext(
+        sim.round_index, sim._node_rngs, sim.metrics.incr)
+    sim._tier = "batch"
+
+
+def run_batch_round(sim: Any) -> None:
+    """One round via the population's batch kernel.
+
+    Equivalent to the fast tier's round observable-for-observable for
+    eligible runs: identical metrics (broadcast sums are commutative and
+    per-round; decision/counter dicts are order-insensitive), identical
+    per-node RNG consumption (kernels draw from each node's private
+    stream in ascending node order, and streams are independent across
+    nodes), identical shared loss-stream consumption (see
+    :func:`lossy_delivery_view`), and no trace/strict-bandwidth
+    observables (those runs select the reference tier).
+    """
+    sim.round_index += 1
+    r = sim.round_index
+    kernel = sim._batch_kernel
+    ctx = sim._batch_ctx
+    ctx.round_index = r
+    metrics = sim.metrics
+    prof = sim._phase_seconds
+
+    # Phase 1: compose.
+    t0 = perf_counter() if prof is not None else 0.0
+    mask, bits = kernel.compose(ctx)
+
+    # Phase 2: reveal + transmission accounting (vectorised).  Loss is a
+    # delivery-phase phenomenon: broadcast/delivered tallies count the
+    # unfiltered live degrees, exactly as the per-node paths do.
+    if prof is not None:
+        t1 = perf_counter()
+        prof["compose"] += t1 - t0
+        t0 = t1
+    csr = sim.schedule.adjacency(r)
+    degrees = csr.degrees()
+    if mask is None:
+        n_bcast = len(sim.nodes)
+        sender_bits = bits
+        sender_degrees = degrees
+    else:
+        n_bcast = int(mask.sum())
+        sender_bits = bits[mask]
+        sender_degrees = degrees[mask]
+    if n_bcast:
+        metrics.broadcasts += n_bcast
+        metrics.delivered_messages += int(sender_degrees.sum())
+        metrics.broadcast_bits += int(sender_bits.sum())
+        metrics.delivered_bits += int(sender_bits @ sender_degrees)
+        max_bits = int(sender_bits.max())
+        if max_bits > metrics.max_broadcast_bits:
+            metrics.max_broadcast_bits = max_bits
+        bandwidth_bits = sim.bandwidth_bits
+        if bandwidth_bits is not None:
+            over = int((sender_bits > bandwidth_bits).sum())
+            if over:
+                metrics.incr("bandwidth_overflows", over)
+
+    # Phase 3: deliver (one segment-reduce over the CSR).  Under loss
+    # the kernel folds a filtered delivery view instead of the round's
+    # graph; the per-edge keep mask consumes the shared loss stream
+    # bit-identically to the per-node engines.
+    if prof is not None:
+        t1 = perf_counter()
+        prof["reveal"] += t1 - t0
+        t0 = t1
+    loss_rng = sim._loss_rng
+    if loss_rng is not None:
+        deliver_csr, dropped = lossy_delivery_view(
+            csr, mask, loss_rng, sim.loss_rate)
+        if dropped:
+            metrics.incr("messages_lost", dropped)
+    else:
+        deliver_csr = csr
+    changed_any, events = kernel.deliver(ctx, deliver_csr, mask)
+
+    # Phase 4: drain — replay captured pre-run events, then reconcile
+    # this round's decide/retract/halt events onto the node objects.
+    if prof is not None:
+        t1 = perf_counter()
+        prof["deliver"] += t1 - t0
+        t0 = t1
+    nodes = sim.nodes
+    pending = sim._batch_pending
+    if pending:
+        sim._batch_pending = None
+        for i, node_events in pending:
+            node_id = nodes[i].node_id
+            for event in node_events:
+                kind = event[0]
+                if kind == "decide":
+                    metrics.on_decision(node_id, r)
+                elif kind == "retract":
+                    metrics.on_retraction(node_id)
+    halted_any = False
+    halted_mask = sim._halted_mask
+    for kind, i, value in events:
+        node = nodes[i]
+        if kind == "decide":
+            node._decided = True
+            node._output = value
+            metrics.on_decision(node.node_id, r)
+        elif kind == "retract":
+            node._decided = False
+            node._output = None
+            metrics.on_retraction(node.node_id)
+        else:  # halt
+            node._halted = True
+            halted_mask[i] = True
+            halted_any = True
+    if prof is not None:
+        prof["drain"] += perf_counter() - t0
+
+    if halted_any:
+        sim._any_halted = True
+        sim._active = [
+            i for i in sim._active if not halted_mask[i]]
+        # The kernels assume every node is alive; fall back to the
+        # persistent per-node tier for whatever rounds remain.
+        deactivate_batch(sim)
+
+    sim._quiescent_streak = (
+        0 if changed_any else sim._quiescent_streak + 1)
+    metrics.on_round_executed()
+
+
+def deactivate_batch(sim: Any) -> None:
+    """Leave batch mode, restoring full per-node state (idempotent)."""
+    if sim._tier != "batch":
+        return
+    sim._tier = sim.engine
+    kernel = sim._batch_kernel
+    sim._batch_kernel = None
+    sim._batch_ctx = None
+    pending = sim._batch_pending
+    sim._batch_pending = None
+    if pending:
+        # Never replayed (zero batch rounds ran): hand the events
+        # back to the per-node drain.
+        for i, events in pending:
+            node = sim.nodes[i]
+            node._events = events + node._events
+    kernel.finalize(sim.nodes)

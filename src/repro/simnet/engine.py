@@ -30,41 +30,36 @@ Stop conditions
 
 Engines
 -------
-Execution is delegated to pluggable **engine backends** (see
-:mod:`repro.simnet.backends`): each backend declares its capabilities as
-a frozen record, and the negotiator matches those declarations against
-the run's requirements — message loss, tracing, ``stop_when``
-predicates, strict bandwidth, schedule shape — producing the candidate
-chain plus a structured :class:`~repro.simnet.backends.base.CapabilityDiff`
-for every tier passed over (surfaced through ``engine_tier``
-observability events).  All backends produce **identical**
+Rounds execute on one of three **tiers**, all producing **identical**
 :class:`RunResult`\\ s (golden-equivalence tested across topologies ×
-algorithms × loss rates).  The built-in tiers:
+algorithms × loss rates); :func:`select_tier` picks one when ``run()``
+starts and reports why it passed over the others:
 
-* **batch kernels** (overlay) — when every node is an instance of one
-  algorithm class exposing the ``__batch_kernel__`` hook (see
-  :mod:`repro.simnet.backends.batch`), whole rounds execute as NumPy
-  segment-reduces over the CSR adjacency, with decisions/halts/metrics
-  reconciled from the arrays.  Message loss is handled natively via a
-  vectorised per-edge Bernoulli delivery view; trace recorders, strict
-  bandwidth, ``stop_when`` predicates, and adaptive schedules negotiate
-  down to the next tier.
-* ``engine="fast"`` (default) — consumes the schedule's interval-aware
-  CSR adjacency (see :meth:`repro.dynamics.GraphSchedule.adjacency`),
-  tracks the non-halted *active set* incrementally so per-round work is
-  ``O(active)``, reuses one :class:`RoundContext` per node, and computes
-  live degrees vectorised over the CSR.  Schedules that expose only the
-  minimal :class:`ScheduleLike` duck type (no ``adjacency``) fall back
-  to the reference engine transparently.  ``engine="fast-nobatch"``
-  selects this tier while disabling the batch-kernel overlay.
-* ``engine="reference"`` — the straightforward per-node loops, kept as
-  the executable specification the other tiers are tested against.
+* **batch** — when every node is an instance of one algorithm class
+  exposing the ``__batch_kernel__`` hook (see :mod:`repro.simnet.batch`),
+  whole rounds execute as NumPy segment-reduces over the CSR adjacency,
+  with decisions/halts/metrics reconciled from the arrays.  Message loss
+  is handled natively via a vectorised per-edge Bernoulli delivery view.
+  A ``stop_when`` predicate, an adaptive (``bind``) schedule, an already
+  halted node or an instance-level ``on_broadcast`` override keep the
+  run on the fast tier, and the first halt event retires the kernel to
+  the fast tier for the remaining rounds.
+* **fast** — the per-node loop of :func:`repro.simnet.rounds.run_fast_round`:
+  it consumes the schedule's interval-aware CSR adjacency (see
+  :meth:`repro.dynamics.GraphSchedule.adjacency`), tracks the non-halted
+  *active set* incrementally so per-round work is ``O(active)``, reuses
+  one :class:`RoundContext` per node, and fuses accounting, delivery and
+  draining into one pass.  ``engine="fast-nobatch"`` runs this tier
+  with the batch kernels disabled.
+* **reference** — the straightforward per-node loops of
+  :func:`repro.simnet.rounds.run_reference_round`, kept as the
+  executable specification the other tiers are tested against.  Runs
+  with ``engine="reference"``, a schedule without ``adjacency()``, a
+  :class:`TraceRecorder` or a strict bandwidth budget use this tier.
 
-Third-party backends registered with
-:func:`repro.simnet.backends.register_backend` are accepted by
-``Simulator(engine=<name>)`` (and the CLIs' ``--engine``) without any
-engine changes; the built-in non-overlay tiers remain as negotiated
-fallbacks for runs the named backend declines.
+``Simulator(engine=...)`` accepts ``"fast"`` (the default),
+``"fast-nobatch"`` and ``"reference"``; ``engine=None`` reads the
+``REPRO_ENGINE`` environment variable, falling back to ``"fast"``.
 
 Profiling
 ---------
@@ -73,18 +68,20 @@ Pass ``profile=True`` (or set the module default via
 variable, which is what the harness CLI's ``--profile`` flag does) to
 collect monotonic per-phase wall-clock totals — ``compose``, ``reveal``,
 ``deliver``, ``drain`` — surfaced as
-:attr:`~repro.simnet.metrics.RunMetrics.phase_seconds`.
+:attr:`~repro.simnet.metrics.RunMetrics.phase_seconds`.  Profiling does
+not change the code path: on the fast tier ``reveal`` times the
+``adjacency(r)`` call, ``deliver`` the fused accounting/delivery/drain
+pass, and ``drain`` reads 0.0.
 
 Observability
 -------------
 Pass ``recorder=`` a :class:`repro.obs.Recorder` to stream structured
 events (per-round broadcast/delivery totals, decision lifecycles,
-engine-tier dispatch decisions with reasons, cache hit/miss counters).
-The hook is zero-overhead when absent — one ``is None`` check per round,
-no event objects allocated; when present, rounds route through
-:meth:`Simulator._step_recorded` and the fused loop is disabled (the
-same observable-phase-boundary rule as profiling).  See
-``docs/OBSERVABILITY.md``.
+engine-tier selection with reasons, cache hit/miss counters).  The hook
+is zero-overhead when absent — one ``is None`` check per round, no event
+objects allocated; when present, rounds route through
+:meth:`Simulator._step_recorded`, which wraps the same tier round an
+unrecorded run executes.  See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -92,75 +89,106 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .._validate import require_choice, require_positive_int
-from ..errors import ConfigurationError, NotTerminatedError
+from ..errors import (ConfigurationError, IncorrectOutputError,
+                      NotTerminatedError)
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder
-from .backends import available_engines, negotiate
-from .backends.base import CapabilityDiff, EngineBackend, missing_requirements
+from .batch import (build_batch_kernel, deactivate_batch, engage_batch,
+                    run_batch_round)
 from .message import bit_size
 from .metrics import MetricsCollector, RunMetrics
 from .node import Algorithm, RoundContext
 from .rng import RngRegistry
+from .rounds import run_fast_round, run_reference_round
 from .trace import TraceRecorder
 
-__all__ = ["Simulator", "RunResult", "ScheduleLike",
-           "set_profile_default", "profile_default",
-           "set_engine_default", "engine_default"]
+__all__ = ["Simulator", "RunResult", "ScheduleLike", "ENGINES",
+           "select_tier", "set_profile_default", "profile_default",
+           "engine_default"]
 
 #: Phase names of the per-round profiling breakdown, in execution order.
 PHASES = ("compose", "reveal", "deliver", "drain")
 
-#: Built-in engine dispatch tiers, in preference order.  Kept as the
-#: stable key set of per-run tier accounting; the authoritative list of
-#: selectable engines is :func:`repro.simnet.backends.available_engines`.
-ENGINE_TIERS = ("batch", "fast", "reference")
+#: Every name ``Simulator(engine=...)``, ``REPRO_ENGINE`` and the CLIs'
+#: ``--engine`` accept.
+ENGINES = ("fast", "fast-nobatch", "reference")
+
+#: The round function of each tier, in preference order.
+_ROUNDS: Dict[str, Callable[["Simulator"], None]] = {
+    "batch": run_batch_round,
+    "fast": run_fast_round,
+    "reference": run_reference_round,
+}
 
 _PROFILE_DEFAULT = os.environ.get("REPRO_PROFILE", "") not in ("", "0")
 
-#: Process default installed by :func:`set_engine_default`; ``None``
-#: means "no setter call yet" and resolves to ``"fast"``.
-_ENGINE_DEFAULT: Optional[str] = None
-
-
-def set_engine_default(engine: str) -> None:
-    """Set the process-wide default for ``Simulator(engine=None)``.
-
-    The harness CLI's ``--engine`` flag calls this before running
-    experiments (same pattern as :func:`set_profile_default`).
-
-    Precedence: a non-empty ``REPRO_ENGINE`` environment variable
-    **wins over** this setter — :func:`engine_default` reads the
-    environment on every call, so an operator's env pin survives any
-    in-process configuration.  Unset (or empty) ``REPRO_ENGINE`` defers
-    to the value installed here.
-    """
-    global _ENGINE_DEFAULT
-    require_choice(engine, "engine", available_engines())
-    _ENGINE_DEFAULT = engine
-    env = os.environ.get("REPRO_ENGINE", "")
-    # Env-wins is a documented invariant; fail loudly if it regresses.
-    if engine_default() != (env or engine):
-        raise ConfigurationError(
-            "REPRO_ENGINE must take precedence over set_engine_default()")
-
 
 def engine_default() -> str:
-    """Current process-wide engine default.
+    """Process-wide default for ``Simulator(engine=None)``.
 
-    A non-empty ``REPRO_ENGINE`` environment variable always wins;
-    otherwise the value installed by :func:`set_engine_default`, falling
-    back to ``"fast"``.
+    The ``REPRO_ENGINE`` environment variable when set and non-empty
+    (the CLIs' ``--engine`` flags export it, so executor worker
+    processes inherit it), otherwise ``"fast"``.
     """
-    env = os.environ.get("REPRO_ENGINE", "")
-    if env:
-        return env
-    return _ENGINE_DEFAULT if _ENGINE_DEFAULT is not None else "fast"
+    return os.environ.get("REPRO_ENGINE", "") or "fast"
+
+
+def _reference_reason(sim: "Simulator") -> Optional[str]:
+    """Why *sim* must run on the reference tier, or ``None``."""
+    if sim._requested_engine == "reference":
+        return "engine='reference'"
+    if getattr(sim.schedule, "adjacency", None) is None:
+        return "schedule exposes no CSR adjacency"
+    if sim.trace is not None:
+        return "trace recorder attached"
+    if sim.strict_bandwidth and sim.bandwidth_bits is not None:
+        return "strict bandwidth budget"
+    return None
+
+
+def select_tier(sim: "Simulator",
+                stop_when: Optional[Callable[["Simulator"], bool]] = None
+                ) -> Tuple[str, List[Tuple[str, str]]]:
+    """The tier a ``sim.run(stop_when=...)`` call executes on.
+
+    Returns ``(tier, declined)``: *declined* holds one ``(tier, reason)``
+    entry per tier passed over.  The rules, in order:
+
+    * **reference** when ``engine="reference"``, the schedule has no
+      ``adjacency()``, a :class:`TraceRecorder` is attached, or a strict
+      bandwidth budget is set;
+    * **batch** when the engine is not ``"fast-nobatch"``, there is no
+      *stop_when*, the schedule has no ``bind``, no node is halted,
+      ``on_broadcast`` is not overridden on the metrics instance, and
+      :func:`~repro.simnet.batch.build_batch_kernel` builds the
+      population's kernel (left in ``sim._batch_kernel`` for ``run()``
+      to engage);
+    * **fast** otherwise.
+    """
+    reason = _reference_reason(sim)
+    if reason is not None:
+        return "reference", [("batch", reason), ("fast", reason)]
+    if sim._requested_engine == "fast-nobatch":
+        reason = "batch kernels disabled"
+    elif stop_when is not None:
+        reason = "stop_when predicate inspects run state"
+    elif getattr(sim.schedule, "bind", None) is not None:
+        reason = "adaptive schedule binds node state"
+    elif sim._any_halted:
+        reason = "population already contains halted nodes"
+    elif "on_broadcast" in sim.metrics.__dict__:
+        reason = "custom on_broadcast metrics override"
+    else:
+        kernel, reason = build_batch_kernel(sim.nodes, sim.id_bits)
+        if kernel is not None:
+            sim._batch_kernel = kernel
+            return "batch", []
+    return "fast", [("batch", reason)]
 
 
 def set_profile_default(enabled: bool) -> None:
@@ -217,14 +245,16 @@ class RunResult:
     stop_reason: str
 
     def unanimous_output(self) -> Any:
-        """Return the single common output, or raise if nodes disagree.
+        """Return the single common output, or raise
+        :class:`~repro.errors.IncorrectOutputError` if nodes disagree.
 
         Convenience for problems (Count, Max, Consensus) whose spec
         requires all nodes to output the same value.
         """
         values = set(self.outputs.values())
         if len(values) != 1:
-            raise AssertionError(f"nodes disagree: {sorted(map(repr, values))[:10]}")
+            raise IncorrectOutputError(
+                f"nodes disagree: {sorted(map(repr, values))[:10]}")
         return next(iter(values))
 
 
@@ -267,10 +297,6 @@ class Simulator:
         debugging, ``"fast-nobatch"`` is the fast path with batch-kernel
         dispatch disabled.  ``None`` (default) resolves to
         :func:`engine_default`.
-    batch_kernels:
-        Whether :meth:`run` may dispatch to an algorithm's batch kernel
-        (see :mod:`repro.simnet.batch`).  ``None`` (default) resolves to
-        on; ``engine="fast-nobatch"`` forces it off.
     profile:
         Collect per-phase wall-clock totals (see the module docstring).
         ``None`` (default) resolves to :func:`profile_default`.
@@ -292,7 +318,6 @@ class Simulator:
         loss_rate: float = 0.0,
         engine: Optional[str] = None,
         profile: Optional[bool] = None,
-        batch_kernels: Optional[bool] = None,
         recorder: Optional[Recorder] = None,
     ) -> None:
         if len(nodes) != schedule.num_nodes:
@@ -306,13 +331,9 @@ class Simulator:
         if bandwidth_bits is not None:
             require_positive_int(bandwidth_bits, "bandwidth_bits")
         if engine is None:
-            engine = engine_default()
-        require_choice(engine, "engine", available_engines())
-        if engine == "fast-nobatch":
-            engine = "fast"
-            batch_kernels = False
-        if batch_kernels is None:
-            batch_kernels = True
+            engine = require_choice(engine_default(), "REPRO_ENGINE", ENGINES)
+        else:
+            require_choice(engine, "engine", ENGINES)
         self.schedule = schedule
         self.nodes: List[Algorithm] = list(nodes)
         self.rng = rng if rng is not None else RngRegistry(0)
@@ -352,63 +373,30 @@ class Simulator:
             RoundContext(0, self._node_rngs[i], self.metrics.incr)
             for i in range(n)
         ]
-        self._active: List[int] = list(range(n))
-        self._halted_mask = np.zeros(n, dtype=bool)
-        self._any_halted = False
+        self._halted_mask = np.array([node._halted for node in self.nodes],
+                                     dtype=bool)
+        self._any_halted = bool(self._halted_mask.any())
+        self._active: List[int] = np.flatnonzero(~self._halted_mask).tolist()
         self._payloads: List[Any] = [None] * n
         self._sendable: List[bool] = [False] * n
         # Adaptive schedules inspect node state; give them the node list.
         bind = getattr(schedule, "bind", None)
         if bind is not None:
             bind(self.nodes)
-        # Engine-backend negotiation (see repro.simnet.backends): the
-        # run's *static* requirements — knowable at construction time —
-        # are matched against every registered backend's capability
-        # declaration.  Each tier that cannot serve the run is declined
-        # with a structured CapabilityDiff (surfaced through
-        # EngineTierEvents when a recorder is attached); the survivors
-        # form the candidate chain run() engages in priority order.
-        # Dynamic, per-run() requirements — a stop_when predicate, a
-        # pre-halted population, a custom metrics override, the batch
-        # tier's population-kernel probe — are negotiated when run()
-        # starts.
-        self.batch_kernels = bool(batch_kernels)
-        requirements: Dict[str, str] = {}
-        if trace is not None:
-            requirements["trace"] = "trace recorder attached"
-        if self.loss_rate != 0.0:
-            requirements["loss"] = "loss_rate > 0"
-        if self.strict_bandwidth and bandwidth_bits is not None:
-            requirements["strict-bandwidth"] = "strict bandwidth budget"
-        if bind is not None:
-            requirements["adaptive-schedule"] = (
-                "adaptive schedule binds node state")
-        if getattr(schedule, "adjacency", None) is None:
-            requirements["adjacency-free-schedule"] = (
-                "schedule exposes no CSR adjacency")
-        if recorder is not None:
-            requirements["recorder"] = "event recorder attached"
-        self._requirements = requirements
-        self._negotiation = negotiate(engine, requirements,
-                                      batch_kernels=self.batch_kernels)
-        self._base_backend: EngineBackend = self._negotiation.base
-        self._active_backend: EngineBackend = self._base_backend
-        #: Name of the persistent (non-overlay) tier; overlay tiers such
-        #: as the batch kernels engage on top of it during run().
-        self.engine = self._base_backend.name
-        batch_declines = [d for d in self._negotiation.declined
-                          if d.backend == "batch"]
-        self._batch_enabled = any(
-            b.name == "batch" for b in self._negotiation.candidates)
-        self._batch_reason: Optional[str] = (
-            "; ".join(d.render() for d in batch_declines) or None)
-        self._batch_live = False
+        self._requested_engine = engine
+        #: The persistent tier, fixed here: ``"fast"`` or ``"reference"``
+        #: (see :func:`select_tier`).  The batch tier engages on top of
+        #: the fast tier during run().
+        self.engine = ("fast" if _reference_reason(self) is None
+                       else "reference")
+        #: The tier the next round executes on.
+        self._tier = self.engine
         self._batch_kernel: Optional[Any] = None
         self._batch_ctx: Optional[Any] = None
         self._batch_pending: Optional[List[Tuple[int, List[tuple]]]] = None
-        #: Rounds executed per dispatch tier (surfaced via
-        #: RunMetrics.engine_stats when profiling).
-        self._tier_rounds: Dict[str, int] = {tier: 0 for tier in ENGINE_TIERS}
+        #: Rounds executed per tier (surfaced via RunMetrics.engine_stats
+        #: when profiling).
+        self._tier_rounds: Dict[str, int] = {tier: 0 for tier in _ROUNDS}
         # Observability (see the module docstring): everything below is
         # allocated only when a recorder is attached, so the unrecorded
         # hot path pays one `is None` check per round and nothing else.
@@ -424,23 +412,9 @@ class Simulator:
             adj_stats = getattr(schedule, "adjacency_stats", None)
             if adj_stats is not None:
                 self._adj_stats_base = dict(adj_stats)
-            # Count payload-bits cache hits/misses by shadowing the bound
-            # method with a tallying wrapper (instance attribute wins), so
-            # the uncounted method body stays on the unrecorded hot path.
+            # Misses are counted where bit_size runs (_payload_bits);
+            # hits are derived per per-node-tier round in _step_recorded.
             self._bits_stats = {"hits": 0, "misses": 0}
-            inner = self._payload_bits
-            bits_cache = self._bits_cache
-            bits_stats = self._bits_stats
-
-            def _counted_payload_bits(payload: Any) -> int:
-                entry = bits_cache.get(id(payload))
-                if entry is not None and entry[0] is payload:
-                    bits_stats["hits"] += 1
-                else:
-                    bits_stats["misses"] += 1
-                return inner(payload)
-
-            self._payload_bits = _counted_payload_bits  # type: ignore[method-assign]
 
     def cache_stats(self) -> Optional[Dict[str, int]]:
         """Per-cache hit/miss counters of this run (recorded runs only).
@@ -454,18 +428,22 @@ class Simulator:
         if self.recorder is None:
             return None
         stats: Dict[str, int] = {}
-        adj_stats = getattr(self.schedule, "adjacency_stats", None)
-        if adj_stats is not None:
-            base = self._adj_stats_base or {}
-            delta = {key: adj_stats[key] - base.get(key, 0)
-                     for key in adj_stats}
+        delta = self._adjacency_delta()
+        if delta is not None:
             stats["adjacency_hits"] = (delta.get("span_hits", 0)
                                        + delta.get("fingerprint_hits", 0))
             stats["adjacency_misses"] = delta.get("builds", 0)
-        if self._bits_stats is not None:
-            stats["payload_bits_hits"] = self._bits_stats["hits"]
-            stats["payload_bits_misses"] = self._bits_stats["misses"]
+        stats["payload_bits_hits"] = self._bits_stats["hits"]
+        stats["payload_bits_misses"] = self._bits_stats["misses"]
         return stats
+
+    def _adjacency_delta(self) -> Optional[Dict[str, int]]:
+        """This run's change in the schedule's adjacency-cache counters."""
+        adj_stats = getattr(self.schedule, "adjacency_stats", None)
+        if adj_stats is None:
+            return None
+        base = self._adj_stats_base or {}
+        return {key: adj_stats[key] - base.get(key, 0) for key in adj_stats}
 
     # -- payload costing -----------------------------------------------------
 
@@ -482,6 +460,8 @@ class Simulator:
         if entry is not None and entry[0] is payload:
             return entry[1]
         bits = bit_size(payload, self.id_bits)
+        if self._bits_stats is not None:
+            self._bits_stats["misses"] += 1
         if len(cache) >= self._bits_cache_cap:
             for key in list(islice(iter(cache), self._bits_cache_cap // 4)):
                 del cache[key]
@@ -498,39 +478,45 @@ class Simulator:
             self._step_recorded(self.recorder)
 
     def _step_inner(self) -> None:
-        """One round via whichever negotiated backend is live."""
-        backend = self._active_backend
-        tiers = self._tier_rounds
-        tiers[backend.name] = tiers.get(backend.name, 0) + 1
-        backend.run_round(self)
+        """One round on whichever tier is live."""
+        tier = self._tier
+        self._tier_rounds[tier] += 1
+        _ROUNDS[tier](self)
 
     def _step_recorded(self, rec: Recorder) -> None:
         """One round with the observability stream attached.
 
         Emits per-round :class:`~repro.obs.events.RoundEvent` /
         :class:`~repro.obs.events.DeliveryEvent` totals (deltas of the
-        metric sums, so the events hold regardless of dispatch tier),
-        per-node :class:`~repro.obs.events.DecisionEvent` lifecycle
-        changes (diffed from the decision/halt state, which is how one
+        metric sums, so the events hold regardless of tier), per-node
+        :class:`~repro.obs.events.DecisionEvent` lifecycle changes
+        (diffed from the decision/halt state, which is how one
         implementation covers all three tiers), and a mid-run
         :class:`~repro.obs.events.EngineTierEvent` when the batch kernel
-        falls back to the per-node path.
+        falls back to the per-node path.  On the per-node tiers every
+        broadcast looks its payload up in the bit-size memo, so the
+        round's memo hits are its broadcasts minus the misses
+        :meth:`_payload_bits` counted.
         """
         metrics = self.metrics
+        bits_stats = self._bits_stats
         prev_broadcasts = metrics.broadcasts
         prev_bbits = metrics.broadcast_bits
         prev_msgs = metrics.delivered_messages
         prev_dbits = metrics.delivered_bits
+        prev_misses = bits_stats["misses"]
         prev_decisions = dict(metrics._decision_rounds)
-        was_backend = self._active_backend
-        tier = was_backend.name
+        tier = self._tier
 
         self._step_inner()
 
         r = self.round_index
+        broadcasts = metrics.broadcasts - prev_broadcasts
+        if tier != "batch":
+            bits_stats["hits"] += (
+                broadcasts - (bits_stats["misses"] - prev_misses))
         rec.emit(obs_events.RoundEvent(
-            round=r, tier=tier,
-            broadcasts=metrics.broadcasts - prev_broadcasts,
+            round=r, tier=tier, broadcasts=broadcasts,
             broadcast_bits=metrics.broadcast_bits - prev_bbits,
             max_broadcast_bits=metrics.max_broadcast_bits))
         rec.emit(obs_events.DeliveryEvent(
@@ -556,69 +542,12 @@ class Simulator:
                 halted_seen.add(node.node_id)
                 rec.emit(obs_events.DecisionEvent(
                     round=r, node_id=node.node_id, action="halt"))
-        if was_backend is not self._active_backend:
-            # An overlay tier retired mid-round (e.g. the batch kernel
-            # on the first halt event) back to the persistent backend.
-            reason = ("halt event deactivated the batch kernel"
-                      if was_backend.name == "batch"
-                      else f"halt event deactivated the "
-                           f"{was_backend.name} backend")
-            diff = CapabilityDiff(backend=was_backend.name,
-                                  missing=("mid-run-halt",), detail=reason)
+        if tier != self._tier:
+            # The batch kernel retired on the round's first halt event.
+            reason = "halt event deactivated the batch kernel"
             rec.emit(obs_events.EngineTierEvent(
-                round=r, tier=self._active_backend.name, action="fallback",
-                reason=reason, declined=[diff.to_payload()]))
-
-    # -- backend selection ----------------------------------------------------
-
-    def _select_backends(self, stop_when: Optional[Callable]
-                         ) -> List[CapabilityDiff]:
-        """Finish negotiation with this run()'s dynamic requirements.
-
-        The statically capable candidates are probed in priority order:
-        first against the generic dynamic requirements (a ``stop_when``
-        predicate inspecting run state, a population that already
-        contains halted nodes, an instance-level ``on_broadcast``
-        override), then through each backend's own :meth:`prepare` hook
-        (the batch tier builds its population kernel there).  The first
-        surviving overlay becomes the active backend on top of the first
-        surviving persistent tier; every decline is returned as a
-        structured diff for the ``engine_tier`` select event.
-        """
-        declined: List[CapabilityDiff] = list(self._negotiation.declined)
-        dynamic: Dict[str, str] = {}
-        if stop_when is not None:
-            dynamic["stop-when"] = "stop_when predicate inspects run state"
-        if self._any_halted:
-            dynamic["pre-halted"] = "population already contains halted nodes"
-        if "on_broadcast" in self.metrics.__dict__:
-            dynamic["custom-metrics"] = "custom on_broadcast metrics override"
-        active: Optional[EngineBackend] = None
-        base: Optional[EngineBackend] = None
-        for backend in self._negotiation.candidates:
-            missing = missing_requirements(backend.capabilities, dynamic)
-            diff = (CapabilityDiff(backend=backend.name, missing=missing)
-                    if missing else backend.prepare(self, stop_when))
-            if diff is not None:
-                declined.append(diff)
-                if backend.overlay:
-                    # Compatibility mirror of the historical attribute.
-                    self._batch_reason = diff.render()
-                continue
-            if active is None:
-                active = backend
-            if not backend.overlay:
-                base = backend
-                break
-        if base is None:
-            posed = "; ".join(d.render() for d in declined) or "no reason"
-            raise ConfigurationError(
-                f"engine {self._negotiation.engine!r}: every negotiated "
-                f"backend declined this run ({posed})")
-        self._base_backend = base
-        self._active_backend = active if active is not None else base
-        self.engine = base.name
-        return declined
+                round=r, tier=self._tier, action="fallback", reason=reason,
+                declined=[{"tier": tier, "reason": reason}]))
 
     # -- stop-condition helpers ----------------------------------------------
 
@@ -628,7 +557,7 @@ class Simulator:
         return all(node.halted for node in self.nodes)
 
     def _all_decided_or_halted(self) -> bool:
-        if self._batch_live:
+        if self._tier == "batch":
             return bool(self._batch_kernel.decided.all())
         if self.engine == "fast":
             nodes = self.nodes
@@ -654,27 +583,24 @@ class Simulator:
         require_positive_int(quiescence_window, "quiescence_window")
 
         stop_reason = "max_rounds"
-        declined = self._select_backends(stop_when)
+        tier, declined = select_tier(self, stop_when)
+        if tier == "batch":
+            engage_batch(self)
+        else:
+            self._tier = tier
         rec = self.recorder
         if rec is not None:
-            chosen = self._active_backend
-            if chosen.overlay:
-                reason = ("population batch kernel engaged"
-                          if chosen.name == "batch"
-                          else f"{chosen.name} backend engaged")
+            if tier == "batch":
+                reason = "population batch kernel engaged"
             else:
-                # Order-preserving dedup: pinned aliases decline several
-                # tiers with the same clause.
-                clauses: List[str] = []
-                for diff in declined:
-                    clause = diff.render()
-                    if clause not in clauses:
-                        clauses.append(clause)
-                reason = "; ".join(clauses)
+                # Order-preserving dedup: the reference rules decline
+                # both faster tiers with the same clause.
+                reason = "; ".join(dict.fromkeys(r for _, r in declined))
             rec.emit(obs_events.EngineTierEvent(
-                round=self.round_index, tier=chosen.name, action="select",
+                round=self.round_index, tier=tier, action="select",
                 reason=reason,
-                declined=[d.to_payload() for d in declined] or None))
+                declined=[{"tier": t, "reason": r} for t, r in declined]
+                or None))
         try:
             while self.round_index < max_rounds:
                 self.step()
@@ -695,18 +621,15 @@ class Simulator:
                         stop_reason = "quiescent"
                         break
         finally:
-            # Whatever happens, node objects must reflect the backend's
-            # state before anyone (including the error path below, or a
-            # later run() call) inspects them.  reconcile() is idempotent;
-            # an overlay that retired mid-run already reconciled itself.
-            self._active_backend.reconcile(self)
+            # Whatever happens, node objects must reflect the batch
+            # kernel's state before anyone (including the error path
+            # below, or a later run() call) inspects them; a kernel that
+            # retired mid-run already wrote itself back.
+            deactivate_batch(self)
 
         if rec is not None:
-            adj_stats = getattr(self.schedule, "adjacency_stats", None)
-            if adj_stats is not None:
-                base = self._adj_stats_base or {}
-                delta = {key: adj_stats[key] - base.get(key, 0)
-                         for key in adj_stats}
+            delta = self._adjacency_delta()
+            if delta is not None:
                 rec.emit(obs_events.CacheEvent(
                     round=self.round_index, cache="adjacency",
                     hits=delta.get("span_hits", 0)
@@ -716,12 +639,11 @@ class Simulator:
                             f"fingerprint_hits="
                             f"{delta.get('fingerprint_hits', 0)} "
                             f"evictions={delta.get('evictions', 0)}")))
-            bits_stats = self._bits_stats
-            if bits_stats is not None:
-                rec.emit(obs_events.CacheEvent(
-                    round=self.round_index, cache="payload_bits",
-                    hits=bits_stats["hits"], misses=bits_stats["misses"],
-                    detail=f"entries={len(self._bits_cache)}"))
+            rec.emit(obs_events.CacheEvent(
+                round=self.round_index, cache="payload_bits",
+                hits=self._bits_stats["hits"],
+                misses=self._bits_stats["misses"],
+                detail=f"entries={len(self._bits_cache)}"))
             tiers = self._tier_rounds
             rec.emit(obs_events.SummaryEvent(
                 rounds=self.round_index, stop_reason=stop_reason,

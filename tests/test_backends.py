@@ -1,32 +1,35 @@
-"""The pluggable backend registry and capability negotiation.
+"""Engine tier selection and telemetry-column normalization.
 
-Covers the three layers the backends package introduced:
+Covers:
 
-1. The **fallback matrix**: run features (message loss, tracing, a
-   ``stop_when`` predicate, a heterogeneous population, a strict
-   CONGEST budget) × engine requests, asserting which tier the
-   negotiator engages, that every passed-over tier leaves a structured
-   :class:`~repro.simnet.backends.base.CapabilityDiff` in the
-   ``engine_tier`` select event, and that the recorded run is
-   bit-identical to the unrecorded one.
+1. The **selection table**: run features (message loss, tracing, a
+   ``stop_when`` predicate, a heterogeneous population, a strict or a
+   counting CONGEST budget, an adaptive ``bind`` schedule, a pre-halted
+   node, a schedule without ``adjacency()``, an instance-level
+   ``on_broadcast`` override) × engine requests, asserting what
+   :func:`repro.simnet.engine.select_tier` returns, that the chosen tier
+   executed every round, that the ``engine_tier`` select event carries
+   the same reasons, and that the recorded run is bit-identical to the
+   unrecorded one.
 
-2. **Third-party registration**: a toy backend plugs in through
-   :func:`repro.simnet.backends.register_backend`, executes rounds when
-   eligible, and shows up as a structured decline in the observability
-   stream when a run poses a requirement it cannot serve.
+2. **Engine names**: exactly ``fast``, ``fast-nobatch`` and
+   ``reference`` are accepted, from the argument or ``REPRO_ENGINE``.
 
-3. **Process defaults**: the ``REPRO_ENGINE`` environment variable
-   always wins over :func:`repro.simnet.engine.set_engine_default`.
+3. **The fast tier under observation**: profiling and recording run
+   the same fused round loop, with the same results and the same
+   payload bit-size memo counters as the reference loops.
 
 4. **Telemetry-column normalization**: recorded rows carry ``obs.*`` /
    ``cache.*`` counters, and the executor's journal + result cache
    strip them so cache hits and fresh runs compare equal.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.exact_count import ExactCount, ExactCountKnownBound
-from repro.dynamics import OverlapHandoffAdversary
+from repro.dynamics import OverlapHandoffAdversary, WindowedThrottleAdversary
 from repro.errors import ConfigurationError
 from repro.exec.executor import ParallelExecutor
 from repro.exec.specs import TrialSpec
@@ -34,111 +37,147 @@ from repro.harness.runner import durable_row, run_trial
 from repro.obs import Recorder
 from repro.obs.recorder import set_events_dir
 from repro.simnet import RngRegistry, Simulator, TraceRecorder
-from repro.simnet.backends import (
-    Capabilities,
-    EngineBackend,
-    available_engines,
-    negotiate,
-    register_backend,
-    unregister_backend,
-)
-from repro.simnet.backends.reference import run_reference_round
-from repro.simnet.engine import engine_default, set_engine_default
-
-ENGINES = ("fast", "fast-nobatch", "reference")
+from repro.simnet.engine import ENGINES, engine_default, select_tier
 
 #: Scenario -> the run feature it poses.  Each is crossed with every
-#: engine request below.
+#: engine request.
 SCENARIOS = ("plain", "loss", "trace", "stop_when", "mixed",
-             "strict_bandwidth")
+             "strict_bandwidth", "adaptive", "pre_halted", "adjacency_free",
+             "custom_metrics", "loose_bandwidth")
 
-#: Requirement name the batch tier must cite when the scenario
-#: disqualifies it (None = the batch tier stays eligible).
-_BATCH_MISSING = {
+#: Why each scenario keeps the run off the batch tier (None = it does
+#: not), and whether that sends it to the reference tier.
+_BATCH_REASON = {
     "plain": None,
-    "loss": None,  # the batch tier executes lossy runs natively now
-    "trace": "trace",
-    "stop_when": "stop-when",
-    "mixed": "mixed-population",
-    "strict_bandwidth": "strict-bandwidth",
+    "loss": None,  # the batch tier executes lossy runs natively
+    "trace": "trace recorder attached",
+    "stop_when": "stop_when predicate inspects run state",
+    "mixed": ("heterogeneous population "
+              "(ExactCountKnownBound + ExactCount)"),
+    "strict_bandwidth": "strict bandwidth budget",
+    "adaptive": "adaptive schedule binds node state",
+    "pre_halted": "population already contains halted nodes",
+    "adjacency_free": "schedule exposes no CSR adjacency",
+    "custom_metrics": "custom on_broadcast metrics override",
+    "loose_bandwidth": None,  # overflows are counted on every tier
 }
+_REFERENCE_SCENARIOS = ("trace", "strict_bandwidth", "adjacency_free")
 
 
-def _handoff(seed):
-    return OverlapHandoffAdversary(18, 3, noise_edges=2, seed=seed)
+class _NeighborsOnly:
+    """A schedule with only the minimal ``ScheduleLike`` duck type."""
+
+    def __init__(self, inner):
+        self.num_nodes = inner.num_nodes
+        self._inner = inner
+
+    def neighbors(self, round_index):
+        return self._inner.neighbors(round_index)
 
 
-def _nodes(schedule, mixed=False):
-    n = schedule.num_nodes
-    if mixed:
+def _schedule(scenario, seed):
+    if scenario == "adaptive":
+        return WindowedThrottleAdversary(18, 3)
+    schedule = OverlapHandoffAdversary(18, 3, noise_edges=2, seed=seed)
+    if scenario == "adjacency_free":
+        return _NeighborsOnly(schedule)
+    return schedule
+
+
+def _nodes(scenario, n):
+    if scenario == "mixed":
         # Interoperable but distinct classes: kernels need one exact class.
         return [ExactCount(i) if i % 2 else ExactCountKnownBound(i, 3 * n)
                 for i in range(n)]
-    return [ExactCount(i) for i in range(n)]
+    nodes = [ExactCount(i) for i in range(n)]
+    if scenario == "pre_halted":
+        nodes[0].halt()
+    return nodes
 
 
-def _run_scenario(scenario, engine, seed=7, recorder=None):
-    schedule = _handoff(seed)
+_BANDWIDTH_BITS = {"strict_bandwidth": 100_000, "loose_bandwidth": 40}
+
+
+def _sim(scenario, engine, seed=7, recorder=None, profile=False):
+    schedule = _schedule(scenario, seed)
     sim = Simulator(
         schedule,
-        _nodes(schedule, mixed=(scenario == "mixed")),
+        _nodes(scenario, schedule.num_nodes),
         rng=RngRegistry(seed),
         loss_rate=0.25 if scenario == "loss" else 0.0,
         strict_bandwidth=(scenario == "strict_bandwidth"),
-        bandwidth_bits=100_000 if scenario == "strict_bandwidth" else None,
+        bandwidth_bits=_BANDWIDTH_BITS.get(scenario),
         trace=TraceRecorder() if scenario == "trace" else None,
         engine=engine,
+        profile=profile,
         recorder=recorder,
     )
-    stop_when = (lambda s: False) if scenario == "stop_when" else None
-    result = sim.run(max_rounds=600, until="quiescent", quiescence_window=16,
-                     stop_when=stop_when, allow_timeout=True)
-    return sim, result
+    if scenario == "custom_metrics":
+        inner = sim.metrics.on_broadcast
+        sim.metrics.on_broadcast = lambda bits, degree: inner(bits, degree)
+    return sim
 
 
-def _expected_tier(scenario, engine):
+def _stop_when(scenario):
+    return (lambda s: False) if scenario == "stop_when" else None
+
+
+def _run(sim, scenario):
+    return sim.run(max_rounds=600, until="quiescent", quiescence_window=16,
+                   stop_when=_stop_when(scenario), allow_timeout=True)
+
+
+def _run_scenario(scenario, engine, seed=7, recorder=None):
+    sim = _sim(scenario, engine, seed=seed, recorder=recorder)
+    return sim, _run(sim, scenario)
+
+
+def _expected(scenario, engine):
+    """``(tier, declined)`` the selection table prescribes."""
     if engine == "reference":
-        return "reference"
+        reason = "engine='reference'"
+    elif scenario in _REFERENCE_SCENARIOS:
+        reason = _BATCH_REASON[scenario]
+    else:
+        reason = None
+    if reason is not None:
+        return "reference", [("batch", reason), ("fast", reason)]
     if engine == "fast-nobatch":
-        return "fast"
-    return "batch" if _BATCH_MISSING[scenario] is None else "fast"
+        return "fast", [("batch", "batch kernels disabled")]
+    if _BATCH_REASON[scenario] is None:
+        return "batch", []
+    return "fast", [("batch", _BATCH_REASON[scenario])]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_fallback_matrix(scenario, engine):
+    tier, declined = _expected(scenario, engine)
     recorder = Recorder.in_memory()
-    sim, recorded = _run_scenario(scenario, engine, recorder=recorder)
+    sim = _sim(scenario, engine, recorder=recorder)
+    assert sim.engine == ("fast" if tier != "reference" else "reference")
+    assert select_tier(sim, _stop_when(scenario)) == (tier, declined)
+    recorded = _run(sim, scenario)
 
-    # 1. The negotiated tier executed every round; the others none.
-    expected = _expected_tier(scenario, engine)
-    assert sim._tier_rounds[expected] == recorded.rounds
-    for tier in ("batch", "fast", "reference"):
-        if tier != expected:
-            assert sim._tier_rounds[tier] == 0, (
-                f"{scenario}/{engine}: unexpected {tier} rounds")
+    # 1. The selected tier executed every round; the others none.
+    assert sim._tier_rounds[tier] == recorded.rounds
+    for other in ("batch", "fast", "reference"):
+        if other != tier:
+            assert sim._tier_rounds[other] == 0, (
+                f"{scenario}/{engine}: unexpected {other} rounds")
 
     # 2. Exactly one select event, naming the tier and carrying one
-    #    structured diff per declined backend.
-    selects = [e for e in recorder.of_kind("engine_tier")
-               if e.action == "select"]
-    (select,) = selects
-    assert select.tier == expected
-    if engine == "reference":
-        declined = {p["backend"]: p for p in select.declined}
-        assert declined["batch"]["detail"] == "engine='reference'"
-        assert declined["fast"]["detail"] == "engine='reference'"
-    elif engine == "fast-nobatch":
-        declined = {p["backend"]: p for p in select.declined}
-        assert declined["batch"]["detail"] == "batch kernels disabled"
-    elif _BATCH_MISSING[scenario] is None:
+    #    {"tier", "reason"} entry per declined tier.
+    (select,) = [e for e in recorder.of_kind("engine_tier")
+                 if e.action == "select"]
+    assert select.tier == tier
+    if tier == "batch":
         assert select.declined is None
         assert select.reason == "population batch kernel engaged"
     else:
-        declined = {p["backend"]: p for p in select.declined}
-        assert _BATCH_MISSING[scenario] in declined["batch"]["missing"]
-        # The rendered reason and the structured diff agree.
-        assert sim._batch_reason in select.reason
+        assert select.declined == [{"tier": t, "reason": r}
+                                   for t, r in declined]
+        assert select.reason == declined[0][1]
 
     # 3. Recording never changes the measured results.
     _, plain = _run_scenario(scenario, engine)
@@ -148,9 +187,11 @@ def test_fallback_matrix(scenario, engine):
     assert recorded.metrics == plain.metrics
 
 
-@pytest.mark.parametrize("scenario", ["plain", "loss", "stop_when"])
+@pytest.mark.parametrize("scenario", ["plain", "loss", "stop_when",
+                                      "pre_halted", "adaptive",
+                                      "custom_metrics", "loose_bandwidth"])
 def test_tiers_agree_across_fallback_matrix(scenario):
-    """Whatever tier the negotiator picks, results are bit-identical."""
+    """Whatever tier the selection picks, results are bit-identical."""
     results = {engine: _run_scenario(scenario, engine)[1]
                for engine in ENGINES}
     ref = results["reference"]
@@ -160,150 +201,68 @@ def test_tiers_agree_across_fallback_matrix(scenario):
         assert results[engine].metrics == ref.metrics
 
 
-def test_pinning_the_batch_backend_by_name():
-    """``engine="batch"`` pins the overlay; the persistent chain backs
-    it so the run still has a base tier."""
-    sim, result = _run_scenario("plain", "batch")
-    assert sim.engine == "fast"  # the persistent tier under the overlay
-    assert sim._tier_rounds["batch"] == result.rounds
-
-
 # --------------------------------------------------------------------------
-# third-party registration
+# engine names
 # --------------------------------------------------------------------------
 
-class _ToyBackend(EngineBackend):
-    """Reference-loop clone that counts its rounds; supports nothing
-    beyond a bare run (every capability flag stays False)."""
-
-    name = "toy-loops"
-    priority = 45
-    capabilities = Capabilities()
-    auto_negotiate = False
-    overlay = False
-
-    def __init__(self):
-        self.rounds = 0
-
-    def run_round(self, sim):
-        self.rounds += 1
-        run_reference_round(sim)
-
-
-def test_register_backend_toy_demo():
-    toy = register_backend(_ToyBackend())
-    try:
-        assert "toy-loops" in available_engines()
-
-        # Eligible: pinned by name with no posed requirements, the toy
-        # executes every round — and matches the reference loops.
-        schedule = _handoff(3)
-        sim = Simulator(schedule, _nodes(schedule), rng=RngRegistry(3),
-                        engine="toy-loops")
-        result = sim.run(max_rounds=600, until="quiescent",
-                         quiescence_window=16, allow_timeout=True)
-        assert sim.engine == "toy-loops"
-        assert sim._tier_rounds["toy-loops"] == result.rounds
-        assert toy.rounds == result.rounds
-        ref_sim, ref = _run_scenario("plain", "reference", seed=3)
-        assert result.outputs == ref.outputs
-        assert result.rounds == ref.rounds
-        assert result.metrics == ref.metrics
-
-        # Ineligible: a recorder poses a requirement the toy does not
-        # declare, so the negotiator declines it with a structured diff
-        # and falls through to the persistent chain.
-        recorder = Recorder.in_memory()
-        schedule = _handoff(3)
-        sim = Simulator(schedule, _nodes(schedule), rng=RngRegistry(3),
-                        engine="toy-loops", recorder=recorder)
-        sim.run(max_rounds=600, until="quiescent", quiescence_window=16,
-                allow_timeout=True)
-        assert sim.engine == "fast"
-        (select,) = [e for e in recorder.of_kind("engine_tier")
-                     if e.action == "select"]
-        toy_declines = [p for p in select.declined
-                        if p["backend"] == "toy-loops"]
-        assert toy_declines and "recorder" in toy_declines[0]["missing"]
-    finally:
-        unregister_backend("toy-loops")
-    assert "toy-loops" not in available_engines()
-
-
-def test_register_backend_rejects_duplicates_and_reserved_names():
-    toy = _ToyBackend()
-    register_backend(toy)
-    try:
-        with pytest.raises(ConfigurationError):
-            register_backend(_ToyBackend())
-        register_backend(_ToyBackend(), replace=True)  # explicit override
-    finally:
-        unregister_backend("toy-loops")
-
-    class Reserved(_ToyBackend):
-        name = "fast-nobatch"
-
+def test_engine_batch_is_not_an_engine_name():
+    """The batch tier is selected, never requested by name."""
     with pytest.raises(ConfigurationError):
-        register_backend(Reserved())
-
-    class Nameless(_ToyBackend):
-        name = ""
-
-    with pytest.raises(ConfigurationError):
-        register_backend(Nameless())
+        _sim("plain", "batch")
 
 
-def test_negotiation_fails_closed_on_unknown_requirement():
-    """Unknown requirement names are conservatively unsupported — if no
-    backend can serve the run, negotiation raises instead of guessing."""
-    with pytest.raises(ConfigurationError):
-        negotiate("fast", {"antigravity": "hover the population"})
-
-
-# --------------------------------------------------------------------------
-# process defaults: REPRO_ENGINE always wins
-# --------------------------------------------------------------------------
-
-def test_env_var_wins_over_set_engine_default(monkeypatch):
-    from repro.simnet import engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "_ENGINE_DEFAULT", None)
+def test_repro_engine_sets_the_process_default(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     assert engine_default() == "fast"
-
-    set_engine_default("reference")
+    monkeypatch.setenv("REPRO_ENGINE", "")
+    assert engine_default() == "fast"
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
     assert engine_default() == "reference"
-
-    monkeypatch.setenv("REPRO_ENGINE", "fast-nobatch")
-    assert engine_default() == "fast-nobatch"  # env wins
-
-    # Even a later in-process call cannot override the environment …
-    set_engine_default("reference")
-    assert engine_default() == "fast-nobatch"
-
-    # … but it becomes the default again once the variable is gone.
-    monkeypatch.delenv("REPRO_ENGINE")
-    assert engine_default() == "reference"
+    assert _sim("plain", None).engine == "reference"
 
 
-def test_set_engine_default_validates_against_registry(monkeypatch):
-    from repro.simnet import engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "_ENGINE_DEFAULT", None)
-    with pytest.raises(ConfigurationError):
-        set_engine_default("warp-drive")
+def test_unknown_repro_engine_raises_at_construction(monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
+    with pytest.raises(ConfigurationError, match="REPRO_ENGINE"):
+        _sim("plain", None)
 
 
-def test_set_engine_default_raises_if_precedence_regresses(monkeypatch):
-    """The env-wins check raises a real error (not an ``assert``, which
-    ``python -O`` strips) when the resolved default disagrees."""
-    from repro.simnet import engine as engine_mod
+# --------------------------------------------------------------------------
+# the fast tier's one round loop under profiling and recording
+# --------------------------------------------------------------------------
 
-    monkeypatch.setattr(engine_mod, "_ENGINE_DEFAULT", None)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.setattr(engine_mod, "engine_default", lambda: "fast")
-    with pytest.raises(ConfigurationError, match="precedence"):
-        set_engine_default("reference")
+def _payload_bits_counters(recorder):
+    (event,) = [e for e in recorder.of_kind("cache")
+                if e.cache == "payload_bits"]
+    return event.hits, event.misses
+
+
+@pytest.mark.parametrize("scenario", ["plain", "loss", "pre_halted"])
+def test_fast_tier_observed_runs_match_plain_runs(scenario):
+    _, plain = _run_scenario(scenario, "fast-nobatch")
+
+    profiled_sim = _sim(scenario, "fast-nobatch", profile=True)
+    profiled = _run(profiled_sim, scenario)
+    assert profiled_sim._tier_rounds["fast"] == profiled.rounds
+    assert profiled.metrics.phase_seconds["drain"] == 0.0
+    assert dataclasses.replace(profiled.metrics, phase_seconds=None,
+                               engine_stats=None) == plain.metrics
+
+    recorder = Recorder.in_memory()
+    recorded_sim = _sim(scenario, "fast-nobatch", recorder=recorder)
+    recorded = _run(recorded_sim, scenario)
+    assert recorded_sim._tier_rounds["fast"] == recorded.rounds
+    assert recorded.metrics == plain.metrics
+    assert recorded.outputs == plain.outputs
+
+    # The bit-size memo sees the same lookups on the fused loop as on
+    # the reference loops' per-sender calls.
+    reference_recorder = Recorder.in_memory()
+    _run_scenario(scenario, "reference", recorder=reference_recorder)
+    hits, misses = _payload_bits_counters(recorder)
+    assert misses > 0 and hits > 0
+    assert (hits, misses) == _payload_bits_counters(reference_recorder)
+    assert hits + misses == plain.metrics.broadcasts
 
 
 # --------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from repro.core.termination import QuiescenceController
 from repro.dynamics import ExplicitSchedule
 from repro.errors import AlgorithmViolation
 from repro.simnet import RngRegistry, Simulator
-from repro.simnet.backends.batch import BatchContext
 from repro.simnet.batch import (
+    BatchContext,
     BatchQuiescence,
     build_batch_kernel,
     int_payload_bits,
@@ -317,7 +317,8 @@ def test_finalize_restores_node_state_across_split_runs(label, factory):
 def test_build_batch_kernel_declines_prehalted_population():
     nodes = [FloodMax(i, value=i, rounds_bound=5) for i in range(4)]
     nodes[2].halt()
-    assert build_batch_kernel(nodes) is None
+    assert build_batch_kernel(nodes) == (
+        None, "population already contains halted nodes")
 
 
 def test_build_batch_kernel_declines_plain_algorithms():
@@ -330,7 +331,8 @@ def test_build_batch_kernel_declines_plain_algorithms():
         def deliver(self, ctx, inbox):
             self.mark_changed(False)
 
-    assert build_batch_kernel([Plain(i) for i in range(3)]) is None
+    assert build_batch_kernel([Plain(i) for i in range(3)]) == (
+        None, "Plain exposes no __batch_kernel__ hook")
 
 
 # --------------------------------------------------------------------------
@@ -365,8 +367,8 @@ def _assert_kernel_folds_per_round(factory, seed, rounds=60, id_bits=12,
                                     cycle=True, interval=None)
     n = schedule.num_nodes
     nodes, mirror = factory(n), factory(n)
-    kernel = build_batch_kernel(mirror, id_bits=id_bits)
-    assert kernel is not None
+    kernel, reason = build_batch_kernel(mirror, id_bits=id_bits)
+    assert kernel is not None, reason
     rngs = RngRegistry(seed)
     node_rngs = [rngs.for_node("node", node.node_id) for node in nodes]
     kernel_rngs = RngRegistry(seed)
@@ -438,7 +440,9 @@ def test_klo_kernel_declines_mixed_guess_parameters(params):
 
     n = 6
     nodes = [KCommitteeCount(i, **params[i % 2]) for i in range(n)]
-    assert build_batch_kernel(nodes) is None
+    kernel, reason = build_batch_kernel(nodes)
+    assert kernel is None
+    assert reason.startswith("KCommitteeCount.__batch_kernel__ declined")
     recorder = Recorder.in_memory()
     sim = Simulator(StaticAdversary(n, line_graph(n)), nodes,
                     rng=RngRegistry(0), engine="fast", recorder=recorder)
@@ -447,10 +451,7 @@ def test_klo_kernel_declines_mixed_guess_parameters(params):
     (select,) = [e for e in recorder.of_kind("engine_tier")
                  if e.action == "select"]
     assert select.tier == "fast"
-    declined = {p["backend"]: p for p in select.declined}
-    assert declined["batch"]["missing"] == ["kernel-population"]
-    assert declined["batch"]["detail"].startswith(
-        "KCommitteeCount.__batch_kernel__ declined")
+    assert select.declined == [{"tier": "batch", "reason": reason}]
 
 
 @pytest.mark.parametrize("late_edges,wording,at_round", [

@@ -6,6 +6,7 @@ from repro import RngRegistry, Simulator, TraceRecorder
 from repro.errors import (
     BandwidthExceededError,
     ConfigurationError,
+    IncorrectOutputError,
     NotTerminatedError,
 )
 from repro.simnet.node import Algorithm, FunctionalNode
@@ -211,7 +212,7 @@ class TestRunResult:
     def test_unanimous_output(self):
         nodes = [EchoOnce(0), EchoOnce(1)]
         result = Simulator(make_pair_schedule(), nodes).run(max_rounds=2)
-        with pytest.raises(AssertionError, match="disagree"):
+        with pytest.raises(IncorrectOutputError, match="disagree"):
             result.unanimous_output()
 
     def test_metrics_bits_counted(self):

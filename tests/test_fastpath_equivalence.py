@@ -1,14 +1,17 @@
 """Golden equivalence: every engine tier is observably identical to the
 reference engine.
 
-The engine now has **three** dispatch tiers (see
-:mod:`repro.simnet.batch`): batch kernels (``engine="fast"``, the
-default, when the population provides one), the per-node fast path
-(``engine="fast-nobatch"``), and the reference loops
-(``engine="reference"``).  All three must produce **byte-identical**
+The engine has **three** tiers, one round loop each, and
+:func:`repro.simnet.engine.select_tier` picks one per run: batch
+kernels (:mod:`repro.simnet.batch`; ``engine="fast"``, the default,
+when the population provides one), the per-node fast path
+(:func:`repro.simnet.rounds.run_fast_round`; ``engine="fast-nobatch"``),
+and the reference loops (:func:`repro.simnet.rounds.run_reference_round`;
+``engine="reference"``).  All three must produce **byte-identical**
 results across topologies × algorithms × loss rates: same outputs, same
-round counts, same stop reason, same metric counters, same trace event
-stream, and the same RNG consumption.  These tests are the contract
+round counts, same stop reason, same metric counters, and the same RNG
+consumption; traced runs select the reference loops under every engine
+name, so their event streams match too.  These tests are the contract
 that lets every experiment run on the fastest available tier while the
 reference loops remain the executable specification.
 
@@ -195,8 +198,8 @@ def test_trace_event_streams_identical(seed):
         trace = TraceRecorder()
         sim = _sim(factory, seed, engine=engine, trace=trace)
         sim.run(max_rounds=2000, until="quiescent", quiescence_window=16)
-        # Tracing needs per-broadcast events; batch tier must stand down.
-        assert sim._tier_rounds["batch"] == 0
+        # Tracing observes phase boundaries: the reference tier runs it.
+        assert sim._tier_rounds["reference"] == sim.round_index
         traces[engine] = list(trace.events)
     assert traces["fast"] == traces["reference"]
     assert traces["fast-nobatch"] == traces["reference"]
@@ -246,7 +249,6 @@ def test_fast_nobatch_disables_batch_tier():
     result = sim.run(max_rounds=2000, until="quiescent",
                      quiescence_window=32)
     assert sim.engine == "fast"
-    assert sim.batch_kernels is False
     assert sim._tier_rounds["batch"] == 0
     assert sim._tier_rounds["fast"] == result.rounds
 
