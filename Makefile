@@ -51,23 +51,20 @@ bench-e2e-smoke: ## CI gate: end-to-end baseline_count run is correct
 experiments:     ## same data via the CLI
 	$(PY) -m repro.harness.cli --all --out results/
 
-# Grid experiments on $(WORKERS) workers with a warm content-addressed
+# Every experiment on $(WORKERS) workers with a warm content-addressed
 # cache; rerun after an interrupt to resume only the missing cells.
 WORKERS ?= 4
 sweep-parallel:
-	$(PY) -m repro.harness.cli t1 f3 f6 x1 --workers $(WORKERS) \
+	$(PY) -m repro.harness.cli --all --workers $(WORKERS) \
 	    --cache-dir .repro-cache --resume --out results/
 
-report:          ## rebuild EXPERIMENTS.md from results/
-	$(PY) -m repro.harness.report results EXPERIMENTS.md
+report: docs     ## alias of docs
 
-docs:            ## regenerate every generated document from results/
-	$(PY) -m repro.harness.report results EXPERIMENTS.md
-	$(PY) -m repro.report --results results --out docs/RESULTS.md
+docs:            ## regenerate EXPERIMENTS.md and docs/RESULTS.md from results/
+	$(PY) -m repro.report --results results
 
 docs-check:      ## CI gate: fail when committed docs drift from results/
-	$(PY) -m repro.harness.report --check results EXPERIMENTS.md
-	$(PY) -m repro.report --check --results results --out docs/RESULTS.md
+	$(PY) -m repro.report --check --results results
 	$(PY) tools/check_links.py
 
 examples:

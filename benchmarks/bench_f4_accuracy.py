@@ -7,8 +7,9 @@ persists the table/figure artefacts to `results/f4/`.
 from repro.harness.experiments import run_f4
 
 
-def test_f4_regenerate(benchmark, quick, persist):
-    result = benchmark.pedantic(run_f4, kwargs={"quick": quick},
-                                rounds=1, iterations=1)
+def test_f4_regenerate(benchmark, quick, persist, exec_opts):
+    result = benchmark.pedantic(
+        run_f4, kwargs={"quick": quick, "exec_opts": exec_opts},
+        rounds=1, iterations=1)
     persist(result)
     assert result.rows, "experiment produced no rows"

@@ -79,9 +79,9 @@ def _measure_rounds_per_sec(engine: str, n: int, rounds: int,
                          allow_timeout=True)
         elapsed = perf_counter() - start
         assert result.rounds == rounds
-        if engine == "fast" and sim._tier_rounds["batch"] != rounds:
+        if engine == "fast" and sim.tier_rounds["batch"] != rounds:
             raise AssertionError(
-                f"batch tier did not engage: {sim._tier_rounds}")
+                f"batch tier did not engage: {sim.tier_rounds}")
         best = max(best, rounds / elapsed)
     return best
 

@@ -8,9 +8,10 @@ variant loses correctness at high loss.
 from repro.harness.experiments import run_x2
 
 
-def test_x2_regenerate(benchmark, quick, persist):
-    result = benchmark.pedantic(run_x2, kwargs={"quick": quick},
-                                rounds=1, iterations=1)
+def test_x2_regenerate(benchmark, quick, persist, exec_opts):
+    result = benchmark.pedantic(
+        run_x2, kwargs={"quick": quick, "exec_opts": exec_opts},
+        rounds=1, iterations=1)
     persist(result)
     assert all(r["stabilizing_correct"] for r in result.rows)
     rounds = [r["stabilizing_rounds"] for r in result.rows]

@@ -6,10 +6,10 @@ the rendered report + raw rows under ``results/`` so the artefacts exist
 even when pytest captures stdout.  Set ``REPRO_BENCH_QUICK=1`` to run the
 shrunken experiment sizes.
 
-The grid-shaped benches (t1, f1, f3, f5, f6, x1) also honour
-``REPRO_BENCH_WORKERS=N`` (fan the measurement cells across N worker
-processes) and ``REPRO_BENCH_CACHE_DIR=DIR`` (content-addressed result
-cache, so a re-bench executes only missing cells).  Rows are
+The experiment benches also honour ``REPRO_BENCH_WORKERS=N`` (fan the
+measurement cells across N worker processes) and
+``REPRO_BENCH_CACHE_DIR=DIR`` (content-addressed result cache, so a
+re-bench executes only missing cells).  Rows are
 byte-identical to serial either way — only wall-clock changes.
 """
 

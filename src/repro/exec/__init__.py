@@ -4,9 +4,8 @@ The executor subsystem turns the harness's serial trial loops into
 resumable, cacheable, multi-process sweeps:
 
 * :mod:`~repro.exec.specs` — :class:`TrialSpec`, the declarative,
-  picklable trial description (registry names + plain-data params) that
-  replaces lambda-only ``TrialConfig`` factories as the canonical way
-  experiments describe work;
+  picklable trial description (registry names + plain-data params), the
+  one way experiments describe work;
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, content-addressed
   rows on disk (sha256 of spec + seed + code-version salt), so reruns
   execute only missing cells;

@@ -24,7 +24,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._validate import require_choice
 from ..errors import ConfigurationError, ReproError
@@ -50,9 +50,9 @@ def execute_cell(spec: TrialSpec, seed: int) -> Dict[str, Any]:
     unit that gets cached, which is why tags — pure row labels — are
     merged only afterwards, letting relabelled grids share cache entries.
 
-    The spec is handed to :func:`~repro.harness.runner.run_trial`
-    unresolved so the runner can stamp event streams with the spec's
-    label and content-address hash (see :mod:`repro.obs`).
+    :func:`~repro.harness.runner.run_trial` resolves the spec's
+    builders, so it can also stamp event streams with the spec's label
+    and content-address hash (see :mod:`repro.obs`).
     """
     from ..harness.runner import run_trial
 
@@ -208,9 +208,7 @@ class ParallelExecutor:
             if not isinstance(spec, TrialSpec):
                 raise ConfigurationError(
                     "ParallelExecutor cells must be (TrialSpec, seed) "
-                    f"pairs; got {type(spec).__name__} — lambda-based "
-                    "TrialConfig objects cannot cross process boundaries "
-                    "or be content-addressed")
+                    f"pairs; got {type(spec).__name__}")
         report = ExecutionReport(total=len(cells))
         started = time.monotonic()
         keys = [self._key(spec, seed) for spec, seed in cells]

@@ -1,8 +1,8 @@
 """Declarative, picklable trial specifications.
 
 A :class:`TrialSpec` is plain data: registered builder *names* plus
-JSON-serializable parameter dicts.  That buys three properties the
-lambda-based :class:`~repro.harness.runner.TrialConfig` cannot offer:
+JSON-serializable parameter dicts.  It is the only way to describe a
+trial, and it buys three properties:
 
 1. **process mobility** — a spec pickles cleanly, so trials can be
    shipped to worker processes by the
@@ -64,7 +64,7 @@ __all__ = [
 #: Version salt mixed into every cache key.  Bump whenever the semantics
 #: of a builder, the simulator, or a core algorithm change in a way that
 #: invalidates previously measured rows.
-CODE_VERSION_SALT = "repro-exec-v1"
+CODE_VERSION_SALT = "repro-exec-v2"
 
 _UNTIL_CHOICES = ("halted", "decided", "quiescent")
 
@@ -163,9 +163,19 @@ class TrialSpec:
     nodes / node_params:
         Name of a registered node-set builder, called as
         ``builder(schedule, seed, **node_params)``.
-    max_rounds / until / quiescence_window / allow_timeout / bandwidth_bits:
-        Stop configuration, exactly as on
-        :class:`~repro.harness.runner.TrialConfig`.
+    max_rounds / until / quiescence_window / allow_timeout:
+        Stop configuration, as in :meth:`repro.simnet.engine.Simulator.run`.
+    bandwidth_bits / loss_rate:
+        Optional CONGEST budget (overflows counted, not fatal) and the
+        per-edge message-loss probability, as on
+        :class:`~repro.simnet.engine.Simulator`.
+    stop_when:
+        Optional name of a stop predicate over the simulator (see
+        ``_STOP_PREDICATES``), e.g. ``"dissemination_complete"``.
+    schedule_seed:
+        Seed for the schedule builder when it must differ from the
+        trial seed (which still seeds the nodes' ``RngRegistry``);
+        ``None`` uses the trial seed.
     oracle / oracle_params:
         Optional registered correctness oracle, called as
         ``oracle(outputs, schedule, **oracle_params)``.
@@ -186,12 +196,18 @@ class TrialSpec:
     oracle_params: Mapping[str, Any] = field(default_factory=dict)
     allow_timeout: bool = False
     bandwidth_bits: Optional[int] = None
+    loss_rate: float = 0.0
+    stop_when: Optional[str] = None
+    schedule_seed: Optional[int] = None
     tags: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         require_positive_int(self.max_rounds, "max_rounds")
         require_choice(self.until, "until", _UNTIL_CHOICES)
         require_positive_int(self.quiescence_window, "quiescence_window")
+        if self.stop_when is not None:
+            require_choice(self.stop_when, "stop_when",
+                           tuple(sorted(_STOP_PREDICATES)))
         # Fail fast on unhashable params (and tags, which enter rows).
         canonical_json(self.payload())
         canonical_json(dict(self.tags))
@@ -227,31 +243,48 @@ class TrialSpec:
         """A copy with extra row tags merged in (new keys win)."""
         return dataclasses.replace(self, tags={**self.tags, **tags})
 
-    def to_config(self):
-        """Resolve registry names into a runnable ``TrialConfig``."""
-        from ..harness.runner import TrialConfig
+    # -- resolution (what run_trial executes) -----------------------------
 
-        sched_builder = _lookup(_SCHEDULES, "schedule", self.schedule)
-        node_builder = _lookup(_NODES, "nodes", self.nodes)
-        sched_params = dict(self.schedule_params)
-        node_params = dict(self.node_params)
-        oracle = None
-        if self.oracle is not None:
-            oracle_fn = _lookup(_ORACLES, "oracle", self.oracle)
-            oracle_params = dict(self.oracle_params)
-            oracle = (lambda outputs, schedule:
-                      bool(oracle_fn(outputs, schedule, **oracle_params)))
-        return TrialConfig(
-            schedule_factory=lambda seed: sched_builder(seed, **sched_params),
-            node_factory=lambda schedule, seed: node_builder(
-                schedule, seed, **node_params),
-            max_rounds=self.max_rounds,
-            until=self.until,
-            quiescence_window=self.quiescence_window,
-            oracle=oracle,
-            bandwidth_bits=self.bandwidth_bits,
-            allow_timeout=self.allow_timeout,
-        )
+    def build_schedule(self, seed: int):
+        """The trial's schedule, from ``schedule_seed`` or else *seed*."""
+        builder = _lookup(_SCHEDULES, "schedule", self.schedule)
+        if self.schedule_seed is not None:
+            seed = self.schedule_seed
+        return builder(seed, **self.schedule_params)
+
+    def build_nodes(self, schedule, seed: int) -> List[Any]:
+        """The trial's node list."""
+        builder = _lookup(_NODES, "nodes", self.nodes)
+        return list(builder(schedule, seed, **self.node_params))
+
+    def stop_predicate(self) -> Optional[Callable[[Any], bool]]:
+        """The ``stop_when`` predicate over the simulator, if any."""
+        if self.stop_when is None:
+            return None
+        return _STOP_PREDICATES[self.stop_when]
+
+    def judge(self, outputs: Mapping[int, Any], schedule) -> Optional[bool]:
+        """The oracle's verdict on *outputs*; ``None`` without an oracle."""
+        if self.oracle is None:
+            return None
+        oracle = _lookup(_ORACLES, "oracle", self.oracle)
+        return bool(oracle(outputs, schedule, **self.oracle_params))
+
+
+# --------------------------------------------------------------------------
+# stop predicates (named by TrialSpec.stop_when)
+# --------------------------------------------------------------------------
+
+def _stop_dissemination_complete(sim) -> bool:
+    """Every node knows every token (pure dissemination time)."""
+    from ..baselines.token import dissemination_complete
+
+    return dissemination_complete(sim.nodes, len(sim.nodes))
+
+
+_STOP_PREDICATES: Dict[str, Callable[[Any], bool]] = {
+    "dissemination_complete": _stop_dissemination_complete,
+}
 
 
 # --------------------------------------------------------------------------
@@ -327,12 +360,32 @@ def _build_windowed_throttle(seed: int, *, n: int, T: int):
     return WindowedThrottleAdversary(n, T)
 
 
+@register_schedule("cut_throttle")
+def _build_cut_throttle(seed: int, *, n: int):
+    from ..dynamics import CutThrottleAdversary
+
+    return CutThrottleAdversary(n)
+
+
+@register_schedule("edge_churn")
+def _build_edge_churn(seed: int, *, n: int, tree_seed: int):
+    """Edge churn over a random spanning-tree backbone.
+
+    The backbone comes from ``default_rng(tree_seed)``, so every trial
+    seed churns around the same tree.
+    """
+    from ..dynamics import EdgeChurnAdversary, random_tree_graph
+
+    tree = random_tree_graph(n, np.random.default_rng(tree_seed))
+    return EdgeChurnAdversary(n, tree, seed=seed)
+
+
 # --------------------------------------------------------------------------
 # built-in node-set builders (the evaluation's algorithms)
 # --------------------------------------------------------------------------
 
 def _modvalue(i: int, mult: int, mod: int) -> int:
-    """The evaluation's deterministic node input (``_value`` in T1/F3)."""
+    """The evaluation's deterministic node input for Max."""
     return (i * mult) % mod
 
 
@@ -343,6 +396,24 @@ def _nodes_exact_count(schedule, seed: int, *, n: int,
 
     return [ExactCount(i, initial_window=initial_window,
                        window_growth=window_growth) for i in range(n)]
+
+
+@register_nodes("exact_count_known_bound")
+def _nodes_exact_count_known_bound(schedule, seed: int, *, n: int,
+                                   rounds_bound: int):
+    from ..core.exact_count import ExactCountKnownBound
+
+    return [ExactCountKnownBound(i, rounds_bound=rounds_bound)
+            for i in range(n)]
+
+
+@register_nodes("approx_count_known_bound")
+def _nodes_approx_count_known_bound(schedule, seed: int, *, n: int,
+                                    rounds_bound: int, width: int):
+    from ..core.approx_count import ApproxCountKnownBound
+
+    return [ApproxCountKnownBound(i, rounds_bound=rounds_bound, width=width)
+            for i in range(n)]
 
 
 @register_nodes("approx_count")

@@ -12,15 +12,15 @@
 * :mod:`~repro.harness.cli` — ``repro-experiments`` entry point that runs
   any subset of experiments and writes everything to disk.
 
-The grid-shaped experiments (T1, F3, F6, X1) describe their trials as
-declarative :class:`repro.exec.TrialSpec` cells and route them through
-the :mod:`repro.exec` executor, which adds worker processes, a
+Every experiment describes its trials as declarative
+:class:`repro.exec.TrialSpec` cells and routes them through the
+:mod:`repro.exec` executor, which adds worker processes, a
 content-addressed result cache, and crash-safe resume on top of the
 same measurement semantics (``--workers/--cache-dir/--resume`` on the
 CLI).
 """
 
-from .runner import TrialConfig, TrialResult, run_trial, run_replicates
+from .runner import TrialResult, run_trial, run_replicates
 from .experiments import (
     ExperimentResult,
     EXPERIMENTS,
@@ -31,7 +31,6 @@ from .sweeps import grid_points, sweep, sweep_with_report, aggregate_rows
 from .claims import Claim, CLAIMS, check_claims, render_claims
 
 __all__ = [
-    "TrialConfig",
     "TrialResult",
     "run_trial",
     "run_replicates",

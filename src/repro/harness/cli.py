@@ -8,8 +8,8 @@ Examples::
     repro-experiments --list
 
 ``--workers/--cache-dir/--resume`` configure the :mod:`repro.exec`
-executor for the grid-shaped experiments (T1, F1, F3, F5, F6, X1): the
-measurement cells fan out across worker processes, completed rows are
+executor, which runs every experiment's simulations: the measurement
+cells fan out across worker processes, completed rows are
 content-addressed on disk, and an interrupted run re-executes only the
 missing cells.  Parallel rows are byte-identical to serial rows.
 
@@ -56,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
                              "saved results (use with --out DIR or the "
                              "default results/)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for the experiment grids "
+                        help="worker processes for the experiments' trials "
                              "(default 1 = serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed result cache; reruns "

@@ -14,7 +14,10 @@ Conventions
 * every trial's schedule satisfies a machine-checked T-interval promise
   (the generators are verified in the test suite; adaptive schedules are
   certified post-hoc on their realised prefix);
-* inputs are deterministic functions of node ids so oracles are exact.
+* inputs are deterministic functions of node ids so oracles are exact;
+* every simulation is a :class:`~repro.exec.TrialSpec` cell run by the
+  :mod:`repro.exec` executor, so *exec_opts* (workers, result cache,
+  resume) applies to every experiment.
 """
 
 from __future__ import annotations
@@ -35,13 +38,6 @@ from ..analysis.fitting import power_law_fit
 from ..analysis.plotting import ascii_plot
 from ..analysis.stats import summarize
 from ..analysis.tables import render_table
-from ..baselines.klo import KCommitteeCount
-from ..baselines.token import RandomTokenDissemination, dissemination_complete
-from ..core.approx_count import ApproxCount, ApproxCountKnownBound
-from ..core.consensus import SublinearConsensus
-from ..core.exact_count import ExactCount
-from ..core.max_compute import SublinearMax
-from ..core.pipelining import PipelinedApproxCount
 from ..core.sketches import (
     ExponentialCountSketch,
     GeometricCountSketch,
@@ -49,24 +45,13 @@ from ..core.sketches import (
     required_width,
 )
 from ..dynamics import (
-    AlternatingMatchingsAdversary,
-    CutThrottleAdversary,
-    EdgeChurnAdversary,
-    FreshSpanningAdversary,
     OverlapHandoffAdversary,
-    RepairedMobilityAdversary,
     StaticAdversary,
-    WindowedThrottleAdversary,
-    build_topology,
     dynamic_diameter,
-    line_graph,
-    random_tree_graph,
     ring_of_cliques,
 )
 from ..exec.executor import ExecOptions
 from ..exec.specs import TrialSpec
-from ..simnet.rng import RngRegistry
-from .runner import TrialConfig, run_trial
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
 
@@ -98,48 +83,9 @@ class ExperimentResult:
 # shared building blocks
 # --------------------------------------------------------------------------
 
-def _value(i: int) -> int:
-    """Deterministic node input for Max experiments."""
-    return (i * 37) % 1009
-
-
 def _lowdiam_schedule(n: int, T: int, seed: int) -> OverlapHandoffAdversary:
     """The evaluation's default low-``d`` T-interval adversary."""
     return OverlapHandoffAdversary(n, T, noise_edges=max(1, n // 8), seed=seed)
-
-
-def _count_oracle(outputs: Dict[int, Any], schedule) -> bool:
-    n = schedule.num_nodes
-    return len(outputs) == n and all(v == n for v in outputs.values())
-
-
-def _approx_oracle(eps: float):
-    def oracle(outputs: Dict[int, Any], schedule) -> bool:
-        n = schedule.num_nodes
-        return (len(outputs) == n
-                and all(abs(v / n - 1.0) <= eps for v in outputs.values()))
-    return oracle
-
-
-def _max_oracle(outputs: Dict[int, Any], schedule) -> bool:
-    n = schedule.num_nodes
-    true = max(_value(i) for i in range(n))
-    return len(outputs) == n and all(v == true for v in outputs.values())
-
-
-def _consensus_oracle(outputs: Dict[int, Any], schedule) -> bool:
-    n = schedule.num_nodes
-    values = set(outputs.values())
-    proposals = {f"p{i}" for i in range(n)}
-    return (len(outputs) == n and len(values) == 1
-            and next(iter(values)) in proposals)
-
-
-def _measured_rounds(result) -> int:
-    """Decision-completion time (see module docstring)."""
-    if result.last_decision_round is not None:
-        return int(result.last_decision_round)
-    return int(result.rounds)
 
 
 def _row_rounds(row: Dict[str, Any]) -> int:
@@ -155,8 +101,8 @@ def _execute_cells(cells: List[Tuple[TrialSpec, int]],
     """Run spec cells through the executor (serial when no options).
 
     ``exec_opts`` carries workers / cache / journal / resume settings
-    from the CLI; ``None`` preserves the historical serial behaviour
-    (``workers=1``, no cache) with byte-identical rows.
+    from the CLI; ``None`` runs serially (``workers=1``, no cache) with
+    byte-identical rows.
     """
     opts = exec_opts or ExecOptions()
     return opts.make_executor(label).run(cells).rows
@@ -336,12 +282,7 @@ def run_f1(quick: bool = False,
 
 def run_f2(quick: bool = False, *,
            exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """F2: rounds vs ``T`` at fixed ``N``.
-
-    Runs serially regardless of *exec_opts*: the throttled-token series
-    attaches a ``stop_when`` closure, which cannot cross process
-    boundaries (accepted for CLI uniformity).
-    """
+    """F2: rounds vs ``T`` at fixed ``N``."""
     n = 24 if quick else 64
     Ts = [1, 2, 4] if quick else [1, 2, 4, 8, 16]
     seeds = [1] if quick else [1, 2, 3, 4, 5]
@@ -351,43 +292,49 @@ def run_f2(quick: bool = False, *,
         "token_dissem_throttled": ([], []),
         "klo_count": ([], []),
     }
-    for T in Ts:
+
+    def ours(T: int) -> TrialSpec:
         # Core algorithm on the oblivious handoff adversary: flat in T.
-        config = TrialConfig(
-            schedule_factory=lambda seed, T=T: _lowdiam_schedule(n, T, seed),
-            node_factory=lambda sched, seed: [ExactCount(i) for i in range(n)],
+        return TrialSpec(
+            schedule="lowdiam_handoff", schedule_params={"n": n, "T": T},
+            nodes="exact_count", node_params={"n": n},
             max_rounds=20 * n + 2000, until="quiescent",
-            quiescence_window=64, oracle=_count_oracle)
-        ours = [
-            _measured_rounds(run_trial(config, seed)) for seed in seeds]
-        # KLO: oblivious to T by construction (deterministic prediction).
-        klo = klo_rounds(n)
+            quiescence_window=64, oracle="count_exact",
+            tags={"algorithm": "exact_count_ours", "T": T})
+
+    def token(T: int) -> TrialSpec:
         # Token dissemination against the windowed adaptive throttle:
-        # decreasing in T (the N^2/T-flavoured prior-work trade-off).
-        token = []
-        for seed in seeds:
-            config_tok = TrialConfig(
-                schedule_factory=lambda s, T=T: WindowedThrottleAdversary(n, T),
-                node_factory=lambda sched, seed: [
-                    RandomTokenDissemination(i) for i in range(n)],
-                max_rounds=200 * n * n, until="halted",
-                allow_timeout=True)
-            # stop when dissemination completes (oracle stop).
-            config_tok.stop_when = (
-                lambda sim: dissemination_complete(sim.nodes, n))
-            token.append(run_trial(config_tok, seed).rounds)
-        for T_, name, values in [
-            (T, "exact_count_ours", ours),
-            (T, "token_dissem_throttled", token),
-            (T, "klo_count", [klo]),
+        # decreasing in T (the N^2/T-flavoured prior-work trade-off);
+        # the trial stops when dissemination completes.
+        return TrialSpec(
+            schedule="windowed_throttle", schedule_params={"n": n, "T": T},
+            nodes="token_dissemination",
+            node_params={"n": n, "known_count": False},
+            max_rounds=200 * n * n, until="halted", allow_timeout=True,
+            stop_when="dissemination_complete",
+            tags={"algorithm": "token_dissem_throttled", "T": T})
+
+    cells = [(make(T), seed)
+             for T in Ts for make in (ours, token) for seed in seeds]
+    grouped = _group_rows(_execute_cells(cells, exec_opts, "f2"),
+                          "algorithm", "T")
+    # KLO: oblivious to T by construction (deterministic prediction).
+    klo = klo_rounds(n)
+    for T in Ts:
+        for name, values in [
+            ("exact_count_ours",
+             [_row_rounds(r) for r in grouped[("exact_count_ours", T)]]),
+            ("token_dissem_throttled",
+             [r["rounds"] for r in grouped[("token_dissem_throttled", T)]]),
+            ("klo_count", [klo]),
         ]:
             s = summarize([float(v) for v in values])
             result.rows.append({
-                "algorithm": name, "T": T_, "n": n, "rounds": s.mean,
+                "algorithm": name, "T": T, "n": n, "rounds": s.mean,
                 "rounds_std": s.std,
             })
             xs, ys = series[name]
-            xs.append(float(T_))
+            xs.append(float(T))
             ys.append(s.mean)
     result.tables["f2"] = render_table(
         result.rows, title=f"F2 — rounds vs T (N={n}, mean of {len(seeds)} seeds)")
@@ -496,37 +443,38 @@ def run_f3(quick: bool = False, *,
 
 def run_f4(quick: bool = False, *,
            exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """F4: sketch accuracy/coverage vs ε (full-sim + direct Monte Carlo).
-
-    Runs serially regardless of *exec_opts*: trials share pre-built
-    schedule objects and the Monte Carlo pass dominates anyway.
-    """
+    """F4: sketch accuracy/coverage vs ε (full-sim + direct Monte Carlo)."""
     n = 32 if quick else 64
     T = 2
     eps_list = [0.5, 0.25] if quick else [0.5, 0.25, 0.1]
     sim_trials = 4 if quick else 30
     mc_trials = 2000 if quick else 20000
     delta = 0.1
-    rng = np.random.default_rng(2026)
     result = ExperimentResult(
         "F4", "Approximate Count: relative error and coverage vs epsilon")
+    # Full network simulations (halting variant for speed): the
+    # believed-global minima equal the true minima, so sim and MC agree;
+    # the sim trials certify the protocol plumbing.  Trial t runs on the
+    # schedule of seed 100+t with node randomness from seed 500+t.
+    diameters = [dynamic_diameter(_lowdiam_schedule(n, T, 100 + t))
+                 for t in range(sim_trials)]
+    cells = [
+        (TrialSpec(
+            schedule="lowdiam_handoff", schedule_params={"n": n, "T": T},
+            schedule_seed=100 + t,
+            nodes="approx_count_known_bound",
+            node_params={"n": n, "rounds_bound": d + 2,
+                         "width": required_width(eps, delta)},
+            max_rounds=d + 3, until="halted", tags={"eps": eps}),
+         500 + t)
+        for eps in eps_list
+        for t, d in enumerate(diameters)
+    ]
+    grouped = _group_rows(_execute_cells(cells, exec_opts, "f4"), "eps")
+    rng = np.random.default_rng(2026)
     for eps in eps_list:
         width = required_width(eps, delta)
-        # Full network simulations (halting variant for speed): the
-        # believed-global minima equal the true minima, so sim and MC
-        # agree; the sim trials certify the protocol plumbing.
-        sim_errors = []
-        for t in range(sim_trials):
-            sched = _lowdiam_schedule(n, T, 100 + t)
-            d = dynamic_diameter(sched)
-            config = TrialConfig(
-                schedule_factory=lambda seed, sched=sched: sched,
-                node_factory=lambda s, seed, width=width: [
-                    ApproxCountKnownBound(i, rounds_bound=d + 2, width=width)
-                    for i in range(n)],
-                max_rounds=d + 3, until="halted")
-            tr = run_trial(config, 500 + t)
-            sim_errors.append(abs(tr.outputs_sample / n - 1.0))
+        sim_errors = [abs(r["output"] / n - 1.0) for r in grouped[(eps,)]]
         # Direct Monte Carlo of the estimator (no network needed).
         draws = rng.exponential(1.0, size=(mc_trials, n, width))
         estimates = (width - 1) / draws.min(axis=1).sum(axis=1)
@@ -554,73 +502,65 @@ def run_f4(quick: bool = False, *,
 # T2 — adversary robustness for Max & Consensus
 # --------------------------------------------------------------------------
 
-def _t2_adversaries(n: int) -> Dict[str, Callable[[int], object]]:
-    tree_rng = np.random.default_rng(7)
-    tree = random_tree_graph(n, tree_rng)
-    return {
-        "static_line": lambda seed: StaticAdversary(n, line_graph(n)),
-        "static_expander": lambda seed: StaticAdversary(
-            n, build_topology("expander", n, np.random.default_rng(seed))),
-        "fresh_random": lambda seed: FreshSpanningAdversary(n, seed=seed),
-        "handoff_T2": lambda seed: OverlapHandoffAdversary(n, 2, seed=seed),
-        "alternating": lambda seed: AlternatingMatchingsAdversary(n),
-        "churn": lambda seed: EdgeChurnAdversary(n, tree, seed=seed),
-        "mobility_T2": lambda seed: RepairedMobilityAdversary(
-            n, T=2, seed=seed),
-        "adaptive_throttle": lambda seed: CutThrottleAdversary(
-            n, key=lambda node: float(getattr(node, "progress", 0.0))),
-    }
+#: T2's adversary zoo: row label -> (schedule builder, params beyond n).
+_T2_ADVERSARIES: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "static_line": ("static_line", {}),
+    "static_expander": ("static", {"topology": "expander"}),
+    "fresh_random": ("fresh_spanning", {}),
+    "handoff_T2": ("overlap_handoff", {"T": 2}),
+    "alternating": ("alternating_matchings", {}),
+    "churn": ("edge_churn", {"tree_seed": 7}),
+    "mobility_T2": ("repaired_mobility", {"T": 2}),
+    "adaptive_throttle": ("cut_throttle", {}),
+}
+
+#: T2's problems: row label -> (node builder, oracle).
+_T2_PROBLEMS: Dict[str, Tuple[str, str]] = {
+    "max_ours": ("sublinear_max_modvalue", "max_modvalue"),
+    "consensus_ours": ("sublinear_consensus", "consensus_valid"),
+    "count_ours": ("exact_count", "count_exact"),
+}
 
 
 def run_t2(quick: bool = False, *,
            exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """T2: Max / Consensus / Count across the adversary zoo.
-
-    Runs serially regardless of *exec_opts*: the adaptive adversaries
-    carry lambda keys that cannot be pickled into worker processes.
-    """
+    """T2: Max / Consensus / Count across the adversary zoo."""
     n = 24 if quick else 96
     seeds = [1] if quick else [1, 2, 3]
     result = ExperimentResult("T2", f"Adversary robustness at N={n}")
-    problems: Dict[str, Tuple[Callable, Callable, Callable]] = {
-        # name -> (node_factory, oracle, baseline_rounds)
-        "max_ours": (
-            lambda sched, seed: [SublinearMax(i, _value(i))
-                                 for i in range(n)],
-            _max_oracle, lambda: flood_rounds(n)),
-        "consensus_ours": (
-            lambda sched, seed: [SublinearConsensus(i, f"p{i}")
-                                 for i in range(n)],
-            _consensus_oracle, lambda: flood_rounds(n)),
-        "count_ours": (
-            lambda sched, seed: [ExactCount(i) for i in range(n)],
-            _count_oracle, lambda: klo_rounds(n)),
+    baselines = {"max_ours": flood_rounds(n),
+                 "consensus_ours": flood_rounds(n),
+                 "count_ours": klo_rounds(n)}
+    specs = {
+        (adv_name, prob_name): TrialSpec(
+            schedule=schedule, schedule_params={"n": n, **params},
+            nodes=nodes, node_params={"n": n},
+            max_rounds=60 * n + 4000, until="quiescent",
+            quiescence_window=max(64, n // 2), oracle=oracle,
+            tags={"adversary": adv_name, "problem": prob_name})
+        for adv_name, (schedule, params) in _T2_ADVERSARIES.items()
+        for prob_name, (nodes, oracle) in _T2_PROBLEMS.items()
     }
-    for adv_name, factory in _t2_adversaries(n).items():
-        for prob_name, (node_factory, oracle, baseline) in problems.items():
-            rounds, correct, d_obs = [], [], []
-            for seed in seeds:
-                config = TrialConfig(
-                    schedule_factory=factory,
-                    node_factory=node_factory,
-                    max_rounds=60 * n + 4000, until="quiescent",
-                    quiescence_window=max(64, n // 2), oracle=oracle)
-                tr = run_trial(config, seed)
-                rounds.append(_measured_rounds(tr))
-                correct.append(tr.correct)
-                sched = factory(seed)
-                if hasattr(sched, "_recorded") or hasattr(sched, "decide_edges"):
-                    d_obs.append(None)  # adaptive: d defined post-hoc
-                else:
-                    d_obs.append(dynamic_diameter(sched))
-            ds = [x for x in d_obs if x is not None]
-            result.rows.append({
-                "adversary": adv_name, "problem": prob_name,
-                "d": (float(np.mean(ds)) if ds else None),
-                "rounds": summarize([float(v) for v in rounds]).mean,
-                "baseline_rounds": float(baseline()),
-                "correct": all(correct),
-            })
+    cells = [(spec, seed) for spec in specs.values() for seed in seeds]
+    grouped = _group_rows(_execute_cells(cells, exec_opts, "t2"),
+                          "adversary", "problem")
+    for (adv_name, prob_name), spec in specs.items():
+        measured = grouped[(adv_name, prob_name)]
+        ds = []
+        for seed in seeds:
+            sched = spec.build_schedule(seed)
+            # Adaptive schedules define d only post hoc.
+            if not (hasattr(sched, "_recorded")
+                    or hasattr(sched, "decide_edges")):
+                ds.append(dynamic_diameter(sched))
+        result.rows.append({
+            "adversary": adv_name, "problem": prob_name,
+            "d": (float(np.mean(ds)) if ds else None),
+            "rounds": summarize(
+                [float(_row_rounds(r)) for r in measured]).mean,
+            "baseline_rounds": float(baselines[prob_name]),
+            "correct": all(r["correct"] for r in measured),
+        })
     result.tables["t2"] = render_table(
         result.rows, title=f"T2 — rounds across adversaries (N={n})")
     result.notes = (
@@ -761,38 +701,55 @@ def run_f6(quick: bool = False, *,
 
 def run_t3(quick: bool = False, *,
            exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """T3: ablations of the reconstruction's design choices.
-
-    Runs serially regardless of *exec_opts* (mixed simulation /
-    closed-form / Monte Carlo rows).
-    """
+    """T3: ablations of the reconstruction's design choices."""
     n = 24 if quick else 96
     T = 2
     seeds = [1] if quick else [1, 2, 3]
     result = ExperimentResult("T3", f"Ablations at N={n}, T={T}")
+    schedule = {"schedule": "lowdiam_handoff",
+                "schedule_params": {"n": n, "T": T}}
 
     # (a)+(b) controller knobs: growth and initial window.
-    for growth in [2, 4, 8]:
-        for init in [1, 8]:
-            rounds, retr = [], []
-            for seed in seeds:
-                config = TrialConfig(
-                    schedule_factory=lambda s: _lowdiam_schedule(n, T, s),
-                    node_factory=lambda sched, s, g=growth, iw=init: [
-                        ExactCount(i, initial_window=iw, window_growth=g)
-                        for i in range(n)],
-                    max_rounds=40 * n + 4000, until="quiescent",
-                    quiescence_window=64, oracle=_count_oracle)
-                tr = run_trial(config, seed)
-                rounds.append(_measured_rounds(tr))
-                retr.append(tr.counters.get("retractions", 0))
-            result.rows.append({
-                "ablation": "controller", "variant":
-                    f"growth={growth},init_window={init}",
-                "rounds": summarize([float(v) for v in rounds]).mean,
-                "retractions": summarize([float(v) for v in retr]).mean,
-                "metric": "decision rounds / total retractions",
-            })
+    controllers = {
+        f"growth={growth},init_window={init}":
+            {"initial_window": init, "window_growth": growth}
+        for growth in [2, 4, 8] for init in [1, 8]
+    }
+    cells = [
+        (TrialSpec(
+            **schedule, nodes="exact_count", node_params={"n": n, **knobs},
+            max_rounds=40 * n + 4000, until="quiescent",
+            quiescence_window=64, oracle="count_exact",
+            tags={"ablation": "controller", "variant": variant}),
+         seed)
+        for variant, knobs in controllers.items() for seed in seeds
+    ]
+    # (d) pipelining strategy under a 4-word budget.
+    strategies = ["tdm", "greedy"]
+    cells += [
+        (TrialSpec(
+            **schedule, nodes="pipelined_approx_count",
+            node_params={"n": n, "words_per_message": 4, "width": 40,
+                         "strategy": strategy},
+            max_rounds=100 * n + 8000, until="quiescent",
+            quiescence_window=80,
+            tags={"ablation": "pipelining", "variant": strategy}),
+         seed)
+        for strategy in strategies for seed in seeds
+    ]
+    grouped = _group_rows(_execute_cells(cells, exec_opts, "t3"),
+                          "ablation", "variant")
+
+    for variant in controllers:
+        measured = grouped[("controller", variant)]
+        result.rows.append({
+            "ablation": "controller", "variant": variant,
+            "rounds": summarize(
+                [float(_row_rounds(r)) for r in measured]).mean,
+            "retractions": summarize(
+                [float(r["retractions"]) for r in measured]).mean,
+            "metric": "decision rounds / total retractions",
+        })
 
     # (c) sketch family at equal width.
     width = 64
@@ -827,22 +784,12 @@ def run_t3(quick: bool = False, *,
             "metric": f"exact closed-form rounds at N={n_klo}",
         })
 
-    # (d) pipelining strategy under a 4-word budget.
-    for strategy in ["tdm", "greedy"]:
-        rounds = []
-        for seed in seeds:
-            config = TrialConfig(
-                schedule_factory=lambda s: _lowdiam_schedule(n, T, s),
-                node_factory=lambda sched, s, strat=strategy: [
-                    PipelinedApproxCount(i, words_per_message=4, width=40,
-                                         strategy=strat)
-                    for i in range(n)],
-                max_rounds=100 * n + 8000, until="quiescent",
-                quiescence_window=80)
-            rounds.append(_measured_rounds(run_trial(config, seed)))
+    for strategy in strategies:
+        measured = grouped[("pipelining", strategy)]
         result.rows.append({
             "ablation": "pipelining", "variant": strategy,
-            "rounds": summarize([float(v) for v in rounds]).mean,
+            "rounds": summarize(
+                [float(_row_rounds(r)) for r in measured]).mean,
             "retractions": None,
             "metric": "decision rounds under 4-word budget",
         })
@@ -953,54 +900,47 @@ def run_x2(quick: bool = False, *,
     the halting known-bound variant, whose correctness *was* the promise,
     collapses.
     """
-    from ..simnet.engine import Simulator as _Sim
-
     n = 24 if quick else 64
     T = 2
     losses = [0.0, 0.3, 0.6] if quick else [0.0, 0.2, 0.4, 0.6, 0.8]
     seeds = [1] if quick else [1, 2, 3]
     result = ExperimentResult(
         "X2", f"Robustness under message loss at N={n}")
+    # Schedule seed s, node randomness from seed s+10; the known-bound
+    # variant halts after twice the (loss-free) dynamic diameter.
+    diameters = {seed: dynamic_diameter(_lowdiam_schedule(n, T, seed))
+                 for seed in seeds}
+    schedule = {"schedule": "lowdiam_handoff",
+                "schedule_params": {"n": n, "T": T}}
+    cells = []
     for loss in losses:
-        stab_rounds, stab_ok = [], []
-        kb_ok = []
-        tier_rounds = {"batch": 0, "fast": 0, "reference": 0}
         for seed in seeds:
-            sched = _lowdiam_schedule(n, T, seed)
-            d = dynamic_diameter(sched)
-            nodes = [ExactCount(i) for i in range(n)]
-            sim = _Sim(sched, nodes, rng=RngRegistry(seed + 10),
-                       loss_rate=loss)
-            res = sim.run(
+            d = diameters[seed]
+            cells.append((TrialSpec(
+                **schedule, schedule_seed=seed, loss_rate=loss,
+                nodes="exact_count", node_params={"n": n},
                 max_rounds=200 * n + 8000, until="quiescent",
-                quiescence_window=max(96, n))
-            stab_rounds.append(res.metrics.last_decision_round)
-            stab_ok.append(all(v == n for v in res.outputs.values()))
-            for tier, count in sim._tier_rounds.items():
-                tier_rounds[tier] = tier_rounds.get(tier, 0) + count
-
-            from ..core.exact_count import ExactCountKnownBound
-            nodes_kb = [ExactCountKnownBound(i, rounds_bound=2 * d)
-                        for i in range(n)]
-            sim_kb = _Sim(sched, nodes_kb, rng=RngRegistry(seed + 10),
-                          loss_rate=loss)
-            kb_ok.append(all(
-                v == n
-                for v in sim_kb.run(max_rounds=2 * d + 1).outputs.values()))
-            for tier, count in sim_kb._tier_rounds.items():
-                tier_rounds[tier] = tier_rounds.get(tier, 0) + count
+                quiescence_window=max(96, n), oracle="count_exact",
+                tags={"variant": "stabilizing", "loss_rate": loss}),
+                seed + 10))
+            cells.append((TrialSpec(
+                **schedule, schedule_seed=seed, loss_rate=loss,
+                nodes="exact_count_known_bound",
+                node_params={"n": n, "rounds_bound": 2 * d},
+                max_rounds=2 * d + 1, oracle="count_exact",
+                tags={"variant": "known_bound", "loss_rate": loss}),
+                seed + 10))
+    grouped = _group_rows(_execute_cells(cells, exec_opts, "x2"),
+                          "variant", "loss_rate")
+    for loss in losses:
+        stab = grouped[("stabilizing", loss)]
         result.rows.append({
             "loss_rate": loss,
             "stabilizing_rounds": summarize(
-                [float(v) for v in stab_rounds]).mean,
-            "stabilizing_correct": all(stab_ok),
-            "known_bound_2d_correct": all(kb_ok),
-            # Which dispatch tier executed the rounds behind this row —
-            # the loss-capable batch kernels should carry the lossy load
-            # (summed over both algorithm variants and all seeds).
-            "batch_rounds": tier_rounds["batch"],
-            "fast_rounds": tier_rounds["fast"],
-            "reference_rounds": tier_rounds["reference"],
+                [float(r["last_decision_round"]) for r in stab]).mean,
+            "stabilizing_correct": all(r["correct"] for r in stab),
+            "known_bound_2d_correct": all(
+                r["correct"] for r in grouped[("known_bound", loss)]),
         })
     result.tables["x2"] = render_table(
         result.rows, title=f"X2 — message loss (N={n}, T={T})")
@@ -1039,8 +979,8 @@ def run_experiment(exp_id: str, quick: bool = False,
     """Run the experiment with the given id (case-insensitive).
 
     *exec_opts* configures the :mod:`repro.exec` executor (workers,
-    result cache, resume) for the experiments whose grids route through
-    it; ``None`` preserves the historical serial behaviour.
+    result cache, resume) that runs the experiment's trials; ``None``
+    runs them serially without a cache.
     """
     key = exp_id.lower()
     if key not in EXPERIMENTS:

@@ -29,7 +29,7 @@ def save_experiment(result: ExperimentResult, results_dir: str) -> str:
     ``obs.*`` / ``cache.*`` counters — see
     :data:`repro.harness.runner.NONDURABLE_ROW_PREFIXES`) are stripped
     before persisting, so artefacts — and the generated documents
-    checked by ``harness.report --check`` — are identical whether the
+    checked by ``repro.report --check`` — are identical whether the
     rows came from a fresh profiled/recorded run or a cache hit.
     """
     exp_dir = os.path.join(results_dir, result.exp_id.lower())

@@ -1,10 +1,12 @@
 """Generic trial execution.
 
-A *trial* is one simulation: a schedule factory, a node factory, stop
-configuration, and an optional correctness oracle.  :func:`run_trial`
-executes it and returns a :class:`TrialResult` with the standard measured
-quantities (rounds, last-final-decision round, bits, correctness);
-:func:`run_replicates` repeats over seeds.
+A *trial* is one simulation described by a declarative
+:class:`repro.exec.TrialSpec`: registered schedule and node builders,
+stop configuration, and an optional correctness oracle.
+:func:`run_trial` executes it and returns a :class:`TrialResult` with
+the standard measured quantities (rounds, last-final-decision round,
+bits, retractions, correctness); :func:`run_replicates` repeats over
+seeds.
 
 The measured quantity of record for stabilizing algorithms is
 ``last_decision_round`` — the round in which the last node fixed the
@@ -16,19 +18,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder, events_dir
 from ..simnet.engine import RunResult, Simulator
-from ..simnet.node import Algorithm
 from ..simnet.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..exec.specs import TrialSpec
 
-__all__ = ["TrialConfig", "TrialResult", "run_trial", "run_replicates",
+__all__ = ["TrialResult", "run_trial", "run_replicates",
            "record_phase_seconds", "phase_totals", "reset_phase_totals",
            "record_engine_stats", "engine_totals", "reset_engine_totals",
            "NONDURABLE_ROW_PREFIXES", "durable_row"]
@@ -40,7 +41,7 @@ __all__ = ["TrialConfig", "TrialResult", "run_trial", "run_replicates",
 #: or the content-addressed result cache, and ``save_experiment``
 #: strips them from persisted artefacts, so a cache-hit rerun and a
 #: fresh (profiled or recorded) run produce byte-identical artefacts —
-#: the equality ``harness.report --check`` relies on.
+#: the equality ``repro.report --check`` relies on.
 NONDURABLE_ROW_PREFIXES = ("phase.", "engine.", "obs.", "cache.")
 
 
@@ -114,61 +115,6 @@ def reset_engine_totals() -> None:
     _ENGINE_TOTALS.clear()
 
 
-ScheduleFactory = Callable[[int], object]         # seed -> schedule
-NodeFactory = Callable[[object, int], Sequence[Algorithm]]  # (schedule, seed) -> nodes
-Oracle = Callable[[Dict[int, Any], object], bool]  # (outputs, schedule) -> ok
-
-#: Anything :func:`run_trial` accepts: a lambda-based config or a
-#: declarative, picklable spec (see :mod:`repro.exec.specs`).
-TrialLike = Union["TrialConfig", "TrialSpec"]
-
-
-@dataclass
-class TrialConfig:
-    """Everything needed to run one simulation trial.
-
-    Attributes
-    ----------
-    schedule_factory:
-        ``seed -> schedule``; called once per trial.
-    node_factory:
-        ``(schedule, seed) -> [Algorithm, ...]``.
-    max_rounds:
-        Round budget.
-    until / quiescence_window:
-        Stop condition, as in :meth:`repro.simnet.engine.Simulator.run`.
-    stop_when:
-        Optional oracle stop predicate over the simulator.
-    oracle:
-        Optional output-correctness check ``(outputs, schedule) -> bool``.
-    bandwidth_bits:
-        Optional CONGEST budget (overflows counted, not fatal).
-    allow_timeout:
-        Forward to the engine; timeouts then yield ``stop_reason ==
-        "max_rounds"`` instead of raising.
-    engine:
-        Engine selection forwarded to :class:`Simulator` (``"fast"``,
-        ``"fast-nobatch"``, or ``"reference"``; all produce identical
-        results).  ``None`` defers to ``REPRO_ENGINE``, which the CLIs'
-        ``--engine`` flags export.
-    profile:
-        Per-phase wall-clock profiling; ``None`` defers to the
-        process-wide default (set by the CLI's ``--profile`` flag).
-    """
-
-    schedule_factory: ScheduleFactory
-    node_factory: NodeFactory
-    max_rounds: int
-    until: str = "halted"
-    quiescence_window: int = 1
-    stop_when: Optional[Callable[[Simulator], bool]] = None
-    oracle: Optional[Oracle] = None
-    bandwidth_bits: Optional[int] = None
-    allow_timeout: bool = False
-    engine: Optional[str] = None
-    profile: Optional[bool] = None
-
-
 @dataclass(frozen=True)
 class TrialResult:
     """Measured quantities of one trial (flattened into result rows)."""
@@ -198,6 +144,8 @@ class TrialResult:
             "broadcast_bits": self.broadcast_bits,
             "delivered_messages": self.delivered_messages,
             "max_message_bits": self.max_message_bits,
+            "retractions": self.counters.get("retractions", 0),
+            "output": self.outputs_sample,
             "correct": self.correct,
             "stop_reason": self.stop_reason,
         }
@@ -223,8 +171,7 @@ class TrialResult:
 _STREAM_SEQ = 0
 
 
-def _open_trial_recorder(label: str, spec_key: str, seed: int,
-                         config: "TrialConfig") -> Optional[Recorder]:
+def _open_trial_recorder(spec: "TrialSpec", seed: int) -> Optional[Recorder]:
     """A JSONL recorder for this trial, or None when events are off."""
     global _STREAM_SEQ
     out_dir = events_dir()
@@ -235,19 +182,19 @@ def _open_trial_recorder(label: str, spec_key: str, seed: int,
         out_dir, f"trial-{os.getpid()}-{_STREAM_SEQ:04d}-seed{seed}.jsonl")
     recorder = Recorder.to_jsonl(path)
     recorder.emit(obs_events.TrialEvent(
-        seed=seed, label=label, spec=spec_key,
-        engine=config.engine if config.engine is not None else "default",
-        until=config.until, max_rounds=config.max_rounds))
+        seed=seed, label=spec.label(), spec=spec.key(seed),
+        engine="default", until=spec.until, max_rounds=spec.max_rounds))
     return recorder
 
 
-def run_trial(config: TrialLike, seed: int) -> TrialResult:
-    """Execute one trial with the given seed.
+def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
+    """Execute one trial of a :class:`repro.exec.TrialSpec` with *seed*.
 
-    Accepts either a :class:`TrialConfig` or a declarative
-    :class:`repro.exec.TrialSpec` (resolved via its ``to_config``); all
-    randomness derives from ``RngRegistry(seed)``, never ambient state,
-    so equal inputs reproduce byte-identical results in any process.
+    The spec's builders resolve here; all randomness derives from
+    ``RngRegistry(seed)`` (and the schedule builder's seed), never
+    ambient state, so equal inputs reproduce byte-identical results in
+    any process.  The engine tier and profiling follow the process
+    defaults (``REPRO_ENGINE``, :func:`repro.simnet.set_profile_default`).
 
     When a process-wide events directory is configured (the CLI's
     ``--events DIR`` flag or ``REPRO_EVENTS_DIR``; see
@@ -260,37 +207,30 @@ def run_trial(config: TrialLike, seed: int) -> TrialResult:
     telemetry, stripped wherever rows are persisted (see
     :func:`durable_row`).
     """
-    label = spec_key = ""
-    if not isinstance(config, TrialConfig):
-        label = config.label()
-        spec_key = config.key(seed)
-        config = config.to_config()
-    schedule = config.schedule_factory(seed)
-    nodes = list(config.node_factory(schedule, seed))
-    recorder = _open_trial_recorder(label, spec_key, seed, config)
+    schedule = spec.build_schedule(seed)
+    nodes = spec.build_nodes(schedule, seed)
+    stop_when = spec.stop_predicate()
+    recorder = _open_trial_recorder(spec, seed)
     sim = Simulator(
         schedule, nodes, rng=RngRegistry(seed),
-        bandwidth_bits=config.bandwidth_bits,
-        engine=config.engine,
-        profile=config.profile,
+        bandwidth_bits=spec.bandwidth_bits,
+        loss_rate=spec.loss_rate,
         recorder=recorder,
     )
     try:
         result: RunResult = sim.run(
-            max_rounds=config.max_rounds,
-            until=config.until,
-            quiescence_window=config.quiescence_window,
-            stop_when=config.stop_when,
-            allow_timeout=config.allow_timeout,
+            max_rounds=spec.max_rounds,
+            until=spec.until,
+            quiescence_window=spec.quiescence_window,
+            stop_when=stop_when,
+            allow_timeout=spec.allow_timeout,
         )
     finally:
         if recorder is not None:
             recorder.close()
     obs_counters = recorder.summary() if recorder is not None else None
     cache_counters = sim.cache_stats() if recorder is not None else None
-    correct: Optional[bool] = None
-    if config.oracle is not None:
-        correct = bool(config.oracle(result.outputs, schedule))
+    correct = spec.judge(result.outputs, schedule)
     sample = next(iter(result.outputs.values()), None)
     record_phase_seconds(result.metrics.phase_seconds)
     record_engine_stats(result.metrics.engine_stats)
@@ -315,7 +255,7 @@ def run_trial(config: TrialLike, seed: int) -> TrialResult:
     )
 
 
-def run_replicates(config: TrialLike,
+def run_replicates(spec: "TrialSpec",
                    seeds: Sequence[int]) -> List[TrialResult]:
     """Run the trial once per seed, collecting all results."""
-    return [run_trial(config, seed) for seed in seeds]
+    return [run_trial(spec, seed) for seed in seeds]

@@ -1,13 +1,11 @@
 """Parameter sweeps: cartesian grids of trials, flattened to result rows.
 
-The experiment functions in :mod:`repro.harness.experiments` hand-roll
-their loops for readability; this module offers the same machinery as a
-reusable utility for users running their own studies.  ``build`` may
-return either a classic lambda-based
-:class:`~repro.harness.runner.TrialConfig` (serial execution only) or a
-declarative :class:`~repro.exec.TrialSpec`, which unlocks the full
-executor: worker processes, the content-addressed result cache, and
-crash-safe resume::
+The experiment functions in :mod:`repro.harness.experiments` build
+their own cell lists; this module offers the same machinery as a
+reusable utility for users running their own studies.  ``build`` maps a
+grid point to a declarative :class:`~repro.exec.TrialSpec`, and the
+cells run through the full executor: worker processes, the
+content-addressed result cache, and crash-safe resume::
 
     from repro.exec import TrialSpec
     from repro.harness.sweeps import sweep
@@ -35,19 +33,17 @@ from __future__ import annotations
 
 import itertools
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from ..errors import ConfigurationError
 from ..exec.executor import ExecutionReport, ParallelExecutor
 from ..exec.specs import TrialSpec
-from .._validate import require_choice
 from ..analysis.stats import summarize
-from .runner import TrialConfig, run_trial
 
 __all__ = ["grid_points", "sweep", "sweep_with_report", "aggregate_rows"]
 
 ProgressFn = Callable[[Dict[str, Any], int], None]
-BuildFn = Callable[[Dict[str, Any]], Union[TrialConfig, TrialSpec]]
+BuildFn = Callable[[Dict[str, Any]], TrialSpec]
 
 
 def grid_points(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
@@ -86,58 +82,25 @@ def sweep_with_report(grid: Mapping[str, Sequence[Any]],
     cache-hit / resumed / error counters — e.g. a fully warm rerun shows
     ``executed == 0``.
     """
-    require_choice(on_error, "on_error", ("raise", "record"))
     points = grid_points(grid)
     built = [(point, build(point)) for point in points]
-    kinds = {isinstance(work, TrialSpec) for _, work in built}
-    if kinds == {True}:
-        cells = [
-            (work.with_tags(**point), seed)
-            for point, work in built for seed in seeds
-        ]
-        executor = ParallelExecutor(
-            workers=workers, cache=cache_dir, journal=journal,
-            resume=resume, on_error=on_error)
-        if progress is not None:
-            # The historical per-cell callback fires at dispatch; with
-            # the executor the whole grid dispatches up front.
-            for point, _work in built:
-                for seed in seeds:
-                    progress(point, seed)
-        report = executor.run(cells)
-        return report.rows, report
-    if kinds != {False}:
-        raise ConfigurationError(
-            "build must return TrialSpec for every point or TrialConfig "
-            "for every point, not a mixture")
-    # Legacy lambda-based configs: serial in-process only — they cannot
-    # cross process boundaries or be content-addressed.
-    if workers > 1 or cache_dir or resume or journal:
-        raise ConfigurationError(
-            "workers>1 / cache_dir / journal / resume require build to "
-            "return repro.exec.TrialSpec (lambda-based TrialConfig "
-            "cannot be pickled or hashed); see docs/EXECUTOR.md")
-    report = ExecutionReport(total=len(built) * len(seeds))
-    rows: List[Dict[str, Any]] = []
-    for point, config in built:
-        for seed in seeds:
-            if progress is not None:
+    for _point, spec in built:
+        if not isinstance(spec, TrialSpec):
+            raise ConfigurationError(
+                "build must return a repro.exec.TrialSpec for every "
+                f"point; got {type(spec).__name__}")
+    executor = ParallelExecutor(
+        workers=workers, cache=cache_dir, journal=journal,
+        resume=resume, on_error=on_error)
+    if progress is not None:
+        # The per-cell callback fires at dispatch, and the executor
+        # dispatches the whole grid up front.
+        for point, _spec in built:
+            for seed in seeds:
                 progress(point, seed)
-            try:
-                result = run_trial(config, seed)
-            except Exception as exc:  # noqa: BLE001 - opt-in capture
-                report.executed += 1
-                if on_error == "raise":
-                    raise
-                report.errors += 1
-                rows.append({"seed": seed,
-                             "error": f"{type(exc).__name__}: {exc}",
-                             **point})
-                continue
-            report.executed += 1
-            rows.append(result.as_row(**point))
-    report.rows = rows
-    return rows, report
+    report = executor.run([(spec.with_tags(**point), seed)
+                           for point, spec in built for seed in seeds])
+    return report.rows, report
 
 
 def sweep(grid: Mapping[str, Sequence[Any]],
@@ -157,14 +120,13 @@ def sweep(grid: Mapping[str, Sequence[Any]],
     ----------
     grid / build / seeds:
         The study: cartesian grid, a builder mapping one point to a
-        :class:`TrialSpec` (preferred) or :class:`TrialConfig`, and the
-        replicate seeds.
+        :class:`TrialSpec`, and the replicate seeds.
     progress:
         Optional ``(point, seed) -> None`` callback, invoked once per
         cell as it is dispatched.
     workers:
-        Process count (spec-built sweeps only); ``1`` is the historical
-        serial path with identical output.
+        Process count; ``1`` runs serially in-process with identical
+        output.
     cache_dir / journal / resume:
         Content-addressed cache directory, JSONL checkpoint path, and
         journal replay — see :mod:`repro.exec`.

@@ -394,9 +394,10 @@ class Simulator:
         self._batch_kernel: Optional[Any] = None
         self._batch_ctx: Optional[Any] = None
         self._batch_pending: Optional[List[Tuple[int, List[tuple]]]] = None
-        #: Rounds executed per tier (surfaced via RunMetrics.engine_stats
-        #: when profiling).
-        self._tier_rounds: Dict[str, int] = {tier: 0 for tier in _ROUNDS}
+        #: Rounds executed per tier: telemetry for tests and benchmarks,
+        #: surfaced in results only via RunMetrics.engine_stats when
+        #: profiling.  Never part of measured rows.
+        self.tier_rounds: Dict[str, int] = {tier: 0 for tier in _ROUNDS}
         # Observability (see the module docstring): everything below is
         # allocated only when a recorder is attached, so the unrecorded
         # hot path pays one `is None` check per round and nothing else.
@@ -480,7 +481,7 @@ class Simulator:
     def _step_inner(self) -> None:
         """One round on whichever tier is live."""
         tier = self._tier
-        self._tier_rounds[tier] += 1
+        self.tier_rounds[tier] += 1
         _ROUNDS[tier](self)
 
     def _step_recorded(self, rec: Recorder) -> None:
@@ -644,7 +645,7 @@ class Simulator:
                 hits=self._bits_stats["hits"],
                 misses=self._bits_stats["misses"],
                 detail=f"entries={len(self._bits_cache)}"))
-            tiers = self._tier_rounds
+            tiers = self.tier_rounds
             rec.emit(obs_events.SummaryEvent(
                 rounds=self.round_index, stop_reason=stop_reason,
                 broadcast_bits=self.metrics.broadcast_bits,
@@ -670,7 +671,7 @@ class Simulator:
         phase_seconds = (
             dict(self._phase_seconds) if self._phase_seconds is not None
             else None)
-        engine_stats = dict(self._tier_rounds) if self.profile else None
+        engine_stats = dict(self.tier_rounds) if self.profile else None
         return RunResult(
             metrics=self.metrics.snapshot(phase_seconds=phase_seconds,
                                           engine_stats=engine_stats),

@@ -160,10 +160,10 @@ def test_fallback_matrix(scenario, engine):
     recorded = _run(sim, scenario)
 
     # 1. The selected tier executed every round; the others none.
-    assert sim._tier_rounds[tier] == recorded.rounds
+    assert sim.tier_rounds[tier] == recorded.rounds
     for other in ("batch", "fast", "reference"):
         if other != tier:
-            assert sim._tier_rounds[other] == 0, (
+            assert sim.tier_rounds[other] == 0, (
                 f"{scenario}/{engine}: unexpected {other} rounds")
 
     # 2. Exactly one select event, naming the tier and carrying one
@@ -243,7 +243,7 @@ def test_fast_tier_observed_runs_match_plain_runs(scenario):
 
     profiled_sim = _sim(scenario, "fast-nobatch", profile=True)
     profiled = _run(profiled_sim, scenario)
-    assert profiled_sim._tier_rounds["fast"] == profiled.rounds
+    assert profiled_sim.tier_rounds["fast"] == profiled.rounds
     assert profiled.metrics.phase_seconds["drain"] == 0.0
     assert dataclasses.replace(profiled.metrics, phase_seconds=None,
                                engine_stats=None) == plain.metrics
@@ -251,7 +251,7 @@ def test_fast_tier_observed_runs_match_plain_runs(scenario):
     recorder = Recorder.in_memory()
     recorded_sim = _sim(scenario, "fast-nobatch", recorder=recorder)
     recorded = _run(recorded_sim, scenario)
-    assert recorded_sim._tier_rounds["fast"] == recorded.rounds
+    assert recorded_sim.tier_rounds["fast"] == recorded.rounds
     assert recorded.metrics == plain.metrics
     assert recorded.outputs == plain.outputs
 
@@ -292,7 +292,7 @@ def test_recorded_rows_normalize_to_unrecorded_rows(tmp_path):
 
 def test_executor_cache_hits_match_recorded_fresh_rows(tmp_path):
     """A warm rerun serves the stripped row; it must equal the durable
-    form of the fresh recorded row (``harness.report --check`` parity)."""
+    form of the fresh recorded row (``repro.report --check`` parity)."""
     cells = [(_SPEC, 5)]
     events = tmp_path / "events"
     events.mkdir()

@@ -257,7 +257,7 @@ def test_kernel_deliver_matches_per_node_fold(label, factory, seed):
     """Random CSR segments (incl. empty inboxes): each deliver_batch
     kernel is bit-identical to the per-node deliver fold."""
     sim_batch, batch = _run(label, factory, seed, "fast")
-    assert sim_batch._tier_rounds["batch"] > 0, "kernel never engaged"
+    assert sim_batch.tier_rounds["batch"] > 0, "kernel never engaged"
     _, nobatch = _run(label, factory, seed, "fast-nobatch")
     _, ref = _run(label, factory, seed, "reference")
     assert batch == nobatch
@@ -280,7 +280,7 @@ def test_fold_matches_with_all_halted_neighbours(seed):
         sim, results[engine] = _run("flood_max_staggered", factory, seed,
                                     engine)
         if engine == "fast":
-            assert sim._tier_rounds["batch"] == 0  # non-uniform bound
+            assert sim.tier_rounds["batch"] == 0  # non-uniform bound
     assert results["fast"] == results["fast-nobatch"] == results["reference"]
 
 
@@ -307,7 +307,7 @@ def test_finalize_restores_node_state_across_split_runs(label, factory):
     sim_whole.run(max_rounds=7, until="halted", allow_timeout=True)
     whole = sim_whole.run(max_rounds=60, until="halted", allow_timeout=True)
 
-    assert sim_split._tier_rounds["batch"] > 0
+    assert sim_split.tier_rounds["batch"] > 0
     assert split.outputs == whole.outputs
     assert split.rounds == whole.rounds
     assert split.stop_reason == whole.stop_reason
@@ -447,7 +447,7 @@ def test_klo_kernel_declines_mixed_guess_parameters(params):
     sim = Simulator(StaticAdversary(n, line_graph(n)), nodes,
                     rng=RngRegistry(0), engine="fast", recorder=recorder)
     sim.run(max_rounds=4, until="halted", allow_timeout=True)
-    assert sim._tier_rounds["batch"] == 0
+    assert sim.tier_rounds["batch"] == 0
     (select,) = [e for e in recorder.of_kind("engine_tier")
                  if e.action == "select"]
     assert select.tier == "fast"
@@ -474,7 +474,7 @@ def test_klo_kernel_raises_per_node_violations(late_edges, wording,
                     rng=RngRegistry(0), engine="fast")
     with pytest.raises(AlgorithmViolation, match=re.escape(wording)):
         sim.run(max_rounds=9)
-    assert sim._tier_rounds["batch"] == sim.round_index == at_round
+    assert sim.tier_rounds["batch"] == sim.round_index == at_round
 
 
 @pytest.mark.parametrize("cut", [1, 5, 11, 23, 32])
@@ -500,7 +500,7 @@ def test_baseline_kernels_resume_split_runs(factory, cut):
 
     split_sim, split = run("fast")
     _, whole = run("fast-nobatch")
-    assert split_sim._tier_rounds["batch"] == split.rounds
+    assert split_sim.tier_rounds["batch"] == split.rounds
     assert split == whole
 
 
@@ -522,6 +522,6 @@ def test_token_tiers_agree_after_direct_token_updates():
         return sim, result, [sorted(node.tokens) for node in nodes]
 
     batch_sim, *batch = run("fast")
-    assert batch_sim._tier_rounds["batch"] == batch[0].rounds
+    assert batch_sim.tier_rounds["batch"] == batch[0].rounds
     for engine in ("fast-nobatch", "reference"):
         assert run(engine)[1:] == tuple(batch)

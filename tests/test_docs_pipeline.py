@@ -17,8 +17,8 @@ import sys
 
 import pytest
 
-from repro.harness.report import build_report
-from repro.report import build_results_markdown, main as report_main
+from repro.report import (build_experiments_markdown,
+                          build_results_markdown, main as report_main)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS = os.path.join(REPO_ROOT, "results")
@@ -40,31 +40,54 @@ def test_results_md_matches_committed(monkeypatch):
 
 def test_experiments_md_matches_committed(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    assert build_report("results") == _read("EXPERIMENTS.md"), (
+    assert build_experiments_markdown("results") == _read("EXPERIMENTS.md"), (
         "EXPERIMENTS.md drifted from results/ — run `make docs` and "
         "commit the regenerated document")
 
 
 def test_results_md_generation_is_deterministic():
     assert build_results_markdown(RESULTS) == build_results_markdown(RESULTS)
+    assert (build_experiments_markdown(RESULTS)
+            == build_experiments_markdown(RESULTS))
+
+
+def _write_documents(root, tamper=""):
+    """Both generated documents under *root*, optionally with RESULTS.md
+    tampered; returns their paths."""
+    experiments = root / "EXPERIMENTS.md"
+    results = root / "docs" / "RESULTS.md"
+    results.parent.mkdir()
+    experiments.write_text(build_experiments_markdown(RESULTS))
+    results.write_text(build_results_markdown(RESULTS) + tamper)
+    return experiments, results
 
 
 def test_check_mode_passes_in_sync_and_writes_nothing(tmp_path):
-    out = tmp_path / "RESULTS.md"
-    out.write_text(build_results_markdown(RESULTS))
-    before = out.stat().st_mtime_ns
-    code = report_main(["--results", RESULTS, "--out", str(out), "--check"])
+    paths = _write_documents(tmp_path)
+    before = [p.stat().st_mtime_ns for p in paths]
+    code = report_main(["--results", RESULTS, "--out", str(tmp_path),
+                        "--check"])
     assert code == 0
-    assert out.stat().st_mtime_ns == before
+    assert [p.stat().st_mtime_ns for p in paths] == before
 
 
 def test_check_mode_fails_on_drift(tmp_path, capsys):
-    out = tmp_path / "RESULTS.md"
-    out.write_text(build_results_markdown(RESULTS) + "tampered\n")
-    code = report_main(["--results", RESULTS, "--out", str(out), "--check"])
+    _, results = _write_documents(tmp_path, tamper="tampered\n")
+    code = report_main(["--results", RESULTS, "--out", str(tmp_path),
+                        "--check"])
     assert code == 1
-    assert "out of date" in capsys.readouterr().err
-    assert out.read_text().endswith("tampered\n")  # nothing rewritten
+    err = capsys.readouterr().err
+    assert "RESULTS.md is out of date" in err
+    assert "EXPERIMENTS.md" not in err
+    assert results.read_text().endswith("tampered\n")  # nothing rewritten
+
+
+def test_writes_both_documents(tmp_path):
+    assert report_main(["--results", RESULTS, "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "EXPERIMENTS.md").read_text()
+            == build_experiments_markdown(RESULTS))
+    assert ((tmp_path / "docs" / "RESULTS.md").read_text()
+            == build_results_markdown(RESULTS))
 
 
 def test_missing_experiment_renders_placeholder(tmp_path):

@@ -10,6 +10,7 @@ Covers the acceptance properties of the subsystem:
 * per-trial failures can be recorded instead of torching the sweep.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -32,7 +33,7 @@ from repro.exec import (
 )
 from repro.exec.cli import load_sweep_file, spec_from_template
 from repro.exec.progress import ProgressSnapshot
-from repro.harness.runner import TrialConfig, run_trial
+from repro.harness.runner import run_trial
 from repro.harness.sweeps import sweep, sweep_with_report
 from repro.simnet.rng import derive_seeds
 
@@ -63,21 +64,6 @@ class TestTrialSpec:
         tr = run_trial(tiny_spec(), seed=3)
         assert tr.correct is True
         assert tr.stop_reason == "quiescent"
-
-    def test_matches_equivalent_trial_config(self):
-        from repro.core import ExactCount
-        from repro.dynamics import FreshSpanningAdversary
-
-        config = TrialConfig(
-            schedule_factory=lambda seed: FreshSpanningAdversary(
-                8, seed=seed),
-            node_factory=lambda sched, seed: [
-                ExactCount(i) for i in range(8)],
-            max_rounds=2000, until="quiescent", quiescence_window=16)
-        a = run_trial(config, seed=5)
-        b = run_trial(tiny_spec(), seed=5)
-        assert a.rounds == b.rounds
-        assert a.broadcast_bits == b.broadcast_bits
 
     def test_key_stable_and_tag_insensitive(self):
         a = tiny_spec().key(1)
@@ -115,7 +101,27 @@ class TestTrialSpec:
                          schedule_params={}, nodes="exact_count",
                          node_params={"n": 4}, max_rounds=100)
         with pytest.raises(ConfigurationError, match="no_such_schedule"):
-            spec.to_config()
+            run_trial(spec, 1)
+
+    def test_unknown_stop_predicate_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="stop_when"):
+            TrialSpec(
+                schedule="fresh_spanning", schedule_params={"n": 4},
+                nodes="exact_count", node_params={"n": 4},
+                max_rounds=100, stop_when="no_such_predicate")
+
+    def test_run_fields_enter_the_content_address(self):
+        base = tiny_spec()
+        key = base.key(1)
+        for change in ({"loss_rate": 0.1},
+                       {"stop_when": "dissemination_complete"},
+                       {"schedule_seed": 7}):
+            assert dataclasses.replace(base, **change).key(1) != key
+
+    def test_schedule_seed_decouples_schedule_from_trial_seed(self):
+        pinned = dataclasses.replace(tiny_spec(), schedule_seed=3)
+        assert (pinned.build_schedule(1).edges(1).tolist()
+                == tiny_spec().build_schedule(3).edges(1).tolist())
 
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json(
@@ -239,11 +245,9 @@ class TestExecutor:
         assert second.executed == 1  # re-executed, not served from cache
 
     def test_rejects_trial_config_cells(self):
-        config = TrialConfig(schedule_factory=lambda s: None,
-                             node_factory=lambda sch, s: [],
-                             max_rounds=10)
+        not_a_spec = {"schedule": "fresh_spanning", "nodes": "exact_count"}
         with pytest.raises(ConfigurationError, match="TrialSpec"):
-            ParallelExecutor().run([(config, 1)])
+            ParallelExecutor().run([(not_a_spec, 1)])
 
     def test_progress_snapshots_emitted(self):
         snaps = []
@@ -276,29 +280,9 @@ class TestSweepIntegration:
         assert report2.executed == 0 and report2.cache_hits == 4
         assert rows1 == rows2
 
-    def test_sweep_config_builder_still_works(self):
-        from repro.core import ExactCount
-        from repro.dynamics import FreshSpanningAdversary
-
-        def build(p):
-            return TrialConfig(
-                schedule_factory=lambda seed: FreshSpanningAdversary(
-                    p["n"], seed=seed),
-                node_factory=lambda sched, seed: [
-                    ExactCount(i) for i in range(p["n"])],
-                max_rounds=2000, until="quiescent", quiescence_window=16)
-
-        rows = sweep(grid={"n": [4]}, build=build, seeds=[1])
-        assert rows[0]["n"] == 4 and rows[0]["seed"] == 1
-
-    def test_sweep_config_builder_rejects_workers(self):
-        def build(p):
-            return TrialConfig(schedule_factory=lambda s: None,
-                               node_factory=lambda sch, s: [],
-                               max_rounds=10)
-
+    def test_sweep_rejects_non_spec_builder(self):
         with pytest.raises(ConfigurationError, match="TrialSpec"):
-            sweep(grid={"n": [4]}, build=build, workers=2)
+            sweep(grid={"n": [4]}, build=lambda p: {"n": p["n"]})
 
     def test_sweep_on_error_record(self):
         def build(p):
@@ -377,7 +361,7 @@ class TestExecCli:
     def test_salt_constant_unchanged(self):
         # Changing the salt silently orphans every cache on disk; bump it
         # deliberately (and this string) when trial semantics change.
-        assert CODE_VERSION_SALT == "repro-exec-v1"
+        assert CODE_VERSION_SALT == "repro-exec-v2"
 
     def test_execute_cell_returns_measured_row(self):
         row = execute_cell(tiny_spec(ignored_tag=1), 1)

@@ -22,8 +22,6 @@ stable windows, content-fingerprint dedup across windows), the
 cache, and the per-phase profiling surface.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -43,7 +41,7 @@ from repro.exec.executor import ParallelExecutor
 from repro.exec.specs import TrialSpec
 from repro.harness.runner import phase_totals, reset_phase_totals, run_trial
 from repro.simnet import RngRegistry, Simulator, TraceRecorder
-from repro.simnet.engine import PHASES
+from repro.simnet.engine import PHASES, set_profile_default
 
 
 # --------------------------------------------------------------------------
@@ -58,9 +56,9 @@ def _run_all(spec: TrialSpec, seed: int):
     """Run one spec under every engine tier, keyed by engine name."""
     results = {}
     for engine in ENGINES:
-        config = spec.to_config()
-        config.engine = engine
-        results[engine] = run_trial(config, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_ENGINE", engine)
+            results[engine] = run_trial(spec, seed)
     return results
 
 
@@ -179,9 +177,9 @@ def test_fast_matches_reference_under_loss(loss_rate, seed):
         results[engine] = sim.run(max_rounds=4000, until="quiescent",
                                   quiescence_window=32, allow_timeout=True)
         if engine == "fast":
-            assert sim._tier_rounds["batch"] == results[engine].rounds
+            assert sim.tier_rounds["batch"] == results[engine].rounds
         else:
-            assert sim._tier_rounds["batch"] == 0
+            assert sim.tier_rounds["batch"] == 0
     _assert_run_results_equal(results["fast"], results["reference"])
     _assert_run_results_equal(results["fast-nobatch"], results["reference"])
     assert results["fast"].metrics.counters.get("messages_lost", 0) > 0
@@ -199,7 +197,7 @@ def test_trace_event_streams_identical(seed):
         sim = _sim(factory, seed, engine=engine, trace=trace)
         sim.run(max_rounds=2000, until="quiescent", quiescence_window=16)
         # Tracing observes phase boundaries: the reference tier runs it.
-        assert sim._tier_rounds["reference"] == sim.round_index
+        assert sim.tier_rounds["reference"] == sim.round_index
         traces[engine] = list(trace.events)
     assert traces["fast"] == traces["reference"]
     assert traces["fast-nobatch"] == traces["reference"]
@@ -239,9 +237,9 @@ def test_batch_tier_engages_on_eligible_run():
     sim = _sim(_handoff, 5, engine="fast")
     result = sim.run(max_rounds=2000, until="quiescent",
                      quiescence_window=32)
-    assert sim._tier_rounds["batch"] == result.rounds
-    assert sim._tier_rounds["fast"] == 0
-    assert sim._tier_rounds["reference"] == 0
+    assert sim.tier_rounds["batch"] == result.rounds
+    assert sim.tier_rounds["fast"] == 0
+    assert sim.tier_rounds["reference"] == 0
 
 
 def test_fast_nobatch_disables_batch_tier():
@@ -249,8 +247,8 @@ def test_fast_nobatch_disables_batch_tier():
     result = sim.run(max_rounds=2000, until="quiescent",
                      quiescence_window=32)
     assert sim.engine == "fast"
-    assert sim._tier_rounds["batch"] == 0
-    assert sim._tier_rounds["fast"] == result.rounds
+    assert sim.tier_rounds["batch"] == 0
+    assert sim.tier_rounds["fast"] == result.rounds
 
 
 def test_stop_when_predicate_disables_batch_tier():
@@ -262,7 +260,7 @@ def test_stop_when_predicate_disables_batch_tier():
         results[engine] = sim.run(
             max_rounds=2000, until="quiescent", quiescence_window=32,
             stop_when=lambda s: False)
-        assert sim._tier_rounds["batch"] == 0
+        assert sim.tier_rounds["batch"] == 0
     _assert_run_results_equal(results["fast"], results["reference"])
 
 
@@ -281,8 +279,8 @@ def test_mixed_population_disables_batch_tier():
     sim = Simulator(schedule, nodes, rng=RngRegistry(3), engine="fast")
     sim.run(max_rounds=500, until="quiescent", quiescence_window=16,
             allow_timeout=True)
-    assert sim._tier_rounds["batch"] == 0
-    assert sim._tier_rounds["fast"] > 0
+    assert sim.tier_rounds["batch"] == 0
+    assert sim.tier_rounds["fast"] > 0
 
 
 @pytest.mark.parametrize("seed", [2, 13])
@@ -300,7 +298,7 @@ def test_flood_max_three_way_equivalence(seed):
                         engine=engine)
         results[engine] = sim.run(max_rounds=4000, until="halted")
         if engine == "fast":
-            assert sim._tier_rounds["batch"] > 0
+            assert sim.tier_rounds["batch"] > 0
     _assert_run_results_equal(results["fast"], results["reference"])
     _assert_run_results_equal(results["fast-nobatch"], results["reference"])
 
@@ -320,7 +318,7 @@ def test_flood_broadcast_three_way_equivalence(seed):
                         engine=engine)
         results[engine] = sim.run(max_rounds=4000, until="halted")
         if engine == "fast":
-            assert sim._tier_rounds["batch"] > 0
+            assert sim.tier_rounds["batch"] > 0
     _assert_run_results_equal(results["fast"], results["reference"])
     _assert_run_results_equal(results["fast-nobatch"], results["reference"])
 
@@ -503,15 +501,17 @@ def test_profile_flows_into_trial_result_rows():
         schedule="lowdiam_handoff", schedule_params={"n": 12, "T": 2},
         nodes="exact_count", node_params={"n": 12},
         max_rounds=1000, until="quiescent", quiescence_window=16)
-    config = spec.to_config()
-    config.profile = True
-    result = run_trial(config, 3)
+    set_profile_default(True)
+    try:
+        result = run_trial(spec, 3)
+    finally:
+        set_profile_default(False)
     assert result.phase_seconds is not None
     row = result.as_row()
     for name in PHASES:
         assert f"phase.{name}_s" in row
     # Unprofiled rows carry no phase columns at all.
-    unprofiled = run_trial(dataclasses.replace(spec), 3)
+    unprofiled = run_trial(spec, 3)
     assert unprofiled.phase_seconds is None
     assert not any(k.startswith("phase.") for k in unprofiled.as_row())
 
@@ -523,26 +523,25 @@ def test_phase_totals_accumulate_per_profiled_trial():
         max_rounds=1000, until="quiescent", quiescence_window=16)
     reset_phase_totals()
     try:
-        config = spec.to_config()
-        config.profile = True
-        run_trial(config, 1)
-        run_trial(config, 2)
+        set_profile_default(True)
+        run_trial(spec, 1)
+        run_trial(spec, 2)
+        set_profile_default(False)
         totals, trials = phase_totals()
         assert trials == 2
         assert set(totals) == set(PHASES)
         assert all(seconds >= 0.0 for seconds in totals.values())
         # Unprofiled trials contribute nothing.
-        run_trial(dataclasses.replace(spec), 3)
+        run_trial(spec, 3)
         assert phase_totals()[1] == 2
     finally:
+        set_profile_default(False)
         reset_phase_totals()
 
 
 def test_executor_strips_phase_columns_from_cache(tmp_path):
     """Wall-clock timings stay in in-memory rows but never in the
     content-addressed cache (rows must be deterministic per (spec, seed))."""
-    from repro.simnet.engine import set_profile_default
-
     spec = TrialSpec(
         schedule="lowdiam_handoff", schedule_params={"n": 10, "T": 2},
         nodes="exact_count", node_params={"n": 10},
@@ -587,17 +586,16 @@ def _token_spec(n, T):
 
 
 def _run_baseline_tiers(spec, seed, loss_rate=0.0):
-    """Run *spec* on every tier via direct Simulators (loss is not a
-    spec field); returns ``{engine: (RunResult, tier_rounds)}``."""
-    config = spec.to_config()
+    """Run *spec* on every tier via direct Simulators (to read each
+    run's tier split); returns ``{engine: (RunResult, tier_rounds)}``."""
     runs = {}
     for engine in ENGINES:
-        schedule = config.schedule_factory(seed)
-        nodes = list(config.node_factory(schedule, seed))
+        schedule = spec.build_schedule(seed)
+        nodes = spec.build_nodes(schedule, seed)
         sim = Simulator(schedule, nodes, rng=RngRegistry(seed),
                         loss_rate=loss_rate, engine=engine)
-        result = sim.run(max_rounds=config.max_rounds, until=config.until)
-        runs[engine] = (result, dict(sim._tier_rounds))
+        result = sim.run(max_rounds=spec.max_rounds, until=spec.until)
+        runs[engine] = (result, dict(sim.tier_rounds))
     return runs
 
 

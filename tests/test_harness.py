@@ -4,11 +4,9 @@ import os
 
 import pytest
 
-from repro.core import ExactCount
-from repro.dynamics import FreshSpanningAdversary
+from repro.exec import TrialSpec
 from repro.harness import (
     EXPERIMENTS,
-    TrialConfig,
     load_rows,
     run_experiment,
     run_replicates,
@@ -19,21 +17,20 @@ from repro.harness.experiments import ExperimentResult, run_f1, run_f5, run_t1
 from repro.harness.cli import main as cli_main
 
 
-def exact_count_config(n=16):
-    return TrialConfig(
-        schedule_factory=lambda seed: FreshSpanningAdversary(n, seed=seed),
-        node_factory=lambda sched, seed: [ExactCount(i) for i in range(n)],
+def exact_count_spec(n=16):
+    return TrialSpec(
+        schedule="fresh_spanning", schedule_params={"n": n},
+        nodes="exact_count", node_params={"n": n},
         max_rounds=4000,
         until="quiescent",
         quiescence_window=32,
-        oracle=lambda outputs, sched: all(
-            v == sched.num_nodes for v in outputs.values()),
+        oracle="count_exact",
     )
 
 
 class TestRunner:
     def test_run_trial_measures(self):
-        tr = run_trial(exact_count_config(), seed=1)
+        tr = run_trial(exact_count_spec(), seed=1)
         assert tr.correct is True
         assert tr.last_decision_round is not None
         assert tr.last_decision_round <= tr.rounds
@@ -42,19 +39,19 @@ class TestRunner:
         assert tr.stop_reason == "quiescent"
 
     def test_as_row_merges_params(self):
-        tr = run_trial(exact_count_config(), seed=1)
+        tr = run_trial(exact_count_spec(), seed=1)
         row = tr.as_row(algorithm="exact", n=16)
         assert row["algorithm"] == "exact"
         assert row["rounds"] == tr.rounds
 
     def test_replicates_one_per_seed(self):
-        results = run_replicates(exact_count_config(), seeds=[1, 2, 3])
+        results = run_replicates(exact_count_spec(), seeds=[1, 2, 3])
         assert len(results) == 3
         assert [r.seed for r in results] == [1, 2, 3]
 
     def test_determinism_across_calls(self):
-        a = run_trial(exact_count_config(), seed=7)
-        b = run_trial(exact_count_config(), seed=7)
+        a = run_trial(exact_count_spec(), seed=7)
+        b = run_trial(exact_count_spec(), seed=7)
         assert a.rounds == b.rounds
         assert a.broadcast_bits == b.broadcast_bits
 

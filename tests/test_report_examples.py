@@ -8,7 +8,7 @@ import pytest
 
 from repro.harness.experiments import ExperimentResult
 from repro.harness.io import save_experiment
-from repro.harness.report import build_report, main as report_main
+from repro.report import build_experiments_markdown, main as report_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -23,22 +23,23 @@ class TestReportBuilder:
 
     def test_includes_measured_blocks(self, tmp_path):
         self._seed_results(tmp_path)
-        text = build_report(str(tmp_path))
+        text = build_experiments_markdown(str(tmp_path))
         assert "T1 — Count scaling demo" in text
         assert "algorithm  n" in text
         assert "**Expected.**" in text
 
     def test_missing_experiments_marked(self, tmp_path):
         self._seed_results(tmp_path)
-        text = build_report(str(tmp_path))
+        text = build_experiments_markdown(str(tmp_path))
         assert "not yet run" in text  # f2..t3 absent
 
     def test_main_writes_file(self, tmp_path, capsys):
         self._seed_results(tmp_path)
-        out = tmp_path / "EXP.md"
-        code = report_main([str(tmp_path), str(out)])
+        out = tmp_path / "docs-root"
+        code = report_main(["--results", str(tmp_path), "--out", str(out)])
         assert code == 0
-        assert out.exists()
+        assert (out / "EXPERIMENTS.md").exists()
+        assert (out / "docs" / "RESULTS.md").exists()
         assert "wrote" in capsys.readouterr().out
 
 

@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import ExactCount
 from repro.errors import ScheduleError
 from repro.dynamics import (
     FreshSpanningAdversary,
@@ -14,7 +13,8 @@ from repro.dynamics import (
     save_schedule,
     verify_t_interval_connectivity,
 )
-from repro.harness import TrialConfig, aggregate_rows, grid_points, sweep
+from repro.exec import TrialSpec
+from repro.harness import aggregate_rows, grid_points, sweep
 
 
 class TestScheduleStorage:
@@ -67,14 +67,11 @@ class TestGridPoints:
 class TestSweep:
     def _build(self, point):
         n = point["n"]
-        return TrialConfig(
-            schedule_factory=lambda seed: FreshSpanningAdversary(
-                n, seed=seed),
-            node_factory=lambda sched, seed: [ExactCount(i)
-                                              for i in range(n)],
+        return TrialSpec(
+            schedule="fresh_spanning", schedule_params={"n": n},
+            nodes="exact_count", node_params={"n": n},
             max_rounds=4000, until="quiescent", quiescence_window=32,
-            oracle=lambda outputs, sched: all(
-                v == sched.num_nodes for v in outputs.values()))
+            oracle="count_exact")
 
     def test_rows_carry_grid_point_and_seed(self):
         rows = sweep({"n": [8, 12]}, self._build, seeds=[1, 2])
