@@ -38,15 +38,21 @@ bench-smoke:     ## CI gate: fast-path + batch-kernel speedups vs baselines
 	$(PY) benchmarks/bench_micro_substrate.py --smoke
 	$(PY) benchmarks/bench_kernels.py --smoke
 
-# One short traced pass of the end-to-end benchmark's baseline_count
-# workload (T1's KLO and token baselines); fails unless the run's last
-# line, a JSON summary, reports "correct": true.
-bench-e2e-smoke: ## CI gate: end-to-end baseline_count run is correct
-	$(PY) perfbench/run.py --workload baseline_count --seed 1 --seconds 1 \
-	    --trace 1 > .bench-e2e-smoke.out
-	tail -n 1 .bench-e2e-smoke.out | $(PY) -c "import json, sys; \
-	    sys.exit(0 if json.load(sys.stdin)['correct'] is True \
-	    else 'bench-e2e-smoke: run did not report correct: true')"
+# Short traced passes of the end-to-end benchmark: baseline_count (T1's
+# KLO and token baselines) and certified_sweep (many small cells, each
+# schedule certified T-interval connected over T in {2, 4, 8}).  Fails
+# unless each run's last line, a JSON summary, reports "correct": true.
+E2E_SMOKE_WORKLOADS = baseline_count certified_sweep
+bench-e2e-smoke: ## CI gate: end-to-end runs are correct and certified
+	@for w in $(E2E_SMOKE_WORKLOADS); do \
+	    echo "[bench-e2e-smoke] $$w"; \
+	    $(PY) perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	        --trace 1 > .bench-e2e-smoke.out || exit 1; \
+	    tail -n 1 .bench-e2e-smoke.out | $(PY) -c "import json, sys; \
+	        sys.exit(0 if json.load(sys.stdin)['correct'] is True \
+	        else 'bench-e2e-smoke: ' + sys.argv[1] + \
+	        ' did not report correct: true')" $$w || exit 1; \
+	done
 
 experiments:     ## same data via the CLI
 	$(PY) -m repro.harness.cli --all --out results/

@@ -21,7 +21,9 @@ import numpy as np
 
 from .._validate import require_nonnegative_int, require_positive_int
 from ..errors import ConfigurationError
-from .schedule import STABLE_FOREVER, FunctionSchedule, canonical_edges
+from .schedule import (STABLE_FOREVER, CSRAdjacency, FunctionSchedule,
+                       _canonical_keys, _keys_to_edges, _sorted_unique,
+                       build_csr, canonical_edges)
 from .topologies import random_tree_graph
 
 __all__ = [
@@ -52,10 +54,21 @@ def random_noise_edges(n: int, count: int,
     require_nonnegative_int(count, "count")
     if count == 0 or n < 2:
         return np.empty((0, 2), dtype=np.int32)
-    u = rng.integers(0, n, size=count)
-    v = rng.integers(0, n - 1, size=count)
-    v = np.where(v >= u, v + 1, v)  # avoid self-loops uniformly
-    return np.stack([u, v], axis=1).astype(np.int32)
+    u, v = _noise_draws(n, count, rng)
+    return np.stack([u, _skip_self(u, v)], axis=1).astype(np.int32)
+
+
+def _noise_draws(n: int, count: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint draws behind :func:`random_noise_edges`: ``u`` over
+    all ``n`` nodes and ``v`` over the ``n - 1`` others, before
+    :func:`_skip_self` maps ``v`` past ``u``."""
+    return rng.integers(0, n, size=count), rng.integers(0, n - 1, size=count)
+
+
+def _skip_self(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Map ``v`` past ``u``, avoiding self-loops uniformly."""
+    return np.where(v >= u, v + 1, v)
 
 
 class StaticAdversary(FunctionSchedule):
@@ -165,29 +178,22 @@ class OverlapHandoffAdversary(FunctionSchedule):
         self.noise_edges = require_nonnegative_int(noise_edges, "noise_edges")
         self.seed = require_nonnegative_int(seed, "seed")
         self._builder = backbone_builder or _relabeled_random_tree
-        self._backbone_cache: dict[int, np.ndarray] = {}
-        self._union_cache: dict[int, np.ndarray] = {}
+        # (window, handoff) -> sorted packed keys of B_w (∪ B_{w+1})
+        self._keys_cache: dict[tuple[int, bool], np.ndarray] = {}
 
         def fn(r: int) -> np.ndarray:
-            w = (r - 1) // self.T
-            pos_in_window = (r - 1) % self.T  # 0-based
-            # Last T-1 rounds of window w also carry B_{w+1}; the
-            # canonical union is memoized per window so the T-1 stable
-            # rounds cost one canonicalisation, not T-1.
-            if self.T > 1 and pos_in_window >= 1:
-                base = self._handoff_union(num_nodes, w)
-            else:
-                base = self._backbone(num_nodes, w)
             if self.noise_edges:
-                return np.concatenate([base, random_noise_edges(
-                    num_nodes, self.noise_edges,
-                    _rng_for(self.seed, 1, r))])
-            return base
+                return self._block(r).edges(r)
+            w, pos_in_window = divmod(r - 1, self.T)
+            return _keys_to_edges(
+                self._base_keys(w, pos_in_window > 0), num_nodes)
 
-        # Without churn, fn returns memoized canonical arrays verbatim,
-        # so the schedule may skip the per-round re-canonicalisation.
-        super().__init__(num_nodes, fn, interval=self.T,
-                         canonical=(noise_edges == 0))
+        super().__init__(num_nodes, fn, interval=self.T, canonical=True)
+        # Noisy rounds are generated in blocks of consecutive rounds.
+        # Blocks grow from 8 rounds to a cap that shrinks with n, so short
+        # large-n runs draw few rounds they never use.
+        self._blocks: list[_RoundBlock] = []
+        self._block_cap = min(64, max(8, 2048 // self.num_nodes))
 
     def stable_until(self, round_index: int) -> int:
         # Rounds 2..T of a window all carry B_w ∪ B_{w+1}; round 1 carries
@@ -199,27 +205,122 @@ class OverlapHandoffAdversary(FunctionSchedule):
             return round_index
         return ((round_index - 1) // self.T + 1) * self.T
 
-    def _backbone(self, n: int, window: int) -> np.ndarray:
-        cached = self._backbone_cache.get(window)
+    def _build_adjacency(self, round_index: int,
+                         edge_arr: np.ndarray) -> CSRAdjacency:
+        if self.noise_edges:
+            return self._block(round_index).csr(round_index)
+        return super()._build_adjacency(round_index, edge_arr)
+
+    def _base_keys(self, window: int, handoff: bool) -> np.ndarray:
+        """Sorted packed keys (``u * n + v``) of ``B_w``, or of
+        ``B_w ∪ B_{w+1}`` for a handoff round; memoized per window."""
+        cached = self._keys_cache.get((window, handoff))
         if cached is None:
-            cached = canonical_edges(
-                self._builder(n, _rng_for(self.seed, 0, window)), n)
-            if len(self._backbone_cache) > 8:
-                self._backbone_cache.pop(next(iter(self._backbone_cache)))
-            self._backbone_cache[window] = cached
+            if handoff:
+                cached = _sorted_unique(np.concatenate([
+                    self._base_keys(window, False),
+                    self._base_keys(window + 1, False)]))
+            else:
+                n = self.num_nodes
+                cached = _canonical_keys(
+                    self._builder(n, _rng_for(self.seed, 0, window)), n)
+            if len(self._keys_cache) >= 16:
+                self._keys_cache.pop(next(iter(self._keys_cache)))
+            self._keys_cache[(window, handoff)] = cached
         return cached
 
-    def _handoff_union(self, n: int, window: int) -> np.ndarray:
-        """Canonical ``B_w ∪ B_{w+1}``, memoized per window."""
-        cached = self._union_cache.get(window)
-        if cached is None:
-            cached = canonical_edges(np.concatenate([
-                self._backbone(n, window),
-                self._backbone(n, window + 1)]), n)
-            if len(self._union_cache) > 4:
-                self._union_cache.pop(next(iter(self._union_cache)))
-            self._union_cache[window] = cached
-        return cached
+    def _block(self, round_index: int) -> "_RoundBlock":
+        """The generated block holding *round_index* (at most two kept)."""
+        for block in reversed(self._blocks):
+            if block.start <= round_index < block.stop:
+                return block
+        # Sequential access doubles the block length up to the cap; a
+        # jump starts again from 8 rounds.
+        length = 8
+        if self._blocks and self._blocks[-1].stop == round_index:
+            last = self._blocks[-1]
+            length = min(2 * (last.stop - last.start), self._block_cap)
+        block = self._generate_block(round_index, length)
+        self._blocks = self._blocks[-1:] + [block]
+        return block
+
+    def _generate_block(self, start: int, length: int) -> "_RoundBlock":
+        """Rounds ``start .. start+length-1`` with churn, in one pass.
+
+        Every round draws its churn from its own ``(seed, 1, r)`` stream
+        exactly as :func:`random_noise_edges` would; one sort over
+        ``round * n² + key`` then dedupes and orders all rounds' edges.
+        """
+        n = self.num_nodes
+        nn = np.int64(n) * n
+        bases, us, vs = [], [], []
+        for r in range(start, start + length):
+            w, pos_in_window = divmod(r - 1, self.T)
+            bases.append(self._base_keys(w, pos_in_window > 0))
+            if n > 1:
+                u, v = _noise_draws(n, self.noise_edges,
+                                    _rng_for(self.seed, 1, r))
+                us.append(u)
+                vs.append(v)
+        rounds = np.arange(length, dtype=np.int64) * nn
+        packed = [np.concatenate(bases)
+                  + np.repeat(rounds, [len(b) for b in bases])]
+        if us:
+            u = np.concatenate(us)
+            v = _skip_self(u, np.concatenate(vs))
+            packed.append(np.minimum(u, v) * n + np.maximum(u, v)
+                          + np.repeat(rounds, self.noise_edges))
+        return _RoundBlock(start, length, n,
+                           _sorted_unique(np.concatenate(packed)))
+
+
+class _RoundBlock:
+    """Read-only edges and CSR of consecutive rounds ``start .. stop-1``,
+    from their sorted ``round * n² + key`` packed keys."""
+
+    __slots__ = ("start", "stop", "num_nodes", "_owner", "_edges",
+                 "_edge_bounds", "_indptr", "_indices", "_index_bounds")
+
+    def __init__(self, start: int, length: int, num_nodes: int,
+                 packed: np.ndarray) -> None:
+        self.start = start
+        self.stop = start + length
+        self.num_nodes = num_nodes
+        nn = np.int64(num_nodes) * num_nodes
+        self._owner = packed // nn
+        self._edges = _keys_to_edges(packed - self._owner * nn, num_nodes)
+        self._edge_bounds = np.searchsorted(
+            self._owner, np.arange(length + 1)).tolist()
+        self._indptr: Optional[np.ndarray] = None
+
+    def edges(self, round_index: int) -> np.ndarray:
+        i = round_index - self.start
+        return self._edges[self._edge_bounds[i]:self._edge_bounds[i + 1]]
+
+    def csr(self, round_index: int) -> CSRAdjacency:
+        if self._indptr is None:
+            self._build_csr()
+        i = round_index - self.start
+        return CSRAdjacency(
+            self._indptr[i],
+            self._indices[self._index_bounds[i]:self._index_bounds[i + 1]],
+            self.num_nodes)
+
+    def _build_csr(self) -> None:
+        """Every round's CSR at once, built on first use: the block's
+        rounds as one block-diagonal graph whose round ``i`` owns nodes
+        ``i*n .. i*n+n-1``."""
+        n = self.num_nodes
+        whole = build_csr(self._edges + (self._owner * n)[:, None],
+                          (self.stop - self.start) * n)
+        starts = np.arange(self.stop - self.start) * n
+        indptr = whole.indptr[starts[:, None] + np.arange(n + 1)] \
+            - whole.indptr[starts][:, None]
+        indices = (whole.indices % n).astype(np.int32, copy=False)
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self._indptr, self._indices = indptr, indices
+        self._index_bounds = whole.indptr[starts].tolist() + [len(indices)]
 
 
 def _relabeled_random_tree(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,7 +329,7 @@ def _relabeled_random_tree(n: int, rng: np.random.Generator) -> np.ndarray:
     Draws the identical RNG stream as ``random_tree_graph`` followed by
     a permutation, but skips the tree's internal canonicalisation — the
     relabelling scrambles the ordering anyway, and the caller
-    (:meth:`OverlapHandoffAdversary._backbone`) canonicalises the
+    (:meth:`OverlapHandoffAdversary._base_keys`) canonicalises the
     result, so the produced edge set is unchanged.
     """
     if n == 1:

@@ -2,10 +2,10 @@
 
 A schedule maps 1-based round indices to undirected graphs over node
 indices ``0 .. num_nodes-1``.  Graphs are represented as *canonical edge
-arrays*: ``numpy`` int32 arrays of shape ``(m, 2)`` with ``u < v`` in every
-row and rows sorted lexicographically — a unique representation per graph,
-which makes window intersection (the heart of T-interval verification)
-a sorted-set operation.
+arrays*: read-only ``numpy`` int32 arrays of shape ``(m, 2)`` with
+``u < v`` in every row and rows sorted lexicographically — a unique
+representation per graph, which makes window intersection (the heart of
+T-interval verification) a sorted-set operation.
 
 Determinism contract
 --------------------
@@ -164,9 +164,10 @@ def build_csr(edge_arr: np.ndarray, num_nodes: int) -> CSRAdjacency:
     """Build a :class:`CSRAdjacency` from a canonical edge array.
 
     Fully vectorized: both directions of every undirected edge are
-    sorted with a single :func:`numpy.lexsort` on ``(neighbour, node)``,
-    so each node's neighbour run comes out ascending — matching the
-    ordering contract documented on :class:`CSRAdjacency`.
+    packed into one ``node * num_nodes + neighbour`` key and sorted once
+    (keys are unique because canonical rows are), so each node's
+    neighbour run comes out ascending — matching the ordering contract
+    documented on :class:`CSRAdjacency`.
     """
     if edge_arr.size == 0:
         return CSRAdjacency(
@@ -174,11 +175,12 @@ def build_csr(edge_arr: np.ndarray, num_nodes: int) -> CSRAdjacency:
             np.empty(0, dtype=np.int32),
             num_nodes,
         )
-    src = np.concatenate([edge_arr[:, 0], edge_arr[:, 1]])
-    dst = np.concatenate([edge_arr[:, 1], edge_arr[:, 0]])
-    order = np.lexsort((dst, src))
-    indices = dst[order].astype(np.int32, copy=False)
-    counts = np.bincount(src, minlength=num_nodes)
+    lo = edge_arr[:, 0].astype(np.int64)
+    hi = edge_arr[:, 1].astype(np.int64)
+    n = np.int64(num_nodes)
+    keys = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+    indices = (keys % n).astype(np.int32)
+    counts = np.bincount(keys // n, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return CSRAdjacency(indptr, indices, num_nodes)
@@ -200,12 +202,19 @@ def canonical_edges(edges: object, num_nodes: int) -> np.ndarray:
 
     Accepts any iterable of ``(u, v)`` pairs or an ``(m, 2)`` array.
     Self-loops are rejected; duplicate edges are merged; endpoints are
-    validated against ``num_nodes``.
+    validated against ``num_nodes``.  The result is read-only (see
+    :func:`_keys_to_edges`).
     """
+    return _keys_to_edges(_canonical_keys(edges, num_nodes), num_nodes)
+
+
+def _canonical_keys(edges: object, num_nodes: int) -> np.ndarray:
+    """Sorted distinct packed keys ``lo * num_nodes + hi`` of *edges*,
+    validated as :func:`canonical_edges` documents."""
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                      dtype=np.int64)
     if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int32)
+        return np.empty(0, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ScheduleError(f"edge array must have shape (m, 2), got {arr.shape}")
     if (arr < 0).any() or (arr >= num_nodes).any():
@@ -217,14 +226,34 @@ def canonical_edges(edges: object, num_nodes: int) -> np.ndarray:
     hi = np.maximum(arr[:, 0], arr[:, 1])
     if (lo == hi).any():
         raise ScheduleError("self-loops are not allowed")
-    # Dedupe + lex-sort via packed scalar keys: since ``hi < num_nodes``,
-    # the numeric order of ``lo * num_nodes + hi`` equals the
-    # lexicographic row order, and 1-D unique is far faster than the
-    # row-wise ``np.unique(..., axis=0)``.
-    key = np.unique(lo * np.int64(num_nodes) + hi)
-    canon = np.empty((len(key), 2), dtype=np.int32)
-    canon[:, 0] = key // num_nodes
-    canon[:, 1] = key % num_nodes
+    return _sorted_unique(lo * np.int64(num_nodes) + hi)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array.
+
+    Sort plus an adjacent-difference mask: on the few hundred keys of a
+    round this is several times faster than :func:`numpy.unique`, whose
+    hash path pays a large fixed cost.
+    """
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _keys_to_edges(keys: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Read-only canonical edge array of sorted unique packed keys.
+
+    A key is ``lo * num_nodes + hi`` with ``lo < hi``; since
+    ``hi < num_nodes``, numeric key order is lexicographic row order.
+    The result is read-only because schedules memoize and share their
+    edge arrays: a caller that wrote to one would corrupt later rounds.
+    """
+    canon = np.empty((len(keys), 2), dtype=np.int32)
+    canon[:, 0] = keys // num_nodes
+    canon[:, 1] = keys % num_nodes
+    canon.flags.writeable = False
     return canon
 
 
@@ -317,7 +346,7 @@ class GraphSchedule:
         csr = cache.pop(key, None)
         if csr is None:
             stats["builds"] += 1
-            csr = build_csr(edge_arr, self.num_nodes)
+            csr = self._build_adjacency(round_index, edge_arr)
             if len(cache) >= self._ADJACENCY_CACHE:
                 stats["evictions"] += 1
                 cache.pop(next(iter(cache)))
@@ -327,6 +356,16 @@ class GraphSchedule:
         self._adj_span = (
             round_index, max(round_index, self.stable_until(round_index)), csr)
         return csr
+
+    def _build_adjacency(self, round_index: int,
+                         edge_arr: np.ndarray) -> CSRAdjacency:
+        """CSR of round *round_index*, whose canonical edges are *edge_arr*.
+
+        Called by :meth:`adjacency` on a cache miss.  Schedules that
+        generate many rounds at once override it to serve a CSR they
+        already built alongside the edges.
+        """
+        return build_csr(edge_arr, self.num_nodes)
 
     def neighbors(self, round_index: int) -> List[np.ndarray]:
         """Per-node neighbour index arrays for the round's graph (cached).
@@ -454,7 +493,7 @@ class FunctionSchedule(GraphSchedule):
         sort.  Safe because :func:`canonical_edges` is idempotent — a
         wrong promise changes performance characteristics only if the
         promise is *kept*; adversaries set it only for code paths that
-        return memoized canonical arrays verbatim.
+        return canonical arrays they built themselves.
     """
 
     def __init__(self, num_nodes: int, fn: Callable[[int], object],

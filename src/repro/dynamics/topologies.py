@@ -32,6 +32,7 @@ import numpy as np
 from .._validate import require_positive_int, require_probability
 from ..errors import ConfigurationError
 from .schedule import canonical_edges
+from .verifier import is_connected_spanning
 
 __all__ = [
     "line_graph",
@@ -132,7 +133,7 @@ def erdos_renyi_connected(n: int, p: float, rng: np.random.Generator,
         mask = rng.random(len(all_pairs)) < p
         edges = all_pairs[mask]
         last = edges
-        if _edges_connected(edges, n):
+        if is_connected_spanning(edges, n):
             return canonical_edges(edges, n)
     tree = random_tree_graph(n, rng)
     combined = np.concatenate([last, tree]) if last is not None and last.size else tree
@@ -214,13 +215,10 @@ def random_regular_expander(n: int, degree: int,
         stubs = rng.permutation(stubs_template)
         pairs = stubs.reshape(-1, 2)
         ok = pairs[:, 0] != pairs[:, 1]
-        edges = pairs[ok]
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        edges = canonical_edges(pairs[ok], n)
         last = edges
-        if _edges_connected(edges, n):
-            return canonical_edges(edges, n)
+        if is_connected_spanning(edges, n):
+            return edges
     tree = random_tree_graph(n, rng)
     combined = np.concatenate([last, tree]) if last is not None and last.size else tree
     return canonical_edges(combined, n)
@@ -288,31 +286,6 @@ def wheel_graph(n: int) -> np.ndarray:
     for i in range(len(rim)):
         edges.append((int(rim[i]), int(rim[(i + 1) % len(rim)])))
     return canonical_edges(edges, n)
-
-
-def _edges_connected(edges: np.ndarray, n: int) -> bool:
-    """Union-find connectivity check on an edge array."""
-    if n == 1:
-        return True
-    if edges.size == 0:
-        return False
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = n
-    for u, v in edges:
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-            if components == 1:
-                return True
-    return components == 1
 
 
 #: Registry used by the experiment harness to build topologies by name.

@@ -3,19 +3,31 @@
 The paper's adversary promises: *in every T consecutive rounds, the T
 topologies contain a common connected subgraph spanning all nodes*.
 :func:`verify_t_interval_connectivity` checks that promise exactly, for
-every sliding window in a horizon, in ``O(horizon · |E| · α(n))`` total
-time using consecutive-presence run lengths (an edge belongs to the
-intersection of window ``[r, r+T-1]`` iff its consecutive-presence run
-ending at ``r+T-1`` has length ``≥ T``).
+every sliding window in a horizon.  An edge belongs to the intersection
+of window ``[r, r+T-1]`` iff its consecutive-presence run ending at
+``r+T-1`` has length ``≥ T``.
+
+Method.  Rounds are read in chunks of 256.  One ``lexsort`` of the
+chunk's packed edge keys by (key, round) lays every edge's presence
+runs out as stretches of adjacent entries, and a cumulative sum gives
+each entry's run length; runs still alive at a chunk's last round
+enter the next chunk as weighted entries.  The surviving edges of every
+window ending in the chunk form one block-diagonal graph (window ``i``
+owns nodes ``i*n .. i*n+n-1``), and one
+:func:`scipy.sparse.csgraph.connected_components` call checks all those
+windows at once.  Total time is ``O(E log E)`` for ``E`` edge-rounds
+in the horizon, with a constant number of numpy calls per chunk on top
+of reading the schedule.
 
 All schedule generators in :mod:`repro.dynamics` are tested against this
-verifier.  The experiment grids do not call it; the end-to-end benchmark
+verifier, and the verifier against a direct per-window intersection
+oracle.  The experiment grids do not call it; the end-to-end benchmark
 (``perfbench/run.py``) certifies every schedule its cells ran on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,28 +41,8 @@ __all__ = [
     "verify_t_interval_connectivity",
 ]
 
-
-class _UnionFind:
-    """Array-based union-find with path halving (internal helper)."""
-
-    __slots__ = ("parent", "components")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.components = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.components -= 1
+#: Rounds whose windows are checked together, as one block-diagonal graph.
+_CHUNK = 256
 
 
 def is_connected_spanning(edges: np.ndarray, num_nodes: int) -> bool:
@@ -60,12 +52,20 @@ def is_connected_spanning(edges: np.ndarray, num_nodes: int) -> bool:
         return True
     if edges is None or len(edges) == 0:
         return False
-    uf = _UnionFind(num_nodes)
-    for u, v in edges:
-        uf.union(int(u), int(v))
-        if uf.components == 1:
-            return True
-    return uf.components == 1
+    edges = np.asarray(edges)
+    return _components(edges[:, 0], edges[:, 1], num_nodes)[0] == 1
+
+
+def _components(u: np.ndarray, v: np.ndarray,
+                num_nodes: int) -> Tuple[int, np.ndarray]:
+    """Connected components of the undirected graph with edges ``u[i]-v[i]``."""
+    # scipy.sparse takes longer to import than the rest of the package
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)),
+                       shape=(num_nodes, num_nodes))
+    return connected_components(graph, directed=False)
 
 
 def window_intersection_edges(schedule: GraphSchedule, start: int,
@@ -113,29 +113,53 @@ def verify_t_interval_connectivity(
     if horizon < T:
         return True, None  # no complete window exists
 
-    run_len: Dict[int, int] = {}
-    for end in range(1, horizon + 1):
-        edge_arr = schedule.edges(end)
-        keys = edge_arr[:, 0].astype(np.int64) * n + edge_arr[:, 1]
-        new_run: Dict[int, int] = {}
-        for k in keys.tolist():
-            new_run[k] = run_len.get(k, 0) + 1
-        run_len = new_run
-        if end >= T:
-            window_start = end - T + 1
-            surviving = [k for k, c in run_len.items() if c >= T]
-            uf = _UnionFind(n)
-            for k in surviving:
-                uf.union(k // n, k % n)
-                if uf.components == 1:
-                    break
-            if uf.components != 1 and n > 1:
-                if raise_on_failure:
-                    raise IntervalConnectivityError(
-                        f"window [{window_start}, {end}] of schedule "
-                        f"{schedule!r} has no connected spanning "
-                        f"intersection (T={T})",
-                        window_start=window_start, window_length=T,
-                    )
-                return False, window_start
+    # Presence runs that end at the previous chunk's last round, as
+    # (key, length): they enter the next chunk as weighted entries.
+    carry_keys = carry_runs = np.empty(0, dtype=np.int64)
+    for first in range(1, horizon + 1, _CHUNK):
+        last = min(first + _CHUNK - 1, horizon)
+        arrays = [schedule.edges(r) for r in range(first, last + 1)]
+        edges = np.concatenate(arrays)
+        keys = np.concatenate(
+            [carry_keys, edges[:, 0].astype(np.int64) * n + edges[:, 1]])
+        rounds = np.repeat(np.arange(first - 1, last + 1),
+                           [len(carry_keys)] + [len(a) for a in arrays])
+        weight = np.concatenate(
+            [carry_runs, np.ones(len(edges), dtype=np.int64)])
+        order = np.lexsort((rounds, keys))
+        keys, rounds, weight = keys[order], rounds[order], weight[order]
+        # A presence run of one key over consecutive rounds is a stretch
+        # of adjacent entries; ``run`` is its length through each entry.
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = (keys[1:] != keys[:-1]) | (rounds[1:] != rounds[:-1] + 1)
+        run_start = np.maximum.accumulate(
+            np.where(starts, np.arange(len(keys)), 0))
+        total = np.cumsum(weight)
+        run = total - total[run_start] + weight[run_start]
+        at_last = rounds == last
+        carry_keys, carry_runs = keys[at_last], run[at_last]
+
+        # Windows ending in this chunk, as one block-diagonal graph: the
+        # window ending at round ``e`` owns nodes ``(e - e0) * n + v``.
+        e0 = max(first, T)
+        if e0 > last:
+            continue
+        survive = (run >= T) & (rounds >= e0)
+        owner = (rounds[survive] - e0) * n
+        k = keys[survive]
+        windows = last - e0 + 1
+        _, labels = _components(owner + k // n, owner + k % n, windows * n)
+        labels = labels.reshape(windows, n)
+        bad = np.flatnonzero((labels != labels[:, :1]).any(axis=1))
+        if bad.size:
+            window_start = e0 + int(bad[0]) - T + 1
+            end = window_start + T - 1
+            if raise_on_failure:
+                raise IntervalConnectivityError(
+                    f"window [{window_start}, {end}] of schedule "
+                    f"{schedule!r} has no connected spanning "
+                    f"intersection (T={T})",
+                    window_start=window_start, window_length=T,
+                )
+            return False, window_start
     return True, None

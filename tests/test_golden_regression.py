@@ -7,7 +7,11 @@ silently alter results.  If a change legitimately alters behaviour, the
 goldens must be updated consciously, with the diff explaining why.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import RngRegistry, Simulator
 from repro.baselines import KCommitteeCount
@@ -15,12 +19,16 @@ from repro.baselines.klo import total_rounds_prediction
 from repro.core import ApproxCount, ExactCount
 from repro.core.sketches import required_width
 from repro.dynamics import (
+    FunctionSchedule,
     OverlapHandoffAdversary,
     StaticAdversary,
     dynamic_diameter,
     line_graph,
+    random_noise_edges,
     ring_of_cliques,
 )
+from repro.dynamics.interval import _relabeled_random_tree, _rng_for
+from repro.errors import ScheduleError
 from repro.exec import canonical_json
 from repro.harness import run_experiment
 
@@ -225,6 +233,159 @@ MIGRATED_EXPERIMENT_ROWS = {
          "stabilizing_correct": True, "stabilizing_rounds": 13.0},
     ],
 }
+
+
+def _schedule_digest(schedule, horizon):
+    """sha256 (first 16 hex digits) of every round's edges and CSR arrays,
+    dtype and shape included, over rounds ``1 .. horizon``."""
+    digest = hashlib.sha256()
+    for r in range(1, horizon + 1):
+        adjacency = schedule.adjacency(r)
+        for arr in (schedule.edges(r), adjacency.indptr, adjacency.indices):
+            digest.update(arr.dtype.str.encode())
+            digest.update(repr(arr.shape).encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()[:16]
+
+
+#: ``(n, T, seed, noise_edges) -> (digest, adjacency_stats)`` of rounds
+#: 1..300, read forward, captured from the per-round generator before
+#: the block generator replaced it.  Seed 1 with ``n // 8`` churn edges
+#: is ``lowdiam_handoff``; noise 0 is ``overlap_handoff``.
+SCHEDULE_DIGESTS = {
+    (16, 1, 1, 0): ("71c8695ef393006d", (0, 0, 300, 284)),
+    (16, 1, 1, 2): ("9e1d2b592b1b8c89", (0, 0, 300, 284)),
+    (16, 1, 2, 0): ("198de52f2114a810", (0, 0, 300, 284)),
+    (16, 2, 1, 0): ("5c5c68d8e283d1be", (0, 0, 300, 284)),
+    (16, 2, 1, 2): ("69a45cae302079ae", (0, 0, 300, 284)),
+    (16, 2, 2, 0): ("0e8fbf3d37080e3a", (0, 0, 300, 284)),
+    (16, 4, 1, 0): ("506399a9585c1205", (150, 0, 150, 134)),
+    (16, 4, 1, 2): ("bc9736cfddbc3b62", (0, 1, 299, 283)),
+    (16, 4, 2, 0): ("7ddad9e2153fe413", (150, 0, 150, 134)),
+    (16, 8, 1, 0): ("f371492fb7269579", (224, 0, 76, 60)),
+    (16, 8, 1, 2): ("6754c63b8036bbf2", (0, 0, 300, 284)),
+    (16, 8, 2, 0): ("3374b2feab33439e", (224, 0, 76, 60)),
+    (32, 1, 1, 0): ("c4e86d8da536aef3", (0, 0, 300, 284)),
+    (32, 1, 1, 4): ("668ae60d708765e2", (0, 0, 300, 284)),
+    (32, 1, 2, 0): ("9542a3604cceca76", (0, 0, 300, 284)),
+    (32, 2, 1, 0): ("9bf7d7a95c4b7197", (0, 0, 300, 284)),
+    (32, 2, 1, 4): ("c48b4529623ece6e", (0, 0, 300, 284)),
+    (32, 2, 2, 0): ("f33396312ad66a4c", (0, 0, 300, 284)),
+    (32, 4, 1, 0): ("78d2a38d04836553", (150, 0, 150, 134)),
+    (32, 4, 1, 4): ("4ab0f2567115c701", (0, 0, 300, 284)),
+    (32, 4, 2, 0): ("c3397a7166ffbde8", (150, 0, 150, 134)),
+    (32, 8, 1, 0): ("4d68ddee41087766", (224, 0, 76, 60)),
+    (32, 8, 1, 4): ("e47ba0326b0107fd", (0, 0, 300, 284)),
+    (32, 8, 2, 0): ("ef80b5f5c6dd372e", (224, 0, 76, 60)),
+    (128, 1, 1, 0): ("da334e248a0e5922", (0, 0, 300, 284)),
+    (128, 1, 1, 16): ("d2c6ce28242e4bd1", (0, 0, 300, 284)),
+    (128, 1, 2, 0): ("4b281b67aeb97b1c", (0, 0, 300, 284)),
+    (128, 2, 1, 0): ("a29a4fe4def38ab7", (0, 0, 300, 284)),
+    (128, 2, 1, 16): ("a6b07d97ad90dbc4", (0, 0, 300, 284)),
+    (128, 2, 2, 0): ("30cbcb5719abf818", (0, 0, 300, 284)),
+    (128, 4, 1, 0): ("3fa248cb8dc1df12", (150, 0, 150, 134)),
+    (128, 4, 1, 16): ("f526e076ce9d2e5c", (0, 0, 300, 284)),
+    (128, 4, 2, 0): ("03a43f8b0d7cef76", (150, 0, 150, 134)),
+    (128, 8, 1, 0): ("d702055160d77a36", (224, 0, 76, 60)),
+    (128, 8, 1, 16): ("5adee2a20c411a64", (0, 0, 300, 284)),
+    (128, 8, 2, 0): ("071c18374dfb0407", (224, 0, 76, 60)),
+    (512, 1, 1, 0): ("b4e1113c2d3a6376", (0, 0, 300, 284)),
+    (512, 1, 1, 64): ("e0d6815a47c2d5be", (0, 0, 300, 284)),
+    (512, 1, 2, 0): ("622254bd5f191e71", (0, 0, 300, 284)),
+    (512, 2, 1, 0): ("ffdede2ecbbe664a", (0, 0, 300, 284)),
+    (512, 2, 1, 64): ("59143104713e9983", (0, 0, 300, 284)),
+    (512, 2, 2, 0): ("d3092a7850ad866a", (0, 0, 300, 284)),
+    (512, 4, 1, 0): ("1374d139fb39d37c", (150, 0, 150, 134)),
+    (512, 4, 1, 64): ("5c4ee68767793acf", (0, 0, 300, 284)),
+    (512, 4, 2, 0): ("41ecd3bc14800350", (150, 0, 150, 134)),
+    (512, 8, 1, 0): ("eef270d2f8e1c739", (224, 0, 76, 60)),
+    (512, 8, 1, 64): ("62f62e07f1a81837", (0, 0, 300, 284)),
+    (512, 8, 2, 0): ("aa9e6fd8b2ed5731", (224, 0, 76, 60)),
+}
+
+
+class TestScheduleDigests:
+    @pytest.mark.parametrize("key", sorted(SCHEDULE_DIGESTS))
+    def test_handoff_edges_and_csr_pinned(self, key):
+        n, T, seed, noise = key
+        schedule = OverlapHandoffAdversary(n, T, noise_edges=noise, seed=seed)
+        digest, stats = SCHEDULE_DIGESTS[key]
+        assert _schedule_digest(schedule, 300) == digest
+        assert tuple(schedule.adjacency_stats[k] for k in (
+            "span_hits", "fingerprint_hits", "builds", "evictions")) == stats
+
+
+def _per_round_handoff(n, T, noise, seed):
+    """The handoff adversary rebuilt one round at a time from its
+    definition, with the adversary's stability hints: the oracle the
+    block generator must match."""
+    hints = OverlapHandoffAdversary(n, T, noise_edges=noise, seed=seed)
+
+    def backbone(window):
+        return _relabeled_random_tree(n, _rng_for(seed, 0, window))
+
+    def fn(r):
+        window, pos_in_window = divmod(r - 1, T)
+        parts = [backbone(window)]
+        if pos_in_window:
+            parts.append(backbone(window + 1))
+        if noise:
+            parts.append(random_noise_edges(n, noise, _rng_for(seed, 1, r)))
+        return np.concatenate(parts)
+
+    return FunctionSchedule(n, fn, interval=T, stable_until=hints.stable_until)
+
+
+#: Access patterns: runs of consecutive rounds, read forwards or
+#: backwards, starting anywhere in rounds 1..400.
+_ACCESS_RUNS = st.lists(
+    st.tuples(st.integers(1, 400), st.integers(1, 80), st.booleans()),
+    min_size=1, max_size=6)
+
+
+class TestBlockGeneratorAccessOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 5, 16, 40, 300]),
+           T=st.integers(1, 4), noise=st.sampled_from([0, 1, 3]),
+           seed=st.integers(0, 2 ** 16), runs=_ACCESS_RUNS)
+    def test_any_access_order_matches_per_round_generation(
+            self, n, T, noise, seed, runs):
+        """Backwards reads, jumps across block boundaries and revisits
+        after eviction serve the arrays (and cache statistics) that
+        per-round generation does, and that a forward pass does."""
+        schedule = OverlapHandoffAdversary(n, T, noise_edges=noise, seed=seed)
+        oracle = _per_round_handoff(n, T, noise, seed)
+        forward = OverlapHandoffAdversary(n, T, noise_edges=noise, seed=seed)
+        last = max(start + length - 1 for start, length, _ in runs)
+        expected = {}
+        for r in range(1, last + 1):
+            adjacency = forward.adjacency(r)
+            expected[r] = (forward.edges(r), adjacency.indptr,
+                           adjacency.indices)
+        for start, length, backwards in runs:
+            rounds = range(start, start + length)
+            for r in (reversed(rounds) if backwards else rounds):
+                got, want = schedule.adjacency(r), oracle.adjacency(r)
+                served = (schedule.edges(r), got.indptr, got.indices)
+                for arr, ref, fwd in zip(
+                        served, (oracle.edges(r), want.indptr, want.indices),
+                        expected[r]):
+                    assert arr.dtype == ref.dtype == fwd.dtype
+                    assert np.array_equal(arr, ref)
+                    assert np.array_equal(arr, fwd)
+        assert schedule.adjacency_stats == oracle.adjacency_stats
+
+    @pytest.mark.parametrize("noise", [0, 2])
+    def test_self_loop_backbone_rejected(self, noise):
+        def builder(n, rng):
+            return np.array([[0, 1], [2, 2]])
+
+        schedule = OverlapHandoffAdversary(
+            4, 2, backbone_builder=builder, noise_edges=noise, seed=1)
+        with pytest.raises(ScheduleError, match="self-loops"):
+            schedule.edges(1)
+        with pytest.raises(ScheduleError, match="self-loops"):
+            schedule.adjacency(3)
 
 
 class TestMigratedExperimentGoldens:

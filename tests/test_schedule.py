@@ -10,7 +10,7 @@ from repro.dynamics.schedule import (
     RecordingSchedule,
     canonical_edges,
 )
-from repro.dynamics import StaticAdversary, line_graph
+from repro.dynamics import OverlapHandoffAdversary, StaticAdversary, line_graph
 
 
 class TestCanonicalEdges:
@@ -44,6 +44,39 @@ class TestCanonicalEdges:
         first = canonical_edges([(3, 1), (0, 2), (2, 0)], 4)
         second = canonical_edges(first, 4)
         assert (first == second).all()
+
+    def test_result_is_read_only(self):
+        out = canonical_edges([(3, 1), (0, 2)], 4)
+        with pytest.raises(ValueError):
+            out[0, 0] = 1
+
+
+class TestServedEdgesReadOnly:
+    """Schedules memoize and share edge arrays, so a caller must not be
+    able to corrupt a later round by writing to one it was served."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: StaticAdversary(5, line_graph(5)),
+        lambda: ExplicitSchedule(3, [[(0, 1), (1, 2)]], cycle=True),
+        lambda: FunctionSchedule(3, lambda r: [(0, 1), (1, 2)]),
+        lambda: OverlapHandoffAdversary(8, 2, seed=1),
+        lambda: OverlapHandoffAdversary(8, 2, noise_edges=3, seed=1),
+    ], ids=["static", "explicit", "function", "handoff", "handoff_noise"])
+    def test_writing_to_edges_raises(self, make):
+        schedule = make()
+        for r in (1, 2, 3):
+            before = schedule.edges(r).copy()
+            with pytest.raises(ValueError):
+                schedule.edges(r)[0, 0] = 0
+            assert np.array_equal(schedule.edges(r), before)
+
+    def test_block_csr_is_read_only(self):
+        schedule = OverlapHandoffAdversary(8, 2, noise_edges=3, seed=1)
+        csr = schedule.adjacency(2)
+        with pytest.raises(ValueError):
+            csr.indices[0] = 0
+        with pytest.raises(ValueError):
+            csr.indptr[0] = 1
 
 
 class TestExplicitSchedule:

@@ -10,6 +10,7 @@ from repro.errors import IntervalConnectivityError, NotTerminatedError
 from repro.dynamics import (
     ExplicitSchedule,
     FreshSpanningAdversary,
+    FunctionSchedule,
     OverlapHandoffAdversary,
     StaticAdversary,
     complete_graph,
@@ -111,6 +112,86 @@ class TestVerifier:
                 break
         assert ok_fast == ok_slow
         assert bad_fast == bad_slow
+
+
+def _oracle_first_bad_window(schedule, T, horizon):
+    """Earliest window start whose direct intersection is not a
+    connected spanning graph, or None."""
+    for start in range(1, horizon - T + 2):
+        inter = window_intersection_edges(schedule, start, T)
+        if not is_connected_spanning(inter, schedule.num_nodes):
+            return start
+    return None
+
+
+class TestVerifierDifferential:
+    """The chunked verifier against the direct per-window oracle, on
+    horizons longer than its 256-round chunk."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 9), T=st.sampled_from([1, 2, 3, 4, 8]),
+           horizon=st.integers(250, 530), seed=st.integers(0, 2 ** 16),
+           breaks=st.lists(st.one_of(st.integers(245, 270),
+                                     st.integers(500, 525),
+                                     st.integers(1, 530)), max_size=3),
+           raise_on_failure=st.booleans())
+    def test_matches_direct_oracle(self, n, T, horizon, seed, breaks,
+                                   raise_on_failure):
+        """Handoff rounds keep the promise; dropping a few edges from a
+        few rounds (often next to a chunk boundary) may break it."""
+        adversary = OverlapHandoffAdversary(n, T, noise_edges=1, seed=seed)
+        rng = np.random.default_rng(seed)
+        rounds = [adversary.edges(r) for r in range(1, horizon + 1)]
+        for r in breaks:
+            if r <= horizon and len(rounds[r - 1]):
+                keep = rng.random(len(rounds[r - 1])) < 0.6
+                rounds[r - 1] = rounds[r - 1][keep]
+        schedule = ExplicitSchedule(n, rounds)
+        expected = _oracle_first_bad_window(schedule, T, horizon)
+        if expected is None or not raise_on_failure:
+            assert verify_t_interval_connectivity(
+                schedule, T, horizon, raise_on_failure=raise_on_failure) \
+                == (expected is None, expected)
+        else:
+            with pytest.raises(IntervalConnectivityError) as exc:
+                verify_t_interval_connectivity(schedule, T, horizon)
+            assert exc.value.window_start == expected
+            assert exc.value.window_length == T
+
+    @pytest.mark.parametrize("first_bad", [254, 255, 256, 257, 258])
+    def test_violation_straddling_chunk_boundary(self, first_bad):
+        """Only window ``[first_bad, first_bad+3]`` (T=4) loses its
+        spanning intersection; it may straddle rounds 256 and 257."""
+        n, T, horizon = 4, 4, 600
+        # A 4-cycle every round, except that the window's first round
+        # lacks (1, 2) and its last round lacks (0, 3): a window holding
+        # one of the two rounds keeps a spanning path, one holding both
+        # keeps only (0, 1) and (2, 3).
+        rounds = [[(0, 1), (1, 2), (2, 3), (0, 3)]] * horizon
+        rounds[first_bad - 1] = [(0, 1), (2, 3), (0, 3)]
+        rounds[first_bad + T - 2] = [(0, 1), (1, 2), (2, 3)]
+        schedule = ExplicitSchedule(n, rounds)
+        expected = _oracle_first_bad_window(schedule, T, horizon)
+        assert expected == first_bad
+        assert verify_t_interval_connectivity(
+            schedule, T, horizon, raise_on_failure=False) == (False, expected)
+        with pytest.raises(IntervalConnectivityError) as exc:
+            verify_t_interval_connectivity(schedule, T, horizon)
+        assert (exc.value.window_start, exc.value.window_length) == (
+            expected, T)
+
+    def test_runs_carried_across_chunks(self):
+        """A static graph keeps every run alive across every chunk."""
+        sched = StaticAdversary(6, line_graph(6))
+        assert verify_t_interval_connectivity(sched, 8, 1000) == (True, None)
+
+    def test_single_node_long_horizon(self):
+        sched = ExplicitSchedule(1, [[]] * 600)
+        assert verify_t_interval_connectivity(sched, 3, 600) == (True, None)
+
+    def test_horizon_shorter_than_T_never_reads_rounds(self):
+        sched = FunctionSchedule(3, lambda r: 1 / 0)
+        assert verify_t_interval_connectivity(sched, 5, 4) == (True, None)
 
 
 class TestFloodingTime:
