@@ -2,8 +2,8 @@
 """Consensus under churn, with the decide/retract timeline made visible.
 
 Runs the zero-knowledge stabilizing consensus on a churning network and
-uses the trace recorder to show the *decision lifecycle*: nodes decide
-tentatively after quiet windows, occasionally retract when late
+uses an in-memory event recorder to show the *decision lifecycle*: nodes
+decide tentatively after quiet windows, occasionally retract when late
 information arrives, and all settle on the same value within a few
 multiples of the dynamic diameter.
 
@@ -12,13 +12,14 @@ Run:  python examples/consensus_under_churn.py
 
 from collections import Counter
 
-from repro import RngRegistry, Simulator, TraceRecorder
+from repro import RngRegistry, Simulator
 from repro.core import SublinearConsensus
 from repro.dynamics import (
     EdgeChurnAdversary,
     dynamic_diameter,
     random_tree_graph,
 )
+from repro.obs import Recorder
 import numpy as np
 
 N, SEED = 100, 19
@@ -31,8 +32,8 @@ def main() -> None:
     d = dynamic_diameter(schedule)
 
     nodes = [SublinearConsensus(i, proposal=f"plan-{i}") for i in range(N)]
-    trace = TraceRecorder(record_broadcasts=False)
-    sim = Simulator(schedule, nodes, rng=RngRegistry(SEED), trace=trace)
+    rec = Recorder.in_memory()
+    sim = Simulator(schedule, nodes, rng=RngRegistry(SEED), recorder=rec)
     result = sim.run(max_rounds=10_000, until="quiescent",
                      quiescence_window=64)
 
@@ -40,17 +41,23 @@ def main() -> None:
     print(f"consensus value: {result.unanimous_output()!r} "
           f"(the minimum-id node's proposal — validity holds)")
 
-    events = Counter(e.kind for e in trace.events)
+    decisions = rec.of_kind("decision")
+    events = Counter(e.action for e in decisions)
     print(f"decision lifecycle: {events['decide']} decides, "
           f"{events['retract']} retracts across {N} nodes")
 
-    timeline = trace.decision_timeline()
-    first_round = timeline[0][0]
-    last_round = timeline[-1][0]
-    print(f"final decisions span rounds {first_round}..{last_round} "
+    # A node's final decision is its last decide with no later retract.
+    final_round = {}
+    for e in decisions:
+        if e.action == "decide":
+            final_round[e.node_id] = e.round
+        elif e.action == "retract":
+            final_round.pop(e.node_id, None)
+    print(f"final decisions span rounds {min(final_round.values())}.."
+          f"{max(final_round.values())} "
           f"(theory bound (1+growth)*d + O(1) = {3 * d + 2})")
 
-    per_round = Counter(r for r, _, _ in timeline)
+    per_round = Counter(final_round.values())
     print("\nfinal decisions per round:")
     for r in sorted(per_round):
         print(f"  round {r:>3}: {'#' * min(per_round[r], 60)} "

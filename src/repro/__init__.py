@@ -52,9 +52,7 @@ from .simnet import (
     Algorithm,
     RoundContext,
     RngRegistry,
-    TraceRecorder,
 )
-from .api import solve, SolveResult
 from .exec import ParallelExecutor, ResultCache, TrialSpec
 
 __version__ = "1.0.0"
@@ -73,9 +71,6 @@ __all__ = [
     "Algorithm",
     "RoundContext",
     "RngRegistry",
-    "TraceRecorder",
-    "solve",
-    "SolveResult",
     "TrialSpec",
     "ParallelExecutor",
     "ResultCache",

@@ -8,7 +8,7 @@ returns the validated (possibly normalised) value so call sites can write
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from .errors import ConfigurationError
 
@@ -72,22 +72,3 @@ def require_choice(value: T, name: str, choices: Sequence[T]) -> T:
         )
     return value
 
-
-def require_node_ids(ids: Iterable[int], name: str = "node ids") -> tuple[int, ...]:
-    """Validate a collection of distinct, non-negative node ids.
-
-    Returns the ids as a sorted tuple.
-    """
-    out = tuple(sorted(ids))
-    if not out:
-        raise ConfigurationError(f"{name} must be non-empty")
-    seen: set[int] = set()
-    for i in out:
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise ConfigurationError(f"{name} must be ints, got {type(i).__name__}")
-        if i < 0:
-            raise ConfigurationError(f"{name} must be >= 0, got {i}")
-        if i in seen:
-            raise ConfigurationError(f"{name} contains duplicate id {i}")
-        seen.add(i)
-    return out

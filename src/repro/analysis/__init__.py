@@ -23,13 +23,6 @@ from .fitting import loglog_slope, power_law_fit
 from .stats import summarize, Summary
 from .tables import render_table, render_markdown, rows_to_csv
 from .plotting import ascii_plot, ascii_series
-from .graphstats import (
-    characterize,
-    degree_stats,
-    edge_churn_rate,
-    spectral_gap,
-)
-from .comparisons import Comparison, bootstrap_diff_ci, compare, mann_whitney
 
 __all__ = [
     "klo_rounds",
@@ -46,12 +39,4 @@ __all__ = [
     "rows_to_csv",
     "ascii_plot",
     "ascii_series",
-    "characterize",
-    "degree_stats",
-    "edge_churn_rate",
-    "spectral_gap",
-    "Comparison",
-    "bootstrap_diff_ci",
-    "compare",
-    "mann_whitney",
 ]

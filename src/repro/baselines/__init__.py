@@ -22,7 +22,6 @@ bound known, or nothing) — comparing those assumptions against
 from .flooding import FloodToken, FloodMax, FloodBroadcast
 from .klo import KCommitteeCount
 from .token import RandomTokenDissemination
-from .token_det import DeterministicTokenDissemination
 from .consensus import FloodConsensus
 
 __all__ = [
@@ -31,6 +30,5 @@ __all__ = [
     "FloodBroadcast",
     "KCommitteeCount",
     "RandomTokenDissemination",
-    "DeterministicTokenDissemination",
     "FloodConsensus",
 ]

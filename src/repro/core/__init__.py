@@ -53,7 +53,6 @@ from .consensus import SublinearConsensus, ConsensusKnownBound
 from .exact_count import ExactCount, ExactCountKnownBound
 from .approx_count import ApproxCount, ApproxCountKnownBound
 from .pipelining import PipelinedApproxCount
-from .generalized import ApproxSum, ApproxMean, TopK, LeaderElect
 from .hybrid_count import HybridCount
 from .pipelined_exact import PipelinedExactCount
 
@@ -80,10 +79,6 @@ __all__ = [
     "ApproxCount",
     "ApproxCountKnownBound",
     "PipelinedApproxCount",
-    "ApproxSum",
-    "ApproxMean",
-    "TopK",
-    "LeaderElect",
     "HybridCount",
     "PipelinedExactCount",
 ]

@@ -62,7 +62,6 @@ from .adaptive import (
     PathHiderAdversary,
     CutThrottleAdversary,
     WindowedThrottleAdversary,
-    BottleneckBridgeAdversary,
 )
 from .churn import EdgeChurnAdversary, RepairedMobilityAdversary
 from .verifier import (
@@ -72,7 +71,6 @@ from .verifier import (
 )
 from .diameter import dynamic_diameter, flooding_time_from
 from .combinators import dilate, union_schedules, concatenate, relabel
-from .storage import save_schedule, load_schedule
 
 __all__ = [
     "GraphSchedule",
@@ -107,7 +105,6 @@ __all__ = [
     "PathHiderAdversary",
     "CutThrottleAdversary",
     "WindowedThrottleAdversary",
-    "BottleneckBridgeAdversary",
     "EdgeChurnAdversary",
     "RepairedMobilityAdversary",
     "verify_t_interval_connectivity",
@@ -119,6 +116,4 @@ __all__ = [
     "union_schedules",
     "concatenate",
     "relabel",
-    "save_schedule",
-    "load_schedule",
 ]

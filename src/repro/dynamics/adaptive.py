@@ -29,7 +29,6 @@ __all__ = [
     "PathHiderAdversary",
     "CutThrottleAdversary",
     "WindowedThrottleAdversary",
-    "BottleneckBridgeAdversary",
 ]
 
 
@@ -231,104 +230,3 @@ class WindowedThrottleAdversary(AdaptiveSchedule):
                 edges.extend(prev)
         return edges
 
-
-class BottleneckBridgeAdversary(AdaptiveSchedule):
-    """Two cliques joined by one adaptively chosen bridge — the
-    **bandwidth-bottleneck** instance.
-
-    The node set is split into two fixed cliques; intra-clique mixing is
-    instant (dynamic diameter 2–3), but every token must cross the
-    **single bridge edge**, whose endpoints the adversary re-chooses once
-    per ``T``-round window, preferring, when protocols expose their next
-    broadcast through an optional ``peek_broadcast()`` duck-typed hook,
-    endpoint pairs predicted to broadcast tokens the other side already
-    has (falling back to the first pair otherwise).
-
-    What this instance demonstrates (used by F2/F6):
-
-    * token-forwarding protocols (one token per message) need ``Ω(N)``
-      rounds here *despite* ``d = O(1)`` — the bridge carries at most one
-      token per direction per round — separating bandwidth-limited
-      dissemination from the aggregate-based core algorithms, which still
-      finish in ``O(d)``;
-    * it is **not** a reproduction of the full ``Ω(N·k/T)``
-      token-dissemination lower bound (Dutta et al., SODA 2013): that
-      bound's adversary relies on a charging argument well beyond a
-      prediction heuristic, and against sweep-synchronised protocols
-      (every clique member about to broadcast the same token) no bridge
-      choice is wasteful, so the measured times here are essentially flat
-      in ``T``.  This limitation is recorded in the F2 experiment notes.
-
-    Promise: every round contains both cliques plus a bridge, hence is
-    connected (1-interval); the first ``T-1`` rounds of each window also
-    carry the *previous* window's bridge (past-overlap, the only overlap
-    an adaptive adversary can implement), so any ``T`` consecutive rounds
-    share cliques + one full bridge — T-interval connectivity holds by
-    the same argument as :class:`WindowedThrottleAdversary`.
-    """
-
-    def __init__(self, num_nodes: int, T: int) -> None:
-        super().__init__(num_nodes, interval=max(1, int(T)))
-        if num_nodes < 4:
-            raise ScheduleError(
-                f"BottleneckBridgeAdversary requires n >= 4, got {num_nodes}")
-        if T < 1:
-            raise ScheduleError(f"T must be >= 1, got {T}")
-        self.T = int(T)
-        half = num_nodes // 2
-        self.side_a = tuple(range(half))
-        self.side_b = tuple(range(half, num_nodes))
-        self._clique_edges: List[tuple] = []
-        for side in (self.side_a, self.side_b):
-            for i, u in enumerate(side):
-                for v in side[i + 1:]:
-                    self._clique_edges.append((u, v))
-        self._bridges: Dict[int, tuple] = {}
-
-    @staticmethod
-    def _tokens_of(node: object) -> frozenset:
-        tokens = getattr(node, "tokens", None)
-        return frozenset(tokens) if tokens is not None else frozenset()
-
-    @staticmethod
-    def _peek(node: object) -> Optional[int]:
-        peek = getattr(node, "peek_broadcast", None)
-        if peek is None:
-            return None
-        return peek()
-
-    def _wastefulness(self, speaker: object, listener: object) -> int:
-        """2 if the speaker's next broadcast is already known to the
-        listener, 1 if unpredictable, 0 if it would be fresh."""
-        nxt = self._peek(speaker)
-        if nxt is None:
-            return 1
-        return 2 if nxt in self._tokens_of(listener) else 0
-
-    def _choose_bridge(self, nodes: Sequence[object]) -> tuple:
-        best, best_score = None, -1
-        for u in self.side_a:
-            for v in self.side_b:
-                score = (self._wastefulness(nodes[u], nodes[v])
-                         + self._wastefulness(nodes[v], nodes[u]))
-                if score > best_score:
-                    best, best_score = (u, v), score
-                    if score == 4:
-                        return best
-        return best if best is not None else (self.side_a[0], self.side_b[0])
-
-    def decide_edges(self, round_index: int,
-                     nodes: Sequence[object]) -> object:
-        w = (round_index - 1) // self.T
-        pos = (round_index - 1) % self.T
-        bridge = self._bridges.get(w)
-        if bridge is None:
-            bridge = self._choose_bridge(nodes)
-            self._bridges[w] = bridge
-            for stale in [x for x in self._bridges if x < w - 1]:
-                del self._bridges[stale]
-        edges = list(self._clique_edges)
-        edges.append(bridge)
-        if self.T > 1 and pos < self.T - 1 and (w - 1) in self._bridges:
-            edges.append(self._bridges[w - 1])
-        return edges

@@ -28,16 +28,6 @@ from .schedule import GraphSchedule
 __all__ = ["flooding_time_from", "dynamic_diameter"]
 
 
-def _full_mask(n: int, words: int) -> np.ndarray:
-    """Bitmask with the low ``n`` bits set, packed into *words* uint64s."""
-    mask = np.zeros(words, dtype=np.uint64)
-    full_words, rem = divmod(n, 64)
-    mask[:full_words] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    if rem:
-        mask[full_words] = np.uint64((1 << rem) - 1)
-    return mask
-
-
 def flooding_time_from(
     schedule: GraphSchedule,
     start_round: int = 1,

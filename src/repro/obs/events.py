@@ -159,8 +159,8 @@ class EngineTierEvent(Event):
     or ``"fallback"`` (a mid-run deactivation, e.g. the batch kernel
     retiring on the first halt event); ``reason`` says why, in the
     engine's own words — the strings the dispatch conditions produce,
-    e.g. ``"trace recorder attached"`` or ``"halt event
-    deactivated the batch kernel"``.
+    e.g. ``"strict bandwidth budget"`` or ``"halt event deactivated the
+    batch kernel"``.
 
     ``declined`` is the structured form of ``reason``: a list of
     ``{"tier", "reason"}`` dicts, one per tier

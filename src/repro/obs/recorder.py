@@ -14,10 +14,10 @@ instrumented wrapper that emits :class:`~repro.obs.events.RoundEvent` /
 :class:`~repro.obs.events.DecisionEvent` streams,
 :class:`~repro.obs.events.EngineTierEvent` dispatch decisions with their
 reasons, and end-of-run :class:`~repro.obs.events.CacheEvent` counters.
-Recording disables the engine's fused round loop (phase boundaries
-become observable, same rule as profiling), so recorded runs trade some
-throughput for the stream — results stay bit-identical, only wall-clock
-changes.
+Recording does not change the code path: the wrapper runs the same tier
+round an unrecorded run executes and diffs the metrics and node state
+around it, so results stay bit-identical and only the per-round event
+bookkeeping costs wall-clock.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from .node import Algorithm, RoundContext
 from .metrics import MetricsCollector, RunMetrics
 from .rng import RngRegistry, derive_seeds
 from .message import bit_size
-from .trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Simulator",
@@ -42,6 +41,4 @@ __all__ = [
     "RngRegistry",
     "derive_seeds",
     "bit_size",
-    "TraceRecorder",
-    "TraceEvent",
 ]

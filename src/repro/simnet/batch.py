@@ -1449,8 +1449,8 @@ def run_batch_round(sim: Any) -> None:
     per-node RNG consumption (kernels draw from each node's private
     stream in ascending node order, and streams are independent across
     nodes), identical shared loss-stream consumption (see
-    :func:`lossy_delivery_view`), and no trace/strict-bandwidth
-    observables (those runs select the reference tier).
+    :func:`lossy_delivery_view`), and no strict-bandwidth observables
+    (those runs select the reference tier).
     """
     sim.round_index += 1
     r = sim.round_index

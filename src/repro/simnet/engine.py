@@ -3,14 +3,14 @@
 :class:`Simulator` wires together a *dynamic-graph schedule* (anything
 satisfying the :class:`ScheduleLike` duck type — in practice the classes in
 :mod:`repro.dynamics`), a list of :class:`~repro.simnet.node.Algorithm`
-nodes, and the metrics/trace machinery, and executes synchronous rounds:
+nodes, and the metrics machinery, and executes synchronous rounds:
 
 1. every non-halted node composes its broadcast payload (graph not yet
    visible to it);
 2. the schedule's graph for the round delivers each payload to the
    sender's current neighbours;
 3. every non-halted node consumes its inbox;
-4. decision-lifecycle events are drained into metrics and traces.
+4. decision-lifecycle events are drained into metrics.
 
 Stop conditions
 ---------------
@@ -54,8 +54,8 @@ starts and reports why it passed over the others:
 * **reference** — the straightforward per-node loops of
   :func:`repro.simnet.rounds.run_reference_round`, kept as the
   executable specification the other tiers are tested against.  Runs
-  with ``engine="reference"``, a schedule without ``adjacency()``, a
-  :class:`TraceRecorder` or a strict bandwidth budget use this tier.
+  with ``engine="reference"``, a schedule without ``adjacency()`` or a
+  strict bandwidth budget use this tier.
 
 ``Simulator(engine=...)`` accepts ``"fast"`` (the default),
 ``"fast-nobatch"`` and ``"reference"``; ``engine=None`` reads the
@@ -105,7 +105,6 @@ from .metrics import MetricsCollector, RunMetrics
 from .node import Algorithm, RoundContext
 from .rng import RngRegistry
 from .rounds import run_fast_round, run_reference_round
-from .trace import TraceRecorder
 
 __all__ = ["Simulator", "RunResult", "ScheduleLike", "ENGINES",
            "select_tier", "set_profile_default", "profile_default",
@@ -144,8 +143,6 @@ def _reference_reason(sim: "Simulator") -> Optional[str]:
         return "engine='reference'"
     if getattr(sim.schedule, "adjacency", None) is None:
         return "schedule exposes no CSR adjacency"
-    if sim.trace is not None:
-        return "trace recorder attached"
     if sim.strict_bandwidth and sim.bandwidth_bits is not None:
         return "strict bandwidth budget"
     return None
@@ -160,8 +157,7 @@ def select_tier(sim: "Simulator",
     entry per tier passed over.  The rules, in order:
 
     * **reference** when ``engine="reference"``, the schedule has no
-      ``adjacency()``, a :class:`TraceRecorder` is attached, or a strict
-      bandwidth budget is set;
+      ``adjacency()``, or a strict bandwidth budget is set;
     * **batch** when the engine is not ``"fast-nobatch"``, there is no
       *stop_when*, the schedule has no ``bind``, no node is halted,
       ``on_broadcast`` is not overridden on the metrics instance, and
@@ -279,8 +275,6 @@ class Simulator:
         ``bandwidth_overflows`` counter.
     id_bits:
         Width charged for :class:`~repro.simnet.message.NodeId` values.
-    trace:
-        Optional :class:`TraceRecorder`.
     loss_rate:
         EXTENSION beyond the paper's model (used by experiment X2): each
         *directed delivery* is independently dropped with this
@@ -314,7 +308,6 @@ class Simulator:
         bandwidth_bits: Optional[int] = None,
         strict_bandwidth: bool = False,
         id_bits: int = 32,
-        trace: Optional[TraceRecorder] = None,
         loss_rate: float = 0.0,
         engine: Optional[str] = None,
         profile: Optional[bool] = None,
@@ -340,7 +333,6 @@ class Simulator:
         self.bandwidth_bits = bandwidth_bits
         self.strict_bandwidth = bool(strict_bandwidth)
         self.id_bits = require_positive_int(id_bits, "id_bits")
-        self.trace = trace
         if not (0.0 <= float(loss_rate) < 1.0):
             raise ConfigurationError(
                 f"loss_rate must be in [0, 1), got {loss_rate}")

@@ -9,9 +9,9 @@ decides which one (or the batch tier of :mod:`repro.simnet.batch`) runs.
   tiers are golden-tested against (``tests/test_fastpath_equivalence.py``):
   one Python-level ``compose``/``deliver`` call per node per round, with
   delivery, loss draws and decision draining written exactly as the
-  paper's round model reads.  It serves every run, including trace
-  recorders, strict bandwidth budgets and schedules exposing only the
-  minimal :class:`~repro.simnet.engine.ScheduleLike` duck type.
+  paper's round model reads.  It serves every run, including strict
+  bandwidth budgets and schedules exposing only the minimal
+  :class:`~repro.simnet.engine.ScheduleLike` duck type.
 * :func:`run_fast_round` iterates the incrementally maintained active
   set instead of ``range(n)``, reuses one
   :class:`~repro.simnet.node.RoundContext` per node, reads the
@@ -28,7 +28,6 @@ import numpy as np
 
 from ..errors import BandwidthExceededError
 from .node import RoundContext
-from .trace import TraceEvent
 
 __all__ = ["run_fast_round", "run_reference_round"]
 
@@ -42,12 +41,12 @@ def run_fast_round(sim: Any) -> None:
     phase by phase because the per-(node, round) metric updates are
     commutative sums, the loss RNG is drawn only at delivery (so
     interleaving the accounting does not perturb the stream), and
-    per-node drain order is preserved.  The tier never runs with a trace
-    recorder or a strict bandwidth budget (those observe phase
-    boundaries; :func:`~repro.simnet.engine.select_tier` sends them to
-    the reference tier).  When profiling, ``compose`` times the compose
-    pass, ``reveal`` the ``adjacency(r)`` call and ``deliver`` the fused
-    pass; ``drain`` stays 0.0.
+    per-node drain order is preserved.  The tier never runs with a strict
+    bandwidth budget (it raises at a phase boundary;
+    :func:`~repro.simnet.engine.select_tier` sends it to the reference
+    tier).  When profiling, ``compose`` times the compose pass,
+    ``reveal`` the ``adjacency(r)`` call and ``deliver`` the fused pass;
+    ``drain`` stays 0.0.
     """
     sim.round_index += 1
     r = sim.round_index
@@ -214,10 +213,7 @@ def run_reference_round(sim: Any) -> None:
     r = sim.round_index
     nodes = sim.nodes
     n = len(nodes)
-    trace = sim.trace
     prof = sim._phase_seconds
-    if trace is not None:
-        trace.record(TraceEvent(r, "round", None))
 
     # Phase 1: compose (graph not yet revealed to nodes).
     t0 = perf_counter() if prof is not None else 0.0
@@ -252,8 +248,6 @@ def run_reference_round(sim: Any) -> None:
             sim.metrics.incr("bandwidth_overflows")
         live_degree = sum(1 for j in neighbors[i] if not halted[j])
         sim.metrics.on_broadcast(bits, live_degree)
-        if trace is not None:
-            trace.record(TraceEvent(r, "broadcast", nodes[i].node_id, payload))
 
     # Phase 3: deliver inboxes.
     if prof is not None:
@@ -286,16 +280,8 @@ def run_reference_round(sim: Any) -> None:
             kind = event[0]
             if kind == "decide":
                 sim.metrics.on_decision(node.node_id, r)
-                if trace is not None:
-                    trace.record(TraceEvent(r, "decide", node.node_id,
-                                            event[1]))
             elif kind == "retract":
                 sim.metrics.on_retraction(node.node_id)
-                if trace is not None:
-                    trace.record(TraceEvent(r, "retract", node.node_id))
-            elif kind == "halt":
-                if trace is not None:
-                    trace.record(TraceEvent(r, "halt", node.node_id))
     if prof is not None:
         t1 = perf_counter()
         prof["deliver"] += t1 - t0  # drain interleaved with delivery

@@ -2,7 +2,7 @@
 
 Covers:
 
-1. The **selection table**: run features (message loss, tracing, a
+1. The **selection table**: run features (message loss, a
    ``stop_when`` predicate, a heterogeneous population, a strict or a
    counting CONGEST budget, an adaptive ``bind`` schedule, a pre-halted
    node, a schedule without ``adjacency()``, an instance-level
@@ -36,12 +36,12 @@ from repro.exec.specs import TrialSpec
 from repro.harness.runner import durable_row, run_trial
 from repro.obs import Recorder
 from repro.obs.recorder import set_events_dir
-from repro.simnet import RngRegistry, Simulator, TraceRecorder
+from repro.simnet import RngRegistry, Simulator
 from repro.simnet.engine import ENGINES, engine_default, select_tier
 
 #: Scenario -> the run feature it poses.  Each is crossed with every
 #: engine request.
-SCENARIOS = ("plain", "loss", "trace", "stop_when", "mixed",
+SCENARIOS = ("plain", "loss", "stop_when", "mixed",
              "strict_bandwidth", "adaptive", "pre_halted", "adjacency_free",
              "custom_metrics", "loose_bandwidth")
 
@@ -50,7 +50,6 @@ SCENARIOS = ("plain", "loss", "trace", "stop_when", "mixed",
 _BATCH_REASON = {
     "plain": None,
     "loss": None,  # the batch tier executes lossy runs natively
-    "trace": "trace recorder attached",
     "stop_when": "stop_when predicate inspects run state",
     "mixed": ("heterogeneous population "
               "(ExactCountKnownBound + ExactCount)"),
@@ -61,7 +60,7 @@ _BATCH_REASON = {
     "custom_metrics": "custom on_broadcast metrics override",
     "loose_bandwidth": None,  # overflows are counted on every tier
 }
-_REFERENCE_SCENARIOS = ("trace", "strict_bandwidth", "adjacency_free")
+_REFERENCE_SCENARIOS = ("strict_bandwidth", "adjacency_free")
 
 
 class _NeighborsOnly:
@@ -107,7 +106,6 @@ def _sim(scenario, engine, seed=7, recorder=None, profile=False):
         loss_rate=0.25 if scenario == "loss" else 0.0,
         strict_bandwidth=(scenario == "strict_bandwidth"),
         bandwidth_bits=_BANDWIDTH_BITS.get(scenario),
-        trace=TraceRecorder() if scenario == "trace" else None,
         engine=engine,
         profile=profile,
         recorder=recorder,

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro import RngRegistry, Simulator, TraceRecorder
+from repro import RngRegistry, Simulator
 from repro.errors import (
     BandwidthExceededError,
     ConfigurationError,
     IncorrectOutputError,
     NotTerminatedError,
 )
+from repro.obs import Recorder
 from repro.simnet.node import Algorithm, FunctionalNode
 from repro.dynamics import ExplicitSchedule, StaticAdversary, line_graph
 
@@ -222,11 +223,12 @@ class TestRunResult:
         assert result.metrics.broadcast_bits > 0
 
     def test_trace_integration(self):
-        trace = TraceRecorder()
+        rec = Recorder.in_memory()
         nodes = [EchoOnce(0), EchoOnce(1)]
-        Simulator(make_pair_schedule(), nodes, trace=trace).run(max_rounds=2)
-        kinds = {e.kind for e in trace.events}
-        assert {"round", "broadcast", "decide", "halt"} <= kinds
+        Simulator(make_pair_schedule(), nodes, recorder=rec).run(max_rounds=2)
+        assert {"round", "delivery", "decision"} <= {e.kind for e in rec.events}
+        actions = {e.action for e in rec.of_kind("decision")}
+        assert {"decide", "halt"} <= actions
 
 
 class TestDeterminism:

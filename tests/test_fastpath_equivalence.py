@@ -9,9 +9,8 @@ when the population provides one), the per-node fast path
 and the reference loops (:func:`repro.simnet.rounds.run_reference_round`;
 ``engine="reference"``).  All three must produce **byte-identical**
 results across topologies × algorithms × loss rates: same outputs, same
-round counts, same stop reason, same metric counters, and the same RNG
-consumption; traced runs select the reference loops under every engine
-name, so their event streams match too.  These tests are the contract
+round counts, same stop reason, same metric counters, the same RNG
+consumption, and the same recorded decision event streams.  These tests are the contract
 that lets every experiment run on the fastest available tier while the
 reference loops remain the executable specification.
 
@@ -40,7 +39,8 @@ from repro.core.exact_count import ExactCount
 from repro.exec.executor import ParallelExecutor
 from repro.exec.specs import TrialSpec
 from repro.harness.runner import phase_totals, reset_phase_totals, run_trial
-from repro.simnet import RngRegistry, Simulator, TraceRecorder
+from repro.obs import Recorder
+from repro.simnet import RngRegistry, Simulator
 from repro.simnet.engine import PHASES, set_profile_default
 
 
@@ -62,11 +62,11 @@ def _run_all(spec: TrialSpec, seed: int):
     return results
 
 
-def _sim(schedule_factory, seed, *, engine, loss_rate=0.0, trace=None):
+def _sim(schedule_factory, seed, *, engine, loss_rate=0.0, recorder=None):
     schedule = schedule_factory(seed)
     nodes = [ExactCount(i) for i in range(schedule.num_nodes)]
     return Simulator(schedule, nodes, rng=RngRegistry(seed),
-                     loss_rate=loss_rate, engine=engine, trace=trace)
+                     loss_rate=loss_rate, engine=engine, recorder=recorder)
 
 
 def _assert_run_results_equal(fast, ref):
@@ -186,21 +186,25 @@ def test_fast_matches_reference_under_loss(loss_rate, seed):
 
 
 @pytest.mark.parametrize("seed", [7])
-def test_trace_event_streams_identical(seed):
-    """Round/broadcast/decide/retract/halt events match, in order."""
+def test_decision_event_streams_identical(seed):
+    """Recorded decide/retract/halt events match, in order, across tiers."""
     def factory(s):
         return OverlapHandoffAdversary(16, 2, noise_edges=1, seed=s)
 
-    traces = {}
+    streams, tiers = {}, {}
     for engine in ENGINES:
-        trace = TraceRecorder()
-        sim = _sim(factory, seed, engine=engine, trace=trace)
+        rec = Recorder.in_memory()
+        sim = _sim(factory, seed, engine=engine, recorder=rec)
         sim.run(max_rounds=2000, until="quiescent", quiescence_window=16)
-        # Tracing observes phase boundaries: the reference tier runs it.
-        assert sim.tier_rounds["reference"] == sim.round_index
-        traces[engine] = list(trace.events)
-    assert traces["fast"] == traces["reference"]
-    assert traces["fast-nobatch"] == traces["reference"]
+        tiers[engine] = {t for t, k in sim.tier_rounds.items() if k}
+        streams[engine] = [(e.round, e.node_id, e.action, e.value)
+                           for e in rec.of_kind("decision")]
+    # Recording leaves tier selection alone: each engine ran its own tier.
+    assert tiers == {"fast": {"batch"}, "fast-nobatch": {"fast"},
+                     "reference": {"reference"}}
+    assert any(action == "decide" for _, _, action, _ in streams["reference"])
+    assert streams["fast"] == streams["reference"]
+    assert streams["fast-nobatch"] == streams["reference"]
 
 
 def test_minimal_schedule_falls_back_to_reference():

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: runner, experiments, io, cli."""
 
 import os
+import types
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.harness import (
     save_experiment,
 )
 from repro.harness.experiments import ExperimentResult, run_f1, run_f5, run_t1
+from repro.harness import cli
 from repro.harness.cli import main as cli_main
 
 
@@ -118,6 +120,21 @@ class TestCli:
     def test_unknown_experiment(self, capsys):
         assert cli_main(["zz"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    def test_t1_time_covers_its_run(self, monkeypatch, capsys):
+        # T1 runs before the timed loop (F1/F5 share its rows); the time
+        # printed for it must still be the time its run took.
+        clock = [100.0]
+
+        def fake_run_t1(quick, exec_opts):
+            clock[0] += 5.0
+            return ExperimentResult(exp_id="T1", title="stub")
+
+        monkeypatch.setattr(cli, "run_t1", fake_run_t1)
+        monkeypatch.setattr(cli, "time",
+                            types.SimpleNamespace(time=lambda: clock[0]))
+        assert cli_main(["t1"]) == 0
+        assert "[t1 finished in 5.0s]" in capsys.readouterr().out
 
     def test_quick_run_with_save(self, tmp_path, capsys):
         code = cli_main(["--quick", "f4", "--out", str(tmp_path)])

@@ -1,7 +1,6 @@
-"""Unit tests for metrics accounting and trace recording."""
+"""Unit tests for metrics accounting."""
 
 from repro.simnet.metrics import MetricsCollector
-from repro.simnet.trace import TraceEvent, TraceRecorder
 
 
 class TestMetricsCollector:
@@ -63,40 +62,3 @@ class TestMetricsCollector:
         m.on_decision(2, 1)
         assert m.decided_nodes() == (2, 5)
 
-
-class TestTraceRecorder:
-    def test_records_and_queries(self):
-        t = TraceRecorder()
-        t.record(TraceEvent(1, "round", None))
-        t.record(TraceEvent(1, "decide", 3, "v"))
-        t.note(2, "phase start", node_id=3)
-        assert len(t) == 3
-        assert t.of_kind("decide")[0].payload == "v"
-        assert len(t.for_node(3)) == 2
-        assert len(t.filter(lambda e: e.round_index == 1)) == 2
-
-    def test_broadcast_filter(self):
-        t = TraceRecorder(record_broadcasts=False)
-        t.record(TraceEvent(1, "broadcast", 0, "m"))
-        assert len(t) == 0
-
-    def test_max_events_truncates(self):
-        t = TraceRecorder(max_events=2)
-        for i in range(5):
-            t.record(TraceEvent(i, "note", None))
-        assert len(t) == 2
-        assert t.truncated
-
-    def test_decision_timeline_respects_retraction(self):
-        t = TraceRecorder()
-        t.record(TraceEvent(1, "decide", 1, "a"))
-        t.record(TraceEvent(2, "retract", 1))
-        t.record(TraceEvent(3, "decide", 1, "b"))
-        t.record(TraceEvent(2, "decide", 2, "c"))
-        assert t.decision_timeline() == ((2, 2, "c"), (3, 1, "b"))
-
-    def test_timeline_drops_never_redecided(self):
-        t = TraceRecorder()
-        t.record(TraceEvent(1, "decide", 1, "a"))
-        t.record(TraceEvent(2, "retract", 1))
-        assert t.decision_timeline() == ()

@@ -1,14 +1,14 @@
-"""Cross-product smoke matrix: every facade problem on every adversary.
+"""Cross-product smoke matrix: every abstract problem on every adversary.
 
 The broadest integration net in the suite: any regression in any layer
-(engine, schedule, aggregate, controller, facade) that breaks
-correctness on any adversary fails a specific, named cell.
+(engine, schedule, aggregate, controller) that breaks correctness on any
+adversary fails a specific, named cell.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import solve
+from repro.core import ExactCount, SublinearConsensus, SublinearMax
 from repro.dynamics import (
     AlternatingMatchingsAdversary,
     EdgeChurnAdversary,
@@ -20,6 +20,7 @@ from repro.dynamics import (
     random_tree_graph,
     ring_of_cliques,
 )
+from repro.simnet import RngRegistry, Simulator
 
 N = 20
 
@@ -39,33 +40,20 @@ def adversaries():
 
 VALUES = [(i * 13) % 47 for i in range(N)]
 
-
-def expected(problem):
-    if problem == "count":
-        return N
-    if problem == "max":
-        return max(VALUES)
-    if problem == "consensus":
-        return "p0"
-    if problem == "top_k":
-        return tuple(sorted(((VALUES[i], i) for i in range(N)),
-                            reverse=True)[:2])
-    if problem == "leader":
-        return 0
-    raise AssertionError(problem)
+#: Problem -> (node factory, the unanimous output every node must reach).
+PROBLEMS = {
+    "count": (lambda i: ExactCount(i), N),
+    "max": (lambda i: SublinearMax(i, VALUES[i]), max(VALUES)),
+    "consensus": (lambda i: SublinearConsensus(i, f"p{i}"), "p0"),
+}
 
 
 @pytest.mark.parametrize("adv_name", sorted(adversaries()))
-@pytest.mark.parametrize("problem",
-                         ["count", "max", "consensus", "top_k", "leader"])
+@pytest.mark.parametrize("problem", list(PROBLEMS))
 def test_problem_on_adversary(problem, adv_name):
     schedule = adversaries()[adv_name]
-    kwargs = {}
-    if problem in ("max", "top_k"):
-        kwargs["inputs"] = VALUES
-    elif problem == "consensus":
-        kwargs["inputs"] = [f"p{i}" for i in range(N)]
-    if problem == "top_k":
-        kwargs["k"] = 2
-    result = solve(problem, schedule, seed=3, **kwargs)
-    assert result.output == expected(problem), (problem, adv_name)
+    make_node, expected = PROBLEMS[problem]
+    nodes = [make_node(i) for i in range(N)]
+    result = Simulator(schedule, nodes, rng=RngRegistry(3)).run(
+        max_rounds=40 * N + 4000, until="quiescent", quiescence_window=64)
+    assert result.unanimous_output() == expected, (problem, adv_name)

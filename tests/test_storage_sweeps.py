@@ -1,51 +1,9 @@
-"""Tests for schedule serialization and the sweep utility."""
+"""Tests for the sweep utility."""
 
-import os
-
-import numpy as np
 import pytest
 
-from repro.errors import ScheduleError
-from repro.dynamics import (
-    FreshSpanningAdversary,
-    OverlapHandoffAdversary,
-    load_schedule,
-    save_schedule,
-    verify_t_interval_connectivity,
-)
 from repro.exec import TrialSpec
 from repro.harness import aggregate_rows, grid_points, sweep
-
-
-class TestScheduleStorage:
-    def test_roundtrip_bit_identical(self, tmp_path):
-        adv = OverlapHandoffAdversary(12, 3, noise_edges=2, seed=5)
-        path = save_schedule(adv, horizon=20, path=str(tmp_path / "s.npz"))
-        loaded = load_schedule(path)
-        assert loaded.num_nodes == 12
-        assert loaded.interval == 3
-        assert loaded.horizon == 20
-        for r in range(1, 21):
-            assert (loaded.edges(r) == adv.edges(r)).all(), r
-
-    def test_reloaded_schedule_reverifies(self, tmp_path):
-        adv = OverlapHandoffAdversary(10, 2, seed=1)
-        path = save_schedule(adv, horizon=16, path=str(tmp_path / "s.npz"))
-        ok, _ = verify_t_interval_connectivity(load_schedule(path), 2,
-                                               horizon=16)
-        assert ok
-
-    def test_not_a_schedule_file(self, tmp_path):
-        path = str(tmp_path / "junk.npz")
-        np.savez(path, x=np.arange(3))
-        with pytest.raises(ScheduleError, match="no meta"):
-            load_schedule(path)
-
-    def test_appends_npz_suffix(self, tmp_path):
-        adv = FreshSpanningAdversary(6, seed=1)
-        path = save_schedule(adv, horizon=3, path=str(tmp_path / "plain"))
-        assert path.endswith(".npz")
-        assert os.path.exists(path)
 
 
 class TestGridPoints:

@@ -5,7 +5,6 @@ import pytest
 from repro._validate import (
     require_choice,
     require_int_in_range,
-    require_node_ids,
     require_nonnegative_int,
     require_positive_float,
     require_positive_int,
@@ -100,21 +99,3 @@ class TestRequireChoice:
         with pytest.raises(ConfigurationError, match="'a', 'b'"):
             require_choice("c", "x", ("a", "b"))
 
-
-class TestRequireNodeIds:
-    def test_sorts_and_returns_tuple(self):
-        assert require_node_ids([3, 1, 2]) == (1, 2, 3)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            require_node_ids([])
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            require_node_ids([1, 1])
-
-    def test_rejects_negative_and_bool(self):
-        with pytest.raises(ConfigurationError):
-            require_node_ids([-1])
-        with pytest.raises(ConfigurationError):
-            require_node_ids([True, 2])
