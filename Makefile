@@ -39,10 +39,11 @@ bench-smoke:     ## CI gate: fast-path + batch-kernel speedups vs baselines
 	$(PY) benchmarks/bench_kernels.py --smoke
 
 # Short traced passes of the end-to-end benchmark: baseline_count (T1's
-# KLO and token baselines) and certified_sweep (many small cells, each
+# KLO and token baselines), core_count (T1's exact and approximate Count
+# on the batch tier) and certified_sweep (many small cells, each
 # schedule certified T-interval connected over T in {2, 4, 8}).  Fails
 # unless each run's last line, a JSON summary, reports "correct": true.
-E2E_SMOKE_WORKLOADS = baseline_count certified_sweep
+E2E_SMOKE_WORKLOADS = baseline_count core_count certified_sweep
 bench-e2e-smoke: ## CI gate: end-to-end runs are correct and certified
 	@for w in $(E2E_SMOKE_WORKLOADS); do \
 	    echo "[bench-e2e-smoke] $$w"; \

@@ -36,6 +36,8 @@ coordinates for the same accuracy) but uses ~5-bit coordinates instead of
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .._validate import require_positive_int, require_probability
@@ -90,14 +92,23 @@ def required_width(eps: float, delta: float, max_width: int = 1 << 20) -> int:
     """Smallest sketch width with ``P[|N̂/N - 1| > eps] <= delta``.
 
     Binary search over the exact failure probability (which is monotone
-    decreasing in the width for fixed ``eps``).
+    decreasing in the width for fixed ``eps``).  The search is pure, so
+    its result is memoised per ``(eps, delta, max_width)``: a population
+    of approximate-count nodes sharing one target solves it once.  The
+    argument checks run on every call, and a failed search raises again
+    (exceptions are not cached).
     """
     eps = float(eps)
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    require_probability(delta, "delta")
+    delta = require_probability(delta, "delta")
     if delta <= 0:
         raise ValueError("delta must be > 0")
+    return _solve_width(eps, delta, int(max_width))
+
+
+@functools.lru_cache(maxsize=None)
+def _solve_width(eps: float, delta: float, max_width: int) -> int:
     lo, hi = 2, 4
     while failure_probability(hi, eps) > delta:
         hi *= 2

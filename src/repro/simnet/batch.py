@@ -32,7 +32,8 @@ A kernel must be *bit-for-bit* equivalent to running the per-node
 ``compose``/``deliver`` fold: same per-round changed flags (quiescence),
 same decide/retract/halt events with the same values, the same payload
 bit costs (:func:`repro.simnet.message.bit_size` of the per-node
-encoding), and the same per-node RNG consumption.  The three-way golden
+encoding), and the same per-node RNG draws, leaving every stream where
+the per-node path does (see :class:`BatchContext`).  The three-way golden
 grid in ``tests/test_fastpath_equivalence.py`` and the fold-matching
 property tests in ``tests/test_batch_kernels.py`` enforce this.
 
@@ -66,8 +67,8 @@ exactly the semantics of a node with an empty inbox.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -243,9 +244,12 @@ class BatchContext:
 
     Mirrors :class:`~repro.simnet.node.RoundContext` at the population
     level: the 1-based ``round_index``, the per-node private generators
-    (``rngs[i]`` is node *i*'s stream — kernels must consume exactly the
-    draws the per-node path would, in ascending node order within a
-    round), and the run-level counter hook ``incr``.
+    (``rngs[i]`` is node *i*'s stream), and the run-level counter hook
+    ``incr``.  A kernel must draw the values the per-node path would,
+    and by the time :meth:`BatchKernel.finalize` returns every stream
+    must stand where the per-node path leaves it.  In between a stream
+    may run ahead (see :class:`_BoundedDraws`): no other party draws
+    from the node streams while a kernel is engaged.
     """
 
     __slots__ = ("round_index", "rngs", "incr")
@@ -902,6 +906,75 @@ _BYTE_ONES = _BYTE_BITS.sum(axis=1, dtype=np.int64)
 _BYTE_SELECT = np.argsort(~_BYTE_BITS, axis=1, kind="stable")
 
 
+#: Raw words :class:`_BoundedDraws` reads ahead per stream at a time.
+_DRAW_BLOCK = 256
+_WORD = np.uint64(1 << 32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class _BoundedDraws:
+    """Every node's ``rngs[i].integers(0, counts[i])`` in one shot.
+
+    For ``2 <= c <= 2**32``, ``Generator.integers(0, c)`` takes one
+    ``next_uint32`` word ``w`` per try and applies Lemire's rule: with
+    ``m = w * c``, it retries while ``m mod 2**32 < (2**32 - c) % c``
+    and returns ``m >> 32``; ``c == 1`` takes no word.  Each stream is
+    read ahead ``block`` words at a time through
+    ``integers(0, 2**32, size=block, dtype=np.uint32)``, which consumes
+    exactly those ``next_uint32`` words (PCG64's buffered half-word
+    included), so a round's draws are a few array operations over the
+    population.  :meth:`restore` rewinds each stream to its snapshot
+    from before its current block and replays the words actually used,
+    leaving it where the per-node calls would.  Until then the streams
+    run ahead, so nothing else may draw from them.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator],
+                 block: int = _DRAW_BLOCK) -> None:
+        n = len(rngs)
+        self._rngs = rngs
+        self._block = block
+        self._words = np.zeros((n, block), dtype=np.uint32)
+        self._used = np.full(n, block, dtype=np.int64)
+        self._snapshots: List[Optional[Mapping[str, Any]]] = [None] * n
+
+    def _refill(self, rows: np.ndarray) -> None:
+        for i in rows.tolist():
+            rng = self._rngs[i]
+            self._snapshots[i] = rng.bit_generator.state
+            self._words[i] = rng.integers(0, 1 << 32, size=self._block,
+                                          dtype=np.uint32)
+        self._used[rows] = 0
+
+    def draw(self, counts: np.ndarray) -> np.ndarray:
+        picks = np.zeros(len(counts), dtype=np.int64)
+        rows = np.nonzero(counts > 1)[0]
+        bound = counts[rows].astype(np.uint64)
+        threshold = (_WORD - bound) % bound
+        while rows.size:
+            empty = rows[self._used[rows] == self._block]
+            if empty.size:
+                self._refill(empty)
+            m = self._words[rows, self._used[rows]] * bound
+            self._used[rows] += 1
+            accept = (m & _LOW32) >= threshold
+            picks[rows[accept]] = m[accept] >> 32
+            retry = ~accept
+            rows, bound, threshold = (
+                rows[retry], bound[retry], threshold[retry])
+        return picks
+
+    def restore(self) -> None:
+        for i, state in enumerate(self._snapshots):
+            if state is not None:
+                rng = self._rngs[i]
+                rng.bit_generator.state = state
+                rng.integers(0, 1 << 32, size=int(self._used[i]),
+                             dtype=np.uint32)
+        self._snapshots = [None] * len(self._snapshots)
+        self._used[:] = self._block
+
+
 def _csr_receivers(csr: Any) -> np.ndarray:
     """Receiver index of every CSR entry."""
     indptr = csr.indptr
@@ -914,11 +987,12 @@ class TokenBatchKernel(BatchKernel):
     Row *i* of the boolean ``(n, n)`` membership matrix marks the tokens
     node *i* knows, columns in ascending token-id order — the order of
     the per-node sorted token list, so the ``idx``-th set bit of a row
-    is the token the per-node path picks.  Each round draws
-    ``rngs[i].integers(0, count_i)`` in ascending node order (the
-    per-node draw, call for call), selects the picked bits from the
-    byte-packed rows, scatters the picks through the CSR, and decides a
-    node once its count reaches its target.
+    is the token the per-node path picks.  Each round makes every
+    node's ``rngs[i].integers(0, count_i)`` draw at once, bit for bit
+    (:class:`_BoundedDraws`; ``finalize`` leaves each stream where the
+    per-node calls would), selects the picked bits from the byte-packed
+    rows, scatters the picks through the CSR, and decides a node once
+    its count reaches its target.
     """
 
     def __init__(self, algs: Sequence[Any], token_ids: List[int],
@@ -932,7 +1006,7 @@ class TokenBatchKernel(BatchKernel):
         self._rows = np.arange(self.n)
         self._bits = np.full(self.n, id_bits, dtype=np.int64)
         self._picks = np.zeros(self.n, dtype=np.int64)
-        self._draws: Optional[List[Callable[..., Any]]] = None
+        self._draws: Optional[_BoundedDraws] = None
         self.decided = np.array([a._decided for a in algs], dtype=bool)
         self.changed_last = np.array([a._state_changed for a in algs],
                                      dtype=bool)
@@ -960,10 +1034,8 @@ class TokenBatchKernel(BatchKernel):
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         if self._draws is None:
-            self._draws = [rng.integers for rng in ctx.rngs]
-        idx = np.array([draw(0, count) for draw, count
-                        in zip(self._draws, self._counts.tolist())],
-                       dtype=np.int64)
+            self._draws = _BoundedDraws(ctx.rngs)
+        idx = self._draws.draw(self._counts)
         # Select the idx-th set bit per row: find its byte by a running
         # popcount over the packed row, then its bit within the byte.
         packed = np.packbits(self._known, axis=1, bitorder="little")
@@ -991,6 +1063,8 @@ class TokenBatchKernel(BatchKernel):
         return bool(changed.any()), events
 
     def finalize(self, nodes: Sequence[Any]) -> None:
+        if self._draws is not None:
+            self._draws.restore()
         token_ids = self._token_ids
         changed = self.changed_last.tolist()
         for i, node in enumerate(nodes):
@@ -1446,9 +1520,9 @@ def run_batch_round(sim: Any) -> None:
     Equivalent to the fast tier's round observable-for-observable for
     eligible runs: identical metrics (broadcast sums are commutative and
     per-round; decision/counter dicts are order-insensitive), identical
-    per-node RNG consumption (kernels draw from each node's private
-    stream in ascending node order, and streams are independent across
-    nodes), identical shared loss-stream consumption (see
+    per-node draws and final stream positions (streams are independent
+    across nodes; see :class:`BatchContext`), identical shared
+    loss-stream consumption (see
     :func:`lossy_delivery_view`), and no strict-bandwidth observables
     (those runs select the reference tier).
     """

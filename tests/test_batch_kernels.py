@@ -40,6 +40,7 @@ from repro.simnet import RngRegistry, Simulator
 from repro.simnet.batch import (
     BatchContext,
     BatchQuiescence,
+    _BoundedDraws,
     build_batch_kernel,
     int_payload_bits,
     popcount64,
@@ -506,7 +507,8 @@ def test_baseline_kernels_resume_split_runs(factory, cut):
 
 def test_token_tiers_agree_after_direct_token_updates():
     """Tokens added straight to ``tokens`` (as adaptive adversaries and
-    tests do) are forwarded alike by the per-node and batch tiers."""
+    tests do) are forwarded alike by the per-node and batch tiers, which
+    leave every node's RNG stream in the same state."""
     from repro.dynamics import OverlapHandoffAdversary
 
     n = 9
@@ -519,9 +521,49 @@ def test_token_tiers_agree_after_direct_token_updates():
         sim = Simulator(OverlapHandoffAdversary(n, 2, noise_edges=1, seed=4),
                         nodes, rng=RngRegistry(4), engine=engine)
         result = sim.run(max_rounds=2000, until="decided")
-        return sim, result, [sorted(node.tokens) for node in nodes]
+        # Every node stream ends where the per-node draws leave it.
+        states = [rng.bit_generator.state for rng in sim._node_rngs]
+        return sim, result, [sorted(node.tokens) for node in nodes], states
 
     batch_sim, *batch = run("fast")
     assert batch_sim.tier_rounds["batch"] == batch[0].rounds
     for engine in ("fast-nobatch", "reference"):
         assert run(engine)[1:] == tuple(batch)
+
+
+#: Bounds with no rejections (1 takes no word at all, 2 and 2**32 are
+#: powers of two), about 50% rejections (2**31 + 1), and the edge of
+#: the 32-bit path (2**32 - 1), mixed with small odd and even counts.
+_DRAW_BOUNDS = st.sampled_from([1, 2, 3, 6, 7, 128, 2 ** 31 + 1,
+                                2 ** 32 - 1, 2 ** 32])
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=2 ** 32 - 1),
+                          st.integers(min_value=0, max_value=2)),
+                min_size=1, max_size=5),          # (seed, pre-drawn words)
+       st.integers(min_value=1, max_value=8),     # block size
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_bounded_draws_match_per_node_integers(streams, block, data):
+    """The token kernel's vectorised draws equal ``integers(0, c)``
+    called node by node, and ``restore`` leaves every stream exactly
+    where those calls do (including PCG64's buffered half-word)."""
+    def generators():
+        rngs = [np.random.default_rng(seed) for seed, _ in streams]
+        for rng, (_, pre) in zip(rngs, streams):
+            rng.integers(0, 1 << 32, size=pre, dtype=np.uint32)
+        return rngs
+
+    per_node, batched = generators(), generators()
+    draws = _BoundedDraws(batched, block=block)
+    n = len(streams)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        counts = data.draw(st.lists(_DRAW_BOUNDS, min_size=n, max_size=n))
+        expected = [int(rng.integers(0, c))
+                    for rng, c in zip(per_node, counts)]
+        got = draws.draw(np.array(counts, dtype=np.int64))
+        assert got.tolist() == expected
+    draws.restore()
+    for a, b in zip(per_node, batched):
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.integers(0, 2 ** 40) == b.integers(0, 2 ** 40)

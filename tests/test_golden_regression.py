@@ -55,6 +55,7 @@ class TestDeterministicGoldens:
         assert required_width(0.5, 0.1) == 10
         assert required_width(0.25, 0.1) == 43
         assert required_width(0.1, 0.05) == 385
+        assert required_width(0.25, 0.05) == 62  # T1 / core_count target
 
 
 class TestSeededRunGoldens:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import sketches
+from repro.core.approx_count import ApproxCount
 from repro.core.sketches import (
     ExponentialCountSketch,
     GeometricCountSketch,
@@ -107,6 +109,37 @@ class TestRequiredWidth:
     def test_property_guarantee(self, eps, delta):
         k = required_width(eps, delta)
         assert failure_probability(k, eps) <= delta
+
+    def test_population_solves_once(self, monkeypatch):
+        """256 nodes sharing one (eps, delta) target make one solve's
+        worth of exact failure-probability evaluations."""
+        calls = []
+        evaluate = sketches.failure_probability
+
+        def counted(width, eps):
+            calls.append(width)
+            return evaluate(width, eps)
+
+        monkeypatch.setattr(sketches, "failure_probability", counted)
+        sketches._solve_width.cache_clear()
+        required_width(0.25, 0.05)
+        one_solve = len(calls)
+        assert one_solve > 0
+        sketches._solve_width.cache_clear()
+        calls.clear()
+        nodes = [ApproxCount(i, eps=0.25, delta=0.05) for i in range(256)]
+        assert len(calls) == one_solve
+        assert {node.sketch.width for node in nodes} == {
+            required_width(0.25, 0.05)}
+
+    def test_bad_input_raises_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                required_width(0.25, 0.0)
+
+    def test_numpy_scalars_share_the_python_entry(self):
+        assert (required_width(np.float64(0.25), 0.05)
+                == required_width(0.25, 0.05))
 
 
 class TestExponentialSketchClass:
