@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast lint bench bench-quick bench-smoke bench-e2e-smoke experiments sweep-parallel report docs docs-check examples clean
+.PHONY: install test test-fast lint bench bench-quick bench-smoke bench-e2e-smoke bench-whole-run experiments sweep-parallel report docs docs-check examples clean
 
 install:
 	pip install -e .
@@ -54,6 +54,14 @@ bench-e2e-smoke: ## CI gate: end-to-end runs are correct and certified
 	        else 'bench-e2e-smoke: ' + sys.argv[1] + \
 	        ' did not report correct: true')" $$w || exit 1; \
 	done
+
+# Wall time of whole runs: $(RUNS) runs of `repro-experiments $(RUN)
+# --out TMP`; the median, spread and per-experiment seconds are merged
+# into results/BENCH_e2e.json.  E.g. `make bench-whole-run RUN=t1`.
+RUN ?= --all --quick
+RUNS ?= 3
+bench-whole-run:
+	$(PY) tools/time_runs.py $(RUN) --runs $(RUNS)
 
 experiments:     ## same data via the CLI
 	$(PY) -m repro.harness.cli --all --out results/

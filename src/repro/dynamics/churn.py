@@ -30,14 +30,10 @@ from .._validate import (
     require_positive_int,
     require_probability,
 )
+from .interval import _rng_for
 from .schedule import FunctionSchedule, canonical_edges
 
 __all__ = ["EdgeChurnAdversary", "RepairedMobilityAdversary"]
-
-
-def _rng_for(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
 class EdgeChurnAdversary(FunctionSchedule):

@@ -7,15 +7,18 @@ machine-checks prefixes of every adversary with
 :func:`~repro.dynamics.verifier.verify_t_interval_connectivity`.
 
 Determinism: the graph of round ``r`` is a pure function of
-``(constructor arguments, r)`` — per-round/per-window generators are
-derived from the seed via :class:`numpy.random.SeedSequence`, never from
-shared mutable stream state — so schedules can be replayed by the verifier
-without being stored.
+``(constructor arguments, r)`` — every round and window draws from its own
+:class:`numpy.random.SeedSequence` stream of the seed, never from shared
+mutable stream state — so schedules can be replayed by the verifier
+without being stored.  :class:`OverlapHandoffAdversary` derives the PCG64
+states of those same streams a span of keys at a time in array arithmetic
+(:func:`_seed_states`) and re-seeds one reused generator from them, which
+draws exactly what a fresh ``SeedSequence`` generator per round would.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +44,82 @@ def _rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     )
+
+
+# numpy.random.SeedSequence's hash and mix constants, and PCG64's LCG
+# multiplier (numpy/random/bit_generator.pyx, numpy/random/src/pcg64).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+#: Consecutive stream keys whose states :class:`OverlapHandoffAdversary`
+#: derives at once.
+_STATE_SPAN = 256
+
+
+def _seed_states(seed: int, k0: int, keys: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(k0, k)).generate_state(4,
+    np.uint64)`` for every ``k`` in *keys* (each below ``2**32``).
+
+    The assembled entropy is the seed's words zero-padded to the 4-word
+    pool, then ``k0``, then ``k``.  SeedSequence mixes words in order, so
+    ``SeedSequence(entropy=seed, spawn_key=(k0,))`` holds the pool every
+    key continues from; its hash constant has advanced once per hashmix,
+    four per entropy word.  The key word's four hashmix/mix steps and
+    ``generate_state`` then run over all keys at once in ``uint32``
+    arrays.  Returns one row of four ``uint64`` words per key; pass a
+    row's words to :func:`_pcg64_state`.
+    """
+    prefix = np.random.SeedSequence(entropy=seed, spawn_key=(k0,))
+    # The seed's words padded to the pool, then k0's one word.
+    prefix_words = max(4, -(-seed.bit_length() // 32)) + 1
+    c = np.array([_INIT_A * pow(_MULT_A, 4 * prefix_words + i, 1 << 32)
+                  & _MASK32 for i in range(5)], dtype=np.uint32)[:, None]
+    hashed = (np.asarray(keys, dtype=np.uint32) ^ c[:-1]) * c[1:]
+    hashed ^= hashed >> np.uint32(16)
+    mixed = (np.uint32(_MIX_MULT_L) * prefix.pool[:, None]
+             - np.uint32(_MIX_MULT_R) * hashed)
+    mixed ^= mixed >> np.uint32(16)
+    # generate_state: eight words cycling over the pool.
+    c = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32
+                  for i in range(9)], dtype=np.uint32)[:, None]
+    out = (mixed[[0, 1, 2, 3, 0, 1, 2, 3]] ^ c[:-1]) * c[1:]
+    out = (out ^ (out >> np.uint32(16))).astype(np.uint64)
+    return (out[0::2] | (out[1::2] << np.uint64(32))).T
+
+
+def _pcg64_state(words: Sequence[int]) -> dict:
+    """The ``bit_generator.state`` of ``PCG64`` seeded with the four
+    ``uint64`` *words* of :func:`_seed_states` (PCG64's ``srandom``)."""
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = ((inc + (words[0] << 64 | words[1])) * _PCG64_MULT + inc
+             ) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _raw_words(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit words PCG64 serves from ``random_raw`` output, low half
+    of each 64-bit output first, along the last axis."""
+    return raw.astype("<u8", copy=False).view("<u4")
+
+
+def _lemire(words: np.ndarray, bound: object) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(0, bound)`` from one 32-bit word per value.
+
+    NumPy's Lemire rule: ``m = word * bound``, the value is ``m >> 32``,
+    and the word is rejected (and another drawn) while
+    ``m & 0xFFFFFFFF < (2**32 - bound) % bound``.  Returns the values and,
+    per row of *words*, whether any word of the row would be rejected:
+    such a row's values, and every later draw from its stream, differ
+    from NumPy's, so callers redraw it.  Bounds below ``2**31`` keep
+    ``m`` within ``int64``.
+    """
+    m = words.astype(np.int64) * bound
+    threshold = ((1 << 32) - bound) % bound
+    return m >> 32, ((m & _MASK32) < threshold).any(axis=-1)
 
 
 def random_noise_edges(n: int, count: int,
@@ -156,30 +235,34 @@ class OverlapHandoffAdversary(FunctionSchedule):
     subgraph: the promise is *exactly* T, which is what the paper's
     "constant T" experiments need.
 
+    Each backbone is a uniform random recursive tree with a random node
+    relabelling (so the tree's *shape and placement* both vary), drawn
+    from the ``(seed, 0, w)`` stream as :func:`_relabeled_random_tree`
+    draws it; round ``r``'s churn comes from the ``(seed, 1, r)`` stream
+    as :func:`random_noise_edges` draws it.
+
     Parameters
     ----------
     num_nodes, T:
         Model parameters; ``T >= 1``.  For ``T = 1`` there is no overlap
         and every round is an independent random backbone.
-    backbone_builder:
-        ``builder(n, rng) -> edges`` producing a connected spanning edge
-        set; defaults to a uniform random recursive tree with a random
-        node relabelling (so the tree's *shape and placement* both vary).
     noise_edges:
         Per-round uniform random extra edges.
     seed:
         Determinism root.
     """
 
-    def __init__(self, num_nodes: int, T: int,
-                 backbone_builder: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None,
-                 noise_edges: int = 0, seed: int = 0) -> None:
+    def __init__(self, num_nodes: int, T: int, noise_edges: int = 0,
+                 seed: int = 0) -> None:
         self.T = require_positive_int(T, "T")
         self.noise_edges = require_nonnegative_int(noise_edges, "noise_edges")
         self.seed = require_nonnegative_int(seed, "seed")
-        self._builder = backbone_builder or _relabeled_random_tree
         # (window, handoff) -> sorted packed keys of B_w (∪ B_{w+1})
         self._keys_cache: dict[tuple[int, bool], np.ndarray] = {}
+        # One generator, re-seeded at the start of each stream it draws,
+        # from stream states derived _STATE_SPAN keys at a time.
+        self._rng = np.random.Generator(np.random.PCG64(0))
+        self._state_spans: dict[tuple[int, int], np.ndarray] = {}
 
         def fn(r: int) -> np.ndarray:
             if self.noise_edges:
@@ -211,6 +294,83 @@ class OverlapHandoffAdversary(FunctionSchedule):
             return self._block(round_index).csr(round_index)
         return super()._build_adjacency(round_index, edge_arr)
 
+    def _stream(self, k0: int, k: int) -> np.random.Generator:
+        """A generator at the start of the ``(seed, k0, k)`` stream.
+
+        Draws what ``_rng_for(seed, k0, k)`` draws, from the one reused
+        generator; its state comes from a cached span of
+        :func:`_seed_states`.
+        """
+        if k > _MASK32:
+            return _rng_for(self.seed, k0, k)
+        span_key = (k0, k // _STATE_SPAN)
+        span = self._state_spans.get(span_key)
+        if span is None:
+            first = k - k % _STATE_SPAN
+            span = _seed_states(self.seed, k0,
+                                np.arange(first, first + _STATE_SPAN))
+            if len(self._state_spans) >= 4:
+                self._state_spans.pop(next(iter(self._state_spans)))
+            self._state_spans[span_key] = span
+        self._rng.bit_generator.state = _pcg64_state(
+            span[k % _STATE_SPAN].tolist())
+        return self._rng
+
+    def _backbone_keys(self, first: int, stop: int) -> np.ndarray:
+        """Packed keys of backbones ``B_first .. B_{stop-1}``, one
+        (unsorted) row per window.
+
+        Each window's stream serves ``_relabeled_random_tree``'s draws:
+        one word per parent of children ``2 .. n-1`` (child 1's bound of 1
+        takes no word), then the relabelling permutation.  The parents
+        are bounded from the words for every window at once; a window
+        whose words NumPy would reject is redrawn by the reference.
+        """
+        n = self.num_nodes
+        if n == 1:
+            return np.empty((stop - first, 0), dtype=np.int64)
+        # With an odd word count, integers() leaves the last output's
+        # high half buffered for the permutation, as the reference does.
+        draws = np.empty((stop - first, n - 2 if n % 2 else n // 2 - 1),
+                         dtype=np.uint32 if n % 2 else np.uint64)
+        perm = np.empty((stop - first, n), dtype=np.int64)
+        for i, w in enumerate(range(first, stop)):
+            rng = self._stream(0, w)
+            draws[i] = (rng.integers(0, 1 << 32, size=n - 2, dtype=np.uint32)
+                        if n % 2 else rng.bit_generator.random_raw(n // 2 - 1))
+            perm[i] = rng.permutation(n)
+        parents = np.zeros((stop - first, n - 1), dtype=np.int64)
+        parents[:, 1:], rejected = _lemire(
+            draws if n % 2 else _raw_words(draws), np.arange(2, n))
+        a = np.take_along_axis(perm, parents, 1)
+        b = perm[:, 1:]
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        for i in np.flatnonzero(rejected):
+            keys[i] = _canonical_keys(_relabeled_random_tree(
+                n, _rng_for(self.seed, 0, first + int(i))), n)
+        return keys
+
+    def _churn_keys(self, start: int, length: int) -> np.ndarray:
+        """Packed churn keys of rounds ``start .. start+length-1``, one row
+        per round.
+
+        Each round's stream serves :func:`_noise_draws`' words: ``c`` for
+        ``u`` and then ``c`` for ``v``.  Both are bounded for every round
+        at once; a round whose words NumPy would reject is redrawn by the
+        reference.
+        """
+        n, c = self.num_nodes, self.noise_edges
+        words = _raw_words(np.stack([
+            self._stream(1, r).bit_generator.random_raw(c)
+            for r in range(start, start + length)]))
+        u, u_rejected = _lemire(words[:, :c], n)
+        v, v_rejected = _lemire(words[:, c:], n - 1)
+        for i in np.flatnonzero(u_rejected | v_rejected):
+            u[i], v[i] = _noise_draws(
+                n, c, _rng_for(self.seed, 1, start + int(i)))
+        v = _skip_self(u, v)
+        return np.minimum(u, v) * n + np.maximum(u, v)
+
     def _base_keys(self, window: int, handoff: bool) -> np.ndarray:
         """Sorted packed keys (``u * n + v``) of ``B_w``, or of
         ``B_w ∪ B_{w+1}`` for a handoff round; memoized per window."""
@@ -221,9 +381,7 @@ class OverlapHandoffAdversary(FunctionSchedule):
                     self._base_keys(window, False),
                     self._base_keys(window + 1, False)]))
             else:
-                n = self.num_nodes
-                cached = _canonical_keys(
-                    self._builder(n, _rng_for(self.seed, 0, window)), n)
+                cached = np.sort(self._backbone_keys(window, window + 1)[0])
             if len(self._keys_cache) >= 16:
                 self._keys_cache.pop(next(iter(self._keys_cache)))
             self._keys_cache[(window, handoff)] = cached
@@ -247,31 +405,25 @@ class OverlapHandoffAdversary(FunctionSchedule):
     def _generate_block(self, start: int, length: int) -> "_RoundBlock":
         """Rounds ``start .. start+length-1`` with churn, in one pass.
 
-        Every round draws its churn from its own ``(seed, 1, r)`` stream
-        exactly as :func:`random_noise_edges` would; one sort over
-        ``round * n² + key`` then dedupes and orders all rounds' edges.
+        The block's backbones and churn are drawn as arrays; one sort
+        over ``round * n² + key`` then dedupes and orders every round's
+        backbone, handoff backbone and churn edges at once.
         """
         n = self.num_nodes
-        nn = np.int64(n) * n
-        bases, us, vs = [], [], []
-        for r in range(start, start + length):
-            w, pos_in_window = divmod(r - 1, self.T)
-            bases.append(self._base_keys(w, pos_in_window > 0))
-            if n > 1:
-                u, v = _noise_draws(n, self.noise_edges,
-                                    _rng_for(self.seed, 1, r))
-                us.append(u)
-                vs.append(v)
-        rounds = np.arange(length, dtype=np.int64) * nn
-        packed = [np.concatenate(bases)
-                  + np.repeat(rounds, [len(b) for b in bases])]
-        if us:
-            u = np.concatenate(us)
-            v = _skip_self(u, np.concatenate(vs))
-            packed.append(np.minimum(u, v) * n + np.maximum(u, v)
-                          + np.repeat(rounds, self.noise_edges))
-        return _RoundBlock(start, length, n,
-                           _sorted_unique(np.concatenate(packed)))
+        offset = np.arange(length, dtype=np.int64) * (np.int64(n) * n)
+        window, pos_in_window = np.divmod(
+            np.arange(start - 1, start - 1 + length), self.T)
+        handoff = pos_in_window > 0
+        first = int(window[0])
+        backbones = self._backbone_keys(
+            first, int(window[-1] + handoff[-1]) + 1)
+        packed = [backbones[window - first] + offset[:, None],
+                  backbones[window[handoff] + 1 - first]
+                  + offset[handoff, None]]
+        if n > 1:
+            packed.append(self._churn_keys(start, length) + offset[:, None])
+        return _RoundBlock(start, length, n, _sorted_unique(
+            np.concatenate([p.ravel() for p in packed])))
 
 
 class _RoundBlock:
@@ -328,9 +480,10 @@ def _relabeled_random_tree(n: int, rng: np.random.Generator) -> np.ndarray:
 
     Draws the identical RNG stream as ``random_tree_graph`` followed by
     a permutation, but skips the tree's internal canonicalisation — the
-    relabelling scrambles the ordering anyway, and the caller
-    (:meth:`OverlapHandoffAdversary._base_keys`) canonicalises the
-    result, so the produced edge set is unchanged.
+    relabelling scrambles the ordering anyway, and callers canonicalise
+    the result, so the produced edge set is unchanged.  It is the
+    reference :meth:`OverlapHandoffAdversary._backbone_keys` computes
+    block-wide, and redraws a window with when a word is rejected.
     """
     if n == 1:
         return random_tree_graph(n, rng)

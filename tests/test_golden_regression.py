@@ -27,8 +27,9 @@ from repro.dynamics import (
     random_noise_edges,
     ring_of_cliques,
 )
-from repro.dynamics.interval import _relabeled_random_tree, _rng_for
-from repro.errors import ScheduleError
+from repro.dynamics import interval
+from repro.dynamics.interval import (_pcg64_state, _relabeled_random_tree,
+                                     _rng_for, _seed_states)
 from repro.exec import canonical_json
 from repro.harness import run_experiment
 
@@ -346,7 +347,7 @@ _ACCESS_RUNS = st.lists(
 
 class TestBlockGeneratorAccessOrder:
     @settings(max_examples=40, deadline=None)
-    @given(n=st.sampled_from([1, 2, 5, 16, 40, 300]),
+    @given(n=st.sampled_from([1, 2, 3, 5, 16, 40, 300]),
            T=st.integers(1, 4), noise=st.sampled_from([0, 1, 3]),
            seed=st.integers(0, 2 ** 16), runs=_ACCESS_RUNS)
     def test_any_access_order_matches_per_round_generation(
@@ -376,17 +377,96 @@ class TestBlockGeneratorAccessOrder:
                     assert np.array_equal(arr, fwd)
         assert schedule.adjacency_stats == oracle.adjacency_stats
 
-    @pytest.mark.parametrize("noise", [0, 2])
-    def test_self_loop_backbone_rejected(self, noise):
-        def builder(n, rng):
-            return np.array([[0, 1], [2, 2]])
 
-        schedule = OverlapHandoffAdversary(
-            4, 2, backbone_builder=builder, noise_edges=noise, seed=1)
-        with pytest.raises(ScheduleError, match="self-loops"):
-            schedule.edges(1)
-        with pytest.raises(ScheduleError, match="self-loops"):
-            schedule.adjacency(3)
+class TestBlockWideStreams:
+    """The block generator derives each round's and window's stream state
+    in array arithmetic and bounds its draws block-wide; NumPy's own
+    ``SeedSequence``/``PCG64``/``integers`` are the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
+                                 2 ** 130 + 7]),
+           k0=st.sampled_from([0, 1]),
+           keys=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                         max_size=4))
+    def test_states_match_seed_sequence(self, seed, k0, keys):
+        schedule = OverlapHandoffAdversary(4, 2, seed=seed)
+        for k, words in zip(keys, _seed_states(seed, k0, keys)):
+            reference = np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(k0, k)))
+            assert _pcg64_state(words.tolist()) == reference.state
+            assert np.array_equal(
+                schedule._stream(k0, k).integers(0, 2 ** 40, size=3),
+                np.random.Generator(reference).integers(0, 2 ** 40, size=3))
+
+    @pytest.mark.parametrize("bound", [3, 300, 2 ** 30 + 1])
+    def test_lemire_matches_integers_on_unflagged_rows(self, bound):
+        """``_lemire`` bounds words as ``Generator.integers`` does and flags
+        every row where NumPy rejects a word; at ``2**30 + 1`` about a
+        quarter of all words are rejected."""
+        words, expected = [], []
+        for row in range(200):
+            words.append(np.random.default_rng([9, row]).integers(
+                0, 2 ** 32, size=4, dtype=np.uint32))
+            expected.append(
+                np.random.default_rng([9, row]).integers(0, bound, size=4))
+        values, rejected = interval._lemire(np.array(words), bound)
+        assert (~rejected).any()
+        assert rejected.any() == (bound > 300)
+        for row in np.flatnonzero(~rejected):
+            assert np.array_equal(values[row], expected[row])
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_rounds_past_single_word_keys(self, T):
+        """Keys of ``2**32`` and up take two entropy words; those streams
+        come from ``SeedSequence`` itself."""
+        schedule = OverlapHandoffAdversary(16, T, noise_edges=2, seed=3)
+        oracle = _per_round_handoff(16, T, 2, 3)
+        for r in range(2 ** 32 - 3, 2 ** 32 + 4):
+            assert np.array_equal(schedule.edges(r), oracle.edges(r))
+
+    @pytest.mark.parametrize("T", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 16, 300])
+    def test_rejected_draws_redraw_by_reference(self, n, T, monkeypatch):
+        """Rows whose words NumPy would reject are redrawn by the
+        reference functions; forcing every churn row and every window
+        down that path, with its block-wide values zeroed so that only
+        the redraw can restore them, changes no array and no cache
+        statistic."""
+        horizon = 40
+        for noise in (0, max(1, n // 8)):
+            unforced = _served(
+                OverlapHandoffAdversary(n, T, noise_edges=noise, seed=5),
+                horizon)
+            oracle = _served(_per_round_handoff(n, T, noise, 5), horizon)
+            lemire = interval._lemire
+            redraws = []
+
+            def always_rejected(words, bound):
+                values, rejected = lemire(words, bound)
+                redraws.append(len(rejected))
+                return np.zeros_like(values), np.ones_like(rejected)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(interval, "_lemire", always_rejected)
+                forced = _served(
+                    OverlapHandoffAdversary(n, T, noise_edges=noise, seed=5),
+                    horizon)
+            assert sum(redraws) > 0
+            for got, want in ((forced, unforced), (forced, oracle)):
+                assert got[1] == want[1]
+                for a, b in zip(got[0], want[0]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _served(schedule, horizon):
+    """Every array *schedule* serves over rounds ``1 .. horizon``, and its
+    cache statistics."""
+    arrays = []
+    for r in range(1, horizon + 1):
+        adjacency = schedule.adjacency(r)
+        arrays += [schedule.edges(r), adjacency.indptr, adjacency.indices]
+    return arrays, dict(schedule.adjacency_stats)
 
 
 class TestMigratedExperimentGoldens:

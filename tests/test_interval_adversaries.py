@@ -83,14 +83,6 @@ class TestOverlapHandoff:
         for r in [1, 4, 5, 17]:
             assert (a.edges(r) == b.edges(r)).all()
 
-    def test_custom_backbone_builder(self):
-        def builder(n, rng):
-            return line_graph(n)
-
-        adv = OverlapHandoffAdversary(10, 2, backbone_builder=builder)
-        edges = {tuple(e) for e in adv.edges(1)}
-        assert all(tuple(e) in edges for e in line_graph(10))
-
 
 class TestFreshSpanning:
     def test_every_round_connected(self):
