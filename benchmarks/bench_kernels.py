@@ -12,11 +12,15 @@ Doubles as the second CI smoke gate::
 
     python benchmarks/bench_kernels.py --smoke
 
-which gates three things against the committed
+which gates four things against the committed
 ``results/bench_kernels_baseline.json``:
 
 * per-N kernel/fast speedup ratios must stay within 25% of baseline
   (ratios, not absolute timings — machine-portable);
+* so must the kernel/fast ratio of KLO's
+  :class:`~repro.baselines.klo.KCommitteeCount` at N=32 on T1's T=2
+  noisy handoff schedule (``klo`` row; the first 600 rounds, guesses
+  k = 1 … 16);
 * the kernel tier must clear an **absolute 3x** over the per-node fast
   path at N=1024 (the tentpole acceptance bar);
 * under per-edge Bernoulli loss (``loss_rate=0.2``) the kernel tier
@@ -39,6 +43,7 @@ except ModuleNotFoundError:  # source checkout without `pip install -e .`
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro import RngRegistry, Simulator
+from repro.baselines.klo import KCommitteeCount
 from repro.core.max_compute import SublinearMax
 from repro.dynamics import OverlapHandoffAdversary
 
@@ -59,19 +64,33 @@ FULL_ROUNDS = {256: 600, 1024: 200, 4096: 60}
 SMOKE_ROUNDS = {256: 240, 1024: 80, 4096: 24}
 
 
+def _sublinear_max_cell(n: int):
+    """The SublinearMax population on the T=4 noise-free handoff."""
+    return (OverlapHandoffAdversary(n, 4, noise_edges=0, seed=0),
+            [SublinearMax(i, value=(i * 9176 + 37) % 100003)
+             for i in range(n)])
+
+
+def _klo_cell(n: int):
+    """KLO on T1's schedule: T=2 handoff with n // 8 noise edges."""
+    return (OverlapHandoffAdversary(n, 2, noise_edges=max(1, n // 8),
+                                    seed=0),
+            [KCommitteeCount(i) for i in range(n)])
+
+
 def _measure_rounds_per_sec(engine: str, n: int, rounds: int,
-                            reps: int = 2, loss_rate: float = 0.0) -> float:
+                            reps: int = 2, loss_rate: float = 0.0,
+                            cell=_sublinear_max_cell) -> float:
     """Best-of-*reps* rounds/sec of *engine* through ``Simulator.run``.
 
-    ``run()`` (not bare ``step()``) so the batch tier activates; the
-    SublinearMax population stabilises but never halts, so
+    ``run()`` (not bare ``step()``) so the batch tier activates; neither
+    population halts within the timed rounds (SublinearMax stabilises
+    but never halts, KLO at N=32 halts after 4,204), so
     ``until="halted"`` executes exactly *rounds* rounds per rep.
     """
     best = 0.0
     for _ in range(reps):
-        sched = OverlapHandoffAdversary(n, 4, noise_edges=0, seed=0)
-        nodes = [SublinearMax(i, value=(i * 9176 + 37) % 100003)
-                 for i in range(n)]
+        sched, nodes = cell(n)
         sim = Simulator(sched, nodes, rng=RngRegistry(0), engine=engine,
                         loss_rate=loss_rate)
         start = perf_counter()
@@ -135,30 +154,52 @@ def lossy_comparison(n=LOSSY_N, rounds=None):
     }
 
 
-def _dump(rows, path, mode, lossy=None):
+#: The KLO gate row: N, rounds timed and best-of reps.
+KLO_N = 32
+KLO_ROUNDS = 600
+KLO_REPS = 5
+
+
+def klo_comparison(n=KLO_N, rounds=KLO_ROUNDS):
+    """Kernel-vs-fast rounds/sec of KLO k-committee counting at *n*."""
+    rates = {label: _measure_rounds_per_sec(engine, n, rounds,
+                                            reps=KLO_REPS, cell=_klo_cell)
+             for label, engine in TIERS if label != "reference"}
+    return {
+        "n": n,
+        "nodes": "klo_count",
+        "schedule": "lowdiam_handoff_T2",
+        "rounds_timed": rounds,
+        "kernel_rounds_per_sec": round(rates["kernel"], 1),
+        "fast_rounds_per_sec": round(rates["fast"], 1),
+        "kernel_speedup": round(rates["kernel"] / rates["fast"], 3),
+    }
+
+
+def _dump(rows, path, mode, lossy, klo):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     payload = {"bench": "batch_kernels", "mode": mode,
                "nodes": "sublinear_max", "schedule": "overlap_handoff_T4",
-               "rows": rows}
-    if lossy is not None:
-        payload["lossy"] = lossy
+               "rows": rows, "lossy": lossy, "klo": klo}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def _print_rows(rows, lossy=None):
+def _print_rows(rows, lossy, klo):
     for row in rows:
         print(f"  N={row['n']}: kernel {row['kernel_rounds_per_sec']:.0f} "
               f"r/s, fast {row['fast_rounds_per_sec']:.0f} r/s, reference "
               f"{row['reference_rounds_per_sec']:.0f} r/s "
               f"(kernel/fast {row['kernel_speedup']:.2f}x, "
               f"fast/reference {row['fast_speedup']:.2f}x)")
-    if lossy is not None:
-        print(f"  N={lossy['n']} loss={lossy['loss_rate']}: kernel "
-              f"{lossy['kernel_rounds_per_sec']:.0f} r/s, fast "
-              f"{lossy['fast_rounds_per_sec']:.0f} r/s "
-              f"(kernel/fast {lossy['kernel_speedup']:.2f}x)")
+    print(f"  N={lossy['n']} loss={lossy['loss_rate']}: kernel "
+          f"{lossy['kernel_rounds_per_sec']:.0f} r/s, fast "
+          f"{lossy['fast_rounds_per_sec']:.0f} r/s "
+          f"(kernel/fast {lossy['kernel_speedup']:.2f}x)")
+    print(f"  KLO N={klo['n']}: kernel {klo['kernel_rounds_per_sec']:.0f} "
+          f"r/s, fast {klo['fast_rounds_per_sec']:.0f} r/s "
+          f"(kernel/fast {klo['kernel_speedup']:.2f}x)")
 
 
 #: Acceptance bar: kernel tier over per-node fast path at this N.
@@ -174,20 +215,21 @@ def run_smoke(baseline_path=None, out_path=None,
               max_regression: float = 0.25) -> int:
     """Smoke-sized measurement, persisted and gated against the baseline.
 
-    Exit code 0 when (a) every N's kernel/fast ratio is within
-    *max_regression* of the committed baseline's, (b) the absolute
-    kernel/fast speedup at N=1024 clears the 3x acceptance bar, and
-    (c) the lossy kernel/fast ratio at N=1024 stays above 1.0 — the
-    loss-masked kernels must beat the per-node fast path outright.
+    Exit code 0 when (a) every N's kernel/fast ratio, and the KLO
+    row's, is within *max_regression* of the committed baseline's, (b)
+    the absolute kernel/fast speedup at N=1024 clears the 3x acceptance
+    bar, and (c) the lossy kernel/fast ratio at N=1024 stays above 1.0
+    — the loss-masked kernels must beat the per-node fast path outright.
     """
     baseline_path = baseline_path or os.path.join(
         RESULTS_DIR, "bench_kernels_baseline.json")
     out_path = out_path or os.path.join(RESULTS_DIR, "BENCH_kernels.json")
     rows = kernel_comparison(rounds_by_n=SMOKE_ROUNDS)
     lossy = lossy_comparison()
-    _dump(rows, out_path, mode="smoke", lossy=lossy)
+    klo = klo_comparison()
+    _dump(rows, out_path, "smoke", lossy, klo)
     print(f"[bench-kernels] -> {out_path}")
-    _print_rows(rows, lossy=lossy)
+    _print_rows(rows, lossy, klo)
     failed = False
     bar_row = next(r for r in rows if r["n"] == ABSOLUTE_BAR_N)
     if bar_row["kernel_speedup"] < ABSOLUTE_BAR:
@@ -202,14 +244,17 @@ def run_smoke(baseline_path=None, out_path=None,
         failed = True
     if os.path.exists(baseline_path):
         with open(baseline_path) as fh:
-            baseline = {row["n"]: row for row in json.load(fh)["rows"]}
-        for row in rows:
-            base = baseline.get(row["n"])
+            committed = json.load(fh)
+        baseline = {row["n"]: row for row in committed["rows"]}
+        gated = [(f"N={row['n']}", row, baseline.get(row["n"]))
+                 for row in rows]
+        gated.append((f"KLO N={klo['n']}", klo, committed.get("klo")))
+        for label, row, base in gated:
             if base is None:
                 continue
             floor = (1.0 - max_regression) * base["kernel_speedup"]
             ok = row["kernel_speedup"] >= floor
-            print(f"  N={row['n']}: kernel/fast {row['kernel_speedup']:.2f}x "
+            print(f"  {label}: kernel/fast {row['kernel_speedup']:.2f}x "
                   f"vs baseline {base['kernel_speedup']:.2f}x "
                   f"(floor {floor:.2f}x) -> {'ok' if ok else 'REGRESSED'}")
             failed = failed or not ok
@@ -233,19 +278,21 @@ def main(argv=None) -> int:
     if args.write_baseline:
         rows = kernel_comparison(rounds_by_n=SMOKE_ROUNDS)
         lossy = lossy_comparison()
+        klo = klo_comparison()
         baseline_path = os.path.join(RESULTS_DIR,
                                      "bench_kernels_baseline.json")
-        _dump(rows, baseline_path, mode="smoke", lossy=lossy)
+        _dump(rows, baseline_path, "smoke", lossy, klo)
         print(f"[bench-kernels] baseline -> {baseline_path}")
-        _print_rows(rows, lossy=lossy)
+        _print_rows(rows, lossy, klo)
         return 0
     if args.smoke:
         return run_smoke()
     rows = kernel_comparison()
     lossy = lossy_comparison(rounds=FULL_ROUNDS[LOSSY_N])
-    _dump(rows, os.path.join(RESULTS_DIR, "BENCH_kernels.json"),
-          mode="full", lossy=lossy)
-    _print_rows(rows, lossy=lossy)
+    klo = klo_comparison()
+    _dump(rows, os.path.join(RESULTS_DIR, "BENCH_kernels.json"), "full",
+          lossy, klo)
+    _print_rows(rows, lossy, klo)
     return 0
 
 

@@ -104,7 +104,8 @@ class CSRAdjacency:
     def degrees(self) -> np.ndarray:
         """Degree of every node, as an int64 array (memoized)."""
         if self._degrees is None:
-            self._degrees = np.diff(self.indptr)
+            indptr = self.indptr
+            self._degrees = indptr[1:] - indptr[:-1]
         return self._degrees
 
     def degree_list(self) -> List[int]:

@@ -61,7 +61,9 @@ returns ``data[start]`` for them), so :func:`segment_reduce` passes only
 the *non-empty* starts: consecutive non-empty starts span the empty
 segments between them correctly, and the results scatter back through
 the non-empty mask while empty segments keep the receiver's own state —
-exactly the semantics of a node with an empty inbox.
+exactly the semantics of a node with an empty inbox.  When every inbox
+is non-empty, as on any connected round, the reduction folds straight
+into the receivers' rows.
 """
 
 from __future__ import annotations
@@ -128,19 +130,25 @@ else:  # pragma: no cover - exercised only on numpy < 2
         return _POP8[flat].reshape(x.shape + (8,)).sum(axis=-1)
 
 
+#: ``2**0 … 2**63`` as unsigned words: the bit length of ``x >= 0`` is the
+#: number of entries ``<= x``.
+_POWERS_OF_TWO = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
 def int_payload_bits(values: np.ndarray) -> np.ndarray:
     """Vectorised :func:`~repro.simnet.message.bit_size` for int payloads.
 
     ``bit_size(int)`` is ``max(1, v.bit_length()) + 1``; Python's
     ``bit_length`` of a negative int is that of its absolute value.  The
-    bit length is computed *exactly* via an OR-smear + popcount on the
-    uint64 view — float tricks (``frexp``/``log2``) are inexact near the
-    2**53 mantissa boundary and would silently mis-cost large payloads.
+    bit length is one ``searchsorted`` of the magnitudes' ``uint64`` view
+    in the powers of two, integer comparisons only, so it is exact over
+    all of ``int64`` (``np.abs(-2**63)`` wraps to ``-2**63``, whose view
+    is ``2**63``).  Float tricks (``frexp``/``log2``) are inexact near
+    the 2**53 mantissa boundary and would silently mis-cost large
+    payloads.
     """
-    x = np.abs(values.astype(np.int64, copy=True)).astype(np.uint64)
-    for shift in (1, 2, 4, 8, 16, 32):
-        x |= x >> np.uint64(shift)
-    lengths = popcount64(x)
+    magnitudes = np.abs(values.astype(np.int64, copy=False)).view(np.uint64)
+    lengths = np.searchsorted(_POWERS_OF_TWO, magnitudes, side="right")
     return np.maximum(lengths, 1) + 1
 
 
@@ -157,6 +165,9 @@ def segment_reduce(ufunc: np.ufunc, data: np.ndarray, indptr: np.ndarray,
     """
     starts = indptr[:-1]
     nonempty = indptr[1:] > starts
+    if nonempty.all():  # every inbox heard something (a connected round)
+        ufunc(out, ufunc.reduceat(data, starts, axis=0), out=out)
+        return out
     if not nonempty.any():
         return out
     reduced = ufunc.reduceat(data, starts[nonempty], axis=0)
@@ -1080,15 +1091,64 @@ _POLL, _REQUEST, _GRANT, _VERIFY, _DISSEMINATE = range(5)
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _int_bits(value: int) -> int:
+    """:func:`~repro.simnet.message.bit_size` of a Python int."""
+    return max(1, value.bit_length()) + 1
+
+
+def _union(masks: List[np.ndarray]) -> Optional[np.ndarray]:
+    """OR of boolean *masks* (``None`` when there are none)."""
+    if not masks:
+        return None
+    return masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
+
+
+class _EpochGroup:
+    """The nodes at one epoch position: guess ``k``, epoch round ``t``
+    and a member mask, plus the round's ``kind``/``cycle``/``pr``
+    (round within the phase) that :meth:`locate` derives."""
+
+    __slots__ = ("k", "t", "members", "kind", "cycle", "pr")
+
+    def __init__(self, k: int, t: int, members: np.ndarray) -> None:
+        self.k = k
+        self.t = t
+        self.members = members
+        self.kind = self.cycle = self.pr = 0
+
+    def locate(self) -> int:
+        """Derive this round's position and return its payload header
+        bits (framing, tag, ``k`` and, in the cycles, the cycle).  Epoch
+        round ``t`` at guess ``k`` lies in cycle ``t // 3k`` while that
+        is below ``k`` (phase ``(t mod 3k) // k``), then in the ``k + 2``
+        verification rounds, then in dissemination."""
+        k = self.k
+        self.cycle, rem = divmod(self.t, 3 * k)
+        head = 24 + _int_bits(k)
+        if self.cycle < k:
+            self.kind, self.pr = divmod(rem, k)
+            return head + _int_bits(self.cycle)
+        past = self.t - 3 * k * k
+        if past < k + 2:
+            self.kind, self.pr = _VERIFY, past
+        else:
+            self.kind, self.pr = _DISSEMINATE, past - (k + 2)
+        return head
+
+    def ends(self, code: int, last: int) -> bool:
+        """Whether this round is round ``k + last`` of phase *code*."""
+        return self.kind == code and self.pr == self.k + last
+
+
 class KCommitteeBatchKernel(BatchKernel):
     """Phase-structured CSR reductions for KLO k-committee counting.
 
     Ids are replaced by their rank in ascending id order (every min and
     every comparison the per-node fold makes is order-only), with ``n``
-    standing for "none".  Per node the kernel keeps the epoch position
-    ``(k, t)``, the committee, the poll minimum, an addressee→requester
-    matrix ``req``, a leader→grantee matrix ``grant``, the pollution
-    flags and the heard counts.  Each round:
+    standing for "none".  Per node the kernel keeps the committee, the
+    poll minimum, an addressee→requester matrix ``req``, a
+    leader→grantee matrix ``grant``, the pollution flags and the heard
+    counts.  Each round:
 
     * poll is a segment-min of the broadcast candidate ranks;
     * request and grant are row-wise segment-mins over the gathered
@@ -1104,12 +1164,17 @@ class KCommitteeBatchKernel(BatchKernel):
     grantee and no node is named twice; :meth:`build` declines state
     that breaks this.
 
-    Engagement needs one shared epoch position and guess growth.  Loss
-    can split the positions later (polluted nodes restart their epoch
-    while the clean ones disseminate), so each round computes every
-    node's position and runs each phase masked to the nodes in it; a
-    phase's messages are read only by receivers in the same phase, as
-    in the per-node fold.
+    Epoch positions ``(k, t)`` are held per *group* of nodes
+    (:class:`_EpochGroup`), so a round derives each position once in
+    Python ints.  Engagement needs one shared position and guess growth,
+    which makes one group.  Loss can split it later: polluted nodes
+    ending verification restart with a grown guess while the clean ones
+    disseminate, and :meth:`_advance` moves them into a group of their
+    own.  Groups never need to merge again: every round advances each
+    group's ``t`` alike, and a restart lands at ``t = 0``, where no
+    other group stands.  Each phase runs masked to the union of the
+    groups in it; a phase's messages are read only by receivers in the
+    same phase, as in the per-node fold.
     """
 
     def __init__(self, algs: Sequence[Any], id_bits: int,
@@ -1119,8 +1184,8 @@ class KCommitteeBatchKernel(BatchKernel):
         self._ids = state["ids"]            # rank -> node id
         self._own = state["own"]            # node index -> own rank
         self._growth = state["growth"]
-        self._k = state["k"]
-        self._t = state["t"]
+        self._groups = [_EpochGroup(state["k"], state["t"],
+                                    np.ones(self.n, dtype=bool))]
         self._committee = state["committee"]
         self._grants = state["grants"]
         self._granted = state["granted"]    # (n, n) bool, column = rank
@@ -1193,8 +1258,8 @@ class KCommitteeBatchKernel(BatchKernel):
             "own": np.array([rank[a.node_id] for a in algs],
                             dtype=np.int64),
             "growth": growth,
-            "k": np.full(n, k, dtype=np.int64),
-            "t": np.full(n, t, dtype=np.int64),
+            "k": k,
+            "t": t,
             "committee": np.array(committee, dtype=np.int64),
             "grants": np.array([a.grants_made for a in algs],
                                dtype=np.int64),
@@ -1216,7 +1281,10 @@ class KCommitteeBatchKernel(BatchKernel):
             return {ids[key]: ids[value]
                     for key, value in enumerate(row) if value != n}
 
-        k, t = self._k.tolist(), self._t.tolist()
+        k, t = [0] * n, [0] * n
+        for group in self._groups:
+            for i in np.flatnonzero(group.members).tolist():
+                k[i], t[i] = group.k, group.t
         committee, poll = self._committee.tolist(), self._poll.tolist()
         grants, count = self._grants.tolist(), self._count.tolist()
         polluted = self._polluted.tolist()
@@ -1240,20 +1308,19 @@ class KCommitteeBatchKernel(BatchKernel):
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         n = self.n
-        kind_of, cycle, pr = self._positions()
-        # Framing, tag, k and (in the cycles) the cycle.
-        head = 24 + int_payload_bits(self._k)
-        in_cycles = kind_of < _VERIFY
-        head[in_cycles] += int_payload_bits(cycle[in_cycles])
-        into = [kind_of == code for code in range(5)]
-        kinds = [code for code in range(5) if into[code].any()]
-        self._into, self._kinds = into, kinds
-        self._cycle, self._pr = cycle, pr
+        head = np.empty(n, dtype=np.int64)
+        into: Dict[int, np.ndarray] = {}  # phase code -> nodes in it
+        for group in self._groups:
+            head[group.members] = group.locate()
+            mask = into.get(group.kind)
+            into[group.kind] = (group.members if mask is None
+                                else mask | group.members)
+        self._into = into
         self._uncommitted = self._committee == n
         bits = np.zeros(n, dtype=np.int64)
         sends = np.zeros(n, dtype=bool)
         self._sends = sends
-        if _POLL in kinds:
+        if _POLL in into:
             value = np.where(self._uncommitted,
                              np.minimum(self._poll, self._own), self._poll)
             send = into[_POLL] & (value != n)
@@ -1262,13 +1329,13 @@ class KCommitteeBatchKernel(BatchKernel):
             sends |= send
             bits = np.where(send, head + self.id_bits, bits)
         for code, rows in ((_REQUEST, self._req), (_GRANT, self._grant)):
-            if code in kinds:
+            if code in into:
                 entries = np.count_nonzero(rows != n, axis=1)
                 send = into[code] & (entries > 0)
                 sends |= send
                 bits = np.where(
                     send, head + 8 + entries * (8 + 2 * self.id_bits), bits)
-        if _VERIFY in kinds:
+        if _VERIFY in into:
             send = into[_VERIFY]
             value = np.where(self._polluted, -1, self._committee)
             self._verify_lo = np.where(send, value, n + 1)
@@ -1276,49 +1343,33 @@ class KCommitteeBatchKernel(BatchKernel):
             sends |= send
             bits = np.where(
                 send, head + np.where(self._polluted, 16, self.id_bits), bits)
-        if _DISSEMINATE in kinds:
+        if _DISSEMINATE in into:
             send = into[_DISSEMINATE] & (self._count >= 0)
             self._count_msg = np.where(send, self._count, -1)
             sends |= send
             bits = np.where(send, head + int_payload_bits(self._count), bits)
         return sends, bits
 
-    def _positions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every node's ``(kind, cycle, round-within-phase)``: epoch
-        round ``t`` at guess ``k`` lies in cycle ``t // 3k`` while that
-        is below ``k`` (phase ``(t mod 3k) // k``), then in the ``k + 2``
-        verification rounds, then in dissemination."""
-        k, t = self._k, self._t
-        cycle, rem = np.divmod(t, 3 * k)
-        phase, pr = np.divmod(rem, k)
-        into = t - 3 * k * k
-        verifying = into < k + 2
-        kind = np.where(cycle < k, phase,
-                        np.where(verifying, _VERIFY, _DISSEMINATE))
-        pr = np.where(cycle < k, pr,
-                      np.where(verifying, into, into - (k + 2)))
-        return kind, cycle, pr
-
     def deliver(self, ctx: BatchContext, csr: Any,
                 sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
-        kinds = self._kinds
+        into = self._into
         changed = np.zeros(self.n, dtype=bool)
         events: Events = []
         # Dissemination first: a violation raises before this round
         # writes any state.
-        if _DISSEMINATE in kinds:
+        if _DISSEMINATE in into:
             self._disseminate(csr, changed, events)
-        if _POLL in kinds:
+        if _POLL in into:
             self._poll_round(csr, changed)
-        if _REQUEST in kinds:
+        if _REQUEST in into:
             end = self._merge_rows(_REQUEST, self._req, csr, changed)
             if end is not None:
                 self._end_request(end)
-        if _GRANT in kinds:
+        if _GRANT in into:
             end = self._merge_rows(_GRANT, self._grant, csr, changed)
             if end is not None:
                 self._end_grant(end)
-        if _VERIFY in kinds:
+        if _VERIFY in into:
             self._verify_round(csr, changed)
         self._advance()
         self.changed_last = changed
@@ -1327,8 +1378,8 @@ class KCommitteeBatchKernel(BatchKernel):
     def _phase_end(self, code: int, last: int) -> Optional[np.ndarray]:
         """Nodes in phase *code* whose round-within-phase is ``k + last``
         (``None`` when there are none)."""
-        end = self._into[code] & (self._pr == self._k + last)
-        return end if end.any() else None
+        return _union([group.members for group in self._groups
+                       if group.ends(code, last)])
 
     def _heard(self, csr: Any, sent: np.ndarray, silent: int,
                ufunc: np.ufunc) -> np.ndarray:
@@ -1345,7 +1396,7 @@ class KCommitteeBatchKernel(BatchKernel):
                        csr.indptr, best)
         poll = self._poll
         changed |= into & (best != poll)
-        poll[into] = best[into]
+        np.copyto(poll, best, where=into)
         end = self._phase_end(_POLL, -1)
         if end is not None:
             # Poll phase ends: uncommitted non-leaders file their own
@@ -1363,11 +1414,15 @@ class KCommitteeBatchKernel(BatchKernel):
         nodes whose phase ends this round."""
         into = self._into[code]
         heard = rows[csr.indices]
-        heard[~(self._sends & into)[csr.indices]] = self.n
+        if len(self._into) > 1:
+            # Only this phase's senders' rows are messages here.  With
+            # every node in the phase the mask is a no-op: a node that
+            # sends nothing holds a row of "none"s.
+            heard[~(self._sends & into)[csr.indices]] = self.n
         merged = rows.copy()
         segment_reduce(np.minimum, heard, csr.indptr, merged)
         changed |= into & (merged != rows).any(axis=1)
-        rows[into] = merged[into]
+        np.copyto(rows, merged, where=into[:, None])
         end = self._phase_end(code, -1)
         if end is not None:
             changed |= end
@@ -1396,9 +1451,12 @@ class KCommitteeBatchKernel(BatchKernel):
         self._poll[end] = n
         self._req[end] = n
         self._grant[end] = n
-        singles = (end & (self._cycle == self._k - 1)
-                   & (self._committee == n))
-        self._committee[singles] = own[singles]
+        last = _union([group.members for group in self._groups
+                       if group.ends(_GRANT, -1)
+                       and group.cycle == group.k - 1])
+        if last is not None:
+            singles = last & (self._committee == n)
+            self._committee[singles] = own[singles]
 
     def _verify_round(self, csr: Any, changed: np.ndarray) -> None:
         n = self.n
@@ -1461,24 +1519,35 @@ class KCommitteeBatchKernel(BatchKernel):
                 raise AlgorithmViolation(
                     f"node {node_id}: conflicting counts {heard} vs "
                     f"{value}")
+        k = next(group.k for group in self._groups if group.members[i])
         raise AlgorithmViolation(
             f"node {node_id}: dissemination ended without a count "
-            f"(k={int(self._k[i])})")
+            f"(k={k})")
 
     def _advance(self) -> None:
-        """Advance every epoch position; a polluted node ending its
-        verification restarts with a grown guess."""
-        self._t += 1
-        end = (self._phase_end(_VERIFY, 1)
-               if _VERIFY in self._kinds else None)
-        if end is None:
-            return
-        restart = end & self._polluted
-        if not restart.any():
-            return
+        """Advance every group's epoch round.  The polluted members of a
+        group ending its verification restart with a grown guess: the
+        whole group when all of them are polluted, else as a new group
+        split off from the clean members, who go on to disseminate."""
+        for group in list(self._groups):
+            ending = group.ends(_VERIFY, 1)
+            group.t += 1
+            if not ending:
+                continue
+            restart = group.members & self._polluted
+            if not restart.any():
+                continue
+            k = group.k * self._growth
+            if np.array_equal(restart, group.members):
+                group.k, group.t = k, 0
+            else:
+                group.members = group.members & ~restart
+                self._groups.append(_EpochGroup(k, 0, restart))
+            self._restart(restart)
+
+    def _restart(self, restart: np.ndarray) -> None:
+        """Reset the epoch state of the nodes in *restart*."""
         n = self.n
-        self._k[restart] *= self._growth
-        self._t[restart] = 0
         self._committee[restart] = n
         self._grants[restart] = 0
         self._granted[restart] = False

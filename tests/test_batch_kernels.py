@@ -66,6 +66,22 @@ def test_int_payload_bits_matches_bit_size(values):
     assert got.tolist() == expected
 
 
+def _bit_length_edges():
+    """Every bit-length boundary of int64: 0, ±1, ±(2**j - 1), ±2**j and
+    ±(2**j + 1) for j < 63, and both extremes."""
+    values = {0, 1, -1, -2 ** 63, 2 ** 63 - 1}
+    for j in range(63):
+        for v in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+            values.update((v, -v))
+    return sorted(values)
+
+
+def test_int_payload_bits_exact_at_every_bit_length_edge():
+    values = _bit_length_edges()
+    got = int_payload_bits(np.array(values, dtype=np.int64))
+    assert got.tolist() == [bit_size(v) for v in values]
+
+
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
 def test_popcount64_matches_python_bit_count(value):
     got = popcount64(np.array([value], dtype=np.uint64))
@@ -115,6 +131,37 @@ def test_segment_reduce_matches_naive_fold_2d(seed):
             expected[j] = np.minimum(expected[j], row)
 
     got = segment_reduce(np.minimum, data, indptr, own.copy())
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("inboxes", ["all_nonempty", "some_empty",
+                                     "all_empty"])
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("ufunc", [np.minimum, np.maximum])
+def test_segment_reduce_branches_match_per_segment_loop(inboxes, width,
+                                                        ufunc):
+    """All three of segment_reduce's cases (every inbox non-empty, some
+    empty, none non-empty) on 1-D and 2-D data."""
+    rng = np.random.default_rng(7)
+    n = 9
+    low = {"all_nonempty": 1, "some_empty": 0, "all_empty": 0}[inboxes]
+    high = 0 if inboxes == "all_empty" else 3
+    degrees = rng.integers(low, high + 1, size=n)
+    if inboxes == "some_empty":
+        degrees[[0, 4]] = 0
+        degrees[[1, 8]] = 2
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    shape = (int(indptr[-1]),) if width is None else (int(indptr[-1]), width)
+    data = rng.integers(-50, 50, size=shape)
+    own = rng.integers(-50, 50, size=(n,) + shape[1:])
+
+    expected = own.copy()
+    for j in range(n):
+        for row in data[indptr[j]:indptr[j + 1]]:
+            expected[j] = ufunc(expected[j], row)
+
+    got = segment_reduce(ufunc, data, indptr, own.copy())
     assert np.array_equal(got, expected)
 
 
@@ -476,6 +523,87 @@ def test_klo_kernel_raises_per_node_violations(late_edges, wording,
     with pytest.raises(AlgorithmViolation, match=re.escape(wording)):
         sim.run(max_rounds=9)
     assert sim.tier_rounds["batch"] == sim.round_index == at_round
+
+
+def _klo_split_rounds(k, variant):
+    """Per-round edges for six KLO nodes with initial guess *k*.
+
+    Through the cycles only nodes 0 and 1 meet, so they form one
+    committee and nodes 2–5 singletons.  In verification nodes 3–5 meet
+    and end it polluted, restarting with a grown guess, while 0, 1 and
+    the isolated 2 stay clean and disseminate for ``k + 2`` rounds.
+    Dissemination then either ends cleanly (``"halts"``, with an edge
+    between the clean node 1 and the restarted node 3), carries two
+    counts to node 1 (``"conflict"``), or never reaches it
+    (``"no_count"``)."""
+    dissemination = {
+        "halts": [(0, 1), (1, 3), (3, 4), (4, 5)],
+        "conflict": [(0, 1), (1, 2), (3, 4), (4, 5)],
+        "no_count": [(3, 4), (4, 5)],
+    }[variant]
+    return ([[(0, 1)]] * (3 * k * k)
+            + [[(0, 1), (3, 4), (4, 5)]] * (k + 2)
+            + [dissemination] * (k + 2)
+            + [[(0, 1), (3, 4), (4, 5)]] * 4)
+
+
+@pytest.mark.parametrize("k", [1, 32])
+@pytest.mark.parametrize("variant", ["halts", "conflict", "no_count"])
+def test_klo_tiers_agree_through_split_epoch_positions(k, variant,
+                                                       monkeypatch):
+    """Clean nodes disseminate while polluted ones restart: the batch
+    kernel holds two epoch groups from the end of verification on, and
+    agrees with both per-node tiers on the result or the violation's
+    wording and round, and on every node's final ``(k, epoch round)``.
+
+    A violation interrupts the per-node fold mid-round, after the nodes
+    before the raising one (index 1 here) have delivered; the kernel
+    raises before the round writes any state, so those nodes' positions
+    are compared only on runs that end without one."""
+    from repro.simnet.batch import KCommitteeBatchKernel
+
+    groups = []
+    advance = KCommitteeBatchKernel._advance
+
+    def counting_advance(self):
+        advance(self)
+        groups.append(len(self._groups))
+
+    monkeypatch.setattr(KCommitteeBatchKernel, "_advance", counting_advance)
+    rounds = _klo_split_rounds(k, variant)
+
+    def run(engine):
+        nodes = [KCommitteeCount(i, initial_guess=k)
+                 for i in _scattered_ids(6)]
+        sim = Simulator(ExplicitSchedule(6, rounds, interval=None), nodes,
+                        rng=RngRegistry(3), engine=engine)
+        try:
+            outcome = sim.run(max_rounds=len(rounds), until="halted",
+                              allow_timeout=True)
+            compared = nodes
+        except AlgorithmViolation as exc:
+            outcome = str(exc)
+            compared = nodes[1:]
+        positions = [(node.k, node._epoch_round) for node in compared]
+        return outcome, sim.round_index, positions
+
+    batch = run("fast")
+    for engine in ("fast-nobatch", "reference"):
+        assert run(engine) == batch, engine
+    outcome = batch[0]
+    if variant == "halts":
+        assert outcome.outputs == {5: 2, 42: 2, 79: 1}
+    else:
+        assert outcome == {
+            "conflict": "node 42: conflicting counts 2 vs 1",
+            "no_count": ("node 42: dissemination ended without a count "
+                         f"(k={k})"),
+        }[variant]
+    # Two groups from the round verification ends to the last kernel
+    # round: all k + 2 dissemination rounds, or up to the violation.
+    assert max(groups) == 2
+    split_rounds = {"halts": k + 3, "conflict": 1, "no_count": k + 2}
+    assert sum(count == 2 for count in groups) == split_rounds[variant]
 
 
 @pytest.mark.parametrize("cut", [1, 5, 11, 23, 32])
