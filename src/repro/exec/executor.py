@@ -16,6 +16,11 @@ trial derives all randomness from ``RngRegistry(seed)`` inside
 :func:`repro.harness.runner.run_trial` — and rows are assembled in input
 order, so ``workers=4`` output is byte-identical to ``workers=1`` output
 (asserted by the test suite).
+
+Telemetry — the ``phase.*`` / ``engine.*`` columns of profiled rows —
+leaves the executor through one fold: :meth:`ParallelExecutor._complete`,
+which every freshly executed row passes through whichever process ran
+it, adds those columns to each open :func:`collect_telemetry` block.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .._validate import require_choice
 from ..errors import ConfigurationError, ReproError
@@ -34,9 +40,54 @@ from .progress import ConsoleProgress, ProgressCallback, ProgressSnapshot
 from .specs import TrialSpec
 
 __all__ = ["Cell", "ExecutionError", "ExecutionReport", "ExecOptions",
-           "ParallelExecutor", "execute_cell"]
+           "ParallelExecutor", "TelemetryFold", "collect_telemetry",
+           "execute_cell"]
 
 Cell = Tuple[TrialSpec, int]
+
+
+@dataclass
+class TelemetryFold:
+    """Summed telemetry of the cells executed inside one
+    :func:`collect_telemetry` block.
+
+    ``columns`` maps each ``phase.*`` / ``engine.*`` column name to its
+    sum; ``trials`` counts the rows that carried any.
+    """
+
+    trials: int = 0
+    columns: Dict[str, float] = field(default_factory=dict)
+
+    def add(self, row: Dict[str, Any]) -> None:
+        """Fold one freshly executed row in."""
+        folded = False
+        for key, value in row.items():
+            if key.startswith(("phase.", "engine.")):
+                self.columns[key] = self.columns.get(key, 0) + value
+                folded = True
+        if folded:
+            self.trials += 1
+
+
+#: Open :func:`collect_telemetry` folds, outermost first.
+_FOLDS: List[TelemetryFold] = []
+
+
+@contextmanager
+def collect_telemetry() -> Iterator[TelemetryFold]:
+    """Sum the telemetry of every cell executed inside the block.
+
+    Rows served from the journal or the cache and deduplicated cells
+    add nothing, and neither do unprofiled rows, which carry no such
+    columns.  The harness CLI's ``--profile`` line renders one fold per
+    experiment.
+    """
+    fold = TelemetryFold()
+    _FOLDS.append(fold)
+    try:
+        yield fold
+    finally:
+        _FOLDS.remove(fold)
 
 
 class ExecutionError(ReproError):
@@ -57,28 +108,6 @@ def execute_cell(spec: TrialSpec, seed: int) -> Dict[str, Any]:
     from ..harness.runner import run_trial
 
     return run_trial(spec, seed).as_row()
-
-
-def _record_worker_phases(row: Dict[str, Any]) -> None:
-    """Fold a worker-executed row's ``phase.*`` timings and ``engine.*``
-    tier counts into the parent process's accumulators (worker-side
-    accumulators die with the pool)."""
-    phases = {key[len("phase."):-len("_s")]: value
-              for key, value in row.items()
-              if key.startswith("phase.") and key.endswith("_s")
-              and isinstance(value, (int, float))}
-    if phases:
-        from ..harness.runner import record_phase_seconds
-
-        record_phase_seconds(phases)
-    tiers = {key[len("engine."):-len("_rounds")]: value
-             for key, value in row.items()
-             if key.startswith("engine.") and key.endswith("_rounds")
-             and isinstance(value, int)}
-    if tiers:
-        from ..harness.runner import record_engine_stats
-
-        record_engine_stats(tiers)
 
 
 def _pool_run_cell(payload: Cell) -> Tuple[str, Any]:
@@ -277,6 +306,8 @@ class ParallelExecutor:
                   cacheable: bool = True) -> None:
         for idx in by_key[key]:
             results[idx] = row
+        for fold in _FOLDS:
+            fold.add(row)
         # Profiled trials carry wall-clock phase.* columns and engine.*
         # tier counts; recorded trials carry obs.* event counters and
         # cache.* hit/miss counters.  None of that is deterministic row
@@ -368,7 +399,6 @@ class ParallelExecutor:
                         status, payload = fut.result()
                         report.executed += 1
                         if status == "ok":
-                            _record_worker_phases(payload)
                             self._complete(keys[idx], payload, by_key,
                                            results)
                         else:

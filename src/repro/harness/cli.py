@@ -14,11 +14,12 @@ content-addressed on disk, and an interrupted run re-executes only the
 missing cells.  Parallel rows are byte-identical to serial rows.
 
 ``--profile`` turns on the engine's per-phase timing (see
-``docs/PERFORMANCE.md``): every freshly executed trial contributes
-``compose`` / ``reveal`` / ``deliver`` / ``drain`` wall-clock totals to
-a process-wide accumulator and an aggregate is printed after each
-experiment.  The timings never enter the content-addressed result cache
-(they are not deterministic row data).
+``docs/PERFORMANCE.md``): every freshly executed trial's row carries
+``compose`` / ``reveal`` / ``deliver`` / ``drain`` wall-clock totals and
+per-tier round counts, the executor sums them per experiment
+(:func:`repro.exec.executor.collect_telemetry`), and that sum is
+printed after each experiment.  The timings never enter the
+content-addressed result cache (they are not deterministic row data).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from ..exec.executor import ExecOptions
+from ..exec.executor import ExecOptions, TelemetryFold, collect_telemetry
 from ..simnet.engine import ENGINES
 from .experiments import EXPERIMENTS, run_experiment, run_f1, run_f5, run_t1
 from .io import save_experiment
@@ -83,23 +84,26 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_profile() -> str:
-    """One-line summary of the process-wide per-phase timing totals."""
-    from .runner import engine_totals, phase_totals
-
-    totals, trials = phase_totals()
-    if trials == 0:
+def _render_profile(fold: TelemetryFold) -> str:
+    """Summary of one experiment's per-phase timings and tier rounds."""
+    if fold.trials == 0:
         return ("[profile] no trials executed (cached/resumed rows carry "
                 "no timings; rerun against a cold cache to measure)")
-    grand = sum(totals.values()) or 1.0
+    phases: Dict[str, float] = {}
+    tiers: Dict[str, float] = {}
+    for key, value in sorted(fold.columns.items()):
+        if key.startswith("phase."):
+            phases[key[len("phase."):-len("_s")]] = value
+        else:
+            tiers[key[len("engine."):-len("_rounds")]] = value
+    grand = sum(phases.values()) or 1.0
     parts = ", ".join(
         f"{name} {value:.3f}s ({100 * value / grand:.0f}%)"
-        for name, value in sorted(totals.items()))
-    line = f"[profile] {trials} trials: {parts}"
-    tiers = engine_totals()
+        for name, value in phases.items())
+    line = f"[profile] {fold.trials} trials: {parts}"
     if tiers:
         tier_parts = ", ".join(
-            f"{tier} {rounds}" for tier, rounds in sorted(tiers.items()))
+            f"{tier} {rounds}" for tier, rounds in tiers.items())
         line += f"\n[profile] engine rounds by tier: {tier_parts}"
     return line
 
@@ -166,33 +170,38 @@ def main(argv: Optional[List[str]] = None) -> int:
     exec_opts = _exec_options(args)
 
     # T1 feeds F1 and F5; share its rows when several are requested.
+    # Its trials count under T1 only.
     t1_cache = None
     t1_seconds = 0.0
+    t1_fold = TelemetryFold()
     if "t1" in ids or ("f1" in ids and "f5" in ids):
         started = time.time()
-        t1_cache = run_t1(quick=args.quick, exec_opts=exec_opts)
+        with collect_telemetry() as t1_fold:
+            t1_cache = run_t1(quick=args.quick, exec_opts=exec_opts)
         t1_seconds = time.time() - started
 
     for exp_id in ids:
         started = time.time()
-        if exp_id == "t1" and t1_cache is not None:
-            result = t1_cache
-        elif exp_id == "f1" and t1_cache is not None:
-            result = run_f1(quick=args.quick, t1=t1_cache,
-                            exec_opts=exec_opts)
-        elif exp_id == "f5" and t1_cache is not None:
-            result = run_f5(quick=args.quick, t1=t1_cache,
-                            exec_opts=exec_opts)
-        else:
-            result = run_experiment(exp_id, quick=args.quick,
-                                    exec_opts=exec_opts)
+        with collect_telemetry() as fold:
+            if exp_id == "t1" and t1_cache is not None:
+                result = t1_cache
+            elif exp_id == "f1" and t1_cache is not None:
+                result = run_f1(quick=args.quick, t1=t1_cache,
+                                exec_opts=exec_opts)
+            elif exp_id == "f5" and t1_cache is not None:
+                result = run_f5(quick=args.quick, t1=t1_cache,
+                                exec_opts=exec_opts)
+            else:
+                result = run_experiment(exp_id, quick=args.quick,
+                                        exec_opts=exec_opts)
         elapsed = time.time() - started
         if exp_id == "t1":
             elapsed += t1_seconds
+            fold = t1_fold
         print(result.render())
         print(f"[{exp_id} finished in {elapsed:.1f}s]\n")
         if args.profile:
-            print(_render_profile())
+            print(_render_profile(fold))
             print()
         if args.out:
             path = save_experiment(result, args.out)

@@ -17,9 +17,8 @@ halting algorithms it coincides with the total rounds executed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder, events_dir
@@ -30,8 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..exec.specs import TrialSpec
 
 __all__ = ["TrialResult", "run_trial", "run_replicates",
-           "record_phase_seconds", "phase_totals", "reset_phase_totals",
-           "record_engine_stats", "engine_totals", "reset_engine_totals",
            "NONDURABLE_ROW_PREFIXES", "durable_row"]
 
 #: Row-column prefixes that are run-mode telemetry, not measured data:
@@ -57,67 +54,15 @@ def durable_row(row: Mapping[str, Any]) -> Dict[str, Any]:
                 if not key.startswith(NONDURABLE_ROW_PREFIXES)}
     return row if isinstance(row, dict) else dict(row)
 
-# Process-wide accumulation of per-phase engine timings (profiled runs
-# only).  Every profiled trial executed in this process feeds it via
-# run_trial; the executor additionally feeds it with rows returned from
-# worker processes.  The CLI's --profile flag renders the totals after
-# each experiment — per-trial timings never enter the content-addressed
-# result cache (wall-clock values are not deterministic row data).
-_PHASE_TOTALS: Dict[str, float] = {}
-_PHASE_TRIALS = 0
-
-
-def record_phase_seconds(
-        phase_seconds: Optional[Mapping[str, float]]) -> None:
-    """Add one profiled trial's per-phase timings to the process totals."""
-    global _PHASE_TRIALS
-    if not phase_seconds:
-        return
-    _PHASE_TRIALS += 1
-    for name, seconds in phase_seconds.items():
-        _PHASE_TOTALS[name] = _PHASE_TOTALS.get(name, 0.0) + float(seconds)
-
-
-def phase_totals() -> Tuple[Dict[str, float], int]:
-    """``(accumulated per-phase seconds, number of profiled trials)``."""
-    return dict(_PHASE_TOTALS), _PHASE_TRIALS
-
-
-def reset_phase_totals() -> None:
-    """Clear the process-wide phase-timing accumulator."""
-    global _PHASE_TRIALS
-    _PHASE_TOTALS.clear()
-    _PHASE_TRIALS = 0
-
-
-# Same pattern for the engine's per-tier round counts (batch kernels /
-# per-node fast path / reference loops): profiled trials report them via
-# RunMetrics.engine_stats, the CLI renders the dispatch split so a
-# "kernels are engaging" sanity check is one --profile run away.
-_ENGINE_TOTALS: Dict[str, int] = {}
-
-
-def record_engine_stats(engine_stats: Optional[Mapping[str, int]]) -> None:
-    """Add one profiled trial's per-tier round counts to process totals."""
-    if not engine_stats:
-        return
-    for tier, rounds in engine_stats.items():
-        _ENGINE_TOTALS[tier] = _ENGINE_TOTALS.get(tier, 0) + int(rounds)
-
-
-def engine_totals() -> Dict[str, int]:
-    """Accumulated rounds executed per engine dispatch tier."""
-    return dict(_ENGINE_TOTALS)
-
-
-def reset_engine_totals() -> None:
-    """Clear the process-wide engine-tier accumulator."""
-    _ENGINE_TOTALS.clear()
-
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Measured quantities of one trial (flattened into result rows)."""
+    """Measured quantities of one trial (flattened into result rows).
+
+    *telemetry* holds the trial's run-mode columns, already prefixed
+    (:data:`NONDURABLE_ROW_PREFIXES`); it is empty for an unprofiled,
+    unrecorded trial.
+    """
 
     seed: int
     rounds: int
@@ -130,10 +75,7 @@ class TrialResult:
     stop_reason: str
     outputs_sample: Any
     counters: Dict[str, int]
-    phase_seconds: Optional[Dict[str, float]] = None
-    engine_stats: Optional[Dict[str, int]] = None
-    obs_counters: Optional[Dict[str, int]] = None
-    cache_counters: Optional[Dict[str, int]] = None
+    telemetry: Dict[str, Any] = field(default_factory=dict)
 
     def as_row(self, **extra: Any) -> Dict[str, Any]:
         """Flatten to a results row, merging experiment parameters."""
@@ -149,18 +91,7 @@ class TrialResult:
             "correct": self.correct,
             "stop_reason": self.stop_reason,
         }
-        if self.phase_seconds is not None:
-            for name, seconds in sorted(self.phase_seconds.items()):
-                row[f"phase.{name}_s"] = seconds
-        if self.engine_stats is not None:
-            for tier, rounds in sorted(self.engine_stats.items()):
-                row[f"engine.{tier}_rounds"] = rounds
-        if self.obs_counters is not None:
-            for kind, count in sorted(self.obs_counters.items()):
-                row[f"obs.{kind}"] = count
-        if self.cache_counters is not None:
-            for name, count in sorted(self.cache_counters.items()):
-                row[f"cache.{name}"] = count
+        row.update(self.telemetry)
         row.update(extra)
         return row
 
@@ -201,11 +132,14 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
     :mod:`repro.obs`), the trial additionally writes a schema-validated
     ``trial-*.jsonl`` event stream there, headed by a provenance
     record.  Recording never changes the measured results — the engine
-    guarantees recorded and unrecorded runs are bit-identical.  Recorded
-    results additionally carry ``obs.*`` event counters and ``cache.*``
-    hit/miss counters; like ``phase.*`` / ``engine.*`` these are
-    telemetry, stripped wherever rows are persisted (see
-    :func:`durable_row`).
+    guarantees recorded and unrecorded runs are bit-identical.
+
+    Telemetry reaches the result only as prefixed columns of
+    ``TrialResult.telemetry``: a profiled trial carries the simulator's
+    ``phase.<phase>_s`` timings and ``engine.<tier>_rounds`` counts, a
+    recorded one its ``obs.<kind>`` event counts and ``cache.<name>``
+    hit/miss counters.  They are stripped wherever rows are persisted
+    (see :func:`durable_row`).
     """
     schedule = spec.build_schedule(seed)
     nodes = spec.build_nodes(schedule, seed)
@@ -228,12 +162,19 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
     finally:
         if recorder is not None:
             recorder.close()
-    obs_counters = recorder.summary() if recorder is not None else None
-    cache_counters = sim.cache_stats() if recorder is not None else None
+    telemetry: Dict[str, Any] = {}
+    if sim.profile:
+        for name, seconds in sorted(sim.phase_seconds.items()):
+            telemetry[f"phase.{name}_s"] = seconds
+        for tier, rounds in sorted(sim.tier_rounds.items()):
+            telemetry[f"engine.{tier}_rounds"] = rounds
+    if recorder is not None:
+        for kind, count in sorted(recorder.summary().items()):
+            telemetry[f"obs.{kind}"] = count
+        for name, count in sorted(sim.cache_counters.items()):
+            telemetry[f"cache.{name}"] = count
     correct = spec.judge(result.outputs, schedule)
     sample = next(iter(result.outputs.values()), None)
-    record_phase_seconds(result.metrics.phase_seconds)
-    record_engine_stats(result.metrics.engine_stats)
     return TrialResult(
         seed=seed,
         rounds=result.rounds,
@@ -246,12 +187,7 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
         stop_reason=result.stop_reason,
         outputs_sample=sample,
         counters=dict(result.metrics.counters),
-        phase_seconds=(dict(result.metrics.phase_seconds)
-                       if result.metrics.phase_seconds is not None else None),
-        engine_stats=(dict(result.metrics.engine_stats)
-                      if result.metrics.engine_stats is not None else None),
-        obs_counters=obs_counters,
-        cache_counters=cache_counters,
+        telemetry=telemetry,
     )
 
 

@@ -1,15 +1,14 @@
 """Structured observability for simulation runs (``repro.obs``).
 
-The subsystem has four parts, each in its own module:
+The subsystem has three parts, each in its own module:
 
 * :mod:`repro.obs.events` — the versioned, schema-validated event model
   (``RoundEvent``, ``DeliveryEvent``, ``DecisionEvent``,
   ``EngineTierEvent``, ``CacheEvent``, plus ``trial``/``summary``
   provenance records);
 * :mod:`repro.obs.recorder` — the zero-overhead-when-disabled
-  :class:`Recorder` hook the engine emits through, and the
-  process-wide ``--events DIR`` plumbing;
-* :mod:`repro.obs.export` — JSONL / CSV / in-memory sinks;
+  :class:`Recorder` hook the engine emits through (in memory or
+  streamed to JSONL), and the process-wide ``--events DIR`` plumbing;
 * :mod:`repro.obs.merge` — the executor-level merge folding per-trial
   streams into one deterministic artifact with trial provenance, and
   the run-summary aggregator.
@@ -43,7 +42,6 @@ from .events import (
     event_to_json,
     validate_event,
 )
-from .export import CsvSink, EventSink, JsonlSink, MemorySink
 from .merge import (
     StreamSummary,
     iter_stream,
@@ -67,10 +65,6 @@ __all__ = [
     "event_from_dict",
     "event_from_json",
     "event_to_json",
-    "EventSink",
-    "MemorySink",
-    "JsonlSink",
-    "CsvSink",
     "Recorder",
     "set_events_dir",
     "events_dir",

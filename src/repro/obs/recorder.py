@@ -23,10 +23,9 @@ bookkeeping costs wall-clock.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, TextIO
 
 from .events import Event, event_to_json
-from .export import EventSink, JsonlSink
 
 __all__ = ["Recorder", "set_events_dir", "events_dir"]
 
@@ -57,55 +56,50 @@ def events_dir() -> Optional[str]:
 
 
 class Recorder:
-    """Collects events, tallies per-kind counters, forwards to sinks.
+    """Counts events per kind and keeps them in memory or streams them.
 
-    Parameters
-    ----------
-    sinks:
-        Zero or more :class:`~repro.obs.export.EventSink` targets; every
-        emitted event is forwarded to each in order.
-    keep:
-        Also retain events in memory (:attr:`events`).  Default on —
-        turn off for long streaming runs where only the sinks matter.
-
-    The recorder is also a context manager; leaving the ``with`` block
-    closes every sink.
+    Build one with :meth:`in_memory` (events retained on
+    :attr:`events`) or :meth:`to_jsonl` (each event written to a JSONL
+    file as one validated line and flushed, nothing retained).  The
+    recorder is also a context manager; leaving the ``with`` block
+    closes the file.
     """
 
-    def __init__(self, sinks: Sequence[EventSink] = (),
-                 keep: bool = True) -> None:
-        self.sinks: List[EventSink] = list(sinks)
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.events: List[Event] = []
         self.counters: Dict[str, int] = {}
-        self._keep = bool(keep)
-        self._closed = False
+        self._stream = stream
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def to_jsonl(cls, path: str, keep: bool = False) -> "Recorder":
-        """A recorder streaming straight to a JSONL file (memory off)."""
-        return cls(sinks=[JsonlSink(path)], keep=keep)
+    def to_jsonl(cls, path: str) -> "Recorder":
+        """A recorder streaming to a JSONL file at *path*.
+
+        Each line is flushed as it is written, so a killed run leaves a
+        readable prefix (the crash posture of the executor's journal).
+        """
+        parent = os.path.dirname(os.fspath(path))
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        return cls(open(path, "w"))
 
     @classmethod
     def in_memory(cls) -> "Recorder":
         """A recorder that only retains events in memory."""
-        return cls(sinks=[], keep=True)
+        return cls()
 
     # -- emission ------------------------------------------------------------
 
     def emit(self, event: Event) -> None:
-        """Record one event: count it, retain it, forward it."""
+        """Record one event: count it, then retain or stream it."""
         kind = event.kind
         self.counters[kind] = self.counters.get(kind, 0) + 1
-        if self._keep:
+        if self._stream is None:
             self.events.append(event)
-        for sink in self.sinks:
-            sink.write(event)
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Bump a free-form counter (no event emitted)."""
-        self.counters[name] = self.counters.get(name, 0) + amount
+        else:
+            self._stream.write(event_to_json(event) + "\n")
+            self._stream.flush()
 
     # -- introspection -------------------------------------------------------
 
@@ -114,22 +108,15 @@ class Recorder:
         return [e for e in self.events if e.kind == kind]
 
     def summary(self) -> Dict[str, int]:
-        """Per-kind (and free-form) counter totals."""
+        """Per-kind event counts."""
         return dict(self.counters)
-
-    def to_jsonl_lines(self) -> Iterable[str]:
-        """Serialize the retained events as JSONL lines."""
-        return (event_to_json(e) for e in self.events)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Close every sink (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for sink in self.sinks:
-            sink.close()
+        """Close the JSONL file, if any (idempotent)."""
+        if self._stream is not None and not self._stream.closed:
+            self._stream.close()
 
     def __enter__(self) -> "Recorder":
         return self
@@ -138,5 +125,4 @@ class Recorder:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Recorder events={sum(self.counters.values())} "
-                f"sinks={len(self.sinks)}>")
+        return f"<Recorder events={sum(self.counters.values())}>"

@@ -23,7 +23,7 @@ Public surface:
 * :func:`~repro.simnet.message.bit_size` — CONGEST-style message costing.
 """
 
-from .engine import Simulator, RunResult, profile_default, set_profile_default
+from .engine import Simulator, RunResult, set_profile_default
 from .node import Algorithm, RoundContext
 from .metrics import MetricsCollector, RunMetrics
 from .rng import RngRegistry, derive_seeds
@@ -32,7 +32,6 @@ from .message import bit_size
 __all__ = [
     "Simulator",
     "RunResult",
-    "profile_default",
     "set_profile_default",
     "Algorithm",
     "RoundContext",

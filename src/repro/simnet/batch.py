@@ -37,6 +37,14 @@ the per-node path does (see :class:`BatchContext`).  The three-way golden
 grid in ``tests/test_fastpath_equivalence.py`` and the fold-matching
 property tests in ``tests/test_batch_kernels.py`` enforce this.
 
+The contract covers node state only for rounds that complete.  When a
+round raises :class:`~repro.errors.AlgorithmViolation` (the KLO
+kernel's dissemination check), the tiers agree on the error's wording
+and on the round it is raised in, but not on node state.  The kernel
+raises before the round writes any state; the per-node tiers have by
+then delivered to, advanced and possibly decided or halted every node
+with a lower index than the raising one.
+
 Message loss
 ------------
 The batch tier executes lossy runs (``loss_rate > 0``) natively: the
@@ -1601,7 +1609,7 @@ def run_batch_round(sim: Any) -> None:
     ctx = sim._batch_ctx
     ctx.round_index = r
     metrics = sim.metrics
-    prof = sim._phase_seconds
+    prof = sim.phase_seconds
 
     # Phase 1: compose.
     t0 = perf_counter() if prof is not None else 0.0

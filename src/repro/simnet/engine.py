@@ -67,17 +67,23 @@ Pass ``profile=True`` (or set the module default via
 :func:`set_profile_default` / the ``REPRO_PROFILE=1`` environment
 variable, which is what the harness CLI's ``--profile`` flag does) to
 collect monotonic per-phase wall-clock totals — ``compose``, ``reveal``,
-``deliver``, ``drain`` — surfaced as
-:attr:`~repro.simnet.metrics.RunMetrics.phase_seconds`.  Profiling does
-not change the code path: on the fast tier ``reveal`` times the
-``adjacency(r)`` call, ``deliver`` the fused accounting/delivery/drain
-pass, and ``drain`` reads 0.0.
+``deliver``, ``drain`` — in :attr:`Simulator.phase_seconds`, next to
+the per-tier round counts of :attr:`Simulator.tier_rounds`.  Neither is
+part of the :class:`RunResult`;
+:func:`repro.harness.runner.run_trial` copies both into ``phase.*`` /
+``engine.*`` row columns when profiling.  Profiling does not change the
+code path.  ``reveal`` times the ``adjacency(r)`` call on the fast
+tier, and the graph lookup plus transmission accounting on the
+reference tier.  Both per-node tiers drain decision events inside the
+delivery pass, so ``deliver`` includes draining and ``drain`` reads
+0.0; only the batch tier times ``drain`` separately.
 
 Observability
 -------------
 Pass ``recorder=`` a :class:`repro.obs.Recorder` to stream structured
 events (per-round broadcast/delivery totals, decision lifecycles,
-engine-tier selection with reasons, cache hit/miss counters).  The hook
+engine-tier selection with reasons, cache hit/miss counters, the last
+also kept as :attr:`Simulator.cache_counters`).  The hook
 is zero-overhead when absent — one ``is None`` check per round, no event
 objects allocated; when present, rounds route through
 :meth:`Simulator._step_recorded`, which wraps the same tier round an
@@ -107,8 +113,7 @@ from .rng import RngRegistry
 from .rounds import run_fast_round, run_reference_round
 
 __all__ = ["Simulator", "RunResult", "ScheduleLike", "ENGINES",
-           "select_tier", "set_profile_default", "profile_default",
-           "engine_default"]
+           "select_tier", "set_profile_default", "engine_default"]
 
 #: Phase names of the per-round profiling breakdown, in execution order.
 PHASES = ("compose", "reveal", "deliver", "drain")
@@ -200,11 +205,6 @@ def set_profile_default(enabled: bool) -> None:
     _PROFILE_DEFAULT = bool(enabled)
 
 
-def profile_default() -> bool:
-    """Current process-wide profiling default."""
-    return _PROFILE_DEFAULT
-
-
 class ScheduleLike(Protocol):
     """Duck type the engine requires of a dynamic-graph schedule."""
 
@@ -293,7 +293,8 @@ class Simulator:
         :func:`engine_default`.
     profile:
         Collect per-phase wall-clock totals (see the module docstring).
-        ``None`` (default) resolves to :func:`profile_default`.
+        ``None`` (default) resolves to the process-wide default (see
+        :func:`set_profile_default`).
     recorder:
         Optional :class:`repro.obs.Recorder` receiving the structured
         event stream (see the module docstring).  ``None`` (default)
@@ -355,7 +356,9 @@ class Simulator:
         if profile is None:
             profile = _PROFILE_DEFAULT
         self.profile = bool(profile)
-        self._phase_seconds: Optional[Dict[str, float]] = (
+        #: Wall-clock seconds per phase (:data:`PHASES`) when profiling,
+        #: else ``None``; the round loops add to it in place.
+        self.phase_seconds: Optional[Dict[str, float]] = (
             {name: 0.0 for name in PHASES} if self.profile else None)
         # Fast-path state: one reusable context per node, the ascending
         # active (non-halted) index list maintained incrementally, the
@@ -386,9 +389,8 @@ class Simulator:
         self._batch_kernel: Optional[Any] = None
         self._batch_ctx: Optional[Any] = None
         self._batch_pending: Optional[List[Tuple[int, List[tuple]]]] = None
-        #: Rounds executed per tier: telemetry for tests and benchmarks,
-        #: surfaced in results only via RunMetrics.engine_stats when
-        #: profiling.  Never part of measured rows.
+        #: Rounds executed per tier: telemetry, never measured data.
+        #: Profiled trials report it as ``engine.*`` row columns.
         self.tier_rounds: Dict[str, int] = {tier: 0 for tier in _ROUNDS}
         # Observability (see the module docstring): everything below is
         # allocated only when a recorder is attached, so the unrecorded
@@ -398,6 +400,12 @@ class Simulator:
         self._adj_stats_base: Optional[Dict[str, int]] = None
         self._rec_halted: Optional[set] = None
         self._rec_nodes_by_id: Optional[Dict[int, Algorithm]] = None
+        #: Flat cache hit/miss counters of the last recorded run
+        #: (``adjacency_hits``/``_misses`` when the schedule keeps an
+        #: adjacency cache, ``payload_bits_hits``/``_misses``): the
+        #: numbers of its cache events, shaped for ``cache.*`` row
+        #: columns.  ``None`` when no recorder is attached.
+        self.cache_counters: Optional[Dict[str, int]] = None
         if recorder is not None:
             self._rec_nodes_by_id = {node.node_id: node for node in self.nodes}
             self._rec_halted = {
@@ -408,35 +416,6 @@ class Simulator:
             # Misses are counted where bit_size runs (_payload_bits);
             # hits are derived per per-node-tier round in _step_recorded.
             self._bits_stats = {"hits": 0, "misses": 0}
-
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Per-cache hit/miss counters of this run (recorded runs only).
-
-        Flat ``{"adjacency_hits": ..., "adjacency_misses": ...,
-        "payload_bits_hits": ..., "payload_bits_misses": ...}`` — the
-        same numbers the end-of-run ``CacheEvent`` stream carries,
-        shaped for ``cache.*`` result-row columns.  ``None`` when no
-        recorder is attached (the unrecorded hot path tallies nothing).
-        """
-        if self.recorder is None:
-            return None
-        stats: Dict[str, int] = {}
-        delta = self._adjacency_delta()
-        if delta is not None:
-            stats["adjacency_hits"] = (delta.get("span_hits", 0)
-                                       + delta.get("fingerprint_hits", 0))
-            stats["adjacency_misses"] = delta.get("builds", 0)
-        stats["payload_bits_hits"] = self._bits_stats["hits"]
-        stats["payload_bits_misses"] = self._bits_stats["misses"]
-        return stats
-
-    def _adjacency_delta(self) -> Optional[Dict[str, int]]:
-        """This run's change in the schedule's adjacency-cache counters."""
-        adj_stats = getattr(self.schedule, "adjacency_stats", None)
-        if adj_stats is None:
-            return None
-        base = self._adj_stats_base or {}
-        return {key: adj_stats[key] - base.get(key, 0) for key in adj_stats}
 
     # -- payload costing -----------------------------------------------------
 
@@ -542,6 +521,34 @@ class Simulator:
                 round=r, tier=self._tier, action="fallback", reason=reason,
                 declined=[{"tier": tier, "reason": reason}]))
 
+    def _emit_cache_events(self, rec: Recorder) -> None:
+        """Set :attr:`cache_counters`; emit one ``CacheEvent`` per cache."""
+        counters: Dict[str, int] = {}
+        adj_stats = getattr(self.schedule, "adjacency_stats", None)
+        if adj_stats is not None:
+            base = self._adj_stats_base or {}
+            delta = {key: adj_stats[key] - base.get(key, 0)
+                     for key in adj_stats}
+            span_hits = delta.get("span_hits", 0)
+            fingerprint_hits = delta.get("fingerprint_hits", 0)
+            counters["adjacency_hits"] = span_hits + fingerprint_hits
+            counters["adjacency_misses"] = delta.get("builds", 0)
+            rec.emit(obs_events.CacheEvent(
+                round=self.round_index, cache="adjacency",
+                hits=counters["adjacency_hits"],
+                misses=counters["adjacency_misses"],
+                detail=(f"span_hits={span_hits} "
+                        f"fingerprint_hits={fingerprint_hits} "
+                        f"evictions={delta.get('evictions', 0)}")))
+        counters["payload_bits_hits"] = self._bits_stats["hits"]
+        counters["payload_bits_misses"] = self._bits_stats["misses"]
+        rec.emit(obs_events.CacheEvent(
+            round=self.round_index, cache="payload_bits",
+            hits=counters["payload_bits_hits"],
+            misses=counters["payload_bits_misses"],
+            detail=f"entries={len(self._bits_cache)}"))
+        self.cache_counters = counters
+
     # -- stop-condition helpers ----------------------------------------------
 
     def _all_halted(self) -> bool:
@@ -621,22 +628,7 @@ class Simulator:
             deactivate_batch(self)
 
         if rec is not None:
-            delta = self._adjacency_delta()
-            if delta is not None:
-                rec.emit(obs_events.CacheEvent(
-                    round=self.round_index, cache="adjacency",
-                    hits=delta.get("span_hits", 0)
-                    + delta.get("fingerprint_hits", 0),
-                    misses=delta.get("builds", 0),
-                    detail=(f"span_hits={delta.get('span_hits', 0)} "
-                            f"fingerprint_hits="
-                            f"{delta.get('fingerprint_hits', 0)} "
-                            f"evictions={delta.get('evictions', 0)}")))
-            rec.emit(obs_events.CacheEvent(
-                round=self.round_index, cache="payload_bits",
-                hits=self._bits_stats["hits"],
-                misses=self._bits_stats["misses"],
-                detail=f"entries={len(self._bits_cache)}"))
+            self._emit_cache_events(rec)
             tiers = self.tier_rounds
             rec.emit(obs_events.SummaryEvent(
                 rounds=self.round_index, stop_reason=stop_reason,
@@ -660,13 +652,8 @@ class Simulator:
         outputs = {
             node.node_id: node.output for node in self.nodes if node.decided
         }
-        phase_seconds = (
-            dict(self._phase_seconds) if self._phase_seconds is not None
-            else None)
-        engine_stats = dict(self.tier_rounds) if self.profile else None
         return RunResult(
-            metrics=self.metrics.snapshot(phase_seconds=phase_seconds,
-                                          engine_stats=engine_stats),
+            metrics=self.metrics.snapshot(),
             outputs=outputs,
             rounds=self.round_index,
             stop_reason=stop_reason,

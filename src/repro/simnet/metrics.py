@@ -48,16 +48,12 @@ class RunMetrics:
         Per-node final-decision round, keyed by node id.
     counters:
         Algorithm-defined named counters.
-    phase_seconds:
-        Wall-clock totals per engine phase (``compose`` / ``reveal`` /
-        ``deliver`` / ``drain``), present only when the run was profiled
-        (``Simulator(profile=True)`` or the harness ``--profile`` flag);
-        ``None`` otherwise so unprofiled results stay byte-comparable.
-    engine_stats:
-        Rounds executed per engine dispatch tier (``batch`` / ``fast`` /
-        ``reference``), present only when the run was profiled; ``None``
-        otherwise for the same byte-comparability reason — the tier split
-        is an implementation observable, not result data.
+
+    Only measured data lives here.  Wall-clock phase timings and the
+    per-tier round split are run-mode telemetry: they stay on the
+    :class:`~repro.simnet.engine.Simulator` (``phase_seconds``,
+    ``tier_rounds``) and reach result rows as ``phase.*`` / ``engine.*``
+    columns (see :func:`repro.harness.runner.run_trial`).
     """
 
     rounds: int
@@ -69,8 +65,6 @@ class RunMetrics:
     last_decision_round: Optional[int]
     decision_rounds: Mapping[int, int]
     counters: Mapping[str, int]
-    phase_seconds: Optional[Mapping[str, float]] = None
-    engine_stats: Optional[Mapping[str, int]] = None
 
     def as_dict(self) -> Dict[str, object]:
         """Flatten to a plain dict (for CSV/JSON export by the harness)."""
@@ -85,12 +79,6 @@ class RunMetrics:
         }
         for name, value in sorted(self.counters.items()):
             out[f"counter.{name}"] = value
-        if self.phase_seconds is not None:
-            for name, seconds in sorted(self.phase_seconds.items()):
-                out[f"phase.{name}_s"] = seconds
-        if self.engine_stats is not None:
-            for name, rounds in sorted(self.engine_stats.items()):
-                out[f"engine.{name}_rounds"] = rounds
         return out
 
 
@@ -144,15 +132,8 @@ class MetricsCollector:
         """Node ids that currently hold a decision."""
         return tuple(sorted(self._decision_rounds))
 
-    def snapshot(self,
-                 phase_seconds: Optional[Dict[str, float]] = None,
-                 engine_stats: Optional[Dict[str, int]] = None) -> RunMetrics:
-        """Freeze the current totals into a :class:`RunMetrics`.
-
-        *phase_seconds* and *engine_stats*, when given, carry the
-        engine's per-phase profiling totals and per-tier round counts
-        into the frozen record.
-        """
+    def snapshot(self) -> RunMetrics:
+        """Freeze the current totals into a :class:`RunMetrics`."""
         rounds = self._decision_rounds.values()
         return RunMetrics(
             rounds=self.rounds,
@@ -164,6 +145,4 @@ class MetricsCollector:
             last_decision_round=max(rounds) if rounds else None,
             decision_rounds=dict(self._decision_rounds),
             counters=dict(self._counters),
-            phase_seconds=phase_seconds,
-            engine_stats=engine_stats,
         )

@@ -52,7 +52,7 @@ def run_fast_round(sim: Any) -> None:
     r = sim.round_index
     nodes = sim.nodes
     metrics = sim.metrics
-    prof = sim._phase_seconds
+    prof = sim.phase_seconds
     active = sim._active
     payloads = sim._payloads
     contexts = sim._contexts
@@ -213,7 +213,7 @@ def run_reference_round(sim: Any) -> None:
     r = sim.round_index
     nodes = sim.nodes
     n = len(nodes)
-    prof = sim._phase_seconds
+    prof = sim.phase_seconds
 
     # Phase 1: compose (graph not yet revealed to nodes).
     t0 = perf_counter() if prof is not None else 0.0

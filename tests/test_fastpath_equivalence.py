@@ -36,9 +36,9 @@ from repro.dynamics import (
 )
 from repro.dynamics.schedule import STABLE_FOREVER
 from repro.core.exact_count import ExactCount
-from repro.exec.executor import ParallelExecutor
+from repro.exec.executor import ParallelExecutor, collect_telemetry
 from repro.exec.specs import TrialSpec
-from repro.harness.runner import phase_totals, reset_phase_totals, run_trial
+from repro.harness.runner import durable_row, run_trial
 from repro.obs import Recorder
 from repro.simnet import RngRegistry, Simulator
 from repro.simnet.engine import PHASES, set_profile_default
@@ -328,27 +328,37 @@ def test_flood_broadcast_three_way_equivalence(seed):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_engine_stats_only_present_when_profiled(engine):
-    """Unprofiled RunResults stay byte-comparable across tiers: the
-    per-tier round counts appear only under ``profile=True``."""
-    sim = _sim(_handoff, 4, engine=engine)
-    result = sim.run(max_rounds=1000, until="quiescent",
-                     quiescence_window=16)
-    assert result.metrics.engine_stats is None
-    assert not any(k.startswith("engine.")
-                   for k in result.metrics.as_dict())
+def test_engine_stats_only_present_when_profiled(engine, monkeypatch):
+    """The per-tier round split is telemetry: it never enters a
+    RunResult, and only profiled trial rows carry it, as ``engine.*``
+    columns."""
+    results = []
+    for profile in (False, True):
+        sim = Simulator(_handoff(4), [ExactCount(i) for i in range(20)],
+                        rng=RngRegistry(4), engine=engine, profile=profile)
+        results.append(sim.run(max_rounds=1000, until="quiescent",
+                               quiescence_window=16))
+        assert set(sim.tier_rounds) == {"batch", "fast", "reference"}
+        assert sum(sim.tier_rounds.values()) == results[-1].rounds
+        assert not any(k.startswith("engine.")
+                       for k in results[-1].metrics.as_dict())
+    assert results[1] == results[0]
 
-    sim = Simulator(_handoff(4), [ExactCount(i) for i in range(20)],
-                    rng=RngRegistry(4), engine=engine, profile=True)
-    result = sim.run(max_rounds=1000, until="quiescent",
-                     quiescence_window=16)
-    stats = result.metrics.engine_stats
-    assert stats is not None
-    assert set(stats) == {"batch", "fast", "reference"}
-    assert sum(stats.values()) == result.rounds
-    flat = result.metrics.as_dict()
-    for tier in ("batch", "fast", "reference"):
-        assert f"engine.{tier}_rounds" in flat
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    spec = TrialSpec(
+        schedule="lowdiam_handoff", schedule_params={"n": 12, "T": 2},
+        nodes="exact_count", node_params={"n": 12},
+        max_rounds=1000, until="quiescent", quiescence_window=16)
+    assert not any(k.startswith("engine.")
+                   for k in run_trial(spec, 4).as_row())
+    set_profile_default(True)
+    try:
+        row = run_trial(spec, 4).as_row()
+    finally:
+        set_profile_default(False)
+    tiers = [row[f"engine.{tier}_rounds"]
+             for tier in ("batch", "fast", "reference")]
+    assert sum(tiers) == row["rounds"]
 
 
 # --------------------------------------------------------------------------
@@ -482,13 +492,12 @@ def test_profile_collects_phase_seconds(engine):
                     engine=engine, profile=True)
     result = sim.run(max_rounds=1000, until="quiescent",
                      quiescence_window=16)
-    phases = result.metrics.phase_seconds
+    phases = sim.phase_seconds
     assert phases is not None
     assert set(phases) == set(PHASES)
     assert all(seconds >= 0.0 for seconds in phases.values())
-    flat = result.metrics.as_dict()
-    for name in PHASES:
-        assert f"phase.{name}_s" in flat
+    # Wall-clock timings are not measured data.
+    assert not any(k.startswith("phase.") for k in result.metrics.as_dict())
 
 
 def test_profile_off_keeps_metrics_unannotated():
@@ -496,7 +505,7 @@ def test_profile_off_keeps_metrics_unannotated():
     nodes = [ExactCount(i) for i in range(6)]
     sim = Simulator(schedule, nodes, rng=RngRegistry(0))
     result = sim.run(max_rounds=500, until="quiescent", quiescence_window=8)
-    assert result.metrics.phase_seconds is None
+    assert sim.phase_seconds is None
     assert not any(k.startswith("phase.") for k in result.metrics.as_dict())
 
 
@@ -510,37 +519,49 @@ def test_profile_flows_into_trial_result_rows():
         result = run_trial(spec, 3)
     finally:
         set_profile_default(False)
-    assert result.phase_seconds is not None
     row = result.as_row()
     for name in PHASES:
         assert f"phase.{name}_s" in row
-    # Unprofiled rows carry no phase columns at all.
+    assert set(result.telemetry) <= set(row)
+    # Unprofiled rows carry no telemetry columns at all.
     unprofiled = run_trial(spec, 3)
-    assert unprofiled.phase_seconds is None
-    assert not any(k.startswith("phase.") for k in unprofiled.as_row())
+    assert unprofiled.telemetry == {}
+    assert unprofiled.as_row() == durable_row(row)
 
 
-def test_phase_totals_accumulate_per_profiled_trial():
-    spec = TrialSpec(
-        schedule="lowdiam_handoff", schedule_params={"n": 10, "T": 2},
-        nodes="exact_count", node_params={"n": 10},
-        max_rounds=1000, until="quiescent", quiescence_window=16)
-    reset_phase_totals()
+def test_worker_fold_counts_each_executed_row_once(tmp_path):
+    """A profiled two-worker run folds every executed row's ``phase.*`` /
+    ``engine.*`` columns exactly once; a warm rerun adds nothing."""
+    cells = [(TrialSpec(
+        schedule="lowdiam_handoff", schedule_params={"n": n, "T": 2},
+        nodes="exact_count", node_params={"n": n},
+        max_rounds=1000, until="quiescent", quiescence_window=16), seed)
+        for n in (8, 10) for seed in (1, 2)]
+    cells.append(cells[0])  # deduplicated: executes once
+    executor = ParallelExecutor(workers=2, cache=str(tmp_path))
+    set_profile_default(True)
     try:
-        set_profile_default(True)
-        run_trial(spec, 1)
-        run_trial(spec, 2)
-        set_profile_default(False)
-        totals, trials = phase_totals()
-        assert trials == 2
-        assert set(totals) == set(PHASES)
-        assert all(seconds >= 0.0 for seconds in totals.values())
-        # Unprofiled trials contribute nothing.
-        run_trial(spec, 3)
-        assert phase_totals()[1] == 2
+        with collect_telemetry() as fold:
+            report = executor.run(cells)
+            assert report.executed == 4
+            warm = executor.run(cells)
     finally:
         set_profile_default(False)
-        reset_phase_totals()
+    assert warm.executed == 0 and warm.cache_hits == 4
+    assert fold.trials == 4
+    executed = report.rows[:4]
+    expected = {}
+    for row in executed:
+        for key, value in row.items():
+            if key.startswith(("phase.", "engine.")):
+                expected[key] = expected.get(key, 0) + value
+    assert set(expected) == ({f"phase.{name}_s" for name in PHASES}
+                             | {f"engine.{tier}_rounds"
+                                for tier in ("batch", "fast", "reference")})
+    assert fold.columns == pytest.approx(expected)
+    assert sum(fold.columns[f"engine.{tier}_rounds"]
+               for tier in ("batch", "fast", "reference")) == sum(
+                   row["rounds"] for row in executed)
 
 
 def test_executor_strips_phase_columns_from_cache(tmp_path):
@@ -550,7 +571,6 @@ def test_executor_strips_phase_columns_from_cache(tmp_path):
         schedule="lowdiam_handoff", schedule_params={"n": 10, "T": 2},
         nodes="exact_count", node_params={"n": 10},
         max_rounds=1000, until="quiescent", quiescence_window=16)
-    reset_phase_totals()
     set_profile_default(True)
     try:
         executor = ParallelExecutor(cache=str(tmp_path))
@@ -563,7 +583,6 @@ def test_executor_strips_phase_columns_from_cache(tmp_path):
         assert not any(k.startswith("phase.") for k in cached)
     finally:
         set_profile_default(False)
-        reset_phase_totals()
     # A later unprofiled run served from the same cache stays clean.
     report2 = ParallelExecutor(cache=str(tmp_path)).run([(spec, 7)])
     assert report2.cache_hits == 1

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: runner, experiments, io, cli."""
 
 import os
+import re
 import types
 
 import pytest
@@ -17,6 +18,7 @@ from repro.harness import (
 from repro.harness.experiments import ExperimentResult, run_f1, run_f5, run_t1
 from repro.harness import cli
 from repro.harness.cli import main as cli_main
+from repro.simnet import set_profile_default
 
 
 def exact_count_spec(n=16):
@@ -135,6 +137,26 @@ class TestCli:
                             types.SimpleNamespace(time=lambda: clock[0]))
         assert cli_main(["t1"]) == 0
         assert "[t1 finished in 5.0s]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_profile_lines_cover_one_experiment_each(self, workers, capsys):
+        # Each [profile] line counts only the trials its experiment
+        # executed: T1's shared run counts under T1, F1 reuses T1's rows
+        # and executes nothing, and T3's line excludes T2's trials.
+        try:
+            assert cli_main(["--quick", "t1", "f1", "t2", "t3", "--profile",
+                             "--workers", str(workers)]) == 0
+        finally:
+            set_profile_default(False)
+        lines = capsys.readouterr().out.splitlines()
+        trials = {}
+        for i, line in enumerate(lines):
+            match = re.match(r"\[(\w+) finished in", line)
+            if match:
+                profile = lines[i + 2]
+                assert profile.startswith("[profile] ")
+                trials[match.group(1)] = profile.split()[1]
+        assert trials == {"t1": "11", "f1": "no", "t2": "24", "t3": "8"}
 
     def test_quick_run_with_save(self, tmp_path, capsys):
         code = cli_main(["--quick", "f4", "--out", str(tmp_path)])

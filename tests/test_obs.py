@@ -31,7 +31,6 @@ from repro.harness.runner import run_trial
 from repro.obs import (
     SCHEMA_VERSION,
     CacheEvent,
-    CsvSink,
     DecisionEvent,
     DeliveryEvent,
     EngineTierEvent,
@@ -190,14 +189,18 @@ def test_cache_events_present_with_counters():
     rec = Recorder.in_memory()
     # T=4: each handoff window's union graph is stable for T-1 = 3
     # rounds, so the stable-span cache must serve repeat rounds.
-    _sim(recorder=rec, T=4).run(5000, until="quiescent",
-                                quiescence_window=32)
+    sim = _sim(recorder=rec, T=4)
+    sim.run(5000, until="quiescent", quiescence_window=32)
     caches = {e.cache: e for e in rec.of_kind("cache")}
     assert set(caches) == {"adjacency", "payload_bits"}
     adjacency = caches["adjacency"]
     assert adjacency.hits > 0
     assert "span_hits=" in adjacency.detail
     assert "span_hits=0" not in adjacency.detail
+    # The cache.* row columns come from the same counters as the events.
+    assert sim.cache_counters == {
+        f"{name}_{field}": getattr(event, field)
+        for name, event in caches.items() for field in ("hits", "misses")}
 
 
 def test_summary_event_matches_run():
@@ -211,18 +214,6 @@ def test_summary_event_matches_run():
     tier_total = (summary.batch_rounds + summary.fast_rounds
                   + summary.reference_rounds)
     assert tier_total == result.rounds
-
-
-def test_csv_sink_unions_columns(tmp_path):
-    path = tmp_path / "events.csv"
-    sink = CsvSink(str(path))
-    rec = Recorder(sinks=[sink])
-    for event in SAMPLES:
-        rec.emit(event)
-    rec.close()
-    header = path.read_text().splitlines()[0].split(",")
-    assert header[:2] == ["kind", "v"]
-    assert "round" in header and "reason" in header
 
 
 # --------------------------------------------------------------------------
