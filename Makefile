@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast lint bench bench-quick bench-smoke bench-e2e-smoke bench-whole-run experiments sweep-parallel report docs docs-check examples clean
+.PHONY: install test test-fast lint bench-smoke bench-e2e-smoke bench-whole-run experiments sweep-parallel report docs docs-check examples clean
 
 install:
 	pip install -e .
@@ -27,12 +27,6 @@ lint:
 	@if command -v mypy >/dev/null 2>&1; then \
 	    mypy --strict $(LINT_MODULES); \
 	else echo "[lint] mypy not installed; skipping (pip install mypy)"; fi
-
-bench:           ## full-size: regenerates every table/figure into results/
-	$(PY) -m pytest benchmarks/ --benchmark-only
-
-bench-quick:
-	REPRO_BENCH_QUICK=1 $(PY) -m pytest benchmarks/ --benchmark-only
 
 bench-smoke:     ## CI gate: fast-path + batch-kernel speedups vs baselines
 	$(PY) benchmarks/bench_micro_substrate.py --smoke
@@ -63,7 +57,7 @@ RUNS ?= 3
 bench-whole-run:
 	$(PY) tools/time_runs.py $(RUN) --runs $(RUNS)
 
-experiments:     ## same data via the CLI
+experiments:     ## regenerate every table/figure into results/
 	$(PY) -m repro.harness.cli --all --out results/
 
 # Every experiment on $(WORKERS) workers with a warm content-addressed
@@ -88,6 +82,7 @@ examples:
 	$(PY) examples/adversary_gallery.py
 	$(PY) examples/bandwidth_budget.py
 	$(PY) examples/consensus_under_churn.py
+	$(PY) examples/schedule_combinators.py
 
 clean:
 	rm -rf build *.egg-info src/*.egg-info .pytest_cache

@@ -1,14 +1,15 @@
-"""Microbenchmarks of the substrate hot paths.
+"""Engine fast-path vs reference-loop throughput.
 
-Not tied to a paper table; these track the performance of the pieces
-every experiment sits on (engine round throughput, flood-closure
-diameter computation, promise verification, sketch merging), so
-regressions in the substrate show up independently of the experiment
-numbers.
+Times rounds/sec of the per-node fast tier against the reference loops
+on a T=4 overlap-handoff schedule with a no-op broadcast node, so the
+difference is all substrate (see ``docs/PERFORMANCE.md``).  Each N row
+measures the two engines alternately three times and reports the pair
+with the median speedup.
 
-The engine fast-vs-reference comparison (see ``docs/PERFORMANCE.md``)
-writes ``results/BENCH_engine.json`` when run under pytest, and the
-module doubles as the CI smoke gate::
+    python benchmarks/bench_micro_substrate.py
+
+writes ``results/BENCH_engine.json`` and exits non-zero unless the fast
+path clears 3x at N=1024.  The module doubles as the CI smoke gate::
 
     python benchmarks/bench_micro_substrate.py --smoke
 
@@ -24,8 +25,6 @@ import os
 import sys
 from time import perf_counter
 
-import numpy as np
-
 try:
     import repro  # noqa: F401
 except ModuleNotFoundError:  # source checkout without `pip install -e .`
@@ -33,16 +32,10 @@ except ModuleNotFoundError:  # source checkout without `pip install -e .`
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro import RngRegistry, Simulator
-from repro.core import ApproxCount, ExactCount
-from repro.core.sketches import ExponentialCountSketch
-from repro.dynamics import (
-    OverlapHandoffAdversary,
-    StaticAdversary,
-    dynamic_diameter,
-    random_regular_expander,
-    verify_t_interval_connectivity,
-)
+from repro.dynamics import OverlapHandoffAdversary
 from repro.simnet.node import Algorithm
+
+from paired import median_pair
 
 RESULTS_DIR = os.environ.get(
     "REPRO_RESULTS_DIR",
@@ -90,13 +83,15 @@ def _measure_rounds_per_sec(engine: str, n: int, rounds: int,
 
 
 def engine_comparison(ns=(64, 256, 1024), rounds_by_n=None):
-    """Rounds/sec of both engines per N, with the fast/reference speedup."""
+    """Rounds/sec of both engines per N, with the fast/reference speedup
+    of the median of three interleaved measurement pairs."""
     rounds_by_n = rounds_by_n or FULL_ROUNDS
     rows = []
     for n in ns:
         rounds = rounds_by_n[n]
-        fast = _measure_rounds_per_sec("fast", n, rounds)
-        reference = _measure_rounds_per_sec("reference", n, rounds)
+        fast, reference = median_pair(
+            lambda: _measure_rounds_per_sec("fast", n, rounds),
+            lambda: _measure_rounds_per_sec("reference", n, rounds))
         rows.append({
             "n": n,
             "rounds_timed": rounds,
@@ -107,82 +102,16 @@ def engine_comparison(ns=(64, 256, 1024), rounds_by_n=None):
     return rows
 
 
-def test_engine_round_throughput(benchmark):
-    """Rounds/second of the bare engine at N=256 (ExactCount payloads)."""
-    n = 256
-    sched = StaticAdversary(
-        n, random_regular_expander(n, 4, np.random.default_rng(0)))
-    nodes = [ExactCount(i) for i in range(n)]
-    sim = Simulator(sched, nodes, rng=RngRegistry(0))
-
-    benchmark(sim.step)
-
-
-def test_flood_closure_diameter(benchmark):
-    """Bit-packed all-pairs flood closure at N=512."""
-    n = 512
-    sched = StaticAdversary(
-        n, random_regular_expander(n, 4, np.random.default_rng(1)))
-    result = benchmark(lambda: dynamic_diameter(sched))
-    assert result < 16
-
-
-def test_promise_verification(benchmark):
-    """Sliding-window T-interval verification, 200 rounds at N=128."""
-    adv = OverlapHandoffAdversary(128, 4, noise_edges=16, seed=3)
-    ok = benchmark(
-        lambda: verify_t_interval_connectivity(adv, 4, horizon=200))
-    assert ok[0]
-
-
-def test_sketch_aggregation_round(benchmark):
-    """One simulated round of min-vector aggregation at N=128, k=64."""
-    n = 128
-    sched = OverlapHandoffAdversary(n, 2, seed=5)
-    nodes = [ApproxCount(i, width=64) for i in range(n)]
-    sim = Simulator(sched, nodes, rng=RngRegistry(5))
-    benchmark(sim.step)
-
-
-def test_sketch_estimator(benchmark):
-    """Estimator evaluation cost (vectorised Gamma inverse)."""
-    sk = ExponentialCountSketch(256)
-    rng = np.random.default_rng(2)
-    minima = rng.exponential(1.0 / 500, size=256)
-    est = benchmark(lambda: sk.estimate(minima))
-    assert 100 < est < 2500
-
-
-def test_engine_fast_vs_reference(benchmark, results_dir, quick):
-    """Fast vs reference rounds/sec across N; persists BENCH_engine.json.
-
-    The fast path must clear 3x on the N=1024 T-interval schedule (the
-    tentpole acceptance bar; see docs/PERFORMANCE.md for the mechanism).
-    """
-    ns = (64, 256) if quick else (64, 256, 1024)
-    rounds_by_n = SMOKE_ROUNDS if quick else FULL_ROUNDS
-    rows = benchmark.pedantic(
-        lambda: engine_comparison(ns=ns, rounds_by_n=rounds_by_n), rounds=1)
-    path = os.path.join(results_dir, "BENCH_engine.json")
-    with open(path, "w") as fh:
-        json.dump({"bench": "engine_fast_vs_reference", "rows": rows}, fh,
-                  indent=2)
-        fh.write("\n")
-    print(f"\n[engine bench] -> {path}")
+def _print_rows(rows):
     for row in rows:
         print(f"  N={row['n']}: fast {row['fast_rounds_per_sec']:.0f} r/s, "
               f"reference {row['reference_rounds_per_sec']:.0f} r/s "
               f"({row['speedup']:.2f}x)")
-    if not quick:
-        n1024 = next(r for r in rows if r["n"] == 1024)
-        assert n1024["speedup"] >= 3.0, (
-            f"fast path regressed: {n1024['speedup']:.2f}x at N=1024 "
-            f"(acceptance bar is 3x)")
 
 
 # --------------------------------------------------------------------------
-# CI smoke gate (no pytest-benchmark dependency): --smoke compares the
-# fast/reference speedup ratios against the committed baseline.
+# CI smoke gate: --smoke compares the fast/reference speedup ratios
+# against the committed baseline.
 # --------------------------------------------------------------------------
 
 def run_smoke(baseline_path=None, out_path=None,
@@ -203,10 +132,7 @@ def run_smoke(baseline_path=None, out_path=None,
         json.dump({"bench": "engine_smoke", "rows": rows}, fh, indent=2)
         fh.write("\n")
     print(f"[bench-smoke] -> {out_path}")
-    for row in rows:
-        print(f"  N={row['n']}: fast {row['fast_rounds_per_sec']:.0f} r/s, "
-              f"reference {row['reference_rounds_per_sec']:.0f} r/s "
-              f"({row['speedup']:.2f}x)")
+    _print_rows(rows)
     if not os.path.exists(baseline_path):
         print(f"[bench-smoke] no baseline at {baseline_path}; skipping gate")
         return 0
@@ -224,6 +150,33 @@ def run_smoke(baseline_path=None, out_path=None,
         if row["speedup"] < floor:
             failed = True
     return 1 if failed else 0
+
+
+#: Acceptance bar: fast path over the reference loops at this N.
+ABSOLUTE_BAR_N = 1024
+ABSOLUTE_BAR = 3.0
+
+
+def run_full(out_path=None) -> int:
+    """Full-size comparison, persisted as ``results/BENCH_engine.json``.
+
+    Returns 1 when the fast path misses the 3x bar at N=1024, else 0.
+    """
+    out_path = out_path or os.path.join(RESULTS_DIR, "BENCH_engine.json")
+    rows = engine_comparison()
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
+    with open(out_path, "w") as fh:
+        json.dump({"bench": "engine_fast_vs_reference", "rows": rows}, fh,
+                  indent=2)
+        fh.write("\n")
+    print(f"[engine bench] -> {out_path}")
+    _print_rows(rows)
+    bar_row = next(r for r in rows if r["n"] == ABSOLUTE_BAR_N)
+    if bar_row["speedup"] < ABSOLUTE_BAR:
+        print(f"  N={ABSOLUTE_BAR_N}: speedup {bar_row['speedup']:.2f}x is "
+              f"below the {ABSOLUTE_BAR:.1f}x acceptance bar -> REGRESSED")
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -249,9 +202,7 @@ def main(argv=None) -> int:
         return 0
     if args.smoke:
         return run_smoke()
-    rows = engine_comparison()
-    print(json.dumps(rows, indent=2))
-    return 0
+    return run_full()
 
 
 if __name__ == "__main__":

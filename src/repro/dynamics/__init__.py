@@ -37,15 +37,9 @@ from .topologies import (
     ring_graph,
     star_graph,
     complete_graph,
-    binary_tree_graph,
     random_tree_graph,
-    erdos_renyi_connected,
-    hypercube_graph,
-    grid_graph,
     random_regular_expander,
-    barbell_graph,
     ring_of_cliques,
-    wheel_graph,
     TOPOLOGY_BUILDERS,
     build_topology,
 )
@@ -84,15 +78,9 @@ __all__ = [
     "ring_graph",
     "star_graph",
     "complete_graph",
-    "binary_tree_graph",
     "random_tree_graph",
-    "erdos_renyi_connected",
-    "hypercube_graph",
-    "grid_graph",
     "random_regular_expander",
-    "barbell_graph",
     "ring_of_cliques",
-    "wheel_graph",
     "TOPOLOGY_BUILDERS",
     "build_topology",
     "StaticAdversary",

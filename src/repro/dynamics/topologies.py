@@ -11,10 +11,7 @@ builder                   diameter                 role in the evaluation
 ``line_graph``            ``n - 1``                worst-case ``d = Θ(N)``
 ``ring_graph``            ``⌊n/2⌋``                ``d = Θ(N)``
 ``ring_of_cliques``       ``Θ(k)`` (k cliques)     sweeps ``d`` at fixed N
-``grid_graph``            ``Θ(√n)``                intermediate ``d``
-``hypercube_graph``       ``log₂ n``               low ``d``
 ``random_regular_…``      ``O(log n)`` w.h.p.      low-``d`` expander
-``binary_tree_graph``     ``Θ(log n)``             low ``d``, sparse
 ``star_graph``            ``2``                    minimal ``d``
 ``complete_graph``        ``1``                    sanity floor
 ========================  =======================  =========================
@@ -24,12 +21,11 @@ Randomised builders take an explicit :class:`numpy.random.Generator`.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .._validate import require_positive_int, require_probability
+from .._validate import require_positive_int
 from ..errors import ConfigurationError
 from .schedule import canonical_edges
 from .verifier import is_connected_spanning
@@ -39,15 +35,9 @@ __all__ = [
     "ring_graph",
     "star_graph",
     "complete_graph",
-    "binary_tree_graph",
     "random_tree_graph",
-    "erdos_renyi_connected",
-    "hypercube_graph",
-    "grid_graph",
     "random_regular_expander",
-    "barbell_graph",
     "ring_of_cliques",
-    "wheel_graph",
     "TOPOLOGY_BUILDERS",
     "build_topology",
 ]
@@ -90,16 +80,6 @@ def complete_graph(n: int) -> np.ndarray:
     return canonical_edges(np.stack(iu, axis=1), n)
 
 
-def binary_tree_graph(n: int) -> np.ndarray:
-    """Complete-ish binary tree (heap indexing); diameter ``Θ(log n)``."""
-    require_positive_int(n, "n")
-    if n == 1:
-        return canonical_edges([], 1)
-    child = np.arange(1, n)
-    parent = (child - 1) // 2
-    return canonical_edges(np.stack([parent, child], axis=1), n)
-
-
 def random_tree_graph(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random recursive tree: node ``i`` attaches to a random ``j < i``."""
     require_positive_int(n, "n")
@@ -111,87 +91,6 @@ def random_tree_graph(n: int, rng: np.random.Generator) -> np.ndarray:
     # schedules are unchanged.
     parent = rng.integers(0, child)
     return canonical_edges(np.stack([parent, child], axis=1), n)
-
-
-def erdos_renyi_connected(n: int, p: float, rng: np.random.Generator,
-                          max_attempts: int = 64) -> np.ndarray:
-    """``G(n, p)`` conditioned on connectivity.
-
-    Retries up to *max_attempts* samples; if none is connected, the last
-    sample is *repaired* by adding a uniform random recursive tree (the
-    repair is noted in the literature's simulations and keeps the edge
-    distribution close to ``G(n, p)`` when ``p`` is near the threshold).
-    """
-    require_positive_int(n, "n")
-    require_probability(p, "p")
-    if n == 1:
-        return canonical_edges([], 1)
-    iu = np.triu_indices(n, k=1)
-    all_pairs = np.stack(iu, axis=1)
-    last = None
-    for _ in range(max_attempts):
-        mask = rng.random(len(all_pairs)) < p
-        edges = all_pairs[mask]
-        last = edges
-        if is_connected_spanning(edges, n):
-            return canonical_edges(edges, n)
-    tree = random_tree_graph(n, rng)
-    combined = np.concatenate([last, tree]) if last is not None and last.size else tree
-    return canonical_edges(combined, n)
-
-
-def hypercube_graph(n: int) -> np.ndarray:
-    """Hypercube on ``n = 2^k`` nodes; diameter ``k``."""
-    require_positive_int(n, "n")
-    k = n.bit_length() - 1
-    if 1 << k != n:
-        raise ConfigurationError(f"hypercube requires n to be a power of 2, got {n}")
-    edges: List[Tuple[int, int]] = []
-    for u in range(n):
-        for b in range(k):
-            v = u ^ (1 << b)
-            if u < v:
-                edges.append((u, v))
-    return canonical_edges(edges, n)
-
-
-def grid_graph(n: int, torus: bool = False) -> np.ndarray:
-    """Near-square 2D grid on exactly ``n`` nodes; diameter ``Θ(√n)``.
-
-    The grid has ``rows = ⌊√n⌋`` rows; the last row may be shorter.  With
-    ``torus=True`` wrap-around edges are added (only between full rows /
-    columns, so the graph stays simple and connected for ragged ``n``).
-    """
-    require_positive_int(n, "n")
-    rows = max(1, int(math.isqrt(n)))
-    cols = math.ceil(n / rows)
-    edges: List[Tuple[int, int]] = []
-
-    def nid(r: int, c: int) -> Optional[int]:
-        i = r * cols + c
-        return i if i < n else None
-
-    for r in range(rows):
-        for c in range(cols):
-            u = nid(r, c)
-            if u is None:
-                continue
-            right = nid(r, c + 1)
-            down = nid(r + 1, c)
-            if right is not None:
-                edges.append((u, right))
-            if down is not None:
-                edges.append((u, down))
-            if torus:
-                if c == cols - 1:
-                    w = nid(r, 0)
-                    if w is not None and w != u:
-                        edges.append((u, w))
-                if r == rows - 1:
-                    w = nid(0, c)
-                    if w is not None and w != u:
-                        edges.append((u, w))
-    return canonical_edges(edges, n)
 
 
 def random_regular_expander(n: int, degree: int,
@@ -222,27 +121,6 @@ def random_regular_expander(n: int, degree: int,
     tree = random_tree_graph(n, rng)
     combined = np.concatenate([last, tree]) if last is not None and last.size else tree
     return canonical_edges(combined, n)
-
-
-def barbell_graph(n: int) -> np.ndarray:
-    """Two ``⌊n/2⌋``-cliques joined by a single bridge edge; diameter 3.
-
-    A classic low-diameter / low-conductance instance: flooding is fast
-    but the bridge is a 1-edge bottleneck for bandwidth-limited protocols.
-    """
-    require_positive_int(n, "n")
-    if n < 4:
-        raise ConfigurationError(f"barbell requires n >= 4, got {n}")
-    half = n // 2
-    edges: List[Tuple[int, int]] = []
-    for u in range(half):
-        for v in range(u + 1, half):
-            edges.append((u, v))
-    for u in range(half, n):
-        for v in range(u + 1, n):
-            edges.append((u, v))
-    edges.append((half - 1, half))
-    return canonical_edges(edges, n)
 
 
 def ring_of_cliques(n: int, num_cliques: int) -> np.ndarray:
@@ -276,18 +154,6 @@ def ring_of_cliques(n: int, num_cliques: int) -> np.ndarray:
     return canonical_edges(edges, n)
 
 
-def wheel_graph(n: int) -> np.ndarray:
-    """Cycle on ``n - 1`` nodes plus a hub (node 0); diameter 2."""
-    require_positive_int(n, "n")
-    if n < 4:
-        raise ConfigurationError(f"wheel requires n >= 4, got {n}")
-    rim = np.arange(1, n)
-    edges = [(0, int(v)) for v in rim]
-    for i in range(len(rim)):
-        edges.append((int(rim[i]), int(rim[(i + 1) % len(rim)])))
-    return canonical_edges(edges, n)
-
-
 #: Registry used by the experiment harness to build topologies by name.
 #: Builders take ``(n, rng)``; deterministic ones ignore ``rng``.
 TOPOLOGY_BUILDERS: Dict[str, Callable[[int, np.random.Generator], np.ndarray]] = {
@@ -295,14 +161,8 @@ TOPOLOGY_BUILDERS: Dict[str, Callable[[int, np.random.Generator], np.ndarray]] =
     "ring": lambda n, rng: ring_graph(n),
     "star": lambda n, rng: star_graph(n),
     "complete": lambda n, rng: complete_graph(n),
-    "binary_tree": lambda n, rng: binary_tree_graph(n),
     "random_tree": random_tree_graph,
-    "hypercube": lambda n, rng: hypercube_graph(n),
-    "grid": lambda n, rng: grid_graph(n),
-    "torus": lambda n, rng: grid_graph(n, torus=True),
     "expander": lambda n, rng: random_regular_expander(n, 4, rng),
-    "barbell": lambda n, rng: barbell_graph(n),
-    "wheel": lambda n, rng: wheel_graph(n),
 }
 
 

@@ -10,14 +10,15 @@ resumable, cacheable, multi-process sweeps:
   rows on disk (sha256 of spec + seed + code-version salt), so reruns
   execute only missing cells;
 * :mod:`~repro.exec.journal` — :class:`SweepJournal`, an append-only
-  JSONL checkpoint making interrupted sweeps resumable, plus atomic
-  publication of final artefacts;
+  JSONL checkpoint making interrupted sweeps resumable;
 * :mod:`~repro.exec.executor` — :class:`ParallelExecutor`, the process
   pool that composes all of the above (``workers=1`` preserves the
   historical serial path) with a byte-identical determinism guarantee;
-* :mod:`~repro.exec.progress` — live rows/rate/ETA/per-worker reporting;
-* :mod:`~repro.exec.cli` — ``python -m repro.exec`` verbs (``run``,
-  ``builders``, ``cache``).
+* :mod:`~repro.exec.progress` — live rows/rate/ETA/per-worker reporting.
+
+``repro-experiments`` (:mod:`repro.harness.cli`) is the command-line
+front end: its ``--workers/--cache-dir/--resume/--events/--engine``
+flags configure this executor.
 
 See ``docs/EXECUTOR.md`` for the architecture tour.
 """
@@ -26,15 +27,12 @@ from .specs import (
     CODE_VERSION_SALT,
     TrialSpec,
     canonical_json,
-    node_builders,
-    oracle_builders,
     register_nodes,
     register_oracle,
     register_schedule,
-    schedule_builders,
 )
 from .cache import CacheStats, ResultCache
-from .journal import SweepJournal, write_rows_atomic
+from .journal import SweepJournal
 from .progress import ConsoleProgress, ProgressSnapshot
 from .executor import (
     ExecOptions,
@@ -51,13 +49,9 @@ __all__ = [
     "register_schedule",
     "register_nodes",
     "register_oracle",
-    "schedule_builders",
-    "node_builders",
-    "oracle_builders",
     "CacheStats",
     "ResultCache",
     "SweepJournal",
-    "write_rows_atomic",
     "ConsoleProgress",
     "ProgressSnapshot",
     "ExecOptions",

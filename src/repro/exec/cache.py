@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from .specs import CODE_VERSION_SALT, TrialSpec
 
@@ -100,44 +100,6 @@ class ResultCache:
                 pass
             raise
         self.stats.writes += 1
-
-    # -- maintenance -------------------------------------------------------
-
-    def iter_keys(self) -> Iterator[str]:
-        """All keys currently stored (directory walk)."""
-        if not os.path.isdir(self.root):
-            return
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    yield name[:-len(".json")]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.iter_keys())
-
-    def size_bytes(self) -> int:
-        """Total bytes of all stored entries."""
-        total = 0
-        for key in self.iter_keys():
-            try:
-                total += os.path.getsize(self.path(key))
-            except OSError:
-                pass
-        return total
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for key in list(self.iter_keys()):
-            try:
-                os.unlink(self.path(key))
-                removed += 1
-            except OSError:
-                pass
-        return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ResultCache(root={self.root!r}, salt={self.salt!r}, "

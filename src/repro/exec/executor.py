@@ -141,13 +141,6 @@ class ExecutionReport:
     errors: int = 0
     elapsed: float = 0.0
 
-    def summary(self) -> str:
-        """One-line accounting string for logs and the CLI."""
-        return (f"{self.total} rows in {self.elapsed:.1f}s "
-                f"(executed {self.executed}, cache {self.cache_hits}, "
-                f"resumed {self.resumed}, deduped {self.deduped}, "
-                f"errors {self.errors})")
-
 
 @dataclass(frozen=True)
 class ExecOptions:

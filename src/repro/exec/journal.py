@@ -6,20 +6,15 @@ every line, so a crash (or Ctrl-C) loses at most the trial that was in
 flight.  On resume the journal is replayed and only the missing cells
 execute.  A torn final line (the classic kill-mid-write artefact) is
 tolerated and simply dropped.
-
-:func:`write_rows_atomic` is the companion for *final* artefacts: the
-complete row set is written to a temp file and published with a single
-``os.replace``, so readers never observe a half-written result file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict
 
-__all__ = ["SweepJournal", "write_rows_atomic"]
+__all__ = ["SweepJournal"]
 
 
 class SweepJournal:
@@ -88,26 +83,3 @@ class SweepJournal:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SweepJournal(path={self.path!r})"
 
-
-def write_rows_atomic(path: str, rows: Sequence[Dict[str, Any]],
-                      meta: Optional[Dict[str, Any]] = None) -> str:
-    """Publish a complete row set atomically (temp file + rename).
-
-    Writes ``{"meta": …, "rows": […]}`` as JSON; returns *path*.
-    """
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({"meta": meta or {}, "rows": list(rows)}, fh,
-                      indent=2, default=str)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path

@@ -56,9 +56,6 @@ __all__ = [
     "register_schedule",
     "register_nodes",
     "register_oracle",
-    "schedule_builders",
-    "node_builders",
-    "oracle_builders",
 ]
 
 #: Version salt mixed into every cache key.  Bump whenever the semantics
@@ -104,21 +101,6 @@ def register_nodes(name: str):
 def register_oracle(name: str):
     """Decorator: register ``fn(outputs, schedule, **params) -> bool``."""
     return _register(_ORACLES, "oracle", name)
-
-
-def schedule_builders() -> List[str]:
-    """Names of all registered schedule builders (sorted)."""
-    return sorted(_SCHEDULES)
-
-
-def node_builders() -> List[str]:
-    """Names of all registered node-set builders (sorted)."""
-    return sorted(_NODES)
-
-
-def oracle_builders() -> List[str]:
-    """Names of all registered oracle builders (sorted)."""
-    return sorted(_ORACLES)
 
 
 def _lookup(table: Mapping[str, Any], kind: str, name: str):

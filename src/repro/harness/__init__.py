@@ -27,7 +27,6 @@ from .experiments import (
     run_experiment,
 )
 from .io import save_experiment, load_rows
-from .sweeps import grid_points, sweep, sweep_with_report, aggregate_rows
 from .claims import Claim, CLAIMS, check_claims, render_claims
 
 __all__ = [
@@ -39,10 +38,6 @@ __all__ = [
     "run_experiment",
     "save_experiment",
     "load_rows",
-    "grid_points",
-    "sweep",
-    "sweep_with_report",
-    "aggregate_rows",
     "Claim",
     "CLAIMS",
     "check_claims",

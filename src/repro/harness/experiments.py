@@ -441,6 +441,11 @@ def run_f3(quick: bool = False, *,
 # F4 — approximate-count accuracy
 # --------------------------------------------------------------------------
 
+#: Monte Carlo trials drawn per chunk in F4 (bounds the draw to
+#: ``_MC_CHUNK * n * width`` doubles).
+_MC_CHUNK = 500
+
+
 def run_f4(quick: bool = False, *,
            exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
     """F4: sketch accuracy/coverage vs ε (full-sim + direct Monte Carlo)."""
@@ -475,9 +480,14 @@ def run_f4(quick: bool = False, *,
     for eps in eps_list:
         width = required_width(eps, delta)
         sim_errors = [abs(r["output"] / n - 1.0) for r in grouped[(eps,)]]
-        # Direct Monte Carlo of the estimator (no network needed).
-        draws = rng.exponential(1.0, size=(mc_trials, n, width))
-        estimates = (width - 1) / draws.min(axis=1).sum(axis=1)
+        # Direct Monte Carlo of the estimator (no network needed), drawn
+        # in row chunks: the same variates in the same order as one
+        # (mc_trials, n, width) draw, without holding all of them.
+        minima = np.concatenate([
+            rng.exponential(1.0, size=(min(_MC_CHUNK, mc_trials - lo), n,
+                                       width)).min(axis=1)
+            for lo in range(0, mc_trials, _MC_CHUNK)])
+        estimates = (width - 1) / minima.sum(axis=1)
         mc_err = np.abs(estimates / n - 1.0)
         result.rows.append({
             "eps": eps, "delta": delta, "width": width,

@@ -8,7 +8,7 @@ Two documents come out of the saved artefacts:
 * ``docs/RESULTS.md`` — the condensed record: the per-experiment
   ``rows.json`` files under ``results/{t1,f1..f6,t2,t3,x1,x2}``, the
   benchmark records (``BENCH_engine.json``, ``BENCH_kernels.json``,
-  ``bench_smoke.json``, ``exec_scaling.json``), the claim verdicts from
+  ``bench_smoke.json``), the claim verdicts from
   :mod:`repro.harness.claims`, and fresh power-law fits from
   :mod:`repro.analysis.fitting`, folded into one page.
 
@@ -85,7 +85,7 @@ _EXPERIMENTS_HEADER = """# EXPERIMENTS — measured results of the reconstructed
 
 > Generated by ``python -m repro.report`` from ``{results_dir}``.
 > Regenerate the underlying data with ``repro-experiments --all --out
-> {results_dir}`` or ``pytest benchmarks/ --benchmark-only``.
+> {results_dir}``.
 
 **Reading guide.**  The original paper's evaluation section was not
 available (see DESIGN.md §0); the experiments below are the
@@ -138,9 +138,10 @@ _RESULTS_HEADER = """# RESULTS — the measured record, in one page
 > Generated by ``python -m repro.report`` from ``{results_dir}``.
 > Do not edit by hand: ``make docs`` regenerates this file and
 > ``make docs-check`` fails CI when it drifts from the artefacts.
-> Regenerate the artefacts themselves with
-> ``repro-experiments --all --out {results_dir}`` and
-> ``pytest benchmarks/ --benchmark-only``.
+> Regenerate the experiment artefacts with
+> ``repro-experiments --all --out {results_dir}``; the benchmark
+> records come from ``make bench-smoke`` and
+> ``python benchmarks/bench_micro_substrate.py``.
 
 This page condenses the full evaluation into tables: the certified
 claim verdicts, the headline scaling fits, every experiment's measured
@@ -253,7 +254,8 @@ _BENCHES = [
     ("BENCH_engine.json",
      "Fast path vs reference loops",
      "Full-size comparison of the per-node vectorized engine tier "
-     "against the reference loops (`benchmarks/`)."),
+     "against the reference loops "
+     "(`python benchmarks/bench_micro_substrate.py`)."),
     ("BENCH_kernels.json",
      "Batch kernels vs fast path vs reference",
      "The struct-of-arrays batch-kernel tier against the other two "
@@ -278,22 +280,12 @@ def _bench_sections(results_dir: str) -> List[str]:
                 "lossy gate — kernel/fast must stay above 1.0x):\n\n"
                 + render_markdown([doc["lossy"]]))
         parts.append(section)
-    scaling = _load_json(os.path.join(results_dir, "exec_scaling.json"))
-    if scaling is not None:
-        rows = [{"workers": int(w), "elapsed_s": s}
-                for w, s in sorted(scaling["elapsed_by_workers"].items(),
-                                   key=lambda kv: int(kv[0]))]
-        parts.append(
-            f"### Executor scaling ({scaling['cells']} cells)\n\n"
-            "Wall-clock of the same sweep under increasing `--workers` "
-            "(tiny cells — interpret as overhead floor, not speedup):\n\n"
-            + render_markdown(rows))
     if not parts:
         return []
-    return ["## Engine and executor benchmarks\n\n"
-            "Recorded by `pytest benchmarks/ --benchmark-only`; "
-            "methodology and current analysis in "
-            "[PERFORMANCE.md](PERFORMANCE.md).\n\n" + "\n\n".join(parts)]
+    return ["## Engine benchmarks\n\n"
+            "Recorded by the scripts under `benchmarks/`; methodology and "
+            "current analysis in [PERFORMANCE.md](PERFORMANCE.md).\n\n"
+            + "\n\n".join(parts)]
 
 
 def build_results_markdown(results_dir: str = "results") -> str:

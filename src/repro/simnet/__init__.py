@@ -26,7 +26,7 @@ Public surface:
 from .engine import Simulator, RunResult, set_profile_default
 from .node import Algorithm, RoundContext
 from .metrics import MetricsCollector, RunMetrics
-from .rng import RngRegistry, derive_seeds
+from .rng import RngRegistry
 from .message import bit_size
 
 __all__ = [
@@ -38,6 +38,5 @@ __all__ = [
     "MetricsCollector",
     "RunMetrics",
     "RngRegistry",
-    "derive_seeds",
     "bit_size",
 ]

@@ -15,13 +15,13 @@ optional *node id*.  Two consequences:
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .._validate import require_nonnegative_int, require_positive_int
+from .._validate import require_nonnegative_int
 
-__all__ = ["RngRegistry", "derive_seeds"]
+__all__ = ["RngRegistry"]
 
 
 def _key_entropy(name: str) -> int:
@@ -31,23 +31,6 @@ def _key_entropy(name: str) -> int:
     salted per process and would destroy reproducibility across runs.
     """
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
-
-
-def derive_seeds(root_seed: int, count: int) -> List[int]:
-    """Derive *count* independent trial seeds from one root seed.
-
-    The canonical way to fan one experiment seed out into per-trial
-    seeds (e.g. replicate seeds for a sweep): a
-    :class:`numpy.random.SeedSequence` keyed only by *root_seed*, so the
-    list is identical on every platform and in every process — never
-    derived from ambient RNG state.  Each returned seed is a valid
-    :class:`RngRegistry` root.
-    """
-    require_nonnegative_int(root_seed, "root_seed")
-    require_positive_int(count, "count")
-    state = np.random.SeedSequence(root_seed).generate_state(
-        count, dtype=np.uint64)
-    return [int(s % (1 << 62)) for s in state]
 
 
 class RngRegistry:

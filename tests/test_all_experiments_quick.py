@@ -2,7 +2,7 @@
 
 This is the harness's integration safety net: each experiment function
 produces rows, at least one rendered table or figure, and internally
-consistent measurements.  (Full-size runs live in ``benchmarks/``.)
+consistent measurements.  (Full-size runs: ``repro-experiments --all``.)
 """
 
 import pytest

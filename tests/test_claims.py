@@ -7,6 +7,9 @@ import pytest
 
 from repro.harness.claims import CLAIMS, Claim, check_claims, render_claims
 from repro.harness.cli import main as cli_main
+from repro.harness.io import load_rows
+
+REPO_RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
 def write_rows(tmp_path, exp_id, rows, title="t"):
@@ -92,11 +95,40 @@ class TestCliIntegration:
         assert code == 1
 
     def test_claims_against_repo_results_if_present(self, capsys):
-        """When the repo's results/ exists (benches have run), all claims
-        must certify."""
+        """When the repo's results/ exists (``repro-experiments --all`` has
+        run), all claims must certify."""
         if not os.path.exists("results/f1/rows.json"):
             pytest.skip("full results not generated in this checkout")
         code = cli_main(["--claims", "--out", "results"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "FAILS" not in out
+
+
+def committed_rows(exp_id):
+    """Rows of the committed ``results/<exp_id>``, or skip when absent."""
+    if not os.path.exists(os.path.join(REPO_RESULTS, exp_id, "rows.json")):
+        pytest.skip(f"results/{exp_id} not generated in this checkout")
+    return load_rows(REPO_RESULTS, exp_id)
+
+
+class TestCommittedShapes:
+    """Shape properties of the committed F5 and X2 rows that no claim in
+    ``repro.harness.claims`` checks."""
+
+    def test_f5_flooding_crossover_within_simulated_range(self):
+        by_baseline = {r["baseline"]: r for r in committed_rows("f5")}
+        crossover = by_baseline["flooding_knownN"]["crossover_N_predicted"]
+        assert crossover is not None and crossover <= 1024
+
+    def test_x2_stabilizing_core_correct_at_every_loss_rate(self):
+        assert all(r["stabilizing_correct"] for r in committed_rows("x2"))
+
+    def test_x2_stabilizing_rounds_grow_with_loss(self):
+        rows = sorted(committed_rows("x2"), key=lambda r: r["loss_rate"])
+        rounds = [r["stabilizing_rounds"] for r in rows]
+        assert rounds == sorted(rounds)
+
+    def test_x2_known_bound_breaks_under_heavy_loss(self):
+        heavy = [r for r in committed_rows("x2") if r["loss_rate"] >= 0.6]
+        assert any(not r["known_bound_2d_correct"] for r in heavy)
