@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast lint bench-smoke bench-e2e-smoke bench-whole-run experiments sweep-parallel report docs docs-check examples clean
+.PHONY: install test test-fast lint bench-smoke bench-e2e-smoke bench-whole-run experiments results-check sweep-parallel report docs docs-check examples clean
 
 install:
 	pip install -e .
@@ -50,15 +50,27 @@ bench-e2e-smoke: ## CI gate: end-to-end runs are correct and certified
 	done
 
 # Wall time of whole runs: $(RUNS) runs of `repro-experiments $(RUN)
-# --out TMP`; the median, spread and per-experiment seconds are merged
-# into results/BENCH_e2e.json.  E.g. `make bench-whole-run RUN=t1`.
+# --out TMP`; the median, spread, per-experiment seconds and peak RSS are
+# merged into results/BENCH_e2e.json.  E.g. `make bench-whole-run RUN=t1`.
 RUN ?= --all --quick
-RUNS ?= 3
+RUNS ?= 5
 bench-whole-run:
 	$(PY) tools/time_runs.py $(RUN) --runs $(RUNS)
 
 experiments:     ## regenerate every table/figure into results/
 	$(PY) -m repro.harness.cli --all --out results/
+
+# The committed results/ must be what the code writes: regenerate every
+# experiment on two workers into a temporary directory and byte-compare
+# it with results/, leaving out the benchmark records (BENCH_*.json,
+# bench_*.json), which are timings, not experiment output.
+results-check:   ## CI gate: --all --workers 2 reproduces results/ byte for byte
+	@out=$$(mktemp -d); \
+	$(PY) -m repro.harness.cli --all --workers 2 --out $$out > /dev/null \
+	    && diff -r -x 'BENCH_*.json' -x 'bench_*.json' results $$out; \
+	status=$$?; rm -rf $$out; \
+	if [ $$status -eq 0 ]; then echo "[results-check] results/ matches a fresh --all --workers 2 run"; fi; \
+	exit $$status
 
 # Every experiment on $(WORKERS) workers with a warm content-addressed
 # cache; rerun after an interrupt to resume only the missing cells.

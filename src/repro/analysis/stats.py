@@ -2,7 +2,7 @@
 
 Every experiment runs several seeds; :func:`summarize` condenses the
 replicate values into mean / standard deviation / a Student-t confidence
-interval (SciPy), which is what the tables report.
+interval (``scipy.special.stdtrit``), which is what the tables report.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> Summary:
     if arr.size == 1:
         return Summary(1, mean, 0.0, mean, mean, mean, mean, confidence)
     std = float(arr.std(ddof=1))
-    from scipy.stats import t
+    from scipy.special import stdtrit
 
-    half = float(t.ppf(0.5 + confidence / 2.0, df=arr.size - 1)
+    half = float(stdtrit(arr.size - 1, 0.5 + confidence / 2.0)
                  * std / math.sqrt(arr.size))
     return Summary(
         n=int(arr.size), mean=mean, std=std,

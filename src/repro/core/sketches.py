@@ -20,7 +20,8 @@ is the unbiased inverse-Gamma estimator with relative standard deviation
     P[N̂ > (1+ε)N] = P[G < (k-1)/(1+ε)],   G ~ Gamma(k, 1)
     P[N̂ < (1-ε)N] = P[G > (k-1)/(1-ε)]
 
-— :func:`failure_probability` evaluates this with SciPy and
+— :func:`failure_probability` evaluates this with the regularised
+incomplete gamma functions ``scipy.special.gammainc``/``gammaincc`` and
 :func:`required_width` inverts it, so experiment F4 can check measured
 coverage against the analytic guarantee rather than a loose Chernoff
 bound.
@@ -75,7 +76,7 @@ def failure_probability(width: int, eps: float) -> float:
     Distribution-free in ``N``: the relative error ``N̂/N`` equals
     ``(k-1)/G`` with ``G ~ Gamma(k, 1)`` regardless of ``N``.
     """
-    from scipy.stats import gamma
+    from scipy.special import gammainc, gammaincc
 
     k = require_positive_int(width, "width")
     if k < 2:
@@ -83,8 +84,8 @@ def failure_probability(width: int, eps: float) -> float:
     eps = float(eps)
     if eps <= 0:
         return 1.0
-    upper = gamma.cdf((k - 1) / (1.0 + eps), a=k)      # N̂ too large
-    lower = gamma.sf((k - 1) / (1.0 - eps), a=k) if eps < 1 else 0.0
+    upper = gammainc(k, (k - 1) / (1.0 + eps))          # N̂ too large
+    lower = gammaincc(k, (k - 1) / (1.0 - eps)) if eps < 1 else 0.0
     return float(upper + lower)
 
 

@@ -22,6 +22,9 @@ Usage::
     python -m repro.report                      # rewrite both documents
     python -m repro.report --results results --out .
     python -m repro.report --check              # exit 1 on drift, write nothing
+
+``--check`` also fails when the stored F1 exponents disagree with a
+re-fit of the stored T1 rows, so a stale ``results/f1`` cannot pass.
 """
 
 from __future__ import annotations
@@ -199,41 +202,84 @@ def _claims_section(results_dir: str) -> str:
             f"for what each one checks):\n\n{table}")
 
 
-def _fits_section(results_dir: str) -> Optional[str]:
-    """Fresh power-law fits of rounds vs N from the T1 rows.
-
-    F1 stores the fits the harness computed at run time; re-fitting
-    here from the raw T1 rows cross-checks that the stored exponents
-    follow from the stored measurements.
-    """
-    doc = _load_json(os.path.join(results_dir, "t1", "rows.json"))
-    if doc is None:
-        return None
+def _t1_fits(rows: List[Dict[str, Any]],
+             measured_only: bool) -> List[Dict[str, Any]]:
+    """Power-law fits of rounds vs N, one per algorithm in T1's *rows*."""
     series: Dict[str, List[Dict[str, Any]]] = {}
-    for row in doc["rows"]:
-        if row.get("source") == "measured" and row.get("rounds"):
+    for row in rows:
+        if row.get("rounds") and (not measured_only
+                                  or row.get("source") == "measured"):
             series.setdefault(row["algorithm"], []).append(row)
     fit_rows = []
     for algorithm in sorted(series):
-        rows = sorted(series[algorithm], key=lambda r: r["n"])
-        if len(rows) < 2:
+        points = sorted(series[algorithm], key=lambda r: r["n"])
+        if len(points) < 2:
             continue
-        fit = power_law_fit([r["n"] for r in rows],
-                            [r["rounds"] for r in rows])
+        fit = power_law_fit([r["n"] for r in points],
+                            [r["rounds"] for r in points])
         fit_rows.append({
             "algorithm": algorithm,
-            "points": len(rows),
+            "points": len(points),
             "exponent_b": fit.exponent,
             "coefficient_a": fit.coefficient,
             "r_squared": fit.r_squared,
         })
+    return fit_rows
+
+
+def _fits_section(results_dir: str) -> Optional[str]:
+    """Fresh power-law fits of rounds vs N from the measured T1 rows.
+
+    F1 stores the fits the harness computed at run time, over every T1
+    row; re-fitting here from the measured rows alone shows what the
+    exponents rest on without T1's predicted points.
+    """
+    doc = _load_json(os.path.join(results_dir, "t1", "rows.json"))
+    if doc is None:
+        return None
+    fit_rows = _t1_fits(doc["rows"], measured_only=True)
     if not fit_rows:
         return None
     return ("## Scaling fits (rounds ≈ a · N^b, re-fit from T1)\n\n"
-            "Computed from the raw T1 measurements by "
-            "`repro.analysis.fitting.power_law_fit` at generation time — "
-            "an independent check on the exponents F1 stored:\n\n"
+            "Computed from the measured T1 rows alone by "
+            "`repro.analysis.fitting.power_law_fit` at generation time. "
+            "F1 also fits T1's predicted rows, so its exponents differ "
+            "where T1 has them (KLO); `make docs-check` fails when F1 no "
+            "longer equals that fit of every T1 row:\n\n"
             + render_markdown(fit_rows))
+
+
+#: Relative tolerance between a stored F1 exponent and its re-fit from
+#: T1's rows: both fit the same points, so only rounding may differ.
+_F1_RTOL = 1e-9
+
+
+def _f1_drift(results_dir: str) -> List[str]:
+    """Where the stored F1 exponents disagree with T1's stored rows.
+
+    F1 is a pure function of T1: it fits every T1 row (predicted ones
+    included), so re-fitting the committed T1 rows the same way must
+    give back the committed exponents.  A disagreement means one of the
+    two directories is stale.  Returns one message per disagreeing
+    algorithm; empty when either directory is missing.
+    """
+    t1 = _load_json(os.path.join(results_dir, "t1", "rows.json"))
+    f1 = _load_json(os.path.join(results_dir, "f1", "rows.json"))
+    if t1 is None or f1 is None:
+        return []
+    refit = {row["algorithm"]: row["exponent_b"]
+             for row in _t1_fits(t1["rows"], measured_only=False)}
+    stored = {row["algorithm"]: row["exponent_b"] for row in f1["rows"]}
+    problems = []
+    for algorithm in sorted(set(refit) | set(stored)):
+        want, got = refit.get(algorithm), stored.get(algorithm)
+        if (want is None or got is None
+                or abs(got - want) > _F1_RTOL * abs(want)):
+            problems.append(
+                f"{results_dir}/f1 exponent of {algorithm} is {got}, but "
+                f"re-fitting {results_dir}/t1 gives {want} — rerun "
+                f"`repro-experiments t1 f1` and commit both")
+    return problems
 
 
 def _experiment_section(results_dir: str, exp_id: str) -> str:
@@ -349,6 +395,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(path, "w") as fh:
             fh.write(text)
         print(f"wrote {path} ({len(text)} bytes) from {args.results}/")
+    if args.check:
+        for problem in _f1_drift(args.results):
+            print(problem, file=sys.stderr)
+            drifted += 1
     return 1 if drifted else 0
 
 

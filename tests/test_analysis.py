@@ -121,6 +121,20 @@ class TestSummarize:
         assert "±" in str(summarize([1.0, 2.0]))
         assert "±" not in str(summarize([1.0]))
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+    def test_half_width_matches_scipy_stats_t_bit_for_bit(self, confidence):
+        """``stdtrit`` gives the very half-widths ``scipy.stats.t.ppf``
+        gave, so every CI column keeps its bytes."""
+        from scipy.stats import t
+
+        rng = np.random.default_rng(11)
+        for n in list(range(2, 40)) + [64, 100, 1000]:
+            values = rng.exponential(3.0, size=n)
+            s = summarize(values, confidence=confidence)
+            half = float(t.ppf(0.5 + confidence / 2.0, df=n - 1)
+                         * s.std / math.sqrt(n))
+            assert (s.ci_low, s.ci_high) == (s.mean - half, s.mean + half)
+
 
 class TestTables:
     ROWS = [{"a": 1, "b": "x"}, {"a": 2.5, "b": None}]

@@ -7,11 +7,14 @@ they drift.  These tests pin the contract locally:
 * regeneration from the committed artefacts is byte-identical to the
   committed documents (the golden-docs guarantee);
 * the generators are deterministic — two builds produce equal bytes;
-* ``--check`` exits 0 in sync and 1 on drift, without writing;
+* ``--check`` exits 0 in sync and 1 on drift, without writing, and
+  also 1 when the stored F1 exponents no longer follow from T1's rows;
 * every relative Markdown link in README/docs resolves.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -80,6 +83,28 @@ def test_check_mode_fails_on_drift(tmp_path, capsys):
     assert "RESULTS.md is out of date" in err
     assert "EXPERIMENTS.md" not in err
     assert results.read_text().endswith("tampered\n")  # nothing rewritten
+
+
+def test_check_mode_fails_on_stale_f1(tmp_path, capsys):
+    """A results/ copy whose F1 exponent was nudged by 1e-6 fails
+    ``--check`` even with documents regenerated from that copy, so only
+    the F1-from-T1 re-fit can catch it."""
+    results = tmp_path / "results"
+    shutil.copytree(RESULTS, results)
+    rows_path = results / "f1" / "rows.json"
+    doc = json.loads(rows_path.read_text())
+    doc["rows"][0]["exponent_b"] *= 1.0 + 1e-6
+    rows_path.write_text(json.dumps(doc))
+    args = ["--results", str(results), "--out", str(tmp_path)]
+    assert report_main(args) == 0
+    capsys.readouterr()
+    assert report_main(args + ["--check"]) == 1
+    err = capsys.readouterr().err
+    assert f"f1 exponent of {doc['rows'][0]['algorithm']}" in err
+    assert "out of date" not in err
+    shutil.copy(os.path.join(RESULTS, "f1", "rows.json"), rows_path)
+    assert report_main(args) == 0
+    assert report_main(args + ["--check"]) == 0
 
 
 def test_writes_both_documents(tmp_path):

@@ -1,5 +1,9 @@
 """Tests for the cardinality sketches and their analytic guarantees."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,10 @@ from repro.core.sketches import (
     failure_probability,
     required_width,
 )
+
+#: The (eps, delta) targets the evaluation sizes sketches for: T1's and
+#: X1's approximate Count, then F4's three accuracy levels.
+EVALUATION_TARGETS = [(0.25, 0.05), (0.5, 0.1), (0.25, 0.1), (0.1, 0.1)]
 
 
 class TestEstimator:
@@ -84,6 +92,34 @@ class TestFailureProbability:
 
         assert abs(emp(10) - emp(300)) < 0.03
 
+    def test_matches_scipy_stats_gamma_bit_for_bit(self, monkeypatch):
+        """The incomplete-gamma form returns the very floats the
+        ``scipy.stats.gamma`` tails return: on every width the
+        evaluation's width searches visit, and on a grid of widths up to
+        2^20 and eps up to 1.5."""
+        from scipy.stats import gamma
+
+        visited = set()
+        evaluate = sketches.failure_probability
+
+        def recorded(width, eps):
+            visited.add((width, eps))
+            return evaluate(width, eps)
+
+        monkeypatch.setattr(sketches, "failure_probability", recorded)
+        for eps, delta in EVALUATION_TARGETS:
+            sketches._solve_width.__wrapped__(eps, delta, 1 << 20)
+        monkeypatch.undo()
+        assert len(visited) > 20
+        widths = sorted({int(k) for k in np.geomspace(2, 1 << 20, 60)}
+                        | set(range(2, 40)))
+        grid = visited | {(k, eps) for k in widths
+                          for eps in (0.01, 0.1, 0.25, 0.5, 0.99, 1.0, 1.5)}
+        for k, eps in sorted(grid):
+            reference = gamma.cdf((k - 1) / (1.0 + eps), a=k) + (
+                gamma.sf((k - 1) / (1.0 - eps), a=k) if eps < 1 else 0.0)
+            assert failure_probability(k, eps) == float(reference), (k, eps)
+
 
 class TestRequiredWidth:
     def test_meets_target(self):
@@ -140,6 +176,33 @@ class TestRequiredWidth:
     def test_numpy_scalars_share_the_python_entry(self):
         assert (required_width(np.float64(0.25), 0.05)
                 == required_width(0.25, 0.05))
+
+    def test_cold_process_never_imports_scipy_stats(self):
+        """A fresh process that runs an approximate-Count trial, solves
+        every evaluation width and summarises replicates must not load
+        ``scipy.stats`` (about 0.8 s of start-up) through any import."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        code = (
+            "import sys; sys.path.insert(0, {src!r})\n"
+            "import repro\n"
+            "from repro.analysis import summarize\n"
+            "from repro.core.sketches import required_width\n"
+            "from repro.exec import TrialSpec\n"
+            "from repro.harness.runner import run_trial\n"
+            "spec = TrialSpec(schedule='lowdiam_handoff',"
+            " schedule_params={{'n': 16, 'T': 2}}, nodes='approx_count',"
+            " node_params={{'n': 16}}, max_rounds=2000,"
+            " until='quiescent', quiescence_window=64,"
+            " oracle='count_approx', oracle_params={{'eps': 0.25}})\n"
+            "result = run_trial(spec, 1)\n"
+            "for eps, delta in {targets!r}:\n"
+            "    required_width(eps, delta)\n"
+            "summarize([1.0, 2.0, 4.0])\n"
+            "print(result.correct, 'scipy.stats' in sys.modules)\n"
+        ).format(src=src, targets=EVALUATION_TARGETS)
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True", "False"]
 
 
 class TestExponentialSketchClass:

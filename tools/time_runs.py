@@ -1,20 +1,25 @@
 #!/usr/bin/env python
 """Time whole ``repro-experiments`` runs, repeated, and record the spread.
 
-Runs ``repro-experiments <ids|--all> [--quick] --out TMP`` (as
-``python -m repro.harness.cli`` on a checkout's ``src/``) *k* times per
+Runs ``repro-experiments <ids|--all> [--quick] [--workers N] --out TMP``
+(``repro.harness.cli.main`` from a checkout's ``src/``) *k* times per
 checkout, alternating between checkouts so slow spells on a shared
 machine hit every side alike.  For each side it records the wall seconds
 of every run, their median and spread (max - min), each experiment's
-``[<id> finished in Xs]`` seconds, and a sha256 over the files each run
-wrote, so two sides can be checked byte-identical.  The record is merged
-into ``results/BENCH_e2e.json`` under the run's arguments and the side's
-label; ``repro.report`` does not read that file.
+``[<id> finished in Xs]`` seconds, each run's peak resident set size,
+and a sha256 over the files each run wrote, so two sides can be checked
+byte-identical.  The peak RSS is read in the child when the CLI returns:
+``peak_rss_mb`` is the CLI process's own high-water mark and
+``workers_peak_rss_mb`` the largest of its reaped pool workers' (0 for a
+serial run).  The record is merged into ``results/BENCH_e2e.json``
+under the run's arguments and the side's label; ``repro.report`` does
+not read that file.
 
 Usage::
 
     python tools/time_runs.py t1
-    python tools/time_runs.py --all --quick --runs 3 \\
+    python tools/time_runs.py --all --workers 2
+    python tools/time_runs.py --all --quick --runs 5 \\
         --side parent=../parent-checkout --side change=.
 """
 
@@ -36,6 +41,17 @@ from typing import Dict, List, Optional
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _FINISHED = re.compile(r"^\[(\w+) finished in ([0-9.]+)s\]$", re.MULTILINE)
+_PEAK_RSS = re.compile(r"^\[peak rss kb (\d+) (\d+)\]$", re.MULTILINE)
+
+#: The child: the CLI's ``main``, then its own peak RSS and the largest
+#: reaped descendant's (``ru_maxrss`` is in KiB on Linux).
+_CHILD = (
+    "import resource, sys\n"
+    "from repro.harness.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('[peak rss kb %d %d]' % tuple(resource.getrusage(who).ru_maxrss"
+    " for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n"
+    "sys.exit(code)\n")
 
 
 def tree_digest(directory: str) -> str:
@@ -58,12 +74,14 @@ def run_once(checkout: str, run_args: List[str]) -> Dict[str, object]:
     try:
         started = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.harness.cli", *run_args,
-             "--out", out],
+            [sys.executable, "-c", _CHILD, *run_args, "--out", out],
             cwd=checkout, env=env, check=True, text=True,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         seconds = time.perf_counter() - started
+        own_kb, workers_kb = _PEAK_RSS.findall(proc.stdout)[-1]
         return {"seconds": seconds,
+                "peak_rss_mb": int(own_kb) / 1024,
+                "workers_peak_rss_mb": int(workers_kb) / 1024,
                 "experiments": {exp: float(s) for exp, s
                                 in _FINISHED.findall(proc.stdout)},
                 "digest": tree_digest(out)}
@@ -72,15 +90,23 @@ def run_once(checkout: str, run_args: List[str]) -> Dict[str, object]:
 
 
 def summarize(runs: List[Dict[str, object]]) -> Dict[str, object]:
-    """Median and spread of the total and per-experiment seconds."""
+    """Median and spread of the total and per-experiment seconds, and
+    each run's peak RSS with their median."""
     def stats(values: List[float]) -> Dict[str, object]:
         return {"runs_s": [round(v, 2) for v in values],
                 "median_s": round(statistics.median(values), 2),
                 "spread_s": round(max(values) - min(values), 2)}
 
+    def rss(name: str) -> Dict[str, object]:
+        values = [run[f"{name}_mb"] for run in runs]
+        return {f"{name}_runs_mb": [round(v, 1) for v in values],
+                f"{name}_median_mb": round(statistics.median(values), 1)}
+
     digests = sorted({run["digest"] for run in runs})
     return {
         **stats([run["seconds"] for run in runs]),
+        **rss("peak_rss"),
+        **rss("workers_peak_rss"),
         "experiments": {exp: stats([run["experiments"][exp] for run in runs])
                         for exp in runs[0]["experiments"]},
         "output_sha256": digests[0] if len(digests) == 1 else digests,
@@ -92,8 +118,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("experiments", nargs="*", help="experiment ids")
     parser.add_argument("--all", action="store_true")
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--runs", type=int, default=3,
-                        help="runs per side (default 3)")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="passed on to the CLI (default 1 = serial)")
+    parser.add_argument("--runs", type=int, default=5,
+                        help="runs per side (default 5)")
     parser.add_argument("--side", action="append", metavar="LABEL=CHECKOUT",
                         help="a checkout to time under LABEL (repeatable; "
                              "default: change=<this checkout>)")
@@ -105,7 +133,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not (args.all or args.experiments):
         parser.error("name experiment ids or pass --all")
     run_args = (["--all"] if args.all else args.experiments) \
-        + (["--quick"] if args.quick else [])
+        + (["--quick"] if args.quick else []) \
+        + (["--workers", str(args.workers)] if args.workers > 1 else [])
     sides = dict(side.split("=", 1) for side in args.side or [f"change={ROOT}"])
 
     runs: Dict[str, List[Dict[str, object]]] = {label: [] for label in sides}
@@ -127,7 +156,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for label, side_runs in runs.items():
         entry[label] = summarize(side_runs)
         print(f"{label}: median {entry[label]['median_s']}s, "
-              f"spread {entry[label]['spread_s']}s")
+              f"spread {entry[label]['spread_s']}s, peak RSS "
+              f"{entry[label]['peak_rss_median_mb']} MB (workers "
+              f"{entry[label]['workers_peak_rss_median_mb']} MB)")
     with open(args.record, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
