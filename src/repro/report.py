@@ -23,8 +23,8 @@ Usage::
     python -m repro.report --results results --out .
     python -m repro.report --check              # exit 1 on drift, write nothing
 
-``--check`` also fails when the stored F1 exponents disagree with a
-re-fit of the stored T1 rows, so a stale ``results/f1`` cannot pass.
+``--check`` also fails when the stored F1 rows differ from F1 recomputed
+from the stored T1 rows, so a stale ``results/f1`` cannot pass.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 from .analysis.fitting import power_law_fit
 from .analysis.tables import render_markdown
 from .harness.claims import check_claims
+from .harness.experiments import ExperimentResult, run_f1
 
 __all__ = ["build_experiments_markdown", "build_results_markdown", "main"]
 
@@ -202,31 +203,6 @@ def _claims_section(results_dir: str) -> str:
             f"for what each one checks):\n\n{table}")
 
 
-def _t1_fits(rows: List[Dict[str, Any]],
-             measured_only: bool) -> List[Dict[str, Any]]:
-    """Power-law fits of rounds vs N, one per algorithm in T1's *rows*."""
-    series: Dict[str, List[Dict[str, Any]]] = {}
-    for row in rows:
-        if row.get("rounds") and (not measured_only
-                                  or row.get("source") == "measured"):
-            series.setdefault(row["algorithm"], []).append(row)
-    fit_rows = []
-    for algorithm in sorted(series):
-        points = sorted(series[algorithm], key=lambda r: r["n"])
-        if len(points) < 2:
-            continue
-        fit = power_law_fit([r["n"] for r in points],
-                            [r["rounds"] for r in points])
-        fit_rows.append({
-            "algorithm": algorithm,
-            "points": len(points),
-            "exponent_b": fit.exponent,
-            "coefficient_a": fit.coefficient,
-            "r_squared": fit.r_squared,
-        })
-    return fit_rows
-
-
 def _fits_section(results_dir: str) -> Optional[str]:
     """Fresh power-law fits of rounds vs N from the measured T1 rows.
 
@@ -237,7 +213,24 @@ def _fits_section(results_dir: str) -> Optional[str]:
     doc = _load_json(os.path.join(results_dir, "t1", "rows.json"))
     if doc is None:
         return None
-    fit_rows = _t1_fits(doc["rows"], measured_only=True)
+    series: Dict[str, List[Dict[str, Any]]] = {}
+    for row in doc["rows"]:
+        if row.get("source") == "measured" and row.get("rounds"):
+            series.setdefault(row["algorithm"], []).append(row)
+    fit_rows = []
+    for algorithm in sorted(series):
+        rows = sorted(series[algorithm], key=lambda r: r["n"])
+        if len(rows) < 2:
+            continue
+        fit = power_law_fit([r["n"] for r in rows],
+                            [r["rounds"] for r in rows])
+        fit_rows.append({
+            "algorithm": algorithm,
+            "points": len(rows),
+            "exponent_b": fit.exponent,
+            "coefficient_a": fit.coefficient,
+            "r_squared": fit.r_squared,
+        })
     if not fit_rows:
         return None
     return ("## Scaling fits (rounds ≈ a · N^b, re-fit from T1)\n\n"
@@ -249,37 +242,30 @@ def _fits_section(results_dir: str) -> Optional[str]:
             + render_markdown(fit_rows))
 
 
-#: Relative tolerance between a stored F1 exponent and its re-fit from
-#: T1's rows: both fit the same points, so only rounding may differ.
-_F1_RTOL = 1e-9
-
-
 def _f1_drift(results_dir: str) -> List[str]:
-    """Where the stored F1 exponents disagree with T1's stored rows.
+    """Where the stored F1 rows differ from F1 recomputed from T1's.
 
-    F1 is a pure function of T1: it fits every T1 row (predicted ones
-    included), so re-fitting the committed T1 rows the same way must
-    give back the committed exponents.  A disagreement means one of the
-    two directories is stale.  Returns one message per disagreeing
-    algorithm; empty when either directory is missing.
+    F1 is a pure function of T1, so running ``run_f1`` on the committed
+    T1 rows must give back the committed F1 rows exactly; a difference
+    means one of the two directories is stale.  Returns one message per
+    differing algorithm; empty when they agree or either is missing.
     """
     t1 = _load_json(os.path.join(results_dir, "t1", "rows.json"))
     f1 = _load_json(os.path.join(results_dir, "f1", "rows.json"))
     if t1 is None or f1 is None:
         return []
-    refit = {row["algorithm"]: row["exponent_b"]
-             for row in _t1_fits(t1["rows"], measured_only=False)}
-    stored = {row["algorithm"]: row["exponent_b"] for row in f1["rows"]}
-    problems = []
-    for algorithm in sorted(set(refit) | set(stored)):
-        want, got = refit.get(algorithm), stored.get(algorithm)
-        if (want is None or got is None
-                or abs(got - want) > _F1_RTOL * abs(want)):
-            problems.append(
-                f"{results_dir}/f1 exponent of {algorithm} is {got}, but "
-                f"re-fitting {results_dir}/t1 gives {want} — rerun "
-                f"`repro-experiments t1 f1` and commit both")
-    return problems
+    fresh = run_f1(t1=ExperimentResult("T1", "", rows=t1["rows"])).rows
+    if fresh == f1["rows"]:
+        return []
+    want = {row["algorithm"]: row for row in fresh}
+    got = {row["algorithm"]: row for row in f1["rows"]}
+    hint = "rerun `repro-experiments t1 f1` and commit both"
+    return [f"{results_dir}/f1 row of {algorithm} is {got.get(algorithm)}, "
+            f"but F1 from {results_dir}/t1 gives {want.get(algorithm)} — "
+            f"{hint}"
+            for algorithm in sorted(set(want) | set(got))
+            if want.get(algorithm) != got.get(algorithm)] or [
+        f"{results_dir}/f1 rows are not in T1's algorithm order — {hint}"]
 
 
 def _experiment_section(results_dir: str, exp_id: str) -> str:

@@ -86,21 +86,21 @@ def test_check_mode_fails_on_drift(tmp_path, capsys):
 
 
 def test_check_mode_fails_on_stale_f1(tmp_path, capsys):
-    """A results/ copy whose F1 exponent was nudged by 1e-6 fails
+    """A results/ copy whose F1 exponent was nudged by 1e-12 fails
     ``--check`` even with documents regenerated from that copy, so only
-    the F1-from-T1 re-fit can catch it."""
+    recomputing F1 from T1 can catch it."""
     results = tmp_path / "results"
     shutil.copytree(RESULTS, results)
     rows_path = results / "f1" / "rows.json"
     doc = json.loads(rows_path.read_text())
-    doc["rows"][0]["exponent_b"] *= 1.0 + 1e-6
+    doc["rows"][0]["exponent_b"] *= 1.0 + 1e-12
     rows_path.write_text(json.dumps(doc))
     args = ["--results", str(results), "--out", str(tmp_path)]
     assert report_main(args) == 0
     capsys.readouterr()
     assert report_main(args + ["--check"]) == 1
     err = capsys.readouterr().err
-    assert f"f1 exponent of {doc['rows'][0]['algorithm']}" in err
+    assert f"f1 row of {doc['rows'][0]['algorithm']}" in err
     assert "out of date" not in err
     shutil.copy(os.path.join(RESULTS, "f1", "rows.json"), rows_path)
     assert report_main(args) == 0

@@ -1,24 +1,22 @@
 #!/usr/bin/env python
 """Time whole ``repro-experiments`` runs, repeated, and record the spread.
 
-Runs ``repro-experiments <ids|--all> [--quick] [--workers N] --out TMP``
+Runs ``repro-experiments <ids|--all> [--quick] --out TMP``
 (``repro.harness.cli.main`` from a checkout's ``src/``) *k* times per
 checkout, alternating between checkouts so slow spells on a shared
 machine hit every side alike.  For each side it records the wall seconds
 of every run, their median and spread (max - min), each experiment's
 ``[<id> finished in Xs]`` seconds, each run's peak resident set size,
 and a sha256 over the files each run wrote, so two sides can be checked
-byte-identical.  The peak RSS is read in the child when the CLI returns:
-``peak_rss_mb`` is the CLI process's own high-water mark and
-``workers_peak_rss_mb`` the largest of its reaped pool workers' (0 for a
-serial run).  The record is merged into ``results/BENCH_e2e.json``
-under the run's arguments and the side's label; ``repro.report`` does
-not read that file.
+byte-identical.  A run's peak RSS is read in the child when the CLI
+returns: the larger of the CLI process's own high-water mark and that of
+its largest reaped child process.  The record is merged into
+``results/BENCH_e2e.json`` under the run's arguments and the side's
+label; ``repro.report`` does not read that file.
 
 Usage::
 
     python tools/time_runs.py t1
-    python tools/time_runs.py --all --workers 2
     python tools/time_runs.py --all --quick --runs 5 \\
         --side parent=../parent-checkout --side change=.
 """
@@ -41,15 +39,15 @@ from typing import Dict, List, Optional
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _FINISHED = re.compile(r"^\[(\w+) finished in ([0-9.]+)s\]$", re.MULTILINE)
-_PEAK_RSS = re.compile(r"^\[peak rss kb (\d+) (\d+)\]$", re.MULTILINE)
+_PEAK_RSS = re.compile(r"^\[peak rss kb (\d+)\]$", re.MULTILINE)
 
-#: The child: the CLI's ``main``, then its own peak RSS and the largest
-#: reaped descendant's (``ru_maxrss`` is in KiB on Linux).
+#: The child: the CLI's ``main``, then the larger of its own peak RSS and
+#: its largest reaped child's (``ru_maxrss`` is in KiB on Linux).
 _CHILD = (
     "import resource, sys\n"
     "from repro.harness.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('[peak rss kb %d %d]' % tuple(resource.getrusage(who).ru_maxrss"
+    "print('[peak rss kb %d]' % max(resource.getrusage(who).ru_maxrss"
     " for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n"
     "sys.exit(code)\n")
 
@@ -78,10 +76,8 @@ def run_once(checkout: str, run_args: List[str]) -> Dict[str, object]:
             cwd=checkout, env=env, check=True, text=True,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         seconds = time.perf_counter() - started
-        own_kb, workers_kb = _PEAK_RSS.findall(proc.stdout)[-1]
         return {"seconds": seconds,
-                "peak_rss_mb": int(own_kb) / 1024,
-                "workers_peak_rss_mb": int(workers_kb) / 1024,
+                "peak_rss_mb": int(_PEAK_RSS.findall(proc.stdout)[-1]) / 1024,
                 "experiments": {exp: float(s) for exp, s
                                 in _FINISHED.findall(proc.stdout)},
                 "digest": tree_digest(out)}
@@ -97,16 +93,12 @@ def summarize(runs: List[Dict[str, object]]) -> Dict[str, object]:
                 "median_s": round(statistics.median(values), 2),
                 "spread_s": round(max(values) - min(values), 2)}
 
-    def rss(name: str) -> Dict[str, object]:
-        values = [run[f"{name}_mb"] for run in runs]
-        return {f"{name}_runs_mb": [round(v, 1) for v in values],
-                f"{name}_median_mb": round(statistics.median(values), 1)}
-
     digests = sorted({run["digest"] for run in runs})
     return {
         **stats([run["seconds"] for run in runs]),
-        **rss("peak_rss"),
-        **rss("workers_peak_rss"),
+        "peak_rss_runs_mb": [round(run["peak_rss_mb"], 1) for run in runs],
+        "peak_rss_median_mb": round(
+            statistics.median(run["peak_rss_mb"] for run in runs), 1),
         "experiments": {exp: stats([run["experiments"][exp] for run in runs])
                         for exp in runs[0]["experiments"]},
         "output_sha256": digests[0] if len(digests) == 1 else digests,
@@ -118,8 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("experiments", nargs="*", help="experiment ids")
     parser.add_argument("--all", action="store_true")
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="passed on to the CLI (default 1 = serial)")
     parser.add_argument("--runs", type=int, default=5,
                         help="runs per side (default 5)")
     parser.add_argument("--side", action="append", metavar="LABEL=CHECKOUT",
@@ -133,8 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not (args.all or args.experiments):
         parser.error("name experiment ids or pass --all")
     run_args = (["--all"] if args.all else args.experiments) \
-        + (["--quick"] if args.quick else []) \
-        + (["--workers", str(args.workers)] if args.workers > 1 else [])
+        + (["--quick"] if args.quick else [])
     sides = dict(side.split("=", 1) for side in args.side or [f"change={ROOT}"])
 
     runs: Dict[str, List[Dict[str, object]]] = {label: [] for label in sides}
@@ -157,8 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         entry[label] = summarize(side_runs)
         print(f"{label}: median {entry[label]['median_s']}s, "
               f"spread {entry[label]['spread_s']}s, peak RSS "
-              f"{entry[label]['peak_rss_median_mb']} MB (workers "
-              f"{entry[label]['workers_peak_rss_median_mb']} MB)")
+              f"{entry[label]['peak_rss_median_mb']} MB")
     with open(args.record, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
