@@ -73,11 +73,11 @@ results-check:   ## CI gate: --all --workers 2 reproduces results/ byte for byte
 	exit $$status
 
 # Every experiment on $(WORKERS) workers with a warm content-addressed
-# cache; rerun after an interrupt to resume only the missing cells.
+# cache; rerun after an interrupt to execute only the missing cells.
 WORKERS ?= 4
 sweep-parallel:
 	$(PY) -m repro.harness.cli --all --workers $(WORKERS) \
-	    --cache-dir .repro-cache --resume --out results/
+	    --cache-dir .repro-cache --out results/
 
 report: docs     ## alias of docs
 

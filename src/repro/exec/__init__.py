@@ -1,24 +1,23 @@
 """S9 — parallel experiment execution.
 
-The executor subsystem turns the harness's serial trial loops into
-resumable, cacheable, multi-process sweeps:
+The executor subsystem runs trial cells as cacheable, multi-process
+sweeps that a rerun resumes from the cache:
 
 * :mod:`~repro.exec.specs` — :class:`TrialSpec`, the declarative,
   picklable trial description (registry names + plain-data params), the
   one way experiments describe work;
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, content-addressed
-  rows on disk (sha256 of spec + seed + code-version salt), so reruns
+  rows on disk (sha256 of spec + seed + code-version salt), written
+  atomically as each cell completes, so reruns — after a crash too —
   execute only missing cells;
-* :mod:`~repro.exec.journal` — :class:`SweepJournal`, an append-only
-  JSONL checkpoint making interrupted sweeps resumable;
 * :mod:`~repro.exec.executor` — :class:`ParallelExecutor`, the process
-  pool that composes all of the above (``workers=1`` preserves the
+  pool that composes the above (``workers=1`` preserves the
   historical serial path) with a byte-identical determinism guarantee;
 * :mod:`~repro.exec.progress` — live rows/rate/ETA/per-worker reporting.
 
 ``repro-experiments`` (:mod:`repro.harness.cli`) is the command-line
-front end: its ``--workers/--cache-dir/--resume/--events/--engine``
-flags configure this executor.
+front end: it runs every requested experiment's cells in one
+``ParallelExecutor.run`` call, configured by ``--workers/--cache-dir``.
 
 See ``docs/EXECUTOR.md`` for the architecture tour.
 """
@@ -32,10 +31,8 @@ from .specs import (
     register_schedule,
 )
 from .cache import CacheStats, ResultCache
-from .journal import SweepJournal
 from .progress import ConsoleProgress, ProgressSnapshot
 from .executor import (
-    ExecOptions,
     ExecutionError,
     ExecutionReport,
     ParallelExecutor,
@@ -51,10 +48,8 @@ __all__ = [
     "register_oracle",
     "CacheStats",
     "ResultCache",
-    "SweepJournal",
     "ConsoleProgress",
     "ProgressSnapshot",
-    "ExecOptions",
     "ExecutionError",
     "ExecutionReport",
     "ParallelExecutor",

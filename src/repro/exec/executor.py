@@ -1,14 +1,13 @@
 """Process-pool experiment executor.
 
 :class:`ParallelExecutor` runs a list of *cells* — ``(TrialSpec, seed)``
-pairs — through up to four result sources, cheapest first:
+pairs — through up to three result sources, cheapest first:
 
-1. the **journal** (``resume=True``): cells completed by a previous,
-   possibly crashed, run of the same sweep;
-2. the **result cache**: content-addressed rows from *any* previous run
-   sharing the cache directory;
-3. **deduplication**: identical cells inside one sweep execute once;
-4. **execution**: serial in-process when ``workers <= 1``, otherwise a
+1. the **result cache**: content-addressed rows from *any* previous run
+   sharing the cache directory — each completed row is written to it
+   atomically, so it is also what makes a crashed run resumable;
+2. **deduplication**: identical cells inside one run execute once;
+3. **execution**: serial in-process when ``workers <= 1``, otherwise a
    ``concurrent.futures.ProcessPoolExecutor``.
 
 Determinism guarantee: a cell's row depends only on (spec, seed) — every
@@ -18,9 +17,8 @@ order, so ``workers=4`` output is byte-identical to ``workers=1`` output
 (asserted by the test suite).
 
 Telemetry — the ``phase.*`` / ``engine.*`` columns of profiled rows —
-leaves the executor through one fold: :meth:`ParallelExecutor._complete`,
-which every freshly executed row passes through whichever process ran
-it, adds those columns to each open :func:`collect_telemetry` block.
+stays in the returned rows of freshly executed cells and never enters
+the cache; callers fold it from ``ExecutionReport.rows``.
 """
 
 from __future__ import annotations
@@ -28,66 +26,19 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._validate import require_choice
 from ..errors import ConfigurationError, ReproError
 from .cache import ResultCache
-from .journal import SweepJournal
-from .progress import ConsoleProgress, ProgressCallback, ProgressSnapshot
+from .progress import ProgressCallback, ProgressSnapshot
 from .specs import TrialSpec
 
-__all__ = ["Cell", "ExecutionError", "ExecutionReport", "ExecOptions",
-           "ParallelExecutor", "TelemetryFold", "collect_telemetry",
+__all__ = ["Cell", "ExecutionError", "ExecutionReport", "ParallelExecutor",
            "execute_cell"]
 
 Cell = Tuple[TrialSpec, int]
-
-
-@dataclass
-class TelemetryFold:
-    """Summed telemetry of the cells executed inside one
-    :func:`collect_telemetry` block.
-
-    ``columns`` maps each ``phase.*`` / ``engine.*`` column name to its
-    sum; ``trials`` counts the rows that carried any.
-    """
-
-    trials: int = 0
-    columns: Dict[str, float] = field(default_factory=dict)
-
-    def add(self, row: Dict[str, Any]) -> None:
-        """Fold one freshly executed row in."""
-        folded = False
-        for key, value in row.items():
-            if key.startswith(("phase.", "engine.")):
-                self.columns[key] = self.columns.get(key, 0) + value
-                folded = True
-        if folded:
-            self.trials += 1
-
-
-#: Open :func:`collect_telemetry` folds, outermost first.
-_FOLDS: List[TelemetryFold] = []
-
-
-@contextmanager
-def collect_telemetry() -> Iterator[TelemetryFold]:
-    """Sum the telemetry of every cell executed inside the block.
-
-    Rows served from the journal or the cache and deduplicated cells
-    add nothing, and neither do unprofiled rows, which carry no such
-    columns.  The harness CLI's ``--profile`` line renders one fold per
-    experiment.
-    """
-    fold = TelemetryFold()
-    _FOLDS.append(fold)
-    try:
-        yield fold
-    finally:
-        _FOLDS.remove(fold)
 
 
 class ExecutionError(ReproError):
@@ -128,57 +79,21 @@ class ExecutionReport:
     """Outcome of one :meth:`ParallelExecutor.run` call.
 
     ``rows`` is in input-cell order with each spec's tags merged in;
-    the counters satisfy ``executed + cache_hits + resumed + deduped ==
-    total`` on a clean run.
+    the counters satisfy ``executed + cache_hits + deduped == total`` on
+    a clean run.
     """
 
     rows: List[Dict[str, Any]] = field(default_factory=list)
     total: int = 0
     executed: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     deduped: int = 0
     errors: int = 0
     elapsed: float = 0.0
 
 
-@dataclass(frozen=True)
-class ExecOptions:
-    """Executor knobs threaded through the harness and CLIs.
-
-    A plain bag of settings so experiment functions can accept one
-    optional argument instead of five; ``None`` everywhere means the
-    historical serial behaviour.
-    """
-
-    workers: int = 1
-    cache_dir: Optional[str] = None
-    journal_dir: Optional[str] = None
-    resume: bool = False
-    on_error: str = "raise"
-    progress: bool = False
-
-    def make_executor(self, label: str = "sweep") -> "ParallelExecutor":
-        """Build the executor these options describe.
-
-        *label* names the journal file (``<journal_dir>/<label>.jsonl``)
-        and the console progress prefix.
-        """
-        journal = None
-        if self.journal_dir is not None:
-            journal = os.path.join(self.journal_dir, f"{label}.jsonl")
-        return ParallelExecutor(
-            workers=self.workers,
-            cache=self.cache_dir,
-            journal=journal,
-            resume=self.resume,
-            on_error=self.on_error,
-            progress=ConsoleProgress(label) if self.progress else None,
-        )
-
-
 class ParallelExecutor:
-    """Run trial cells across worker processes with caching and resume.
+    """Run trial cells across worker processes with a result cache.
 
     Parameters
     ----------
@@ -187,36 +102,24 @@ class ParallelExecutor:
         pickling — the historical code path).
     cache:
         A :class:`ResultCache`, a cache-directory path, or ``None``.
-    journal:
-        A :class:`SweepJournal`, a journal-file path, or ``None``.
-        Completions are appended as they happen, so a crashed run is
-        resumable from its journal.
-    resume:
-        Replay the journal before executing anything; only cells absent
-        from it run.
+        Each completed row is written as it arrives, so rerunning a
+        crashed or aborted run executes only the missing cells.
     on_error:
         ``"raise"`` (default) aborts on the first failing cell — already
-        completed cells stay journaled/cached, so the sweep is
-        resumable; ``"record"`` captures the failure into an ``error``
-        column and keeps going.
+        completed cells stay cached; ``"record"`` captures the failure
+        into an ``error`` column and keeps going.
     progress:
         Optional callback receiving :class:`ProgressSnapshot` updates.
     """
 
     def __init__(self, workers: int = 1,
                  cache: Optional[Any] = None,
-                 journal: Optional[Any] = None,
-                 resume: bool = False,
                  on_error: str = "raise",
                  progress: Optional[ProgressCallback] = None) -> None:
         self.workers = max(1, int(workers))
         self.cache: Optional[ResultCache] = (
             ResultCache(cache) if isinstance(cache, (str, os.PathLike))
             else cache)
-        self.journal: Optional[SweepJournal] = (
-            SweepJournal(journal) if isinstance(journal, (str, os.PathLike))
-            else journal)
-        self.resume = bool(resume)
         self.on_error = require_choice(on_error, "on_error",
                                        ("raise", "record"))
         self.progress = progress
@@ -235,26 +138,18 @@ class ParallelExecutor:
         started = time.monotonic()
         keys = [self._key(spec, seed) for spec, seed in cells]
 
-        # Result slots by input index; filled from journal, cache, then
+        # Result slots by input index; filled from the cache, then by
         # execution.  A separate per-key index drives deduplication.
         results: Dict[int, Dict[str, Any]] = {}
         by_key: Dict[str, List[int]] = {}
         for idx, key in enumerate(keys):
             by_key.setdefault(key, []).append(idx)
 
-        journaled = (self.journal.load()
-                     if (self.resume and self.journal is not None) else {})
         pending: List[int] = []     # first index of each key still to run
         for key, idxs in by_key.items():
-            row = journaled.get(key)
+            row = self.cache.get(key) if self.cache is not None else None
             if row is not None:
-                report.resumed += 1
-            elif self.cache is not None:
-                row = self.cache.get(key)
-                if row is not None:
-                    report.cache_hits += 1
-                    self._journal(key, row)
-            if row is not None:
+                report.cache_hits += 1
                 for idx in idxs:
                     results[idx] = row
             else:
@@ -262,24 +157,20 @@ class ParallelExecutor:
             report.deduped += len(idxs) - 1
 
         self._notify(report, started, results, ())
-        try:
-            if pending:
-                if self.workers == 1 or len(pending) == 1:
-                    self._run_serial(cells, keys, by_key, pending,
-                                     results, report, started)
-                else:
-                    self._run_pool(cells, keys, by_key, pending,
-                                   results, report, started)
-        finally:
-            if self.journal is not None:
-                self.journal.close()
+        if pending:
+            if self.workers == 1 or len(pending) == 1:
+                self._run_serial(cells, keys, by_key, pending,
+                                 results, report, started)
+            else:
+                self._run_pool(cells, keys, by_key, pending,
+                               results, report, started)
 
         report.rows = [
             {**results[idx], **dict(cells[idx][0].tags)}
             for idx in range(len(cells))
         ]
         report.elapsed = time.monotonic() - started
-        self._notify(report, started, results, ())
+        self._notify(report, started, results, (), final=True)
         return report
 
     # -- result-source helpers ---------------------------------------------
@@ -289,45 +180,39 @@ class ParallelExecutor:
             return self.cache.key(spec, seed)
         return spec.key(seed)
 
-    def _journal(self, key: str, row: Dict[str, Any]) -> None:
-        if self.journal is not None:
-            self.journal.append(key, row)
-
     def _complete(self, key: str, row: Dict[str, Any],
                   by_key: Dict[str, List[int]],
                   results: Dict[int, Dict[str, Any]],
                   cacheable: bool = True) -> None:
         for idx in by_key[key]:
             results[idx] = row
-        for fold in _FOLDS:
-            fold.add(row)
         # Profiled trials carry wall-clock phase.* columns and engine.*
         # tier counts; recorded trials carry obs.* event counters and
         # cache.* hit/miss counters.  None of that is deterministic row
         # data (the tier split and cache behaviour are implementation
         # observables that may change across engine versions, and
         # recording is a run-mode choice), so it stays in the in-memory
-        # rows but never enters the journal or the content-addressed
-        # cache — which promise identical rows for identical
-        # (spec, seed), however the row was produced.
-        from ..harness.runner import durable_row
-
-        durable = durable_row(row)
-        self._journal(key, durable)
+        # rows but never enters the content-addressed cache — which
+        # promises identical rows for identical (spec, seed), however
+        # the row was produced.
         if cacheable and self.cache is not None:
-            self.cache.put(key, durable)
+            from ..harness.runner import durable_row
+
+            self.cache.put(key, durable_row(row))
 
     def _notify(self, report: ExecutionReport, started: float,
                 results: Dict[int, Dict[str, Any]],
-                in_flight: Tuple[str, ...]) -> None:
-        if self.progress is None:
+                in_flight: Tuple[str, ...], final: bool = False) -> None:
+        # Only the closing call reports a finished run, so a reporter
+        # receives the finished snapshot once.
+        if self.progress is None or (len(results) == report.total
+                                     and not final):
             return
         self.progress(ProgressSnapshot(
             total=report.total,
             done=len(results),
             executed=report.executed,
             cache_hits=report.cache_hits,
-            resumed=report.resumed,
             errors=report.errors,
             elapsed=time.monotonic() - started,
             in_flight=in_flight,
@@ -341,11 +226,11 @@ class ParallelExecutor:
         if self.on_error == "raise":
             raise ExecutionError(
                 f"cell {spec.label()} seed={seed} failed: {message} "
-                f"(completed cells are journaled/cached; re-run with "
-                f"resume to skip them)")
+                f"(completed cells are cached when a cache is set; a "
+                f"rerun executes only the missing ones)")
         report.errors += 1
-        # Error rows are journaled (the sweep is complete on resume) but
-        # never cached — a fixed bug should re-execute the cell.
+        # Error rows are never cached — a fixed bug should re-execute
+        # the cell.
         self._complete(key, _error_row(seed, message), by_key, results,
                        cacheable=False)
 

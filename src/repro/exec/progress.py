@@ -1,21 +1,22 @@
 """Sweep progress reporting.
 
 The executor emits a :class:`ProgressSnapshot` after every state change
-(cell dispatched, cell completed, cache hit, resume replay).  Any
-callable accepting a snapshot can observe a run; :class:`ConsoleProgress`
-is the built-in reporter that renders a single live status line::
+(cell dispatched, cell completed, cache hits), and the finished snapshot
+once, last.  Any callable accepting a snapshot can observe a run;
+:class:`ConsoleProgress` is the built-in reporter that renders a single
+live status line::
 
-    [t1] 31/45 rows | 12.4/s | ETA 0:00:01 | exec 19 cache 8 resume 4 | 4 in flight: exact_count/lowdiam_handoff[n=128] …
+    [cells] 31/45 rows | 12.4/s | ETA 0:00:01 | exec 23 cache 8 | 4 in flight: exact_count/lowdiam_handoff[n=128] …
 
-Rates and ETAs count *executed* cells only (cache and journal hits are
-effectively free), so the ETA stays honest on warm reruns.
+Rates and ETAs count *executed* cells only (cache hits are effectively
+free), so the ETA stays honest on warm reruns.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, TextIO, Tuple
 
 __all__ = ["ProgressSnapshot", "ProgressCallback", "ConsoleProgress"]
@@ -29,7 +30,6 @@ class ProgressSnapshot:
     done: int                        #: cells finished (any source)
     executed: int                    #: cells actually simulated this run
     cache_hits: int                  #: cells answered by the result cache
-    resumed: int                     #: cells replayed from the journal
     errors: int                      #: cells that raised (on_error="record")
     elapsed: float                   #: seconds since the run started
     in_flight: Tuple[str, ...] = ()  #: labels of cells currently running
@@ -68,10 +68,14 @@ def _fmt_eta(seconds: Optional[float]) -> str:
 class ConsoleProgress:
     """Render snapshots as a single carriage-return status line.
 
+    On a stream that is not a terminal (a log file, a pipe, CI output)
+    the redraws would pile up on one line, so only the finished snapshot
+    is written there, as one line.
+
     Parameters
     ----------
     label:
-        Prefix identifying the sweep (e.g. the experiment id).
+        Prefix identifying the run (the CLI uses ``cells``).
     stream:
         Defaults to ``sys.stderr`` so progress never pollutes piped
         result output.
@@ -91,15 +95,16 @@ class ConsoleProgress:
     def __call__(self, snap: ProgressSnapshot) -> None:
         now = time.monotonic()
         finished = snap.done >= snap.total
-        if not finished and now - self._last_paint < self.min_interval:
+        live = self.stream.isatty()
+        if not finished and (not live
+                             or now - self._last_paint < self.min_interval):
             return
         self._last_paint = now
         parts = [
             f"[{self.label}] {snap.done}/{snap.total} rows",
             f"{snap.rate:.1f}/s",
             f"ETA {_fmt_eta(snap.eta_seconds)}",
-            f"exec {snap.executed} cache {snap.cache_hits} "
-            f"resume {snap.resumed}",
+            f"exec {snap.executed} cache {snap.cache_hits}",
         ]
         if snap.errors:
             parts.append(f"errors {snap.errors}")
@@ -110,8 +115,9 @@ class ConsoleProgress:
                 shown += f" (+{more})"
             parts.append(f"{len(snap.in_flight)} in flight: {shown}")
         line = " | ".join(parts)
-        pad = max(0, self._last_len - len(line))
-        self._last_len = len(line)
-        end = "\n" if finished else ""
-        self.stream.write("\r" + line + " " * pad + end)
+        if live:
+            pad = max(0, self._last_len - len(line))
+            self._last_len = len(line)
+            line = "\r" + line + " " * pad
+        self.stream.write(line + ("\n" if finished else ""))
         self.stream.flush()

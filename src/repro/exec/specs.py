@@ -10,8 +10,8 @@ trial, and it buys three properties:
 2. **content addressing** — :meth:`TrialSpec.key` hashes the canonical
    JSON encoding of the spec (plus seed and a code-version salt) into a
    stable cache key, the basis of :class:`~repro.exec.cache.ResultCache`;
-3. **replayability** — a spec written to a journal or a spec file can be
-   rebuilt and re-run bit-for-bit later (RNG derivation stays inside
+3. **replayability** — a spec written to a file can be rebuilt and
+   re-run bit-for-bit later (RNG derivation stays inside
    :class:`~repro.simnet.rng.RngRegistry`, never ambient).
 
 Builder names resolve through three module-level registries — schedules,

@@ -3,28 +3,30 @@
 * :mod:`~repro.harness.runner` — generic run-one-trial machinery:
   build schedule + nodes, execute, certify the schedule's T-interval
   promise, check output correctness, extract the measured quantities;
-* :mod:`~repro.harness.experiments` — one function per experiment id
-  (T1–T3, F1–F6 from DESIGN.md §3), each returning an
+* :mod:`~repro.harness.experiments` — per experiment id (T1–T3, F1–F6
+  from DESIGN.md §3, X1–X2) its ``cells`` and a pure ``derive`` that
+  turns their rows into an
   :class:`~repro.harness.experiments.ExperimentResult` with raw rows and
-  rendered tables/figures;
+  rendered tables/figures, and :func:`run_experiments`, which runs any
+  set of them as one evaluation graph;
 * :mod:`~repro.harness.io` — persistence of results (CSV + JSON + the
   rendered text) under a results directory;
 * :mod:`~repro.harness.cli` — ``repro-experiments`` entry point that runs
   any subset of experiments and writes everything to disk.
 
 Every experiment describes its trials as declarative
-:class:`repro.exec.TrialSpec` cells and routes them through the
-:mod:`repro.exec` executor, which adds worker processes, a
-content-addressed result cache, and crash-safe resume on top of the
-same measurement semantics (``--workers/--cache-dir/--resume`` on the
-CLI).
+:class:`repro.exec.TrialSpec` cells; :func:`run_experiments` sends the
+cells of all requested experiments through one :mod:`repro.exec`
+executor run, which adds worker processes and a content-addressed
+result cache (``--workers/--cache-dir`` on the CLI) on top of the same
+measurement semantics, and executes a cell that experiments share once.
 """
 
 from .runner import TrialResult, run_trial, run_replicates
 from .experiments import (
     ExperimentResult,
     EXPERIMENTS,
-    run_experiment,
+    run_experiments,
 )
 from .io import save_experiment, load_rows
 from .claims import Claim, CLAIMS, check_claims, render_claims
@@ -35,7 +37,7 @@ __all__ = [
     "run_replicates",
     "ExperimentResult",
     "EXPERIMENTS",
-    "run_experiment",
+    "run_experiments",
     "save_experiment",
     "load_rows",
     "Claim",

@@ -4,22 +4,29 @@ Examples::
 
     repro-experiments --quick t1 f1          # fast smoke of two experiments
     repro-experiments --all --out results/   # the full reconstructed eval
-    repro-experiments f3 --workers 4 --cache-dir .repro-cache --resume
+    repro-experiments f3 --workers 4 --cache-dir .repro-cache
     repro-experiments --list
 
-``--workers/--cache-dir/--resume`` configure the :mod:`repro.exec`
-executor, which runs every experiment's simulations: the measurement
-cells fan out across worker processes, completed rows are
-content-addressed on disk, and an interrupted run re-executes only the
-missing cells.  Parallel rows are byte-identical to serial rows.
+The requested experiments form one evaluation graph
+(:func:`~repro.harness.experiments.run_experiments`): their cells go to
+one :class:`~repro.exec.ParallelExecutor` run, so a cell that several
+experiments share executes once, and each experiment is then derived
+from its rows.  ``[cells finished in Xs]`` times that run, followed by
+the requested, unique, executed and cached cell counts; each
+``[<id> finished in Ys]`` times only that experiment's derivation.
+``--workers`` fans the cells out across worker processes and
+``--cache-dir`` content-addresses completed rows on disk, so a rerun —
+after an interrupt too — executes only the missing cells.  Parallel
+rows are byte-identical to serial rows.
 
 ``--profile`` turns on the engine's per-phase timing (see
 ``docs/PERFORMANCE.md``): every freshly executed trial's row carries
 ``compose`` / ``reveal`` / ``deliver`` / ``drain`` wall-clock totals and
-per-tier round counts, the executor sums them per experiment
-(:func:`repro.exec.executor.collect_telemetry`), and that sum is
-printed after each experiment.  The timings never enter the
-content-addressed result cache (they are not deterministic row data).
+per-tier round counts.  Each experiment's ``[profile]`` line sums them
+over its own rows, counting a shared cell under every experiment that
+uses it; a last line sums them once per executed cell.  The timings
+never enter the content-addressed result cache (they are not
+deterministic row data).
 """
 
 from __future__ import annotations
@@ -27,11 +34,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from ..exec.executor import ExecOptions, TelemetryFold, collect_telemetry
+from ..exec import ConsoleProgress, ParallelExecutor
 from ..simnet.engine import ENGINES
-from .experiments import EXPERIMENTS, run_experiment, run_f1, run_f5, run_t1
+from .experiments import EXPERIMENTS, run_experiments
 from .io import save_experiment
 
 __all__ = ["main"]
@@ -60,17 +67,15 @@ def _parser() -> argparse.ArgumentParser:
                         help="worker processes for the experiments' trials "
                              "(default 1 = serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="content-addressed result cache; reruns "
-                             "execute only missing cells")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume interrupted runs from the journal "
-                             "kept under CACHE_DIR")
+                        help="content-addressed result cache; reruns, "
+                             "interrupted ones too, execute only missing "
+                             "cells")
     parser.add_argument("--profile", action="store_true",
                         help="collect per-phase engine timings "
                              "(compose/reveal/deliver/drain) plus the "
                              "per-tier dispatch counts (batch kernels / "
                              "fast / reference) and print an aggregate "
-                             "after each experiment")
+                             "per experiment and for the whole run")
     parser.add_argument("--engine", default=None, choices=ENGINES,
                         help="engine for every simulator the experiments "
                              "construct (default: fast, with batch-kernel "
@@ -84,14 +89,23 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_profile(fold: TelemetryFold) -> str:
-    """Summary of one experiment's per-phase timings and tier rounds."""
-    if fold.trials == 0:
-        return ("[profile] no trials executed (cached/resumed rows carry "
-                "no timings; rerun against a cold cache to measure)")
+def _render_profile(rows: Iterable[Dict[str, Any]],
+                    scope: str = "") -> str:
+    """Summary of the per-phase timings and tier rounds *rows* carry."""
+    trials = 0
+    columns: Dict[str, float] = {}
+    for row in rows:
+        telemetry = {key: value for key, value in row.items()
+                     if key.startswith(("phase.", "engine."))}
+        trials += bool(telemetry)
+        for key, value in telemetry.items():
+            columns[key] = columns.get(key, 0) + value
+    if trials == 0:
+        return (f"[profile] {scope}no trials executed (cached rows carry no "
+                "timings; rerun against a cold cache to measure)")
     phases: Dict[str, float] = {}
     tiers: Dict[str, float] = {}
-    for key, value in sorted(fold.columns.items()):
+    for key, value in sorted(columns.items()):
         if key.startswith("phase."):
             phases[key[len("phase."):-len("_s")]] = value
         else:
@@ -100,32 +114,12 @@ def _render_profile(fold: TelemetryFold) -> str:
     parts = ", ".join(
         f"{name} {value:.3f}s ({100 * value / grand:.0f}%)"
         for name, value in phases.items())
-    line = f"[profile] {fold.trials} trials: {parts}"
+    line = f"[profile] {scope}{trials} trials: {parts}"
     if tiers:
         tier_parts = ", ".join(
             f"{tier} {rounds}" for tier, rounds in tiers.items())
-        line += f"\n[profile] engine rounds by tier: {tier_parts}"
+        line += f"\n[profile] {scope}engine rounds by tier: {tier_parts}"
     return line
-
-
-def _exec_options(args: argparse.Namespace) -> Optional[ExecOptions]:
-    if args.workers <= 1 and not args.cache_dir and not args.resume:
-        return None
-    if args.resume and not args.cache_dir:
-        raise SystemExit("--resume needs --cache-dir (the journal lives "
-                         "under the cache directory)")
-    journal_dir = None
-    if args.cache_dir:
-        import os
-
-        journal_dir = os.path.join(args.cache_dir, "journals")
-    return ExecOptions(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        journal_dir=journal_dir,
-        resume=args.resume,
-        progress=args.workers > 1,
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -167,45 +161,33 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.makedirs(args.events, exist_ok=True)
         set_events_dir(args.events)
-    exec_opts = _exec_options(args)
-
-    # T1 feeds F1 and F5; share its rows when several are requested.
-    # Its trials count under T1 only.
-    t1_cache = None
-    t1_seconds = 0.0
-    t1_fold = TelemetryFold()
-    if "t1" in ids or ("f1" in ids and "f5" in ids):
-        started = time.time()
-        with collect_telemetry() as t1_fold:
-            t1_cache = run_t1(quick=args.quick, exec_opts=exec_opts)
-        t1_seconds = time.time() - started
-
-    for exp_id in ids:
-        started = time.time()
-        with collect_telemetry() as fold:
-            if exp_id == "t1" and t1_cache is not None:
-                result = t1_cache
-            elif exp_id == "f1" and t1_cache is not None:
-                result = run_f1(quick=args.quick, t1=t1_cache,
-                                exec_opts=exec_opts)
-            elif exp_id == "f5" and t1_cache is not None:
-                result = run_f5(quick=args.quick, t1=t1_cache,
-                                exec_opts=exec_opts)
-            else:
-                result = run_experiment(exp_id, quick=args.quick,
-                                        exec_opts=exec_opts)
-        elapsed = time.time() - started
-        if exp_id == "t1":
-            elapsed += t1_seconds
-            fold = t1_fold
+    executor = ParallelExecutor(
+        workers=args.workers, cache=args.cache_dir,
+        progress=ConsoleProgress("cells") if args.workers > 1 else None)
+    started = time.perf_counter()
+    run = run_experiments(ids, quick=args.quick, executor=executor)
+    cells_s = (time.perf_counter() - started
+               - sum(run.derive_seconds.values()))
+    report = run.report
+    print(f"[cells finished in {cells_s:.1f}s]")
+    print(f"[cells: {report.total} requested, "
+          f"{report.total - report.deduped} unique, "
+          f"{report.executed} executed, {report.cache_hits} cached]\n")
+    for exp_id, result in run.results.items():
         print(result.render())
-        print(f"[{exp_id} finished in {elapsed:.1f}s]\n")
+        print(f"[{exp_id} finished in {run.derive_seconds[exp_id]:.1f}s]\n")
         if args.profile:
-            print(_render_profile(fold))
+            print(_render_profile(run.rows[exp_id]))
             print()
         if args.out:
             path = save_experiment(result, args.out)
             print(f"[saved to {path}]\n")
+    if args.profile:
+        # One row per content address: a shared cell counts once here.
+        unique = {spec.key(seed): row
+                  for (spec, seed), row in zip(run.cells, report.rows)}
+        print(_render_profile(unique.values(), scope="total: "))
+        print()
     if args.events:
         from ..obs.merge import merge_event_streams
 

@@ -1,9 +1,21 @@
 """Experiment definitions T1–T3 / F1–F6 (the reconstructed evaluation).
 
-Each ``run_*`` function regenerates one table or figure from DESIGN.md §3
-and returns an :class:`ExperimentResult` holding the raw rows plus
-rendered ASCII tables/figures.  ``quick=True`` shrinks sizes for tests
-and smoke runs; the benches and the CLI use the full sizes.
+Each experiment regenerates one table or figure from DESIGN.md §3 as a
+pair of functions, registered in :data:`EXPERIMENTS`:
+
+* ``cells(quick)`` lists its simulations as ``(TrialSpec, seed)``
+  cells;
+* ``derive(quick, rows)`` turns those cells' rows, in the same order,
+  into an :class:`ExperimentResult` holding the result rows plus
+  rendered ASCII tables/figures.  It is a pure function of its
+  arguments: closed-form predictions, Monte Carlo with fixed seeds and
+  dynamic diameters are recomputed, never cached.
+
+:func:`run_experiments` runs any set of experiments as one evaluation
+graph: one executor pass over all their cells, so a cell two
+experiments share executes once (F1 and F5 are T1's cells derived two
+more ways).  ``quick=True`` shrinks sizes for tests and smoke runs; the
+CLI uses the full sizes.
 
 Conventions
 -----------
@@ -14,17 +26,16 @@ Conventions
 * every trial's schedule satisfies a machine-checked T-interval promise
   (the generators are verified in the test suite; adaptive schedules are
   certified post-hoc on their realised prefix);
-* inputs are deterministic functions of node ids so oracles are exact;
-* every simulation is a :class:`~repro.exec.TrialSpec` cell run by the
-  :mod:`repro.exec` executor, so *exec_opts* (workers, result cache,
-  resume) applies to every experiment.
+* inputs are deterministic functions of node ids so oracles are exact.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -50,10 +61,13 @@ from ..dynamics import (
     dynamic_diameter,
     ring_of_cliques,
 )
-from ..exec.executor import ExecOptions
+from ..exec.executor import Cell, ExecutionReport, ParallelExecutor
 from ..exec.specs import TrialSpec
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
+__all__ = ["ExperimentResult", "Experiment", "EXPERIMENTS",
+           "EvaluationRun", "run_experiments"]
+
+Rows = List[Dict[str, Any]]
 
 
 @dataclass
@@ -95,21 +109,7 @@ def _row_rounds(row: Dict[str, Any]) -> int:
     return int(row["rounds"])
 
 
-def _execute_cells(cells: List[Tuple[TrialSpec, int]],
-                   exec_opts: Optional[ExecOptions],
-                   label: str) -> List[Dict[str, Any]]:
-    """Run spec cells through the executor (serial when no options).
-
-    ``exec_opts`` carries workers / cache / journal / resume settings
-    from the CLI; ``None`` runs serially (``workers=1``, no cache) with
-    byte-identical rows.
-    """
-    opts = exec_opts or ExecOptions()
-    return opts.make_executor(label).run(cells).rows
-
-
-def _group_rows(rows: List[Dict[str, Any]],
-                *keys: str) -> Dict[tuple, List[Dict[str, Any]]]:
+def _group_rows(rows: Rows, *keys: str) -> Dict[tuple, Rows]:
     grouped: Dict[tuple, List[Dict[str, Any]]] = {}
     for row in rows:
         grouped.setdefault(tuple(row[k] for k in keys), []).append(row)
@@ -173,22 +173,30 @@ def _count_specs(T: int) -> Dict[str, Callable[[int], TrialSpec]]:
 # T1 — headline Count scaling table
 # --------------------------------------------------------------------------
 
-def run_t1(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """T1: rounds for Count vs ``N`` at constant ``T = 2``, low-``d`` dynamics.
-
-    The measurement grid (algorithm × N × seed) routes through the
-    :mod:`repro.exec` executor — *exec_opts* selects worker processes,
-    the result cache, and resume; ``None`` runs serially.
-    """
-    T = 2
+def _t1_grid(quick: bool) -> Tuple[int, List[int], int, List[int]]:
+    """T1's ``T``, sizes, largest simulated KLO size and seeds."""
     # Top N raised from 256 once the batch-kernel tier made the N=512
     # cells affordable (see docs/PERFORMANCE.md, "Batch kernels").
     ns = [8, 16, 32] if quick else [16, 32, 64, 128, 256, 512]
-    klo_cap = 16 if quick else 64
-    seeds = [1] if quick else [1, 2, 3]
-    algos = _count_specs(T)
+    return 2, ns, 16 if quick else 64, [1] if quick else [1, 2, 3]
 
+
+def cells_t1(quick: bool = False) -> List[Cell]:
+    """T1's grid: algorithm × N × seed at constant ``T = 2``."""
+    T, ns, klo_cap, seeds = _t1_grid(quick)
+    return [
+        (make(n).with_tags(algorithm=name, n=n), seed)
+        for n in ns
+        for name, make in _count_specs(T).items()
+        if not (name == "klo_count" and n > klo_cap)
+        for seed in seeds
+    ]
+
+
+def derive_t1(quick: bool, rows: Rows) -> ExperimentResult:
+    """T1: rounds for Count vs ``N`` at constant ``T = 2``, low-``d`` dynamics."""
+    T, ns, klo_cap, seeds = _t1_grid(quick)
+    algos = _count_specs(T)
     result = ExperimentResult(
         "T1", "Count: rounds vs N at constant T=2 (low-d dynamics)")
     result.notes = (
@@ -197,17 +205,7 @@ def run_t1(quick: bool = False, *,
         "extended by its exact closed-form prediction beyond (the "
         "algorithm is deterministic; predictions equal simulation, "
         "verified by tests).")
-
-    cells = [
-        (make(n).with_tags(algorithm=name, n=n), seed)
-        for n in ns
-        for name, make in algos.items()
-        if not (name == "klo_count" and n > klo_cap)
-        for seed in seeds
-    ]
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "t1"),
-                          "algorithm", "n")
-
+    grouped = _group_rows(rows, "algorithm", "n")
     for n in ns:
         d_values = []
         for seed in seeds:
@@ -242,15 +240,17 @@ def run_t1(quick: bool = False, *,
 # F1 — log-log slopes
 # --------------------------------------------------------------------------
 
-def run_f1(quick: bool = False,
-           t1: Optional[ExperimentResult] = None, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
+def derive_f1(quick: bool, rows: Rows) -> ExperimentResult:
+    """F1 from T1's cell rows (F1 runs T1's cells)."""
+    return f1_of_t1(derive_t1(quick, rows).rows)
+
+
+def f1_of_t1(t1_rows: Rows) -> ExperimentResult:
     """F1: power-law exponents of the T1 curves (slope in log-log space)."""
-    t1 = t1 or run_t1(quick=quick, exec_opts=exec_opts)
     result = ExperimentResult(
         "F1", "Count: log-log scaling exponents (rounds ~ a * N^b)")
     by_algo: Dict[str, Tuple[List[float], List[float]]] = {}
-    for row in t1.rows:
+    for row in t1_rows:
         xs, ys = by_algo.setdefault(row["algorithm"], ([], []))
         xs.append(float(row["n"]))
         ys.append(float(row["rounds"]))
@@ -280,18 +280,16 @@ def run_f1(quick: bool = False,
 # F2 — rounds vs T
 # --------------------------------------------------------------------------
 
-def run_f2(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """F2: rounds vs ``T`` at fixed ``N``."""
-    n = 24 if quick else 64
-    Ts = [1, 2, 4] if quick else [1, 2, 4, 8, 16]
-    seeds = [1] if quick else [1, 2, 3, 4, 5]
-    result = ExperimentResult("F2", f"Rounds vs T at N={n}")
-    series: Dict[str, Tuple[List[float], List[float]]] = {
-        "exact_count_ours": ([], []),
-        "token_dissem_throttled": ([], []),
-        "klo_count": ([], []),
-    }
+def _f2_grid(quick: bool) -> Tuple[int, List[int], List[int]]:
+    """F2's ``N``, ``T`` values and seeds."""
+    if quick:
+        return 24, [1, 2, 4], [1]
+    return 64, [1, 2, 4, 8, 16], [1, 2, 3, 4, 5]
+
+
+def cells_f2(quick: bool = False) -> List[Cell]:
+    """F2's grid: ``T`` × {core Count, throttled token dissemination} × seed."""
+    n, Ts, seeds = _f2_grid(quick)
 
     def ours(T: int) -> TrialSpec:
         # Core algorithm on the oblivious handoff adversary: flat in T.
@@ -314,10 +312,20 @@ def run_f2(quick: bool = False, *,
             stop_when="dissemination_complete",
             tags={"algorithm": "token_dissem_throttled", "T": T})
 
-    cells = [(make(T), seed)
-             for T in Ts for make in (ours, token) for seed in seeds]
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "f2"),
-                          "algorithm", "T")
+    return [(make(T), seed)
+            for T in Ts for make in (ours, token) for seed in seeds]
+
+
+def derive_f2(quick: bool, rows: Rows) -> ExperimentResult:
+    """F2: rounds vs ``T`` at fixed ``N``."""
+    n, Ts, seeds = _f2_grid(quick)
+    result = ExperimentResult("F2", f"Rounds vs T at N={n}")
+    series: Dict[str, Tuple[List[float], List[float]]] = {
+        "exact_count_ours": ([], []),
+        "token_dissem_throttled": ([], []),
+        "klo_count": ([], []),
+    }
+    grouped = _group_rows(rows, "algorithm", "T")
     # KLO: oblivious to T by construction (deterministic prediction).
     klo = klo_rounds(n)
     for T in Ts:
@@ -357,24 +365,16 @@ def run_f2(quick: bool = False, *,
 # F3 — rounds vs dynamic diameter d
 # --------------------------------------------------------------------------
 
-def run_f3(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """F3: rounds vs ``d`` at fixed ``N`` (ring-of-cliques sweep).
+def _f3_grid(quick: bool) -> Tuple[int, List[int], List[int]]:
+    """F3's ``N``, clique counts and seeds."""
+    if quick:
+        return 48, [2, 4, 8], [1]
+    return 192, [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 96], [1, 2, 3]
 
-    The largest grid of the evaluation (11 clique counts × 2 algorithms
-    × 3 seeds + predictions = 45 full-size rows); *exec_opts* fans the
-    measured cells across worker processes — see ``docs/EXECUTOR.md``.
-    """
-    n = 48 if quick else 192
-    cliques = [2, 4, 8] if quick else [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 96]
-    seeds = [1] if quick else [1, 2, 3]
-    result = ExperimentResult("F3", f"Rounds vs dynamic diameter d at N={n}")
-    series: Dict[str, Tuple[List[float], List[float]]] = {
-        "exact_count_ours": ([], []),
-        "sublinear_max_ours": ([], []),
-        "flood_max_knownN": ([], []),
-        "bound_3d+2": ([], []),
-    }
+
+def cells_f3(quick: bool = False) -> List[Cell]:
+    """F3's grid: clique count × {Count, Max} × seed (66 full-size cells)."""
+    n, cliques, seeds = _f3_grid(quick)
 
     def count_spec(m: int) -> TrialSpec:
         return TrialSpec(
@@ -394,15 +394,25 @@ def run_f3(quick: bool = False, *,
             quiescence_window=64, oracle="max_modvalue",
             tags={"algorithm": "sublinear_max_ours", "num_cliques": m})
 
-    cells = [
+    return [
         (spec, seed)
         for m in cliques
         for spec in (count_spec(m), max_spec(m))
         for seed in seeds
     ]
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "f3"),
-                          "algorithm", "num_cliques")
 
+
+def derive_f3(quick: bool, rows: Rows) -> ExperimentResult:
+    """F3: rounds vs ``d`` at fixed ``N`` (ring-of-cliques sweep)."""
+    n, cliques, _ = _f3_grid(quick)
+    result = ExperimentResult("F3", f"Rounds vs dynamic diameter d at N={n}")
+    series: Dict[str, Tuple[List[float], List[float]]] = {
+        "exact_count_ours": ([], []),
+        "sublinear_max_ours": ([], []),
+        "flood_max_knownN": ([], []),
+        "bound_3d+2": ([], []),
+    }
+    grouped = _group_rows(rows, "algorithm", "num_cliques")
     for m in cliques:
         d = dynamic_diameter(StaticAdversary(n, ring_of_cliques(n, m)))
         count_rounds = [
@@ -446,36 +456,50 @@ def run_f3(quick: bool = False, *,
 _MC_CHUNK = 500
 
 
-def run_f4(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """F4: sketch accuracy/coverage vs ε (full-sim + direct Monte Carlo)."""
-    n = 32 if quick else 64
+def _f4_grid(quick: bool) -> Tuple[int, List[float], int, int]:
+    """F4's ``N``, ε values, simulated trials and Monte Carlo trials."""
+    if quick:
+        return 32, [0.5, 0.25], 4, 2000
+    return 64, [0.5, 0.25, 0.1], 30, 20000
+
+
+#: F4's target failure probability δ.
+_F4_DELTA = 0.1
+
+
+def cells_f4(quick: bool = False) -> List[Cell]:
+    """F4's full network simulations (halting variant for speed).
+
+    The believed-global minima equal the true minima, so sim and Monte
+    Carlo agree; the sim trials certify the protocol plumbing.  Trial t
+    runs on the schedule of seed 100+t with node randomness from seed
+    500+t, halting after its schedule's dynamic diameter plus two.
+    """
+    n, eps_list, sim_trials, _ = _f4_grid(quick)
     T = 2
-    eps_list = [0.5, 0.25] if quick else [0.5, 0.25, 0.1]
-    sim_trials = 4 if quick else 30
-    mc_trials = 2000 if quick else 20000
-    delta = 0.1
-    result = ExperimentResult(
-        "F4", "Approximate Count: relative error and coverage vs epsilon")
-    # Full network simulations (halting variant for speed): the
-    # believed-global minima equal the true minima, so sim and MC agree;
-    # the sim trials certify the protocol plumbing.  Trial t runs on the
-    # schedule of seed 100+t with node randomness from seed 500+t.
     diameters = [dynamic_diameter(_lowdiam_schedule(n, T, 100 + t))
                  for t in range(sim_trials)]
-    cells = [
+    return [
         (TrialSpec(
             schedule="lowdiam_handoff", schedule_params={"n": n, "T": T},
             schedule_seed=100 + t,
             nodes="approx_count_known_bound",
             node_params={"n": n, "rounds_bound": d + 2,
-                         "width": required_width(eps, delta)},
+                         "width": required_width(eps, _F4_DELTA)},
             max_rounds=d + 3, until="halted", tags={"eps": eps}),
          500 + t)
         for eps in eps_list
         for t, d in enumerate(diameters)
     ]
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "f4"), "eps")
+
+
+def derive_f4(quick: bool, rows: Rows) -> ExperimentResult:
+    """F4: sketch accuracy/coverage vs ε (full-sim + direct Monte Carlo)."""
+    n, eps_list, sim_trials, mc_trials = _f4_grid(quick)
+    delta = _F4_DELTA
+    result = ExperimentResult(
+        "F4", "Approximate Count: relative error and coverage vs epsilon")
+    grouped = _group_rows(rows, "eps")
     rng = np.random.default_rng(2026)
     for eps in eps_list:
         width = required_width(eps, delta)
@@ -532,15 +556,11 @@ _T2_PROBLEMS: Dict[str, Tuple[str, str]] = {
 }
 
 
-def run_t2(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """T2: Max / Consensus / Count across the adversary zoo."""
+def _t2_grid(quick: bool
+             ) -> Tuple[int, List[int], Dict[Tuple[str, str], TrialSpec]]:
+    """T2's ``N``, seeds and spec per (adversary, problem)."""
     n = 24 if quick else 96
     seeds = [1] if quick else [1, 2, 3]
-    result = ExperimentResult("T2", f"Adversary robustness at N={n}")
-    baselines = {"max_ours": flood_rounds(n),
-                 "consensus_ours": flood_rounds(n),
-                 "count_ours": klo_rounds(n)}
     specs = {
         (adv_name, prob_name): TrialSpec(
             schedule=schedule, schedule_params={"n": n, **params},
@@ -551,9 +571,23 @@ def run_t2(quick: bool = False, *,
         for adv_name, (schedule, params) in _T2_ADVERSARIES.items()
         for prob_name, (nodes, oracle) in _T2_PROBLEMS.items()
     }
-    cells = [(spec, seed) for spec in specs.values() for seed in seeds]
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "t2"),
-                          "adversary", "problem")
+    return n, seeds, specs
+
+
+def cells_t2(quick: bool = False) -> List[Cell]:
+    """T2's grid: adversary × problem × seed."""
+    _, seeds, specs = _t2_grid(quick)
+    return [(spec, seed) for spec in specs.values() for seed in seeds]
+
+
+def derive_t2(quick: bool, rows: Rows) -> ExperimentResult:
+    """T2: Max / Consensus / Count across the adversary zoo."""
+    n, seeds, specs = _t2_grid(quick)
+    result = ExperimentResult("T2", f"Adversary robustness at N={n}")
+    baselines = {"max_ours": flood_rounds(n),
+                 "consensus_ours": flood_rounds(n),
+                 "count_ours": klo_rounds(n)}
+    grouped = _group_rows(rows, "adversary", "problem")
     for (adv_name, prob_name), spec in specs.items():
         measured = grouped[(adv_name, prob_name)]
         ds = []
@@ -586,14 +620,16 @@ def run_t2(quick: bool = False, *,
 # F5 — crossover points
 # --------------------------------------------------------------------------
 
-def run_f5(quick: bool = False,
-           t1: Optional[ExperimentResult] = None, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
+def derive_f5(quick: bool, rows: Rows) -> ExperimentResult:
+    """F5 from T1's cell rows (F5 runs T1's cells)."""
+    return f5_of_t1(derive_t1(quick, rows).rows)
+
+
+def f5_of_t1(t1_rows: Rows) -> ExperimentResult:
     """F5: smallest N at which the core Count beats each baseline."""
-    t1 = t1 or run_t1(quick=quick, exec_opts=exec_opts)
     result = ExperimentResult(
         "F5", "Crossover: smallest N where ours beats each baseline")
-    ours_rows = [r for r in t1.rows if r["algorithm"] == "exact_count_ours"]
+    ours_rows = [r for r in t1_rows if r["algorithm"] == "exact_count_ours"]
     ns = [r["n"] for r in ours_rows]
     ds = [r["d"] for r in ours_rows]
     rounds = [r["rounds"] for r in ours_rows]
@@ -614,7 +650,7 @@ def run_f5(quick: bool = False,
         measured = None
         for r_ours in ours_rows:
             base_row = next(
-                (r for r in t1.rows
+                (r for r in t1_rows
                  if r["algorithm"] == ("klo_count" if name == "klo_count"
                                        else "token_dissemination_knownN")
                  and r["n"] == r_ours["n"]), None)
@@ -641,14 +677,10 @@ def run_f5(quick: bool = False,
 # F6 — bit complexity
 # --------------------------------------------------------------------------
 
-def run_f6(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """F6: total transmitted bits and max message size per algorithm."""
+def _f6_grid(quick: bool) -> Tuple[List[int], int, List[int],
+                                   Dict[str, Callable[[int], TrialSpec]]]:
+    """F6's sizes, largest simulated KLO size, seeds and algorithms."""
     T = 2
-    ns = [16, 32] if quick else [32, 64, 128]
-    seeds = [1] if quick else [1, 2]
-    result = ExperimentResult(
-        "F6", "Bit complexity: total broadcast bits and max message size")
 
     def pipelined(n: int) -> TrialSpec:
         return TrialSpec(
@@ -670,16 +702,29 @@ def run_f6(quick: bool = False, *,
     algos = dict(_count_specs(T))
     algos["pipelined_approx_w4"] = pipelined
     algos["pipelined_exact_w4"] = pipelined_exact
-    klo_cap = 16 if quick else 32
-    cells = [
+    if quick:
+        return [16, 32], 16, [1], algos
+    return [32, 64, 128], 32, [1, 2], algos
+
+
+def cells_f6(quick: bool = False) -> List[Cell]:
+    """F6's grid: algorithm × N × seed at ``T = 2``."""
+    ns, klo_cap, seeds, algos = _f6_grid(quick)
+    return [
         (make(n).with_tags(algorithm=name, n=n), seed)
         for n in ns
         for name, make in algos.items()
         if not (name == "klo_count" and n > klo_cap)
         for seed in seeds
     ]
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "f6"),
-                          "algorithm", "n")
+
+
+def derive_f6(quick: bool, rows: Rows) -> ExperimentResult:
+    """F6: total transmitted bits and max message size per algorithm."""
+    ns, klo_cap, _, algos = _f6_grid(quick)
+    result = ExperimentResult(
+        "F6", "Bit complexity: total broadcast bits and max message size")
+    grouped = _group_rows(rows, "algorithm", "n")
     for n in ns:
         for name in algos:
             if name == "klo_count" and n > klo_cap:
@@ -709,22 +754,27 @@ def run_f6(quick: bool = False, *,
 # T3 — ablations
 # --------------------------------------------------------------------------
 
-def run_t3(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """T3: ablations of the reconstruction's design choices."""
-    n = 24 if quick else 96
-    T = 2
-    seeds = [1] if quick else [1, 2, 3]
-    result = ExperimentResult("T3", f"Ablations at N={n}, T={T}")
+#: T3's controller ablations (a)+(b): growth and initial window.
+_T3_CONTROLLERS: Dict[str, Dict[str, int]] = {
+    f"growth={growth},init_window={init}":
+        {"initial_window": init, "window_growth": growth}
+    for growth in [2, 4, 8] for init in [1, 8]
+}
+
+#: T3's pipelining ablation (d): slot strategies under a 4-word budget.
+_T3_STRATEGIES = ["tdm", "greedy"]
+
+
+def _t3_grid(quick: bool) -> Tuple[int, int, List[int]]:
+    """T3's ``N``, ``T`` and seeds."""
+    return (24, 2, [1]) if quick else (96, 2, [1, 2, 3])
+
+
+def cells_t3(quick: bool = False) -> List[Cell]:
+    """T3's simulated ablations: controller knobs and pipelining strategy."""
+    n, T, seeds = _t3_grid(quick)
     schedule = {"schedule": "lowdiam_handoff",
                 "schedule_params": {"n": n, "T": T}}
-
-    # (a)+(b) controller knobs: growth and initial window.
-    controllers = {
-        f"growth={growth},init_window={init}":
-            {"initial_window": init, "window_growth": growth}
-        for growth in [2, 4, 8] for init in [1, 8]
-    }
     cells = [
         (TrialSpec(
             **schedule, nodes="exact_count", node_params={"n": n, **knobs},
@@ -732,10 +782,8 @@ def run_t3(quick: bool = False, *,
             quiescence_window=64, oracle="count_exact",
             tags={"ablation": "controller", "variant": variant}),
          seed)
-        for variant, knobs in controllers.items() for seed in seeds
+        for variant, knobs in _T3_CONTROLLERS.items() for seed in seeds
     ]
-    # (d) pipelining strategy under a 4-word budget.
-    strategies = ["tdm", "greedy"]
     cells += [
         (TrialSpec(
             **schedule, nodes="pipelined_approx_count",
@@ -745,12 +793,17 @@ def run_t3(quick: bool = False, *,
             quiescence_window=80,
             tags={"ablation": "pipelining", "variant": strategy}),
          seed)
-        for strategy in strategies for seed in seeds
+        for strategy in _T3_STRATEGIES for seed in seeds
     ]
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "t3"),
-                          "ablation", "variant")
+    return cells
 
-    for variant in controllers:
+
+def derive_t3(quick: bool, rows: Rows) -> ExperimentResult:
+    """T3: ablations of the reconstruction's design choices."""
+    n, T, _ = _t3_grid(quick)
+    result = ExperimentResult("T3", f"Ablations at N={n}, T={T}")
+    grouped = _group_rows(rows, "ablation", "variant")
+    for variant in _T3_CONTROLLERS:
         measured = grouped[("controller", variant)]
         result.rows.append({
             "ablation": "controller", "variant": variant,
@@ -794,7 +847,7 @@ def run_t3(quick: bool = False, *,
             "metric": f"exact closed-form rounds at N={n_klo}",
         })
 
-    for strategy in strategies:
+    for strategy in _T3_STRATEGIES:
         measured = grouped[("pipelining", strategy)]
         result.rows.append({
             "ablation": "pipelining", "variant": strategy,
@@ -820,22 +873,29 @@ def run_t3(quick: bool = False, *,
 # X1 — the cost of halting (extension, DESIGN.md S8)
 # --------------------------------------------------------------------------
 
-def run_x1(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """X1: halting-guarantee ladder for zero-knowledge exact Count.
+#: X1's algorithms, weakest termination guarantee first.
+_X1_GUARANTEE = {
+    "exact_count_stabilizing": "stabilizing, O(d)",
+    "hybrid_count_halting_whp": "halting w.h.p., O(N)",
+    "klo_halting_deterministic": "halting deterministic, Theta(N^2)",
+}
 
-    Three algorithms, all knowing nothing, all outputting exact counts:
-    stabilizing ``O(d)`` (ExactCount), halting-w.h.p. ``O(N)``
-    (HybridCount), halting-deterministic ``Θ(N²)`` (KLO) — each step up
-    in termination strength costs roughly a factor of the next scale
-    parameter.
+
+def _x1_grid(quick: bool) -> Tuple[List[int], int, List[int]]:
+    """X1's sizes, largest simulated KLO size and seeds."""
+    if quick:
+        return [8, 16, 32], 16, [1]
+    return [16, 32, 64, 128], 64, [1, 2, 3]
+
+
+def cells_x1(quick: bool = False) -> List[Cell]:
+    """X1's grid: algorithm × N × seed at ``T = 2``.
+
+    Its stabilizing and KLO cells are T1's exact-Count and KLO cells
+    under other tags, so they execute once when both run.
     """
     T = 2
-    ns = [8, 16, 32] if quick else [16, 32, 64, 128]
-    klo_cap = 16 if quick else 64
-    seeds = [1] if quick else [1, 2, 3]
-    result = ExperimentResult(
-        "X1", "The cost of halting: exact Count with zero knowledge")
+    ns, klo_cap, seeds = _x1_grid(quick)
 
     def hybrid(n: int) -> TrialSpec:
         return TrialSpec(
@@ -849,22 +909,31 @@ def run_x1(quick: bool = False, *,
         "hybrid_count_halting_whp": hybrid,
         "klo_halting_deterministic": _count_specs(T)["klo_count"],
     }
-    guarantee = {
-        "exact_count_stabilizing": "stabilizing, O(d)",
-        "hybrid_count_halting_whp": "halting w.h.p., O(N)",
-        "klo_halting_deterministic": "halting deterministic, Theta(N^2)",
-    }
-    cells = [
+    return [
         (make(n).with_tags(algorithm=name, n=n), seed)
         for n in ns
         for name, make in algos.items()
         if not (name == "klo_halting_deterministic" and n > klo_cap)
         for seed in seeds
     ]
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "x1"),
-                          "algorithm", "n")
+
+
+def derive_x1(quick: bool, rows: Rows) -> ExperimentResult:
+    """X1: halting-guarantee ladder for zero-knowledge exact Count.
+
+    Three algorithms, all knowing nothing, all outputting exact counts:
+    stabilizing ``O(d)`` (ExactCount), halting-w.h.p. ``O(N)``
+    (HybridCount), halting-deterministic ``Θ(N²)`` (KLO) — each step up
+    in termination strength costs roughly a factor of the next scale
+    parameter.
+    """
+    ns, klo_cap, _ = _x1_grid(quick)
+    guarantee = _X1_GUARANTEE
+    result = ExperimentResult(
+        "X1", "The cost of halting: exact Count with zero knowledge")
+    grouped = _group_rows(rows, "algorithm", "n")
     for n in ns:
-        for name in algos:
+        for name in guarantee:
             if name == "klo_halting_deterministic" and n > klo_cap:
                 result.rows.append({
                     "algorithm": name, "n": n,
@@ -900,24 +969,20 @@ def run_x1(quick: bool = False, *,
 # X2 — robustness under message loss (extension, DESIGN.md S8)
 # --------------------------------------------------------------------------
 
-def run_x2(quick: bool = False, *,
-           exec_opts: Optional[ExecOptions] = None) -> ExperimentResult:
-    """X2: behaviour beyond the promise — random message loss.
+def _x2_grid(quick: bool) -> Tuple[int, int, List[float], List[int]]:
+    """X2's ``N``, ``T``, loss rates and seeds."""
+    if quick:
+        return 24, 2, [0.0, 0.3, 0.6], [1]
+    return 64, 2, [0.0, 0.2, 0.4, 0.6, 0.8], [1, 2, 3]
 
-    Loss silently weakens the adversary's promise (the effective graph
-    is a random subgraph of the promised one).  Measured: the stabilizing
-    core stays exact and merely slows down smoothly with the loss rate;
-    the halting known-bound variant, whose correctness *was* the promise,
-    collapses.
+
+def cells_x2(quick: bool = False) -> List[Cell]:
+    """X2's grid: loss rate × seed × {stabilizing, known-bound} Count.
+
+    Schedule seed s, node randomness from seed s+10; the known-bound
+    variant halts after twice the (loss-free) dynamic diameter.
     """
-    n = 24 if quick else 64
-    T = 2
-    losses = [0.0, 0.3, 0.6] if quick else [0.0, 0.2, 0.4, 0.6, 0.8]
-    seeds = [1] if quick else [1, 2, 3]
-    result = ExperimentResult(
-        "X2", f"Robustness under message loss at N={n}")
-    # Schedule seed s, node randomness from seed s+10; the known-bound
-    # variant halts after twice the (loss-free) dynamic diameter.
+    n, T, losses, seeds = _x2_grid(quick)
     diameters = {seed: dynamic_diameter(_lowdiam_schedule(n, T, seed))
                  for seed in seeds}
     schedule = {"schedule": "lowdiam_handoff",
@@ -940,8 +1005,22 @@ def run_x2(quick: bool = False, *,
                 max_rounds=2 * d + 1, oracle="count_exact",
                 tags={"variant": "known_bound", "loss_rate": loss}),
                 seed + 10))
-    grouped = _group_rows(_execute_cells(cells, exec_opts, "x2"),
-                          "variant", "loss_rate")
+    return cells
+
+
+def derive_x2(quick: bool, rows: Rows) -> ExperimentResult:
+    """X2: behaviour beyond the promise — random message loss.
+
+    Loss silently weakens the adversary's promise (the effective graph
+    is a random subgraph of the promised one).  Measured: the stabilizing
+    core stays exact and merely slows down smoothly with the loss rate;
+    the halting known-bound variant, whose correctness *was* the promise,
+    collapses.
+    """
+    n, T, losses, _ = _x2_grid(quick)
+    result = ExperimentResult(
+        "X2", f"Robustness under message loss at N={n}")
+    grouped = _group_rows(rows, "variant", "loss_rate")
     for loss in losses:
         stab = grouped[("stabilizing", loss)]
         result.rows.append({
@@ -968,32 +1047,70 @@ def run_x2(quick: bool = False, *,
 # registry
 # --------------------------------------------------------------------------
 
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "t1": run_t1,
-    "f1": run_f1,
-    "f2": run_f2,
-    "f3": run_f3,
-    "f4": run_f4,
-    "t2": run_t2,
-    "f5": run_f5,
-    "f6": run_f6,
-    "t3": run_t3,
-    "x1": run_x1,
-    "x2": run_x2,
+class Experiment(NamedTuple):
+    """One experiment: its cells and the pure derivation of its result."""
+
+    cells: Callable[[bool], List[Cell]]
+    derive: Callable[[bool, Rows], ExperimentResult]
+
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "t1": Experiment(cells_t1, derive_t1),
+    "f1": Experiment(cells_t1, derive_f1),
+    "f2": Experiment(cells_f2, derive_f2),
+    "f3": Experiment(cells_f3, derive_f3),
+    "f4": Experiment(cells_f4, derive_f4),
+    "t2": Experiment(cells_t2, derive_t2),
+    "f5": Experiment(cells_t1, derive_f5),
+    "f6": Experiment(cells_f6, derive_f6),
+    "t3": Experiment(cells_t3, derive_t3),
+    "x1": Experiment(cells_x1, derive_x1),
+    "x2": Experiment(cells_x2, derive_x2),
 }
 
 
-def run_experiment(exp_id: str, quick: bool = False,
-                   exec_opts: Optional[ExecOptions] = None
-                   ) -> ExperimentResult:
-    """Run the experiment with the given id (case-insensitive).
+@dataclass
+class EvaluationRun:
+    """What :func:`run_experiments` ran and derived.
 
-    *exec_opts* configures the :mod:`repro.exec` executor (workers,
-    result cache, resume) that runs the experiment's trials; ``None``
-    runs them serially without a cache.
+    ``cells`` lists every requested experiment's cells in request order
+    and ``report`` is the one executor pass over them; ``rows`` holds
+    each experiment's slice of ``report.rows``, ``results`` what its
+    ``derive`` made of it, and ``derive_seconds`` how long that took.
     """
-    key = exp_id.lower()
-    if key not in EXPERIMENTS:
+
+    cells: List[Cell]
+    report: ExecutionReport
+    rows: Dict[str, Rows] = field(default_factory=dict)
+    results: Dict[str, ExperimentResult] = field(default_factory=dict)
+    derive_seconds: Dict[str, float] = field(default_factory=dict)
+
+
+def run_experiments(ids: Sequence[str], quick: bool = False,
+                    executor: Optional[ParallelExecutor] = None
+                    ) -> EvaluationRun:
+    """Run the experiments *ids* (case-insensitive) as one graph.
+
+    Every experiment's cells go to one ``executor.run`` call, whose
+    content-key deduplication executes a cell that several experiments
+    share once; each experiment then derives its result from its own
+    slice of the rows.  *executor* defaults to a serial one without a
+    cache; rows are byte-identical either way.
+    """
+    ids = list(dict.fromkeys(exp_id.lower() for exp_id in ids))
+    unknown = [exp_id for exp_id in ids if exp_id not in EXPERIMENTS]
+    if unknown:
         raise KeyError(
-            f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[key](quick=quick, exec_opts=exec_opts)
+            f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}")
+    grids = {exp_id: EXPERIMENTS[exp_id].cells(quick) for exp_id in ids}
+    cells = [cell for grid in grids.values() for cell in grid]
+    run = EvaluationRun(cells, (executor or ParallelExecutor()).run(cells))
+    start = 0
+    for exp_id, grid in grids.items():
+        rows = run.report.rows[start:start + len(grid)]
+        start += len(grid)
+        started = time.perf_counter()
+        run.results[exp_id] = EXPERIMENTS[exp_id].derive(quick, rows)
+        run.derive_seconds[exp_id] = time.perf_counter() - started
+        run.rows[exp_id] = rows
+    return run

@@ -34,8 +34,8 @@ __all__ = ["TrialResult", "run_trial", "run_replicates",
 #: Row-column prefixes that are run-mode telemetry, not measured data:
 #: wall-clock ``phase.*`` timings, ``engine.*`` dispatch-tier round
 #: splits, ``obs.*`` event-stream counters, and ``cache.*`` hit/miss
-#: counters.  The executor strips them before a row enters the journal
-#: or the content-addressed result cache, and ``save_experiment``
+#: counters.  The executor strips them before a row enters the
+#: content-addressed result cache, and ``save_experiment``
 #: strips them from persisted artefacts, so a cache-hit rerun and a
 #: fresh (profiled or recorded) run produce byte-identical artefacts —
 #: the equality ``repro.report --check`` relies on.

@@ -38,9 +38,8 @@ def trial_stream_paths(events_dir: str) -> List[str]:
 def iter_stream(path: str) -> Iterator[Event]:
     """Parse one JSONL stream, validating every line.
 
-    A torn final line (a run killed mid-write) is dropped silently,
-    matching the executor journal's crash posture; any other malformed
-    line raises :class:`~repro.obs.events.EventSchemaError` with the
+    A torn final line (a run killed mid-write) is dropped silently;
+    any other malformed line raises :class:`~repro.obs.events.EventSchemaError` with the
     line number.
     """
     with open(path) as fh:

@@ -77,7 +77,7 @@ class Recorder:
         """A recorder streaming to a JSONL file at *path*.
 
         Each line is flushed as it is written, so a killed run leaves a
-        readable prefix (the crash posture of the executor's journal).
+        readable prefix.
         """
         parent = os.path.dirname(os.fspath(path))
         if parent:

@@ -23,8 +23,9 @@ Usage::
     python -m repro.report --results results --out .
     python -m repro.report --check              # exit 1 on drift, write nothing
 
-``--check`` also fails when the stored F1 rows differ from F1 recomputed
-from the stored T1 rows, so a stale ``results/f1`` cannot pass.
+``--check`` also fails when the stored F1 or F5 rows differ from F1 or
+F5 recomputed from the stored T1 rows, so a stale ``results/f1`` or
+``results/f5`` cannot pass.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Any, Dict, List, Optional
 from .analysis.fitting import power_law_fit
 from .analysis.tables import render_markdown
 from .harness.claims import check_claims
-from .harness.experiments import ExperimentResult, run_f1
+from .harness.experiments import f1_of_t1, f5_of_t1
 
 __all__ = ["build_experiments_markdown", "build_results_markdown", "main"]
 
@@ -100,14 +101,15 @@ success = the *shape* matches (who wins, slopes, crossovers), not
 absolute constants — the substrate here is a simulator, not the authors'
 environment.
 
-**Regenerating faster.**  The grid experiments accept
-``--workers/--cache-dir/--resume`` (the ``repro.exec`` executor): e.g.
-``repro-experiments f3 --workers 4 --cache-dir .repro-cache --out
-{results_dir}`` fans F3's 45 full-size rows across four processes,
-caches each row content-addressed on disk (a rerun executes zero
-trials), and resumes an interrupted run from its journal.  Parallel
-rows are byte-identical to serial rows, so the artefacts — and this
-document — are unaffected by how they were produced.  See
+**Regenerating faster.**  ``repro-experiments`` runs the cells of all
+requested experiments in one pass of the ``repro.exec`` executor, so a
+cell several experiments share executes once.  ``--workers/--cache-dir``
+configure that pass: e.g. ``repro-experiments --all --workers 4
+--cache-dir .repro-cache --out {results_dir}`` fans the cells across
+four processes and caches each row content-addressed on disk, so a
+rerun — after an interrupt too — executes only the missing cells.
+Parallel rows are byte-identical to serial rows, so the artefacts — and
+this document — are unaffected by how they were produced.  See
 ``docs/EXECUTOR.md``.
 
 **Engine selection.**  ``--engine fast|fast-nobatch|reference`` picks
@@ -119,11 +121,12 @@ plain per-node loops.  All three produce bit-identical rows — the
 equivalence is tested — so engine choice never affects this document.
 See ``docs/PERFORMANCE.md``.
 
-**Profiling and observability.**  ``--profile`` prints, after each
-experiment, the per-phase wall-clock split (``compose`` / ``reveal`` /
-``deliver`` / ``drain`` seconds and percentages over all freshly
-executed trials) and the per-tier round counts (``batch`` / ``fast`` /
-``reference``) — the quick check that the kernels are engaging.
+**Profiling and observability.**  ``--profile`` prints, for each
+experiment and once for the whole run, the per-phase wall-clock split
+(``compose`` / ``reveal`` / ``deliver`` / ``drain`` seconds and
+percentages over the freshly executed trials) and the per-tier round
+counts (``batch`` / ``fast`` / ``reference``) — the quick check that
+the kernels are engaging.
 ``--events DIR`` records a schema-validated JSONL event stream per
 trial (decisions, tier selection, cache counters) and merges them into
 ``DIR/events.jsonl``; see ``docs/OBSERVABILITY.md``.  Neither flag
@@ -242,30 +245,39 @@ def _fits_section(results_dir: str) -> Optional[str]:
             + render_markdown(fit_rows))
 
 
-def _f1_drift(results_dir: str) -> List[str]:
-    """Where the stored F1 rows differ from F1 recomputed from T1's.
+#: Experiments derived from T1's rows alone, and their derivations.
+_OF_T1 = {"f1": f1_of_t1, "f5": f5_of_t1}
 
-    F1 is a pure function of T1, so running ``run_f1`` on the committed
-    T1 rows must give back the committed F1 rows exactly; a difference
-    means one of the two directories is stale.  Returns one message per
-    differing algorithm; empty when they agree or either is missing.
+
+def _derived_drift(results_dir: str) -> List[str]:
+    """Where the stored F1 or F5 rows differ from those derived from T1's.
+
+    Both are pure functions of T1's rows, so deriving them from the
+    committed T1 rows must give back their committed rows exactly; a
+    difference means one of the directories is stale.  Returns one
+    message per differing row, named by its first column; empty when
+    they agree or a directory is missing.
     """
     t1 = _load_json(os.path.join(results_dir, "t1", "rows.json"))
-    f1 = _load_json(os.path.join(results_dir, "f1", "rows.json"))
-    if t1 is None or f1 is None:
-        return []
-    fresh = run_f1(t1=ExperimentResult("T1", "", rows=t1["rows"])).rows
-    if fresh == f1["rows"]:
-        return []
-    want = {row["algorithm"]: row for row in fresh}
-    got = {row["algorithm"]: row for row in f1["rows"]}
-    hint = "rerun `repro-experiments t1 f1` and commit both"
-    return [f"{results_dir}/f1 row of {algorithm} is {got.get(algorithm)}, "
-            f"but F1 from {results_dir}/t1 gives {want.get(algorithm)} — "
-            f"{hint}"
-            for algorithm in sorted(set(want) | set(got))
-            if want.get(algorithm) != got.get(algorithm)] or [
-        f"{results_dir}/f1 rows are not in T1's algorithm order — {hint}"]
+    problems: List[str] = []
+    for exp_id, of_t1 in _OF_T1.items():
+        stored = _load_json(os.path.join(results_dir, exp_id, "rows.json"))
+        if t1 is None or stored is None:
+            continue
+        fresh = of_t1(t1["rows"]).rows
+        if fresh == stored["rows"]:
+            continue
+        want = {next(iter(row.values())): row for row in fresh}
+        got = {next(iter(row.values())): row for row in stored["rows"]}
+        hint = f"rerun `repro-experiments t1 {exp_id}` and commit both"
+        problems += [
+            f"{results_dir}/{exp_id} row of {name} is {got.get(name)}, "
+            f"but {exp_id.upper()} from {results_dir}/t1 gives "
+            f"{want.get(name)} — {hint}"
+            for name in sorted(set(want) | set(got))
+            if want.get(name) != got.get(name)] or [
+            f"{results_dir}/{exp_id} rows are not in T1's order — {hint}"]
+    return problems
 
 
 def _experiment_section(results_dir: str, exp_id: str) -> str:
@@ -382,7 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             fh.write(text)
         print(f"wrote {path} ({len(text)} bytes) from {args.results}/")
     if args.check:
-        for problem in _f1_drift(args.results):
+        for problem in _derived_drift(args.results):
             print(problem, file=sys.stderr)
             drifted += 1
     return 1 if drifted else 0

@@ -20,8 +20,8 @@ Covers:
    payload bit-size memo counters as the reference loops.
 
 4. **Telemetry-column normalization**: recorded rows carry ``obs.*`` /
-   ``cache.*`` counters, and the executor's journal + result cache
-   strip them so cache hits and fresh runs compare equal.
+   ``cache.*`` counters, and the executor's result cache
+   strips them so cache hits and fresh runs compare equal.
 """
 
 import pytest

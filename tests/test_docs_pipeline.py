@@ -107,6 +107,27 @@ def test_check_mode_fails_on_stale_f1(tmp_path, capsys):
     assert report_main(args + ["--check"]) == 0
 
 
+def test_check_mode_fails_on_stale_f5(tmp_path, capsys):
+    """F5, like F1, is derived from T1's rows: a copy whose F5 crossover
+    was nudged fails ``--check`` with documents regenerated from it."""
+    results = tmp_path / "results"
+    shutil.copytree(RESULTS, results)
+    rows_path = results / "f5" / "rows.json"
+    doc = json.loads(rows_path.read_text())
+    doc["rows"][-1]["crossover_N_predicted"] += 1
+    rows_path.write_text(json.dumps(doc))
+    args = ["--results", str(results), "--out", str(tmp_path)]
+    assert report_main(args) == 0
+    capsys.readouterr()
+    assert report_main(args + ["--check"]) == 1
+    err = capsys.readouterr().err
+    assert f"f5 row of {doc['rows'][-1]['baseline']}" in err
+    assert "f1 row" not in err and "out of date" not in err
+    shutil.copy(os.path.join(RESULTS, "f5", "rows.json"), rows_path)
+    assert report_main(args) == 0
+    assert report_main(args + ["--check"]) == 0
+
+
 def test_writes_both_documents(tmp_path):
     assert report_main(["--results", RESULTS, "--out", str(tmp_path)]) == 0
     assert ((tmp_path / "EXPERIMENTS.md").read_text()

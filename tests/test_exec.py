@@ -6,11 +6,12 @@ Covers the acceptance properties of the subsystem:
 * parallel (``workers=4``) rows are identical to serial rows;
 * a sweep run twice against one cache dir executes zero trials the
   second time (cache-hit accounting);
-* a sweep interrupted after k rows resumes executing only the rest;
+* a sweep that lost k rows reruns only those k from the cache;
 * per-trial failures can be recorded instead of torching the sweep.
 """
 
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -23,13 +24,12 @@ from repro.exec import (
     ExecutionError,
     ParallelExecutor,
     ResultCache,
-    SweepJournal,
     TrialSpec,
     canonical_json,
     execute_cell,
     register_nodes,
 )
-from repro.exec.progress import ProgressSnapshot
+from repro.exec.progress import ConsoleProgress, ProgressSnapshot
 from repro.harness.runner import run_trial
 
 
@@ -141,16 +141,6 @@ class TestCacheAndJournal:
             fh.write("{torn")
         assert cache.get(key) is None
 
-    def test_journal_roundtrip_tolerates_torn_tail(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with SweepJournal(path) as journal:
-            journal.append("k1", {"rounds": 1})
-            journal.append("k2", {"rounds": 2})
-        with open(path, "a") as fh:
-            fh.write('{"key": "k3", "row": {"rou')  # crash mid-append
-        loaded = SweepJournal(path).load()
-        assert loaded == {"k1": {"rounds": 1}, "k2": {"rounds": 2}}
-
 
 class TestExecutor:
     def cells(self, seeds=(1, 2, 3), n=8):
@@ -185,30 +175,32 @@ class TestExecutor:
         assert canonical_json(second.rows) == canonical_json(first.rows)
 
     def test_resume_after_simulated_crash(self, tmp_path):
-        journal_path = str(tmp_path / "sweep.jsonl")
+        # A crash leaves some cells unwritten: deleting k=3 cache entries
+        # reruns exactly those k, and the rows come out the same.
+        cache_dir = str(tmp_path / "cache")
         cells = self.cells(seeds=(1, 2, 3, 4, 5))
-        full = ParallelExecutor(journal=journal_path).run(cells)
+        full = ParallelExecutor(cache=cache_dir).run(cells)
         assert full.executed == 5
-        # Simulate a crash after k=2 completions: keep the journal's
-        # first two lines plus a torn third.
-        with open(journal_path) as fh:
-            lines = fh.readlines()
-        assert len(lines) == 5
-        with open(journal_path, "w") as fh:
-            fh.writelines(lines[:2])
-            fh.write(lines[2][: len(lines[2]) // 2])  # torn record
-        resumed = ParallelExecutor(journal=journal_path,
-                                   resume=True).run(cells)
-        assert resumed.resumed == 2
+        cache = ResultCache(cache_dir)
+        for spec, seed in cells[1:4]:
+            os.unlink(cache.path(cache.key(spec, seed)))
+        resumed = ParallelExecutor(cache=cache_dir).run(cells)
+        assert resumed.cache_hits == 2
         assert resumed.executed == 3  # only the missing rows re-ran
         assert canonical_json(resumed.rows) == canonical_json(full.rows)
 
     def test_on_error_raise_keeps_sweep_resumable(self, tmp_path):
-        journal_path = str(tmp_path / "j.jsonl")
+        # The serial run stops at the failing cell; the cell completed
+        # before it is a cache hit when the sweep is rerun.
+        cache_dir = str(tmp_path / "cache")
         cells = [(tiny_spec(), 1), (failing_spec(), 1), (tiny_spec(), 2)]
         with pytest.raises(ExecutionError, match="boom"):
-            ParallelExecutor(journal=journal_path).run(cells)
-        assert len(SweepJournal(journal_path).load()) >= 1
+            ParallelExecutor(cache=cache_dir).run(cells)
+        report = ParallelExecutor(cache=cache_dir,
+                                  on_error="record").run(cells)
+        assert report.cache_hits == 1 and report.executed == 2
+        assert "boom" in report.rows[1]["error"]
+        assert report.rows[0]["correct"] and report.rows[2]["correct"]
 
     def test_on_error_record_captures_error_column(self):
         cells = [(tiny_spec(), 1), (failing_spec(), 1), (tiny_spec(), 2)]
@@ -238,16 +230,36 @@ class TestExecutor:
         assert snaps[-1].done == snaps[-1].total == 3
         assert snaps[-1].executed == 3
         assert isinstance(snaps[0], ProgressSnapshot)
+        # The finished snapshot arrives once, last.
+        assert [s.done == s.total for s in snaps].count(True) == 1
+
+    def test_progress_off_a_terminal_writes_one_line(self):
+        stream = io.StringIO()
+        ParallelExecutor(progress=ConsoleProgress("cells", stream=stream,
+                                                  min_interval=0.0)
+                         ).run(self.cells())
+        text = stream.getvalue()
+        assert "\r" not in text
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text.startswith("[cells] 3/3 rows |")
+        assert "exec 3 cache 0" in text
 
     @pytest.mark.slow
     def test_experiment_grid_parallel_matches_serial(self, tmp_path):
-        from repro.exec import ExecOptions
-        from repro.harness.experiments import run_t1
+        # The whole quick grid, all experiments in one pass, on two
+        # workers with a cache gives the serial rows.
+        from repro.harness.experiments import EXPERIMENTS, run_experiments
 
-        serial = run_t1(quick=True)
-        parallel = run_t1(quick=True, exec_opts=ExecOptions(
-            workers=2, cache_dir=str(tmp_path / "cache")))
-        assert canonical_json(serial.rows) == canonical_json(parallel.rows)
+        serial = run_experiments(list(EXPERIMENTS), quick=True)
+        parallel = run_experiments(
+            list(EXPERIMENTS), quick=True, executor=ParallelExecutor(
+                workers=2, cache=str(tmp_path / "cache")))
+        assert parallel.report.executed == serial.report.executed
+        assert (canonical_json(parallel.report.rows)
+                == canonical_json(serial.report.rows))
+        for exp_id in EXPERIMENTS:
+            assert (canonical_json(parallel.results[exp_id].rows)
+                    == canonical_json(serial.results[exp_id].rows))
 
 
 class TestExecCli:

@@ -36,7 +36,7 @@ from repro.dynamics import (
 )
 from repro.dynamics.schedule import STABLE_FOREVER
 from repro.core.exact_count import ExactCount
-from repro.exec.executor import ParallelExecutor, collect_telemetry
+from repro.exec.executor import ParallelExecutor
 from repro.exec.specs import TrialSpec
 from repro.harness.runner import durable_row, run_trial
 from repro.obs import Recorder
@@ -530,8 +530,12 @@ def test_profile_flows_into_trial_result_rows():
 
 
 def test_worker_fold_counts_each_executed_row_once(tmp_path):
-    """A profiled two-worker run folds every executed row's ``phase.*`` /
-    ``engine.*`` columns exactly once; a warm rerun adds nothing."""
+    """A profiled two-worker run returns ``phase.*`` / ``engine.*``
+    columns on each executed row, a deduplicated cell shares its
+    original's, a warm rerun's rows carry none, and the CLI's total
+    ``[profile]`` line folds each executed cell once."""
+    from repro.harness.cli import _render_profile
+
     cells = [(TrialSpec(
         schedule="lowdiam_handoff", schedule_params={"n": n, "T": 2},
         nodes="exact_count", node_params={"n": n},
@@ -541,27 +545,26 @@ def test_worker_fold_counts_each_executed_row_once(tmp_path):
     executor = ParallelExecutor(workers=2, cache=str(tmp_path))
     set_profile_default(True)
     try:
-        with collect_telemetry() as fold:
-            report = executor.run(cells)
-            assert report.executed == 4
-            warm = executor.run(cells)
+        report = executor.run(cells)
+        warm = executor.run(cells)
     finally:
         set_profile_default(False)
+    assert report.executed == 4 and report.deduped == 1
     assert warm.executed == 0 and warm.cache_hits == 4
-    assert fold.trials == 4
+    assert report.rows[4] == report.rows[0]
+    telemetry = ({f"phase.{name}_s" for name in PHASES}
+                 | {f"engine.{tier}_rounds"
+                    for tier in ("batch", "fast", "reference")})
     executed = report.rows[:4]
-    expected = {}
     for row in executed:
-        for key, value in row.items():
-            if key.startswith(("phase.", "engine.")):
-                expected[key] = expected.get(key, 0) + value
-    assert set(expected) == ({f"phase.{name}_s" for name in PHASES}
-                             | {f"engine.{tier}_rounds"
-                                for tier in ("batch", "fast", "reference")})
-    assert fold.columns == pytest.approx(expected)
-    assert sum(fold.columns[f"engine.{tier}_rounds"]
-               for tier in ("batch", "fast", "reference")) == sum(
-                   row["rounds"] for row in executed)
+        assert telemetry <= set(row)
+        assert sum(row[f"engine.{tier}_rounds"]
+                   for tier in ("batch", "fast", "reference")) == row["rounds"]
+    assert not any(key.startswith(("phase.", "engine."))
+                   for row in warm.rows for key in row)
+    assert _render_profile(executed).startswith("[profile] 4 trials: ")
+    assert _render_profile(warm.rows).startswith(
+        "[profile] no trials executed")
 
 
 def test_executor_strips_phase_columns_from_cache(tmp_path):

@@ -31,7 +31,7 @@ from repro.dynamics import interval
 from repro.dynamics.interval import (_pcg64_state, _relabeled_random_tree,
                                      _rng_for, _seed_states)
 from repro.exec import canonical_json
-from repro.harness import run_experiment
+from repro.harness import run_experiments
 
 
 class TestDeterministicGoldens:
@@ -472,7 +472,7 @@ def _served(schedule, horizon):
 class TestMigratedExperimentGoldens:
     @pytest.mark.parametrize("exp_id", sorted(MIGRATED_EXPERIMENT_ROWS))
     def test_quick_rows_pinned(self, exp_id):
-        rows = run_experiment(exp_id, quick=True).rows
+        rows = run_experiments([exp_id], quick=True).results[exp_id].rows
         assert canonical_json(rows) == canonical_json(
             MIGRATED_EXPERIMENT_ROWS[exp_id])
 
@@ -484,6 +484,6 @@ class TestMigratedExperimentGoldens:
         for engine in ("fast", "fast-nobatch", "reference"):
             monkeypatch.setenv("REPRO_ENGINE", engine)
             rows[engine] = canonical_json(
-                run_experiment(exp_id, quick=True).rows)
+                run_experiments([exp_id], quick=True).results[exp_id].rows)
         assert rows["fast-nobatch"] == rows["fast"]
         assert rows["reference"] == rows["fast"]

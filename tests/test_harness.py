@@ -2,21 +2,25 @@
 
 import os
 import re
-import types
+import time
 
 import pytest
 
-from repro.exec import TrialSpec
+from repro.exec import TrialSpec, canonical_json
 from repro.harness import (
     EXPERIMENTS,
     load_rows,
-    run_experiment,
+    run_experiments,
     run_replicates,
     run_trial,
     save_experiment,
 )
-from repro.harness.experiments import ExperimentResult, run_f1, run_f5, run_t1
-from repro.harness import cli
+from repro.harness.experiments import (
+    Experiment,
+    ExperimentResult,
+    f1_of_t1,
+    f5_of_t1,
+)
 from repro.harness.cli import main as cli_main
 from repro.simnet import set_profile_default
 
@@ -67,10 +71,10 @@ class TestExperiments:
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError, match="unknown experiment"):
-            run_experiment("t9")
+            run_experiments(["t9"])
 
     def test_t1_quick(self):
-        result = run_t1(quick=True)
+        result = run_experiments(["t1"], quick=True).results["t1"]
         assert result.rows
         algos = {r["algorithm"] for r in result.rows}
         assert "klo_count" in algos and "exact_count_ours" in algos
@@ -79,17 +83,41 @@ class TestExperiments:
         assert "t1" in result.tables
 
     def test_f1_reuses_t1(self):
-        t1 = run_t1(quick=True)
-        f1 = run_f1(quick=True, t1=t1)
+        # F1 runs T1's cells: requested together they execute once, and
+        # F1 is the fit of T1's result rows.
+        run = run_experiments(["t1", "f1"], quick=True)
+        t1, f1 = run.results["t1"], run.results["f1"]
+        assert run.report.deduped == len(EXPERIMENTS["t1"].cells(True))
+        assert f1 == f1_of_t1(t1.rows)
         slopes = {r["algorithm"]: r["exponent_b"] for r in f1.rows}
         assert slopes["klo_count"] > 1.5
         assert slopes["exact_count_ours"] < 0.6
         assert "f1_loglog" in f1.figures
 
     def test_f5_produces_crossovers(self):
-        t1 = run_t1(quick=True)
-        f5 = run_f5(quick=True, t1=t1)
+        run = run_experiments(["t1", "f5"], quick=True)
+        f5 = run.results["f5"]
+        assert f5 == f5_of_t1(run.results["t1"].rows)
         assert all(r["crossover_N_predicted"] is not None for r in f5.rows)
+
+    def test_shared_cells_execute_once(self):
+        # X1 and F6 repeat some of T1's cells under other tags; one run
+        # of all three executes each content key once and gives every
+        # experiment the rows it gets alone.
+        ids = ["t1", "x1", "f6"]
+        cells = [cell for exp_id in ids
+                 for cell in EXPERIMENTS[exp_id].cells(True)]
+        shared = len(cells) - len({spec.key(seed) for spec, seed in cells})
+        assert shared > 0
+        run = run_experiments(ids, quick=True)
+        assert run.report.deduped == shared
+        assert run.report.executed == len(cells) - shared
+        for exp_id in ids:
+            alone = run_experiments([exp_id], quick=True)
+            assert (canonical_json(run.rows[exp_id])
+                    == canonical_json(alone.rows[exp_id]))
+            assert (canonical_json(run.results[exp_id].rows)
+                    == canonical_json(alone.results[exp_id].rows))
 
     def test_render_includes_tables_and_notes(self):
         result = ExperimentResult("X1", "demo", rows=[{"a": 1}],
@@ -123,40 +151,52 @@ class TestCli:
         assert cli_main(["zz"]) == 2
         assert "unknown" in capsys.readouterr().err
 
-    def test_t1_time_covers_its_run(self, monkeypatch, capsys):
-        # T1 runs before the timed loop (F1/F5 share its rows); the time
-        # printed for it must still be the time its run took.
+    def test_finished_lines_time_the_cells_then_each_derive(
+            self, monkeypatch, capsys):
+        # The shared run of every experiment's cells is timed first; each
+        # experiment's own line then times only its derivation.
         clock = [100.0]
 
-        def fake_run_t1(quick, exec_opts):
+        def cells(quick):
             clock[0] += 5.0
+            return []
+
+        def derive(quick, rows):
+            clock[0] += 2.0
             return ExperimentResult(exp_id="T1", title="stub")
 
-        monkeypatch.setattr(cli, "run_t1", fake_run_t1)
-        monkeypatch.setattr(cli, "time",
-                            types.SimpleNamespace(time=lambda: clock[0]))
+        monkeypatch.setitem(EXPERIMENTS, "t1", Experiment(cells, derive))
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
         assert cli_main(["t1"]) == 0
-        assert "[t1 finished in 5.0s]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[cells finished in 5.0s]" in out
+        assert "[cells: 0 requested, 0 unique, 0 executed, 0 cached]" in out
+        assert "[t1 finished in 2.0s]" in out
+        assert out.index("[cells finished") < out.index("[t1 finished")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_profile_lines_cover_one_experiment_each(self, workers, capsys):
-        # Each [profile] line counts only the trials its experiment
-        # executed: T1's shared run counts under T1, F1 reuses T1's rows
-        # and executes nothing, and T3's line excludes T2's trials.
+        # Each [profile] line counts its own experiment's rows: F1 runs
+        # T1's cells, so both count those 11 trials, and T3's line
+        # excludes T2's trials.  The total line counts each executed
+        # cell once.
         try:
             assert cli_main(["--quick", "t1", "f1", "t2", "t3", "--profile",
                              "--workers", str(workers)]) == 0
         finally:
             set_profile_default(False)
-        lines = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
+        assert "[cells: 54 requested, 43 unique, 43 executed, 0 cached]" in out
+        lines = out.splitlines()
         trials = {}
         for i, line in enumerate(lines):
             match = re.match(r"\[(\w+) finished in", line)
-            if match:
+            if match and match.group(1) != "cells":
                 profile = lines[i + 2]
                 assert profile.startswith("[profile] ")
                 trials[match.group(1)] = profile.split()[1]
-        assert trials == {"t1": "11", "f1": "no", "t2": "24", "t3": "8"}
+        assert trials == {"t1": "11", "f1": "11", "t2": "24", "t3": "8"}
+        assert "[profile] total: 43 trials: " in out
 
     def test_quick_run_with_save(self, tmp_path, capsys):
         code = cli_main(["--quick", "f4", "--out", str(tmp_path)])

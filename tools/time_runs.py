@@ -5,14 +5,20 @@ Runs ``repro-experiments <ids|--all> [--quick] --out TMP``
 (``repro.harness.cli.main`` from a checkout's ``src/``) *k* times per
 checkout, alternating between checkouts so slow spells on a shared
 machine hit every side alike.  For each side it records the wall seconds
-of every run, their median and spread (max - min), each experiment's
-``[<id> finished in Xs]`` seconds, each run's peak resident set size,
+of every run, their median and spread (max - min), the seconds of each
+``[<id> finished in Xs]`` line, each run's peak resident set size,
 and a sha256 over the files each run wrote, so two sides can be checked
 byte-identical.  A run's peak RSS is read in the child when the CLI
 returns: the larger of the CLI process's own high-water mark and that of
 its largest reaped child process.  The record is merged into
 ``results/BENCH_e2e.json`` under the run's arguments and the side's
 label; ``repro.report`` does not read that file.
+
+The CLI runs every requested experiment's cells in one executor pass,
+printed as ``[cells finished in Xs]`` and recorded under ``cells``; the
+per-experiment seconds are then each experiment's ``derive`` time only.
+Checkouts whose CLI ran and timed each experiment separately print no
+``cells`` line, and their per-experiment seconds include the runs.
 
 Usage::
 
