@@ -88,13 +88,12 @@ docs-check:      ## CI gate: fail when committed docs drift from results/
 	$(PY) -m repro.report --check --results results
 	$(PY) tools/check_links.py
 
+# Every runnable scenario under examples/, so a new one cannot be left out.
 examples:
-	$(PY) examples/quickstart.py
-	$(PY) examples/sensor_swarm_census.py
-	$(PY) examples/adversary_gallery.py
-	$(PY) examples/bandwidth_budget.py
-	$(PY) examples/consensus_under_churn.py
-	$(PY) examples/schedule_combinators.py
+	@for f in examples/*.py; do \
+	    echo "[examples] $$f"; \
+	    $(PY) $$f || exit 1; \
+	done
 
 clean:
 	rm -rf build *.egg-info src/*.egg-info .pytest_cache

@@ -42,7 +42,6 @@ from .errors import (
     ScheduleError,
     IntervalConnectivityError,
     SimulationError,
-    BandwidthExceededError,
     NotTerminatedError,
     IncorrectOutputError,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ScheduleError",
     "IntervalConnectivityError",
     "SimulationError",
-    "BandwidthExceededError",
     "NotTerminatedError",
     "IncorrectOutputError",
     "Simulator",

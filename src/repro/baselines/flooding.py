@@ -65,7 +65,7 @@ class FloodToken(Algorithm):
             self.mark_changed(False)
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Boolean-OR reach batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not FloodToken:
             return None
@@ -113,7 +113,7 @@ class FloodMax(Algorithm):
             self.halt()
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not FloodMax:
             return None
@@ -157,8 +157,8 @@ class FloodBroadcast(Algorithm):
             self.halt()
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Min-source-id reach batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not FloodBroadcast:
             return None
-        return FloodBroadcastBatchKernel.build(nodes, id_bits)
+        return FloodBroadcastBatchKernel.build(nodes)

@@ -332,11 +332,11 @@ class KCommitteeCount(Algorithm):
         self._advance(stage)
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Phase-structured CSR kernel (:mod:`repro.simnet.batch`)."""
         if cls is not KCommitteeCount:
             return None
-        return KCommitteeBatchKernel.build(nodes, id_bits)
+        return KCommitteeBatchKernel.build(nodes)
 
     def _advance(self, stage: int) -> None:
         """Advance the epoch-round counter; jump epochs on failure."""

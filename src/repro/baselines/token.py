@@ -82,11 +82,11 @@ class RandomTokenDissemination(Algorithm):
             self.decide(len(self.tokens))
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Membership-row kernel (:mod:`repro.simnet.batch`)."""
         if cls is not RandomTokenDissemination:
             return None
-        return TokenBatchKernel.build(nodes, id_bits)
+        return TokenBatchKernel.build(nodes)
 
 
 def dissemination_complete(nodes: List[RandomTokenDissemination],

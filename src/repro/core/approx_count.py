@@ -98,7 +98,7 @@ class ApproxCount(AggregateNode):
         return self.sketch.estimate(state)
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Min-vector batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not ApproxCount:
             return None
@@ -127,7 +127,7 @@ class ApproxCountKnownBound(KnownBoundAggregateNode):
         return self.sketch.estimate(state)
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Min-vector batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not ApproxCountKnownBound:
             return None

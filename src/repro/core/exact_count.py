@@ -70,14 +70,12 @@ class ExactCount(AggregateNode):
         return len(state)
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not ExactCount:
             return None
-        return aggregate_batch_kernel(
-            lambda algs, controller, bound: IdSetBatchKernel.build(
-                algs, controller, bound, id_bits),
-            nodes, known_bound=False)
+        return aggregate_batch_kernel(IdSetBatchKernel.build, nodes,
+                                      known_bound=False)
 
 
 class ExactCountKnownBound(KnownBoundAggregateNode):
@@ -95,11 +93,9 @@ class ExactCountKnownBound(KnownBoundAggregateNode):
         return len(state)
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not ExactCountKnownBound:
             return None
-        return aggregate_batch_kernel(
-            lambda algs, controller, bound: IdSetBatchKernel.build(
-                algs, controller, bound, id_bits),
-            nodes, known_bound=True)
+        return aggregate_batch_kernel(IdSetBatchKernel.build, nodes,
+                                      known_bound=True)

@@ -56,7 +56,7 @@ class SublinearMax(AggregateNode):
         return state
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not SublinearMax:
             return None
@@ -85,7 +85,7 @@ class MaxKnownBound(KnownBoundAggregateNode):
         return state
 
     @classmethod
-    def __batch_kernel__(cls, nodes, id_bits: int = 32):
+    def __batch_kernel__(cls, nodes):
         """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not MaxKnownBound:
             return None

@@ -27,7 +27,6 @@ from .schedule import (
     GraphSchedule,
     ExplicitSchedule,
     FunctionSchedule,
-    RecordingSchedule,
     CSRAdjacency,
     build_csr,
     STABLE_FOREVER,
@@ -70,7 +69,6 @@ __all__ = [
     "GraphSchedule",
     "ExplicitSchedule",
     "FunctionSchedule",
-    "RecordingSchedule",
     "CSRAdjacency",
     "build_csr",
     "STABLE_FOREVER",

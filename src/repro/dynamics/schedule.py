@@ -57,7 +57,6 @@ __all__ = [
     "GraphSchedule",
     "ExplicitSchedule",
     "FunctionSchedule",
-    "RecordingSchedule",
 ]
 
 #: Sentinel round index meaning "this graph never changes again"; used by
@@ -386,15 +385,6 @@ class GraphSchedule:
             np.add.at(deg, edge_arr[:, 1], 1)
         return deg
 
-    def as_networkx(self, round_index: int):
-        """The round's graph as a :class:`networkx.Graph` (analysis only)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_nodes))
-        g.add_edges_from(map(tuple, self.edges(round_index)))
-        return g
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} n={self.num_nodes} "
                 f"T={self.interval}>")
@@ -527,57 +517,3 @@ class FunctionSchedule(GraphSchedule):
             self._edge_cache.pop(next(iter(self._edge_cache)))
         self._edge_cache[round_index] = out
         return out
-
-
-class RecordingSchedule(GraphSchedule):
-    """Wrapper that records every round it serves, for later verification.
-
-    Wrap any schedule whose generation is *not* replayable (adaptive
-    adversaries, schedules driven by external state) so that after a run
-    the exact sequence of graphs that occurred can be certified::
-
-        rec = RecordingSchedule(adaptive)
-        Simulator(rec, nodes).run(...)
-        verify_t_interval_connectivity(rec.to_explicit(), T=1)
-    """
-
-    def __init__(self, inner: GraphSchedule) -> None:
-        super().__init__(inner.num_nodes, inner.interval)
-        self.inner = inner
-        self._recorded: Dict[int, np.ndarray] = {}
-
-    def edges(self, round_index: int) -> np.ndarray:
-        cached = self._recorded.get(round_index)
-        if cached is None:
-            cached = self.inner.edges(round_index)
-            self._recorded[round_index] = cached
-        return cached
-
-    def stable_until(self, round_index: int) -> int:
-        """No stability promise: every round must hit :meth:`edges`.
-
-        Forwarding the inner schedule's hint would let the adjacency
-        cache skip ``edges`` for stable rounds, leaving gaps in the
-        recording (and :meth:`to_explicit` rejects gapped recordings).
-        """
-        return round_index
-
-    def bind(self, nodes) -> None:
-        """Forward engine binding to an adaptive inner schedule."""
-        bind = getattr(self.inner, "bind", None)
-        if bind is not None:
-            bind(nodes)
-
-    def to_explicit(self) -> ExplicitSchedule:
-        """Freeze the recorded prefix into an :class:`ExplicitSchedule`."""
-        if not self._recorded:
-            raise ScheduleError("nothing recorded yet")
-        horizon = max(self._recorded)
-        missing = [r for r in range(1, horizon + 1) if r not in self._recorded]
-        if missing:
-            raise ScheduleError(f"recorded rounds have gaps: {missing[:5]} ...")
-        return ExplicitSchedule(
-            self.num_nodes,
-            [self._recorded[r] for r in range(1, horizon + 1)],
-            interval=self.interval,
-        )

@@ -42,21 +42,6 @@ class SimulationError(ReproError):
     """The round engine encountered an unrecoverable inconsistency."""
 
 
-class BandwidthExceededError(SimulationError):
-    """A node composed a message larger than the channel's bit budget.
-
-    Only raised when the simulation runs in bounded-bandwidth
-    (CONGEST-style) mode with ``strict_bandwidth=True``.
-    """
-
-    def __init__(self, message: str, *, node_id: int | None = None,
-                 bits: int | None = None, limit: int | None = None) -> None:
-        super().__init__(message)
-        self.node_id = node_id
-        self.bits = bits
-        self.limit = limit
-
-
 class AlgorithmViolation(SimulationError):
     """An algorithm broke a model rule (e.g. wrote to another node's state)."""
 

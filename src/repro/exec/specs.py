@@ -147,9 +147,8 @@ class TrialSpec:
         ``builder(schedule, seed, **node_params)``.
     max_rounds / until / quiescence_window / allow_timeout:
         Stop configuration, as in :meth:`repro.simnet.engine.Simulator.run`.
-    bandwidth_bits / loss_rate:
-        Optional CONGEST budget (overflows counted, not fatal) and the
-        per-edge message-loss probability, as on
+    loss_rate:
+        The per-edge message-loss probability, as on
         :class:`~repro.simnet.engine.Simulator`.
     stop_when:
         Optional name of a stop predicate over the simulator (see
@@ -177,7 +176,6 @@ class TrialSpec:
     oracle: Optional[str] = None
     oracle_params: Mapping[str, Any] = field(default_factory=dict)
     allow_timeout: bool = False
-    bandwidth_bits: Optional[int] = None
     loss_rate: float = 0.0
     stop_when: Optional[str] = None
     schedule_seed: Optional[int] = None

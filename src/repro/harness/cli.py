@@ -50,7 +50,7 @@ def _parser() -> argparse.ArgumentParser:
         description=("Regenerate the tables and figures of the "
                      "reconstructed HJSWY SPAA'22 evaluation."))
     parser.add_argument("experiments", nargs="*",
-                        help="experiment ids (t1 f1 f2 f3 f4 t2 f5 f6 t3)")
+                        help=f"experiment ids ({' '.join(EXPERIMENTS)})")
     parser.add_argument("--all", action="store_true",
                         help="run every experiment")
     parser.add_argument("--quick", action="store_true",

@@ -56,7 +56,7 @@ from ..core.sketches import (
     required_width,
 )
 from ..dynamics import (
-    OverlapHandoffAdversary,
+    AdaptiveSchedule,
     StaticAdversary,
     dynamic_diameter,
     ring_of_cliques,
@@ -96,11 +96,6 @@ class ExperimentResult:
 # --------------------------------------------------------------------------
 # shared building blocks
 # --------------------------------------------------------------------------
-
-def _lowdiam_schedule(n: int, T: int, seed: int) -> OverlapHandoffAdversary:
-    """The evaluation's default low-``d`` T-interval adversary."""
-    return OverlapHandoffAdversary(n, T, noise_edges=max(1, n // 8), seed=seed)
-
 
 def _row_rounds(row: Dict[str, Any]) -> int:
     """Decision-completion time from a flattened executor row."""
@@ -207,10 +202,11 @@ def derive_t1(quick: bool, rows: Rows) -> ExperimentResult:
         "verified by tests).")
     grouped = _group_rows(rows, "algorithm", "n")
     for n in ns:
-        d_values = []
-        for seed in seeds:
-            d_values.append(dynamic_diameter(_lowdiam_schedule(n, T, seed)))
-        d_mean = float(np.mean(d_values))
+        # Every algorithm's cell at (n, seed) runs on the same schedule.
+        schedule_spec = algos["exact_count_ours"](n)
+        d_mean = float(np.mean([
+            dynamic_diameter(schedule_spec.build_schedule(seed))
+            for seed in seeds]))
         for name in algos:
             if name == "klo_count" and n > klo_cap:
                 result.rows.append({
@@ -476,13 +472,15 @@ def cells_f4(quick: bool = False) -> List[Cell]:
     500+t, halting after its schedule's dynamic diameter plus two.
     """
     n, eps_list, sim_trials, _ = _f4_grid(quick)
-    T = 2
-    diameters = [dynamic_diameter(_lowdiam_schedule(n, T, 100 + t))
+    schedule = {"schedule": "lowdiam_handoff",
+                "schedule_params": {"n": n, "T": 2}}
+    probe = TrialSpec(**schedule, nodes="approx_count_known_bound",
+                      max_rounds=1)
+    diameters = [dynamic_diameter(probe.build_schedule(100 + t))
                  for t in range(sim_trials)]
     return [
         (TrialSpec(
-            schedule="lowdiam_handoff", schedule_params={"n": n, "T": T},
-            schedule_seed=100 + t,
+            **schedule, schedule_seed=100 + t,
             nodes="approx_count_known_bound",
             node_params={"n": n, "rounds_bound": d + 2,
                          "width": required_width(eps, _F4_DELTA)},
@@ -594,8 +592,7 @@ def derive_t2(quick: bool, rows: Rows) -> ExperimentResult:
         for seed in seeds:
             sched = spec.build_schedule(seed)
             # Adaptive schedules define d only post hoc.
-            if not (hasattr(sched, "_recorded")
-                    or hasattr(sched, "decide_edges")):
+            if not isinstance(sched, AdaptiveSchedule):
                 ds.append(dynamic_diameter(sched))
         result.rows.append({
             "adversary": adv_name, "problem": prob_name,
@@ -983,10 +980,11 @@ def cells_x2(quick: bool = False) -> List[Cell]:
     variant halts after twice the (loss-free) dynamic diameter.
     """
     n, T, losses, seeds = _x2_grid(quick)
-    diameters = {seed: dynamic_diameter(_lowdiam_schedule(n, T, seed))
-                 for seed in seeds}
     schedule = {"schedule": "lowdiam_handoff",
                 "schedule_params": {"n": n, "T": T}}
+    probe = TrialSpec(**schedule, nodes="exact_count", max_rounds=1)
+    diameters = {seed: dynamic_diameter(probe.build_schedule(seed))
+                 for seed in seeds}
     cells = []
     for loss in losses:
         for seed in seeds:

@@ -147,7 +147,6 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
     recorder = _open_trial_recorder(spec, seed)
     sim = Simulator(
         schedule, nodes, rng=RngRegistry(seed),
-        bandwidth_bits=spec.bandwidth_bits,
         loss_rate=spec.loss_rate,
         recorder=recorder,
     )
@@ -163,7 +162,7 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
         if recorder is not None:
             recorder.close()
     telemetry: Dict[str, Any] = {}
-    if sim.profile:
+    if sim.phase_seconds is not None:
         for name, seconds in sorted(sim.phase_seconds.items()):
             telemetry[f"phase.{name}_s"] = seconds
         for tier, rounds in sorted(sim.tier_rounds.items()):
@@ -182,7 +181,7 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
         first_decision_round=result.metrics.first_decision_round,
         broadcast_bits=result.metrics.broadcast_bits,
         delivered_messages=result.metrics.delivered_messages,
-        max_message_bits=sim.metrics.max_broadcast_bits,
+        max_message_bits=result.metrics.max_broadcast_bits,
         correct=correct,
         stop_reason=result.stop_reason,
         outputs_sample=sample,

@@ -39,12 +39,9 @@ from typing import Any, Dict, List, Optional
 from .analysis.fitting import power_law_fit
 from .analysis.tables import render_markdown
 from .harness.claims import check_claims
-from .harness.experiments import f1_of_t1, f5_of_t1
+from .harness.experiments import EXPERIMENTS, f1_of_t1, f5_of_t1
 
 __all__ = ["build_experiments_markdown", "build_results_markdown", "main"]
-
-#: Experiment presentation order (both documents, and the harness).
-_ORDER = ["t1", "f1", "f2", "f3", "f4", "t2", "f5", "f6", "t3", "x1", "x2"]
 
 # What the paper (abstract + the prior work it cites) leads us to expect,
 # experiment by experiment.  The generator pairs these with the measured
@@ -175,7 +172,7 @@ def _not_yet_run(results_dir: str, exp_id: str) -> str:
 def build_experiments_markdown(results_dir: str = "results") -> str:
     """Assemble EXPERIMENTS.md: each experiment's expectation and report."""
     parts = [_EXPERIMENTS_HEADER.format(results_dir=results_dir)]
-    for exp_id in _ORDER:
+    for exp_id in EXPERIMENTS:
         exp_dir = os.path.join(results_dir, exp_id)
         report_path = os.path.join(exp_dir, "report.txt")
         if not os.path.exists(report_path):
@@ -344,7 +341,7 @@ def build_results_markdown(results_dir: str = "results") -> str:
     fits = _fits_section(results_dir)
     if fits is not None:
         parts.append(fits)
-    for exp_id in _ORDER:
+    for exp_id in EXPERIMENTS:
         parts.append(_experiment_section(results_dir, exp_id))
     parts.extend(_bench_sections(results_dir))
     return "\n\n".join(parts) + "\n"

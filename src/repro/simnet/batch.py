@@ -13,8 +13,8 @@ mould: phase-structured min-folds, and per-node RNG picks of set bits
 
 This module defines the opt-in **batch kernel protocol**:
 
-* an algorithm class exposes a classmethod hook ``__batch_kernel__(nodes,
-  id_bits=...)`` returning a :class:`BatchKernel` (or ``None`` when the
+* an algorithm class exposes a classmethod hook ``__batch_kernel__(nodes)``
+  returning a :class:`BatchKernel` (or ``None`` when the
   concrete node population is not eligible — heterogeneous bounds,
   exotic state types, subclasses with overridden semantics);
 * the kernel holds the whole population's state as struct-of-arrays
@@ -83,7 +83,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 import numpy as np
 
 from ..errors import AlgorithmViolation
-from .message import bit_size
+from .message import ID_BITS, bit_size
 
 __all__ = [
     "BatchContext",
@@ -321,7 +321,7 @@ class BatchKernel:
         raise NotImplementedError
 
 
-def build_batch_kernel(nodes: Sequence[Any], id_bits: int = 32
+def build_batch_kernel(nodes: Sequence[Any]
                        ) -> Tuple[Optional[BatchKernel], str]:
     """Build a kernel for a homogeneous, eligible node population.
 
@@ -344,7 +344,7 @@ def build_batch_kernel(nodes: Sequence[Any], id_bits: int = 32
                           f"({cls.__name__} + {type(node).__name__})")
         if node._halted:
             return None, "population already contains halted nodes"
-    kernel: Optional[BatchKernel] = hook(nodes, id_bits=id_bits)
+    kernel: Optional[BatchKernel] = hook(nodes)
     if kernel is None:
         return None, (f"{cls.__name__}.__batch_kernel__ declined the "
                       f"population (state it cannot represent exactly)")
@@ -570,10 +570,9 @@ class IdSetBatchKernel(_AggregateKernel):
 
     def __init__(self, algs: Sequence[Any],
                  controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int], id_bits: int,
+                 rounds_bound: Optional[int],
                  ids: List[int], rows: Optional[np.ndarray]) -> None:
         super().__init__(algs, controller, rounds_bound)
-        self.id_bits = id_bits
         self._ids = np.array(ids, dtype=np.int64)
         self._rows = rows  # (n, W) uint64, None before contribution
         self._words = (self.n + 63) // 64
@@ -581,8 +580,7 @@ class IdSetBatchKernel(_AggregateKernel):
     @classmethod
     def build(cls, algs: Sequence[Any],
               controller: Optional[BatchQuiescence],
-              rounds_bound: Optional[int],
-              id_bits: int) -> "Optional[IdSetBatchKernel]":
+              rounds_bound: Optional[int]) -> "Optional[IdSetBatchKernel]":
         contributed = _uniform_contributed(algs)
         if contributed is None:
             return None
@@ -603,7 +601,7 @@ class IdSetBatchKernel(_AggregateKernel):
                     rows[i, k >> 6] |= np.uint64(1) << np.uint64(k & 63)
         elif any(a.state is not None for a in algs):
             return None
-        return cls(algs, controller, rounds_bound, id_bits, ids, rows)
+        return cls(algs, controller, rounds_bound, ids, rows)
 
     def _contribute(self, ctx: BatchContext) -> None:
         rows = np.zeros((self.n, self._words), dtype=np.uint64)
@@ -623,7 +621,7 @@ class IdSetBatchKernel(_AggregateKernel):
         return popcount64(self._rows).sum(axis=1)
 
     def _bits(self) -> np.ndarray:
-        return _CONTAINER_FRAMING_BITS + self.id_bits * self._counts()
+        return _CONTAINER_FRAMING_BITS + ID_BITS * self._counts()
 
     def _output(self, i: int) -> int:
         return int(popcount64(self._rows[i]).sum())
@@ -848,8 +846,8 @@ class FloodBroadcastBatchKernel(BatchKernel):
                                      dtype=bool)
 
     @classmethod
-    def build(cls, algs: Sequence[Any],
-              id_bits: int) -> "Optional[FloodBroadcastBatchKernel]":
+    def build(cls, algs: Sequence[Any]
+              ) -> "Optional[FloodBroadcastBatchKernel]":
         bound = algs[0].rounds_bound
         if any(a.rounds_bound != bound for a in algs):
             return None
@@ -867,7 +865,7 @@ class FloodBroadcastBatchKernel(BatchKernel):
             if source not in payload_by_sid:
                 payload_by_sid[source] = best
                 try:
-                    bits_by_sid[source] = bit_size(best, id_bits)
+                    bits_by_sid[source] = bit_size(best)
                     # The per-node path compares (source, payload) tuples
                     # and raises for unorderable payloads when the same
                     # source is heard twice; mirror by refusing them.
@@ -1015,15 +1013,14 @@ class TokenBatchKernel(BatchKernel):
     """
 
     def __init__(self, algs: Sequence[Any], token_ids: List[int],
-                 known: np.ndarray, targets: np.ndarray,
-                 id_bits: int) -> None:
+                 known: np.ndarray, targets: np.ndarray) -> None:
         self.n = len(algs)
         self._token_ids = token_ids   # column -> token id, ascending
         self._known = known
         self._counts = np.count_nonzero(known, axis=1)
         self._targets = targets
         self._rows = np.arange(self.n)
-        self._bits = np.full(self.n, id_bits, dtype=np.int64)
+        self._bits = np.full(self.n, ID_BITS, dtype=np.int64)
         self._picks = np.zeros(self.n, dtype=np.int64)
         self._draws: Optional[_BoundedDraws] = None
         self.decided = np.array([a._decided for a in algs], dtype=bool)
@@ -1031,8 +1028,7 @@ class TokenBatchKernel(BatchKernel):
                                      dtype=bool)
 
     @classmethod
-    def build(cls, algs: Sequence[Any],
-              id_bits: int) -> "Optional[TokenBatchKernel]":
+    def build(cls, algs: Sequence[Any]) -> "Optional[TokenBatchKernel]":
         token_ids = sorted(a.node_id for a in algs)
         column = {token: c for c, token in enumerate(token_ids)}
         n = len(algs)
@@ -1048,7 +1044,7 @@ class TokenBatchKernel(BatchKernel):
         targets = np.array(
             [never if a.target_count is None else a.target_count
              for a in algs], dtype=np.int64)
-        return cls(algs, token_ids, known, targets, id_bits)
+        return cls(algs, token_ids, known, targets)
 
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
@@ -1185,10 +1181,8 @@ class KCommitteeBatchKernel(BatchKernel):
     same phase, as in the per-node fold.
     """
 
-    def __init__(self, algs: Sequence[Any], id_bits: int,
-                 state: Dict[str, Any]) -> None:
+    def __init__(self, algs: Sequence[Any], state: Dict[str, Any]) -> None:
         self.n = len(algs)
-        self.id_bits = id_bits
         self._ids = state["ids"]            # rank -> node id
         self._own = state["own"]            # node index -> own rank
         self._growth = state["growth"]
@@ -1209,8 +1203,8 @@ class KCommitteeBatchKernel(BatchKernel):
     # -- import / export -----------------------------------------------------
 
     @classmethod
-    def build(cls, algs: Sequence[Any],
-              id_bits: int) -> "Optional[KCommitteeBatchKernel]":
+    def build(cls, algs: Sequence[Any]
+              ) -> "Optional[KCommitteeBatchKernel]":
         first = algs[0]
         k, t, growth = first.k, first._epoch_round, first.guess_growth
         if any(a.k != k or a._epoch_round != t or a.guess_growth != growth
@@ -1279,7 +1273,7 @@ class KCommitteeBatchKernel(BatchKernel):
             "count": np.array([-1 if c is None else c for c in counts],
                               dtype=np.int64),
         }
-        return cls(algs, id_bits, state)
+        return cls(algs, state)
 
     def finalize(self, nodes: Sequence[Any]) -> None:
         n = self.n
@@ -1335,14 +1329,14 @@ class KCommitteeBatchKernel(BatchKernel):
             self._poll_value = value
             self._poll_msg = np.where(send, value, n)
             sends |= send
-            bits = np.where(send, head + self.id_bits, bits)
+            bits = np.where(send, head + ID_BITS, bits)
         for code, rows in ((_REQUEST, self._req), (_GRANT, self._grant)):
             if code in into:
                 entries = np.count_nonzero(rows != n, axis=1)
                 send = into[code] & (entries > 0)
                 sends |= send
                 bits = np.where(
-                    send, head + 8 + entries * (8 + 2 * self.id_bits), bits)
+                    send, head + 8 + entries * (8 + 2 * ID_BITS), bits)
         if _VERIFY in into:
             send = into[_VERIFY]
             value = np.where(self._polluted, -1, self._committee)
@@ -1350,7 +1344,7 @@ class KCommitteeBatchKernel(BatchKernel):
             self._verify_hi = np.where(send, value, -2)
             sends |= send
             bits = np.where(
-                send, head + np.where(self._polluted, 16, self.id_bits), bits)
+                send, head + np.where(self._polluted, 16, ID_BITS), bits)
         if _DISSEMINATE in into:
             send = into[_DISSEMINATE] & (self._count >= 0)
             self._count_msg = np.where(send, self._count, -1)
@@ -1600,8 +1594,7 @@ def run_batch_round(sim: Any) -> None:
     per-node draws and final stream positions (streams are independent
     across nodes; see :class:`BatchContext`), identical shared
     loss-stream consumption (see
-    :func:`lossy_delivery_view`), and no strict-bandwidth observables
-    (those runs select the reference tier).
+    :func:`lossy_delivery_view`).
     """
     sim.round_index += 1
     r = sim.round_index
@@ -1640,11 +1633,6 @@ def run_batch_round(sim: Any) -> None:
         max_bits = int(sender_bits.max())
         if max_bits > metrics.max_broadcast_bits:
             metrics.max_broadcast_bits = max_bits
-        bandwidth_bits = sim.bandwidth_bits
-        if bandwidth_bits is not None:
-            over = int((sender_bits > bandwidth_bits).sum())
-            if over:
-                metrics.incr("bandwidth_overflows", over)
 
     # Phase 3: deliver (one segment-reduce over the CSR).  Under loss
     # the kernel folds a filtered delivery view instead of the round's

@@ -1,9 +1,9 @@
 """The lock-step round engine.
 
-:class:`Simulator` wires together a *dynamic-graph schedule* (anything
-satisfying the :class:`ScheduleLike` duck type — in practice the classes in
-:mod:`repro.dynamics`), a list of :class:`~repro.simnet.node.Algorithm`
-nodes, and the metrics machinery, and executes synchronous rounds:
+:class:`Simulator` wires together a *dynamic-graph schedule* (a
+:class:`~repro.dynamics.GraphSchedule` from :mod:`repro.dynamics`), a
+list of :class:`~repro.simnet.node.Algorithm` nodes, and the metrics
+machinery, and executes synchronous rounds:
 
 1. every non-halted node composes its broadcast payload (graph not yet
    visible to it);
@@ -40,10 +40,9 @@ starts and reports why it passed over the others:
   whole rounds execute as NumPy segment-reduces over the CSR adjacency,
   with decisions/halts/metrics reconciled from the arrays.  Message loss
   is handled natively via a vectorised per-edge Bernoulli delivery view.
-  A ``stop_when`` predicate, an adaptive (``bind``) schedule, an already
-  halted node or an instance-level ``on_broadcast`` override keep the
-  run on the fast tier, and the first halt event retires the kernel to
-  the fast tier for the remaining rounds.
+  A ``stop_when`` predicate, an adaptive (``bind``) schedule or an
+  already halted node keep the run on the fast tier, and the first halt
+  event retires the kernel to the fast tier for the remaining rounds.
 * **fast** — the per-node loop of :func:`repro.simnet.rounds.run_fast_round`:
   it consumes the schedule's interval-aware CSR adjacency (see
   :meth:`repro.dynamics.GraphSchedule.adjacency`), tracks the non-halted
@@ -53,30 +52,34 @@ starts and reports why it passed over the others:
   with the batch kernels disabled.
 * **reference** — the straightforward per-node loops of
   :func:`repro.simnet.rounds.run_reference_round`, kept as the
-  executable specification the other tiers are tested against.  Runs
-  with ``engine="reference"``, a schedule without ``adjacency()`` or a
-  strict bandwidth budget use this tier.
+  executable specification the other tiers are tested against.  Only
+  ``engine="reference"`` selects this tier.
 
 ``Simulator(engine=...)`` accepts ``"fast"`` (the default),
 ``"fast-nobatch"`` and ``"reference"``; ``engine=None`` reads the
 ``REPRO_ENGINE`` environment variable, falling back to ``"fast"``.
 
+Bandwidth
+---------
+The engine accounts message width and enforces no budget: every run
+measures its largest broadcast (``RunMetrics.max_broadcast_bits``, with
+node ids charged :data:`~repro.simnet.message.ID_BITS`), and a
+bounded-bandwidth algorithm keeps to its own word budget.
+
 Profiling
 ---------
-Pass ``profile=True`` (or set the module default via
-:func:`set_profile_default` / the ``REPRO_PROFILE=1`` environment
-variable, which is what the harness CLI's ``--profile`` flag does) to
-collect monotonic per-phase wall-clock totals — ``compose``, ``reveal``,
-``deliver``, ``drain`` — in :attr:`Simulator.phase_seconds`, next to
-the per-tier round counts of :attr:`Simulator.tier_rounds`.  Neither is
-part of the :class:`RunResult`;
-:func:`repro.harness.runner.run_trial` copies both into ``phase.*`` /
-``engine.*`` row columns when profiling.  Profiling does not change the
-code path.  ``reveal`` times the ``adjacency(r)`` call on the fast
-tier, and the graph lookup plus transmission accounting on the
-reference tier.  Both per-node tiers drain decision events inside the
-delivery pass, so ``deliver`` includes draining and ``drain`` reads
-0.0; only the batch tier times ``drain`` separately.
+Call :func:`set_profile_default` (the harness CLI's ``--profile`` flag
+does) before constructing simulators to collect monotonic per-phase
+wall-clock totals — ``compose``, ``reveal``, ``deliver``, ``drain`` —
+in :attr:`Simulator.phase_seconds`, next to the per-tier round counts of
+:attr:`Simulator.tier_rounds`.  Neither is part of the
+:class:`RunResult`; :func:`repro.harness.runner.run_trial` copies both
+into ``phase.*`` / ``engine.*`` row columns when profiling.  Profiling
+does not change the code path.  ``reveal`` times the ``adjacency(r)``
+call on the fast tier, and the graph lookup plus transmission
+accounting on the reference tier.  Both per-node tiers drain decision
+events inside the delivery pass, so ``deliver`` includes draining and
+``drain`` reads 0.0; only the batch tier times ``drain`` separately.
 
 Observability
 -------------
@@ -95,7 +98,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -112,7 +116,10 @@ from .node import Algorithm, RoundContext
 from .rng import RngRegistry
 from .rounds import run_fast_round, run_reference_round
 
-__all__ = ["Simulator", "RunResult", "ScheduleLike", "ENGINES",
+if TYPE_CHECKING:
+    from ..dynamics.schedule import GraphSchedule
+
+__all__ = ["Simulator", "RunResult", "ENGINES",
            "select_tier", "set_profile_default", "engine_default"]
 
 #: Phase names of the per-round profiling breakdown, in execution order.
@@ -129,7 +136,7 @@ _ROUNDS: Dict[str, Callable[["Simulator"], None]] = {
     "reference": run_reference_round,
 }
 
-_PROFILE_DEFAULT = os.environ.get("REPRO_PROFILE", "") not in ("", "0")
+_PROFILE_DEFAULT = False
 
 
 def engine_default() -> str:
@@ -142,17 +149,6 @@ def engine_default() -> str:
     return os.environ.get("REPRO_ENGINE", "") or "fast"
 
 
-def _reference_reason(sim: "Simulator") -> Optional[str]:
-    """Why *sim* must run on the reference tier, or ``None``."""
-    if sim._requested_engine == "reference":
-        return "engine='reference'"
-    if getattr(sim.schedule, "adjacency", None) is None:
-        return "schedule exposes no CSR adjacency"
-    if sim.strict_bandwidth and sim.bandwidth_bits is not None:
-        return "strict bandwidth budget"
-    return None
-
-
 def select_tier(sim: "Simulator",
                 stop_when: Optional[Callable[["Simulator"], bool]] = None
                 ) -> Tuple[str, List[Tuple[str, str]]]:
@@ -161,18 +157,16 @@ def select_tier(sim: "Simulator",
     Returns ``(tier, declined)``: *declined* holds one ``(tier, reason)``
     entry per tier passed over.  The rules, in order:
 
-    * **reference** when ``engine="reference"``, the schedule has no
-      ``adjacency()``, or a strict bandwidth budget is set;
+    * **reference** when ``engine="reference"``;
     * **batch** when the engine is not ``"fast-nobatch"``, there is no
-      *stop_when*, the schedule has no ``bind``, no node is halted,
-      ``on_broadcast`` is not overridden on the metrics instance, and
+      *stop_when*, the schedule has no ``bind``, no node is halted, and
       :func:`~repro.simnet.batch.build_batch_kernel` builds the
       population's kernel (left in ``sim._batch_kernel`` for ``run()``
       to engage);
     * **fast** otherwise.
     """
-    reason = _reference_reason(sim)
-    if reason is not None:
+    if sim.engine == "reference":
+        reason = "engine='reference'"
         return "reference", [("batch", reason), ("fast", reason)]
     if sim._requested_engine == "fast-nobatch":
         reason = "batch kernels disabled"
@@ -182,10 +176,8 @@ def select_tier(sim: "Simulator",
         reason = "adaptive schedule binds node state"
     elif sim._any_halted:
         reason = "population already contains halted nodes"
-    elif "on_broadcast" in sim.metrics.__dict__:
-        reason = "custom on_broadcast metrics override"
     else:
-        kernel, reason = build_batch_kernel(sim.nodes, sim.id_bits)
+        kernel, reason = build_batch_kernel(sim.nodes)
         if kernel is not None:
             sim._batch_kernel = kernel
             return "batch", []
@@ -193,29 +185,16 @@ def select_tier(sim: "Simulator",
 
 
 def set_profile_default(enabled: bool) -> None:
-    """Set the process-wide default for ``Simulator(profile=None)``.
+    """Turn per-phase timing on or off for simulators constructed later.
 
-    The harness CLI's ``--profile`` flag calls this before running
-    experiments, so every simulator the experiment grids construct picks
-    up per-phase timing without threading a flag through every spec
-    (worker processes inherit the setting under the default ``fork``
-    start method).
+    The one profiling switch: the harness CLI's ``--profile`` flag calls
+    this before running experiments, so every simulator the experiment
+    grids construct collects :attr:`Simulator.phase_seconds` without
+    threading a flag through every spec (worker processes inherit the
+    setting under the default ``fork`` start method).
     """
     global _PROFILE_DEFAULT
     _PROFILE_DEFAULT = bool(enabled)
-
-
-class ScheduleLike(Protocol):
-    """Duck type the engine requires of a dynamic-graph schedule."""
-
-    @property
-    def num_nodes(self) -> int:  # pragma: no cover - protocol
-        """Number of nodes."""
-        ...
-
-    def neighbors(self, round_index: int) -> Sequence[Sequence[int]]:  # pragma: no cover
-        """Adjacency (lists of node *indices*) of the 1-based round's graph."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -260,7 +239,9 @@ class Simulator:
     Parameters
     ----------
     schedule:
-        The dynamic-graph schedule (see :mod:`repro.dynamics`).
+        The dynamic-graph schedule (see :mod:`repro.dynamics`); it must
+        expose ``adjacency(r)``, the CSR view the fast and batch tiers
+        read.
     nodes:
         One :class:`Algorithm` per schedule index, in index order.  Node
         *ids* may be arbitrary distinct ints; node *indices* (their
@@ -268,13 +249,6 @@ class Simulator:
     rng:
         Registry from which each node's private stream is drawn
         (component name ``"node"``).  A fresh seed-0 registry by default.
-    bandwidth_bits:
-        If given, the CONGEST-style per-message bit budget.  Violations
-        raise :class:`~repro.errors.BandwidthExceededError` when
-        ``strict_bandwidth`` is true, otherwise they are tallied in the
-        ``bandwidth_overflows`` counter.
-    id_bits:
-        Width charged for :class:`~repro.simnet.message.NodeId` values.
     loss_rate:
         EXTENSION beyond the paper's model (used by experiment X2): each
         *directed delivery* is independently dropped with this
@@ -291,10 +265,6 @@ class Simulator:
         debugging, ``"fast-nobatch"`` is the fast path with batch-kernel
         dispatch disabled.  ``None`` (default) resolves to
         :func:`engine_default`.
-    profile:
-        Collect per-phase wall-clock totals (see the module docstring).
-        ``None`` (default) resolves to the process-wide default (see
-        :func:`set_profile_default`).
     recorder:
         Optional :class:`repro.obs.Recorder` receiving the structured
         event stream (see the module docstring).  ``None`` (default)
@@ -303,15 +273,11 @@ class Simulator:
 
     def __init__(
         self,
-        schedule: ScheduleLike,
+        schedule: GraphSchedule,
         nodes: Sequence[Algorithm],
         rng: Optional[RngRegistry] = None,
-        bandwidth_bits: Optional[int] = None,
-        strict_bandwidth: bool = False,
-        id_bits: int = 32,
         loss_rate: float = 0.0,
         engine: Optional[str] = None,
-        profile: Optional[bool] = None,
         recorder: Optional[Recorder] = None,
     ) -> None:
         if len(nodes) != schedule.num_nodes:
@@ -322,8 +288,10 @@ class Simulator:
         ids = [node.node_id for node in nodes]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("node ids must be distinct")
-        if bandwidth_bits is not None:
-            require_positive_int(bandwidth_bits, "bandwidth_bits")
+        if getattr(schedule, "adjacency", None) is None:
+            raise ConfigurationError(
+                f"{type(schedule).__name__} exposes no adjacency(r); "
+                f"schedules must be repro.dynamics.GraphSchedule instances")
         if engine is None:
             engine = require_choice(engine_default(), "REPRO_ENGINE", ENGINES)
         else:
@@ -331,9 +299,6 @@ class Simulator:
         self.schedule = schedule
         self.nodes: List[Algorithm] = list(nodes)
         self.rng = rng if rng is not None else RngRegistry(0)
-        self.bandwidth_bits = bandwidth_bits
-        self.strict_bandwidth = bool(strict_bandwidth)
-        self.id_bits = require_positive_int(id_bits, "id_bits")
         if not (0.0 <= float(loss_rate) < 1.0):
             raise ConfigurationError(
                 f"loss_rate must be in [0, 1), got {loss_rate}")
@@ -353,13 +318,11 @@ class Simulator:
         # survive cache pressure.
         self._bits_cache: Dict[int, Tuple[Any, int]] = {}
         self._bits_cache_cap = max(64, 4 * n)
-        if profile is None:
-            profile = _PROFILE_DEFAULT
-        self.profile = bool(profile)
-        #: Wall-clock seconds per phase (:data:`PHASES`) when profiling,
-        #: else ``None``; the round loops add to it in place.
+        #: Wall-clock seconds per phase (:data:`PHASES`) when profiling
+        #: (see :func:`set_profile_default`), else ``None``; the round
+        #: loops add to it in place.
         self.phase_seconds: Optional[Dict[str, float]] = (
-            {name: 0.0 for name in PHASES} if self.profile else None)
+            {name: 0.0 for name in PHASES} if _PROFILE_DEFAULT else None)
         # Fast-path state: one reusable context per node, the ascending
         # active (non-halted) index list maintained incrementally, the
         # halted mask consumed by the vectorised live-degree computation,
@@ -382,8 +345,7 @@ class Simulator:
         #: The persistent tier, fixed here: ``"fast"`` or ``"reference"``
         #: (see :func:`select_tier`).  The batch tier engages on top of
         #: the fast tier during run().
-        self.engine = ("fast" if _reference_reason(self) is None
-                       else "reference")
+        self.engine = "reference" if engine == "reference" else "fast"
         #: The tier the next round executes on.
         self._tier = self.engine
         self._batch_kernel: Optional[Any] = None
@@ -431,7 +393,7 @@ class Simulator:
         entry = cache.get(id(payload))
         if entry is not None and entry[0] is payload:
             return entry[1]
-        bits = bit_size(payload, self.id_bits)
+        bits = bit_size(payload)
         if self._bits_stats is not None:
             self._bits_stats["misses"] += 1
         if len(cache) >= self._bits_cache_cap:

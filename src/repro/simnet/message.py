@@ -5,14 +5,18 @@ tuples, frozensets, dataclasses with ``__msg_fields__``).  To compare
 *bit complexity* between algorithms we need a consistent, model-level cost
 for each message — the number of bits an implementation on a real
 `B`-bit-per-round channel would need.  :func:`bit_size` defines that cost.
+The engine accounts it — every run measures its largest broadcast
+(``RunMetrics.max_broadcast_bits``) — but enforces no budget: a
+bounded-bandwidth algorithm keeps to its own word budget, and the
+measured maximum certifies that it did.
 
 Conventions (documented here once, relied on by the metrics module):
 
 * ``None`` costs 1 bit (a presence flag).
 * ``bool`` costs 1 bit.
 * ``int`` costs ``max(1, value.bit_length()) + 1`` bits (sign/terminator),
-  unless an ``id_bits`` override is given and the int is tagged as a node
-  id via :class:`NodeId` — then it costs exactly ``id_bits``.
+  unless it is tagged as a node id via :class:`NodeId` — then it costs
+  exactly :data:`ID_BITS`.
 * ``float`` costs 64 bits (IEEE double).
 * containers (tuple/list/frozenset/set/dict) cost the sum of their items
   plus 8 bits of framing per container, matching a length-prefixed
@@ -28,32 +32,34 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["bit_size", "NodeId"]
+__all__ = ["bit_size", "NodeId", "ID_BITS"]
 
 _CONTAINER_FRAMING_BITS = 8
+
+#: Fixed width charged for a :class:`NodeId`: the ``Θ(log N)`` word of
+#: the CONGEST-style model, sized for 32-bit id spaces.
+ID_BITS = 32
 
 
 class NodeId(int):
     """An ``int`` subtype marking a value as a node identifier.
 
-    In the bounded-bandwidth model node ids are charged a fixed width of
-    ``id_bits = ceil(log2(id_space))`` rather than their numeric
-    bit-length, so that complexity accounting matches the ``Θ(log N)``
-    word size of the CONGEST-style model.
+    In the bounded-bandwidth model node ids are charged the fixed width
+    :data:`ID_BITS` rather than their numeric bit-length, so that
+    complexity accounting matches the ``Θ(log N)`` word size of the
+    CONGEST-style model.
     """
 
     __slots__ = ()
 
 
-def bit_size(obj: Any, id_bits: int = 32) -> int:
+def bit_size(obj: Any) -> int:
     """Return the model-level cost in bits of sending *obj*.
 
     Parameters
     ----------
     obj:
         The message payload (any composition of the supported types).
-    id_bits:
-        Fixed width charged for :class:`NodeId` values.
 
     Raises
     ------
@@ -66,7 +72,7 @@ def bit_size(obj: Any, id_bits: int = 32) -> int:
     if isinstance(obj, bool):
         return 1
     if isinstance(obj, NodeId):
-        return id_bits
+        return ID_BITS
     if isinstance(obj, int):
         return max(1, obj.bit_length()) + 1
     if isinstance(obj, float):
@@ -98,12 +104,12 @@ def bit_size(obj: Any, id_bits: int = 32) -> int:
     if isinstance(obj, dict):
         total = _CONTAINER_FRAMING_BITS
         for key, value in obj.items():
-            total += bit_size(key, id_bits) + bit_size(value, id_bits)
+            total += bit_size(key) + bit_size(value)
         return total
     if isinstance(obj, (tuple, list, set, frozenset)):
         total = _CONTAINER_FRAMING_BITS
         for item in obj:
-            total += bit_size(item, id_bits)
+            total += bit_size(item)
         return total
     raise TypeError(
         f"unsupported message type {type(obj).__name__!r}; add "

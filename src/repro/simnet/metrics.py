@@ -41,6 +41,9 @@ class RunMetrics:
         Total bits transmitted (each broadcast charged once).
     delivered_bits:
         Total bits received (each broadcast charged once per neighbour).
+    max_broadcast_bits:
+        Largest single broadcast (the CONGEST-style message-width
+        measure the harness reports as ``max_message_bits``).
     first_decision_round / last_decision_round:
         Rounds (1-based) at which the first/last node fixed its final
         decision; ``None`` if nobody decided.
@@ -61,6 +64,7 @@ class RunMetrics:
     delivered_messages: int
     broadcast_bits: int
     delivered_bits: int
+    max_broadcast_bits: int
     first_decision_round: Optional[int]
     last_decision_round: Optional[int]
     decision_rounds: Mapping[int, int]
@@ -74,6 +78,7 @@ class RunMetrics:
             "delivered_messages": self.delivered_messages,
             "broadcast_bits": self.broadcast_bits,
             "delivered_bits": self.delivered_bits,
+            "max_broadcast_bits": self.max_broadcast_bits,
             "first_decision_round": self.first_decision_round,
             "last_decision_round": self.last_decision_round,
         }
@@ -91,8 +96,7 @@ class MetricsCollector:
     delivered_messages: int = 0
     broadcast_bits: int = 0
     delivered_bits: int = 0
-    #: Largest single broadcast seen (the CONGEST-style message-width
-    #: measure the harness reports as ``max_message_bits``).
+    #: Largest single broadcast seen (see ``RunMetrics``).
     max_broadcast_bits: int = 0
     _decision_rounds: Dict[int, int] = field(default_factory=dict)
     _counters: Dict[str, int] = field(default_factory=dict)
@@ -141,6 +145,7 @@ class MetricsCollector:
             delivered_messages=self.delivered_messages,
             broadcast_bits=self.broadcast_bits,
             delivered_bits=self.delivered_bits,
+            max_broadcast_bits=self.max_broadcast_bits,
             first_decision_round=min(rounds) if rounds else None,
             last_decision_round=max(rounds) if rounds else None,
             decision_rounds=dict(self._decision_rounds),

@@ -26,7 +26,10 @@ Nodes only ever see their own state, their inbox, and the
 stream and a counter hook, but deliberately *not* the schedule, the other
 nodes, or ``N`` — algorithms that need such knowledge must take it as an
 explicit constructor parameter (so the knowledge assumptions of every
-algorithm are visible in its signature).
+algorithm are visible in its signature).  Message width is accounted,
+not enforced: the engine charges each payload
+:func:`~repro.simnet.message.bit_size` bits and records the largest, and
+an algorithm written for a bounded regime keeps to its own word budget.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class Algorithm:
     name: str = "algorithm"
 
     #: Optional batch-kernel hook (see :mod:`repro.simnet.batch`): a
-    #: classmethod ``__batch_kernel__(cls, nodes, id_bits=32)`` returning
+    #: classmethod ``__batch_kernel__(cls, nodes)`` returning
     #: a ``BatchKernel`` driving the whole homogeneous population with
     #: array operations, or ``None`` to decline (the engine then runs the
     #: ordinary per-node path).  Implementations must guard

@@ -9,9 +9,8 @@ decides which one (or the batch tier of :mod:`repro.simnet.batch`) runs.
   tiers are golden-tested against (``tests/test_fastpath_equivalence.py``):
   one Python-level ``compose``/``deliver`` call per node per round, with
   delivery, loss draws and decision draining written exactly as the
-  paper's round model reads.  It serves every run, including strict
-  bandwidth budgets and schedules exposing only the minimal
-  :class:`~repro.simnet.engine.ScheduleLike` duck type.
+  paper's round model reads.  It runs only when
+  ``engine="reference"`` asks for it.
 * :func:`run_fast_round` iterates the incrementally maintained active
   set instead of ``range(n)``, reuses one
   :class:`~repro.simnet.node.RoundContext` per node, reads the
@@ -26,7 +25,6 @@ from typing import Any, List
 
 import numpy as np
 
-from ..errors import BandwidthExceededError
 from .node import RoundContext
 
 __all__ = ["run_fast_round", "run_reference_round"]
@@ -41,12 +39,9 @@ def run_fast_round(sim: Any) -> None:
     phase by phase because the per-(node, round) metric updates are
     commutative sums, the loss RNG is drawn only at delivery (so
     interleaving the accounting does not perturb the stream), and
-    per-node drain order is preserved.  The tier never runs with a strict
-    bandwidth budget (it raises at a phase boundary;
-    :func:`~repro.simnet.engine.select_tier` sends it to the reference
-    tier).  When profiling, ``compose`` times the compose pass,
-    ``reveal`` the ``adjacency(r)`` call and ``deliver`` the fused pass;
-    ``drain`` stays 0.0.
+    per-node drain order is preserved.  When profiling, ``compose`` times
+    the compose pass, ``reveal`` the ``adjacency(r)`` call and
+    ``deliver`` the fused pass; ``drain`` stays 0.0.
     """
     sim.round_index += 1
     r = sim.round_index
@@ -115,12 +110,8 @@ def run_fast_round(sim: Any) -> None:
         nlists = csr.neighbor_lists()
     loss_rng = sim._loss_rng
     loss_rate = sim.loss_rate
-    bandwidth_bits = sim.bandwidth_bits
-    # When on_broadcast has not been overridden on the instance, the
-    # per-sender sums are accumulated in locals and flushed once per
-    # round — same totals, ~N fewer calls per round.
-    aggregate = "on_broadcast" not in metrics.__dict__
-    on_broadcast = metrics.on_broadcast
+    # The per-sender sums are accumulated in locals and flushed once per
+    # round: the totals of one on_broadcast call per sender.
     on_decision = metrics.on_decision
     bits_cache = sim._bits_cache
     n_bcast = sum_bits = n_msgs = sum_dbits = max_bits = 0
@@ -143,18 +134,13 @@ def run_fast_round(sim: Any) -> None:
                 else:
                     bits = sim._payload_bits(payload)
                 prev_payload, prev_bits = payload, bits
-            if bandwidth_bits is not None and bits > bandwidth_bits:
-                metrics.incr("bandwidth_overflows")
-            if aggregate:
-                degree = live[j]
-                n_bcast += 1
-                n_msgs += degree
-                sum_bits += bits
-                sum_dbits += bits * degree
-                if bits > max_bits:
-                    max_bits = bits
-            else:
-                on_broadcast(bits, live[j])
+            degree = live[j]
+            n_bcast += 1
+            n_msgs += degree
+            sum_bits += bits
+            sum_dbits += bits * degree
+            if bits > max_bits:
+                max_bits = bits
         if halted_in_compose and halted_mask[j]:
             continue  # halted during this round's compose
         if all_send:
@@ -187,7 +173,7 @@ def run_fast_round(sim: Any) -> None:
     if not all_send:
         for i in senders:
             sendable[i] = False
-    if aggregate and n_bcast:
+    if n_bcast:
         metrics.broadcasts += n_bcast
         metrics.delivered_messages += n_msgs
         metrics.broadcast_bits += sum_bits
@@ -237,15 +223,6 @@ def run_reference_round(sim: Any) -> None:
         if payload is None:
             continue
         bits = sim._payload_bits(payload)
-        if sim.bandwidth_bits is not None and bits > sim.bandwidth_bits:
-            if sim.strict_bandwidth:
-                raise BandwidthExceededError(
-                    f"node {nodes[i].node_id} composed a {bits}-bit "
-                    f"message; budget is {sim.bandwidth_bits} bits",
-                    node_id=nodes[i].node_id, bits=bits,
-                    limit=sim.bandwidth_bits,
-                )
-            sim.metrics.incr("bandwidth_overflows")
         live_degree = sum(1 for j in neighbors[i] if not halted[j])
         sim.metrics.on_broadcast(bits, live_degree)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.dynamics import (
     line_graph,
     random_regular_expander,
 )
+from repro.simnet.engine import set_profile_default
 
 
 @pytest.fixture
@@ -49,3 +52,13 @@ def run_quiescent(schedule, nodes, seed=1, max_rounds=20_000, window=48):
 def quiescent_runner():
     """Expose the helper as a fixture for terser tests."""
     return run_quiescent
+
+
+@contextmanager
+def profiling():
+    """Per-phase timing on for the simulators constructed inside."""
+    set_profile_default(True)
+    try:
+        yield
+    finally:
+        set_profile_default(False)

@@ -3,10 +3,9 @@
 Covers:
 
 1. The **selection table**: run features (message loss, a
-   ``stop_when`` predicate, a heterogeneous population, a strict or a
-   counting CONGEST budget, an adaptive ``bind`` schedule, a pre-halted
-   node, a schedule without ``adjacency()``, an instance-level
-   ``on_broadcast`` override) × engine requests, asserting what
+   ``stop_when`` predicate, a heterogeneous population, an adaptive
+   ``bind`` schedule, a pre-halted node) × engine requests, asserting
+   what
    :func:`repro.simnet.engine.select_tier` returns, that the chosen tier
    executed every round, that the ``engine_tier`` select event carries
    the same reasons, and that the recorded run is bit-identical to the
@@ -36,49 +35,30 @@ from repro.obs import Recorder
 from repro.obs.recorder import set_events_dir
 from repro.simnet import RngRegistry, Simulator
 from repro.simnet.engine import ENGINES, engine_default, select_tier
+from tests.conftest import profiling
 
 #: Scenario -> the run feature it poses.  Each is crossed with every
 #: engine request.
-SCENARIOS = ("plain", "loss", "stop_when", "mixed",
-             "strict_bandwidth", "adaptive", "pre_halted", "adjacency_free",
-             "custom_metrics", "loose_bandwidth")
+SCENARIOS = ("plain", "loss", "stop_when", "mixed", "adaptive",
+             "pre_halted")
 
 #: Why each scenario keeps the run off the batch tier (None = it does
-#: not), and whether that sends it to the reference tier.
+#: not).  Only ``engine="reference"`` selects the reference tier.
 _BATCH_REASON = {
     "plain": None,
     "loss": None,  # the batch tier executes lossy runs natively
     "stop_when": "stop_when predicate inspects run state",
     "mixed": ("heterogeneous population "
               "(ExactCountKnownBound + ExactCount)"),
-    "strict_bandwidth": "strict bandwidth budget",
     "adaptive": "adaptive schedule binds node state",
     "pre_halted": "population already contains halted nodes",
-    "adjacency_free": "schedule exposes no CSR adjacency",
-    "custom_metrics": "custom on_broadcast metrics override",
-    "loose_bandwidth": None,  # overflows are counted on every tier
 }
-_REFERENCE_SCENARIOS = ("strict_bandwidth", "adjacency_free")
-
-
-class _NeighborsOnly:
-    """A schedule with only the minimal ``ScheduleLike`` duck type."""
-
-    def __init__(self, inner):
-        self.num_nodes = inner.num_nodes
-        self._inner = inner
-
-    def neighbors(self, round_index):
-        return self._inner.neighbors(round_index)
 
 
 def _schedule(scenario, seed):
     if scenario == "adaptive":
         return WindowedThrottleAdversary(18, 3)
-    schedule = OverlapHandoffAdversary(18, 3, noise_edges=2, seed=seed)
-    if scenario == "adjacency_free":
-        return _NeighborsOnly(schedule)
-    return schedule
+    return OverlapHandoffAdversary(18, 3, noise_edges=2, seed=seed)
 
 
 def _nodes(scenario, n):
@@ -92,26 +72,16 @@ def _nodes(scenario, n):
     return nodes
 
 
-_BANDWIDTH_BITS = {"strict_bandwidth": 100_000, "loose_bandwidth": 40}
-
-
-def _sim(scenario, engine, seed=7, recorder=None, profile=False):
+def _sim(scenario, engine, seed=7, recorder=None):
     schedule = _schedule(scenario, seed)
-    sim = Simulator(
+    return Simulator(
         schedule,
         _nodes(scenario, schedule.num_nodes),
         rng=RngRegistry(seed),
         loss_rate=0.25 if scenario == "loss" else 0.0,
-        strict_bandwidth=(scenario == "strict_bandwidth"),
-        bandwidth_bits=_BANDWIDTH_BITS.get(scenario),
         engine=engine,
-        profile=profile,
         recorder=recorder,
     )
-    if scenario == "custom_metrics":
-        inner = sim.metrics.on_broadcast
-        sim.metrics.on_broadcast = lambda bits, degree: inner(bits, degree)
-    return sim
 
 
 def _stop_when(scenario):
@@ -132,11 +102,6 @@ def _expected(scenario, engine):
     """``(tier, declined)`` the selection table prescribes."""
     if engine == "reference":
         reason = "engine='reference'"
-    elif scenario in _REFERENCE_SCENARIOS:
-        reason = _BATCH_REASON[scenario]
-    else:
-        reason = None
-    if reason is not None:
         return "reference", [("batch", reason), ("fast", reason)]
     if engine == "fast-nobatch":
         return "fast", [("batch", "batch kernels disabled")]
@@ -184,8 +149,7 @@ def test_fallback_matrix(scenario, engine):
 
 
 @pytest.mark.parametrize("scenario", ["plain", "loss", "stop_when",
-                                      "pre_halted", "adaptive",
-                                      "custom_metrics", "loose_bandwidth"])
+                                      "pre_halted", "adaptive"])
 def test_tiers_agree_across_fallback_matrix(scenario):
     """Whatever tier the selection picks, results are bit-identical."""
     results = {engine: _run_scenario(scenario, engine)[1]
@@ -237,7 +201,8 @@ def _payload_bits_counters(recorder):
 def test_fast_tier_observed_runs_match_plain_runs(scenario):
     _, plain = _run_scenario(scenario, "fast-nobatch")
 
-    profiled_sim = _sim(scenario, "fast-nobatch", profile=True)
+    with profiling():
+        profiled_sim = _sim(scenario, "fast-nobatch")
     profiled = _run(profiled_sim, scenario)
     assert profiled_sim.tier_rounds["fast"] == profiled.rounds
     assert profiled_sim.phase_seconds["drain"] == 0.0

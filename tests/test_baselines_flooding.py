@@ -13,6 +13,7 @@ from repro.baselines import (
 )
 from repro.baselines.token import dissemination_complete
 from repro.errors import ConfigurationError
+from repro.simnet.message import ID_BITS
 from repro.dynamics import (
     FreshSpanningAdversary,
     StaticAdversary,
@@ -151,7 +152,7 @@ class TestRandomTokenDissemination:
         sched = StaticAdversary(n, star_graph(n))
         nodes = [RandomTokenDissemination(i, target_count=n)
                  for i in range(n)]
-        sim = Simulator(sched, nodes, rng=RngRegistry(5),
-                        bandwidth_bits=32, strict_bandwidth=True)
+        sim = Simulator(sched, nodes, rng=RngRegistry(5))
         result = sim.run(max_rounds=1000, until="decided")
-        assert result.unanimous_output() == n  # never exceeded 32 bits
+        assert result.unanimous_output() == n
+        assert result.metrics.max_broadcast_bits == ID_BITS  # one NodeId

@@ -401,8 +401,7 @@ def _fold_outcome(step):
     return None
 
 
-def _assert_kernel_folds_per_round(factory, seed, rounds=60, id_bits=12,
-                                   schedule=None):
+def _assert_kernel_folds_per_round(factory, seed, rounds=60, schedule=None):
     """Step a batch kernel and a per-node population side by side on a
     schedule (default: seeded-random, with empty rounds and isolated
     nodes) and compare every round: who sends, each payload's bit cost,
@@ -415,7 +414,7 @@ def _assert_kernel_folds_per_round(factory, seed, rounds=60, id_bits=12,
                                     cycle=True, interval=None)
     n = schedule.num_nodes
     nodes, mirror = factory(n), factory(n)
-    kernel, reason = build_batch_kernel(mirror, id_bits=id_bits)
+    kernel, reason = build_batch_kernel(mirror)
     assert kernel is not None, reason
     rngs = RngRegistry(seed)
     node_rngs = [rngs.for_node("node", node.node_id) for node in nodes]
@@ -432,7 +431,7 @@ def _assert_kernel_folds_per_round(factory, seed, rounds=60, id_bits=12,
         assert sends == [p is not None for p in payloads], f"round {r}"
         for i, payload in enumerate(payloads):
             if payload is not None:
-                assert bits[i] == bit_size(payload, id_bits), f"round {r}"
+                assert bits[i] == bit_size(payload), f"round {r}"
         csr = schedule.adjacency(r)
 
         def per_node():

@@ -4,12 +4,13 @@ import pytest
 
 from repro import RngRegistry, Simulator
 from repro.errors import (
-    BandwidthExceededError,
     ConfigurationError,
     IncorrectOutputError,
     NotTerminatedError,
 )
 from repro.obs import Recorder
+from repro.simnet.engine import ENGINES
+from repro.simnet.message import bit_size
 from repro.simnet.node import Algorithm, FunctionalNode
 from repro.dynamics import ExplicitSchedule, StaticAdversary, line_graph
 
@@ -157,19 +158,15 @@ class TestBandwidth:
 
         return [Big(0), Big(1)]
 
-    def test_strict_bandwidth_raises(self):
-        sim = Simulator(make_pair_schedule(), self._big_sender(),
-                        bandwidth_bits=32, strict_bandwidth=True)
-        with pytest.raises(BandwidthExceededError) as exc:
-            sim.run(max_rounds=2)
-        assert exc.value.limit == 32
-        assert exc.value.bits > 32
-
-    def test_loose_bandwidth_counts_overflows(self):
-        sim = Simulator(make_pair_schedule(), self._big_sender(),
-                        bandwidth_bits=32)
-        result = sim.run(max_rounds=2)
-        assert result.metrics.counters["bandwidth_overflows"] == 2
+    def test_wide_messages_are_measured_not_refused(self):
+        """Every tier accounts message width and enforces no budget."""
+        for engine in ENGINES:
+            sim = Simulator(make_pair_schedule(), self._big_sender(),
+                            engine=engine)
+            result = sim.run(max_rounds=2)
+            assert result.stop_reason == "halted"
+            assert (result.metrics.max_broadcast_bits
+                    == bit_size(tuple(range(100))))
 
 
 class TestHaltedNodes:

@@ -36,12 +36,14 @@ from repro.dynamics import (
 )
 from repro.dynamics.schedule import STABLE_FOREVER
 from repro.core.exact_count import ExactCount
+from repro.errors import ConfigurationError
 from repro.exec.executor import ParallelExecutor
 from repro.exec.specs import TrialSpec
 from repro.harness.runner import durable_row, run_trial
 from repro.obs import Recorder
 from repro.simnet import RngRegistry, Simulator
-from repro.simnet.engine import PHASES, set_profile_default
+from repro.simnet.engine import PHASES
+from tests.conftest import profiling
 
 
 # --------------------------------------------------------------------------
@@ -80,6 +82,7 @@ def _assert_run_results_equal(fast, ref):
     assert fm.delivered_messages == rm.delivered_messages
     assert fm.broadcast_bits == rm.broadcast_bits
     assert fm.delivered_bits == rm.delivered_bits
+    assert fm.max_broadcast_bits == rm.max_broadcast_bits
     assert fm.first_decision_round == rm.first_decision_round
     assert fm.last_decision_round == rm.last_decision_round
     assert dict(fm.decision_rounds) == dict(rm.decision_rounds)
@@ -207,24 +210,19 @@ def test_decision_event_streams_identical(seed):
     assert streams["fast-nobatch"] == streams["reference"]
 
 
-def test_minimal_schedule_falls_back_to_reference():
-    """A duck-typed schedule without ``adjacency`` still runs (reference)."""
+def test_schedule_without_adjacency_is_refused():
+    """A duck-typed schedule without ``adjacency`` raises at
+    construction, whatever engine is asked for."""
     class Minimal:
         num_nodes = 6
 
         def neighbors(self, round_index):
-            base = line_graph(6)
-            out = [[] for _ in range(6)]
-            for u, v in base:
-                out[u].append(v)
-                out[v].append(u)
-            return out
+            return StaticAdversary(6, line_graph(6)).neighbors(round_index)
 
-    nodes = [ExactCount(i) for i in range(6)]
-    sim = Simulator(Minimal(), nodes, rng=RngRegistry(0), engine="fast")
-    assert sim.engine == "reference"
-    result = sim.run(max_rounds=500, until="quiescent", quiescence_window=16)
-    assert result.outputs == {i: 6 for i in range(6)}
+    for engine in ENGINES:
+        nodes = [ExactCount(i) for i in range(6)]
+        with pytest.raises(ConfigurationError, match="adjacency"):
+            Simulator(Minimal(), nodes, rng=RngRegistry(0), engine=engine)
 
 
 # --------------------------------------------------------------------------
@@ -332,17 +330,20 @@ def test_engine_stats_only_present_when_profiled(engine, monkeypatch):
     """The per-tier round split is telemetry: it never enters a
     RunResult, and only profiled trial rows carry it, as ``engine.*``
     columns."""
-    results = []
-    for profile in (False, True):
+    def run():
         sim = Simulator(_handoff(4), [ExactCount(i) for i in range(20)],
-                        rng=RngRegistry(4), engine=engine, profile=profile)
-        results.append(sim.run(max_rounds=1000, until="quiescent",
-                               quiescence_window=16))
+                        rng=RngRegistry(4), engine=engine)
+        result = sim.run(max_rounds=1000, until="quiescent",
+                         quiescence_window=16)
         assert set(sim.tier_rounds) == {"batch", "fast", "reference"}
-        assert sum(sim.tier_rounds.values()) == results[-1].rounds
+        assert sum(sim.tier_rounds.values()) == result.rounds
         assert not any(k.startswith("engine.")
-                       for k in results[-1].metrics.as_dict())
-    assert results[1] == results[0]
+                       for k in result.metrics.as_dict())
+        return result
+
+    plain = run()
+    with profiling():
+        assert run() == plain
 
     monkeypatch.setenv("REPRO_ENGINE", engine)
     spec = TrialSpec(
@@ -351,11 +352,8 @@ def test_engine_stats_only_present_when_profiled(engine, monkeypatch):
         max_rounds=1000, until="quiescent", quiescence_window=16)
     assert not any(k.startswith("engine.")
                    for k in run_trial(spec, 4).as_row())
-    set_profile_default(True)
-    try:
+    with profiling():
         row = run_trial(spec, 4).as_row()
-    finally:
-        set_profile_default(False)
     tiers = [row[f"engine.{tier}_rounds"]
              for tier in ("batch", "fast", "reference")]
     assert sum(tiers) == row["rounds"]
@@ -488,8 +486,8 @@ def test_profile_collects_phase_seconds(engine):
 
     schedule = factory(0)
     nodes = [ExactCount(i) for i in range(12)]
-    sim = Simulator(schedule, nodes, rng=RngRegistry(0),
-                    engine=engine, profile=True)
+    with profiling():
+        sim = Simulator(schedule, nodes, rng=RngRegistry(0), engine=engine)
     result = sim.run(max_rounds=1000, until="quiescent",
                      quiescence_window=16)
     phases = sim.phase_seconds
@@ -514,11 +512,8 @@ def test_profile_flows_into_trial_result_rows():
         schedule="lowdiam_handoff", schedule_params={"n": 12, "T": 2},
         nodes="exact_count", node_params={"n": 12},
         max_rounds=1000, until="quiescent", quiescence_window=16)
-    set_profile_default(True)
-    try:
+    with profiling():
         result = run_trial(spec, 3)
-    finally:
-        set_profile_default(False)
     row = result.as_row()
     for name in PHASES:
         assert f"phase.{name}_s" in row
@@ -543,12 +538,9 @@ def test_worker_fold_counts_each_executed_row_once(tmp_path):
         for n in (8, 10) for seed in (1, 2)]
     cells.append(cells[0])  # deduplicated: executes once
     executor = ParallelExecutor(workers=2, cache=str(tmp_path))
-    set_profile_default(True)
-    try:
+    with profiling():
         report = executor.run(cells)
         warm = executor.run(cells)
-    finally:
-        set_profile_default(False)
     assert report.executed == 4 and report.deduped == 1
     assert warm.executed == 0 and warm.cache_hits == 4
     assert report.rows[4] == report.rows[0]
@@ -574,8 +566,7 @@ def test_executor_strips_phase_columns_from_cache(tmp_path):
         schedule="lowdiam_handoff", schedule_params={"n": 10, "T": 2},
         nodes="exact_count", node_params={"n": 10},
         max_rounds=1000, until="quiescent", quiescence_window=16)
-    set_profile_default(True)
-    try:
+    with profiling():
         executor = ParallelExecutor(cache=str(tmp_path))
         report = executor.run([(spec, 7)])
         row = report.rows[0]
@@ -584,8 +575,6 @@ def test_executor_strips_phase_columns_from_cache(tmp_path):
         cached = executor.cache.get(executor.cache.key(spec, 7))
         assert cached is not None
         assert not any(k.startswith("phase.") for k in cached)
-    finally:
-        set_profile_default(False)
     # A later unprofiled run served from the same cache stays clean.
     report2 = ParallelExecutor(cache=str(tmp_path)).run([(spec, 7)])
     assert report2.cache_hits == 1

@@ -147,6 +147,14 @@ class TestCli:
     def test_no_args_shows_help(self, capsys):
         assert cli_main([]) == 2
 
+    def test_help_names_every_experiment(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        listed = re.search(r"experiment ids \(([^)]*)\)",
+                           " ".join(capsys.readouterr().out.split()))
+        assert listed is not None
+        assert listed.group(1).split() == list(EXPERIMENTS)
+
     def test_unknown_experiment(self, capsys):
         assert cli_main(["zz"]) == 2
         assert "unknown" in capsys.readouterr().err

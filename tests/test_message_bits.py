@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simnet.message import NodeId, bit_size
+from repro.simnet.message import ID_BITS, NodeId, bit_size
 
 
 class TestScalars:
@@ -24,10 +24,11 @@ class TestScalars:
         assert bit_size(3.14) == 64
 
     def test_node_id_charged_fixed_width(self):
-        assert bit_size(NodeId(3), id_bits=20) == 20
-        assert bit_size(NodeId(10**9), id_bits=20) == 20
+        assert bit_size(NodeId(3)) == ID_BITS
+        assert bit_size(NodeId(10**9)) == ID_BITS
 
     def test_node_id_default_width(self):
+        assert ID_BITS == 32
         assert bit_size(NodeId(3)) == 32
 
 
@@ -36,9 +37,9 @@ class TestContainers:
         assert bit_size((True, True)) == 8 + 1 + 1
 
     def test_nested(self):
-        inner = bit_size((NodeId(1),), id_bits=16)
-        assert inner == 8 + 16
-        assert bit_size(((NodeId(1),),), id_bits=16) == 8 + inner
+        inner = bit_size((NodeId(1),))
+        assert inner == 8 + ID_BITS
+        assert bit_size(((NodeId(1),),)) == 8 + inner
 
     def test_dict_counts_keys_and_values(self):
         assert bit_size({True: False}) == 8 + 1 + 1
@@ -84,7 +85,6 @@ class TestProperties:
         total = bit_size(tuple(xs))
         assert total == 8 + sum(bit_size(x) for x in xs)
 
-    @given(st.integers(min_value=1, max_value=64),
-           st.integers(min_value=0, max_value=2**40))
-    def test_node_id_always_charged_id_bits(self, width, value):
-        assert bit_size(NodeId(value), id_bits=width) == width
+    @given(st.integers(min_value=0, max_value=2**40))
+    def test_node_id_always_charged_id_bits(self, value):
+        assert bit_size(NodeId(value)) == ID_BITS

@@ -13,6 +13,7 @@ class TestMetricsCollector:
         assert snap.delivered_messages == 3
         assert snap.broadcast_bits == 15
         assert snap.delivered_bits == 30
+        assert snap.max_broadcast_bits == 10
 
     def test_round_counter(self):
         m = MetricsCollector()

@@ -6,7 +6,6 @@ import pytest
 import repro
 from repro.errors import (
     AlgorithmViolation,
-    BandwidthExceededError,
     ConfigurationError,
     IncorrectOutputError,
     IntervalConnectivityError,
@@ -95,7 +94,7 @@ class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for exc in [ConfigurationError, ScheduleError,
                     IntervalConnectivityError, SimulationError,
-                    BandwidthExceededError, AlgorithmViolation,
+                    AlgorithmViolation,
                     NotTerminatedError, IncorrectOutputError]:
             assert issubclass(exc, ReproError)
 
@@ -108,8 +107,6 @@ class TestErrorHierarchy:
     def test_payload_attributes(self):
         e = IntervalConnectivityError("x", window_start=3, window_length=2)
         assert e.window_start == 3 and e.window_length == 2
-        e2 = BandwidthExceededError("x", node_id=1, bits=99, limit=10)
-        assert (e2.node_id, e2.bits, e2.limit) == (1, 99, 10)
         e3 = NotTerminatedError("x", rounds_executed=5, undecided=(1, 2))
         assert e3.rounds_executed == 5 and e3.undecided == (1, 2)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import RngRegistry, Simulator
 from repro.core import PipelinedExactCount
+from repro.simnet.message import ID_BITS
 from repro.dynamics import (
     FreshSpanningAdversary,
     OverlapHandoffAdversary,
@@ -57,18 +58,18 @@ class TestComplexity:
         assert rounds[1] > n  # N/w with w=1 is at least N-ish
 
     def test_messages_respect_budget(self):
-        """With a strict bit budget sized for w ids, no message overflows."""
+        """Every message fits a bit budget sized for w ids."""
         n = 20
         w = 3
         sched = FreshSpanningAdversary(n, seed=1)
         nodes = [PipelinedExactCount(i, ids_per_message=w)
                  for i in range(n)]
-        budget = 32 * w + 8  # w NodeIds + tuple framing
-        sim = Simulator(sched, nodes, rng=RngRegistry(1),
-                        bandwidth_bits=budget, strict_bandwidth=True)
+        budget = ID_BITS * w + 8  # w NodeIds + tuple framing
+        sim = Simulator(sched, nodes, rng=RngRegistry(1))
         result = sim.run(max_rounds=20_000, until="quiescent",
                          quiescence_window=64)
         assert result.unanimous_output() == n
+        assert 0 < result.metrics.max_broadcast_bits <= budget
 
     def test_large_budget_behaves_like_unbounded(self):
         n = 32

@@ -7,10 +7,10 @@ from repro.errors import ConfigurationError, ScheduleError
 from repro.dynamics.schedule import (
     ExplicitSchedule,
     FunctionSchedule,
-    RecordingSchedule,
     canonical_edges,
 )
-from repro.dynamics import OverlapHandoffAdversary, StaticAdversary, line_graph
+from repro.dynamics import (AdaptiveSchedule, OverlapHandoffAdversary,
+                            StaticAdversary, line_graph)
 
 
 class TestCanonicalEdges:
@@ -121,12 +121,6 @@ class TestNeighbors:
         s = ExplicitSchedule(4, [[(0, 1), (1, 2), (1, 3)]])
         assert s.degrees(1).tolist() == [1, 3, 1, 1]
 
-    def test_as_networkx(self):
-        s = StaticAdversary(5, line_graph(5))
-        g = s.as_networkx(1)
-        assert g.number_of_nodes() == 5
-        assert g.number_of_edges() == 4
-
 
 class TestFunctionSchedule:
     def test_function_evaluated_per_round(self):
@@ -147,25 +141,31 @@ class TestFunctionSchedule:
         assert calls == [1]
 
 
-class TestRecordingSchedule:
+class _PathAdversary(AdaptiveSchedule):
+    """Adaptive schedule serving the path 0-1-2 every round."""
+
+    def decide_edges(self, round_index, nodes):
+        return [(0, 1), (1, 2)]
+
+
+class TestAdaptiveToExplicit:
     def test_records_and_freezes(self):
-        inner = FunctionSchedule(3, lambda r: [(0, 1), (1, 2)])
-        rec = RecordingSchedule(inner)
-        rec.edges(1)
-        rec.edges(2)
-        frozen = rec.to_explicit()
+        adv = _PathAdversary(3)
+        adv.bind([object()] * 3)
+        adv.edges(1)
+        adv.edges(2)
+        frozen = adv.to_explicit()
         assert frozen.horizon == 2
         assert frozen.edges(1).tolist() == [[0, 1], [1, 2]]
 
     def test_gaps_detected(self):
-        inner = FunctionSchedule(3, lambda r: [(0, 1), (1, 2)])
-        rec = RecordingSchedule(inner)
-        rec.edges(1)
-        rec.edges(3)
+        adv = _PathAdversary(3)
+        adv.bind([object()] * 3)
+        adv.edges(1)
+        adv.edges(3)
         with pytest.raises(ScheduleError, match="gaps"):
-            rec.to_explicit()
+            adv.to_explicit()
 
     def test_nothing_recorded(self):
-        rec = RecordingSchedule(FunctionSchedule(3, lambda r: [(0, 1)]))
-        with pytest.raises(ScheduleError, match="nothing recorded"):
-            rec.to_explicit()
+        with pytest.raises(ScheduleError, match="no rounds realised"):
+            _PathAdversary(3).to_explicit()
