@@ -189,7 +189,10 @@ class TrialSpec:
             require_choice(self.stop_when, "stop_when",
                            tuple(sorted(_STOP_PREDICATES)))
         # Fail fast on unhashable params (and tags, which enter rows).
-        canonical_json(self.payload())
+        # The payload's canonical JSON is kept for key(), which the
+        # executor calls for every cell on every run.
+        object.__setattr__(self, "_payload_json",
+                           canonical_json(self.payload()))
         canonical_json(dict(self.tags))
 
     # -- identity ----------------------------------------------------------
@@ -208,8 +211,10 @@ class TrialSpec:
         process for equal inputs — verified by the test suite across an
         actual process boundary.
         """
-        blob = canonical_json(
-            {"spec": self.payload(), "seed": int(seed), "salt": salt})
+        # canonical_json({"spec": ..., "seed": ..., "salt": ...}) spelled
+        # out, its keys in sorted order, around the memoised spec JSON.
+        blob = (f'{{"salt":{canonical_json(salt)},"seed":{int(seed)},'
+                f'"spec":{self._payload_json}}}')
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def label(self) -> str:

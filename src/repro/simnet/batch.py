@@ -183,6 +183,21 @@ def segment_reduce(ufunc: np.ufunc, data: np.ndarray, indptr: np.ndarray,
     return out
 
 
+def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for the distinct rows of a 2-D array.
+
+    ``first[g]`` is the index of the first row of distinct row *g* and
+    ``inverse[i]`` the distinct row of row *i*.  Rows compare byte for
+    byte (so ``-0.0`` and ``0.0`` differ, and a NaN equals itself), which
+    makes any pure function of a row safe to evaluate once per group.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                  return_inverse=True)
+    return first, inverse.ravel()
+
+
 def segment_counts(values: np.ndarray, indptr: np.ndarray,
                    indices: np.ndarray) -> np.ndarray:
     """Per-receiver sum of ``values[sender]`` over its CSR neighbours.
@@ -264,11 +279,16 @@ class BatchContext:
     Mirrors :class:`~repro.simnet.node.RoundContext` at the population
     level: the 1-based ``round_index``, the per-node private generators
     (``rngs[i]`` is node *i*'s stream), and the run-level counter hook
-    ``incr``.  A kernel must draw the values the per-node path would,
-    and by the time :meth:`BatchKernel.finalize` returns every stream
-    must stand where the per-node path leaves it.  In between a stream
-    may run ahead (see :class:`_BoundedDraws`): no other party draws
-    from the node streams while a kernel is engaged.
+    ``incr``.  The engine passes its
+    :class:`~repro.simnet.rng.NodeStreams`, so ``rngs[i]`` creates node
+    *i*'s generator when a kernel first reads it; a kernel that never
+    draws leaves every stream unbuilt.  No per-node ``RoundContext``
+    exists while a kernel is engaged: the fast tier builds those in its
+    first round, after a fall-back.  A kernel must draw the values the
+    per-node path would, and by the time :meth:`BatchKernel.finalize`
+    returns every stream must stand where the per-node path leaves it.
+    In between a stream may run ahead (see :class:`_BoundedDraws`): no
+    other party draws from the node streams while a kernel is engaged.
     """
 
     __slots__ = ("round_index", "rngs", "incr")
@@ -427,8 +447,10 @@ class _AggregateKernel(BatchKernel):
     Subclasses supply the array representation: ``_contribute`` (first
     compose — must draw from ``ctx.rngs`` in ascending node order),
     ``_merge`` (one delivery fold, returns the per-node changed mask),
-    ``_bits`` (per-node payload cost), ``_output`` (decide value for one
-    node), and ``_restore_state`` (write node *i*'s state back).
+    ``_bits`` (per-node payload cost), ``_outputs`` (the decide values of
+    the nodes at the given indices, computed once per round for all of
+    them), and ``_states`` (every node's state to write back, one shared
+    object per distinct immutable state).
     """
 
     def __init__(self, algs: Sequence[Any],
@@ -454,10 +476,10 @@ class _AggregateKernel(BatchKernel):
     def _bits(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _output(self, i: int) -> Any:
+    def _outputs(self, idx: np.ndarray) -> List[Any]:
         raise NotImplementedError
 
-    def _restore_state(self, node: Any, i: int) -> None:
+    def _states(self) -> List[Any]:
         raise NotImplementedError
 
     # protocol ---------------------------------------------------------------
@@ -486,11 +508,13 @@ class _AggregateKernel(BatchKernel):
             decide &= ~self.decided
             if decide.any():
                 self.decided |= decide
-                for i in np.nonzero(decide)[0].tolist():
-                    events.append(("decide", i, self._output(i)))
+                idx = np.flatnonzero(decide)
+                for i, value in zip(idx.tolist(), self._outputs(idx)):
+                    events.append(("decide", i, value))
         elif ctx.round_index >= self.rounds_bound:
-            for i in range(self.n):
-                events.append(("decide", i, self._output(i)))
+            values = self._outputs(np.arange(self.n))
+            for i, value in enumerate(values):
+                events.append(("decide", i, value))
                 events.append(("halt", i, None))
             self.decided[:] = True
         return bool(changed.any()), events
@@ -498,10 +522,10 @@ class _AggregateKernel(BatchKernel):
     def finalize(self, nodes: Sequence[Any]) -> None:
         changed = self.changed_last.tolist()
         contributed = not self._need_contribution
-        for i, node in enumerate(nodes):
-            self._restore_state(node, i)
+        for node, state, changed_i in zip(nodes, self._states(), changed):
+            node.state = state
             node._contributed = contributed
-            node._state_changed = changed[i]
+            node._state_changed = changed_i
         if self.controller is not None:
             self.controller.restore([node.controller for node in nodes])
 
@@ -558,11 +582,13 @@ class MaxBatchKernel(_AggregateKernel):
     def _bits(self) -> np.ndarray:
         return int_payload_bits(self._state)
 
-    def _output(self, i: int) -> int:
-        return int(self._state[i])
+    def _outputs(self, idx: np.ndarray) -> List[int]:
+        return self._state[idx].tolist()
 
-    def _restore_state(self, node: Any, i: int) -> None:
-        node.state = int(self._state[i]) if self._state is not None else None
+    def _states(self) -> List[Any]:
+        if self._state is None:
+            return [None] * self.n
+        return self._state.tolist()
 
 
 class IdSetBatchKernel(_AggregateKernel):
@@ -623,24 +649,21 @@ class IdSetBatchKernel(_AggregateKernel):
     def _bits(self) -> np.ndarray:
         return _CONTAINER_FRAMING_BITS + ID_BITS * self._counts()
 
-    def _output(self, i: int) -> int:
-        return int(popcount64(self._rows[i]).sum())
+    def _outputs(self, idx: np.ndarray) -> List[int]:
+        return popcount64(self._rows[idx]).sum(axis=1).tolist()
 
-    def finalize(self, nodes: Sequence[Any]) -> None:
-        self._members = None
-        if self._rows is not None:
-            unpacked = np.unpackbits(
-                np.ascontiguousarray(self._rows).view(np.uint8),
-                bitorder="little").reshape(self.n, -1)
-            self._members = unpacked
-        super().finalize(nodes)
-
-    def _restore_state(self, node: Any, i: int) -> None:
+    def _states(self) -> List[Any]:
         if self._rows is None:
-            node.state = None
-            return
-        positions = np.nonzero(self._members[i][:self.n])[0]
-        node.state = frozenset(self._ids[positions].tolist())
+            return [None] * self.n
+        # One frozenset per distinct row, shared by every node holding it
+        # (a converged population holds one row).
+        first, inverse = _distinct_rows(self._rows)
+        members = np.unpackbits(
+            np.ascontiguousarray(self._rows[first]).view(np.uint8),
+            axis=1, bitorder="little")[:, :self.n].astype(bool)
+        ids = self._ids
+        sets = [frozenset(ids[row].tolist()) for row in members]
+        return [sets[g] for g in inverse.tolist()]
 
 
 class MinVectorBatchKernel(_AggregateKernel):
@@ -664,6 +687,9 @@ class MinVectorBatchKernel(_AggregateKernel):
         width = algs[0].aggregate.width
         if any(a.aggregate.width != width for a in algs):
             return None
+        sketch = type(algs[0].sketch)
+        if any(type(a.sketch) is not sketch for a in algs):
+            return None  # the decide values use one sketch's estimate
         matrix: Optional[np.ndarray] = None
         if contributed:
             states = [a.state for a in algs]
@@ -694,12 +720,19 @@ class MinVectorBatchKernel(_AggregateKernel):
         bits = _CONTAINER_FRAMING_BITS + 64 * self.width
         return np.full(self.n, bits, dtype=np.int64)
 
-    def _output(self, i: int) -> float:
-        return self._algs[i].sketch.estimate(self._matrix[i])
+    def _outputs(self, idx: np.ndarray) -> List[float]:
+        # One estimate per distinct row; equal rows (byte for byte)
+        # estimate equal floats, and the sketches share one type.
+        first, inverse = _distinct_rows(self._matrix[idx])
+        estimate = self._algs[0].sketch.estimate
+        values = [estimate(self._matrix[i]) for i in idx[first].tolist()]
+        return [values[g] for g in inverse.tolist()]
 
-    def _restore_state(self, node: Any, i: int) -> None:
-        node.state = (self._matrix[i].copy()
-                      if self._matrix is not None else None)
+    def _states(self) -> List[Any]:
+        # Arrays are mutable: every node gets its own row copy.
+        if self._matrix is None:
+            return [None] * self.n
+        return [row.copy() for row in self._matrix]
 
 
 def aggregate_batch_kernel(build: Callable[..., Optional[BatchKernel]],

@@ -47,8 +47,9 @@ starts and reports why it passed over the others:
   it consumes the schedule's interval-aware CSR adjacency (see
   :meth:`repro.dynamics.GraphSchedule.adjacency`), tracks the non-halted
   *active set* incrementally so per-round work is ``O(active)``, reuses
-  one :class:`RoundContext` per node, and fuses accounting, delivery and
-  draining into one pass.  ``engine="fast-nobatch"`` runs this tier
+  one :class:`RoundContext` per active node (built by the first
+  fast-tier round), and fuses accounting, delivery and draining into
+  one pass.  ``engine="fast-nobatch"`` runs this tier
   with the batch kernels disabled.
 * **reference** — the straightforward per-node loops of
   :func:`repro.simnet.rounds.run_reference_round`, kept as the
@@ -58,6 +59,15 @@ starts and reports why it passed over the others:
 ``Simulator(engine=...)`` accepts ``"fast"`` (the default),
 ``"fast-nobatch"`` and ``"reference"``; ``engine=None`` reads the
 ``REPRO_ENGINE`` environment variable, falling back to ``"fast"``.
+
+Private coins
+-------------
+Node *i*'s stream is ``rng.for_node("node", id_i)``, created the first
+time anything reads it (:class:`~repro.simnet.rng.NodeStreams`): a
+per-node round, a batch kernel that draws (``BatchContext.rngs[i]``), or
+a test.  Of the batch kernels only the sketch (approximate Count) and
+token kernels draw, so a batch-tier run of any other kernel builds no
+generator and no :class:`RoundContext`.
 
 Bandwidth
 ---------
@@ -113,7 +123,7 @@ from .batch import (build_batch_kernel, deactivate_batch, engage_batch,
 from .message import bit_size
 from .metrics import MetricsCollector, RunMetrics
 from .node import Algorithm, RoundContext
-from .rng import RngRegistry
+from .rng import NodeStreams, RngRegistry
 from .rounds import run_fast_round, run_reference_round
 
 if TYPE_CHECKING:
@@ -288,6 +298,9 @@ class Simulator:
         ids = [node.node_id for node in nodes]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("node ids must be distinct")
+        negative = next((node_id for node_id in ids if node_id < 0), None)
+        if negative is not None:
+            raise ConfigurationError(f"node_id must be >= 0, got {negative}")
         if getattr(schedule, "adjacency", None) is None:
             raise ConfigurationError(
                 f"{type(schedule).__name__} exposes no adjacency(r); "
@@ -306,9 +319,10 @@ class Simulator:
         self._loss_rng = self.rng.for_component("loss") if loss_rate else None
         self.metrics = MetricsCollector()
         self.round_index = 0
-        self._node_rngs = [
-            self.rng.for_node("node", node.node_id) for node in self.nodes
-        ]
+        # Each node's private stream, created when first read (see
+        # NodeStreams): the batch kernels of non-drawing algorithms never
+        # read one.
+        self._node_rngs = NodeStreams(self.rng, "node", ids)
         self._quiescent_streak = 0
         n = len(self.nodes)
         # Payload objects repeat across rounds once protocols converge
@@ -323,14 +337,12 @@ class Simulator:
         #: loops add to it in place.
         self.phase_seconds: Optional[Dict[str, float]] = (
             {name: 0.0 for name in PHASES} if _PROFILE_DEFAULT else None)
-        # Fast-path state: one reusable context per node, the ascending
+        # Fast-path state: one reusable context per active node, built by
+        # the first fast-tier round (None until then), the ascending
         # active (non-halted) index list maintained incrementally, the
         # halted mask consumed by the vectorised live-degree computation,
         # and reusable payload/sendable scratch.
-        self._contexts = [
-            RoundContext(0, self._node_rngs[i], self.metrics.incr)
-            for i in range(n)
-        ]
+        self._contexts: Optional[List[Optional[RoundContext]]] = None
         self._halted_mask = np.array([node._halted for node in self.nodes],
                                      dtype=bool)
         self._any_halted = bool(self._halted_mask.any())

@@ -53,9 +53,10 @@ class RoundContext:
 
     Lifetime contract
     -----------------
-    The engine's fast path keeps **one context per node** and rewrites
-    ``round_index`` in place each round (the reference path allocates
-    fresh ones; both are observably identical).  Nodes must therefore
+    The engine's fast path keeps **one context per active node** (built
+    by its first round) and rewrites ``round_index`` in place each
+    round (the reference path allocates fresh ones; both are observably
+    identical).  Nodes must therefore
     treat the context as valid only for the duration of the current
     ``compose``/``deliver`` call and never retain it across rounds.
     """

@@ -15,13 +15,13 @@ optional *node id*.  Two consequences:
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._validate import require_nonnegative_int
 
-__all__ = ["RngRegistry"]
+__all__ = ["RngRegistry", "NodeStreams"]
 
 
 def _key_entropy(name: str) -> int:
@@ -104,3 +104,34 @@ class RngRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self._seed}, streams={len(self._cache)})"
+
+
+class NodeStreams:
+    """The per-node generators of one component, each made on first read.
+
+    ``streams[i]`` is ``registry.for_node(component, ids[i])``, created
+    the first time index *i* is read (a stream is keyed only by the
+    registry's seed, the component and the id, so when it is created
+    changes no draw).  A population whose algorithm never draws from its
+    private coins never pays for building them.  Supports ``len``,
+    integer indexing and iteration (which creates every stream).
+    """
+
+    __slots__ = ("_registry", "_component", "_ids", "_gens")
+
+    def __init__(self, registry: RngRegistry, component: str,
+                 ids: Sequence[int]) -> None:
+        self._registry = registry
+        self._component = component
+        self._ids = list(ids)
+        self._gens: List[Optional[np.random.Generator]] = [None] * len(ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        gen = self._gens[i]
+        if gen is None:
+            gen = self._registry.for_node(self._component, self._ids[i])
+            self._gens[i] = gen
+        return gen

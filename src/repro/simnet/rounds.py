@@ -13,7 +13,8 @@ decides which one (or the batch tier of :mod:`repro.simnet.batch`) runs.
   ``engine="reference"`` asks for it.
 * :func:`run_fast_round` iterates the incrementally maintained active
   set instead of ``range(n)``, reuses one
-  :class:`~repro.simnet.node.RoundContext` per node, reads the
+  :class:`~repro.simnet.node.RoundContext` per active node (built by
+  the run's first fast-tier round), reads the
   schedule's interval-aware CSR adjacency, and fuses transmission
   accounting, delivery and draining into one pass over the active set.
 """
@@ -51,6 +52,14 @@ def run_fast_round(sim: Any) -> None:
     active = sim._active
     payloads = sim._payloads
     contexts = sim._contexts
+    if contexts is None:
+        # The first fast-tier round: the active set only shrinks from
+        # here, so it is every node that will ever need a context.
+        contexts = [None] * len(nodes)
+        rngs, incr = sim._node_rngs, metrics.incr
+        for i in active:
+            contexts[i] = RoundContext(0, rngs[i], incr)
+        sim._contexts = contexts
     halted_mask = sim._halted_mask
 
     # Compose (graph not yet revealed to nodes).

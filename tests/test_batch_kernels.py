@@ -41,6 +41,7 @@ from repro.simnet.batch import (
     BatchContext,
     BatchQuiescence,
     _BoundedDraws,
+    _distinct_rows,
     build_batch_kernel,
     int_payload_bits,
     popcount64,
@@ -175,6 +176,18 @@ def test_segment_counts_matches_naive_sum(seed):
                 for j in range(n)]
     got = segment_counts(values, indptr, indices)
     assert got.tolist() == expected
+
+
+@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.5, float("nan")]),
+                         min_size=3, max_size=3), min_size=1, max_size=12))
+def test_distinct_rows_groups_rows_byte_for_byte(rows):
+    matrix = np.array(rows, dtype=np.float64)
+    first, inverse = _distinct_rows(matrix)
+    keys = [row.tobytes() for row in matrix]
+    assert sorted(keys[f] for f in first.tolist()) == sorted(set(keys))
+    assert all(keys.index(keys[f]) == f for f in first.tolist())
+    for i, g in enumerate(inverse.tolist()):
+        assert keys[i] == keys[first[g]]
 
 
 # --------------------------------------------------------------------------
@@ -694,3 +707,159 @@ def test_bounded_draws_match_per_node_integers(streams, block, data):
     for a, b in zip(per_node, batched):
         assert a.bit_generator.state == b.bit_generator.state
         assert a.integers(0, 2 ** 40) == b.integers(0, 2 ** 40)
+
+
+# --------------------------------------------------------------------------
+# lazy node streams, shared write-back, one-pass decide values
+# --------------------------------------------------------------------------
+
+def _node_streams_built(sim):
+    """How many ``"node"`` generators the run's registry has created."""
+    return sum(name == "node" for name, _ in sim.rng._cache)
+
+
+@pytest.mark.parametrize("factory,until", [
+    pytest.param(lambda n: [ExactCount(i) for i in _scattered_ids(n)],
+                 "quiescent", id="exact_count"),
+    pytest.param(lambda n: [ExactCountKnownBound(i, BOUND_ROUNDS)
+                            for i in _scattered_ids(n)],
+                 "halted", id="exact_count_known_bound"),
+    pytest.param(lambda n: [KCommitteeCount(i) for i in _scattered_ids(n)],
+                 "halted", id="klo_count"),
+])
+def test_non_drawing_batch_runs_build_no_streams_or_contexts(factory, until):
+    """Kernels that never draw leave every node stream and round context
+    unbuilt, while the per-node tier builds one of each per node."""
+    from repro.dynamics import OverlapHandoffAdversary
+
+    n = 12
+
+    def run(engine):
+        sim = Simulator(OverlapHandoffAdversary(n, 2, noise_edges=1, seed=2),
+                        factory(n), rng=RngRegistry(2), engine=engine)
+        result = sim.run(max_rounds=4000, until=until, quiescence_window=8)
+        return sim, result
+
+    batch_sim, batch = run("fast")
+    assert batch_sim.tier_rounds["batch"] == batch.rounds
+    assert set(batch.outputs.values()) == {n}
+    assert _node_streams_built(batch_sim) == 0
+    assert batch_sim._contexts is None
+    per_node_sim, per_node = run("fast-nobatch")
+    assert per_node == batch
+    assert _node_streams_built(per_node_sim) == n
+    assert all(ctx is not None for ctx in per_node_sim._contexts)
+
+
+def _klo_fallback_run(engine):
+    """The split KLO epoch of :func:`_klo_split_rounds`: the clean
+    committee halts mid-run while the restarted nodes go on, so the batch
+    tier hands the rest of the run to the fast tier."""
+    rounds = _klo_split_rounds(1, "halts")
+    nodes = [KCommitteeCount(i) for i in _scattered_ids(6)]
+    sim = Simulator(ExplicitSchedule(6, rounds, interval=None), nodes,
+                    rng=RngRegistry(3), engine=engine)
+    return sim, sim.run(max_rounds=len(rounds), until="halted",
+                        allow_timeout=True)
+
+
+def _approx_fallback_run(engine):
+    """A drawing kernel: every node draws its sketch on the batch tier,
+    then the population halts at its bound and the kernel retires."""
+    n = 10
+    schedule = ExplicitSchedule(n, _random_rounds(4, n), cycle=True,
+                                interval=None)
+    nodes = [ApproxCountKnownBound(i, BOUND_ROUNDS, width=8)
+             for i in _scattered_ids(n)]
+    sim = Simulator(schedule, nodes, rng=RngRegistry(4), engine=engine)
+    return sim, sim.run(max_rounds=120, until="halted")
+
+
+@pytest.mark.parametrize("run", [_klo_fallback_run, _approx_fallback_run],
+                         ids=["klo_split", "approx_known_bound"])
+def test_runs_leaving_the_batch_tier_match_per_node_tiers(run):
+    """A halt retires the kernel (``deactivate_batch``); the run still
+    equals the per-node tiers', and every node's stream ends in the same
+    state, whether it was built by a kernel's draw, by the fast tier's
+    first round, or only now by reading it."""
+    def outcome(engine):
+        sim, result = run(engine)
+        states = [rng.bit_generator.state for rng in sim._node_rngs]
+        return sim, (result, states)
+
+    batch_sim, batch = outcome("fast")
+    assert batch_sim.tier_rounds["batch"] > 0
+    assert batch_sim._tier == "fast"  # the kernel retired
+    for engine in ("fast-nobatch", "reference"):
+        assert outcome(engine)[1] == batch, engine
+    if run is _klo_fallback_run:
+        assert batch_sim.tier_rounds["fast"] > 0  # left mid-run
+        # Contexts only for the nodes still active at the fall-back.
+        built = [ctx is not None for ctx in batch_sim._contexts]
+        assert 0 < sum(built) < len(built)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3, 60])
+def test_idset_write_back_matches_per_node_frozensets(cut):
+    """After *cut* rounds every node holds a frozenset equal to the one
+    the per-node path gives it; equal rows share one frozenset."""
+    n = 10
+
+    def run(engine):
+        schedule = ExplicitSchedule(n, _random_rounds(6, n), cycle=True,
+                                    interval=None)
+        nodes = [ExactCount(i) for i in _scattered_ids(n)]
+        sim = Simulator(schedule, nodes, rng=RngRegistry(6), engine=engine)
+        sim.run(max_rounds=cut, until="quiescent", quiescence_window=8,
+                allow_timeout=True)
+        return sim, nodes
+
+    batch_sim, batch = run("fast")
+    assert batch_sim.tier_rounds["batch"] > 0
+    _, per_node = run("fast-nobatch")
+    for mine, theirs in zip(batch, per_node):
+        assert type(mine.state) is frozenset
+        assert mine.state == theirs.state
+    distinct = {node.state for node in batch}
+    assert len({id(node.state) for node in batch}) == len(distinct)
+    if cut == 60:
+        assert distinct == {frozenset(_scattered_ids(n))}
+
+
+def test_sketch_decide_values_estimate_once_per_distinct_row(monkeypatch):
+    """A converged min-vector population decides with one ``estimate``
+    call in all, and decides the per-node path's floats."""
+    from repro.core.sketches import ExponentialCountSketch
+
+    calls = []
+    estimate = ExponentialCountSketch.estimate
+
+    def counting_estimate(self, minima):
+        calls.append(1)
+        return estimate(self, minima)
+
+    def run(engine):
+        n = 10
+        schedule = ExplicitSchedule(n, _random_rounds(4, n), cycle=True,
+                                    interval=None)
+        nodes = [ApproxCountKnownBound(i, BOUND_ROUNDS, width=8)
+                 for i in range(n)]
+        sim = Simulator(schedule, nodes, rng=RngRegistry(4), engine=engine)
+        return sim.run(max_rounds=120, until="halted")
+
+    per_node = run("fast-nobatch")
+    monkeypatch.setattr(ExponentialCountSketch, "estimate",
+                        counting_estimate)
+    batch = run("fast")
+    assert len(set(batch.outputs.values())) == 1  # converged
+    assert len(calls) == 1
+    assert batch == per_node
+
+
+def test_mixed_sketch_families_stay_per_node():
+    """The decide values use one sketch's ``estimate``, so a population
+    mixing sketch families is left to the per-node tiers."""
+    nodes = [ApproxCount(i, width=8, family="geometric" if i else
+                         "exponential") for i in range(4)]
+    kernel, reason = build_batch_kernel(nodes)
+    assert kernel is None and "declined" in reason

@@ -51,6 +51,10 @@ class TestEngineBasics:
         with pytest.raises(ConfigurationError, match="distinct"):
             Simulator(make_pair_schedule(), [EchoOnce(0), EchoOnce(0)])
 
+    def test_negative_ids_rejected_before_any_stream_is_built(self):
+        with pytest.raises(ConfigurationError, match="node_id must be >= 0"):
+            Simulator(make_pair_schedule(), [EchoOnce(0), EchoOnce(-3)])
+
     def test_silent_nodes_send_nothing(self):
         sent = []
 

@@ -11,6 +11,7 @@ Covers the acceptance properties of the subsystem:
 """
 
 import dataclasses
+import hashlib
 import io
 import os
 import subprocess
@@ -83,6 +84,27 @@ class TestTrialSpec:
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == spec.key(1)
+
+    def test_key_hashes_one_canonical_json_of_spec_seed_and_salt(self):
+        """``key`` encodes the spec once but hashes the bytes of the
+        whole ``{"spec", "seed", "salt"}`` object's canonical JSON."""
+        odd = TrialSpec(
+            schedule="overlap_handoff",
+            schedule_params={"n": 16, "T": 4, "p": 0.5,
+                             "path": [1, None, "\u00e9", {"b": 1, "a": 2}]},
+            nodes="approx_count", node_params={"n": 16, "eps": 0.25},
+            max_rounds=3000, loss_rate=0.1, schedule_seed=7,
+            stop_when="dissemination_complete", tags={"t": 1})
+        for spec in (tiny_spec(), tiny_spec(n=9, label="x"), odd):
+            for seed in (0, 1, 2 ** 40):
+                for salt in (CODE_VERSION_SALT, 'q"uot\u00e9'):
+                    blob = canonical_json({"spec": spec.payload(),
+                                           "seed": seed, "salt": salt})
+                    assert spec.key(seed, salt) == hashlib.sha256(
+                        blob.encode("utf-8")).hexdigest()
+        # The key as first published for this spec: caches stay warm.
+        assert tiny_spec().key(1, salt="pinned") == (
+            "94a856272d554de7ae266b43c873772338d2f0f4fddd0c8883da81b5dede801c")
 
     def test_rejects_non_json_params(self):
         with pytest.raises(ConfigurationError, match="plain JSON"):

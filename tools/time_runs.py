@@ -10,7 +10,13 @@ of every run, their median and spread (max - min), the seconds of each
 and a sha256 over the files each run wrote, so two sides can be checked
 byte-identical.  A run's peak RSS is read in the child when the CLI
 returns: the larger of the CLI process's own high-water mark and that of
-its largest reaped child process.  The record is merged into
+its largest reaped child process.  Given two sides, it also records the
+ratio of the second side's median seconds to the first's (change/parent
+when the sides are given in that order) with a 95% percentile-bootstrap
+interval: each side's runs resampled with replacement, 10,000 times,
+from a fixed seed, so the same runs always give the same interval.  An
+interval that excludes 1.0 is a difference the runs can tell from
+noise.  The record is merged into
 ``results/BENCH_e2e.json`` under the run's arguments and the side's
 label; ``repro.report`` does not read that file.
 
@@ -33,6 +39,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import statistics
@@ -46,6 +53,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _FINISHED = re.compile(r"^\[(\w+) finished in ([0-9.]+)s\]$", re.MULTILINE)
 _PEAK_RSS = re.compile(r"^\[peak rss kb (\d+)\]$", re.MULTILINE)
+
+#: Bootstrap resamples behind the ratio interval, and their fixed seed.
+RESAMPLES = 10_000
+SEED = 0
 
 #: The child: the CLI's ``main``, then the larger of its own peak RSS and
 #: its largest reaped child's (``ru_maxrss`` is in KiB on Linux).
@@ -111,6 +122,28 @@ def summarize(runs: List[Dict[str, object]]) -> Dict[str, object]:
     }
 
 
+def ratio_interval(base: List[float], other: List[float]
+                   ) -> Dict[str, object]:
+    """``median(other) / median(base)`` and its 95% bootstrap interval.
+
+    Each of :data:`RESAMPLES` resamples draws ``len(base)`` runs from
+    *base* and ``len(other)`` from *other*, with replacement, from a
+    ``random.Random(SEED)`` stream; the interval is the 2.5th and
+    97.5th percentiles of the resampled ratios.
+    """
+    rng = random.Random(SEED)
+    ratios = sorted(
+        statistics.median(rng.choices(other, k=len(other)))
+        / statistics.median(rng.choices(base, k=len(base)))
+        for _ in range(RESAMPLES))
+    cuts = statistics.quantiles(ratios, n=40, method="inclusive")
+    low, high = cuts[0], cuts[-1]  # the 2.5th and 97.5th percentiles
+    return {"median_ratio": round(statistics.median(other)
+                                  / statistics.median(base), 4),
+            "ci95": [round(low, 4), round(high, 4)],
+            "resamples": RESAMPLES, "seed": SEED}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("experiments", nargs="*", help="experiment ids")
@@ -153,6 +186,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{label}: median {entry[label]['median_s']}s, "
               f"spread {entry[label]['spread_s']}s, peak RSS "
               f"{entry[label]['peak_rss_median_mb']} MB")
+    entry.pop("ratio", None)  # a ratio of earlier runs no longer holds
+    if len(runs) == 2:
+        (base_label, base), (other_label, other) = runs.items()
+        ratio = ratio_interval([run["seconds"] for run in base],
+                               [run["seconds"] for run in other])
+        entry["ratio"] = {"of": f"{other_label}/{base_label}", **ratio}
+        print(f"{other_label}/{base_label}: {ratio['median_ratio']} "
+              f"(95% CI {ratio['ci95'][0]}-{ratio['ci95'][1]})")
     with open(args.record, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
