@@ -1,34 +1,36 @@
-"""Batch-kernel tier throughput: kernel vs fast vs reference.
+"""Batch-kernel tier throughput: kernel vs reference.
 
 The batch-kernel dispatch tier (see :mod:`repro.simnet.batch` and
-``docs/PERFORMANCE.md``) replaces the per-node Python fold with
-whole-population NumPy segment-reduces.  This benchmark measures
-rounds/sec of all three engine tiers on the T=4 overlap-handoff
-schedule with :class:`~repro.core.max_compute.SublinearMax` nodes
-(int payloads, segment-max delivery) at N ∈ {256, 1024, 4096} and
-writes ``results/BENCH_kernels.json``.
+``docs/PERFORMANCE.md``) replaces the per-node Python fold of the
+reference tier with whole-population NumPy segment-reduces.  This
+benchmark measures rounds/sec of both engine tiers on the T=4
+overlap-handoff schedule with
+:class:`~repro.core.max_compute.SublinearMax` nodes (int payloads,
+segment-max delivery) at N ∈ {256, 1024, 4096} and writes
+``results/BENCH_kernels.json``.
 
-Doubles as the second CI smoke gate::
+Doubles as the CI smoke gate::
 
     python benchmarks/bench_kernels.py --smoke
 
 which gates four things against the committed
-``results/bench_kernels_baseline.json``.  Every gated kernel/fast ratio
-is the median of three pairs of runs that measure the two tiers
+``results/bench_kernels_baseline.json``.  Every gated kernel/reference
+ratio is the median of three pairs of runs that measure the two tiers
 alternately, so one slow moment on the machine moves one pair, not the
 verdict:
 
-* per-N kernel/fast speedup ratios must stay within 25% of baseline
-  (ratios, not absolute timings — machine-portable);
-* so must the kernel/fast ratio of KLO's
+* per-N kernel/reference speedup ratios must stay within 25% of
+  baseline (ratios, not absolute timings — machine-portable);
+* so must the kernel/reference ratio of KLO's
   :class:`~repro.baselines.klo.KCommitteeCount` at N=32 on T1's T=2
   noisy handoff schedule (``klo`` row; the first 600 rounds, guesses
   k = 1 … 16);
-* the kernel tier must clear an **absolute 3x** over the per-node fast
-  path at N=1024 (the tentpole acceptance bar);
+* the kernel tier must clear an **absolute 3x** over the reference
+  tier at N=1024;
 * under per-edge Bernoulli loss (``loss_rate=0.2``) the kernel tier
-  must still beat the fast path outright at N=1024 — the loss-capable
-  batch kernels must not regress to a slower-than-fast curiosity.
+  must still beat the reference tier outright at N=1024 — the
+  loss-capable batch kernels must not regress to a slower-than-reference
+  curiosity.
 
 ``--write-baseline`` refreshes the committed baseline.
 """
@@ -59,7 +61,7 @@ RESULTS_DIR = os.environ.get(
 )
 
 #: Rounds timed per (tier, N) cell.  The reference loop at N=4096 is the
-#: pacing item; the smoke budget keeps one full gate run under ~60 s.
+#: pacing item; the smoke budget keeps one full gate run near a minute.
 FULL_ROUNDS = {256: 600, 1024: 200, 4096: 60}
 SMOKE_ROUNDS = {256: 240, 1024: 80, 4096: 24}
 
@@ -105,60 +107,50 @@ def _measure_rounds_per_sec(engine: str, n: int, rounds: int,
     return best
 
 
-def _kernel_vs_fast(n: int, rounds: int, **kwargs):
-    """``(kernel, fast)`` rounds/sec of the median of three interleaved
-    pairs.  The kernel tier is engine ``fast`` (batch kernels on), the
-    per-node fast tier is engine ``fast-nobatch``."""
+def _kernel_vs_reference(n: int, rounds: int, **kwargs):
+    """``(kernel, reference)`` rounds/sec of the median of three
+    interleaved pairs.  The kernel tier is engine ``fast`` (the batch
+    kernel engages), the per-node tier is engine ``reference``."""
     return median_pair(
         lambda: _measure_rounds_per_sec("fast", n, rounds, **kwargs),
-        lambda: _measure_rounds_per_sec("fast-nobatch", n, rounds, **kwargs))
+        lambda: _measure_rounds_per_sec("reference", n, rounds, **kwargs))
+
+
+def _row(kernel: float, reference: float, **fields):
+    """A result row: *fields*, both rates and their ratio."""
+    return {**fields,
+            "kernel_rounds_per_sec": round(kernel, 1),
+            "reference_rounds_per_sec": round(reference, 1),
+            "kernel_speedup": round(kernel / reference, 3)}
 
 
 def kernel_comparison(ns=(256, 1024, 4096), rounds_by_n=None):
-    """Rounds/sec per tier per N, with kernel/fast and fast/reference."""
+    """Rounds/sec per tier per N, with the kernel/reference speedup."""
     rounds_by_n = rounds_by_n or FULL_ROUNDS
-    rows = []
-    for n in ns:
-        rounds = rounds_by_n[n]
-        kernel, fast = _kernel_vs_fast(n, rounds)
-        reference = _measure_rounds_per_sec("reference", n, rounds)
-        rows.append({
-            "n": n,
-            "rounds_timed": rounds,
-            "kernel_rounds_per_sec": round(kernel, 1),
-            "fast_rounds_per_sec": round(fast, 1),
-            "reference_rounds_per_sec": round(reference, 1),
-            "kernel_speedup": round(kernel / fast, 3),
-            "fast_speedup": round(fast / reference, 3),
-        })
-    return rows
+    return [_row(*_kernel_vs_reference(n, rounds_by_n[n]), n=n,
+                 rounds_timed=rounds_by_n[n])
+            for n in ns]
 
 
 #: Per-edge Bernoulli loss probability for the lossy gate rows.
 LOSSY_RATE = 0.2
 
-#: N at which the lossy kernel-vs-fast comparison is measured and gated.
+#: N at which the lossy kernel-vs-reference comparison is measured and
+#: gated.
 LOSSY_N = 1024
 
 
 def lossy_comparison(n=LOSSY_N, rounds=None):
-    """Kernel-vs-fast rounds/sec at *n* with per-edge Bernoulli loss.
+    """Kernel-vs-reference rounds/sec at *n* with per-edge Bernoulli loss.
 
     The batch tier serves lossy runs through vectorised per-edge
     loss masks (``lossy_delivery_view``); this row proves the masked
-    kernels still beat the per-node fast path rather than merely
-    matching its results.
+    kernels still beat the reference tier rather than merely matching
+    its results.
     """
     rounds = rounds or SMOKE_ROUNDS[n]
-    kernel, fast = _kernel_vs_fast(n, rounds, loss_rate=LOSSY_RATE)
-    return {
-        "n": n,
-        "loss_rate": LOSSY_RATE,
-        "rounds_timed": rounds,
-        "kernel_rounds_per_sec": round(kernel, 1),
-        "fast_rounds_per_sec": round(fast, 1),
-        "kernel_speedup": round(kernel / fast, 3),
-    }
+    return _row(*_kernel_vs_reference(n, rounds, loss_rate=LOSSY_RATE),
+                n=n, loss_rate=LOSSY_RATE, rounds_timed=rounds)
 
 
 #: The KLO gate row: N, rounds timed and best-of reps.
@@ -168,17 +160,11 @@ KLO_REPS = 5
 
 
 def klo_comparison(n=KLO_N, rounds=KLO_ROUNDS):
-    """Kernel-vs-fast rounds/sec of KLO k-committee counting at *n*."""
-    kernel, fast = _kernel_vs_fast(n, rounds, reps=KLO_REPS, cell=_klo_cell)
-    return {
-        "n": n,
-        "nodes": "klo_count",
-        "schedule": "lowdiam_handoff_T2",
-        "rounds_timed": rounds,
-        "kernel_rounds_per_sec": round(kernel, 1),
-        "fast_rounds_per_sec": round(fast, 1),
-        "kernel_speedup": round(kernel / fast, 3),
-    }
+    """Kernel-vs-reference rounds/sec of KLO k-committee counting at *n*."""
+    return _row(*_kernel_vs_reference(n, rounds, reps=KLO_REPS,
+                                      cell=_klo_cell),
+                n=n, nodes="klo_count", schedule="lowdiam_handoff_T2",
+                rounds_timed=rounds)
 
 
 def _dump(rows, path, mode, lossy, klo):
@@ -192,27 +178,21 @@ def _dump(rows, path, mode, lossy, klo):
 
 
 def _print_rows(rows, lossy, klo):
-    for row in rows:
-        print(f"  N={row['n']}: kernel {row['kernel_rounds_per_sec']:.0f} "
-              f"r/s, fast {row['fast_rounds_per_sec']:.0f} r/s, reference "
-              f"{row['reference_rounds_per_sec']:.0f} r/s "
-              f"(kernel/fast {row['kernel_speedup']:.2f}x, "
-              f"fast/reference {row['fast_speedup']:.2f}x)")
-    print(f"  N={lossy['n']} loss={lossy['loss_rate']}: kernel "
-          f"{lossy['kernel_rounds_per_sec']:.0f} r/s, fast "
-          f"{lossy['fast_rounds_per_sec']:.0f} r/s "
-          f"(kernel/fast {lossy['kernel_speedup']:.2f}x)")
-    print(f"  KLO N={klo['n']}: kernel {klo['kernel_rounds_per_sec']:.0f} "
-          f"r/s, fast {klo['fast_rounds_per_sec']:.0f} r/s "
-          f"(kernel/fast {klo['kernel_speedup']:.2f}x)")
+    labelled = [(f"N={row['n']}", row) for row in rows]
+    labelled.append((f"N={lossy['n']} loss={lossy['loss_rate']}", lossy))
+    labelled.append((f"KLO N={klo['n']}", klo))
+    for label, row in labelled:
+        print(f"  {label}: kernel {row['kernel_rounds_per_sec']:.0f} r/s, "
+              f"reference {row['reference_rounds_per_sec']:.0f} r/s "
+              f"(kernel/reference {row['kernel_speedup']:.2f}x)")
 
 
-#: Acceptance bar: kernel tier over per-node fast path at this N.
+#: Acceptance bar: kernel tier over the reference tier at this N.
 ABSOLUTE_BAR_N = 1024
 ABSOLUTE_BAR = 3.0
 
 #: Lossy acceptance bar: the loss-masked kernels must beat (not merely
-#: match) the per-node fast path under loss at N=1024.
+#: match) the reference tier under loss at N=1024.
 LOSSY_BAR = 1.0
 
 
@@ -220,11 +200,12 @@ def run_smoke(baseline_path=None, out_path=None,
               max_regression: float = 0.25) -> int:
     """Smoke-sized measurement, persisted and gated against the baseline.
 
-    Exit code 0 when (a) every N's kernel/fast ratio, and the KLO
+    Exit code 0 when (a) every N's kernel/reference ratio, and the KLO
     row's, is within *max_regression* of the committed baseline's, (b)
-    the absolute kernel/fast speedup at N=1024 clears the 3x acceptance
-    bar, and (c) the lossy kernel/fast ratio at N=1024 stays above 1.0
-    — the loss-masked kernels must beat the per-node fast path outright.
+    the absolute kernel/reference speedup at N=1024 clears the 3x
+    acceptance bar, and (c) the lossy kernel/reference ratio at N=1024
+    stays above 1.0 — the loss-masked kernels must beat the reference
+    tier outright.
     """
     baseline_path = baseline_path or os.path.join(
         RESULTS_DIR, "bench_kernels_baseline.json")
@@ -238,12 +219,12 @@ def run_smoke(baseline_path=None, out_path=None,
     failed = False
     bar_row = next(r for r in rows if r["n"] == ABSOLUTE_BAR_N)
     if bar_row["kernel_speedup"] < ABSOLUTE_BAR:
-        print(f"  N={ABSOLUTE_BAR_N}: kernel/fast "
+        print(f"  N={ABSOLUTE_BAR_N}: kernel/reference "
               f"{bar_row['kernel_speedup']:.2f}x is below the absolute "
               f"{ABSOLUTE_BAR:.1f}x acceptance bar -> REGRESSED")
         failed = True
     if lossy["kernel_speedup"] <= LOSSY_BAR:
-        print(f"  N={LOSSY_N} loss={LOSSY_RATE}: kernel/fast "
+        print(f"  N={LOSSY_N} loss={LOSSY_RATE}: kernel/reference "
               f"{lossy['kernel_speedup']:.2f}x does not clear the "
               f"{LOSSY_BAR:.1f}x lossy bar -> REGRESSED")
         failed = True
@@ -259,7 +240,7 @@ def run_smoke(baseline_path=None, out_path=None,
                 continue
             floor = (1.0 - max_regression) * base["kernel_speedup"]
             ok = row["kernel_speedup"] >= floor
-            print(f"  {label}: kernel/fast {row['kernel_speedup']:.2f}x "
+            print(f"  {label}: kernel/reference {row['kernel_speedup']:.2f}x "
                   f"vs baseline {base['kernel_speedup']:.2f}x "
                   f"(floor {floor:.2f}x) -> {'ok' if ok else 'REGRESSED'}")
             failed = failed or not ok

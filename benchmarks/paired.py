@@ -1,4 +1,4 @@
-"""Interleaved speedup measurement shared by the smoke gates.
+"""Interleaved speedup measurement for the smoke gate.
 
 A speedup read from one measurement of each engine tier moves with
 whatever else the machine does between the two.  Measuring the tiers

@@ -38,8 +38,8 @@ class FloodToken(Algorithm):
 
     The microscope used to *measure* flooding: seeded nodes start
     ``informed``; every informed node broadcasts the token every round; a
-    node decides (value ``True``) the round it becomes informed.  The
-    public ``informed`` attribute is what
+    node decides (value ``True``) the round it becomes informed.  Its
+    ``progress`` (1.0 once informed) is what
     :class:`~repro.dynamics.adaptive.PathHiderAdversary` throttles.
 
     This node never halts on its own — run it with ``until="decided"``.
@@ -52,6 +52,11 @@ class FloodToken(Algorithm):
         self.informed = bool(informed)
         if self.informed:
             self.decide(True)
+
+    @property
+    def progress(self) -> float:
+        """1.0 once informed, else 0.0."""
+        return float(self.informed)
 
     def compose(self, ctx: RoundContext) -> Any:
         return True if self.informed else None

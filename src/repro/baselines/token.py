@@ -26,6 +26,8 @@ from __future__ import annotations
 from bisect import insort
 from typing import Any, List, Optional
 
+import numpy as np
+
 from .._validate import require_positive_int
 from ..simnet.batch import TokenBatchKernel
 from ..simnet.message import NodeId
@@ -57,9 +59,9 @@ class RandomTokenDissemination(Algorithm):
         self._sorted_tokens = [self.node_id]
 
     @property
-    def progress(self) -> int:
+    def progress(self) -> float:
         """Distinct tokens known (adaptive adversaries sort by this)."""
-        return len(self.tokens)
+        return float(len(self.tokens))
 
     def compose(self, ctx: RoundContext) -> Any:
         known = self._sorted_tokens
@@ -89,11 +91,11 @@ class RandomTokenDissemination(Algorithm):
         return TokenBatchKernel.build(nodes)
 
 
-def dissemination_complete(nodes: List[RandomTokenDissemination],
-                           universe_size: int) -> bool:
-    """Oracle predicate: every node knows every one of the ``N`` tokens.
+def dissemination_complete(round_index: int, progress: np.ndarray) -> bool:
+    """Stop predicate: every node knows every one of the ``N`` tokens.
 
     Pass as ``stop_when`` to :meth:`repro.simnet.engine.Simulator.run`
-    (wrapped over the simulator) to measure pure dissemination time.
+    to measure pure dissemination time; *progress* is the engine's
+    progress vector, one token count per node.
     """
-    return all(len(node.tokens) >= universe_size for node in nodes)
+    return bool(progress.min() >= len(progress))

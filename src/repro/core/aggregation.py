@@ -209,17 +209,6 @@ class AggregateNode(Algorithm):
 
     # -- hooks for subclasses -------------------------------------------------
 
-    @property
-    def progress(self) -> float:
-        """Scalar progress measure for adaptive adversaries to throttle.
-
-        Defaults to 0; subclasses with a natural notion (e.g. heard-set
-        size) override it so
-        :class:`~repro.dynamics.adaptive.CutThrottleAdversary` can sort on
-        it.
-        """
-        return 0.0
-
     def make_contribution(self, rng: np.random.Generator) -> Any:
         """The node's own input as an aggregate state."""
         raise NotImplementedError

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..simnet.batch import IdSetBatchKernel, aggregate_batch_kernel
+from ..simnet.batch import (HeardSetBatchKernel, IdSetBatchKernel,
+                            aggregate_batch_kernel)
 from ..simnet.message import NodeId
 from .aggregation import (
     AggregateNode,
@@ -74,7 +75,7 @@ class ExactCount(AggregateNode):
         """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
         if cls is not ExactCount:
             return None
-        return aggregate_batch_kernel(IdSetBatchKernel.build, nodes,
+        return aggregate_batch_kernel(HeardSetBatchKernel.build, nodes,
                                       known_bound=False)
 
 

@@ -35,6 +35,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from .._validate import require_choice, require_positive_int
+from ..simnet.batch import PipelinedSketchBatchKernel, aggregate_batch_kernel
 from ..simnet.node import Algorithm, RoundContext
 from .sketches import ExponentialCountSketch
 from .termination import QuiescenceController
@@ -129,3 +130,11 @@ class PipelinedApproxCount(Algorithm):
             self.retract()
         elif verdict == "decide" and not self.decided:
             self.decide(self.sketch.estimate(state))
+
+    @classmethod
+    def __batch_kernel__(cls, nodes):
+        """Coordinate-masked min-fold kernel (:mod:`repro.simnet.batch`)."""
+        if cls is not PipelinedApproxCount:
+            return None
+        return aggregate_batch_kernel(PipelinedSketchBatchKernel.build,
+                                      nodes, known_bound=False)

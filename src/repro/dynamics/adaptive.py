@@ -1,23 +1,26 @@
 """Adaptive adversaries.
 
 The abstract's adversary chooses each round's topology "arbitrarily"; an
-*adaptive* adversary does so after inspecting the nodes' current states.
+*adaptive* adversary does so after inspecting the nodes' current
+progress: the engine's per-node progress vector
+(:meth:`repro.simnet.engine.Simulator.progress`), which every engine
+tier serves, so adaptive runs stay on the batch tier.
 These are the instances that realise worst-case lower bounds (e.g. the
 ``Ω(N)`` flooding bound even under per-round topology change), used by the
 evaluation's adversary-robustness table (T2).
 
 Model note.  The engine reveals the round's graph *after* nodes compose
 their messages; an adaptive schedule bound to the engine therefore sees
-node state as of the start of the round (plus any bookkeeping ``compose``
-did), which is the standard "strongly adaptive" adversary of the
-literature.  Adaptive schedules are not replayable pure functions, so they
+node progress as of the start of the round (plus any bookkeeping
+``compose`` did), which is the standard "strongly adaptive" adversary of
+the literature.  Adaptive schedules are not replayable pure functions, so they
 record every round they generate; wrap-free verification is available via
 :meth:`AdaptiveSchedule.to_explicit`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -33,41 +36,49 @@ __all__ = [
 
 
 class AdaptiveSchedule(GraphSchedule):
-    """Base class for adversaries that inspect node state.
+    """Base class for adversaries that inspect node progress.
 
-    Subclasses implement :meth:`decide_edges`, which receives the bound
-    node list (set by the engine through :meth:`bind`).  Every generated
-    round is recorded so the realised schedule can be certified afterwards.
+    Subclasses implement :meth:`decide_edges`, which receives a callable
+    returning the per-node progress vector (set by the engine through
+    :meth:`bind`) and calls it only when it needs the vector.  Every
+    generated round is recorded so the realised schedule can be certified
+    afterwards.
     """
 
     def __init__(self, num_nodes: int, interval: Optional[int] = 1) -> None:
         super().__init__(num_nodes, interval)
-        self._nodes: Optional[Sequence[object]] = None
+        self._progress: Optional[Callable[[], np.ndarray]] = None
         self._recorded: Dict[int, np.ndarray] = {}
 
-    def bind(self, nodes: Sequence[object]) -> None:
-        """Called by the engine with the live node list."""
-        if len(nodes) != self.num_nodes:
+    def bind(self, progress: Callable[[], np.ndarray]) -> None:
+        """Called by the engine with its progress-vector callable."""
+        self._progress = progress
+
+    def _read_progress(self) -> np.ndarray:
+        """The bound progress vector, checked against the node count."""
+        progress = self._progress()
+        if len(progress) != self.num_nodes:
             raise ScheduleError(
-                f"bound {len(nodes)} nodes to an adversary over "
+                f"bound {len(progress)} nodes to an adversary over "
                 f"{self.num_nodes}")
-        self._nodes = nodes
+        return progress
 
     def decide_edges(self, round_index: int,
-                     nodes: Sequence[object]) -> object:
-        """Choose the round's edge set given the live nodes."""
+                     progress: Callable[[], np.ndarray]) -> object:
+        """Choose the round's edge set; *progress* returns the vector."""
         raise NotImplementedError
 
     def edges(self, round_index: int) -> np.ndarray:
         cached = self._recorded.get(round_index)
         if cached is not None:
             return cached
-        if self._nodes is None:
+        if self._progress is None:
             raise ScheduleError(
                 "adaptive schedule queried before being bound to nodes "
                 "(pass it to a Simulator first)")
         out = canonical_edges(
-            self.decide_edges(round_index, self._nodes), self.num_nodes)
+            self.decide_edges(round_index, self._read_progress),
+            self.num_nodes)
         self._recorded[round_index] = out
         return out
 
@@ -97,76 +108,49 @@ class AdaptiveSchedule(GraphSchedule):
         )
 
 
+def _path(order: np.ndarray) -> List[tuple]:
+    """The path visiting the nodes in *order*."""
+    return list(zip(order[:-1].tolist(), order[1:].tolist()))
+
+
 class PathHiderAdversary(AdaptiveSchedule):
     """The classic ``Ω(N)`` flooding adversary (1-interval).
 
-    Each round it sorts the nodes by an *informedness predicate* and
-    arranges them on a path with all informed nodes contiguous at one end:
-    exactly one uninformed node is adjacent to the informed block, so at
-    most one node becomes informed per round, forcing ``Θ(N)`` flooding
-    time even though the graph changes every round.  This is the instance
-    showing that "topology changes arbitrarily" genuinely costs ``Ω(N)``
-    *in the worst case* and why the paper's bounds are parameterised by
-    the dynamic diameter ``d``.
-
-    Parameters
-    ----------
-    num_nodes:
-        Number of nodes.
-    informed:
-        Predicate mapping a node object to "has the information".  The
-        default inspects a boolean ``informed`` attribute (as used by
-        :class:`repro.baselines.flooding.FloodToken` nodes).
+    Each round it arranges the nodes on a path with all *informed* nodes
+    (progress above 0, e.g. :class:`repro.baselines.flooding.FloodToken`
+    nodes holding the token) contiguous at one end, each block in index
+    order: exactly one uninformed node is adjacent to the informed block,
+    so at most one node becomes informed per round, forcing ``Θ(N)``
+    flooding time even though the graph changes every round.  This is the
+    instance showing that "topology changes arbitrarily" genuinely costs
+    ``Ω(N)`` *in the worst case* and why the paper's bounds are
+    parameterised by the dynamic diameter ``d``.
     """
 
-    def __init__(self, num_nodes: int,
-                 informed: Optional[Callable[[object], bool]] = None) -> None:
+    def __init__(self, num_nodes: int) -> None:
         super().__init__(num_nodes, interval=1)
-        self._informed = informed or (
-            lambda node: bool(getattr(node, "informed", False)))
 
     def decide_edges(self, round_index: int,
-                     nodes: Sequence[object]) -> object:
-        order = sorted(range(self.num_nodes),
-                       key=lambda i: (not self._informed(nodes[i]), i))
-        return [(order[i], order[i + 1]) for i in range(self.num_nodes - 1)]
+                     progress: Callable[[], np.ndarray]) -> object:
+        return _path(np.argsort(progress() <= 0, kind="stable"))
 
 
 class CutThrottleAdversary(AdaptiveSchedule):
     """Generalised progress-sorting adversary (1-interval).
 
-    Sorts nodes by a numeric *progress key* (e.g. "how many distinct ids
-    this node has heard") and arranges them on a path in key order, so
+    Sorts nodes by progress (e.g. "how many distinct ids this node has
+    heard"), ties by index, and arranges them on a path in that order, so
     information only crosses between adjacent progress levels — a smooth
     generalisation of :class:`PathHiderAdversary` that also slows
     multi-token and aggregate protocols.
-
-    Parameters
-    ----------
-    num_nodes:
-        Number of nodes.
-    key:
-        Progress key per node object; default reads a numeric ``progress``
-        attribute (0 when absent).
-    descending:
-        Sort direction; the direction only mirrors the path, the throttling
-        effect is identical.
     """
 
-    def __init__(self, num_nodes: int,
-                 key: Optional[Callable[[object], float]] = None,
-                 descending: bool = False) -> None:
+    def __init__(self, num_nodes: int) -> None:
         super().__init__(num_nodes, interval=1)
-        self._key = key or (lambda node: float(getattr(node, "progress", 0.0)))
-        self._descending = bool(descending)
 
     def decide_edges(self, round_index: int,
-                     nodes: Sequence[object]) -> object:
-        keys = [self._key(nodes[i]) for i in range(self.num_nodes)]
-        order = sorted(range(self.num_nodes),
-                       key=lambda i: (keys[i], i),
-                       reverse=self._descending)
-        return [(order[i], order[i + 1]) for i in range(self.num_nodes - 1)]
+                     progress: Callable[[], np.ndarray]) -> object:
+        return _path(np.argsort(progress(), kind="stable"))
 
 
 class WindowedThrottleAdversary(AdaptiveSchedule):
@@ -177,7 +161,7 @@ class WindowedThrottleAdversary(AdaptiveSchedule):
     :class:`CutThrottleAdversary` does), but the T-interval promise only
     lets it commit to a fresh spanning backbone once per ``T``-round
     window.  Construction: at the first round of each window it computes a
-    path over the nodes sorted by the progress key *at that moment*; the
+    path over the nodes sorted by progress *at that moment*; the
     first ``T - 1`` rounds of each window additionally carry the
     **previous** window's path.
 
@@ -196,23 +180,18 @@ class WindowedThrottleAdversary(AdaptiveSchedule):
     the prior-work bounds.
     """
 
-    def __init__(self, num_nodes: int, T: int,
-                 key: Optional[Callable[[object], float]] = None) -> None:
+    def __init__(self, num_nodes: int, T: int) -> None:
         super().__init__(num_nodes, interval=max(1, int(T)))
         if T < 1:
             raise ScheduleError(f"T must be >= 1, got {T}")
         self.T = int(T)
-        self._key = key or (lambda node: float(getattr(node, "progress", 0.0)))
         self._paths: Dict[int, List[tuple]] = {}
 
     def _path_for_window(self, window: int,
-                         nodes: Sequence[object]) -> List[tuple]:
+                         progress: Callable[[], np.ndarray]) -> List[tuple]:
         path = self._paths.get(window)
         if path is None:
-            keys = [self._key(nodes[i]) for i in range(self.num_nodes)]
-            order = sorted(range(self.num_nodes), key=lambda i: (keys[i], i))
-            path = [(order[i], order[i + 1])
-                    for i in range(self.num_nodes - 1)]
+            path = _path(np.argsort(progress(), kind="stable"))
             self._paths[window] = path
             stale = [w for w in self._paths if w < window - 1]
             for w in stale:
@@ -220,10 +199,10 @@ class WindowedThrottleAdversary(AdaptiveSchedule):
         return path
 
     def decide_edges(self, round_index: int,
-                     nodes: Sequence[object]) -> object:
+                     progress: Callable[[], np.ndarray]) -> object:
         w = (round_index - 1) // self.T
         pos = (round_index - 1) % self.T
-        edges = list(self._path_for_window(w, nodes))
+        edges = list(self._path_for_window(w, progress))
         if self.T > 1 and pos < self.T - 1 and w > 0:
             prev = self._paths.get(w - 1)
             if prev is not None:

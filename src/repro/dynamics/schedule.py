@@ -36,7 +36,7 @@ cooperating mechanisms exploit it:
   index.
 
 :meth:`GraphSchedule.adjacency` and :meth:`GraphSchedule.neighbors` are
-both served from this cache; the engine's fast path consumes the CSR form
+both served from this cache; the engine's tiers consume the CSR form
 directly.
 """
 
@@ -69,9 +69,9 @@ class CSRAdjacency:
     """Compressed-sparse-row adjacency of one round's graph.
 
     ``indices[indptr[j]:indptr[j+1]]`` are node ``j``'s neighbour indices
-    in **ascending order** — exactly the order the legacy per-node
-    neighbour lists used, which is what keeps the engine's fast path
-    byte-identical to the reference path.
+    in **ascending order** — the inbox order of the engine's reference
+    tier, which is what keeps the batch tier's loss draws byte-identical
+    to it.
 
     The object also memoizes the derived forms the hot loops want
     (plain-Python neighbour lists and degree lists, per-node ``ndarray``

@@ -151,8 +151,9 @@ class TrialSpec:
         The per-edge message-loss probability, as on
         :class:`~repro.simnet.engine.Simulator`.
     stop_when:
-        Optional name of a stop predicate over the simulator (see
-        ``_STOP_PREDICATES``), e.g. ``"dissemination_complete"``.
+        Optional name of a stop predicate over the round index and the
+        engine's progress vector (see ``_STOP_PREDICATES``), e.g.
+        ``"dissemination_complete"``.
     schedule_seed:
         Seed for the schedule builder when it must differ from the
         trial seed (which still seeds the nodes' ``RngRegistry``);
@@ -242,8 +243,8 @@ class TrialSpec:
         builder = _lookup(_NODES, "nodes", self.nodes)
         return list(builder(schedule, seed, **self.node_params))
 
-    def stop_predicate(self) -> Optional[Callable[[Any], bool]]:
-        """The ``stop_when`` predicate over the simulator, if any."""
+    def stop_predicate(self) -> Optional[Callable[[int, np.ndarray], bool]]:
+        """The ``stop_when`` predicate, if any."""
         if self.stop_when is None:
             return None
         return _STOP_PREDICATES[self.stop_when]
@@ -260,14 +261,15 @@ class TrialSpec:
 # stop predicates (named by TrialSpec.stop_when)
 # --------------------------------------------------------------------------
 
-def _stop_dissemination_complete(sim) -> bool:
+def _stop_dissemination_complete(round_index: int,
+                                 progress: np.ndarray) -> bool:
     """Every node knows every token (pure dissemination time)."""
     from ..baselines.token import dissemination_complete
 
-    return dissemination_complete(sim.nodes, len(sim.nodes))
+    return dissemination_complete(round_index, progress)
 
 
-_STOP_PREDICATES: Dict[str, Callable[[Any], bool]] = {
+_STOP_PREDICATES: Dict[str, Callable[[int, np.ndarray], bool]] = {
     "dissemination_complete": _stop_dissemination_complete,
 }
 

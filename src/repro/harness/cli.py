@@ -74,13 +74,14 @@ def _parser() -> argparse.ArgumentParser:
                         help="collect per-phase engine timings "
                              "(compose/reveal/deliver/drain) plus the "
                              "per-tier dispatch counts (batch kernels / "
-                             "fast / reference) and print an aggregate "
+                             "reference) and print an aggregate "
                              "per experiment and for the whole run")
     parser.add_argument("--engine", default=None, choices=ENGINES,
                         help="engine for every simulator the experiments "
-                             "construct (default: fast, with batch-kernel "
-                             "dispatch; all choices produce identical "
-                             "results; exported as REPRO_ENGINE)")
+                             "construct (default: fast, the batch kernel "
+                             "where the population has one; both choices "
+                             "produce identical results; exported as "
+                             "REPRO_ENGINE)")
     parser.add_argument("--events", default=None, metavar="DIR",
                         help="record schema-validated JSONL event streams "
                              "(one trial-*.jsonl per trial) under DIR and "

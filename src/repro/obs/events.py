@@ -62,7 +62,7 @@ __all__ = [
 #: Version stamped into every serialized event as ``"v"``.  Bump on any
 #: backwards-incompatible field change; :func:`validate_event` rejects
 #: streams from a different major version.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class EventSchemaError(ReproError, ValueError):
@@ -109,8 +109,8 @@ class TrialEvent(Event):
 class RoundEvent(Event):
     """One round completed: the round's broadcast-side totals.
 
-    ``tier`` is the dispatch tier that executed the round (``"batch"``,
-    ``"fast"``, or ``"reference"``); bit totals are this round's deltas,
+    ``tier`` is the dispatch tier that executed the round (``"batch"``
+    or ``"reference"``); bit totals are this round's deltas,
     not cumulative sums.
     """
 
@@ -207,7 +207,6 @@ class SummaryEvent(Event):
     broadcast_bits: int
     delivered_messages: int
     batch_rounds: int = 0
-    fast_rounds: int = 0
     reference_rounds: int = 0
 
 

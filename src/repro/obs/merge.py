@@ -105,7 +105,7 @@ def summarize_streams(paths: List[str]) -> StreamSummary:
                                   spec=event.spec, engine=event.engine)
             elif isinstance(event, SummaryEvent):
                 summary.rounds += event.rounds
-                for tier in ("batch", "fast", "reference"):
+                for tier in ("batch", "reference"):
                     count = getattr(event, f"{tier}_rounds")
                     if count:
                         summary.tier_rounds[tier] = (

@@ -1,15 +1,16 @@
 """The batch tier: struct-of-arrays kernels, CSR segment-reduce delivery.
 
-The engine's per-node fast path (see :mod:`repro.simnet.rounds`)
-still makes one Python ``compose()`` and one ``deliver()`` call per
-active node per round, so for the aggregate-style algorithms the
-*algorithm layer* dominates at large ``N``.  Their per-round updates,
-however, are associative reductions over neighbour payloads — max,
-boolean OR, set union, coordinate-wise min — which evaluate in one shot
-as NumPy segment-reduces over the CSR adjacency the fast engine already
-caches.  The KLO and random token-dissemination baselines fit the same
-mould: phase-structured min-folds, and per-node RNG picks of set bits
-(see the baseline kernels below).
+The engine's reference tier (see :mod:`repro.simnet.rounds`) makes one
+Python ``compose()`` and one ``deliver()`` call per node per round, so
+there the *algorithm layer* dominates at large ``N``.  The per-round
+updates of the aggregate-style algorithms, however, are associative
+reductions over neighbour payloads — max, boolean OR, set union,
+coordinate-wise min — which evaluate in one shot as NumPy
+segment-reduces over the schedule's cached CSR adjacency.  The KLO and
+random token-dissemination baselines fit the same mould:
+phase-structured min-folds, and per-node RNG picks of set bits (see the
+baseline kernels below); so does the bandwidth-limited sketch of
+:mod:`repro.core.pipelining`, a coordinate-masked min-fold.
 
 This module defines the opt-in **batch kernel protocol**:
 
@@ -19,12 +20,15 @@ This module defines the opt-in **batch kernel protocol**:
   exotic state types, subclasses with overridden semantics);
 * the kernel holds the whole population's state as struct-of-arrays
   (values, bitsets, sketch matrices, decided flags, quiescence windows)
-  and implements ``compose``/``deliver`` over the entire active set;
+  and implements ``compose``/``deliver`` over the entire population,
+  plus ``progress`` (the engine's progress vector, which adaptive
+  schedules and ``stop_when`` predicates read);
 * the engine engages the kernel when :func:`repro.simnet.engine.select_tier`
   picks the batch tier for a run; :func:`run_batch_round` reconciles
   decisions/halts/metrics from the arrays, and :func:`deactivate_batch`
   writes the state back into the node objects before anything else can
-  observe them.
+  observe them.  The first halt event retires the kernel, and the
+  reference tier runs the remaining rounds.
 
 Equivalence contract
 --------------------
@@ -32,16 +36,18 @@ A kernel must be *bit-for-bit* equivalent to running the per-node
 ``compose``/``deliver`` fold: same per-round changed flags (quiescence),
 same decide/retract/halt events with the same values, the same payload
 bit costs (:func:`repro.simnet.message.bit_size` of the per-node
-encoding), and the same per-node RNG draws, leaving every stream where
-the per-node path does (see :class:`BatchContext`).  The three-way golden
-grid in ``tests/test_fastpath_equivalence.py`` and the fold-matching
-property tests in ``tests/test_batch_kernels.py`` enforce this.
+encoding), the same per-node RNG draws, leaving every stream where the
+per-node path does (see :class:`BatchContext`), and the same progress
+vector.  The golden grid in ``tests/test_fastpath_equivalence.py``, the
+generated specs of ``tests/test_generated_specs.py`` and the
+fold-matching property tests in ``tests/test_batch_kernels.py``
+enforce this.
 
 The contract covers node state only for rounds that complete.  When a
 round raises :class:`~repro.errors.AlgorithmViolation` (the KLO
 kernel's dissemination check), the tiers agree on the error's wording
 and on the round it is raised in, but not on node state.  The kernel
-raises before the round writes any state; the per-node tiers have by
+raises before the round writes any state; the reference tier has by
 then delivered to, advanced and possibly decided or halted every node
 with a lower index than the raising one.
 
@@ -51,7 +57,7 @@ The batch tier executes lossy runs (``loss_rate > 0``) natively: the
 per-edge Bernoulli keep mask is drawn **vectorised** from the shared
 ``"loss"`` RNG stream and applied by handing every kernel a filtered
 *delivery view* of the round's CSR (:func:`lossy_delivery_view`).  The
-draw order is bit-identical to the per-node engines' — those draw
+draw order is bit-identical to the reference tier's — it draws
 ``rng.random(len(inbox))`` per non-halted receiver in ascending receiver
 order, where each inbox holds exactly the payload-bearing edges of the
 receiver's CSR row in row order; since NumPy's ``Generator.random``
@@ -59,7 +65,7 @@ consumes one state increment per double, one flat draw over the
 concatenated sender-edges reproduces the per-receiver stream exactly.
 Broadcast accounting stays on the *unfiltered* CSR (loss happens at
 delivery; ``delivered_messages`` counts pre-loss degrees, exactly as the
-per-node paths do), and the total dropped count feeds the same
+reference tier does), and the total dropped count feeds the same
 ``messages_lost`` counter.
 
 Segment reduction over CSR
@@ -102,6 +108,8 @@ __all__ = [
     "MaxBatchKernel",
     "IdSetBatchKernel",
     "MinVectorBatchKernel",
+    "PipelinedSketchBatchKernel",
+    "HeardSetBatchKernel",
     "FloodMaxBatchKernel",
     "FloodTokenBatchKernel",
     "FloodBroadcastBatchKernel",
@@ -236,7 +244,7 @@ def lossy_delivery_view(csr: Any, sender_mask: Optional[np.ndarray],
 
     The keep mask is drawn over the *sender-bearing* edges (edges whose
     sender broadcast this round) in CSR row-major order — exactly the
-    concatenation of the per-receiver inboxes the per-node engines draw
+    concatenation of the per-receiver inboxes the reference tier draws
     over, receiver-ascending with in-row inbox order, so the shared
     ``"loss"`` stream is consumed bit-identically.  The returned view's
     rows contain only the kept sender edges; receivers whose inbox was
@@ -282,9 +290,7 @@ class BatchContext:
     ``incr``.  The engine passes its
     :class:`~repro.simnet.rng.NodeStreams`, so ``rngs[i]`` creates node
     *i*'s generator when a kernel first reads it; a kernel that never
-    draws leaves every stream unbuilt.  No per-node ``RoundContext``
-    exists while a kernel is engaged: the fast tier builds those in its
-    first round, after a fall-back.  A kernel must draw the values the
+    draws leaves every stream unbuilt.  A kernel must draw the values the
     per-node path would, and by the time :meth:`BatchKernel.finalize`
     returns every stream must stand where the per-node path leaves it.
     In between a stream may run ahead (see :class:`_BoundedDraws`): no
@@ -320,7 +326,11 @@ class BatchKernel:
     * :meth:`finalize` — write the array state back into the node
       objects (state, controller fields, changed flags), so that after
       the engine leaves batch mode the nodes are indistinguishable from
-      having run the per-node path.
+      having run the per-node path;
+    * :meth:`progress` — every node's ``progress`` as float64, equal to
+      ``[node.progress for node in nodes]`` after finalize; the default
+      serves the base :attr:`~repro.simnet.node.Algorithm.progress`,
+      0.0 everywhere.
 
     The ``decided`` attribute (bool array) must mirror
     ``node._decided`` at all times — the engine's stop conditions read
@@ -328,6 +338,7 @@ class BatchKernel:
     """
 
     decided: np.ndarray
+    n: int
 
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
@@ -340,13 +351,16 @@ class BatchKernel:
     def finalize(self, nodes: Sequence[Any]) -> None:
         raise NotImplementedError
 
+    def progress(self) -> np.ndarray:
+        return np.zeros(self.n)
+
 
 def build_batch_kernel(nodes: Sequence[Any]
                        ) -> Tuple[Optional[BatchKernel], str]:
     """Build a kernel for a homogeneous, eligible node population.
 
     Returns ``(kernel, "")``, or ``(None, reason)`` — and the engine
-    stays on the per-node fast path — when the population is empty or
+    runs the reference tier — when the population is empty or
     heterogeneous, any node has already halted, the class exposes no
     ``__batch_kernel__`` hook, or the hook itself declines (state it
     cannot represent exactly).  *reason* is the clause the engine's
@@ -450,12 +464,13 @@ class _AggregateKernel(BatchKernel):
     ``_bits`` (per-node payload cost), ``_outputs`` (the decide values of
     the nodes at the given indices, computed once per round for all of
     them), and ``_states`` (every node's state to write back, one shared
-    object per distinct immutable state).
+    object per distinct immutable state).  *contributed* says whether
+    the nodes already hold their contributions.
     """
 
     def __init__(self, algs: Sequence[Any],
                  controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int]) -> None:
+                 rounds_bound: Optional[int], contributed: bool) -> None:
         self._algs = list(algs)
         self.n = len(algs)
         self.name = type(algs[0]).name
@@ -464,7 +479,7 @@ class _AggregateKernel(BatchKernel):
         self.decided = np.array([a._decided for a in algs], dtype=bool)
         self.changed_last = np.array([a._state_changed for a in algs],
                                      dtype=bool)
-        self._need_contribution = not algs[0]._contributed
+        self._need_contribution = not contributed
 
     # hooks ------------------------------------------------------------------
     def _contribute(self, ctx: BatchContext) -> None:
@@ -542,7 +557,7 @@ class MaxBatchKernel(_AggregateKernel):
                  controller: Optional[BatchQuiescence],
                  rounds_bound: Optional[int],
                  values: np.ndarray, state: Optional[np.ndarray]) -> None:
-        super().__init__(algs, controller, rounds_bound)
+        super().__init__(algs, controller, rounds_bound, state is not None)
         self._values = values
         self._state = state
 
@@ -598,7 +613,7 @@ class IdSetBatchKernel(_AggregateKernel):
                  controller: Optional[BatchQuiescence],
                  rounds_bound: Optional[int],
                  ids: List[int], rows: Optional[np.ndarray]) -> None:
-        super().__init__(algs, controller, rounds_bound)
+        super().__init__(algs, controller, rounds_bound, rows is not None)
         self._ids = np.array(ids, dtype=np.int64)
         self._rows = rows  # (n, W) uint64, None before contribution
         self._words = (self.n + 63) // 64
@@ -666,6 +681,16 @@ class IdSetBatchKernel(_AggregateKernel):
         return [sets[g] for g in inverse.tolist()]
 
 
+class HeardSetBatchKernel(IdSetBatchKernel):
+    """:class:`IdSetBatchKernel` for nodes whose progress is their
+    heard-set size (:class:`~repro.core.exact_count.ExactCount`)."""
+
+    def progress(self) -> np.ndarray:
+        if self._rows is None:
+            return np.zeros(self.n)
+        return self._counts().astype(np.float64)
+
+
 class MinVectorBatchKernel(_AggregateKernel):
     """Coordinate-wise-minimum kernel for the sketch family (approx Count)."""
 
@@ -673,7 +698,7 @@ class MinVectorBatchKernel(_AggregateKernel):
                  controller: Optional[BatchQuiescence],
                  rounds_bound: Optional[int],
                  width: int, matrix: Optional[np.ndarray]) -> None:
-        super().__init__(algs, controller, rounds_bound)
+        super().__init__(algs, controller, rounds_bound, matrix is not None)
         self.width = width
         self._matrix = matrix  # (n, width) float64, None before contribution
 
@@ -733,6 +758,107 @@ class MinVectorBatchKernel(_AggregateKernel):
         if self._matrix is None:
             return [None] * self.n
         return [row.copy() for row in self._matrix]
+
+
+class PipelinedSketchBatchKernel(MinVectorBatchKernel):
+    """Coordinate-masked min-fold for the words-per-message sketch of
+    :class:`~repro.core.pipelining.PipelinedApproxCount`.
+
+    Each round every node broadcasts the ``(coordinate, value)`` pairs
+    its strategy schedules: under ``"tdm"`` one block of coordinates
+    shared by all nodes; under ``"greedy"`` a shared round-robin block
+    plus each node's most recently improved coordinates (a row-wise
+    stable argsort of ``_last``, the round each coordinate last
+    improved).  An inbox folds in as the coordinate-wise minimum of what
+    the neighbours sent: a segment-min over the senders' rows with the
+    unsent coordinates masked to ``+inf``.  Every node is stabilizing,
+    with the quiescence controller of :class:`_AggregateKernel`.
+    """
+
+    def __init__(self, algs: Sequence[Any], controller: BatchQuiescence,
+                 matrix: Optional[np.ndarray],
+                 last: Optional[np.ndarray]) -> None:
+        first = algs[0]
+        super().__init__(algs, controller, None, first.sketch.width, matrix)
+        self._last = last  # (n, width) int64, None before contribution
+        self._w = first.w
+        self._cycle = first.cycle
+        self._recent = first._recent_share if first.strategy == "greedy" else 0
+        # Payload cost: 8 bits of tuple framing, plus per pair 8 bits of
+        # framing, the coordinate's int bits and a 64-bit float.
+        self._pair_bits = 8 + int_payload_bits(
+            np.arange(self.width, dtype=np.int64)) + 64
+        self._sent = np.empty(0)
+        self._round = 0
+
+    @classmethod
+    def build(cls, algs: Sequence[Any], controller: Optional[BatchQuiescence],
+              rounds_bound: Optional[int]
+              ) -> "Optional[PipelinedSketchBatchKernel]":
+        first = algs[0]
+        shape = (first.sketch.width, first.w, first.strategy, first.cycle,
+                 type(first.sketch))
+        if controller is None or any(
+                (a.sketch.width, a.w, a.strategy, a.cycle, type(a.sketch))
+                != shape for a in algs):
+            return None
+        width = first.sketch.width
+        if all(a.state is None and a._last_update is None for a in algs):
+            return cls(algs, controller, None, None)
+        states = [a.state for a in algs]
+        lasts = [a._last_update for a in algs]
+        if any(not isinstance(x, np.ndarray) or x.shape != (width,)
+               for x in states + lasts):
+            return None
+        return cls(algs, controller, np.array(states, dtype=np.float64),
+                   np.array(lasts, dtype=np.int64))
+
+    def _contribute(self, ctx: BatchContext) -> None:
+        # One draw per node from its private stream, ascending node
+        # order, as each node's first compose draws.
+        rows = [alg.sketch.draw(ctx.rngs[i])
+                for i, alg in enumerate(self._algs)]
+        self._matrix = np.array(rows, dtype=np.float64)
+        self._last = np.zeros(self._matrix.shape, dtype=np.int64)
+
+    def compose(self, ctx: BatchContext
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        if self._need_contribution:
+            self._contribute(ctx)
+            self._need_contribution = False
+        self._round = ctx.round_index
+        block = (ctx.round_index - 1) % self._cycle
+        share = self._w - self._recent
+        lo, hi = block * share, min((block + 1) * share, self.width)
+        sends = np.zeros(self._matrix.shape, dtype=bool)
+        sends[:, lo:hi] = True
+        if self._recent:
+            order = np.argsort(-self._last, axis=1,
+                               kind="stable")[:, :self._w]
+            free = (order < lo) | (order >= hi)
+            rows, picks = np.nonzero(
+                free & (np.cumsum(free, axis=1) <= self._recent))
+            sends[rows, order[rows, picks]] = True
+        self._sent = np.where(sends, self._matrix, np.inf)
+        return None, 8 + sends.astype(np.int64) @ self._pair_bits
+
+    def _merge(self, csr: Any) -> np.ndarray:
+        new = self._matrix.copy()
+        segment_reduce(np.minimum, self._sent[csr.indices], csr.indptr, new)
+        improved = new < self._matrix
+        self._last[improved] = self._round
+        self._matrix = new
+        return improved.any(axis=1)
+
+    def finalize(self, nodes: Sequence[Any]) -> None:
+        changed = self.changed_last.tolist()
+        for i, node in enumerate(nodes):
+            if self._matrix is not None:
+                node.state = self._matrix[i].copy()
+                node._last_update = self._last[i].copy()
+            node._state_changed = changed[i]
+        if self.controller is not None:
+            self.controller.restore([node.controller for node in nodes])
 
 
 def aggregate_batch_kernel(build: Callable[..., Optional[BatchKernel]],
@@ -858,6 +984,9 @@ class FloodTokenBatchKernel(BatchKernel):
         for i, node in enumerate(nodes):
             node.informed = informed[i]
             node._state_changed = changed[i]
+
+    def progress(self) -> np.ndarray:
+        return self._informed.astype(np.float64)
 
 
 class FloodBroadcastBatchKernel(BatchKernel):
@@ -1121,6 +1250,9 @@ class TokenBatchKernel(BatchKernel):
             node._sorted_tokens = known
             node.tokens = set(known)
             node._state_changed = changed[i]
+
+    def progress(self) -> np.ndarray:
+        return self._counts.astype(np.float64)
 
 
 #: KLO round kinds: the three cycle phases, then the two epoch stages.
@@ -1621,8 +1753,8 @@ def engage_batch(sim: Any) -> None:
 def run_batch_round(sim: Any) -> None:
     """One round via the population's batch kernel.
 
-    Equivalent to the fast tier's round observable-for-observable for
-    eligible runs: identical metrics (broadcast sums are commutative and
+    Equivalent to the reference tier's round observable-for-observable
+    for eligible runs: identical metrics (broadcast sums are commutative and
     per-round; decision/counter dicts are order-insensitive), identical
     per-node draws and final stream positions (streams are independent
     across nodes; see :class:`BatchContext`), identical shared
@@ -1643,7 +1775,7 @@ def run_batch_round(sim: Any) -> None:
 
     # Phase 2: reveal + transmission accounting (vectorised).  Loss is a
     # delivery-phase phenomenon: broadcast/delivered tallies count the
-    # unfiltered live degrees, exactly as the per-node paths do.
+    # unfiltered live degrees, exactly as the reference tier does.
     if prof is not None:
         t1 = perf_counter()
         prof["compose"] += t1 - t0
@@ -1670,7 +1802,7 @@ def run_batch_round(sim: Any) -> None:
     # Phase 3: deliver (one segment-reduce over the CSR).  Under loss
     # the kernel folds a filtered delivery view instead of the round's
     # graph; the per-edge keep mask consumes the shared loss stream
-    # bit-identically to the per-node engines.
+    # bit-identically to the reference tier.
     if prof is not None:
         t1 = perf_counter()
         prof["reveal"] += t1 - t0
@@ -1704,7 +1836,6 @@ def run_batch_round(sim: Any) -> None:
                 elif kind == "retract":
                     metrics.on_retraction(node_id)
     halted_any = False
-    halted_mask = sim._halted_mask
     for kind, i, value in events:
         node = nodes[i]
         if kind == "decide":
@@ -1717,17 +1848,13 @@ def run_batch_round(sim: Any) -> None:
             metrics.on_retraction(node.node_id)
         else:  # halt
             node._halted = True
-            halted_mask[i] = True
             halted_any = True
     if prof is not None:
         prof["drain"] += perf_counter() - t0
 
     if halted_any:
-        sim._any_halted = True
-        sim._active = [
-            i for i in sim._active if not halted_mask[i]]
         # The kernels assume every node is alive; fall back to the
-        # persistent per-node tier for whatever rounds remain.
+        # reference tier for whatever rounds remain.
         deactivate_batch(sim)
 
     sim._quiescent_streak = (
@@ -1739,7 +1866,7 @@ def deactivate_batch(sim: Any) -> None:
     """Leave batch mode, restoring full per-node state (idempotent)."""
     if sim._tier != "batch":
         return
-    sim._tier = sim.engine
+    sim._tier = "reference"
     kernel = sim._batch_kernel
     sim._batch_kernel = None
     sim._batch_ctx = None
@@ -1747,7 +1874,7 @@ def deactivate_batch(sim: Any) -> None:
     sim._batch_pending = None
     if pending:
         # Never replayed (zero batch rounds ran): hand the events
-        # back to the per-node drain.
+        # back to the reference tier's drain.
         for i, events in pending:
             node = sim.nodes[i]
             node._events = events + node._events

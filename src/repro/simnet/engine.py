@@ -24,48 +24,52 @@ Stop conditions
   appropriate for *stabilizing* algorithms whose decisions may be
   tentatively wrong and later retracted (see
   :mod:`repro.core.termination` for why this matters in this model);
-* a user predicate (``stop_when``);
+* a user predicate (``stop_when(round_index, progress)``, see
+  :meth:`Simulator.progress`);
 * the round budget ``max_rounds`` (raising
   :class:`~repro.errors.NotTerminatedError` unless ``allow_timeout``).
 
 Engines
 -------
-Rounds execute on one of three **tiers**, all producing **identical**
+Rounds execute on one of two **tiers**, both producing **identical**
 :class:`RunResult`\\ s (golden-equivalence tested across topologies ×
-algorithms × loss rates); :func:`select_tier` picks one when ``run()``
-starts and reports why it passed over the others:
+algorithms × loss rates, and on generated specs); :func:`select_tier`
+picks one when ``run()`` starts and reports why it passed over the
+other:
 
 * **batch** — when every node is an instance of one algorithm class
   exposing the ``__batch_kernel__`` hook (see :mod:`repro.simnet.batch`),
   whole rounds execute as NumPy segment-reduces over the CSR adjacency,
   with decisions/halts/metrics reconciled from the arrays.  Message loss
   is handled natively via a vectorised per-edge Bernoulli delivery view.
-  A ``stop_when`` predicate, an adaptive (``bind``) schedule or an
-  already halted node keep the run on the fast tier, and the first halt
-  event retires the kernel to the fast tier for the remaining rounds.
-* **fast** — the per-node loop of :func:`repro.simnet.rounds.run_fast_round`:
-  it consumes the schedule's interval-aware CSR adjacency (see
-  :meth:`repro.dynamics.GraphSchedule.adjacency`), tracks the non-halted
-  *active set* incrementally so per-round work is ``O(active)``, reuses
-  one :class:`RoundContext` per active node (built by the first
-  fast-tier round), and fuses accounting, delivery and draining into
-  one pass.  ``engine="fast-nobatch"`` runs this tier
-  with the batch kernels disabled.
+  The first halt event retires the kernel to the reference tier for the
+  remaining rounds.
 * **reference** — the straightforward per-node loops of
-  :func:`repro.simnet.rounds.run_reference_round`, kept as the
-  executable specification the other tiers are tested against.  Only
-  ``engine="reference"`` selects this tier.
+  :func:`repro.simnet.rounds.run_reference_round`, the executable
+  specification the batch tier is tested against.  It runs populations
+  without a kernel or with an already halted node, the rounds after a
+  kernel retires, and everything under ``engine="reference"``.
 
-``Simulator(engine=...)`` accepts ``"fast"`` (the default),
-``"fast-nobatch"`` and ``"reference"``; ``engine=None`` reads the
-``REPRO_ENGINE`` environment variable, falling back to ``"fast"``.
+``Simulator(engine=...)`` accepts ``"fast"`` (the default: the
+population's batch kernel, else the reference loop) and
+``"reference"``; ``engine=None`` reads the ``REPRO_ENGINE`` environment
+variable, falling back to ``"fast"``.
+
+Progress vector
+---------------
+:meth:`Simulator.progress` is every node's
+:attr:`~repro.simnet.node.Algorithm.progress` as one float array,
+served by the batch kernel while one is engaged and read from the node
+objects otherwise.  Adaptive schedules ``bind`` to it, and ``stop_when``
+predicates receive it, so neither reads node objects and neither keeps
+a run off the batch tier.
 
 Private coins
 -------------
 Node *i*'s stream is ``rng.for_node("node", id_i)``, created the first
 time anything reads it (:class:`~repro.simnet.rng.NodeStreams`): a
-per-node round, a batch kernel that draws (``BatchContext.rngs[i]``), or
-a test.  Of the batch kernels only the sketch (approximate Count) and
+reference round, a batch kernel that draws (``BatchContext.rngs[i]``),
+or a test.  Of the batch kernels only the sketch (approximate Count) and
 token kernels draw, so a batch-tier run of any other kernel builds no
 generator and no :class:`RoundContext`.
 
@@ -86,10 +90,9 @@ in :attr:`Simulator.phase_seconds`, next to the per-tier round counts of
 :class:`RunResult`; :func:`repro.harness.runner.run_trial` copies both
 into ``phase.*`` / ``engine.*`` row columns when profiling.  Profiling
 does not change the code path.  ``reveal`` times the ``adjacency(r)``
-call on the fast tier, and the graph lookup plus transmission
-accounting on the reference tier.  Both per-node tiers drain decision
-events inside the delivery pass, so ``deliver`` includes draining and
-``drain`` reads 0.0; only the batch tier times ``drain`` separately.
+call plus transmission accounting.  The reference tier drains decision
+events inside the delivery pass, so there ``deliver`` includes draining
+and ``drain`` reads 0.0; only the batch tier times ``drain`` separately.
 
 Observability
 -------------
@@ -122,9 +125,9 @@ from .batch import (build_batch_kernel, deactivate_batch, engage_batch,
                     run_batch_round)
 from .message import bit_size
 from .metrics import MetricsCollector, RunMetrics
-from .node import Algorithm, RoundContext
+from .node import Algorithm
 from .rng import NodeStreams, RngRegistry
-from .rounds import run_fast_round, run_reference_round
+from .rounds import run_reference_round
 
 if TYPE_CHECKING:
     from ..dynamics.schedule import GraphSchedule
@@ -137,14 +140,16 @@ PHASES = ("compose", "reveal", "deliver", "drain")
 
 #: Every name ``Simulator(engine=...)``, ``REPRO_ENGINE`` and the CLIs'
 #: ``--engine`` accept.
-ENGINES = ("fast", "fast-nobatch", "reference")
+ENGINES = ("fast", "reference")
 
 #: The round function of each tier, in preference order.
 _ROUNDS: Dict[str, Callable[["Simulator"], None]] = {
     "batch": run_batch_round,
-    "fast": run_fast_round,
     "reference": run_reference_round,
 }
+
+#: ``stop_when(round_index, progress)``: whether to stop after the round.
+StopPredicate = Callable[[int, np.ndarray], bool]
 
 _PROFILE_DEFAULT = False
 
@@ -159,39 +164,26 @@ def engine_default() -> str:
     return os.environ.get("REPRO_ENGINE", "") or "fast"
 
 
-def select_tier(sim: "Simulator",
-                stop_when: Optional[Callable[["Simulator"], bool]] = None
-                ) -> Tuple[str, List[Tuple[str, str]]]:
-    """The tier a ``sim.run(stop_when=...)`` call executes on.
+def select_tier(sim: "Simulator") -> Tuple[str, List[Tuple[str, str]]]:
+    """The tier a ``sim.run()`` call executes on.
 
     Returns ``(tier, declined)``: *declined* holds one ``(tier, reason)``
-    entry per tier passed over.  The rules, in order:
+    entry when the batch tier was passed over.  The rules, in order:
 
     * **reference** when ``engine="reference"``;
-    * **batch** when the engine is not ``"fast-nobatch"``, there is no
-      *stop_when*, the schedule has no ``bind``, no node is halted, and
-      :func:`~repro.simnet.batch.build_batch_kernel` builds the
-      population's kernel (left in ``sim._batch_kernel`` for ``run()``
-      to engage);
-    * **fast** otherwise.
+    * **batch** when :func:`~repro.simnet.batch.build_batch_kernel`
+      builds the population's kernel (left in ``sim._batch_kernel`` for
+      ``run()`` to engage);
+    * **reference** otherwise, with the builder's reason.
     """
     if sim.engine == "reference":
         reason = "engine='reference'"
-        return "reference", [("batch", reason), ("fast", reason)]
-    if sim._requested_engine == "fast-nobatch":
-        reason = "batch kernels disabled"
-    elif stop_when is not None:
-        reason = "stop_when predicate inspects run state"
-    elif getattr(sim.schedule, "bind", None) is not None:
-        reason = "adaptive schedule binds node state"
-    elif sim._any_halted:
-        reason = "population already contains halted nodes"
     else:
         kernel, reason = build_batch_kernel(sim.nodes)
         if kernel is not None:
             sim._batch_kernel = kernel
             return "batch", []
-    return "fast", [("batch", reason)]
+    return "reference", [("batch", reason)]
 
 
 def set_profile_default(enabled: bool) -> None:
@@ -250,8 +242,8 @@ class Simulator:
     ----------
     schedule:
         The dynamic-graph schedule (see :mod:`repro.dynamics`); it must
-        expose ``adjacency(r)``, the CSR view the fast and batch tiers
-        read.
+        expose ``adjacency(r)``, the CSR view both tiers read.  An
+        adaptive schedule's ``bind`` receives :meth:`Simulator.progress`.
     nodes:
         One :class:`Algorithm` per schedule index, in index order.  Node
         *ids* may be arbitrary distinct ints; node *indices* (their
@@ -269,12 +261,10 @@ class Simulator:
         the stabilizing core remains eventually correct as long as
         information keeps flowing.
     engine:
-        ``"fast"``, ``"fast-nobatch"``, or ``"reference"``; see the
-        module docstring.  All produce identical results —
-        ``"reference"`` exists as the executable specification and for
-        debugging, ``"fast-nobatch"`` is the fast path with batch-kernel
-        dispatch disabled.  ``None`` (default) resolves to
-        :func:`engine_default`.
+        ``"fast"`` or ``"reference"``; see the module docstring.  Both
+        produce identical results — ``"reference"`` exists as the
+        executable specification and for debugging.  ``None`` (default)
+        resolves to :func:`engine_default`.
     recorder:
         Optional :class:`repro.obs.Recorder` receiving the structured
         event stream (see the module docstring).  ``None`` (default)
@@ -324,45 +314,31 @@ class Simulator:
         # read one.
         self._node_rngs = NodeStreams(self.rng, "node", ids)
         self._quiescent_streak = 0
-        n = len(self.nodes)
         # Payload objects repeat across rounds once protocols converge
         # (see AggregateNode's encode cache); memoize their bit cost by
         # identity, keeping a strong ref so the id stays valid.  Bounded
         # by evicting the oldest quarter, so converged-payload entries
         # survive cache pressure.
         self._bits_cache: Dict[int, Tuple[Any, int]] = {}
-        self._bits_cache_cap = max(64, 4 * n)
+        self._bits_cache_cap = max(64, 4 * len(self.nodes))
         #: Wall-clock seconds per phase (:data:`PHASES`) when profiling
         #: (see :func:`set_profile_default`), else ``None``; the round
         #: loops add to it in place.
         self.phase_seconds: Optional[Dict[str, float]] = (
             {name: 0.0 for name in PHASES} if _PROFILE_DEFAULT else None)
-        # Fast-path state: one reusable context per active node, built by
-        # the first fast-tier round (None until then), the ascending
-        # active (non-halted) index list maintained incrementally, the
-        # halted mask consumed by the vectorised live-degree computation,
-        # and reusable payload/sendable scratch.
-        self._contexts: Optional[List[Optional[RoundContext]]] = None
-        self._halted_mask = np.array([node._halted for node in self.nodes],
-                                     dtype=bool)
-        self._any_halted = bool(self._halted_mask.any())
-        self._active: List[int] = np.flatnonzero(~self._halted_mask).tolist()
-        self._payloads: List[Any] = [None] * n
-        self._sendable: List[bool] = [False] * n
-        # Adaptive schedules inspect node state; give them the node list.
-        bind = getattr(schedule, "bind", None)
-        if bind is not None:
-            bind(self.nodes)
-        self._requested_engine = engine
-        #: The persistent tier, fixed here: ``"fast"`` or ``"reference"``
-        #: (see :func:`select_tier`).  The batch tier engages on top of
-        #: the fast tier during run().
-        self.engine = "reference" if engine == "reference" else "fast"
-        #: The tier the next round executes on.
-        self._tier = self.engine
+        #: The requested engine, ``"fast"`` or ``"reference"`` (see
+        #: :func:`select_tier`).
+        self.engine = engine
+        #: The tier the next round executes on: ``"batch"`` while a
+        #: kernel is engaged during run(), else ``"reference"``.
+        self._tier = "reference"
         self._batch_kernel: Optional[Any] = None
         self._batch_ctx: Optional[Any] = None
         self._batch_pending: Optional[List[Tuple[int, List[tuple]]]] = None
+        # Adaptive schedules read the progress vector, never node objects.
+        bind = getattr(schedule, "bind", None)
+        if bind is not None:
+            bind(self.progress)
         #: Rounds executed per tier: telemetry, never measured data.
         #: Profiled trials report it as ``engine.*`` row columns.
         self.tier_rounds: Dict[str, int] = {tier: 0 for tier in _ROUNDS}
@@ -388,7 +364,7 @@ class Simulator:
             if adj_stats is not None:
                 self._adj_stats_base = dict(adj_stats)
             # Misses are counted where bit_size runs (_payload_bits);
-            # hits are derived per per-node-tier round in _step_recorded.
+            # hits are derived per reference round in _step_recorded.
             self._bits_stats = {"hits": 0, "misses": 0}
 
     # -- payload costing -----------------------------------------------------
@@ -414,6 +390,18 @@ class Simulator:
         cache[id(payload)] = (payload, bits)
         return bits
 
+    # -- progress ------------------------------------------------------------
+
+    def progress(self) -> np.ndarray:
+        """Every node's :attr:`~repro.simnet.node.Algorithm.progress`, in
+        node-index order, as float64: what adaptive schedules sort on
+        and ``stop_when`` predicates receive.  The engaged batch kernel
+        serves it from its arrays; otherwise the node objects do."""
+        if self._tier == "batch":
+            return self._batch_kernel.progress()
+        return np.array([node.progress for node in self.nodes],
+                        dtype=np.float64)
+
     # -- single round --------------------------------------------------------
 
     def step(self) -> None:
@@ -437,9 +425,9 @@ class Simulator:
         metric sums, so the events hold regardless of tier), per-node
         :class:`~repro.obs.events.DecisionEvent` lifecycle changes
         (diffed from the decision/halt state, which is how one
-        implementation covers all three tiers), and a mid-run
+        implementation covers both tiers), and a mid-run
         :class:`~repro.obs.events.EngineTierEvent` when the batch kernel
-        falls back to the per-node path.  On the per-node tiers every
+        falls back to the reference tier.  On the reference tier every
         broadcast looks its payload up in the bit-size memo, so the
         round's memo hits are its broadcasts minus the misses
         :meth:`_payload_bits` counted.
@@ -526,17 +514,14 @@ class Simulator:
     # -- stop-condition helpers ----------------------------------------------
 
     def _all_halted(self) -> bool:
-        if self.engine == "fast":
-            return not self._active
-        return all(node.halted for node in self.nodes)
+        if self._tier == "batch":
+            return False  # the first halt event retires the kernel
+        return all(node._halted for node in self.nodes)
 
     def _all_decided_or_halted(self) -> bool:
         if self._tier == "batch":
             return bool(self._batch_kernel.decided.all())
-        if self.engine == "fast":
-            nodes = self.nodes
-            return all(nodes[i]._decided for i in self._active)
-        return all(node.decided or node.halted for node in self.nodes)
+        return all(node._decided or node._halted for node in self.nodes)
 
     # -- full run --------------------------------------------------------------
 
@@ -545,31 +530,29 @@ class Simulator:
         max_rounds: int,
         until: str = "halted",
         quiescence_window: int = 1,
-        stop_when: Optional[Callable[["Simulator"], bool]] = None,
+        stop_when: Optional[StopPredicate] = None,
         allow_timeout: bool = False,
     ) -> RunResult:
         """Execute rounds until a stop condition fires.
 
         See the module docstring for the semantics of each *until* value.
+        *stop_when* is called after every round with the round index and
+        :meth:`progress`.
         """
         require_positive_int(max_rounds, "max_rounds")
         require_choice(until, "until", ("halted", "decided", "quiescent"))
         require_positive_int(quiescence_window, "quiescence_window")
 
         stop_reason = "max_rounds"
-        tier, declined = select_tier(self, stop_when)
+        tier, declined = select_tier(self)
         if tier == "batch":
             engage_batch(self)
-        else:
-            self._tier = tier
         rec = self.recorder
         if rec is not None:
             if tier == "batch":
                 reason = "population batch kernel engaged"
             else:
-                # Order-preserving dedup: the reference rules decline
-                # both faster tiers with the same clause.
-                reason = "; ".join(dict.fromkeys(r for _, r in declined))
+                reason = declined[0][1]
             rec.emit(obs_events.EngineTierEvent(
                 round=self.round_index, tier=tier, action="select",
                 reason=reason,
@@ -578,7 +561,8 @@ class Simulator:
         try:
             while self.round_index < max_rounds:
                 self.step()
-                if stop_when is not None and stop_when(self):
+                if (stop_when is not None
+                        and stop_when(self.round_index, self.progress())):
                     stop_reason = "predicate"
                     break
                 if until == "halted":
@@ -608,9 +592,8 @@ class Simulator:
                 rounds=self.round_index, stop_reason=stop_reason,
                 broadcast_bits=self.metrics.broadcast_bits,
                 delivered_messages=self.metrics.delivered_messages,
-                batch_rounds=tiers.get("batch", 0),
-                fast_rounds=tiers.get("fast", 0),
-                reference_rounds=tiers.get("reference", 0)))
+                batch_rounds=tiers["batch"],
+                reference_rounds=tiers["reference"]))
 
         if stop_reason == "max_rounds" and not allow_timeout:
             undecided = tuple(

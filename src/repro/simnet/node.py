@@ -53,10 +53,7 @@ class RoundContext:
 
     Lifetime contract
     -----------------
-    The engine's fast path keeps **one context per active node** (built
-    by its first round) and rewrites ``round_index`` in place each
-    round (the reference path allocates fresh ones; both are observably
-    identical).  Nodes must therefore
+    The reference tier allocates a fresh context per call.  Nodes must
     treat the context as valid only for the duration of the current
     ``compose``/``deliver`` call and never retain it across rounds.
     """
@@ -151,6 +148,18 @@ class Algorithm:
     def halted(self) -> bool:
         """Whether the node has permanently stopped."""
         return self._halted
+
+    @property
+    def progress(self) -> float:
+        """Scalar progress measure: what adaptive adversaries sort on and
+        ``stop_when`` predicates read, through
+        :meth:`repro.simnet.engine.Simulator.progress`.
+
+        0.0 unless a subclass has a natural notion (heard-set size, tokens
+        known, informed); a class with a batch kernel overrides it
+        together with the kernel's ``progress``.
+        """
+        return 0.0
 
     # -- quiescence (used by the engine's ``until='quiescent'`` stop rule) --
 

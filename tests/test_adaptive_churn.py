@@ -42,17 +42,21 @@ class TestPathHider:
 
     def test_bind_size_mismatch(self):
         adv = PathHiderAdversary(5)
+        adv.bind(lambda: np.zeros(3))
         with pytest.raises(ScheduleError, match="bound 3 nodes"):
-            adv.bind([object()] * 3)
+            adv.edges(1)
 
     def test_custom_predicate(self):
+        """Informed means progress above 0: the informed nodes (3 and 7)
+        lead the path, then the rest, each block in index order."""
         n = 10
-        adv = PathHiderAdversary(n, informed=lambda node: node.node_id == 0)
-        nodes = [FloodToken(i, informed=(i == 0)) for i in range(n)]
-        Simulator(adv, nodes).run(max_rounds=n, until="decided",
-                                  allow_timeout=True)
-        # predicate never changes -> path ordering stays keyed on id 0
-        assert adv.edges(1).shape == (n - 1, 2)
+        adv = PathHiderAdversary(n)
+        progress = np.zeros(n)
+        progress[[3, 7]] = [0.5, 2.0]
+        adv.bind(lambda: progress)
+        order = [3, 7, 0, 1, 2, 4, 5, 6, 8, 9]
+        assert adv.edges(1).tolist() == sorted(
+            sorted(pair) for pair in zip(order, order[1:]))
 
 
 class TestCutThrottle:
@@ -67,7 +71,7 @@ class TestCutThrottle:
                 sim = Simulator(factory(n), nodes, rng=RngRegistry(seed))
                 res = sim.run(
                     max_rounds=50_000,
-                    stop_when=lambda s: dissemination_complete(s.nodes, n),
+                    stop_when=dissemination_complete,
                     allow_timeout=True)
                 rounds.append(res.rounds)
             return float(np.mean(rounds))
@@ -78,13 +82,6 @@ class TestCutThrottle:
         friendly = run(lambda n_: FreshSpanningAdversary(n_, seed=0))
         assert throttled > 1.5 * friendly
 
-    def test_descending_mirror(self):
-        n = 8
-        adv = CutThrottleAdversary(n, key=lambda node: 0.0, descending=True)
-        adv.bind([object()] * n)
-        edges = adv.edges(1)
-        assert len(edges) == n - 1
-
 
 class TestWindowedThrottle:
     @pytest.mark.parametrize("T", [1, 2, 4])
@@ -94,7 +91,7 @@ class TestWindowedThrottle:
         nodes = [RandomTokenDissemination(i) for i in range(n)]
         sim = Simulator(adv, nodes, rng=RngRegistry(1))
         res = sim.run(max_rounds=5000,
-                      stop_when=lambda s: dissemination_complete(s.nodes, n),
+                      stop_when=dissemination_complete,
                       allow_timeout=True)
         ok, bad = verify_t_interval_connectivity(
             adv.to_explicit(), T, horizon=res.rounds, raise_on_failure=False)
@@ -103,7 +100,7 @@ class TestWindowedThrottle:
     def test_path_stable_within_window(self):
         n = 10
         adv = WindowedThrottleAdversary(n, 4)
-        adv.bind([type("S", (), {"progress": float(i)})() for i in range(n)])
+        adv.bind(lambda: np.arange(n, dtype=float))
         # within one window the backbone part is identical
         e1 = {tuple(e) for e in adv.edges(1)}
         e2 = {tuple(e) for e in adv.edges(2)}

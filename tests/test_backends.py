@@ -11,12 +11,12 @@ Covers:
    the same reasons, and that the recorded run is bit-identical to the
    unrecorded one.
 
-2. **Engine names**: exactly ``fast``, ``fast-nobatch`` and
-   ``reference`` are accepted, from the argument or ``REPRO_ENGINE``.
+2. **Engine names**: exactly ``fast`` and ``reference`` are accepted,
+   from the argument or ``REPRO_ENGINE``.
 
-3. **The fast tier under observation**: profiling and recording run
-   the same fused round loop, with the same results and the same
-   payload bit-size memo counters as the reference loops.
+3. **The default engine under observation**: profiling and recording
+   run the same tier round, with the same results, and on the reference
+   tier the same payload bit-size memo counters as ``engine="reference"``.
 
 4. **Telemetry-column normalization**: recorded rows carry ``obs.*`` /
    ``cache.*`` counters, and the executor's result cache
@@ -43,14 +43,15 @@ SCENARIOS = ("plain", "loss", "stop_when", "mixed", "adaptive",
              "pre_halted")
 
 #: Why each scenario keeps the run off the batch tier (None = it does
-#: not).  Only ``engine="reference"`` selects the reference tier.
+#: not).  Stop predicates and adaptive schedules read the progress
+#: vector, which the batch kernels serve.
 _BATCH_REASON = {
     "plain": None,
     "loss": None,  # the batch tier executes lossy runs natively
-    "stop_when": "stop_when predicate inspects run state",
+    "stop_when": None,
     "mixed": ("heterogeneous population "
               "(ExactCountKnownBound + ExactCount)"),
-    "adaptive": "adaptive schedule binds node state",
+    "adaptive": None,
     "pre_halted": "population already contains halted nodes",
 }
 
@@ -85,7 +86,7 @@ def _sim(scenario, engine, seed=7, recorder=None):
 
 
 def _stop_when(scenario):
-    return (lambda s: False) if scenario == "stop_when" else None
+    return (lambda r, progress: False) if scenario == "stop_when" else None
 
 
 def _run(sim, scenario):
@@ -101,13 +102,10 @@ def _run_scenario(scenario, engine, seed=7, recorder=None):
 def _expected(scenario, engine):
     """``(tier, declined)`` the selection table prescribes."""
     if engine == "reference":
-        reason = "engine='reference'"
-        return "reference", [("batch", reason), ("fast", reason)]
-    if engine == "fast-nobatch":
-        return "fast", [("batch", "batch kernels disabled")]
+        return "reference", [("batch", "engine='reference'")]
     if _BATCH_REASON[scenario] is None:
         return "batch", []
-    return "fast", [("batch", _BATCH_REASON[scenario])]
+    return "reference", [("batch", _BATCH_REASON[scenario])]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -116,13 +114,13 @@ def test_fallback_matrix(scenario, engine):
     tier, declined = _expected(scenario, engine)
     recorder = Recorder.in_memory()
     sim = _sim(scenario, engine, recorder=recorder)
-    assert sim.engine == ("fast" if tier != "reference" else "reference")
-    assert select_tier(sim, _stop_when(scenario)) == (tier, declined)
+    assert sim.engine == engine
+    assert select_tier(sim) == (tier, declined)
     recorded = _run(sim, scenario)
 
     # 1. The selected tier executed every round; the others none.
     assert sim.tier_rounds[tier] == recorded.rounds
-    for other in ("batch", "fast", "reference"):
+    for other in ("batch", "reference"):
         if other != tier:
             assert sim.tier_rounds[other] == 0, (
                 f"{scenario}/{engine}: unexpected {other} rounds")
@@ -154,11 +152,10 @@ def test_tiers_agree_across_fallback_matrix(scenario):
     """Whatever tier the selection picks, results are bit-identical."""
     results = {engine: _run_scenario(scenario, engine)[1]
                for engine in ENGINES}
-    ref = results["reference"]
-    for engine in ("fast", "fast-nobatch"):
-        assert results[engine].outputs == ref.outputs
-        assert results[engine].rounds == ref.rounds
-        assert results[engine].metrics == ref.metrics
+    ref, fast = results["reference"], results["fast"]
+    assert fast.outputs == ref.outputs
+    assert fast.rounds == ref.rounds
+    assert fast.metrics == ref.metrics
 
 
 # --------------------------------------------------------------------------
@@ -187,8 +184,18 @@ def test_unknown_repro_engine_raises_at_construction(monkeypatch):
         _sim("plain", None)
 
 
+def test_retired_fast_nobatch_engine_names_the_choices(monkeypatch):
+    """Only "fast" and "reference" name engines; any other value, the
+    retired "fast-nobatch" included, is refused with both choices."""
+    assert ENGINES == ("fast", "reference")
+    monkeypatch.setenv("REPRO_ENGINE", "fast-nobatch")
+    with pytest.raises(ConfigurationError,
+                       match="REPRO_ENGINE.*'fast'.*'reference'"):
+        _sim("plain", None)
+
+
 # --------------------------------------------------------------------------
-# the fast tier's one round loop under profiling and recording
+# the default engine's tier round under profiling and recording
 # --------------------------------------------------------------------------
 
 def _payload_bits_counters(recorder):
@@ -199,27 +206,35 @@ def _payload_bits_counters(recorder):
 
 @pytest.mark.parametrize("scenario", ["plain", "loss", "pre_halted"])
 def test_fast_tier_observed_runs_match_plain_runs(scenario):
-    _, plain = _run_scenario(scenario, "fast-nobatch")
+    """Under the default engine ``"fast"`` (the batch tier for plain and
+    lossy runs, the reference tier for a pre-halted population),
+    profiling and recording leave the tier and the results alone."""
+    tier = "reference" if scenario == "pre_halted" else "batch"
+    _, plain = _run_scenario(scenario, "fast")
 
     with profiling():
-        profiled_sim = _sim(scenario, "fast-nobatch")
+        profiled_sim = _sim(scenario, "fast")
     profiled = _run(profiled_sim, scenario)
-    assert profiled_sim.tier_rounds["fast"] == profiled.rounds
-    assert profiled_sim.phase_seconds["drain"] == 0.0
+    assert profiled_sim.tier_rounds[tier] == profiled.rounds
     assert profiled.metrics == plain.metrics
 
     recorder = Recorder.in_memory()
-    recorded_sim = _sim(scenario, "fast-nobatch", recorder=recorder)
+    recorded_sim = _sim(scenario, "fast", recorder=recorder)
     recorded = _run(recorded_sim, scenario)
-    assert recorded_sim.tier_rounds["fast"] == recorded.rounds
+    assert recorded_sim.tier_rounds[tier] == recorded.rounds
     assert recorded.metrics == plain.metrics
     assert recorded.outputs == plain.outputs
 
-    # The bit-size memo sees the same lookups on the fused loop as on
-    # the reference loops' per-sender calls.
+    hits, misses = _payload_bits_counters(recorder)
+    if tier == "batch":
+        # Kernels cost payloads from their arrays, never through the memo.
+        assert (hits, misses) == (0, 0)
+        return
+    # On the reference tier every broadcast goes through the memo, as
+    # under engine="reference".
+    assert profiled_sim.phase_seconds["drain"] == 0.0
     reference_recorder = Recorder.in_memory()
     _run_scenario(scenario, "reference", recorder=reference_recorder)
-    hits, misses = _payload_bits_counters(recorder)
     assert misses > 0 and hits > 0
     assert (hits, misses) == _payload_bits_counters(reference_recorder)
     assert hits + misses == plain.metrics.broadcasts

@@ -136,7 +136,7 @@ class TestRandomTokenDissemination:
         nodes = [RandomTokenDissemination(i) for i in range(n)]
         sim = Simulator(sched, nodes, rng=RngRegistry(5))
         result = sim.run(max_rounds=5000,
-                         stop_when=lambda s: dissemination_complete(s.nodes, n),
+                         stop_when=dissemination_complete,
                          allow_timeout=True)
         assert result.stop_reason == "predicate"
         assert all(len(node.tokens) == n for node in nodes)

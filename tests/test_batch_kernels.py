@@ -33,6 +33,7 @@ from repro.baselines.token import RandomTokenDissemination
 from repro.core.approx_count import ApproxCount, ApproxCountKnownBound
 from repro.core.exact_count import ExactCount, ExactCountKnownBound
 from repro.core.max_compute import MaxKnownBound, SublinearMax
+from repro.core.pipelining import PipelinedApproxCount
 from repro.core.termination import QuiescenceController
 from repro.dynamics import ExplicitSchedule
 from repro.errors import AlgorithmViolation
@@ -293,6 +294,13 @@ KERNEL_POPULATIONS = [
         FloodBroadcast(i, rounds_bound=BOUND_ROUNDS,
                        payload=("tok", i) if i < 2 else None)
         for i in range(n)]),
+    ("pipelined_approx_count/tdm", lambda n: [
+        PipelinedApproxCount(i, words_per_message=3, width=8)
+        for i in range(n)]),
+    ("pipelined_approx_count/greedy", lambda n: [
+        PipelinedApproxCount(i, words_per_message=5, width=9,
+                             strategy="greedy")
+        for i in range(n)]),
 ]
 
 
@@ -319,9 +327,7 @@ def test_kernel_deliver_matches_per_node_fold(label, factory, seed):
     kernel is bit-identical to the per-node deliver fold."""
     sim_batch, batch = _run(label, factory, seed, "fast")
     assert sim_batch.tier_rounds["batch"] > 0, "kernel never engaged"
-    _, nobatch = _run(label, factory, seed, "fast-nobatch")
     _, ref = _run(label, factory, seed, "reference")
-    assert batch == nobatch
     assert batch == ref
 
 
@@ -337,19 +343,19 @@ def test_fold_matches_with_all_halted_neighbours(seed):
                 for i in range(n)]
 
     results = {}
-    for engine in ("fast", "fast-nobatch", "reference"):
+    for engine in ("fast", "reference"):
         sim, results[engine] = _run("flood_max_staggered", factory, seed,
                                     engine)
         if engine == "fast":
             assert sim.tier_rounds["batch"] == 0  # non-uniform bound
-    assert results["fast"] == results["fast-nobatch"] == results["reference"]
+    assert results["fast"] == results["reference"]
 
 
 @pytest.mark.parametrize("label,factory", KERNEL_POPULATIONS[:6],
                          ids=[label for label, _ in KERNEL_POPULATIONS[:6]])
 def test_finalize_restores_node_state_across_split_runs(label, factory):
     """Stopping a batch run and resuming it (two ``run()`` calls) must
-    equal one uninterrupted per-node run: ``finalize`` has to write the
+    equal one reference run split alike: ``finalize`` has to write the
     kernel arrays back into the node objects verbatim at every exit."""
     seed = 5
     n = 10
@@ -364,7 +370,7 @@ def test_finalize_restores_node_state_across_split_runs(label, factory):
     sim_split.run(max_rounds=7, until="halted", allow_timeout=True)
     split = sim_split.run(max_rounds=60, until="halted", allow_timeout=True)
 
-    sim_whole = fresh("fast-nobatch")
+    sim_whole = fresh("reference")
     sim_whole.run(max_rounds=7, until="halted", allow_timeout=True)
     whole = sim_whole.run(max_rounds=60, until="halted", allow_timeout=True)
 
@@ -510,7 +516,7 @@ def test_klo_kernel_declines_mixed_guess_parameters(params):
     assert sim.tier_rounds["batch"] == 0
     (select,) = [e for e in recorder.of_kind("engine_tier")
                  if e.action == "select"]
-    assert select.tier == "fast"
+    assert select.tier == "reference"
     assert select.declined == [{"tier": "batch", "reason": reason}]
 
 
@@ -565,7 +571,7 @@ def test_klo_tiers_agree_through_split_epoch_positions(k, variant,
                                                        monkeypatch):
     """Clean nodes disseminate while polluted ones restart: the batch
     kernel holds two epoch groups from the end of verification on, and
-    agrees with both per-node tiers on the result or the violation's
+    agrees with the reference tier on the result or the violation's
     wording and round, and on every node's final ``(k, epoch round)``.
 
     A violation interrupts the per-node fold mid-round, after the nodes
@@ -600,8 +606,7 @@ def test_klo_tiers_agree_through_split_epoch_positions(k, variant,
         return outcome, sim.round_index, positions
 
     batch = run("fast")
-    for engine in ("fast-nobatch", "reference"):
-        assert run(engine) == batch, engine
+    assert run("reference") == batch
     outcome = batch[0]
     if variant == "halts":
         assert outcome.outputs == {5: 2, 42: 2, 79: 1}
@@ -627,7 +632,7 @@ def test_klo_tiers_agree_through_split_epoch_positions(k, variant,
 def test_baseline_kernels_resume_split_runs(factory, cut):
     """A batch run cut after *cut* rounds and resumed (the second
     ``run()`` re-imports the state ``finalize`` wrote back, mid-epoch for
-    KLO) equals one uninterrupted per-node run."""
+    KLO) equals the reference tier's run split alike."""
     from repro.dynamics import OverlapHandoffAdversary
 
     n = 9
@@ -640,14 +645,14 @@ def test_baseline_kernels_resume_split_runs(factory, cut):
                             allow_timeout=True)
 
     split_sim, split = run("fast")
-    _, whole = run("fast-nobatch")
+    _, whole = run("reference")
     assert split_sim.tier_rounds["batch"] == split.rounds
     assert split == whole
 
 
 def test_token_tiers_agree_after_direct_token_updates():
     """Tokens added straight to ``tokens`` (as adaptive adversaries and
-    tests do) are forwarded alike by the per-node and batch tiers, which
+    tests do) are forwarded alike by the reference and batch tiers, which
     leave every node's RNG stream in the same state."""
     from repro.dynamics import OverlapHandoffAdversary
 
@@ -667,8 +672,7 @@ def test_token_tiers_agree_after_direct_token_updates():
 
     batch_sim, *batch = run("fast")
     assert batch_sim.tier_rounds["batch"] == batch[0].rounds
-    for engine in ("fast-nobatch", "reference"):
-        assert run(engine)[1:] == tuple(batch)
+    assert run("reference")[1:] == tuple(batch)
 
 
 #: Bounds with no rejections (1 takes no word at all, 2 and 2**32 are
@@ -728,8 +732,8 @@ def _node_streams_built(sim):
                  "halted", id="klo_count"),
 ])
 def test_non_drawing_batch_runs_build_no_streams_or_contexts(factory, until):
-    """Kernels that never draw leave every node stream and round context
-    unbuilt, while the per-node tier builds one of each per node."""
+    """Kernels that never draw leave every node stream unbuilt (and build
+    no round context), while the reference tier builds every stream."""
     from repro.dynamics import OverlapHandoffAdversary
 
     n = 12
@@ -744,17 +748,15 @@ def test_non_drawing_batch_runs_build_no_streams_or_contexts(factory, until):
     assert batch_sim.tier_rounds["batch"] == batch.rounds
     assert set(batch.outputs.values()) == {n}
     assert _node_streams_built(batch_sim) == 0
-    assert batch_sim._contexts is None
-    per_node_sim, per_node = run("fast-nobatch")
+    per_node_sim, per_node = run("reference")
     assert per_node == batch
     assert _node_streams_built(per_node_sim) == n
-    assert all(ctx is not None for ctx in per_node_sim._contexts)
 
 
 def _klo_fallback_run(engine):
     """The split KLO epoch of :func:`_klo_split_rounds`: the clean
     committee halts mid-run while the restarted nodes go on, so the batch
-    tier hands the rest of the run to the fast tier."""
+    tier hands the rest of the run to the reference tier."""
     rounds = _klo_split_rounds(1, "halts")
     nodes = [KCommitteeCount(i) for i in _scattered_ids(6)]
     sim = Simulator(ExplicitSchedule(6, rounds, interval=None), nodes,
@@ -779,9 +781,9 @@ def _approx_fallback_run(engine):
                          ids=["klo_split", "approx_known_bound"])
 def test_runs_leaving_the_batch_tier_match_per_node_tiers(run):
     """A halt retires the kernel (``deactivate_batch``); the run still
-    equals the per-node tiers', and every node's stream ends in the same
-    state, whether it was built by a kernel's draw, by the fast tier's
-    first round, or only now by reading it."""
+    equals the reference tier's, and every node's stream ends in the same
+    state, whether it was built by a kernel's draw, by a reference round
+    after the fall-back, or only now by reading it."""
     def outcome(engine):
         sim, result = run(engine)
         states = [rng.bit_generator.state for rng in sim._node_rngs]
@@ -789,14 +791,10 @@ def test_runs_leaving_the_batch_tier_match_per_node_tiers(run):
 
     batch_sim, batch = outcome("fast")
     assert batch_sim.tier_rounds["batch"] > 0
-    assert batch_sim._tier == "fast"  # the kernel retired
-    for engine in ("fast-nobatch", "reference"):
-        assert outcome(engine)[1] == batch, engine
+    assert batch_sim._tier == "reference"  # the kernel retired
+    assert outcome("reference")[1] == batch
     if run is _klo_fallback_run:
-        assert batch_sim.tier_rounds["fast"] > 0  # left mid-run
-        # Contexts only for the nodes still active at the fall-back.
-        built = [ctx is not None for ctx in batch_sim._contexts]
-        assert 0 < sum(built) < len(built)
+        assert batch_sim.tier_rounds["reference"] > 0  # left mid-run
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3, 60])
@@ -816,7 +814,7 @@ def test_idset_write_back_matches_per_node_frozensets(cut):
 
     batch_sim, batch = run("fast")
     assert batch_sim.tier_rounds["batch"] > 0
-    _, per_node = run("fast-nobatch")
+    _, per_node = run("reference")
     for mine, theirs in zip(batch, per_node):
         assert type(mine.state) is frozenset
         assert mine.state == theirs.state
@@ -847,7 +845,7 @@ def test_sketch_decide_values_estimate_once_per_distinct_row(monkeypatch):
         sim = Simulator(schedule, nodes, rng=RngRegistry(4), engine=engine)
         return sim.run(max_rounds=120, until="halted")
 
-    per_node = run("fast-nobatch")
+    per_node = run("reference")
     monkeypatch.setattr(ExponentialCountSketch, "estimate",
                         counting_estimate)
     batch = run("fast")
@@ -858,8 +856,66 @@ def test_sketch_decide_values_estimate_once_per_distinct_row(monkeypatch):
 
 def test_mixed_sketch_families_stay_per_node():
     """The decide values use one sketch's ``estimate``, so a population
-    mixing sketch families is left to the per-node tiers."""
+    mixing sketch families is left to the reference tier."""
     nodes = [ApproxCount(i, width=8, family="geometric" if i else
                          "exponential") for i in range(4)]
     kernel, reason = build_batch_kernel(nodes)
     assert kernel is None and "declined" in reason
+
+
+# --------------------------------------------------------------------------
+# the progress vector
+# --------------------------------------------------------------------------
+
+PROGRESS_POPULATIONS = [
+    pytest.param(lambda n: [ExactCount(i) for i in _scattered_ids(n)],
+                 "quiescent", True, id="exact_count"),
+    pytest.param(lambda n: [ExactCountKnownBound(i, BOUND_ROUNDS)
+                            for i in _scattered_ids(n)],
+                 "halted", False, id="exact_count_known_bound"),
+    pytest.param(lambda n: [RandomTokenDissemination(i, target_count=n)
+                            for i in _scattered_ids(n)],
+                 "decided", True, id="token"),
+    pytest.param(lambda n: [FloodToken(i, informed=(i == 3))
+                            for i in range(n)],
+                 "decided", True, id="flood_token"),
+] + [
+    pytest.param(lambda n, s=strategy: [
+        PipelinedApproxCount(i, words_per_message=3, width=8, strategy=s)
+        for i in range(n)],
+        "quiescent", False, id=f"pipelined_approx_count/{strategy}")
+    for strategy in ("tdm", "greedy")
+]
+
+
+@pytest.mark.parametrize("factory,until,moves", PROGRESS_POPULATIONS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_progress_equals_node_progress(factory, until, moves, seed):
+    """After every round the engaged kernel's ``progress()`` (what
+    ``stop_when`` receives on the batch tier) equals
+    ``[node.progress for node in nodes]`` (what it receives on the
+    reference tier): heard-set size for ExactCount, 0.0 for
+    ExactCountKnownBound, token counts, informed flags."""
+    n = 10
+
+    def run(engine):
+        seen = []
+
+        def record(round_index, progress):
+            seen.append((round_index, progress.tolist()))
+            return False
+
+        schedule = ExplicitSchedule(n, _random_rounds(seed, n), cycle=True,
+                                    interval=None)
+        sim = Simulator(schedule, factory(n), rng=RngRegistry(seed),
+                        engine=engine)
+        result = sim.run(max_rounds=60, until=until, quiescence_window=8,
+                         stop_when=record, allow_timeout=True)
+        return sim, result, seen
+
+    batch_sim, batch, batch_seen = run("fast")
+    assert batch_sim.tier_rounds["batch"] == batch.rounds
+    _, reference, reference_seen = run("reference")
+    assert batch == reference
+    assert batch_seen == reference_seen
+    assert any(any(row) for _, row in batch_seen) == moves

@@ -138,7 +138,7 @@ class TestStopConditions:
 
         nodes = [Forever(i) for i in range(2)]
         result = Simulator(make_pair_schedule(), nodes).run(
-            max_rounds=100, stop_when=lambda sim: sim.round_index >= 7,
+            max_rounds=100, stop_when=lambda r, progress: r >= 7,
             allow_timeout=True)
         assert result.stop_reason == "predicate"
         assert result.rounds == 7

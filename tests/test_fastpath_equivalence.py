@@ -1,18 +1,19 @@
-"""Golden equivalence: every engine tier is observably identical to the
+"""Golden equivalence: the batch tier is observably identical to the
 reference engine.
 
-The engine has **three** tiers, one round loop each, and
+The engine has **two** tiers, one round loop each, and
 :func:`repro.simnet.engine.select_tier` picks one per run: batch
 kernels (:mod:`repro.simnet.batch`; ``engine="fast"``, the default,
-when the population provides one), the per-node fast path
-(:func:`repro.simnet.rounds.run_fast_round`; ``engine="fast-nobatch"``),
-and the reference loops (:func:`repro.simnet.rounds.run_reference_round`;
-``engine="reference"``).  All three must produce **byte-identical**
-results across topologies × algorithms × loss rates: same outputs, same
-round counts, same stop reason, same metric counters, the same RNG
-consumption, and the same recorded decision event streams.  These tests are the contract
-that lets every experiment run on the fastest available tier while the
-reference loops remain the executable specification.
+when the population provides one) and the reference loop
+(:func:`repro.simnet.rounds.run_reference_round`; every other run, and
+``engine="reference"``).  Both must produce **byte-identical** results
+across topologies × algorithms × loss rates: same outputs, same round
+counts, same stop reason, same metric counters, the same RNG
+consumption, and the same recorded decision event streams.  These tests
+are the contract that lets every experiment run on the batch tier
+where it can while the reference loop remains the executable
+specification (``tests/test_generated_specs.py`` extends it to
+generated specs).
 
 Also covered here: the CSR adjacency construction itself (against a
 naive reference), the interval-aware cache (object identity across
@@ -50,8 +51,8 @@ from tests.conftest import profiling
 # helpers
 # --------------------------------------------------------------------------
 
-#: All three dispatch tiers, pinned explicitly (never the process default).
-ENGINES = ("fast", "fast-nobatch", "reference")
+#: Both engines, pinned explicitly (never the process default).
+ENGINES = ("fast", "reference")
 
 
 def _run_all(spec: TrialSpec, seed: int):
@@ -184,7 +185,6 @@ def test_fast_matches_reference_under_loss(loss_rate, seed):
         else:
             assert sim.tier_rounds["batch"] == 0
     _assert_run_results_equal(results["fast"], results["reference"])
-    _assert_run_results_equal(results["fast-nobatch"], results["reference"])
     assert results["fast"].metrics.counters.get("messages_lost", 0) > 0
 
 
@@ -203,11 +203,9 @@ def test_decision_event_streams_identical(seed):
         streams[engine] = [(e.round, e.node_id, e.action, e.value)
                            for e in rec.of_kind("decision")]
     # Recording leaves tier selection alone: each engine ran its own tier.
-    assert tiers == {"fast": {"batch"}, "fast-nobatch": {"fast"},
-                     "reference": {"reference"}}
+    assert tiers == {"fast": {"batch"}, "reference": {"reference"}}
     assert any(action == "decide" for _, _, action, _ in streams["reference"])
     assert streams["fast"] == streams["reference"]
-    assert streams["fast-nobatch"] == streams["reference"]
 
 
 def test_schedule_without_adjacency_is_refused():
@@ -240,29 +238,22 @@ def test_batch_tier_engages_on_eligible_run():
     result = sim.run(max_rounds=2000, until="quiescent",
                      quiescence_window=32)
     assert sim.tier_rounds["batch"] == result.rounds
-    assert sim.tier_rounds["fast"] == 0
     assert sim.tier_rounds["reference"] == 0
 
 
-def test_fast_nobatch_disables_batch_tier():
-    sim = _sim(_handoff, 5, engine="fast-nobatch")
-    result = sim.run(max_rounds=2000, until="quiescent",
-                     quiescence_window=32)
-    assert sim.engine == "fast"
-    assert sim.tier_rounds["batch"] == 0
-    assert sim.tier_rounds["fast"] == result.rounds
-
-
-def test_stop_when_predicate_disables_batch_tier():
-    """An oracle stop predicate may inspect per-round node state, so the
-    batch tier stands down — and results still match the reference."""
+def test_stop_when_predicate_keeps_batch_tier():
+    """A stop predicate reads the round index and the progress vector,
+    which the kernel serves, so the batch tier stays engaged — and
+    results still match the reference, predicate stop included."""
     results = {}
     for engine in ENGINES:
         sim = _sim(_handoff, 9, engine=engine)
         results[engine] = sim.run(
             max_rounds=2000, until="quiescent", quiescence_window=32,
-            stop_when=lambda s: False)
-        assert sim.tier_rounds["batch"] == 0
+            stop_when=lambda r, progress: progress.min() >= 12)
+        assert sim.tier_rounds["batch"] == (
+            results[engine].rounds if engine == "fast" else 0)
+    assert results["reference"].stop_reason == "predicate"
     _assert_run_results_equal(results["fast"], results["reference"])
 
 
@@ -282,7 +273,7 @@ def test_mixed_population_disables_batch_tier():
     sim.run(max_rounds=500, until="quiescent", quiescence_window=16,
             allow_timeout=True)
     assert sim.tier_rounds["batch"] == 0
-    assert sim.tier_rounds["fast"] > 0
+    assert sim.tier_rounds["reference"] > 0
 
 
 @pytest.mark.parametrize("seed", [2, 13])
@@ -302,7 +293,6 @@ def test_flood_max_three_way_equivalence(seed):
         if engine == "fast":
             assert sim.tier_rounds["batch"] > 0
     _assert_run_results_equal(results["fast"], results["reference"])
-    _assert_run_results_equal(results["fast-nobatch"], results["reference"])
 
 
 @pytest.mark.parametrize("seed", [2, 13])
@@ -322,7 +312,6 @@ def test_flood_broadcast_three_way_equivalence(seed):
         if engine == "fast":
             assert sim.tier_rounds["batch"] > 0
     _assert_run_results_equal(results["fast"], results["reference"])
-    _assert_run_results_equal(results["fast-nobatch"], results["reference"])
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -335,7 +324,7 @@ def test_engine_stats_only_present_when_profiled(engine, monkeypatch):
                         rng=RngRegistry(4), engine=engine)
         result = sim.run(max_rounds=1000, until="quiescent",
                          quiescence_window=16)
-        assert set(sim.tier_rounds) == {"batch", "fast", "reference"}
+        assert set(sim.tier_rounds) == {"batch", "reference"}
         assert sum(sim.tier_rounds.values()) == result.rounds
         assert not any(k.startswith("engine.")
                        for k in result.metrics.as_dict())
@@ -354,8 +343,7 @@ def test_engine_stats_only_present_when_profiled(engine, monkeypatch):
                    for k in run_trial(spec, 4).as_row())
     with profiling():
         row = run_trial(spec, 4).as_row()
-    tiers = [row[f"engine.{tier}_rounds"]
-             for tier in ("batch", "fast", "reference")]
+    tiers = [row[f"engine.{tier}_rounds"] for tier in ("batch", "reference")]
     assert sum(tiers) == row["rounds"]
 
 
@@ -545,13 +533,12 @@ def test_worker_fold_counts_each_executed_row_once(tmp_path):
     assert warm.executed == 0 and warm.cache_hits == 4
     assert report.rows[4] == report.rows[0]
     telemetry = ({f"phase.{name}_s" for name in PHASES}
-                 | {f"engine.{tier}_rounds"
-                    for tier in ("batch", "fast", "reference")})
+                 | {f"engine.{tier}_rounds" for tier in ("batch", "reference")})
     executed = report.rows[:4]
     for row in executed:
         assert telemetry <= set(row)
         assert sum(row[f"engine.{tier}_rounds"]
-                   for tier in ("batch", "fast", "reference")) == row["rounds"]
+                   for tier in ("batch", "reference")) == row["rounds"]
     assert not any(key.startswith(("phase.", "engine."))
                    for row in warm.rows for key in row)
     assert _render_profile(executed).startswith("[profile] 4 trials: ")
@@ -632,7 +619,7 @@ BASELINE_CELLS = [
 @pytest.mark.parametrize("spec", BASELINE_CELLS)
 def test_baseline_kernels_match_reference(spec, loss_rate):
     """The KLO and token kernels run every round on the batch tier and
-    match the per-node tiers bit for bit, with and without loss."""
+    match the reference tier bit for bit, with and without loss."""
     n = spec.node_params["n"]
     runs = _run_baseline_tiers(spec, 3, loss_rate)
     ref, ref_tiers = runs["reference"]
@@ -641,7 +628,6 @@ def test_baseline_kernels_match_reference(spec, loss_rate):
         _assert_run_results_equal(runs[engine][0], ref)
     batch, tiers = runs["fast"]
     assert tiers["batch"] == batch.rounds
-    assert runs["fast-nobatch"][1]["fast"] == batch.rounds
     assert set(batch.outputs.values()) == {n}
     if loss_rate:
         assert batch.metrics.counters.get("messages_lost", 0) > 0

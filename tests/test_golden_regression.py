@@ -481,9 +481,8 @@ class TestMigratedExperimentGoldens:
         """Engine choice never changes an experiment's rows: tier splits
         are telemetry (``--profile``, ``engine.*`` columns), not data."""
         rows = {}
-        for engine in ("fast", "fast-nobatch", "reference"):
+        for engine in ("fast", "reference"):
             monkeypatch.setenv("REPRO_ENGINE", engine)
             rows[engine] = canonical_json(
                 run_experiments([exp_id], quick=True).results[exp_id].rows)
-        assert rows["fast-nobatch"] == rows["fast"]
         assert rows["reference"] == rows["fast"]

@@ -56,7 +56,7 @@ SAMPLES = [
     DeliveryEvent(round=3, messages=24, bits=1920),
     DecisionEvent(round=4, node_id=2, action="decide", value=8),
     DecisionEvent(round=5, node_id=2, action="retract"),
-    EngineTierEvent(round=0, tier="fast", action="select",
+    EngineTierEvent(round=0, tier="reference", action="select",
                     reason="population has no batch kernel"),
     CacheEvent(round=9, cache="adjacency", hits=7, misses=2,
                detail="span_hits=7 fingerprint_hits=0 evictions=0"),
@@ -118,7 +118,8 @@ def test_rejects_malformed_json():
 
 
 def test_optional_fields_default_on_parse():
-    line = '{"kind":"decision","v":1,"round":1,"node_id":0,"action":"halt"}'
+    line = ('{"kind":"decision","v":%d,"round":1,"node_id":0,'
+            '"action":"halt"}' % SCHEMA_VERSION)
     event = event_from_json(line)
     assert event.value is None
 
@@ -211,8 +212,7 @@ def test_summary_event_matches_run():
     assert summary.rounds == result.rounds
     assert summary.stop_reason == result.stop_reason
     assert summary.broadcast_bits == result.metrics.broadcast_bits
-    tier_total = (summary.batch_rounds + summary.fast_rounds
-                  + summary.reference_rounds)
+    tier_total = summary.batch_rounds + summary.reference_rounds
     assert tier_total == result.rounds
 
 
