@@ -7,13 +7,17 @@ the same cache directory therefore executes only the cells whose
 addresses are missing — edits to a grid, extra seeds, or a crash leave
 all previously measured cells warm.
 
-Writes are atomic (temp file + ``os.replace``) so a killed process never
-leaves a torn entry; a corrupt or unreadable entry is treated as a miss
-and overwritten on the next run.
+Each entry stores its own key and the sha256 of the row's JSON next to
+the row, so an entry filed under the wrong name, edited by hand, or
+written in an older format is a miss rather than a trusted row.  Writes
+are atomic (temp file + ``os.replace``) so a killed process never leaves
+a torn entry; a corrupt, unreadable or unverifiable entry is treated as
+a miss and overwritten on the next run.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -23,6 +27,12 @@ from typing import Any, Dict, Optional
 from .specs import CODE_VERSION_SALT, TrialSpec
 
 __all__ = ["CacheStats", "ResultCache"]
+
+
+def _digest(row: Dict[str, Any]) -> str:
+    """sha256 of the row's JSON as stored (equal again once reloaded)."""
+    text = json.dumps(row, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -70,28 +80,35 @@ class ResultCache:
     # -- access ------------------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached row for *key*, or ``None`` (counted as hit/miss)."""
+        """The cached row for *key*, or ``None`` (counted as hit/miss).
+
+        An entry whose stored key is not *key* or whose row does not
+        match its stored digest is a miss, as is an unreadable one.
+        """
         try:
             with open(self.path(key), "r", encoding="utf-8") as fh:
-                row = json.load(fh)
+                entry = json.load(fh)
         except (OSError, json.JSONDecodeError):
-            self.stats.misses += 1
-            return None
-        if not isinstance(row, dict):
+            entry = None
+        row = entry.get("row") if isinstance(entry, dict) else None
+        if (not isinstance(row, dict) or entry.get("key") != key
+                or entry.get("sha256") != _digest(row)):
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         return row
 
     def put(self, key: str, row: Dict[str, Any]) -> None:
-        """Store *row* under *key* atomically."""
+        """Store *row* under *key* atomically, with the key and the
+        row's digest."""
+        entry = {"key": key, "sha256": _digest(row), "row": row}
         path = self.path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(row, fh, default=str)
+                json.dump(entry, fh, default=str)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -463,9 +463,17 @@ class _AggregateKernel(BatchKernel):
     ``_merge`` (one delivery fold, returns the per-node changed mask),
     ``_bits`` (per-node payload cost), ``_outputs`` (the decide values of
     the nodes at the given indices, computed once per round for all of
-    them), and ``_states`` (every node's state to write back, one shared
-    object per distinct immutable state).  *contributed* says whether
-    the nodes already hold their contributions.
+    them), ``_states`` (every node's state to write back, one shared
+    object per distinct immutable state) and ``_uniform`` (every row
+    equals row 0, byte for byte).  *contributed* says whether the nodes
+    already hold their contributions.
+
+    Identical rows are a fixed point of the idempotent union, min and
+    max folds, whatever the graph or loss mask: once a merge changes no
+    node and every row is identical, the kernel is *converged* and stops
+    merging.  ``deliver`` then returns one shared all-False mask (the
+    controller still observes every round) and ``compose`` the bits
+    computed at convergence.
     """
 
     def __init__(self, algs: Sequence[Any],
@@ -480,6 +488,7 @@ class _AggregateKernel(BatchKernel):
         self.changed_last = np.array([a._state_changed for a in algs],
                                      dtype=bool)
         self._need_contribution = not contributed
+        self._converged = False
 
     # hooks ------------------------------------------------------------------
     def _contribute(self, ctx: BatchContext) -> None:
@@ -497,17 +506,35 @@ class _AggregateKernel(BatchKernel):
     def _states(self) -> List[Any]:
         raise NotImplementedError
 
+    def _uniform(self) -> bool:
+        raise NotImplementedError
+
+    def _converge(self) -> None:
+        """Freeze what a fixed point leaves unchanged, read-only."""
+        self._converged = True
+        self._unchanged = np.zeros(self.n, dtype=bool)
+        self._fixed_bits = self._bits()
+        self._unchanged.flags.writeable = False
+        self._fixed_bits.flags.writeable = False
+
     # protocol ---------------------------------------------------------------
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         if self._need_contribution:
             self._contribute(ctx)
             self._need_contribution = False
+        if self._converged:
+            return None, self._fixed_bits
         return None, self._bits()
 
     def deliver(self, ctx: BatchContext, csr: Any,
                 sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
-        changed = self._merge(csr)
+        if self._converged:
+            changed = self._unchanged
+        else:
+            changed = self._merge(csr)
+            if not changed.any() and self._uniform():
+                self._converge()
         self.changed_last = changed
         events: Events = []
         if self.controller is not None:
@@ -600,6 +627,9 @@ class MaxBatchKernel(_AggregateKernel):
     def _outputs(self, idx: np.ndarray) -> List[int]:
         return self._state[idx].tolist()
 
+    def _uniform(self) -> bool:
+        return bool((self._state == self._state[0]).all())
+
     def _states(self) -> List[Any]:
         if self._state is None:
             return [None] * self.n
@@ -667,6 +697,9 @@ class IdSetBatchKernel(_AggregateKernel):
     def _outputs(self, idx: np.ndarray) -> List[int]:
         return popcount64(self._rows[idx]).sum(axis=1).tolist()
 
+    def _uniform(self) -> bool:
+        return bool((self._rows == self._rows[0]).all())
+
     def _states(self) -> List[Any]:
         if self._rows is None:
             return [None] * self.n
@@ -685,9 +718,16 @@ class HeardSetBatchKernel(IdSetBatchKernel):
     """:class:`IdSetBatchKernel` for nodes whose progress is their
     heard-set size (:class:`~repro.core.exact_count.ExactCount`)."""
 
+    def _converge(self) -> None:
+        super()._converge()
+        self._fixed_progress = self._counts().astype(np.float64)
+        self._fixed_progress.flags.writeable = False
+
     def progress(self) -> np.ndarray:
         if self._rows is None:
             return np.zeros(self.n)
+        if self._converged:
+            return self._fixed_progress
         return self._counts().astype(np.float64)
 
 
@@ -752,6 +792,12 @@ class MinVectorBatchKernel(_AggregateKernel):
         estimate = self._algs[0].sketch.estimate
         values = [estimate(self._matrix[i]) for i in idx[first].tolist()]
         return [values[g] for g in inverse.tolist()]
+
+    def _uniform(self) -> bool:
+        # As uint64, so rows differing only in -0.0/0.0 (or NaN payloads)
+        # are not identical.
+        bits = self._matrix.view(np.uint64)
+        return bool((bits == bits[0]).all())
 
     def _states(self) -> List[Any]:
         # Arrays are mutable: every node gets its own row copy.
@@ -839,7 +885,8 @@ class PipelinedSketchBatchKernel(MinVectorBatchKernel):
             rows, picks = np.nonzero(
                 free & (np.cumsum(free, axis=1) <= self._recent))
             sends[rows, order[rows, picks]] = True
-        self._sent = np.where(sends, self._matrix, np.inf)
+        if not self._converged:  # a converged kernel folds nothing
+            self._sent = np.where(sends, self._matrix, np.inf)
         return None, 8 + sends.astype(np.int64) @ self._pair_bits
 
     def _merge(self, csr: Any) -> np.ndarray:

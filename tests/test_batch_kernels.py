@@ -17,7 +17,9 @@ Three layers of evidence, in increasing integration order:
 
 Also here: the numpy-scalar `bit_size` regression tests (kernels hand
 ``np.int64`` payloads to the accounting layer, which must cost them like
-the equal Python ``int``).
+the equal Python ``int``), and the converged-population tests: the
+aggregate kernels stop merging once every row is identical, and keep
+merging quiet rounds whose rows still differ.
 """
 
 import re
@@ -37,11 +39,18 @@ from repro.core.pipelining import PipelinedApproxCount
 from repro.core.termination import QuiescenceController
 from repro.dynamics import ExplicitSchedule
 from repro.errors import AlgorithmViolation
+from repro.exec.specs import TrialSpec
+from repro.obs import Recorder
 from repro.simnet import RngRegistry, Simulator
 from repro.simnet.batch import (
     BatchContext,
     BatchQuiescence,
+    IdSetBatchKernel,
+    MaxBatchKernel,
+    MinVectorBatchKernel,
+    PipelinedSketchBatchKernel,
     _BoundedDraws,
+    _DeliveryView,
     _distinct_rows,
     build_batch_kernel,
     int_payload_bits,
@@ -502,8 +511,6 @@ def test_klo_kernel_folds_per_round(seed, growth):
 ])
 def test_klo_kernel_declines_mixed_guess_parameters(params):
     from repro.dynamics import StaticAdversary, line_graph
-    from repro.obs import Recorder
-
     n = 6
     nodes = [KCommitteeCount(i, **params[i % 2]) for i in range(n)]
     kernel, reason = build_batch_kernel(nodes)
@@ -861,6 +868,145 @@ def test_mixed_sketch_families_stay_per_node():
                          "exponential") for i in range(4)]
     kernel, reason = build_batch_kernel(nodes)
     assert kernel is None and "declined" in reason
+
+
+# --------------------------------------------------------------------------
+# converged populations stop merging
+# --------------------------------------------------------------------------
+
+#: ``(label, node builder, its params, until)`` for every aggregate
+#: kernel family, run on a population that converges well before the
+#: run ends.
+CONVERGING = [
+    ("exact_count", "exact_count", {}, "quiescent"),
+    ("approx_count", "approx_count", {}, "quiescent"),
+    ("pipelined_approx_count/tdm", "pipelined_approx_count",
+     {"words_per_message": 3, "width": 12, "strategy": "tdm"}, "quiescent"),
+    ("pipelined_approx_count/greedy", "pipelined_approx_count",
+     {"words_per_message": 5, "width": 12, "strategy": "greedy"},
+     "quiescent"),
+    ("sublinear_max_modvalue", "sublinear_max_modvalue", {}, "quiescent"),
+    ("exact_count_known_bound", "exact_count_known_bound",
+     {"rounds_bound": 70}, "halted"),
+    ("approx_count_known_bound", "approx_count_known_bound",
+     {"rounds_bound": 70, "width": 8}, "halted"),
+]
+
+
+def _identical_rows(kernel):
+    """Every state row equals row 0 byte for byte (not via the hook)."""
+    for name in ("_rows", "_matrix", "_state"):
+        rows = getattr(kernel, name, None)
+        if rows is not None:
+            raw = np.ascontiguousarray(rows).view(np.uint8).reshape(
+                len(rows), -1)
+            return bool((raw == raw[0]).all())
+    raise AssertionError("kernel holds no state rows")
+
+
+def _count_merges(monkeypatch):
+    """Patch every kernel's ``_merge`` to log ``(changed any, identical
+    rows after)`` per call; returns the log."""
+    merges = []
+    for cls in (MaxBatchKernel, IdSetBatchKernel, MinVectorBatchKernel,
+                PipelinedSketchBatchKernel):
+        def counting(self, csr, merge=cls.__dict__["_merge"]):
+            changed = merge(self, csr)
+            merges.append((bool(changed.any()), _identical_rows(self)))
+            return changed
+        monkeypatch.setattr(cls, "_merge", counting)
+    return merges
+
+
+def _spec_outcome(spec, seed, engine):
+    """A spec's run under *engine*: the four points the tiers must agree
+    on, and the tier split."""
+    schedule = spec.build_schedule(seed)
+    recorder = Recorder.in_memory()
+    sim = Simulator(schedule, spec.build_nodes(schedule, seed),
+                    rng=RngRegistry(seed), loss_rate=spec.loss_rate,
+                    engine=engine, recorder=recorder)
+    result = sim.run(max_rounds=spec.max_rounds, until=spec.until,
+                     quiescence_window=spec.quiescence_window,
+                     allow_timeout=True)
+    return sim.tier_rounds, {
+        "result": result,
+        "max_broadcast_bits": result.metrics.max_broadcast_bits,
+        "decisions": [(e.round, e.node_id, e.action, repr(e.value))
+                      for e in recorder.of_kind("decision")],
+        "streams": [rng.bit_generator.state for rng in sim._node_rngs],
+    }
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+@pytest.mark.parametrize("label,nodes,params,until", CONVERGING,
+                         ids=[c[0] for c in CONVERGING])
+def test_converged_kernels_stop_merging_and_match_reference(
+        monkeypatch, label, nodes, params, until, loss):
+    """Merges stop at the first merge that changes no node and leaves
+    every row identical; the long quiescent tail after it runs without
+    them and still equals the reference tier on the run's result,
+    ``max_broadcast_bits``, decision streams and node streams."""
+    n = 24
+    spec = TrialSpec(
+        schedule="lowdiam_handoff", schedule_params={"n": n, "T": 2},
+        nodes=nodes, node_params={"n": n, **params}, max_rounds=200,
+        until=until, quiescence_window=40, loss_rate=loss,
+        allow_timeout=True)
+    _, reference = _spec_outcome(spec, 3, "reference")
+    merges = _count_merges(monkeypatch)
+    tiers, batch = _spec_outcome(spec, 3, "fast")
+    assert batch == reference
+    assert tiers["batch"] == batch["result"].rounds
+    converged = merges.index((False, True)) + 1
+    assert len(merges) == converged
+    assert tiers["batch"] - converged >= 30  # the tail merged nothing
+
+
+def test_unequal_rows_keep_merging_after_quiet_rounds(monkeypatch):
+    """Two halves that each converge apart go quiet with unequal rows;
+    the kernel keeps merging, so the rounds that join them still count
+    every node, as on the reference tier."""
+    n, split = 12, 8
+    halves = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if (u < n // 2) == (v < n // 2)]
+    joined = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def run(engine):
+        schedule = ExplicitSchedule(n, [halves] * split + [joined],
+                                    cycle=True, interval=None)
+        sim = Simulator(schedule, [ExactCount(i) for i in range(n)],
+                        rng=RngRegistry(0), engine=engine)
+        return sim.run(max_rounds=60, until="quiescent",
+                       quiescence_window=20, allow_timeout=True)
+
+    reference = run("reference")
+    merges = _count_merges(monkeypatch)
+    assert run("fast") == reference
+    assert set(reference.outputs.values()) == {n}
+    quiet_unequal = merges.index((False, False))
+    assert (True, True) in merges[quiet_unequal:]  # the join still merged
+    assert len(merges) == split + 2
+
+
+def test_signed_zero_rows_are_not_converged():
+    """Rows equal as floats but not as bytes (``-0.0`` against ``0.0``)
+    do not count as identical, so the kernel keeps merging them."""
+    nodes = [ApproxCountKnownBound(i, 50, width=2) for i in range(2)]
+    for node, first in zip(nodes, (0.0, -0.0)):
+        node.state = np.array([first, 1.0])
+        node._contributed = True
+    kernel = build_batch_kernel(nodes)[0]
+    assert type(kernel) is MinVectorBatchKernel
+    ctx = BatchContext(1, [], lambda *args: None)
+    silent = _DeliveryView(np.zeros(0, dtype=np.int64),
+                           np.zeros(3, dtype=np.int64))
+    changed_any, _ = kernel.deliver(ctx, silent, None)
+    assert not changed_any and not kernel._converged
+    kernel._matrix[1, 0] = 0.0
+    kernel.deliver(ctx, silent, None)
+    assert kernel._converged
+    assert not kernel.deliver(ctx, silent, None)[0]
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ Covers the acceptance properties of the subsystem:
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -162,6 +163,48 @@ class TestCacheAndJournal:
         with open(cache.path(key), "w") as fh:
             fh.write("{torn")
         assert cache.get(key) is None
+
+    def test_cache_renamed_entry_is_a_miss(self, tmp_path):
+        # An entry copied under another cell's name keeps its own key.
+        cache = ResultCache(str(tmp_path))
+        key, other = tiny_spec().key(1), tiny_spec().key(2)
+        cache.put(key, {"rounds": 7})
+        os.makedirs(os.path.dirname(cache.path(other)), exist_ok=True)
+        os.replace(cache.path(key), cache.path(other))
+        assert cache.get(other) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+
+    def test_cache_edited_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        key = tiny_spec().key(1)
+        cache.put(key, {"rounds": 7, "correct": True})
+        with open(cache.path(key)) as fh:
+            text = fh.read()
+        with open(cache.path(key), "w") as fh:
+            fh.write(text.replace('"rounds": 7', '"rounds": 3'))
+        assert cache.get(key) is None
+        cache.put(key, {"rounds": 7, "correct": True})
+        assert cache.get(key) == {"rounds": 7, "correct": True}
+
+    def test_cache_bare_row_entry_is_a_miss(self, tmp_path):
+        # Entries written before rows carried their key and digest.
+        cache = ResultCache(str(tmp_path))
+        key = tiny_spec().key(1)
+        cache.put(key, {"rounds": 7})
+        with open(cache.path(key), "w") as fh:
+            json.dump({"rounds": 7}, fh)
+        assert cache.get(key) is None
+
+    def test_cache_digest_survives_json_round_trip(self, tmp_path):
+        # Values JSON stores differently from how they came (tuples,
+        # non-finite floats, objects written as strings) still verify.
+        cache = ResultCache(str(tmp_path))
+        key = tiny_spec().key(1)
+        row = {"outputs": (1, 2), "ratio": float("nan"), "x": -0.0,
+               "inf": float("inf"), "obj": frozenset({3})}
+        cache.put(key, row)
+        got = cache.get(key)
+        assert got is not None and got["outputs"] == [1, 2]
 
 
 class TestExecutor:

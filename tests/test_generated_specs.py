@@ -18,13 +18,16 @@ state is not compared then; see :mod:`repro.simnet.batch`).
 
 Tier 1 runs a derandomized profile of ``REPRO_FUZZ_EXAMPLES`` examples
 (25 by default); ``make fuzz`` runs thousands with fresh randomness, and
-Hypothesis shrinks any failure to a minimal spec.
+Hypothesis shrinks any failure to a minimal spec.  Both also run the
+pinned ``CONVERGED_TAILS`` examples, whose populations converge well
+before the run ends, so the aggregate kernels' merge-free tail is
+always compared.
 """
 
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AlgorithmViolation
@@ -124,6 +127,38 @@ def trial_specs(draw):
     return spec, draw(st.integers(min_value=0, max_value=2 ** 16))
 
 
+def _tail(schedule, schedule_params, nodes, node_params, until, window,
+          loss, seed):
+    """A pinned ``(spec, seed)`` drawn as :func:`trial_specs` draws."""
+    n = schedule_params["n"]
+    return TrialSpec(
+        schedule=schedule, schedule_params=schedule_params, nodes=nodes,
+        node_params={"n": n, **node_params}, max_rounds=60, until=until,
+        quiescence_window=window, loss_rate=loss, allow_timeout=True), seed
+
+
+#: Specs whose populations converge (every row identical) rounds before
+#: the run ends, so the aggregate kernels' merge-free tail always runs:
+#: quiescent stops with windows longer than convergence, loss,
+#: a halting bound, and window growth with retractions first.
+CONVERGED_TAILS = [
+    _tail("lowdiam_handoff", {"n": 12, "T": 2}, "exact_count", {},
+          "quiescent", 20, 0.4, 7),
+    _tail("overlap_handoff", {"n": 10, "T": 3, "noise_edges": 2},
+          "approx_count", {"eps": 0.5, "delta": 0.2}, "quiescent", 8, 0.1, 3),
+    _tail("static", {"n": 9, "topology": "ring"}, "sublinear_max_modvalue",
+          {"mod": 7}, "quiescent", 12, 0.4, 3),
+    _tail("fresh_spanning", {"n": 8, "noise_edges": 1},
+          "pipelined_approx_count",
+          {"words_per_message": 2, "width": 6, "strategy": "greedy"},
+          "quiescent", 12, 0.1, 3),
+    _tail("lowdiam_handoff", {"n": 10, "T": 1}, "approx_count_known_bound",
+          {"rounds_bound": 20, "width": 4}, "halted", 1, 0.4, 3),
+    _tail("static_line", {"n": 12}, "exact_count",
+          {"initial_window": 1, "window_growth": 2}, "quiescent", 8, 0.4, 3),
+]
+
+
 def _outcome(spec, seed, engine):
     """Everything a run under *engine* shows of itself."""
     schedule = spec.build_schedule(seed)
@@ -163,6 +198,39 @@ def test_default_engine_agrees_with_reference(drawn):
         assert fast["streams"] == reference["streams"]
     else:
         assert fast == reference
+
+
+for _drawn in CONVERGED_TAILS:
+    test_default_engine_agrees_with_reference = example(_drawn)(
+        test_default_engine_agrees_with_reference)
+
+
+def test_pinned_tails_converge_before_the_run_ends(monkeypatch):
+    """Each pinned spec reaches the converged path on its kernel, with
+    rounds to spare; the window-growth spec retracts first."""
+    from repro.simnet import batch
+
+    converged_at = []
+    converge = batch._AggregateKernel._converge
+    rounds = []
+    step = Simulator._step_inner
+
+    def counting_step(sim):
+        rounds.append(sim.round_index + 1)
+        step(sim)
+
+    def recording(kernel):
+        converged_at.append(rounds[-1])
+        converge(kernel)
+
+    monkeypatch.setattr(Simulator, "_step_inner", counting_step)
+    monkeypatch.setattr(batch._AggregateKernel, "_converge", recording)
+    for spec, seed in CONVERGED_TAILS:
+        converged_at.clear()
+        result = _outcome(spec, seed, "fast")["result"]
+        assert len(converged_at) == 1, spec
+        assert result.rounds - converged_at[0] >= 5, spec
+    assert result.metrics.counters["retractions"] > 0
 
 
 @pytest.mark.parametrize("nodes", ["token_dissemination", "exact_count",
