@@ -1355,6 +1355,11 @@ class _EpochGroup:
         """Whether this round is round ``k + last`` of phase *code*."""
         return self.kind == code and self.pr == self.k + last
 
+    def phase_ends(self) -> bool:
+        """Whether this round is its phase's last: round ``k - 1`` of a
+        cycle phase, ``k + 1`` of verification or dissemination."""
+        return self.pr == self.k + (1 if self.kind >= _VERIFY else -1)
+
 
 class KCommitteeBatchKernel(BatchKernel):
     """Phase-structured CSR reductions for KLO k-committee counting.
@@ -1391,6 +1396,15 @@ class KCommitteeBatchKernel(BatchKernel):
     other group stands.  Each phase runs masked to the union of the
     groups in it; a phase's messages are read only by receivers in the
     same phase, as in the per-node fold.
+
+    A phase *settles* once its state is a fixed point of its fold
+    whatever the edges and loss mask (see :meth:`_fixed_point`).  After
+    a round that changed no node, with one group (so one phase), the
+    kernel tests for it; until the phase's last round, ``compose`` then
+    returns the round's frozen ``(sends, bits)`` and ``deliver`` folds
+    nothing, returning one shared all-False mask.  The positions still
+    advance every round.  The phase-end round takes the full path, as
+    its end logic writes state; groups split only there.
     """
 
     def __init__(self, algs: Sequence[Any], state: Dict[str, Any]) -> None:
@@ -1411,6 +1425,9 @@ class KCommitteeBatchKernel(BatchKernel):
         self.decided = np.array([a._decided for a in algs], dtype=bool)
         self.changed_last = np.array([a._state_changed for a in algs],
                                      dtype=bool)
+        self._settled: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._unchanged = np.zeros(self.n, dtype=bool)
+        self._unchanged.flags.writeable = False
 
     # -- import / export -----------------------------------------------------
 
@@ -1521,11 +1538,16 @@ class KCommitteeBatchKernel(BatchKernel):
 
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        heads = [group.locate() for group in self._groups]
+        if self._settled is not None:
+            if not self._groups[0].phase_ends():
+                return self._settled
+            self._settled = None
         n = self.n
         head = np.empty(n, dtype=np.int64)
         into: Dict[int, np.ndarray] = {}  # phase code -> nodes in it
-        for group in self._groups:
-            head[group.members] = group.locate()
+        for group, group_head in zip(self._groups, heads):
+            head[group.members] = group_head
             mask = into.get(group.kind)
             into[group.kind] = (group.members if mask is None
                                 else mask | group.members)
@@ -1562,10 +1584,15 @@ class KCommitteeBatchKernel(BatchKernel):
             self._count_msg = np.where(send, self._count, -1)
             sends |= send
             bits = np.where(send, head + int_payload_bits(self._count), bits)
+        self._bits = bits
         return sends, bits
 
     def deliver(self, ctx: BatchContext, csr: Any,
                 sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
+        if self._settled is not None:
+            self._advance()
+            self.changed_last = self._unchanged
+            return False, []
         into = self._into
         changed = np.zeros(self.n, dtype=bool)
         events: Events = []
@@ -1587,7 +1614,37 @@ class KCommitteeBatchKernel(BatchKernel):
             self._verify_round(csr, changed)
         self._advance()
         self.changed_last = changed
-        return bool(changed.any()), events
+        changed_any = bool(changed.any())
+        if (not changed_any and len(self._groups) == 1
+                and self._fixed_point()):
+            self._sends.flags.writeable = False
+            self._bits.flags.writeable = False
+            self._settled = self._sends, self._bits
+        return changed_any, events
+
+    def _fixed_point(self) -> bool:
+        """Whether the one running phase's state is a fixed point of its
+        idempotent min/max fold, for any edges and loss mask: every node
+        sends the same message, which changes no node.
+
+        Called after a round that changed no node, so each node's poll
+        already equals the value it broadcasts (``min(poll, own)`` when
+        uncommitted).  Verification sends the marker or the committee,
+        so all nodes send the same there when all are polluted, or all
+        are clean in one committee.
+        """
+        (code,) = self._into
+        if code == _POLL:
+            state = self._poll
+        elif code == _REQUEST:
+            state = self._req
+        elif code == _GRANT:
+            state = self._grant
+        elif code == _VERIFY:
+            state = np.where(self._polluted, -1, self._committee)
+        else:
+            state = self._count
+        return bool((state == state[0]).all())
 
     def _phase_end(self, code: int, last: int) -> Optional[np.ndarray]:
         """Nodes in phase *code* whose round-within-phase is ``k + last``

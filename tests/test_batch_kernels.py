@@ -19,7 +19,8 @@ Also here: the numpy-scalar `bit_size` regression tests (kernels hand
 ``np.int64`` payloads to the accounting layer, which must cost them like
 the equal Python ``int``), and the converged-population tests: the
 aggregate kernels stop merging once every row is identical, and keep
-merging quiet rounds whose rows still differ.
+merging quiet rounds whose rows still differ; and the settled-phase
+tests: KLO rounds whose phase has reached its fixed point fold nothing.
 """
 
 import re
@@ -30,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.flooding import FloodBroadcast, FloodMax, FloodToken
-from repro.baselines.klo import KCommitteeCount
+from repro.baselines.klo import KCommitteeCount, total_rounds_prediction
 from repro.baselines.token import RandomTokenDissemination
 from repro.core.approx_count import ApproxCount, ApproxCountKnownBound
 from repro.core.exact_count import ExactCount, ExactCountKnownBound
@@ -46,6 +47,7 @@ from repro.simnet.batch import (
     BatchContext,
     BatchQuiescence,
     IdSetBatchKernel,
+    KCommitteeBatchKernel,
     MaxBatchKernel,
     MinVectorBatchKernel,
     PipelinedSketchBatchKernel,
@@ -585,8 +587,6 @@ def test_klo_tiers_agree_through_split_epoch_positions(k, variant,
     before the raising one (index 1 here) have delivered; the kernel
     raises before the round writes any state, so those nodes' positions
     are compared only on runs that end without one."""
-    from repro.simnet.batch import KCommitteeBatchKernel
-
     groups = []
     advance = KCommitteeBatchKernel._advance
 
@@ -918,24 +918,29 @@ def _count_merges(monkeypatch):
     return merges
 
 
-def _spec_outcome(spec, seed, engine):
+def _spec_outcome(spec, seed, engine, node_state=None):
     """A spec's run under *engine*: the four points the tiers must agree
-    on, and the tier split."""
+    on (plus every node's *node_state*, when given), and the tier
+    split."""
     schedule = spec.build_schedule(seed)
+    nodes = spec.build_nodes(schedule, seed)
     recorder = Recorder.in_memory()
-    sim = Simulator(schedule, spec.build_nodes(schedule, seed),
-                    rng=RngRegistry(seed), loss_rate=spec.loss_rate,
-                    engine=engine, recorder=recorder)
+    sim = Simulator(schedule, nodes, rng=RngRegistry(seed),
+                    loss_rate=spec.loss_rate, engine=engine,
+                    recorder=recorder)
     result = sim.run(max_rounds=spec.max_rounds, until=spec.until,
                      quiescence_window=spec.quiescence_window,
                      allow_timeout=True)
-    return sim.tier_rounds, {
+    outcome = {
         "result": result,
         "max_broadcast_bits": result.metrics.max_broadcast_bits,
         "decisions": [(e.round, e.node_id, e.action, repr(e.value))
                       for e in recorder.of_kind("decision")],
         "streams": [rng.bit_generator.state for rng in sim._node_rngs],
     }
+    if node_state is not None:
+        outcome["nodes"] = [node_state(node) for node in nodes]
+    return sim.tier_rounds, outcome
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.3])
@@ -1007,6 +1012,135 @@ def test_signed_zero_rows_are_not_converged():
     kernel.deliver(ctx, silent, None)
     assert kernel._converged
     assert not kernel.deliver(ctx, silent, None)[0]
+
+
+# --------------------------------------------------------------------------
+# settled KLO phases stop folding
+# --------------------------------------------------------------------------
+
+def _klo_node_state(node):
+    """Everything the KLO kernel's ``finalize`` writes back, and the
+    lifecycle flags the drain sets."""
+    return (node.k, node._epoch_round, node.committee, node.poll_min,
+            node.grants_made, node.granted_ids, node.request_best,
+            node.grant_seen, node.polluted, node.count_heard,
+            node._state_changed, node._decided, node._output, node._halted)
+
+
+def _klo_rounds_log(monkeypatch):
+    """Patch the KLO kernel to log one ``[folds, settled, phase end,
+    groups]`` entry per delivered round: how many phase folds ran,
+    whether the round was settled, whether it ends a group's phase, and
+    how many epoch groups it had."""
+    log = []
+    for name in ("_poll_round", "_merge_rows", "_verify_round",
+                 "_disseminate"):
+        def counting(self, *args, fold=getattr(KCommitteeBatchKernel, name)):
+            log[-1][0] += 1
+            return fold(self, *args)
+        monkeypatch.setattr(KCommitteeBatchKernel, name, counting)
+    deliver = KCommitteeBatchKernel.deliver
+
+    def logging_deliver(self, ctx, csr, sender_mask):
+        log.append([0, self._settled is not None,
+                    any(group.phase_ends() for group in self._groups),
+                    len(self._groups)])
+        return deliver(self, ctx, csr, sender_mask)
+
+    monkeypatch.setattr(KCommitteeBatchKernel, "deliver", logging_deliver)
+    return log
+
+
+def _assert_only_settled_rounds_skip_folds(log):
+    """Settled rounds fold nothing; every other round folds, phase-end
+    and multi-group rounds among them, and none of those is settled."""
+    for folds, settled, end, groups in log:
+        assert (folds == 0) == settled
+        if end or groups > 1:
+            assert not settled
+
+
+def _klo_spec(schedule, schedule_params, n, loss, max_rounds):
+    return TrialSpec(
+        schedule=schedule, schedule_params={"n": n, **schedule_params},
+        nodes="klo_count", node_params={"n": n}, max_rounds=max_rounds,
+        until="halted", loss_rate=loss, allow_timeout=True)
+
+
+#: Lowest share of settled rounds per n on T1's schedule: phases last k
+#: rounds but their floods settle within a few, so the share grows with
+#: the guesses a run reaches.
+SETTLED_SHARE = {8: 0.2, 16: 0.4, 32: 0.6}
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("n", sorted(SETTLED_SHARE))
+def test_settled_klo_phases_stop_folding_and_match_reference(
+        monkeypatch, n, loss):
+    """On T1's schedule the phases settle rounds before they end; the
+    settled rounds fold nothing, phase-end rounds still fold, and the run
+    equals the reference tier's on the result, ``max_broadcast_bits``,
+    decision streams, node streams and every node's written-back
+    state."""
+    spec = _klo_spec("lowdiam_handoff", {"T": 2}, n, loss,
+                     total_rounds_prediction(n) + 10)
+    _, reference = _spec_outcome(spec, 1, "reference", _klo_node_state)
+    log = _klo_rounds_log(monkeypatch)
+    tiers, batch = _spec_outcome(spec, 1, "fast", _klo_node_state)
+    assert batch == reference
+    result = batch["result"]
+    assert result.stop_reason == "halted"
+    assert set(result.outputs.values()) == {n}
+    assert tiers["batch"] == len(log) == result.rounds
+    _assert_only_settled_rounds_skip_folds(log)
+    assert sum(settled for _, settled, _, _ in log) >= (
+        SETTLED_SHARE[n] * len(log))
+
+
+def test_settled_klo_state_ends_before_the_epoch_group_splits(monkeypatch):
+    """Loss on a line leaves verification with polluted and clean nodes,
+    so the epoch group splits; the clean group halts and the run leaves
+    the batch tier.  Phases settle before the split, every two-group
+    round folds, and the run equals the reference tier's."""
+    spec = _klo_spec("static_line", {}, 8, 0.3, 400)
+    _, reference = _spec_outcome(spec, 0, "reference", _klo_node_state)
+    log = _klo_rounds_log(monkeypatch)
+    tiers, batch = _spec_outcome(spec, 0, "fast", _klo_node_state)
+    assert batch == reference
+    assert tiers["reference"] > 0  # the clean group halted
+    _assert_only_settled_rounds_skip_folds(log)
+    split = next(i for i, entry in enumerate(log) if entry[3] == 2)
+    assert any(settled for _, settled, _, _ in log[:split])
+    assert all(groups == 2 for _, _, _, groups in log[split:])
+
+
+def test_settled_klo_rounds_reuse_read_only_arrays():
+    """On a complete graph the first poll round floods the minimum and
+    the second changes nothing, so the phase settles: the third round
+    returns the second's ``(sends, bits)`` and a shared all-False mask,
+    all read-only, and the phase's last round composes afresh."""
+    n = 5
+    kernel = build_batch_kernel(
+        [KCommitteeCount(i, initial_guess=4) for i in range(n)])[0]
+    complete = ExplicitSchedule(
+        n, [[(u, v) for u in range(n) for v in range(u + 1, n)]],
+        cycle=True, interval=None)
+    ctx = BatchContext(0, [], lambda *args: None)
+    composed, masks = [], []
+    for r in range(1, 5):  # the guess-4 epoch's first poll phase
+        ctx.round_index = r
+        composed.append(kernel.compose(ctx))
+        masks.append((kernel.deliver(ctx, complete.adjacency(r), None)[0],
+                      kernel.changed_last))
+    assert [changed_any for changed_any, _ in masks] == [True, False,
+                                                         False, True]
+    for settled, first in zip(composed[2], composed[1]):
+        assert settled is first
+    assert composed[3][1] is not composed[2][1]
+    for array in (*composed[2], masks[2][1]):
+        assert not array.flags.writeable
+    assert not masks[2][1].any()
+    assert kernel._settled is None  # the phase ended
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,9 @@ Tier 1 runs a derandomized profile of ``REPRO_FUZZ_EXAMPLES`` examples
 Hypothesis shrinks any failure to a minimal spec.  Both also run the
 pinned ``CONVERGED_TAILS`` examples, whose populations converge well
 before the run ends, so the aggregate kernels' merge-free tail is
-always compared.
+always compared, and the pinned ``SETTLING_KLO`` examples, which run
+KLO to its halt, so phases of guess ``k >= 4`` settle and their
+fold-free rounds are always compared.
 """
 
 import os
@@ -128,13 +130,15 @@ def trial_specs(draw):
 
 
 def _tail(schedule, schedule_params, nodes, node_params, until, window,
-          loss, seed):
-    """A pinned ``(spec, seed)`` drawn as :func:`trial_specs` draws."""
+          loss, seed, max_rounds=60):
+    """A pinned ``(spec, seed)`` drawn as :func:`trial_specs` draws (a
+    longer *max_rounds* aside)."""
     n = schedule_params["n"]
     return TrialSpec(
         schedule=schedule, schedule_params=schedule_params, nodes=nodes,
-        node_params={"n": n, **node_params}, max_rounds=60, until=until,
-        quiescence_window=window, loss_rate=loss, allow_timeout=True), seed
+        node_params={"n": n, **node_params}, max_rounds=max_rounds,
+        until=until, quiescence_window=window, loss_rate=loss,
+        allow_timeout=True), seed
 
 
 #: Specs whose populations converge (every row identical) rounds before
@@ -156,6 +160,21 @@ CONVERGED_TAILS = [
           {"rounds_bound": 20, "width": 4}, "halted", 1, 0.4, 3),
     _tail("static_line", {"n": 12}, "exact_count",
           {"initial_window": 1, "window_growth": 2}, "quiescent", 8, 0.4, 3),
+]
+
+#: KLO specs run to their halt (n=8 halts at round 288, guess 8), so
+#: phases of guess ``k >= 4`` settle rounds before they end, with and
+#: without loss, and with a guess growth of 3 and an initial guess of 2.
+SETTLING_KLO = [
+    _tail("lowdiam_handoff", {"n": 8, "T": 2}, "klo_count", {}, "halted",
+          1, 0.0, 3, max_rounds=320),
+    _tail("lowdiam_handoff", {"n": 8, "T": 2}, "klo_count", {}, "halted",
+          1, 0.4, 5, max_rounds=320),
+    _tail("overlap_handoff", {"n": 8, "T": 3, "noise_edges": 2},
+          "klo_count", {"guess_growth": 3}, "halted", 1, 0.1, 2,
+          max_rounds=320),
+    _tail("fresh_spanning", {"n": 6, "noise_edges": 1}, "klo_count",
+          {"initial_guess": 2}, "halted", 1, 0.4, 1, max_rounds=320),
 ]
 
 
@@ -200,7 +219,7 @@ def test_default_engine_agrees_with_reference(drawn):
         assert fast == reference
 
 
-for _drawn in CONVERGED_TAILS:
+for _drawn in CONVERGED_TAILS + SETTLING_KLO:
     test_default_engine_agrees_with_reference = example(_drawn)(
         test_default_engine_agrees_with_reference)
 
@@ -231,6 +250,30 @@ def test_pinned_tails_converge_before_the_run_ends(monkeypatch):
         assert len(converged_at) == 1, spec
         assert result.rounds - converged_at[0] >= 5, spec
     assert result.metrics.counters["retractions"] > 0
+
+
+def test_pinned_klo_phases_settle_before_they_end(monkeypatch):
+    """Each pinned KLO spec halts with the exact count on the batch tier,
+    and phases of guess ``k >= 4`` reach the settled path."""
+    from repro.simnet import batch
+
+    settled_k = []
+    fixed_point = batch.KCommitteeBatchKernel._fixed_point
+
+    def recording(kernel):
+        settles = fixed_point(kernel)
+        if settles:
+            settled_k.append(kernel._groups[0].k)
+        return settles
+
+    monkeypatch.setattr(batch.KCommitteeBatchKernel, "_fixed_point",
+                        recording)
+    for spec, seed in SETTLING_KLO:
+        settled_k.clear()
+        result = _outcome(spec, seed, "fast")["result"]
+        assert result.stop_reason == "halted", spec
+        assert set(result.outputs.values()) == {spec.node_params["n"]}
+        assert max(settled_k) >= 4, spec
 
 
 @pytest.mark.parametrize("nodes", ["token_dissemination", "exact_count",

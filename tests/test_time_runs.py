@@ -17,12 +17,13 @@ def test_ratio_interval_is_seeded_and_brackets_the_ratio():
     change = [26.5, 26.7, 25.4, 27.0, 26.0]
     ratio = time_runs.ratio_interval(parent, change)
     assert ratio == time_runs.ratio_interval(parent, change)  # seeded
-    assert ratio["median_ratio"] == round(26.5 / 33.8, 4)
+    assert ratio["median_ratio"] == round(26.7 / 33.9, 4)  # pair 2
     low, high = ratio["ci95"]
     assert low <= ratio["median_ratio"] <= high < 1.0
-    # Every resampled median is a run, so the bounds are ratios of runs.
-    assert min(change) / max(parent) <= low
-    assert high <= max(change) / min(parent)
+    # Every resampled median is a pair's ratio, so the bounds are too.
+    pairs = [round(c / p, 4) for p, c in zip(parent, change)]
+    assert min(pairs) <= low
+    assert high <= max(pairs)
     assert time_runs.ratio_interval([2.0] * 3, [2.0] * 3)["ci95"] == [1.0,
                                                                      1.0]
 
@@ -32,6 +33,25 @@ def test_overlapping_runs_give_an_interval_across_one():
                                      [10.5, 11.5, 12.5, 13.5, 9.5])
     low, high = ratio["ci95"]
     assert low < 1.0 < high
+
+
+def test_drift_that_hits_both_runs_of_a_pair_cancels():
+    """The machine slows 40% over the runs while the change runs a
+    steady 0.8x of the parent: resampling each side's runs alone would
+    give an interval as wide as the drift, but the pair ratios give one
+    that excludes 1.0."""
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [0.8 * seconds * jitter for seconds, jitter
+              in zip(parent, [1.01, 0.99, 1.0, 1.02, 0.98])]
+    ratio = time_runs.ratio_interval(parent, change)
+    assert ratio["median_ratio"] == 0.8
+    low, high = ratio["ci95"]
+    assert 0.78 <= low <= 0.8 <= high <= 0.82 < 1.0
+
+
+def test_ratio_interval_needs_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        time_runs.ratio_interval([1.0, 2.0], [1.0])
 
 
 @pytest.mark.parametrize("labels,of", [

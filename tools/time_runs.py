@@ -10,15 +10,16 @@ of every run, their median and spread (max - min), the seconds of each
 and a sha256 over the files each run wrote, so two sides can be checked
 byte-identical.  A run's peak RSS is read in the child when the CLI
 returns: the larger of the CLI process's own high-water mark and that of
-its largest reaped child process.  Given two sides, it also records the
-ratio of the second side's median seconds to the first's (change/parent
-when the sides are given in that order) with a 95% percentile-bootstrap
-interval: each side's runs resampled with replacement, 10,000 times,
-from a fixed seed, so the same runs always give the same interval.  An
-interval that excludes 1.0 is a difference the runs can tell from
-noise.  The record is merged into
-``results/BENCH_e2e.json`` under the run's arguments and the side's
-label; ``repro.report`` does not read that file.
+its largest reaped child process.  Given two sides, it also records
+their ratio (change/parent when the sides are given in that order): the
+median of the per-pair ratios, run *k* of the second side over run *k*
+of the first, with a 95% percentile-bootstrap interval from the pair
+ratios resampled with replacement, 10,000 times, from a fixed seed.
+The same runs always give the same interval, and drift that slows both
+runs of a pair cancels in their ratio.  An interval that excludes 1.0
+is a difference the runs can tell from noise.  The record is merged
+into ``results/BENCH_e2e.json`` under the run's arguments and the
+side's label; ``repro.report`` does not read that file.
 
 The CLI runs every requested experiment's cells in one executor pass,
 printed as ``[cells finished in Xs]`` and recorded under ``cells``; the
@@ -124,22 +125,26 @@ def summarize(runs: List[Dict[str, object]]) -> Dict[str, object]:
 
 def ratio_interval(base: List[float], other: List[float]
                    ) -> Dict[str, object]:
-    """``median(other) / median(base)`` and its 95% bootstrap interval.
+    """The median per-pair ratio ``other[k] / base[k]`` and its 95%
+    bootstrap interval.
 
-    Each of :data:`RESAMPLES` resamples draws ``len(base)`` runs from
-    *base* and ``len(other)`` from *other*, with replacement, from a
+    The runs alternate, so run *k* of each side makes a pair that met
+    the same state of the machine, and drift that slows both cancels in
+    their ratio.  Each of :data:`RESAMPLES` resamples draws
+    ``len(base)`` pair ratios with replacement from a
     ``random.Random(SEED)`` stream; the interval is the 2.5th and
-    97.5th percentiles of the resampled ratios.
+    97.5th percentiles of the resampled medians.
     """
+    if len(base) != len(other):
+        raise ValueError(f"{len(base)} runs against {len(other)}: "
+                         "ratios need pairs")
+    pairs = [b / a for a, b in zip(base, other)]
     rng = random.Random(SEED)
-    ratios = sorted(
-        statistics.median(rng.choices(other, k=len(other)))
-        / statistics.median(rng.choices(base, k=len(base)))
-        for _ in range(RESAMPLES))
+    ratios = sorted(statistics.median(rng.choices(pairs, k=len(pairs)))
+                    for _ in range(RESAMPLES))
     cuts = statistics.quantiles(ratios, n=40, method="inclusive")
     low, high = cuts[0], cuts[-1]  # the 2.5th and 97.5th percentiles
-    return {"median_ratio": round(statistics.median(other)
-                                  / statistics.median(base), 4),
+    return {"median_ratio": round(statistics.median(pairs), 4),
             "ci95": [round(low, 4), round(high, 4)],
             "resamples": RESAMPLES, "seed": SEED}
 
