@@ -23,8 +23,9 @@ verdict:
   baseline (ratios, not absolute timings — machine-portable);
 * so must the kernel/reference ratio of KLO's
   :class:`~repro.baselines.klo.KCommitteeCount` at N=32 on T1's T=2
-  noisy handoff schedule (``klo`` row; the first 600 rounds, guesses
-  k = 1 … 16);
+  noisy handoff schedule (``klo`` row; the whole run to its halt,
+  4,204 rounds, guesses k = 1 … 32, most of whose rounds fall in
+  settled phases — so losing the settled-phase path fails the gate);
 * the kernel tier must clear an **absolute 3x** over the reference
   tier at N=1024;
 * under per-edge Bernoulli loss (``loss_rate=0.2``) the kernel tier
@@ -85,10 +86,11 @@ def _measure_rounds_per_sec(engine: str, n: int, rounds: int,
                             cell=_sublinear_max_cell) -> float:
     """Best-of-*reps* rounds/sec of *engine* through ``Simulator.run``.
 
-    ``run()`` (not bare ``step()``) so the batch tier activates; neither
-    population halts within the timed rounds (SublinearMax stabilises
-    but never halts, KLO at N=32 halts after 4,204), so
-    ``until="halted"`` executes exactly *rounds* rounds per rep.
+    ``run()`` (not bare ``step()``) so the batch tier activates.
+    SublinearMax stabilises but never halts, and KLO at N=32 halts at
+    round 4,204 (``KLO_ROUNDS``; its halting round still runs on the
+    batch tier), so ``until="halted"`` executes exactly *rounds* rounds
+    per rep.
     """
     best = 0.0
     for _ in range(reps):
@@ -153,10 +155,11 @@ def lossy_comparison(n=LOSSY_N, rounds=None):
                 n=n, loss_rate=LOSSY_RATE, rounds_timed=rounds)
 
 
-#: The KLO gate row: N, rounds timed and best-of reps.
+#: The KLO gate row: N, rounds timed (the run to its halt, where most
+#: rounds fall in settled phases) and best-of reps.
 KLO_N = 32
-KLO_ROUNDS = 600
-KLO_REPS = 5
+KLO_ROUNDS = 4204
+KLO_REPS = 3
 
 
 def klo_comparison(n=KLO_N, rounds=KLO_ROUNDS):

@@ -11,8 +11,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import RngRegistry, Simulator
-from repro.baselines import FloodMax, KCommitteeCount
-from repro.core import ExactCount, SublinearMax
+from repro.baselines import KCommitteeCount
+from repro.core import ExactCount, MaxKnownBound, SublinearMax
 from repro.dynamics import (
     OverlapHandoffAdversary,
     dynamic_diameter,
@@ -40,9 +40,12 @@ def main() -> None:
           f"{result.metrics.last_decision_round} (~{d} = d)")
 
     # --- Max, known-N baseline: Theta(N) rounds regardless of d -----------
-    nodes = [FloodMax(i, values[i], rounds_bound=N - 1) for i in range(N)]
+    # The folklore flood: the known-bound Max with the bound set to N-1.
+    nodes = [MaxKnownBound(i, values[i], rounds_bound=N - 1)
+             for i in range(N)]
     result = Simulator(schedule, nodes).run(max_rounds=N)
-    print(f"FloodMax(known N): output={result.unanimous_output()}, "
+    print(f"MaxKnownBound(rounds_bound=N-1): "
+          f"output={result.unanimous_output()}, "
           f"rounds={result.rounds} (= N-1)")
 
     # --- Exact Count, zero knowledge: O(d) rounds --------------------------

@@ -1,36 +1,28 @@
-"""Flooding primitives and the classic known-``N`` baselines.
+"""Epidemic token flooding, the microscope that measures flooding time.
 
 In a 1-interval connected dynamic network, flooding makes progress one
 node per round in the worst case (every round's cut between informed and
-uninformed nodes contains an edge), so:
+uninformed nodes contains an edge), so a token floods to all nodes
+within ``N - 1`` rounds — and an adaptive adversary
+(:class:`~repro.dynamics.adaptive.PathHiderAdversary`) forces exactly
+that.
 
-* a token floods to all nodes within ``N - 1`` rounds — and an adaptive
-  adversary (:class:`~repro.dynamics.adaptive.PathHiderAdversary`) forces
-  exactly that;
-* the max-of-inputs stabilises within ``N - 1`` rounds;
-
-hence the classic baselines below decide after exactly ``rounds_bound``
-rounds, where ``rounds_bound`` is ``N - 1`` when ``N`` is known (the
-standard assumption of the folklore algorithm) or any known upper bound on
-the dynamic diameter ``d``.  Their round complexity is ``Θ(N)``
-regardless of how small ``d`` is — the additive ``Ω(N)`` term the paper
-removes.
+The classic known-``N`` baselines built on this fact (flood Max,
+Broadcast or Consensus for ``N - 1`` rounds, then decide) are the core's
+known-bound aggregates run with ``rounds_bound = N - 1``:
+:class:`~repro.core.max_compute.MaxKnownBound` and
+:class:`~repro.core.consensus.ConsensusKnownBound`.  Their round
+complexity is ``Θ(N)`` regardless of how small ``d`` is — the additive
+``Ω(N)`` term the paper removes.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
-from .._validate import require_positive_int
-from ..simnet.batch import (
-    FloodBroadcastBatchKernel,
-    FloodMaxBatchKernel,
-    FloodTokenBatchKernel,
-)
-from ..simnet.message import NodeId
 from ..simnet.node import Algorithm, RoundContext
 
-__all__ = ["FloodToken", "FloodMax", "FloodBroadcast"]
+__all__ = ["FloodToken"]
 
 
 class FloodToken(Algorithm):
@@ -43,6 +35,7 @@ class FloodToken(Algorithm):
     :class:`~repro.dynamics.adaptive.PathHiderAdversary` throttles.
 
     This node never halts on its own — run it with ``until="decided"``.
+    It has no batch kernel: it runs on the engine's reference tier.
     """
 
     name = "flood_token"
@@ -68,102 +61,3 @@ class FloodToken(Algorithm):
             self.mark_changed(True)
         else:
             self.mark_changed(False)
-
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Boolean-OR reach batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not FloodToken:
-            return None
-        return FloodTokenBatchKernel.build(nodes)
-
-
-class FloodMax(Algorithm):
-    """Known-bound flooding Max: broadcast the running max, halt on a timer.
-
-    Parameters
-    ----------
-    node_id:
-        Node id.
-    value:
-        The node's input.
-    rounds_bound:
-        Number of rounds to run before deciding.  Correct whenever
-        ``rounds_bound >= N - 1`` (the folklore known-``N`` setting) or
-        ``rounds_bound >= d`` (known dynamic-diameter bound).  The caller
-        chooses which knowledge assumption to encode.
-
-    Complexity: exactly ``rounds_bound`` rounds; one ``(id, value)``-sized
-    message per node per round.
-    """
-
-    name = "flood_max"
-
-    def __init__(self, node_id: int, value: int, rounds_bound: int) -> None:
-        super().__init__(node_id)
-        self.value = value
-        self.rounds_bound = require_positive_int(rounds_bound, "rounds_bound")
-        self.best = value
-
-    def compose(self, ctx: RoundContext) -> Any:
-        return self.best
-
-    def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
-        new_best = max(inbox, default=self.best)
-        changed = new_best > self.best
-        if changed:
-            self.best = new_best
-        self.mark_changed(changed)
-        if ctx.round_index >= self.rounds_bound:
-            self.decide(self.best)
-            self.halt()
-
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not FloodMax:
-            return None
-        return FloodMaxBatchKernel.build(nodes)
-
-
-class FloodBroadcast(Algorithm):
-    """Known-bound broadcast of a payload from source nodes to everyone.
-
-    Source nodes carry a payload; all nodes forward any payload heard;
-    every node decides on the (unique) payload after ``rounds_bound``
-    rounds and halts.  Correct for ``rounds_bound >= N - 1`` (or ``>= d``).
-    With several distinct sources, nodes decide on the payload attached to
-    the smallest source id (deterministic tie-break), which makes this
-    double as a leader-value broadcast.
-    """
-
-    name = "flood_broadcast"
-
-    def __init__(self, node_id: int, rounds_bound: int,
-                 payload: Optional[Any] = None) -> None:
-        super().__init__(node_id)
-        self.rounds_bound = require_positive_int(rounds_bound, "rounds_bound")
-        # (source id, payload); smallest source id wins.
-        self.best: Optional[tuple] = None
-        if payload is not None:
-            self.best = (NodeId(node_id), payload)
-
-    def compose(self, ctx: RoundContext) -> Any:
-        return self.best  # None when nothing heard yet
-
-    def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
-        changed = False
-        for item in inbox:
-            if item is not None and (self.best is None or item < self.best):
-                self.best = item
-                changed = True
-        self.mark_changed(changed)
-        if ctx.round_index >= self.rounds_bound:
-            self.decide(None if self.best is None else self.best[1])
-            self.halt()
-
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Min-source-id reach batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not FloodBroadcast:
-            return None
-        return FloodBroadcastBatchKernel.build(nodes)

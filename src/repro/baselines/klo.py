@@ -334,8 +334,6 @@ class KCommitteeCount(Algorithm):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Phase-structured CSR kernel (:mod:`repro.simnet.batch`)."""
-        if cls is not KCommitteeCount:
-            return None
         return KCommitteeBatchKernel.build(nodes)
 
     def _advance(self, stage: int) -> None:

@@ -86,8 +86,6 @@ class RandomTokenDissemination(Algorithm):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Membership-row kernel (:mod:`repro.simnet.batch`)."""
-        if cls is not RandomTokenDissemination:
-            return None
         return TokenBatchKernel.build(nodes)
 
 

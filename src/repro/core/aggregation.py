@@ -28,6 +28,7 @@ from typing import Any, Generic, List, Optional, TypeVar
 
 import numpy as np
 
+from .._validate import require_positive_int
 from ..simnet.node import Algorithm, RoundContext
 from .termination import QuiescenceController
 
@@ -265,7 +266,11 @@ class KnownBoundAggregateNode(AggregateNode):
     knowledge model): by flood closure the state is the global aggregate
     by round ``d``.  Unlike :class:`AggregateNode` this node truly
     **halts**, which is what a known upper bound buys (see the
-    termination discussion in :mod:`repro.core.termination`).
+    termination discussion in :mod:`repro.core.termination`).  Run with
+    ``rounds_bound = N - 1`` it is the folklore known-``N`` flood, the
+    ``Θ(N)``-round baseline; with ``rounds_bound < d`` some nodes may
+    decide a wrong value.  *rounds_bound* must be an ``int >= 1``
+    (:class:`~repro.errors.ConfigurationError` otherwise).
     """
 
     name = "aggregate_known_bound"
@@ -273,9 +278,7 @@ class KnownBoundAggregateNode(AggregateNode):
     def __init__(self, node_id: int, aggregate: Aggregate,
                  rounds_bound: int) -> None:
         super().__init__(node_id, aggregate)
-        if rounds_bound < 1:
-            raise ValueError(f"rounds_bound must be >= 1, got {rounds_bound}")
-        self.rounds_bound = int(rounds_bound)
+        self.rounds_bound = require_positive_int(rounds_bound, "rounds_bound")
 
     def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
         old = self.state

@@ -100,8 +100,6 @@ class ApproxCount(AggregateNode):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Min-vector batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not ApproxCount:
-            return None
         return aggregate_batch_kernel(MinVectorBatchKernel.build, nodes,
                                       known_bound=False)
 
@@ -129,7 +127,5 @@ class ApproxCountKnownBound(KnownBoundAggregateNode):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Min-vector batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not ApproxCountKnownBound:
-            return None
         return aggregate_batch_kernel(MinVectorBatchKernel.build, nodes,
                                       known_bound=True)

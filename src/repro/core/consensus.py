@@ -12,9 +12,9 @@ together with its input.  Every node decides that proposal:
 * *complexity* — ``O(d)`` rounds, ``O(log N + |value|)``-bit messages.
 
 :class:`SublinearConsensus` is the zero-knowledge stabilizing variant;
-:class:`ConsensusKnownBound` halts under a known bound ``D >= d``.
-The known-``N`` baseline with the same message pattern is
-:class:`repro.baselines.consensus.FloodConsensus` (``Θ(N)`` rounds).
+:class:`ConsensusKnownBound` halts under a known bound ``D >= d``;
+run with ``rounds_bound = N - 1`` it is the folklore known-``N`` flood
+consensus baseline (``Θ(N)`` rounds, same message pattern).
 """
 
 from __future__ import annotations

@@ -73,8 +73,6 @@ class ExactCount(AggregateNode):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not ExactCount:
-            return None
         return aggregate_batch_kernel(HeardSetBatchKernel.build, nodes,
                                       known_bound=False)
 
@@ -96,7 +94,5 @@ class ExactCountKnownBound(KnownBoundAggregateNode):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not ExactCountKnownBound:
-            return None
         return aggregate_batch_kernel(IdSetBatchKernel.build, nodes,
                                       known_bound=True)

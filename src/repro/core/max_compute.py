@@ -9,10 +9,10 @@ framework: the maximum is itself an idempotent aggregate, so
 * :class:`MaxKnownBound` = max-aggregation + a known bound ``D >= d`` →
   irrevocable halting after exactly ``D`` rounds.
 
-Contrast with :class:`repro.baselines.flooding.FloodMax` run with the
-standard known-``N`` assumption (``rounds_bound = N - 1``): same messages,
-but ``Θ(N)`` rounds even when ``d`` is constant.  Experiments T1/F3
-measure exactly this gap.
+Run with the standard known-``N`` assumption (``rounds_bound = N - 1``),
+:class:`MaxKnownBound` is the folklore flooding Max baseline: same
+messages, but ``Θ(N)`` rounds even when ``d`` is constant.  Experiments
+T1/F3 measure exactly this gap.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ class SublinearMax(AggregateNode):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not SublinearMax:
-            return None
         return aggregate_batch_kernel(MaxBatchKernel.build, nodes,
                                       known_bound=False)
 
@@ -69,7 +67,8 @@ class MaxKnownBound(KnownBoundAggregateNode):
 
     Decides (and halts) after exactly ``rounds_bound`` rounds — correct by
     flood closure.  Round complexity ``D``: sublinear in ``N`` whenever
-    the known bound is.
+    the known bound is.  With ``rounds_bound = N - 1`` it is the
+    known-``N`` flooding Max baseline.
     """
 
     name = "max_known_bound"
@@ -87,7 +86,5 @@ class MaxKnownBound(KnownBoundAggregateNode):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
-        if cls is not MaxKnownBound:
-            return None
         return aggregate_batch_kernel(MaxBatchKernel.build, nodes,
                                       known_bound=True)

@@ -134,7 +134,5 @@ class PipelinedApproxCount(Algorithm):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Coordinate-masked min-fold kernel (:mod:`repro.simnet.batch`)."""
-        if cls is not PipelinedApproxCount:
-            return None
         return aggregate_batch_kernel(PipelinedSketchBatchKernel.build,
                                       nodes, known_bound=False)

@@ -26,18 +26,17 @@ cooperating mechanisms exploit it:
 * :meth:`GraphSchedule.stable_until` — a schedule-specific hint, "the
   graph of round ``r`` is unchanged through round ``stable_until(r)``".
   Constructive adversaries override it (a static graph is stable forever;
-  an overlap-handoff window is stable to the window's end); adaptive and
-  recording schedules keep the conservative default ``r`` so every round
-  is still generated and recorded.
+  an overlap-handoff window is stable to the window's end); adaptive
+  schedules keep the conservative default ``r`` so every round is still
+  generated and recorded.
 * a **content-fingerprint cache** — rounds whose hints cannot prove
   stability (e.g. the odd rounds of an alternating-matchings schedule)
   still share one :class:`CSRAdjacency` per *distinct graph*, because the
   cache is keyed by a hash of the canonical edge bytes, not by the round
   index.
 
-:meth:`GraphSchedule.adjacency` and :meth:`GraphSchedule.neighbors` are
-both served from this cache; the engine's tiers consume the CSR form
-directly.
+:meth:`GraphSchedule.adjacency` is served from this cache; the engine's
+tiers consume the CSR form directly.
 """
 
 from __future__ import annotations
@@ -73,15 +72,15 @@ class CSRAdjacency:
     tier, which is what keeps the batch tier's loss draws byte-identical
     to it.
 
-    The object also memoizes the derived forms the hot loops want
-    (plain-Python neighbour lists and degree lists, per-node ``ndarray``
-    views), so the cost of materialising them is paid once per *distinct
-    graph*, not once per round.
+    The object also memoizes the two derived forms the round loops want
+    (the degree array for the batch tier's accounting, plain-Python
+    neighbour lists for the reference tier's delivery), so the cost of
+    materialising them is paid once per *distinct graph*, not once per
+    round.
     """
 
     __slots__ = ("indptr", "indices", "num_nodes",
-                 "_degrees", "_degree_list", "_neighbor_lists",
-                 "_neighbor_arrays", "_indices_list", "_indptr_list")
+                 "_degrees", "_neighbor_lists")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  num_nodes: int) -> None:
@@ -89,11 +88,7 @@ class CSRAdjacency:
         self.indices = indices
         self.num_nodes = num_nodes
         self._degrees: Optional[np.ndarray] = None
-        self._degree_list: Optional[List[int]] = None
         self._neighbor_lists: Optional[List[List[int]]] = None
-        self._neighbor_arrays: Optional[List[np.ndarray]] = None
-        self._indices_list: Optional[List[int]] = None
-        self._indptr_list: Optional[List[int]] = None
 
     @property
     def num_edges(self) -> int:
@@ -107,38 +102,6 @@ class CSRAdjacency:
             self._degrees = indptr[1:] - indptr[:-1]
         return self._degrees
 
-    def degree_list(self) -> List[int]:
-        """Degrees as a plain Python list (memoized; avoids scalar boxing)."""
-        if self._degree_list is None:
-            self._degree_list = self.degrees().tolist()
-        return self._degree_list
-
-    def neighbors_of(self, node: int) -> np.ndarray:
-        """Neighbour indices of *node* (ascending int32 view)."""
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
-    def neighbor_arrays(self) -> List[np.ndarray]:
-        """Per-node neighbour index arrays (views into ``indices``)."""
-        if self._neighbor_arrays is None:
-            indptr, indices = self.indptr, self.indices
-            self._neighbor_arrays = [
-                indices[indptr[j]:indptr[j + 1]]
-                for j in range(self.num_nodes)
-            ]
-        return self._neighbor_arrays
-
-    def indices_list(self) -> List[int]:
-        """The flat CSR index array as plain Python ints (memoized)."""
-        if self._indices_list is None:
-            self._indices_list = self.indices.tolist()
-        return self._indices_list
-
-    def indptr_list(self) -> List[int]:
-        """The CSR row-pointer array as plain Python ints (memoized)."""
-        if self._indptr_list is None:
-            self._indptr_list = self.indptr.tolist()
-        return self._indptr_list
-
     def neighbor_lists(self) -> List[List[int]]:
         """Per-node neighbour lists of plain Python ints (memoized).
 
@@ -147,8 +110,8 @@ class CSRAdjacency:
         dominates the reference path at large N.
         """
         if self._neighbor_lists is None:
-            flat = self.indices_list()
-            bounds = self.indptr_list()
+            flat = self.indices.tolist()
+            bounds = self.indptr.tolist()
             self._neighbor_lists = [
                 flat[bounds[j]:bounds[j + 1]]
                 for j in range(self.num_nodes)
@@ -260,9 +223,8 @@ def _keys_to_edges(keys: np.ndarray, num_nodes: int) -> np.ndarray:
 class GraphSchedule:
     """Abstract base: a dynamic graph, one canonical edge array per round.
 
-    Subclasses implement :meth:`edges`.  The base provides cached
-    conversion to per-node neighbour lists (what the engine consumes) and
-    NetworkX export for analysis.
+    Subclasses implement :meth:`edges`.  The base provides the cached
+    CSR adjacency the engine consumes (:meth:`adjacency`).
 
     Attributes
     ----------
@@ -366,24 +328,6 @@ class GraphSchedule:
         already built alongside the edges.
         """
         return build_csr(edge_arr, self.num_nodes)
-
-    def neighbors(self, round_index: int) -> List[np.ndarray]:
-        """Per-node neighbour index arrays for the round's graph (cached).
-
-        Served from the same graph-identity cache as :meth:`adjacency`:
-        identical rounds of a stable T-interval window share one set of
-        arrays instead of storing per-round duplicates.
-        """
-        return self.adjacency(round_index).neighbor_arrays()
-
-    def degrees(self, round_index: int) -> np.ndarray:
-        """Degree of every node in the round's graph."""
-        edge_arr = self.edges(round_index)
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        if edge_arr.size:
-            np.add.at(deg, edge_arr[:, 0], 1)
-            np.add.at(deg, edge_arr[:, 1], 1)
-        return deg
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} n={self.num_nodes} "

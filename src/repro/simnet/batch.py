@@ -4,20 +4,26 @@ The engine's reference tier (see :mod:`repro.simnet.rounds`) makes one
 Python ``compose()`` and one ``deliver()`` call per node per round, so
 there the *algorithm layer* dominates at large ``N``.  The per-round
 updates of the aggregate-style algorithms, however, are associative
-reductions over neighbour payloads — max, boolean OR, set union,
-coordinate-wise min — which evaluate in one shot as NumPy
-segment-reduces over the schedule's cached CSR adjacency.  The KLO and
-random token-dissemination baselines fit the same mould:
-phase-structured min-folds, and per-node RNG picks of set bits (see the
-baseline kernels below); so does the bandwidth-limited sketch of
-:mod:`repro.core.pipelining`, a coordinate-masked min-fold.
+reductions over neighbour payloads — max, set union, coordinate-wise
+min — which evaluate in one shot as NumPy segment-reduces over the
+schedule's cached CSR adjacency (:class:`MaxBatchKernel`,
+:class:`IdSetBatchKernel` and :class:`HeardSetBatchKernel`,
+:class:`MinVectorBatchKernel`; the known-bound variants, which are
+also the known-``N`` flooding baselines at ``rounds_bound = N - 1``,
+share them).  The KLO and random token-dissemination baselines fit the
+same mould: phase-structured min-folds (:class:`KCommitteeBatchKernel`)
+and per-node RNG picks of set bits (:class:`TokenBatchKernel`); so does
+the bandwidth-limited sketch of :mod:`repro.core.pipelining`, a
+coordinate-masked min-fold (:class:`PipelinedSketchBatchKernel`).
 
 This module defines the opt-in **batch kernel protocol**:
 
-* an algorithm class exposes a classmethod hook ``__batch_kernel__(nodes)``
-  returning a :class:`BatchKernel` (or ``None`` when the
-  concrete node population is not eligible — heterogeneous bounds,
-  exotic state types, subclasses with overridden semantics);
+* an algorithm class defines a classmethod hook
+  ``__batch_kernel__(nodes)`` returning a :class:`BatchKernel` (or
+  ``None`` when the concrete node population is not eligible —
+  heterogeneous bounds, exotic state types).  :func:`build_batch_kernel`
+  reads the hook from the class's own ``__dict__``, so a subclass with
+  overridden semantics never inherits its parent's kernel;
 * the kernel holds the whole population's state as struct-of-arrays
   (values, bitsets, sketch matrices, decided flags, quiescence windows)
   and implements ``compose``/``deliver`` over the entire population,
@@ -89,7 +95,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 import numpy as np
 
 from ..errors import AlgorithmViolation
-from .message import ID_BITS, bit_size
+from .message import ID_BITS
 
 __all__ = [
     "BatchContext",
@@ -110,9 +116,6 @@ __all__ = [
     "MinVectorBatchKernel",
     "PipelinedSketchBatchKernel",
     "HeardSetBatchKernel",
-    "FloodMaxBatchKernel",
-    "FloodTokenBatchKernel",
-    "FloodBroadcastBatchKernel",
     "TokenBatchKernel",
     "KCommitteeBatchKernel",
 ]
@@ -121,10 +124,6 @@ __all__ = [
 #: one of ``"decide"`` / ``"retract"`` / ``"halt"`` (value ``None`` for
 #: the latter two), in ascending node-index order per kind.
 Events = List[Tuple[str, int, Any]]
-
-#: Sentinel for "no value" in int64 payload arrays; larger than any
-#: eligible real value (eligibility requires ``|v| < 2**62``).
-_INT_SENTINEL = np.int64(2 ** 62)
 
 _CONTAINER_FRAMING_BITS = 8  # matches repro.simnet.message
 
@@ -361,16 +360,19 @@ def build_batch_kernel(nodes: Sequence[Any]
 
     Returns ``(kernel, "")``, or ``(None, reason)`` — and the engine
     runs the reference tier — when the population is empty or
-    heterogeneous, any node has already halted, the class exposes no
-    ``__batch_kernel__`` hook, or the hook itself declines (state it
-    cannot represent exactly).  *reason* is the clause the engine's
+    heterogeneous, any node has already halted or holds undrained
+    lifecycle events (a ``decide()`` made outside a round), the class
+    itself defines no ``__batch_kernel__`` hook, or the hook declines
+    (state it cannot represent exactly).  The hook is read from the
+    class's own ``__dict__``: this is the one exact-class check, so a
+    subclass, which may change the semantics, never inherits its
+    parent's kernel.  *reason* is the clause the engine's
     ``engine_tier`` events carry.
     """
     if not nodes:
         return None, "empty node population"
     cls = type(nodes[0])
-    hook = getattr(cls, "__batch_kernel__", None)
-    if hook is None:
+    if "__batch_kernel__" not in cls.__dict__:
         return None, f"{cls.__name__} exposes no __batch_kernel__ hook"
     for node in nodes:
         if type(node) is not cls:
@@ -378,7 +380,10 @@ def build_batch_kernel(nodes: Sequence[Any]
                           f"({cls.__name__} + {type(node).__name__})")
         if node._halted:
             return None, "population already contains halted nodes"
-    kernel: Optional[BatchKernel] = hook(nodes)
+        if node._events:
+            return None, ("population holds lifecycle events made "
+                          "outside a round")
+    kernel: Optional[BatchKernel] = cls.__batch_kernel__(nodes)
     if kernel is None:
         return None, (f"{cls.__name__}.__batch_kernel__ declined the "
                       f"population (state it cannot represent exactly)")
@@ -929,195 +934,6 @@ def aggregate_batch_kernel(build: Callable[..., Optional[BatchKernel]],
     if controller is None:
         return None
     return build(nodes, controller, None)
-
-
-# --------------------------------------------------------------------------
-# flooding kernels
-# --------------------------------------------------------------------------
-
-class FloodMaxBatchKernel(BatchKernel):
-    """Segment-max kernel for the known-bound flooding Max baseline."""
-
-    def __init__(self, algs: Sequence[Any], best: np.ndarray,
-                 rounds_bound: int) -> None:
-        self._algs = list(algs)
-        self.n = len(algs)
-        self.rounds_bound = rounds_bound
-        self._best = best
-        self.decided = np.array([a._decided for a in algs], dtype=bool)
-        self.changed_last = np.array([a._state_changed for a in algs],
-                                     dtype=bool)
-
-    @classmethod
-    def build(cls, algs: Sequence[Any]) -> "Optional[FloodMaxBatchKernel]":
-        bound = algs[0].rounds_bound
-        if any(a.rounds_bound != bound for a in algs):
-            return None
-        if not all(_eligible_int(a.best) for a in algs):
-            return None
-        best = np.array([a.best for a in algs], dtype=np.int64)
-        return cls(algs, best, bound)
-
-    def compose(self, ctx: BatchContext
-                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        return None, int_payload_bits(self._best)
-
-    def deliver(self, ctx: BatchContext, csr: Any,
-                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
-        gathered = self._best[csr.indices]
-        new = self._best.copy()
-        segment_reduce(np.maximum, gathered, csr.indptr, new)
-        changed = new > self._best
-        self._best = new
-        self.changed_last = changed
-        events: Events = []
-        if ctx.round_index >= self.rounds_bound:
-            best = self._best.tolist()
-            for i in range(self.n):
-                events.append(("decide", i, best[i]))
-                events.append(("halt", i, None))
-            self.decided[:] = True
-        return bool(changed.any()), events
-
-    def finalize(self, nodes: Sequence[Any]) -> None:
-        best = self._best.tolist()
-        changed = self.changed_last.tolist()
-        for i, node in enumerate(nodes):
-            node.best = best[i]
-            node._state_changed = changed[i]
-
-
-class FloodTokenBatchKernel(BatchKernel):
-    """Boolean-OR reach kernel for epidemic token dissemination."""
-
-    def __init__(self, algs: Sequence[Any], informed: np.ndarray) -> None:
-        self._algs = list(algs)
-        self.n = len(algs)
-        self._informed = informed
-        self.decided = informed.copy()
-        self.changed_last = np.array([a._state_changed for a in algs],
-                                     dtype=bool)
-        self._ones = np.ones(self.n, dtype=np.int64)
-
-    @classmethod
-    def build(cls, algs: Sequence[Any]) -> "Optional[FloodTokenBatchKernel]":
-        # A token node is decided exactly when informed; anything else
-        # means hand-modified state the kernel cannot represent.
-        if any(bool(a.informed) != bool(a._decided) for a in algs):
-            return None
-        informed = np.array([a.informed for a in algs], dtype=bool)
-        return cls(algs, informed)
-
-    def compose(self, ctx: BatchContext
-                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        return self._informed, self._ones
-
-    def deliver(self, ctx: BatchContext, csr: Any,
-                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
-        heard = segment_counts(self._informed, csr.indptr, csr.indices)
-        newly = ~self._informed & (heard > 0)
-        events: Events = []
-        if newly.any():
-            self._informed = self._informed | newly
-            self.decided |= newly
-            for i in np.nonzero(newly)[0].tolist():
-                events.append(("decide", i, True))
-        self.changed_last = newly
-        return bool(newly.any()), events
-
-    def finalize(self, nodes: Sequence[Any]) -> None:
-        informed = self._informed.tolist()
-        changed = self.changed_last.tolist()
-        for i, node in enumerate(nodes):
-            node.informed = informed[i]
-            node._state_changed = changed[i]
-
-    def progress(self) -> np.ndarray:
-        return self._informed.astype(np.float64)
-
-
-class FloodBroadcastBatchKernel(BatchKernel):
-    """Min-source-id reach kernel for the known-bound broadcast baseline."""
-
-    def __init__(self, algs: Sequence[Any], sid: np.ndarray,
-                 payload_by_sid: Dict[int, tuple],
-                 bits_by_sid: Dict[int, int], rounds_bound: int) -> None:
-        self._algs = list(algs)
-        self.n = len(algs)
-        self.rounds_bound = rounds_bound
-        self._sid = sid                    # int64; _INT_SENTINEL == no payload
-        self._payload_by_sid = payload_by_sid  # preserves tuple identity
-        self._bits_by_sid = bits_by_sid
-        self._bits = np.array([bits_by_sid.get(s, 0) for s in sid.tolist()],
-                              dtype=np.int64)
-        self.decided = np.array([a._decided for a in algs], dtype=bool)
-        self.changed_last = np.array([a._state_changed for a in algs],
-                                     dtype=bool)
-
-    @classmethod
-    def build(cls, algs: Sequence[Any]
-              ) -> "Optional[FloodBroadcastBatchKernel]":
-        bound = algs[0].rounds_bound
-        if any(a.rounds_bound != bound for a in algs):
-            return None
-        sid = np.full(len(algs), _INT_SENTINEL, dtype=np.int64)
-        payload_by_sid: Dict[int, tuple] = {}
-        bits_by_sid: Dict[int, int] = {}
-        for i, alg in enumerate(algs):
-            best = alg.best
-            if best is None:
-                continue
-            source = int(best[0])
-            if not -2 ** 62 < source < 2 ** 62:
-                return None
-            sid[i] = source
-            if source not in payload_by_sid:
-                payload_by_sid[source] = best
-                try:
-                    bits_by_sid[source] = bit_size(best)
-                    # The per-node path compares (source, payload) tuples
-                    # and raises for unorderable payloads when the same
-                    # source is heard twice; mirror by refusing them.
-                    best < best
-                except TypeError:
-                    return None  # per-node path defines the behaviour
-        return cls(algs, sid, payload_by_sid, bits_by_sid, bound)
-
-    def compose(self, ctx: BatchContext
-                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        return self._sid != _INT_SENTINEL, self._bits
-
-    def deliver(self, ctx: BatchContext, csr: Any,
-                sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
-        gathered = self._sid[csr.indices]
-        new = self._sid.copy()
-        segment_reduce(np.minimum, gathered, csr.indptr, new)
-        changed = new < self._sid
-        if changed.any():
-            self._sid = new
-            bits_by_sid = self._bits_by_sid
-            for i in np.nonzero(changed)[0].tolist():
-                self._bits[i] = bits_by_sid[int(new[i])]
-        self.changed_last = changed
-        events: Events = []
-        if ctx.round_index >= self.rounds_bound:
-            payload_by_sid = self._payload_by_sid
-            sid = self._sid.tolist()
-            for i in range(self.n):
-                best = payload_by_sid.get(sid[i])
-                events.append(("decide", i,
-                               None if best is None else best[1]))
-                events.append(("halt", i, None))
-            self.decided[:] = True
-        return bool(changed.any()), events
-
-    def finalize(self, nodes: Sequence[Any]) -> None:
-        payload_by_sid = self._payload_by_sid
-        sid = self._sid.tolist()
-        changed = self.changed_last.tolist()
-        for i, node in enumerate(nodes):
-            node.best = payload_by_sid.get(sid[i])
-            node._state_changed = changed[i]
 
 
 # --------------------------------------------------------------------------
@@ -1836,19 +1652,7 @@ class KCommitteeBatchKernel(BatchKernel):
 def engage_batch(sim: Any) -> None:
     """Put *sim* on the batch tier, running the kernel that
     :func:`~repro.simnet.engine.select_tier` built into
-    ``sim._batch_kernel``.
-
-    Pending decision events (e.g. a ``FloodToken`` seed deciding in
-    ``__init__``) are captured here and replayed into metrics in the
-    first batch round, exactly when the per-node drain would surface
-    them.
-    """
-    pending: List[Tuple[int, List[tuple]]] = []
-    for i, node in enumerate(sim.nodes):
-        if node._events:
-            pending.append((i, node._events))
-            node._events = []
-    sim._batch_pending = pending
+    ``sim._batch_kernel``."""
     sim._batch_ctx = BatchContext(
         sim.round_index, sim._node_rngs, sim.metrics.incr)
     sim._tier = "batch"
@@ -1921,24 +1725,13 @@ def run_batch_round(sim: Any) -> None:
         deliver_csr = csr
     changed_any, events = kernel.deliver(ctx, deliver_csr, mask)
 
-    # Phase 4: drain — replay captured pre-run events, then reconcile
-    # this round's decide/retract/halt events onto the node objects.
+    # Phase 4: drain — reconcile this round's decide/retract/halt
+    # events onto the node objects.
     if prof is not None:
         t1 = perf_counter()
         prof["deliver"] += t1 - t0
         t0 = t1
     nodes = sim.nodes
-    pending = sim._batch_pending
-    if pending:
-        sim._batch_pending = None
-        for i, node_events in pending:
-            node_id = nodes[i].node_id
-            for event in node_events:
-                kind = event[0]
-                if kind == "decide":
-                    metrics.on_decision(node_id, r)
-                elif kind == "retract":
-                    metrics.on_retraction(node_id)
     halted_any = False
     for kind, i, value in events:
         node = nodes[i]
@@ -1974,12 +1767,4 @@ def deactivate_batch(sim: Any) -> None:
     kernel = sim._batch_kernel
     sim._batch_kernel = None
     sim._batch_ctx = None
-    pending = sim._batch_pending
-    sim._batch_pending = None
-    if pending:
-        # Never replayed (zero batch rounds ran): hand the events
-        # back to the reference tier's drain.
-        for i, events in pending:
-            node = sim.nodes[i]
-            node._events = events + node._events
     kernel.finalize(sim.nodes)

@@ -38,7 +38,8 @@ picks one when ``run()`` starts and reports why it passed over the
 other:
 
 * **batch** — when every node is an instance of one algorithm class
-  exposing the ``__batch_kernel__`` hook (see :mod:`repro.simnet.batch`),
+  that itself defines the ``__batch_kernel__`` hook (see
+  :mod:`repro.simnet.batch`),
   whole rounds execute as NumPy segment-reduces over the CSR adjacency,
   with decisions/halts/metrics reconciled from the arrays.  Message loss
   is handled natively via a vectorised per-edge Bernoulli delivery view.
@@ -334,7 +335,6 @@ class Simulator:
         self._tier = "reference"
         self._batch_kernel: Optional[Any] = None
         self._batch_ctx: Optional[Any] = None
-        self._batch_pending: Optional[List[Tuple[int, List[tuple]]]] = None
         # Adaptive schedules read the progress vector, never node objects.
         bind = getattr(schedule, "bind", None)
         if bind is not None:

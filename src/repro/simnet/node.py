@@ -87,14 +87,13 @@ class Algorithm:
     #: should override.
     name: str = "algorithm"
 
-    #: Optional batch-kernel hook (see :mod:`repro.simnet.batch`): a
-    #: classmethod ``__batch_kernel__(cls, nodes)`` returning
-    #: a ``BatchKernel`` driving the whole homogeneous population with
-    #: array operations, or ``None`` to decline (the engine then runs the
-    #: ordinary per-node path).  Implementations must guard
-    #: ``if cls is not TheExactClass: return None`` so subclasses with
-    #: changed semantics are never silently batched.
-    __batch_kernel__ = None
+    # Optional batch-kernel hook (see :mod:`repro.simnet.batch`): a
+    # classmethod ``__batch_kernel__(cls, nodes)`` defined on the
+    # concrete class, returning a ``BatchKernel`` driving the whole
+    # homogeneous population with array operations, or ``None`` to
+    # decline (the engine then runs the ordinary per-node path).  The
+    # engine reads it from the class's own ``__dict__`` only, so a
+    # subclass never inherits its parent's kernel.
 
     def __init__(self, node_id: int) -> None:
         self.node_id = int(node_id)

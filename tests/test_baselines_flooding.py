@@ -1,17 +1,13 @@
-"""Tests for flooding baselines: FloodToken, FloodMax, FloodBroadcast,
-FloodConsensus, RandomTokenDissemination."""
+"""Tests for the flooding baselines: FloodToken, the known-bound floods
+(MaxKnownBound and ConsensusKnownBound, the folklore known-N baselines
+at rounds_bound=N-1) and RandomTokenDissemination."""
 
 import pytest
 
 from repro import RngRegistry, Simulator
-from repro.baselines import (
-    FloodBroadcast,
-    FloodConsensus,
-    FloodMax,
-    FloodToken,
-    RandomTokenDissemination,
-)
+from repro.baselines import FloodToken, RandomTokenDissemination
 from repro.baselines.token import dissemination_complete
+from repro.core import ConsensusKnownBound, MaxKnownBound
 from repro.errors import ConfigurationError
 from repro.simnet.message import ID_BITS
 from repro.dynamics import (
@@ -45,10 +41,13 @@ class TestFloodToken:
 
 
 class TestFloodMax:
+    """The known-N flooding Max baseline: ``MaxKnownBound`` with its
+    bound set to N-1 (or to a known diameter bound)."""
+
     def test_known_n_bound_correct(self):
         n = 20
         sched = StaticAdversary(n, line_graph(n))
-        nodes = [FloodMax(i, value=i % 7, rounds_bound=n - 1)
+        nodes = [MaxKnownBound(i, value=i % 7, rounds_bound=n - 1)
                  for i in range(n)]
         result = Simulator(sched, nodes).run(max_rounds=n)
         assert result.unanimous_output() == 6
@@ -57,7 +56,7 @@ class TestFloodMax:
     def test_diameter_bound_variant(self):
         n = 20
         sched = StaticAdversary(n, star_graph(n))
-        nodes = [FloodMax(i, value=i, rounds_bound=2) for i in range(n)]
+        nodes = [MaxKnownBound(i, value=i, rounds_bound=2) for i in range(n)]
         result = Simulator(sched, nodes).run(max_rounds=3)
         assert result.unanimous_output() == n - 1
         assert result.rounds == 2
@@ -66,58 +65,57 @@ class TestFloodMax:
         n = 10
         sched = StaticAdversary(n, line_graph(n))
         # Max sits at node n-1; a 2-round bound cannot reach node 0.
-        nodes = [FloodMax(i, value=i, rounds_bound=2) for i in range(n)]
+        nodes = [MaxKnownBound(i, value=i, rounds_bound=2) for i in range(n)]
         result = Simulator(sched, nodes).run(max_rounds=3)
         assert result.outputs[0] != n - 1  # documented failure mode
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FloodMax(0, value=1, rounds_bound=0)
-
-
-class TestFloodBroadcast:
-    def test_single_source_payload(self):
-        n = 8
-        sched = StaticAdversary(n, line_graph(n))
-        nodes = [FloodBroadcast(i, rounds_bound=n - 1,
-                                payload=("cfg" if i == 3 else None))
-                 for i in range(n)]
-        result = Simulator(sched, nodes).run(max_rounds=n)
-        assert result.unanimous_output() == "cfg"
-
-    def test_smallest_source_wins(self):
-        n = 8
-        sched = StaticAdversary(n, star_graph(n))
-        nodes = [FloodBroadcast(i, rounds_bound=4,
-                                payload=f"from{i}" if i in (2, 5) else None)
-                 for i in range(n)]
-        result = Simulator(sched, nodes).run(max_rounds=5)
-        assert result.unanimous_output() == "from2"
-
-    def test_no_source_yields_none(self):
-        n = 4
-        sched = StaticAdversary(n, line_graph(n))
-        nodes = [FloodBroadcast(i, rounds_bound=3) for i in range(n)]
-        result = Simulator(sched, nodes).run(max_rounds=4)
-        assert result.unanimous_output() is None
+        # Floats and bools used to be truncated to a bound silently.
+        for bound in (0, -1, 2.7, 2.0, True, False, "3", None):
+            with pytest.raises(ConfigurationError, match="rounds_bound"):
+                MaxKnownBound(0, value=1, rounds_bound=bound)
 
 
 class TestFloodConsensus:
+    """The known-N flood consensus baseline: ``ConsensusKnownBound``."""
+
     def test_agreement_and_validity(self):
         n = 16
         sched = FreshSpanningAdversary(n, seed=2)
-        nodes = [FloodConsensus(i + 10, proposal=f"v{i}", rounds_bound=n)
+        nodes = [ConsensusKnownBound(i + 10, proposal=f"v{i}",
+                                     rounds_bound=n)
                  for i in range(n)]
         result = Simulator(sched, nodes).run(max_rounds=n + 1)
         assert result.unanimous_output() == "v0"  # min id 10 proposes v0
 
+    def test_known_n_bound_correct(self):
+        n = 12
+        sched = StaticAdversary(n, line_graph(n))
+        # The minimum id sits at one end of the line: n-1 hops from the
+        # other end.
+        nodes = [ConsensusKnownBound(i, proposal=f"v{i}", rounds_bound=n - 1)
+                 for i in range(n)]
+        result = Simulator(sched, nodes).run(max_rounds=n)
+        assert result.unanimous_output() == "v0"
+        assert result.rounds == n - 1
+
     def test_halts_exactly_at_bound(self):
         n = 6
         sched = StaticAdversary(n, line_graph(n))
-        nodes = [FloodConsensus(i, proposal=i, rounds_bound=9)
+        nodes = [ConsensusKnownBound(i, proposal=i, rounds_bound=9)
                  for i in range(n)]
         result = Simulator(sched, nodes).run(max_rounds=20)
         assert result.rounds == 9
+
+    def test_insufficient_bound_can_be_wrong(self):
+        n = 10
+        sched = StaticAdversary(n, line_graph(n))
+        # The minimum id sits at node 0; 2 rounds cannot reach node n-1.
+        nodes = [ConsensusKnownBound(i, proposal=f"v{i}", rounds_bound=2)
+                 for i in range(n)]
+        result = Simulator(sched, nodes).run(max_rounds=3)
+        assert result.outputs[1] == "v0"
+        assert result.outputs[n - 1] != "v0"  # documented failure mode
 
 
 class TestRandomTokenDissemination:

@@ -30,7 +30,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.flooding import FloodBroadcast, FloodMax, FloodToken
 from repro.baselines.klo import KCommitteeCount, total_rounds_prediction
 from repro.baselines.token import RandomTokenDissemination
 from repro.core.approx_count import ApproxCount, ApproxCountKnownBound
@@ -296,14 +295,9 @@ KERNEL_POPULATIONS = [
         ApproxCount(i, width=8) for i in range(n)]),
     ("approx_count_known_bound", lambda n: [
         ApproxCountKnownBound(i, BOUND_ROUNDS, width=8) for i in range(n)]),
-    ("flood_token", lambda n: [
-        FloodToken(i, informed=(i == 0)) for i in range(n)]),
+    # The folklore known-N flood: the known-bound Max halting at N-1.
     ("flood_max", lambda n: [
-        FloodMax(i, value=(i * 104729) % 9973, rounds_bound=BOUND_ROUNDS)
-        for i in range(n)]),
-    ("flood_broadcast", lambda n: [
-        FloodBroadcast(i, rounds_bound=BOUND_ROUNDS,
-                       payload=("tok", i) if i < 2 else None)
+        MaxKnownBound(i, value=(i * 104729) % 9973, rounds_bound=n - 1)
         for i in range(n)]),
     ("pipelined_approx_count/tdm", lambda n: [
         PipelinedApproxCount(i, words_per_message=3, width=8)
@@ -323,8 +317,6 @@ def _run(label, factory, seed, engine):
     sim = Simulator(schedule, nodes, rng=RngRegistry(seed), engine=engine)
     until = ("halted" if "known_bound" in label or label.startswith("flood_")
              else "quiescent")
-    if label == "flood_token":
-        until = "decided"
     result = sim.run(max_rounds=120, until=until, quiescence_window=8,
                      allow_timeout=True)
     return sim, result
@@ -349,8 +341,8 @@ def test_fold_matches_with_all_halted_neighbours(seed):
     builder must decline the non-uniform bound (halting must stay
     population-wide atomic on the batch tier) and every tier must agree."""
     def factory(n):
-        return [FloodMax(i, value=(i * 31) % 997,
-                         rounds_bound=6 if i % 2 else BOUND_ROUNDS)
+        return [MaxKnownBound(i, value=(i * 31) % 997,
+                              rounds_bound=6 if i % 2 else BOUND_ROUNDS)
                 for i in range(n)]
 
     results = {}
@@ -393,7 +385,7 @@ def test_finalize_restores_node_state_across_split_runs(label, factory):
 
 
 def test_build_batch_kernel_declines_prehalted_population():
-    nodes = [FloodMax(i, value=i, rounds_bound=5) for i in range(4)]
+    nodes = [MaxKnownBound(i, value=i, rounds_bound=5) for i in range(4)]
     nodes[2].halt()
     assert build_batch_kernel(nodes) == (
         None, "population already contains halted nodes")
@@ -411,6 +403,62 @@ def test_build_batch_kernel_declines_plain_algorithms():
 
     assert build_batch_kernel([Plain(i) for i in range(3)]) == (
         None, "Plain exposes no __batch_kernel__ hook")
+
+
+def _tier_select(nodes, engine="fast"):
+    """Run *nodes* on a static line; return the result, the simulator
+    and the run's ``engine_tier`` select event."""
+    from repro.dynamics import StaticAdversary, line_graph
+    n = len(nodes)
+    recorder = Recorder.in_memory()
+    sim = Simulator(StaticAdversary(n, line_graph(n)), nodes,
+                    rng=RngRegistry(0), engine=engine, recorder=recorder)
+    result = sim.run(max_rounds=200, until="quiescent",
+                     quiescence_window=8)
+    (select,) = [e for e in recorder.of_kind("engine_tier")
+                 if e.action == "select"]
+    return result, sim, select
+
+
+def test_subclass_never_inherits_its_parents_kernel():
+    """A subclass may change the semantics, so it runs on the reference
+    tier even when its parent has a kernel: the hook is read from the
+    class's own ``__dict__``."""
+    class LoudExactCount(ExactCount):
+        def deliver(self, ctx, inbox):
+            super().deliver(ctx, inbox)
+            ctx.incr("loud.deliveries")
+
+    nodes = [LoudExactCount(i) for i in range(6)]
+    reason = "LoudExactCount exposes no __batch_kernel__ hook"
+    assert build_batch_kernel(nodes) == (None, reason)
+    result, sim, select = _tier_select(nodes)
+    assert sim.tier_rounds["batch"] == 0
+    assert select.tier == "reference"
+    assert select.declined == [{"tier": "batch", "reason": reason}]
+    assert result.unanimous_output() == 6
+    assert result.metrics.counters["loud.deliveries"] == 6 * result.rounds
+
+
+def test_build_batch_kernel_declines_undrained_events():
+    """A ``decide()`` made before ``run()`` is an undrained lifecycle
+    event: the batch tier declines the population and the reference
+    tier surfaces the event in round 1, as it does under
+    ``engine="reference"``."""
+    def population():
+        nodes = [ExactCount(i) for i in range(6)]
+        nodes[2].decide(99)
+        return nodes
+
+    reason = "population holds lifecycle events made outside a round"
+    assert build_batch_kernel(population()) == (None, reason)
+    fast, sim, select = _tier_select(population())
+    assert sim.tier_rounds["batch"] == 0
+    assert select.tier == "reference"
+    assert select.declined == [{"tier": "batch", "reason": reason}]
+    reference, _, _ = _tier_select(population(), engine="reference")
+    assert fast == reference
+    assert fast.outputs == {i: 99 if i == 2 else 6 for i in range(6)}
 
 
 # --------------------------------------------------------------------------
@@ -466,7 +514,8 @@ def _assert_kernel_folds_per_round(factory, seed, rounds=60, schedule=None):
 
         def per_node():
             for j, node in enumerate(nodes):
-                inbox = [payloads[s] for s in csr.neighbors_of(j).tolist()
+                row = csr.indices[csr.indptr[j]:csr.indptr[j + 1]]
+                inbox = [payloads[s] for s in row.tolist()
                          if payloads[s] is not None]
                 node.deliver(RoundContext(r, node_rngs[j], None), inbox)
 
@@ -1156,9 +1205,6 @@ PROGRESS_POPULATIONS = [
     pytest.param(lambda n: [RandomTokenDissemination(i, target_count=n)
                             for i in _scattered_ids(n)],
                  "decided", True, id="token"),
-    pytest.param(lambda n: [FloodToken(i, informed=(i == 3))
-                            for i in range(n)],
-                 "decided", True, id="flood_token"),
 ] + [
     pytest.param(lambda n, s=strategy: [
         PipelinedApproxCount(i, words_per_message=3, width=8, strategy=s)

@@ -214,8 +214,8 @@ def test_schedule_without_adjacency_is_refused():
     class Minimal:
         num_nodes = 6
 
-        def neighbors(self, round_index):
-            return StaticAdversary(6, line_graph(6)).neighbors(round_index)
+        def edges(self, round_index):
+            return StaticAdversary(6, line_graph(6)).edges(round_index)
 
     for engine in ENGINES:
         nodes = [ExactCount(i) for i in range(6)]
@@ -278,33 +278,16 @@ def test_mixed_population_disables_batch_tier():
 
 @pytest.mark.parametrize("seed", [2, 13])
 def test_flood_max_three_way_equivalence(seed):
-    """flood_max has no exec spec; compare the tiers via direct Simulators."""
-    from repro.baselines.flooding import FloodMax
+    """The known-N flood (MaxKnownBound at rounds_bound=N-1) has no exec
+    spec; compare the tiers via direct Simulators."""
+    from repro.core.max_compute import MaxKnownBound
 
     results = {}
     for engine in ENGINES:
         schedule = _handoff(seed)
         n = schedule.num_nodes
-        nodes = [FloodMax(i, value=(i * 7919) % 1023, rounds_bound=n - 1)
-                 for i in range(n)]
-        sim = Simulator(schedule, nodes, rng=RngRegistry(seed),
-                        engine=engine)
-        results[engine] = sim.run(max_rounds=4000, until="halted")
-        if engine == "fast":
-            assert sim.tier_rounds["batch"] > 0
-    _assert_run_results_equal(results["fast"], results["reference"])
-
-
-@pytest.mark.parametrize("seed", [2, 13])
-def test_flood_broadcast_three_way_equivalence(seed):
-    from repro.baselines.flooding import FloodBroadcast
-
-    results = {}
-    for engine in ENGINES:
-        schedule = _handoff(seed)
-        n = schedule.num_nodes
-        nodes = [FloodBroadcast(i, rounds_bound=n - 1,
-                                payload=("tok", i) if i in (0, 3) else None)
+        nodes = [MaxKnownBound(i, value=(i * 7919) % 1023,
+                               rounds_bound=n - 1)
                  for i in range(n)]
         sim = Simulator(schedule, nodes, rng=RngRegistry(seed),
                         engine=engine)
@@ -374,10 +357,9 @@ def test_csr_matches_naive_adjacency(factory):
         csr = schedule.adjacency(r)
         expected = _naive_neighbors(schedule.edges(r), n)
         assert csr.neighbor_lists() == expected
-        assert csr.degree_list() == [len(nbrs) for nbrs in expected]
-        # legacy surface stays consistent with the CSR
-        legacy = schedule.neighbors(r)
-        assert [list(map(int, row)) for row in legacy] == expected
+        assert csr.degrees().tolist() == [len(nbrs) for nbrs in expected]
+        assert [csr.indices[csr.indptr[j]:csr.indptr[j + 1]].tolist()
+                for j in range(n)] == expected
 
 
 def test_build_csr_empty_graph():

@@ -109,17 +109,19 @@ class TestExplicitSchedule:
 class TestNeighbors:
     def test_neighbors_lists(self):
         s = ExplicitSchedule(4, [[(0, 1), (1, 2)]])
-        neigh = s.neighbors(1)
-        assert sorted(neigh[1].tolist()) == [0, 2]
-        assert neigh[3].tolist() == []
+        neigh = s.adjacency(1).neighbor_lists()
+        assert neigh[1] == [0, 2]
+        assert neigh[3] == []
 
     def test_neighbors_cached_identity(self):
         s = ExplicitSchedule(4, [[(0, 1)]], cycle=True)
-        assert s.neighbors(1) is s.neighbors(1)
+        assert s.adjacency(1) is s.adjacency(1)
+        csr = s.adjacency(1)
+        assert csr.neighbor_lists() is csr.neighbor_lists()
 
     def test_degrees(self):
         s = ExplicitSchedule(4, [[(0, 1), (1, 2), (1, 3)]])
-        assert s.degrees(1).tolist() == [1, 3, 1, 1]
+        assert s.adjacency(1).degrees().tolist() == [1, 3, 1, 1]
 
 
 class TestFunctionSchedule:
