@@ -24,6 +24,7 @@ import math
 from typing import Callable, Optional
 
 from .._validate import require_positive_int
+from ..errors import ConfigurationError
 from ..baselines.klo import total_rounds_prediction
 
 __all__ = [
@@ -90,7 +91,7 @@ def crossover_n(f: Callable[[int], float], g: Callable[[int], float],
     here).  Returns ``None`` if no crossover occurs in range.
     """
     if n_min > n_max:
-        raise ValueError(f"n_min {n_min} > n_max {n_max}")
+        raise ConfigurationError(f"n_min {n_min} > n_max {n_max}")
     if f(n_min) < g(n_min):
         return n_min
     lo = n_min

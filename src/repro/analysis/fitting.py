@@ -14,6 +14,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..errors import ConfigurationError
+
 __all__ = ["loglog_slope", "power_law_fit", "PowerLawFit"]
 
 
@@ -37,11 +39,11 @@ def _validate(xs: Sequence[float], ys: Sequence[float]) -> Tuple[np.ndarray, np.
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"xs and ys must be equal-length 1-D, got {x.shape} vs {y.shape}")
+        raise ConfigurationError(f"xs and ys must be equal-length 1-D, got {x.shape} vs {y.shape}")
     if len(x) < 2:
-        raise ValueError("need at least 2 points to fit")
+        raise ConfigurationError("need at least 2 points to fit")
     if (x <= 0).any() or (y <= 0).any():
-        raise ValueError("power-law fits need strictly positive data")
+        raise ConfigurationError("power-law fits need strictly positive data")
     return x, y
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..errors import ConfigurationError
+
 __all__ = ["ascii_plot", "ascii_series"]
 
 _GLYPHS = "ox+*#@%&"
@@ -19,7 +21,7 @@ _GLYPHS = "ox+*#@%&"
 def _transform(value: float, log: bool) -> float:
     if log:
         if value <= 0:
-            raise ValueError(f"log axis requires positive values, got {value}")
+            raise ConfigurationError(f"log axis requires positive values, got {value}")
         return math.log10(value)
     return value
 
@@ -53,18 +55,18 @@ def ascii_plot(series: Dict[str, Tuple[Sequence[float], Sequence[float]]],
         Logarithmic axes (all values must then be positive).
     """
     if not series:
-        raise ValueError("series must be non-empty")
+        raise ConfigurationError("series must be non-empty")
     if len(series) > len(_GLYPHS):
-        raise ValueError(f"at most {len(_GLYPHS)} series supported")
+        raise ConfigurationError(f"at most {len(_GLYPHS)} series supported")
     pts: List[Tuple[str, float, float]] = []
     for name, (xs, ys) in series.items():
         if len(xs) != len(ys):
-            raise ValueError(f"series {name!r}: xs and ys lengths differ")
+            raise ConfigurationError(f"series {name!r}: xs and ys lengths differ")
         for x, y in zip(xs, ys):
             pts.append((name, _transform(float(x), logx),
                         _transform(float(y), logy)))
     if not pts:
-        raise ValueError("no data points")
+        raise ConfigurationError("no data points")
     tx = [p[1] for p in pts]
     ty = [p[2] for p in pts]
     x_lo, x_hi = min(tx), max(tx)

@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import ConfigurationError
+
 __all__ = ["Summary", "summarize"]
 
 
@@ -42,9 +44,9 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> Summary:
     """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
-        raise ValueError("values must be non-empty")
+        raise ConfigurationError("values must be non-empty")
     if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
     mean = float(arr.mean())
     if arr.size == 1:
         return Summary(1, mean, 0.0, mean, mean, mean, mean, confidence)

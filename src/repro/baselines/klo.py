@@ -62,7 +62,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from .._validate import require_positive_int
-from ..errors import AlgorithmViolation
+from ..errors import AlgorithmViolation, ConfigurationError
 from ..simnet.batch import KCommitteeBatchKernel
 from ..simnet.message import NodeId
 from ..simnet.node import Algorithm, RoundContext
@@ -92,7 +92,7 @@ def total_rounds_prediction(n: int, initial_guess: int = 1,
     require_positive_int(n, "n")
     require_positive_int(guess_growth, "guess_growth")
     if guess_growth < 2:
-        raise ValueError("guess_growth must be >= 2")
+        raise ConfigurationError("guess_growth must be >= 2")
     total = 0
     k = require_positive_int(initial_guess, "initial_guess")
     while True:
@@ -134,7 +134,7 @@ class KCommitteeCount(Algorithm):
         self.k = require_positive_int(initial_guess, "initial_guess")
         self.guess_growth = require_positive_int(guess_growth, "guess_growth")
         if self.guess_growth < 2:
-            raise ValueError("guess_growth must be >= 2")
+            raise ConfigurationError("guess_growth must be >= 2")
         self._epoch_round = 0  # rounds already completed in this epoch
         self._reset_epoch_state()
 

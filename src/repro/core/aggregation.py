@@ -29,6 +29,7 @@ from typing import Any, Generic, List, Optional, TypeVar
 import numpy as np
 
 from .._validate import require_positive_int
+from ..errors import ConfigurationError
 from ..simnet.node import Algorithm, RoundContext
 from .termination import QuiescenceController
 
@@ -135,7 +136,7 @@ class MinVectorAggregate(Aggregate):
 
     def __init__(self, width: int) -> None:
         if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
+            raise ConfigurationError(f"width must be >= 1, got {width}")
         self.width = width
 
     def merge(self, a: Optional[np.ndarray], b: Optional[np.ndarray]):
@@ -153,7 +154,7 @@ class MinVectorAggregate(Aggregate):
     def decode(self, payload: Any) -> np.ndarray:
         arr = np.asarray(payload, dtype=np.float64)
         if arr.shape != (self.width,):
-            raise ValueError(
+            raise ConfigurationError(
                 f"expected a vector of width {self.width}, got {arr.shape}")
         return arr
 

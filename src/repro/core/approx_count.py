@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .._validate import require_positive_int
+from ..errors import ConfigurationError
 from ..simnet.batch import MinVectorBatchKernel, aggregate_batch_kernel
 from .aggregation import (
     AggregateNode,
@@ -47,7 +48,7 @@ def _make_sketch(width: Optional[int], eps: Optional[float],
     """Resolve the sketch from either an explicit width or an (ε, δ) target."""
     if width is None:
         if eps is None or delta is None:
-            raise ValueError("pass either width or both eps and delta")
+            raise ConfigurationError("pass either width or both eps and delta")
         if family == "geometric":
             # Geometric coordinates are far noisier; give the ablation a
             # comparable coordinate budget to the exponential target.
@@ -59,7 +60,7 @@ def _make_sketch(width: Optional[int], eps: Optional[float],
         return GeometricCountSketch(width)
     if family == "exponential":
         return ExponentialCountSketch(width)
-    raise ValueError(f"unknown sketch family {family!r}")
+    raise ConfigurationError(f"unknown sketch family {family!r}")
 
 
 class ApproxCount(AggregateNode):

@@ -73,7 +73,7 @@ class ExactCount(AggregateNode):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(HeardSetBatchKernel.build, nodes,
+        return aggregate_batch_kernel(HeardSetBatchKernel, nodes,
                                       known_bound=False)
 
 
@@ -94,5 +94,5 @@ class ExactCountKnownBound(KnownBoundAggregateNode):
     @classmethod
     def __batch_kernel__(cls, nodes):
         """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(IdSetBatchKernel.build, nodes,
+        return aggregate_batch_kernel(IdSetBatchKernel, nodes,
                                       known_bound=True)

@@ -44,6 +44,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from .._validate import require_positive_float
+from ..errors import ConfigurationError
 from ..simnet.message import NodeId
 from ..simnet.node import Algorithm, RoundContext
 from .sketches import ExponentialCountSketch
@@ -74,7 +75,7 @@ class HybridCount(Algorithm):
         self.safety_factor = require_positive_float(
             safety_factor, "safety_factor")
         if self.safety_factor <= 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"safety_factor must be > 1, got {safety_factor}")
         self.sketch = ExponentialCountSketch(width)
         self.ids: frozenset = frozenset((node_id,))

@@ -35,6 +35,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from .._validate import require_choice, require_positive_int
+from ..errors import ConfigurationError
 from ..simnet.batch import PipelinedSketchBatchKernel, aggregate_batch_kernel
 from ..simnet.node import Algorithm, RoundContext
 from .sketches import ExponentialCountSketch
@@ -69,7 +70,7 @@ class PipelinedApproxCount(Algorithm):
         super().__init__(node_id)
         if width is None:
             if eps is None or delta is None:
-                raise ValueError("pass either width or both eps and delta")
+                raise ConfigurationError("pass either width or both eps and delta")
             self.sketch = ExponentialCountSketch.for_accuracy(eps, delta)
         else:
             self.sketch = ExponentialCountSketch(require_positive_int(width, "width"))

@@ -42,6 +42,7 @@ import functools
 import numpy as np
 
 from .._validate import require_positive_int, require_probability
+from ..errors import ConfigurationError
 
 __all__ = [
     "estimate_from_minima",
@@ -64,9 +65,9 @@ def estimate_from_minima(minima: np.ndarray) -> float:
     minima = np.asarray(minima, dtype=np.float64)
     k = minima.size
     if k < 2:
-        raise ValueError(f"need sketch width >= 2, got {k}")
+        raise ConfigurationError(f"need sketch width >= 2, got {k}")
     if (minima <= 0).any():
-        raise ValueError("minima must be positive (Exp(1) draws)")
+        raise ConfigurationError("minima must be positive (Exp(1) draws)")
     return (k - 1) / float(minima.sum())
 
 
@@ -101,10 +102,10 @@ def required_width(eps: float, delta: float, max_width: int = 1 << 20) -> int:
     """
     eps = float(eps)
     if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+        raise ConfigurationError(f"eps must be > 0, got {eps}")
     delta = require_probability(delta, "delta")
     if delta <= 0:
-        raise ValueError("delta must be > 0")
+        raise ConfigurationError("delta must be > 0")
     return _solve_width(eps, delta, int(max_width))
 
 
@@ -114,7 +115,7 @@ def _solve_width(eps: float, delta: float, max_width: int) -> int:
     while failure_probability(hi, eps) > delta:
         hi *= 2
         if hi > max_width:
-            raise ValueError(
+            raise ConfigurationError(
                 f"required width exceeds {max_width} for eps={eps}, "
                 f"delta={delta}")
     while lo < hi:
@@ -139,7 +140,7 @@ class ExponentialCountSketch:
     def __init__(self, width: int) -> None:
         self.width = require_positive_int(width, "width")
         if self.width < 2:
-            raise ValueError("exponential sketch needs width >= 2")
+            raise ConfigurationError("exponential sketch needs width >= 2")
 
     @classmethod
     def for_accuracy(cls, eps: float, delta: float) -> "ExponentialCountSketch":
@@ -179,7 +180,7 @@ class GeometricCountSketch:
     def estimate(self, minima: np.ndarray) -> float:
         levels = -np.asarray(minima, dtype=np.float64)
         if levels.size == 0:
-            raise ValueError("empty sketch")
+            raise ConfigurationError("empty sketch")
         # Per-coordinate max level ≈ log2(N) + Gumbel noise; averaging the
         # levels before exponentiating (stochastic averaging) tames the
         # heavy tail, and φ corrects the expectation bias.

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .._validate import require_positive_int
-from ..errors import NotTerminatedError
+from ..errors import ConfigurationError, NotTerminatedError
 from .schedule import GraphSchedule
 
 __all__ = ["flooding_time_from", "dynamic_diameter"]
@@ -59,7 +59,7 @@ def flooding_time_from(
         return 0
     for s in src_list:
         if not (0 <= s < n):
-            raise ValueError(f"source {s} out of range [0, {n})")
+            raise ConfigurationError(f"source {s} out of range [0, {n})")
     words = (n + 63) // 64
     informed = np.zeros((n, words), dtype=np.uint64)
     # Node v starts holding exactly the tokens of sources equal to v.
@@ -106,7 +106,7 @@ def dynamic_diameter(
     and backbone-stable schedules one start round is exact).
     """
     if not start_rounds:
-        raise ValueError("start_rounds must be non-empty")
+        raise ConfigurationError("start_rounds must be non-empty")
     return max(
         flooding_time_from(schedule, start_round=r, max_rounds=max_rounds)
         for r in start_rounds

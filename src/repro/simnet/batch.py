@@ -21,9 +21,11 @@ This module defines the opt-in **batch kernel protocol**:
 * an algorithm class defines a classmethod hook
   ``__batch_kernel__(nodes)`` returning a :class:`BatchKernel` (or
   ``None`` when the concrete node population is not eligible —
-  heterogeneous bounds, exotic state types).  :func:`build_batch_kernel`
-  reads the hook from the class's own ``__dict__``, so a subclass with
-  overridden semantics never inherits its parent's kernel;
+  heterogeneous bounds, ineligible values, or any state other than the
+  one a node holds before its first round: kernels are built only from
+  freshly constructed nodes).  :func:`build_batch_kernel` reads the
+  hook from the class's own ``__dict__``, so a subclass with overridden
+  semantics never inherits its parent's kernel;
 * the kernel holds the whole population's state as struct-of-arrays
   (values, bitsets, sketch matrices, decided flags, quiescence windows)
   and implements ``compose``/``deliver`` over the entire population,
@@ -33,8 +35,10 @@ This module defines the opt-in **batch kernel protocol**:
   picks the batch tier for a run; :func:`run_batch_round` reconciles
   decisions/halts/metrics from the arrays, and :func:`deactivate_batch`
   writes the state back into the node objects before anything else can
-  observe them.  The first halt event retires the kernel, and the
-  reference tier runs the remaining rounds.
+  observe them.  The first halt event retires the kernel, as does a
+  kernel setting ``_retire_reason`` in ``deliver`` (the KLO kernel, when
+  its epoch position splits); the reference tier runs the remaining
+  rounds.
 
 Equivalence contract
 --------------------
@@ -89,7 +93,7 @@ into the receivers' rows.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -108,7 +112,6 @@ __all__ = [
     "aggregate_batch_kernel",
     "lossy_delivery_view",
     "segment_reduce",
-    "segment_counts",
     "int_payload_bits",
     "popcount64",
     "MaxBatchKernel",
@@ -203,18 +206,6 @@ def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     _, first, inverse = np.unique(keys.ravel(), return_index=True,
                                   return_inverse=True)
     return first, inverse.ravel()
-
-
-def segment_counts(values: np.ndarray, indptr: np.ndarray,
-                   indices: np.ndarray) -> np.ndarray:
-    """Per-receiver sum of ``values[sender]`` over its CSR neighbours.
-
-    Uses a prefix sum (cumsum is total, so empty segments need no
-    special-casing, unlike ``reduceat``).
-    """
-    cum = np.zeros(len(indices) + 1, dtype=np.int64)
-    np.cumsum(values[indices], out=cum[1:])
-    return cum[indptr[1:]] - cum[indptr[:-1]]
 
 
 # --------------------------------------------------------------------------
@@ -333,11 +324,15 @@ class BatchKernel:
 
     The ``decided`` attribute (bool array) must mirror
     ``node._decided`` at all times — the engine's stop conditions read
-    it instead of touching the node objects.
+    it instead of touching the node objects.  A kernel that cannot run
+    the next round sets ``_retire_reason`` in ``deliver``;
+    :func:`run_batch_round` then retires it after the round, as on a
+    halt.
     """
 
     decided: np.ndarray
     n: int
+    _retire_reason: Optional[str] = None
 
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
@@ -360,10 +355,11 @@ def build_batch_kernel(nodes: Sequence[Any]
 
     Returns ``(kernel, "")``, or ``(None, reason)`` — and the engine
     runs the reference tier — when the population is empty or
-    heterogeneous, any node has already halted or holds undrained
-    lifecycle events (a ``decide()`` made outside a round), the class
-    itself defines no ``__batch_kernel__`` hook, or the hook declines
-    (state it cannot represent exactly).  The hook is read from the
+    heterogeneous, any node has already halted, decided or holds
+    undrained lifecycle events (a ``decide()`` made outside a round),
+    the class itself defines no ``__batch_kernel__`` hook, or the hook
+    declines (state other than before the first round, or parameters
+    the kernel cannot share).  The hook is read from the
     class's own ``__dict__``: this is the one exact-class check, so a
     subclass, which may change the semantics, never inherits its
     parent's kernel.  *reason* is the clause the engine's
@@ -380,13 +376,14 @@ def build_batch_kernel(nodes: Sequence[Any]
                           f"({cls.__name__} + {type(node).__name__})")
         if node._halted:
             return None, "population already contains halted nodes"
-        if node._events:
+        if node._events or node._decided:
             return None, ("population holds lifecycle events made "
                           "outside a round")
     kernel: Optional[BatchKernel] = cls.__batch_kernel__(nodes)
     if kernel is None:
         return None, (f"{cls.__name__}.__batch_kernel__ declined the "
-                      f"population (state it cannot represent exactly)")
+                      f"population (state other than before round 1, "
+                      f"or parameters it cannot share)")
     return kernel, ""
 
 
@@ -400,20 +397,21 @@ class BatchQuiescence:
     :meth:`observe` advances every node's controller one round and
     returns the ``(decide, retract)`` verdict masks; the update rule is
     the exact vectorisation of
-    :meth:`repro.core.termination.QuiescenceController.observe`.
+    :meth:`repro.core.termination.QuiescenceController.observe`.  The
+    controllers have observed no round yet (kernels start before round
+    1), so only their windows are read.
     """
 
     __slots__ = ("growth", "window", "quiet", "holding", "retractions")
 
     def __init__(self, controllers: Sequence[Any]) -> None:
+        n = len(controllers)
         self.growth = controllers[0].growth
         self.window = np.array([c.window for c in controllers],
                                dtype=np.int64)
-        self.quiet = np.array([c.quiet_streak for c in controllers],
-                              dtype=np.int64)
-        self.holding = np.array([c.holding for c in controllers], dtype=bool)
-        self.retractions = np.array([c.retraction_count for c in controllers],
-                                    dtype=np.int64)
+        self.quiet = np.zeros(n, dtype=np.int64)
+        self.holding = np.zeros(n, dtype=bool)
+        self.retractions = np.zeros(n, dtype=np.int64)
 
     @classmethod
     def from_controllers(cls, controllers: Sequence[Any]
@@ -452,14 +450,6 @@ class BatchQuiescence:
 # *KnownBound halting variants)
 # --------------------------------------------------------------------------
 
-def _uniform_contributed(nodes: Sequence[Any]) -> Optional[bool]:
-    """All-or-nothing ``_contributed`` flag, or ``None`` when mixed."""
-    first = nodes[0]._contributed
-    if any(node._contributed is not first for node in nodes):
-        return None
-    return bool(first)
-
-
 class _AggregateKernel(BatchKernel):
     """Common decide/retract/halt plumbing for aggregate-style kernels.
 
@@ -470,8 +460,9 @@ class _AggregateKernel(BatchKernel):
     the nodes at the given indices, computed once per round for all of
     them), ``_states`` (every node's state to write back, one shared
     object per distinct immutable state) and ``_uniform`` (every row
-    equals row 0, byte for byte).  *contributed* says whether the nodes
-    already hold their contributions.
+    equals row 0, byte for byte).  The nodes hold no state yet (see
+    :func:`aggregate_batch_kernel`), so the first ``compose``
+    contributes.
 
     Identical rows are a fixed point of the idempotent union, min and
     max folds, whatever the graph or loss mask: once a merge changes no
@@ -483,16 +474,15 @@ class _AggregateKernel(BatchKernel):
 
     def __init__(self, algs: Sequence[Any],
                  controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int], contributed: bool) -> None:
+                 rounds_bound: Optional[int]) -> None:
         self._algs = list(algs)
         self.n = len(algs)
         self.name = type(algs[0]).name
         self.controller = controller
         self.rounds_bound = rounds_bound
-        self.decided = np.array([a._decided for a in algs], dtype=bool)
-        self.changed_last = np.array([a._state_changed for a in algs],
-                                     dtype=bool)
-        self._need_contribution = not contributed
+        self.decided = np.zeros(self.n, dtype=bool)
+        self.changed_last = np.ones(self.n, dtype=bool)
+        self._need_contribution = True
         self._converged = False
 
     # hooks ------------------------------------------------------------------
@@ -587,31 +577,19 @@ class MaxBatchKernel(_AggregateKernel):
 
     def __init__(self, algs: Sequence[Any],
                  controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int],
-                 values: np.ndarray, state: Optional[np.ndarray]) -> None:
-        super().__init__(algs, controller, rounds_bound, state is not None)
+                 rounds_bound: Optional[int], values: np.ndarray) -> None:
+        super().__init__(algs, controller, rounds_bound)
         self._values = values
-        self._state = state
+        self._state: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, algs: Sequence[Any],
               controller: Optional[BatchQuiescence],
               rounds_bound: Optional[int]) -> "Optional[MaxBatchKernel]":
-        contributed = _uniform_contributed(algs)
-        if contributed is None:
-            return None
         if not all(_eligible_int(a.value) for a in algs):
             return None
         values = np.array([a.value for a in algs], dtype=np.int64)
-        if contributed:
-            if not all(_eligible_int(a.state) for a in algs):
-                return None
-            state = np.array([a.state for a in algs], dtype=np.int64)
-        else:
-            if any(a.state is not None for a in algs):
-                return None
-            state = None
-        return cls(algs, controller, rounds_bound, values, state)
+        return cls(algs, controller, rounds_bound, values)
 
     def _contribute(self, ctx: BatchContext) -> None:
         # make_contribution returns self.value and draws nothing; the
@@ -646,38 +624,11 @@ class IdSetBatchKernel(_AggregateKernel):
 
     def __init__(self, algs: Sequence[Any],
                  controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int],
-                 ids: List[int], rows: Optional[np.ndarray]) -> None:
-        super().__init__(algs, controller, rounds_bound, rows is not None)
-        self._ids = np.array(ids, dtype=np.int64)
-        self._rows = rows  # (n, W) uint64, None before contribution
+                 rounds_bound: Optional[int]) -> None:
+        super().__init__(algs, controller, rounds_bound)
+        self._ids = np.array([a.node_id for a in algs], dtype=np.int64)
+        self._rows: Optional[np.ndarray] = None  # (n, W) uint64
         self._words = (self.n + 63) // 64
-
-    @classmethod
-    def build(cls, algs: Sequence[Any],
-              controller: Optional[BatchQuiescence],
-              rounds_bound: Optional[int]) -> "Optional[IdSetBatchKernel]":
-        contributed = _uniform_contributed(algs)
-        if contributed is None:
-            return None
-        ids = [a.node_id for a in algs]
-        pos = {node_id: k for k, node_id in enumerate(ids)}
-        n, words = len(algs), (len(algs) + 63) // 64
-        rows: Optional[np.ndarray] = None
-        if contributed:
-            rows = np.zeros((n, words), dtype=np.uint64)
-            for i, alg in enumerate(algs):
-                state = alg.state
-                if not isinstance(state, frozenset):
-                    return None
-                for member in state:
-                    k = pos.get(member)
-                    if k is None:  # id outside the population: bail
-                        return None
-                    rows[i, k >> 6] |= np.uint64(1) << np.uint64(k & 63)
-        elif any(a.state is not None for a in algs):
-            return None
-        return cls(algs, controller, rounds_bound, ids, rows)
 
     def _contribute(self, ctx: BatchContext) -> None:
         rows = np.zeros((self.n, self._words), dtype=np.uint64)
@@ -741,35 +692,22 @@ class MinVectorBatchKernel(_AggregateKernel):
 
     def __init__(self, algs: Sequence[Any],
                  controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int],
-                 width: int, matrix: Optional[np.ndarray]) -> None:
-        super().__init__(algs, controller, rounds_bound, matrix is not None)
+                 rounds_bound: Optional[int], width: int) -> None:
+        super().__init__(algs, controller, rounds_bound)
         self.width = width
-        self._matrix = matrix  # (n, width) float64, None before contribution
+        self._matrix: Optional[np.ndarray] = None  # (n, width) float64
 
     @classmethod
     def build(cls, algs: Sequence[Any],
               controller: Optional[BatchQuiescence],
               rounds_bound: Optional[int]) -> "Optional[MinVectorBatchKernel]":
-        contributed = _uniform_contributed(algs)
-        if contributed is None:
-            return None
         width = algs[0].aggregate.width
         if any(a.aggregate.width != width for a in algs):
             return None
         sketch = type(algs[0].sketch)
         if any(type(a.sketch) is not sketch for a in algs):
             return None  # the decide values use one sketch's estimate
-        matrix: Optional[np.ndarray] = None
-        if contributed:
-            states = [a.state for a in algs]
-            if any(not isinstance(s, np.ndarray) or s.shape != (width,)
-                   for s in states):
-                return None
-            matrix = np.array(states, dtype=np.float64)
-        elif any(a.state is not None for a in algs):
-            return None
-        return cls(algs, controller, rounds_bound, width, matrix)
+        return cls(algs, controller, rounds_bound, width)
 
     def _contribute(self, ctx: BatchContext) -> None:
         # One draw per node from its private stream, ascending node
@@ -826,12 +764,11 @@ class PipelinedSketchBatchKernel(MinVectorBatchKernel):
     with the quiescence controller of :class:`_AggregateKernel`.
     """
 
-    def __init__(self, algs: Sequence[Any], controller: BatchQuiescence,
-                 matrix: Optional[np.ndarray],
-                 last: Optional[np.ndarray]) -> None:
+    def __init__(self, algs: Sequence[Any],
+                 controller: BatchQuiescence) -> None:
         first = algs[0]
-        super().__init__(algs, controller, None, first.sketch.width, matrix)
-        self._last = last  # (n, width) int64, None before contribution
+        super().__init__(algs, controller, None, first.sketch.width)
+        self._last: Optional[np.ndarray] = None  # (n, width) int64
         self._w = first.w
         self._cycle = first.cycle
         self._recent = first._recent_share if first.strategy == "greedy" else 0
@@ -853,16 +790,7 @@ class PipelinedSketchBatchKernel(MinVectorBatchKernel):
                 (a.sketch.width, a.w, a.strategy, a.cycle, type(a.sketch))
                 != shape for a in algs):
             return None
-        width = first.sketch.width
-        if all(a.state is None and a._last_update is None for a in algs):
-            return cls(algs, controller, None, None)
-        states = [a.state for a in algs]
-        lasts = [a._last_update for a in algs]
-        if any(not isinstance(x, np.ndarray) or x.shape != (width,)
-               for x in states + lasts):
-            return None
-        return cls(algs, controller, np.array(states, dtype=np.float64),
-                   np.array(lasts, dtype=np.int64))
+        return cls(algs, controller)
 
     def _contribute(self, ctx: BatchContext) -> None:
         # One draw per node from its private stream, ascending node
@@ -919,11 +847,15 @@ def aggregate_batch_kernel(build: Callable[..., Optional[BatchKernel]],
     """Shared eligibility plumbing for the aggregate-family hooks.
 
     *build* is a ``SomeKernel.build``-shaped callable taking
-    ``(nodes, controller, rounds_bound)``.  Stabilizing populations get a
+    ``(nodes, controller, rounds_bound)``.  Every node must still hold
+    its constructed ``state`` of ``None`` (a node contributes in its
+    first ``compose``).  Stabilizing populations get a
     :class:`BatchQuiescence` (bailing on mixed growth factors); halting
     populations require a uniform ``rounds_bound`` — staggered halting
     would break the kernels' all-alive invariant.
     """
+    if any(node.state is not None for node in nodes):
+        return None
     if known_bound:
         bound = nodes[0].rounds_bound
         if any(node.rounds_bound != bound for node in nodes):
@@ -1048,23 +980,18 @@ class TokenBatchKernel(BatchKernel):
         self._bits = np.full(self.n, ID_BITS, dtype=np.int64)
         self._picks = np.zeros(self.n, dtype=np.int64)
         self._draws: Optional[_BoundedDraws] = None
-        self.decided = np.array([a._decided for a in algs], dtype=bool)
-        self.changed_last = np.array([a._state_changed for a in algs],
-                                     dtype=bool)
+        self.decided = np.zeros(self.n, dtype=bool)
+        self.changed_last = np.ones(self.n, dtype=bool)
 
     @classmethod
     def build(cls, algs: Sequence[Any]) -> "Optional[TokenBatchKernel]":
+        if any(a.tokens != {a.node_id} for a in algs):
+            return None  # tokens other than the node's own
         token_ids = sorted(a.node_id for a in algs)
         column = {token: c for c, token in enumerate(token_ids)}
         n = len(algs)
         known = np.zeros((n, n), dtype=bool)
-        try:
-            for i, alg in enumerate(algs):
-                known[i, [column[token] for token in alg.tokens]] = True
-        except (KeyError, TypeError):
-            return None  # a token outside the population
-        if not known.any(axis=1).all():
-            return None  # an empty token set: the per-node draw raises
+        known[np.arange(n), [column[a.node_id] for a in algs]] = True
         never = n + 1  # no row ever counts more than n tokens
         targets = np.array(
             [never if a.target_count is None else a.target_count
@@ -1128,53 +1055,10 @@ def _int_bits(value: int) -> int:
     return max(1, value.bit_length()) + 1
 
 
-def _union(masks: List[np.ndarray]) -> Optional[np.ndarray]:
-    """OR of boolean *masks* (``None`` when there are none)."""
-    if not masks:
-        return None
-    return masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
-
-
-class _EpochGroup:
-    """The nodes at one epoch position: guess ``k``, epoch round ``t``
-    and a member mask, plus the round's ``kind``/``cycle``/``pr``
-    (round within the phase) that :meth:`locate` derives."""
-
-    __slots__ = ("k", "t", "members", "kind", "cycle", "pr")
-
-    def __init__(self, k: int, t: int, members: np.ndarray) -> None:
-        self.k = k
-        self.t = t
-        self.members = members
-        self.kind = self.cycle = self.pr = 0
-
-    def locate(self) -> int:
-        """Derive this round's position and return its payload header
-        bits (framing, tag, ``k`` and, in the cycles, the cycle).  Epoch
-        round ``t`` at guess ``k`` lies in cycle ``t // 3k`` while that
-        is below ``k`` (phase ``(t mod 3k) // k``), then in the ``k + 2``
-        verification rounds, then in dissemination."""
-        k = self.k
-        self.cycle, rem = divmod(self.t, 3 * k)
-        head = 24 + _int_bits(k)
-        if self.cycle < k:
-            self.kind, self.pr = divmod(rem, k)
-            return head + _int_bits(self.cycle)
-        past = self.t - 3 * k * k
-        if past < k + 2:
-            self.kind, self.pr = _VERIFY, past
-        else:
-            self.kind, self.pr = _DISSEMINATE, past - (k + 2)
-        return head
-
-    def ends(self, code: int, last: int) -> bool:
-        """Whether this round is round ``k + last`` of phase *code*."""
-        return self.kind == code and self.pr == self.k + last
-
-    def phase_ends(self) -> bool:
-        """Whether this round is its phase's last: round ``k - 1`` of a
-        cycle phase, ``k + 1`` of verification or dissemination."""
-        return self.pr == self.k + (1 if self.kind >= _VERIFY else -1)
+#: The state :meth:`KCommitteeCount._reset_epoch_state` leaves, at epoch
+#: round 0: ``(epoch round, committee, poll minimum, grants made, granted
+#: ids, request table, grant table, polluted, count heard)``.
+_KLO_FRESH: Tuple[Any, ...] = (0, None, None, 0, set(), {}, {}, False, None)
 
 
 class KCommitteeBatchKernel(BatchKernel):
@@ -1198,127 +1082,70 @@ class KCommitteeBatchKernel(BatchKernel):
     and a node joins the *first* leader naming it.  Both equal the
     segment-min because a leader grants one node per cycle and a node
     requests one leader, so every entry for a leader names the same
-    grantee and no node is named twice; :meth:`build` declines state
-    that breaks this.
+    grantee and no node is named twice.
 
-    Epoch positions ``(k, t)`` are held per *group* of nodes
-    (:class:`_EpochGroup`), so a round derives each position once in
-    Python ints.  Engagement needs one shared position and guess growth,
-    which makes one group.  Loss can split it later: polluted nodes
-    ending verification restart with a grown guess while the clean ones
-    disseminate, and :meth:`_advance` moves them into a group of their
-    own.  Groups never need to merge again: every round advances each
-    group's ``t`` alike, and a restart lands at ``t = 0``, where no
-    other group stands.  Each phase runs masked to the union of the
-    groups in it; a phase's messages are read only by receivers in the
-    same phase, as in the per-node fold.
+    The kernel starts from nodes at epoch round 0 with one guess and
+    guess growth, and holds one epoch position ``(k, t)`` for all of
+    them, so a round derives its phase, cycle and round-within-phase
+    once in Python ints.  Every node is in the same phase.  The position
+    stays shared while verification ends with all nodes polluted (all
+    restart with a grown guess) or none (all disseminate).  When it ends
+    with only some polluted, which needs a broken T-interval promise or
+    message loss, the polluted nodes restart while the clean ones
+    disseminate: :meth:`_advance` sets ``_retire_reason``, the kernel
+    retires after that round, and :meth:`finalize` writes both
+    positions back.
 
     A phase *settles* once its state is a fixed point of its fold
     whatever the edges and loss mask (see :meth:`_fixed_point`).  After
-    a round that changed no node, with one group (so one phase), the
-    kernel tests for it; until the phase's last round, ``compose`` then
-    returns the round's frozen ``(sends, bits)`` and ``deliver`` folds
-    nothing, returning one shared all-False mask.  The positions still
-    advance every round.  The phase-end round takes the full path, as
-    its end logic writes state; groups split only there.
+    a round that changed no node the kernel tests for it; until the
+    phase's last round, ``compose`` then returns the round's frozen
+    ``(sends, bits)`` and ``deliver`` folds nothing, returning one
+    shared all-False mask.  The position still advances every round.
+    The phase-end round takes the full path, as its end logic writes
+    state.
     """
 
-    def __init__(self, algs: Sequence[Any], state: Dict[str, Any]) -> None:
-        self.n = len(algs)
-        self._ids = state["ids"]            # rank -> node id
-        self._own = state["own"]            # node index -> own rank
-        self._growth = state["growth"]
-        self._groups = [_EpochGroup(state["k"], state["t"],
-                                    np.ones(self.n, dtype=bool))]
-        self._committee = state["committee"]
-        self._grants = state["grants"]
-        self._granted = state["granted"]    # (n, n) bool, column = rank
-        self._poll = state["poll"]
-        self._req = state["req"]
-        self._grant = state["grant"]
-        self._polluted = state["polluted"]
-        self._count = state["count"]        # -1: no count heard
-        self.decided = np.array([a._decided for a in algs], dtype=bool)
-        self.changed_last = np.array([a._state_changed for a in algs],
-                                     dtype=bool)
+    def __init__(self, algs: Sequence[Any], k: int, growth: int) -> None:
+        n = self.n = len(algs)
+        self._ids = sorted(a.node_id for a in algs)  # rank -> node id
+        rank = {node_id: r for r, node_id in enumerate(self._ids)}
+        self._own = np.array([rank[a.node_id] for a in algs],
+                             dtype=np.int64)        # node index -> rank
+        self._growth = growth
+        self._k, self._t = k, 0
+        self._kind = self._cycle = self._pr = 0
+        self._committee = np.empty(n, dtype=np.int64)
+        self._grants = np.empty(n, dtype=np.int64)
+        self._granted = np.empty((n, n), dtype=bool)  # column = rank
+        self._poll = np.empty(n, dtype=np.int64)
+        self._req = np.empty((n, n), dtype=np.int64)
+        self._grant = np.empty((n, n), dtype=np.int64)
+        self._polluted = np.empty(n, dtype=bool)
+        self._count = np.empty(n, dtype=np.int64)   # -1: no count heard
+        self._restart(np.ones(n, dtype=bool))
+        #: The nodes that restarted when the epoch position split.
+        self._restarted: Optional[np.ndarray] = None
+        self.decided = np.zeros(n, dtype=bool)
+        self.changed_last = np.ones(n, dtype=bool)
         self._settled: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._unchanged = np.zeros(self.n, dtype=bool)
+        self._unchanged = np.zeros(n, dtype=bool)
         self._unchanged.flags.writeable = False
 
-    # -- import / export -----------------------------------------------------
+    # -- build / write back --------------------------------------------------
 
     @classmethod
     def build(cls, algs: Sequence[Any]
               ) -> "Optional[KCommitteeBatchKernel]":
         first = algs[0]
-        k, t, growth = first.k, first._epoch_round, first.guess_growth
-        if any(a.k != k or a._epoch_round != t or a.guess_growth != growth
+        k, growth = first.k, first.guess_growth
+        if any(a.k != k or a.guess_growth != growth
+               or (a._epoch_round, a.committee, a.poll_min, a.grants_made,
+                   a.granted_ids, a.request_best, a.grant_seen, a.polluted,
+                   a.count_heard) != _KLO_FRESH
                for a in algs):
             return None
-        cycles_len, verify_len = 3 * k * k, k + 2
-        if t >= cycles_len + 2 * verify_len:
-            return None  # past the epoch: the per-node position raises
-        counts = [a.count_heard for a in algs]
-        if not all(c is None or (_eligible_int(c) and c >= 0)
-                   for c in counts):
-            return None
-        polluted = np.array([bool(a.polluted) for a in algs])
-        if t >= cycles_len + verify_len and polluted.any():
-            return None  # the per-node dissemination raises
-        n = len(algs)
-        ids = sorted(a.node_id for a in algs)
-        rank = {node_id: r for r, node_id in enumerate(ids)}
-
-        def ranks(values: Iterable[Any]) -> List[int]:
-            return [n if v is None else rank[v] for v in values]
-
-        req = np.full((n, n), n, dtype=np.int64)
-        grant = np.full((n, n), n, dtype=np.int64)
-        granted = np.zeros((n, n), dtype=bool)
-        try:
-            committee = ranks(a.committee for a in algs)
-            poll = ranks(a.poll_min for a in algs)
-            for i, alg in enumerate(algs):
-                addressees = ranks(alg.request_best)
-                requesters = ranks(alg.request_best.values())
-                leaders = ranks(alg.grant_seen)
-                grantees = ranks(alg.grant_seen.values())
-                members = ranks(alg.granted_ids)
-                if n in addressees + requesters + leaders + grantees + members:
-                    return None
-                req[i, addressees] = requesters
-                grant[i, leaders] = grantees
-                granted[i, members] = True
-        except (KeyError, TypeError):
-            return None  # an id outside the population
-        if t >= cycles_len and n in committee:
-            return None  # verification would send NodeId(None)
-        # One grantee per leader, and no grantee under two leaders.
-        named = np.where(grant == n, -1, grant).max(axis=0)
-        if ((grant != n) & (grant != named)).any():
-            return None
-        named = named[named >= 0]
-        if len(np.unique(named)) != len(named):
-            return None
-        state = {
-            "ids": ids,
-            "own": np.array([rank[a.node_id] for a in algs],
-                            dtype=np.int64),
-            "growth": growth,
-            "k": k,
-            "t": t,
-            "committee": np.array(committee, dtype=np.int64),
-            "grants": np.array([a.grants_made for a in algs],
-                               dtype=np.int64),
-            "granted": granted,
-            "poll": np.array(poll, dtype=np.int64),
-            "req": req,
-            "grant": grant,
-            "polluted": polluted,
-            "count": np.array([-1 if c is None else c for c in counts],
-                              dtype=np.int64),
-        }
-        return cls(algs, state)
+        return cls(algs, k, growth)
 
     def finalize(self, nodes: Sequence[Any]) -> None:
         n = self.n
@@ -1328,17 +1155,16 @@ class KCommitteeBatchKernel(BatchKernel):
             return {ids[key]: ids[value]
                     for key, value in enumerate(row) if value != n}
 
-        k, t = [0] * n, [0] * n
-        for group in self._groups:
-            for i in np.flatnonzero(group.members).tolist():
-                k[i], t[i] = group.k, group.t
+        positions = [(self._k, self._t)] * n
+        if self._restarted is not None:
+            for i in np.flatnonzero(self._restarted).tolist():
+                positions[i] = (self._k * self._growth, 0)
         committee, poll = self._committee.tolist(), self._poll.tolist()
         grants, count = self._grants.tolist(), self._count.tolist()
         polluted = self._polluted.tolist()
         changed = self.changed_last.tolist()
         for i, node in enumerate(nodes):
-            node.k = k[i]
-            node._epoch_round = t[i]
+            node.k, node._epoch_round = positions[i]
             node.committee = None if committee[i] == n else ids[committee[i]]
             node.poll_min = None if poll[i] == n else ids[poll[i]]
             node.grants_made = grants[i]
@@ -1352,55 +1178,62 @@ class KCommitteeBatchKernel(BatchKernel):
 
     # -- rounds ---------------------------------------------------------------
 
+    def _locate(self) -> int:
+        """Derive this round's kind, cycle and round within the phase,
+        and return its payload header bits (framing, tag, ``k`` and, in
+        the cycles, the cycle).  Epoch round ``t`` at guess ``k`` lies in
+        cycle ``t // 3k`` while that is below ``k`` (phase
+        ``(t mod 3k) // k``), then in the ``k + 2`` verification rounds,
+        then in dissemination."""
+        k = self._k
+        self._cycle, rem = divmod(self._t, 3 * k)
+        head = 24 + _int_bits(k)
+        if self._cycle < k:
+            self._kind, self._pr = divmod(rem, k)
+            return head + _int_bits(self._cycle)
+        past = self._t - 3 * k * k
+        if past < k + 2:
+            self._kind, self._pr = _VERIFY, past
+        else:
+            self._kind, self._pr = _DISSEMINATE, past - (k + 2)
+        return head
+
+    def _phase_ends(self) -> bool:
+        """Whether this round is its phase's last: round ``k - 1`` of a
+        cycle phase, ``k + 1`` of verification or dissemination."""
+        return self._pr == self._k + (1 if self._kind >= _VERIFY else -1)
+
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        heads = [group.locate() for group in self._groups]
+        head = self._locate()
         if self._settled is not None:
-            if not self._groups[0].phase_ends():
+            if not self._phase_ends():
                 return self._settled
             self._settled = None
-        n = self.n
-        head = np.empty(n, dtype=np.int64)
-        into: Dict[int, np.ndarray] = {}  # phase code -> nodes in it
-        for group, group_head in zip(self._groups, heads):
-            head[group.members] = group_head
-            mask = into.get(group.kind)
-            into[group.kind] = (group.members if mask is None
-                                else mask | group.members)
-        self._into = into
+        n, kind = self.n, self._kind
         self._uncommitted = self._committee == n
-        bits = np.zeros(n, dtype=np.int64)
-        sends = np.zeros(n, dtype=bool)
-        self._sends = sends
-        if _POLL in into:
+        if kind == _POLL:
             value = np.where(self._uncommitted,
                              np.minimum(self._poll, self._own), self._poll)
-            send = into[_POLL] & (value != n)
+            sends = value != n
             self._poll_value = value
-            self._poll_msg = np.where(send, value, n)
-            sends |= send
-            bits = np.where(send, head + ID_BITS, bits)
-        for code, rows in ((_REQUEST, self._req), (_GRANT, self._grant)):
-            if code in into:
-                entries = np.count_nonzero(rows != n, axis=1)
-                send = into[code] & (entries > 0)
-                sends |= send
-                bits = np.where(
-                    send, head + 8 + entries * (8 + 2 * ID_BITS), bits)
-        if _VERIFY in into:
-            send = into[_VERIFY]
-            value = np.where(self._polluted, -1, self._committee)
-            self._verify_lo = np.where(send, value, n + 1)
-            self._verify_hi = np.where(send, value, -2)
-            sends |= send
+            self._poll_msg = np.where(sends, value, n)
+            bits = np.where(sends, head + ID_BITS, 0)
+        elif kind == _REQUEST or kind == _GRANT:
+            rows = self._req if kind == _REQUEST else self._grant
+            entries = np.count_nonzero(rows != n, axis=1)
+            sends = entries > 0
             bits = np.where(
-                send, head + np.where(self._polluted, 16, ID_BITS), bits)
-        if _DISSEMINATE in into:
-            send = into[_DISSEMINATE] & (self._count >= 0)
-            self._count_msg = np.where(send, self._count, -1)
-            sends |= send
-            bits = np.where(send, head + int_payload_bits(self._count), bits)
-        self._bits = bits
+                sends, head + 8 + entries * (8 + 2 * ID_BITS), 0)
+        elif kind == _VERIFY:
+            sends = np.ones(n, dtype=bool)
+            self._verify_msg = np.where(self._polluted, -1, self._committee)
+            bits = head + np.where(self._polluted, 16, ID_BITS)
+        else:
+            sends = self._count >= 0
+            self._count_msg = self._count.copy()  # -1: sends nothing
+            bits = np.where(sends, head + int_payload_bits(self._count), 0)
+        self._sends, self._bits = sends, bits
         return sends, bits
 
     def deliver(self, ctx: BatchContext, csr: Any,
@@ -1409,37 +1242,37 @@ class KCommitteeBatchKernel(BatchKernel):
             self._advance()
             self.changed_last = self._unchanged
             return False, []
-        into = self._into
         changed = np.zeros(self.n, dtype=bool)
         events: Events = []
-        # Dissemination first: a violation raises before this round
-        # writes any state.
-        if _DISSEMINATE in into:
-            self._disseminate(csr, changed, events)
-        if _POLL in into:
-            self._poll_round(csr, changed)
-        if _REQUEST in into:
-            end = self._merge_rows(_REQUEST, self._req, csr, changed)
-            if end is not None:
-                self._end_request(end)
-        if _GRANT in into:
-            end = self._merge_rows(_GRANT, self._grant, csr, changed)
-            if end is not None:
-                self._end_grant(end)
-        if _VERIFY in into:
-            self._verify_round(csr, changed)
+        end = self._phase_ends()
+        kind = self._kind
+        if kind == _POLL:
+            self._poll_round(csr, changed, end)
+        elif kind == _REQUEST:
+            self._merge_rows(self._req, csr, changed)
+            if end:
+                self._end_request()
+                changed[:] = True
+        elif kind == _GRANT:
+            self._merge_rows(self._grant, csr, changed)
+            if end:
+                self._end_grant()
+                changed[:] = True
+        elif kind == _VERIFY:
+            self._verify_round(csr, changed, end)
+        else:
+            self._disseminate(csr, changed, events, end)
         self._advance()
         self.changed_last = changed
         changed_any = bool(changed.any())
-        if (not changed_any and len(self._groups) == 1
-                and self._fixed_point()):
+        if not changed_any and self._fixed_point():
             self._sends.flags.writeable = False
             self._bits.flags.writeable = False
             self._settled = self._sends, self._bits
         return changed_any, events
 
     def _fixed_point(self) -> bool:
-        """Whether the one running phase's state is a fixed point of its
+        """Whether the running phase's state is a fixed point of its
         idempotent min/max fold, for any edges and loss mask: every node
         sends the same message, which changes no node.
 
@@ -1449,24 +1282,18 @@ class KCommitteeBatchKernel(BatchKernel):
         so all nodes send the same there when all are polluted, or all
         are clean in one committee.
         """
-        (code,) = self._into
-        if code == _POLL:
+        kind = self._kind
+        if kind == _POLL:
             state = self._poll
-        elif code == _REQUEST:
+        elif kind == _REQUEST:
             state = self._req
-        elif code == _GRANT:
+        elif kind == _GRANT:
             state = self._grant
-        elif code == _VERIFY:
-            state = np.where(self._polluted, -1, self._committee)
+        elif kind == _VERIFY:
+            state = self._verify_msg
         else:
             state = self._count
         return bool((state == state[0]).all())
-
-    def _phase_end(self, code: int, last: int) -> Optional[np.ndarray]:
-        """Nodes in phase *code* whose round-within-phase is ``k + last``
-        (``None`` when there are none)."""
-        return _union([group.members for group in self._groups
-                       if group.ends(code, last)])
 
     def _heard(self, csr: Any, sent: np.ndarray, silent: int,
                ufunc: np.ufunc) -> np.ndarray:
@@ -1475,120 +1302,97 @@ class KCommitteeBatchKernel(BatchKernel):
         out = np.full(self.n, silent, dtype=np.int64)
         return segment_reduce(ufunc, sent[csr.indices], csr.indptr, out)
 
-    def _poll_round(self, csr: Any, changed: np.ndarray) -> None:
-        n = self.n
-        into = self._into[_POLL]
-        best = self._poll_value.copy()
+    def _poll_round(self, csr: Any, changed: np.ndarray, end: bool) -> None:
+        poll = self._poll_value  # composed this round: the kernel's own
         segment_reduce(np.minimum, self._poll_msg[csr.indices],
-                       csr.indptr, best)
-        poll = self._poll
-        changed |= into & (best != poll)
-        np.copyto(poll, best, where=into)
-        end = self._phase_end(_POLL, -1)
-        if end is not None:
+                       csr.indptr, poll)
+        changed |= poll != self._poll
+        self._poll = poll
+        if end:
             # Poll phase ends: uncommitted non-leaders file their own
             # join request, addressed to their poll minimum.
-            own = self._own
-            self._req[end] = n
-            files = end & self._uncommitted & (poll != n) & (poll != own)
+            n, own = self.n, self._own
+            self._req[:] = n
+            files = self._uncommitted & (poll != n) & (poll != own)
             self._req[files, poll[files]] = own[files]
-            changed |= end
+            changed[:] = True
 
-    def _merge_rows(self, code: int, rows: np.ndarray, csr: Any,
-                    changed: np.ndarray) -> Optional[np.ndarray]:
+    def _merge_rows(self, rows: np.ndarray, csr: Any,
+                    changed: np.ndarray) -> None:
         """Fold the phase's ``(key, value)`` messages into *rows* by
-        per-key minimum, for the receivers in phase *code*; returns the
-        nodes whose phase ends this round."""
-        into = self._into[code]
-        heard = rows[csr.indices]
-        if len(self._into) > 1:
-            # Only this phase's senders' rows are messages here.  With
-            # every node in the phase the mask is a no-op: a node that
-            # sends nothing holds a row of "none"s.
-            heard[~(self._sends & into)[csr.indices]] = self.n
+        per-key minimum.  A node that sends nothing holds a row of
+        "none"s, so every gathered row can be folded."""
         merged = rows.copy()
-        segment_reduce(np.minimum, heard, csr.indptr, merged)
-        changed |= into & (merged != rows).any(axis=1)
-        np.copyto(rows, merged, where=into[:, None])
-        end = self._phase_end(code, -1)
-        if end is not None:
-            changed |= end
-        return end
+        segment_reduce(np.minimum, rows[csr.indices], csr.indptr, merged)
+        changed |= (merged != rows).any(axis=1)
+        rows[...] = merged
 
-    def _end_request(self, end: np.ndarray) -> None:
+    def _end_request(self) -> None:
         """Request phase ends: each leader grants its best requester."""
         n, own = self.n, self._own
-        self._grant[end] = n
+        self._grant[:] = n
         best = self._req[np.arange(n), own]
-        grants = (end & self._uncommitted & (self._poll == own)
+        grants = (self._uncommitted & (self._poll == own)
                   & (best != n) & (best != own))
         self._grant[grants, own[grants]] = best[grants]
         self._grants[grants] += 1
         self._granted[grants, best[grants]] = True
 
-    def _end_grant(self, end: np.ndarray) -> None:
+    def _end_grant(self) -> None:
         """Grant phase ends: a granted node joins its leader; then the
         cycle's state resets, and after the last cycle the still
         uncommitted nodes form singleton committees."""
         n, own = self.n, self._own
         joins = ((self._grant == own[:, None])
-                 & (end & (self._committee == n))[:, None])
+                 & (self._committee == n)[:, None])
         joined = joins.any(axis=1)
         self._committee[joined] = np.argmax(joins[joined], axis=1)
-        self._poll[end] = n
-        self._req[end] = n
-        self._grant[end] = n
-        last = _union([group.members for group in self._groups
-                       if group.ends(_GRANT, -1)
-                       and group.cycle == group.k - 1])
-        if last is not None:
-            singles = last & (self._committee == n)
+        self._poll[:] = n
+        self._req[:] = n
+        self._grant[:] = n
+        if self._cycle == self._k - 1:
+            singles = self._committee == n
             self._committee[singles] = own[singles]
 
-    def _verify_round(self, csr: Any, changed: np.ndarray) -> None:
+    def _verify_round(self, csr: Any, changed: np.ndarray,
+                      end: bool) -> None:
         n = self.n
-        into = self._into[_VERIFY]
-        lo = self._heard(csr, self._verify_lo, n + 1, np.minimum)
-        hi = self._heard(csr, self._verify_hi, -2, np.maximum)
+        lo = self._heard(csr, self._verify_msg, n + 1, np.minimum)
+        hi = self._heard(csr, self._verify_msg, -2, np.maximum)
         committee = self._committee
-        newly = (into & ~self._polluted & (lo <= n)
+        newly = (~self._polluted & (lo <= n)
                  & ((lo != committee) | (hi != committee)))
         self._polluted |= newly
         changed |= newly
-        end = self._phase_end(_VERIFY, 1)
-        if end is not None:
+        if end:
             # Verification ends; on success the unique leader seeds the
             # count for dissemination.
-            seeds = end & ~self._polluted & (committee == self._own)
+            seeds = ~self._polluted & (committee == self._own)
             self._count[seeds] = self._grants[seeds] + 1
-            changed |= end
+            changed[:] = True
 
-    def _disseminate(self, csr: Any, changed: np.ndarray,
-                     events: Events) -> None:
-        into = self._into[_DISSEMINATE]
+    def _disseminate(self, csr: Any, changed: np.ndarray, events: Events,
+                     end: bool) -> None:
         sent = self._count_msg
         lo = self._heard(csr, np.where(sent < 0, _INT64_MAX, sent),
                          _INT64_MAX, np.minimum)
         hi = self._heard(csr, sent, -1, np.maximum)
         count = self._count
-        heard = into & (hi >= 0)
+        heard = hi >= 0
         conflict = heard & np.where(count < 0, lo != hi,
                                     (lo != count) | (hi != count))
         fresh = heard & (count < 0)
-        end = self._phase_end(_DISSEMINATE, 1)
-        bad = conflict
-        if end is not None:
-            bad = bad | (end & (count < 0) & ~fresh)
+        # A violation raises before this round writes any state.
+        bad = conflict | ((count < 0) & ~fresh) if end else conflict
         if bad.any():
             self._raise_violation(int(np.argmax(bad)), csr)
         count[fresh] = lo[fresh]
         changed |= fresh
-        if end is not None:
-            values = count.tolist()
-            for i in np.nonzero(end)[0].tolist():
-                events.append(("decide", i, values[i]))
+        if end:
+            for i, value in enumerate(count.tolist()):
+                events.append(("decide", i, value))
                 events.append(("halt", i, None))
-            self.decided |= end
+            self.decided[:] = True
 
     def _raise_violation(self, i: int, csr: Any) -> None:
         """Raise node *i*'s dissemination violation, worded as the
@@ -1606,31 +1410,31 @@ class KCommitteeBatchKernel(BatchKernel):
                 raise AlgorithmViolation(
                     f"node {node_id}: conflicting counts {heard} vs "
                     f"{value}")
-        k = next(group.k for group in self._groups if group.members[i])
         raise AlgorithmViolation(
             f"node {node_id}: dissemination ended without a count "
-            f"(k={k})")
+            f"(k={self._k})")
 
     def _advance(self) -> None:
-        """Advance every group's epoch round.  The polluted members of a
-        group ending its verification restart with a grown guess: the
-        whole group when all of them are polluted, else as a new group
-        split off from the clean members, who go on to disseminate."""
-        for group in list(self._groups):
-            ending = group.ends(_VERIFY, 1)
-            group.t += 1
-            if not ending:
-                continue
-            restart = group.members & self._polluted
-            if not restart.any():
-                continue
-            k = group.k * self._growth
-            if np.array_equal(restart, group.members):
-                group.k, group.t = k, 0
-            else:
-                group.members = group.members & ~restart
-                self._groups.append(_EpochGroup(k, 0, restart))
-            self._restart(restart)
+        """Advance the epoch round.  The polluted nodes ending
+        verification restart with a grown guess: when all nodes are
+        polluted, the shared position moves to it; when only some are,
+        the position splits and the kernel retires after this round."""
+        ending = self._kind == _VERIFY and self._phase_ends()
+        self._t += 1
+        if not ending:
+            return
+        restart = self._polluted.copy()
+        if not restart.any():
+            return
+        self._restart(restart)
+        if restart.all():
+            self._k *= self._growth
+            self._t = 0
+        else:
+            self._restarted = restart
+            self._retire_reason = (
+                "verification ended with only some nodes polluted: the "
+                "KLO epoch position split")
 
     def _restart(self, restart: np.ndarray) -> None:
         """Reset the epoch state of the nodes in *restart*."""
@@ -1749,9 +1553,12 @@ def run_batch_round(sim: Any) -> None:
     if prof is not None:
         prof["drain"] += perf_counter() - t0
 
-    if halted_any:
-        # The kernels assume every node is alive; fall back to the
-        # reference tier for whatever rounds remain.
+    # The kernels assume every node is alive (and KLO's, one epoch
+    # position); fall back to the reference tier for what remains.
+    retire = ("halt event deactivated the batch kernel" if halted_any
+              else kernel._retire_reason)
+    if retire is not None:
+        sim._fallback_reason = retire
         deactivate_batch(sim)
 
     sim._quiescent_streak = (

@@ -39,17 +39,20 @@ other:
 
 * **batch** — when every node is an instance of one algorithm class
   that itself defines the ``__batch_kernel__`` hook (see
-  :mod:`repro.simnet.batch`),
-  whole rounds execute as NumPy segment-reduces over the CSR adjacency,
-  with decisions/halts/metrics reconciled from the arrays.  Message loss
-  is handled natively via a vectorised per-edge Bernoulli delivery view.
-  The first halt event retires the kernel to the reference tier for the
-  remaining rounds.
+  :mod:`repro.simnet.batch`) and the run starts at round 0 from the
+  state the nodes were constructed with, whole rounds execute as NumPy
+  segment-reduces over the CSR adjacency, with decisions/halts/metrics
+  reconciled from the arrays.  Message loss is handled natively via a
+  vectorised per-edge Bernoulli delivery view.  The first halt event
+  retires the kernel to the reference tier for the remaining rounds,
+  as does a KLO epoch position that splits.
 * **reference** — the straightforward per-node loops of
   :func:`repro.simnet.rounds.run_reference_round`, the executable
   specification the batch tier is tested against.  It runs populations
-  without a kernel or with an already halted node, the rounds after a
-  kernel retires, and everything under ``engine="reference"``.
+  without a kernel, with an already halted node or with state other
+  than their constructed one, every ``run()`` that starts after round
+  0, the rounds after a kernel retires, and everything under
+  ``engine="reference"``.
 
 ``Simulator(engine=...)`` accepts ``"fast"`` (the default: the
 population's batch kernel, else the reference loop) and
@@ -172,6 +175,8 @@ def select_tier(sim: "Simulator") -> Tuple[str, List[Tuple[str, str]]]:
     entry when the batch tier was passed over.  The rules, in order:
 
     * **reference** when ``engine="reference"``;
+    * **reference** when the simulator has already run rounds: kernels
+      start only from the state nodes hold before round 1;
     * **batch** when :func:`~repro.simnet.batch.build_batch_kernel`
       builds the population's kernel (left in ``sim._batch_kernel`` for
       ``run()`` to engage);
@@ -179,6 +184,9 @@ def select_tier(sim: "Simulator") -> Tuple[str, List[Tuple[str, str]]]:
     """
     if sim.engine == "reference":
         reason = "engine='reference'"
+    elif sim.round_index:
+        reason = (f"population has run {sim.round_index} rounds already "
+                  f"(kernels start only before round 1)")
     else:
         kernel, reason = build_batch_kernel(sim.nodes)
         if kernel is not None:
@@ -335,6 +343,9 @@ class Simulator:
         self._tier = "reference"
         self._batch_kernel: Optional[Any] = None
         self._batch_ctx: Optional[Any] = None
+        #: Why the last engaged kernel retired mid-run (a recorded
+        #: run's ``fallback`` event carries it).
+        self._fallback_reason = ""
         # Adaptive schedules read the progress vector, never node objects.
         bind = getattr(schedule, "bind", None)
         if bind is not None:
@@ -477,8 +488,9 @@ class Simulator:
                 rec.emit(obs_events.DecisionEvent(
                     round=r, node_id=node.node_id, action="halt"))
         if tier != self._tier:
-            # The batch kernel retired on the round's first halt event.
-            reason = "halt event deactivated the batch kernel"
+            # The batch kernel retired after this round: on its first
+            # halt event, or on the kernel's own reason.
+            reason = self._fallback_reason
             rec.emit(obs_events.EngineTierEvent(
                 round=r, tier=self._tier, action="fallback", reason=reason,
                 declined=[{"tier": tier, "reason": reason}]))

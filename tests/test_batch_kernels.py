@@ -2,8 +2,8 @@
 
 Three layers of evidence, in increasing integration order:
 
-1. **Numeric helpers** — `int_payload_bits` / `segment_reduce` /
-   `segment_counts` against their scalar Python definitions (Hypothesis
+1. **Numeric helpers** — `int_payload_bits` / `segment_reduce`
+   against their scalar Python definitions (Hypothesis
    where the domain is a plain value space, seeded random otherwise).
 2. **BatchQuiescence** — the vectorised decide/retract state machine
    against a population of per-node
@@ -56,7 +56,6 @@ from repro.simnet.batch import (
     build_batch_kernel,
     int_payload_bits,
     popcount64,
-    segment_counts,
     segment_reduce,
 )
 from repro.simnet.message import bit_size
@@ -175,18 +174,6 @@ def test_segment_reduce_branches_match_per_segment_loop(inboxes, width,
 
     got = segment_reduce(ufunc, data, indptr, own.copy())
     assert np.array_equal(got, expected)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_segment_counts_matches_naive_sum(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 20))
-    indptr, indices = _random_csr(rng, n)
-    values = rng.integers(0, 5, size=n).astype(np.int64)
-    expected = [int(values[indices[indptr[j]:indptr[j + 1]]].sum())
-                for j in range(n)]
-    got = segment_counts(values, indptr, indices)
-    assert got.tolist() == expected
 
 
 @given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.5, float("nan")]),
@@ -359,17 +346,20 @@ def test_fold_matches_with_all_halted_neighbours(seed):
 def test_finalize_restores_node_state_across_split_runs(label, factory):
     """Stopping a batch run and resuming it (two ``run()`` calls) must
     equal one reference run split alike: ``finalize`` has to write the
-    kernel arrays back into the node objects verbatim at every exit."""
+    kernel arrays back into the node objects verbatim at every exit, and
+    the second ``run()``, which starts mid-run, runs on the reference
+    tier."""
     seed = 5
     n = 10
 
-    def fresh(engine):
+    def fresh(engine, recorder=None):
         schedule = ExplicitSchedule(n, _random_rounds(seed, n), cycle=True,
                                     interval=None)
         return Simulator(schedule, factory(n), rng=RngRegistry(seed),
-                         engine=engine)
+                         engine=engine, recorder=recorder)
 
-    sim_split = fresh("fast")
+    recorder = Recorder.in_memory()
+    sim_split = fresh("fast", recorder)
     sim_split.run(max_rounds=7, until="halted", allow_timeout=True)
     split = sim_split.run(max_rounds=60, until="halted", allow_timeout=True)
 
@@ -377,11 +367,28 @@ def test_finalize_restores_node_state_across_split_runs(label, factory):
     sim_whole.run(max_rounds=7, until="halted", allow_timeout=True)
     whole = sim_whole.run(max_rounds=60, until="halted", allow_timeout=True)
 
-    assert sim_split.tier_rounds["batch"] > 0
+    assert sim_split.tier_rounds == {"batch": 7,
+                                     "reference": split.rounds - 7}
+    assert _select_events(recorder) == [
+        ("batch", "population batch kernel engaged"),
+        ("reference", _mid_run_reason(7))]
     assert split.outputs == whole.outputs
     assert split.rounds == whole.rounds
     assert split.stop_reason == whole.stop_reason
     assert split.metrics == whole.metrics
+
+
+def _mid_run_reason(rounds):
+    """Why a ``run()`` that starts after *rounds* rounds skips the batch
+    tier."""
+    return (f"population has run {rounds} rounds already (kernels start "
+            f"only before round 1)")
+
+
+def _select_events(recorder):
+    """``(tier, reason)`` of every ``engine_tier`` select event."""
+    return [(e.tier, e.reason) for e in recorder.of_kind("engine_tier")
+            if e.action == "select"]
 
 
 def test_build_batch_kernel_declines_prehalted_population():
@@ -485,8 +492,10 @@ def _assert_kernel_folds_per_round(factory, seed, rounds=60, schedule=None):
     nodes) and compare every round: who sends, each payload's bit cost,
     every node's changed flag, and the decide/halt events.  A violation
     must be raised by both, with the same wording, in the same round.
-    Returns how the run ended: ``"violation"``, ``"halted"`` or
-    ``"running"``."""
+    A kernel that retires (KLO's epoch position splitting) stops the
+    comparison after that round, once the state it writes back equals
+    the per-node population's.  Returns how the run ended:
+    ``"violation"``, ``"halted"``, ``"retired"`` or ``"running"``."""
     if schedule is None:
         schedule = ExplicitSchedule(10, _random_rounds(seed, 10),
                                     cycle=True, interval=None)
@@ -536,6 +545,11 @@ def _assert_kernel_folds_per_round(factory, seed, rounds=60, schedule=None):
         assert sorted(result["events"]) == want, f"round {r}"
         if any(node.halted for node in nodes):
             return "halted"
+        if kernel._retire_reason is not None:
+            kernel.finalize(mirror)
+            assert [vars(node) for node in mirror] == [
+                vars(node) for node in nodes], f"round {r}"
+            return "retired"
     return "running"
 
 
@@ -550,7 +564,8 @@ def test_token_kernel_folds_per_round(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_klo_kernel_folds_per_round(seed, growth):
     """Sparse random graphs break KLO's connectivity promise, so runs
-    also reach split epoch positions and dissemination violations."""
+    also end in a split epoch position (the kernel retires) or a
+    dissemination violation."""
     _assert_kernel_folds_per_round(
         lambda n: [KCommitteeCount(i, guess_growth=growth)
                    for i in _scattered_ids(n)], seed, rounds=150)
@@ -623,46 +638,41 @@ def _klo_split_rounds(k, variant):
             + [[(0, 1), (3, 4), (4, 5)]] * 4)
 
 
+#: The reason a KLO kernel retires when its epoch position splits.
+KLO_SPLIT_REASON = ("verification ended with only some nodes polluted: "
+                    "the KLO epoch position split")
+
+
 @pytest.mark.parametrize("k", [1, 32])
 @pytest.mark.parametrize("variant", ["halts", "conflict", "no_count"])
-def test_klo_tiers_agree_through_split_epoch_positions(k, variant,
-                                                       monkeypatch):
+def test_klo_tiers_agree_through_split_epoch_positions(k, variant):
     """Clean nodes disseminate while polluted ones restart: the batch
-    kernel holds two epoch groups from the end of verification on, and
-    agrees with the reference tier on the result or the violation's
-    wording and round, and on every node's final ``(k, epoch round)``.
-
-    A violation interrupts the per-node fold mid-round, after the nodes
-    before the raising one (index 1 here) have delivered; the kernel
-    raises before the round writes any state, so those nodes' positions
-    are compared only on runs that end without one."""
-    groups = []
-    advance = KCommitteeBatchKernel._advance
-
-    def counting_advance(self):
-        advance(self)
-        groups.append(len(self._groups))
-
-    monkeypatch.setattr(KCommitteeBatchKernel, "_advance", counting_advance)
+    kernel, which holds one epoch position, retires after the round
+    verification ends, writing both positions back, and the reference
+    tier runs the rest.  The run agrees with ``engine="reference"`` on
+    the result or the violation's wording and round, and on every node's
+    final ``(k, epoch round)``; a recorded run emits one ``fallback``
+    event naming the split."""
     rounds = _klo_split_rounds(k, variant)
+    split_round = 3 * k * k + k + 2  # verification's last round
 
-    def run(engine):
+    def run(engine, recorder=None):
         nodes = [KCommitteeCount(i, initial_guess=k)
                  for i in _scattered_ids(6)]
         sim = Simulator(ExplicitSchedule(6, rounds, interval=None), nodes,
-                        rng=RngRegistry(3), engine=engine)
+                        rng=RngRegistry(3), engine=engine, recorder=recorder)
         try:
             outcome = sim.run(max_rounds=len(rounds), until="halted",
                               allow_timeout=True)
-            compared = nodes
         except AlgorithmViolation as exc:
             outcome = str(exc)
-            compared = nodes[1:]
-        positions = [(node.k, node._epoch_round) for node in compared]
-        return outcome, sim.round_index, positions
+        positions = [(node.k, node._epoch_round) for node in nodes]
+        return sim, (outcome, sim.round_index, positions)
 
-    batch = run("fast")
-    assert run("reference") == batch
+    recorder = Recorder.in_memory()
+    sim, batch = run("fast", recorder)
+    assert run("reference")[1] == batch
+    assert run("fast")[1] == batch  # the recorder changes nothing
     outcome = batch[0]
     if variant == "halts":
         assert outcome.outputs == {5: 2, 42: 2, 79: 1}
@@ -672,11 +682,14 @@ def test_klo_tiers_agree_through_split_epoch_positions(k, variant,
             "no_count": ("node 42: dissemination ended without a count "
                          f"(k={k})"),
         }[variant]
-    # Two groups from the round verification ends to the last kernel
-    # round: all k + 2 dissemination rounds, or up to the violation.
-    assert max(groups) == 2
-    split_rounds = {"halts": k + 3, "conflict": 1, "no_count": k + 2}
-    assert sum(count == 2 for count in groups) == split_rounds[variant]
+    assert sim.tier_rounds == {"batch": split_round,
+                               "reference": sim.round_index - split_round}
+    (fallback,) = [e for e in recorder.of_kind("engine_tier")
+                   if e.action == "fallback"]
+    assert (fallback.round, fallback.tier, fallback.reason) == (
+        split_round, "reference", KLO_SPLIT_REASON)
+    assert fallback.declined == [{"tier": "batch",
+                                  "reason": KLO_SPLIT_REASON}]
 
 
 @pytest.mark.parametrize("cut", [1, 5, 11, 23, 32])
@@ -686,30 +699,36 @@ def test_klo_tiers_agree_through_split_epoch_positions(k, variant,
                for i in _scattered_ids(n)],
 ], ids=["klo", "token"])
 def test_baseline_kernels_resume_split_runs(factory, cut):
-    """A batch run cut after *cut* rounds and resumed (the second
-    ``run()`` re-imports the state ``finalize`` wrote back, mid-epoch for
-    KLO) equals the reference tier's run split alike."""
+    """A batch run cut after *cut* rounds and resumed equals the
+    reference tier's run split alike: the first ``run()`` writes its
+    state back (mid-epoch for KLO), and the second, which starts
+    mid-run, runs on the reference tier from that state."""
     from repro.dynamics import OverlapHandoffAdversary
 
     n = 9
 
-    def run(engine):
+    def run(engine, recorder=None):
         sim = Simulator(OverlapHandoffAdversary(n, 2, noise_edges=1, seed=4),
-                        factory(n), rng=RngRegistry(4), engine=engine)
+                        factory(n), rng=RngRegistry(4), engine=engine,
+                        recorder=recorder)
         sim.run(max_rounds=cut, until="halted", allow_timeout=True)
         return sim, sim.run(max_rounds=2000, until="halted",
                             allow_timeout=True)
 
-    split_sim, split = run("fast")
+    recorder = Recorder.in_memory()
+    split_sim, split = run("fast", recorder)
     _, whole = run("reference")
-    assert split_sim.tier_rounds["batch"] == split.rounds
+    assert split_sim.tier_rounds == {"batch": cut,
+                                     "reference": split.rounds - cut}
+    assert _select_events(recorder)[1] == ("reference", _mid_run_reason(cut))
     assert split == whole
 
 
 def test_token_tiers_agree_after_direct_token_updates():
-    """Tokens added straight to ``tokens`` (as adaptive adversaries and
-    tests do) are forwarded alike by the reference and batch tiers, which
-    leave every node's RNG stream in the same state."""
+    """Tokens added straight to ``tokens`` before ``run()`` are state
+    other than a node's own token, so the kernel declines them and the
+    run equals ``engine="reference"``, down to every node's RNG
+    stream."""
     from repro.dynamics import OverlapHandoffAdversary
 
     n = 9
@@ -727,7 +746,14 @@ def test_token_tiers_agree_after_direct_token_updates():
         return sim, result, [sorted(node.tokens) for node in nodes], states
 
     batch_sim, *batch = run("fast")
-    assert batch_sim.tier_rounds["batch"] == batch[0].rounds
+    assert batch_sim.tier_rounds == {"batch": 0,
+                                     "reference": batch[0].rounds}
+    nodes = [RandomTokenDissemination(i, target_count=n) for i in range(n)]
+    assert build_batch_kernel(nodes)[0] is not None
+    nodes[4].tokens.add(0)
+    assert build_batch_kernel(nodes) == (None, (
+        "RandomTokenDissemination.__batch_kernel__ declined the population "
+        "(state other than before round 1, or parameters it cannot share)"))
     assert run("reference")[1:] == tuple(batch)
 
 
@@ -1045,14 +1071,19 @@ def test_unequal_rows_keep_merging_after_quiet_rounds(monkeypatch):
 
 def test_signed_zero_rows_are_not_converged():
     """Rows equal as floats but not as bytes (``-0.0`` against ``0.0``)
-    do not count as identical, so the kernel keeps merging them."""
+    do not count as identical, so the kernel keeps merging them.  The
+    kernel is built from fresh nodes (state set before ``run()`` is
+    declined) and handed the rows after its first compose."""
     nodes = [ApproxCountKnownBound(i, 50, width=2) for i in range(2)]
-    for node, first in zip(nodes, (0.0, -0.0)):
-        node.state = np.array([first, 1.0])
-        node._contributed = True
     kernel = build_batch_kernel(nodes)[0]
     assert type(kernel) is MinVectorBatchKernel
-    ctx = BatchContext(1, [], lambda *args: None)
+    nodes[1].state = np.array([-0.0, 1.0])
+    assert build_batch_kernel(nodes)[0] is None
+    rngs = RngRegistry(0)
+    ctx = BatchContext(1, [rngs.for_node("node", i) for i in range(2)],
+                       lambda *args: None)
+    kernel.compose(ctx)
+    kernel._matrix = np.array([[0.0, 1.0], [-0.0, 1.0]])
     silent = _DeliveryView(np.zeros(0, dtype=np.int64),
                            np.zeros(3, dtype=np.int64))
     changed_any, _ = kernel.deliver(ctx, silent, None)
@@ -1078,9 +1109,9 @@ def _klo_node_state(node):
 
 def _klo_rounds_log(monkeypatch):
     """Patch the KLO kernel to log one ``[folds, settled, phase end,
-    groups]`` entry per delivered round: how many phase folds ran,
-    whether the round was settled, whether it ends a group's phase, and
-    how many epoch groups it had."""
+    retires]`` entry per delivered round: how many phase folds ran,
+    whether the round was settled, whether it ends its phase, and
+    whether the kernel retires after it."""
     log = []
     for name in ("_poll_round", "_merge_rows", "_verify_round",
                  "_disseminate"):
@@ -1091,10 +1122,10 @@ def _klo_rounds_log(monkeypatch):
     deliver = KCommitteeBatchKernel.deliver
 
     def logging_deliver(self, ctx, csr, sender_mask):
-        log.append([0, self._settled is not None,
-                    any(group.phase_ends() for group in self._groups),
-                    len(self._groups)])
-        return deliver(self, ctx, csr, sender_mask)
+        log.append([0, self._settled is not None, self._phase_ends()])
+        outcome = deliver(self, ctx, csr, sender_mask)
+        log[-1].append(self._retire_reason is not None)
+        return outcome
 
     monkeypatch.setattr(KCommitteeBatchKernel, "deliver", logging_deliver)
     return log
@@ -1102,10 +1133,10 @@ def _klo_rounds_log(monkeypatch):
 
 def _assert_only_settled_rounds_skip_folds(log):
     """Settled rounds fold nothing; every other round folds, phase-end
-    and multi-group rounds among them, and none of those is settled."""
-    for folds, settled, end, groups in log:
+    rounds among them, and none of those is settled."""
+    for folds, settled, end, _ in log:
         assert (folds == 0) == settled
-        if end or groups > 1:
+        if end:
             assert not settled
 
 
@@ -1144,23 +1175,27 @@ def test_settled_klo_phases_stop_folding_and_match_reference(
     _assert_only_settled_rounds_skip_folds(log)
     assert sum(settled for _, settled, _, _ in log) >= (
         SETTLED_SHARE[n] * len(log))
+    assert not any(retires for *_, retires in log)
 
 
 def test_settled_klo_state_ends_before_the_epoch_group_splits(monkeypatch):
     """Loss on a line leaves verification with polluted and clean nodes,
-    so the epoch group splits; the clean group halts and the run leaves
-    the batch tier.  Phases settle before the split, every two-group
-    round folds, and the run equals the reference tier's."""
+    so the epoch position splits and the kernel retires after that
+    round.  Phases settle before the split, the split round (a phase
+    end) folds, and the run equals the reference tier's."""
     spec = _klo_spec("static_line", {}, 8, 0.3, 400)
     _, reference = _spec_outcome(spec, 0, "reference", _klo_node_state)
     log = _klo_rounds_log(monkeypatch)
     tiers, batch = _spec_outcome(spec, 0, "fast", _klo_node_state)
     assert batch == reference
-    assert tiers["reference"] > 0  # the clean group halted
+    assert tiers == {"batch": len(log),
+                     "reference": batch["result"].rounds - len(log)}
+    assert tiers["reference"] > 0
     _assert_only_settled_rounds_skip_folds(log)
-    split = next(i for i, entry in enumerate(log) if entry[3] == 2)
-    assert any(settled for _, settled, _, _ in log[:split])
-    assert all(groups == 2 for _, _, _, groups in log[split:])
+    assert [retires for *_, retires in log] == [False] * (len(log) - 1) + [
+        True]
+    assert log[-1][2]  # verification's last round
+    assert any(settled for _, settled, _, _ in log)
 
 
 def test_settled_klo_rounds_reuse_read_only_arrays():

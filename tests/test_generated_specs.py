@@ -263,7 +263,7 @@ def test_pinned_klo_phases_settle_before_they_end(monkeypatch):
     def recording(kernel):
         settles = fixed_point(kernel)
         if settles:
-            settled_k.append(kernel._groups[0].k)
+            settled_k.append(kernel._k)
         return settles
 
     monkeypatch.setattr(batch.KCommitteeBatchKernel, "_fixed_point",

@@ -4,6 +4,11 @@ public API surface."""
 import pytest
 
 import repro
+from repro.analysis import complexity, fitting, plotting, stats
+from repro.baselines import klo
+from repro.core import (aggregation, approx_count, hybrid_count, pipelining,
+                        sketches)
+from repro.dynamics import StaticAdversary, diameter, line_graph
 from repro.errors import (
     AlgorithmViolation,
     ConfigurationError,
@@ -15,6 +20,8 @@ from repro.errors import (
     SimulationError,
 )
 from repro.simnet.node import Algorithm, FunctionalNode, RoundContext
+
+LINE3 = StaticAdversary(3, line_graph(3))
 
 
 class TestAlgorithmLifecycle:
@@ -104,6 +111,45 @@ class TestErrorHierarchy:
     def test_interval_error_is_schedule_error(self):
         assert issubclass(IntervalConnectivityError, ScheduleError)
 
+    @pytest.mark.parametrize("call", [
+        lambda: klo.KCommitteeCount(0, guess_growth=1),
+        lambda: klo.total_rounds_prediction(8, guess_growth=1),
+        lambda: hybrid_count.HybridCount(0, safety_factor=1.0),
+        lambda: approx_count.ApproxCount(0),
+        lambda: approx_count.ApproxCount(0, width=8, family="bogus"),
+        lambda: pipelining.PipelinedApproxCount(0, words_per_message=2),
+        lambda: sketches.required_width(0, 0.1),
+        lambda: sketches.required_width(0.1, 0),
+        lambda: sketches.required_width(0.01, 1e-9, max_width=8),
+        lambda: sketches.estimate_from_minima([1.0]),
+        lambda: sketches.estimate_from_minima([0.0, 1.0]),
+        lambda: sketches.ExponentialCountSketch(1),
+        lambda: sketches.GeometricCountSketch(4).estimate([]),
+        lambda: aggregation.MinVectorAggregate(0),
+        lambda: aggregation.MinVectorAggregate(2).decode((1.0,)),
+        lambda: fitting.power_law_fit([1], [1]),
+        lambda: fitting.power_law_fit([1, 2], [1]),
+        lambda: fitting.power_law_fit([1, 2], [0, 1]),
+        lambda: stats.summarize([]),
+        lambda: stats.summarize([1.0, 2.0], confidence=1.5),
+        lambda: plotting.ascii_plot({}),
+        lambda: plotting.ascii_plot({str(i): ([1], [1])
+                                     for i in range(9)}),
+        lambda: plotting.ascii_plot({"a": ([1, 2], [1])}),
+        lambda: plotting.ascii_plot({"a": ([], [])}),
+        lambda: plotting.ascii_series([0], [1], logx=True),
+        lambda: complexity.crossover_n(abs, abs, n_min=4, n_max=2),
+        lambda: diameter.flooding_time_from(LINE3, sources=[7]),
+        lambda: diameter.dynamic_diameter(LINE3, start_rounds=()),
+    ])
+    def test_invalid_arguments_raise_repro_error(self, call):
+        """Every error the library raises on purpose derives from
+        ``ReproError``; argument errors are ``ConfigurationError``s, which
+        are also ``ValueError``s."""
+        with pytest.raises(ReproError) as info:
+            call()
+        assert isinstance(info.value, ConfigurationError)
+
     def test_payload_attributes(self):
         e = IntervalConnectivityError("x", window_start=3, window_length=2)
         assert e.window_start == 3 and e.window_length == 2
@@ -145,3 +191,4 @@ class TestPublicApi:
         res = Simulator(net, nodes, rng=RngRegistry(42)).run(
             max_rounds=10_000, until="quiescent", quiescence_window=64)
         assert res.unanimous_output() == N
+
