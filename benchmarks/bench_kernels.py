@@ -26,6 +26,10 @@ verdict:
   noisy handoff schedule (``klo`` row; the whole run to its halt,
   4,204 rounds, guesses k = 1 … 32, most of whose rounds fall in
   settled phases — so losing the settled-phase path fails the gate);
+* and that of :class:`~repro.core.exact_count.ExactCount` at N=256 on
+  the same T=4 handoff as SublinearMax (``exact_count`` row; 240 rounds
+  from a fresh population, so the timed span covers both the bitset
+  merges and the converged tail);
 * the kernel tier must clear an **absolute 3x** over the reference
   tier at N=1024;
 * under per-edge Bernoulli loss (``loss_rate=0.2``) the kernel tier
@@ -50,6 +54,7 @@ except ModuleNotFoundError:  # source checkout without `pip install -e .`
 
 from repro import RngRegistry, Simulator
 from repro.baselines.klo import KCommitteeCount
+from repro.core.exact_count import ExactCount
 from repro.core.max_compute import SublinearMax
 from repro.dynamics import OverlapHandoffAdversary
 
@@ -74,6 +79,12 @@ def _sublinear_max_cell(n: int):
              for i in range(n)])
 
 
+def _exact_count_cell(n: int):
+    """The ExactCount population on the T=4 noise-free handoff."""
+    return (OverlapHandoffAdversary(n, 4, noise_edges=0, seed=0),
+            [ExactCount(i) for i in range(n)])
+
+
 def _klo_cell(n: int):
     """KLO on T1's schedule: T=2 handoff with n // 8 noise edges."""
     return (OverlapHandoffAdversary(n, 2, noise_edges=max(1, n // 8),
@@ -87,10 +98,10 @@ def _measure_rounds_per_sec(engine: str, n: int, rounds: int,
     """Best-of-*reps* rounds/sec of *engine* through ``Simulator.run``.
 
     ``run()`` (not bare ``step()``) so the batch tier activates.
-    SublinearMax stabilises but never halts, and KLO at N=32 halts at
-    round 4,204 (``KLO_ROUNDS``; its halting round still runs on the
-    batch tier), so ``until="halted"`` executes exactly *rounds* rounds
-    per rep.
+    SublinearMax and ExactCount stabilise but never halt, and KLO at
+    N=32 halts at round 4,204 (``KLO_ROUNDS``; its halting round still
+    runs on the batch tier), so ``until="halted"`` executes exactly
+    *rounds* rounds per rep.
     """
     best = 0.0
     for _ in range(reps):
@@ -170,20 +181,34 @@ def klo_comparison(n=KLO_N, rounds=KLO_ROUNDS):
                 rounds_timed=rounds)
 
 
-def _dump(rows, path, mode, lossy, klo):
+#: The ExactCount gate row: N and rounds timed.
+EXACT_COUNT_N = 256
+EXACT_COUNT_ROUNDS = SMOKE_ROUNDS[EXACT_COUNT_N]
+
+
+def exact_count_comparison(n=EXACT_COUNT_N, rounds=EXACT_COUNT_ROUNDS):
+    """Kernel-vs-reference rounds/sec of stabilizing exact Count at *n*."""
+    return _row(*_kernel_vs_reference(n, rounds, cell=_exact_count_cell),
+                n=n, nodes="exact_count", schedule="overlap_handoff_T4",
+                rounds_timed=rounds)
+
+
+def _dump(rows, path, mode, lossy, klo, exact_count):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     payload = {"bench": "batch_kernels", "mode": mode,
                "nodes": "sublinear_max", "schedule": "overlap_handoff_T4",
-               "rows": rows, "lossy": lossy, "klo": klo}
+               "rows": rows, "lossy": lossy, "klo": klo,
+               "exact_count": exact_count}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def _print_rows(rows, lossy, klo):
+def _print_rows(rows, lossy, klo, exact_count):
     labelled = [(f"N={row['n']}", row) for row in rows]
     labelled.append((f"N={lossy['n']} loss={lossy['loss_rate']}", lossy))
     labelled.append((f"KLO N={klo['n']}", klo))
+    labelled.append((f"ExactCount N={exact_count['n']}", exact_count))
     for label, row in labelled:
         print(f"  {label}: kernel {row['kernel_rounds_per_sec']:.0f} r/s, "
               f"reference {row['reference_rounds_per_sec']:.0f} r/s "
@@ -204,7 +229,7 @@ def run_smoke(baseline_path=None, out_path=None,
     """Smoke-sized measurement, persisted and gated against the baseline.
 
     Exit code 0 when (a) every N's kernel/reference ratio, and the KLO
-    row's, is within *max_regression* of the committed baseline's, (b)
+    and ExactCount rows', is within *max_regression* of the committed baseline's, (b)
     the absolute kernel/reference speedup at N=1024 clears the 3x
     acceptance bar, and (c) the lossy kernel/reference ratio at N=1024
     stays above 1.0 — the loss-masked kernels must beat the reference
@@ -216,9 +241,10 @@ def run_smoke(baseline_path=None, out_path=None,
     rows = kernel_comparison(rounds_by_n=SMOKE_ROUNDS)
     lossy = lossy_comparison()
     klo = klo_comparison()
-    _dump(rows, out_path, "smoke", lossy, klo)
+    exact_count = exact_count_comparison()
+    _dump(rows, out_path, "smoke", lossy, klo, exact_count)
     print(f"[bench-kernels] -> {out_path}")
-    _print_rows(rows, lossy, klo)
+    _print_rows(rows, lossy, klo, exact_count)
     failed = False
     bar_row = next(r for r in rows if r["n"] == ABSOLUTE_BAR_N)
     if bar_row["kernel_speedup"] < ABSOLUTE_BAR:
@@ -238,6 +264,8 @@ def run_smoke(baseline_path=None, out_path=None,
         gated = [(f"N={row['n']}", row, baseline.get(row["n"]))
                  for row in rows]
         gated.append((f"KLO N={klo['n']}", klo, committed.get("klo")))
+        gated.append((f"ExactCount N={exact_count['n']}", exact_count,
+                      committed.get("exact_count")))
         for label, row, base in gated:
             if base is None:
                 continue
@@ -268,20 +296,22 @@ def main(argv=None) -> int:
         rows = kernel_comparison(rounds_by_n=SMOKE_ROUNDS)
         lossy = lossy_comparison()
         klo = klo_comparison()
+        exact_count = exact_count_comparison()
         baseline_path = os.path.join(RESULTS_DIR,
                                      "bench_kernels_baseline.json")
-        _dump(rows, baseline_path, "smoke", lossy, klo)
+        _dump(rows, baseline_path, "smoke", lossy, klo, exact_count)
         print(f"[bench-kernels] baseline -> {baseline_path}")
-        _print_rows(rows, lossy, klo)
+        _print_rows(rows, lossy, klo, exact_count)
         return 0
     if args.smoke:
         return run_smoke()
     rows = kernel_comparison()
     lossy = lossy_comparison(rounds=FULL_ROUNDS[LOSSY_N])
     klo = klo_comparison()
+    exact_count = exact_count_comparison()
     _dump(rows, os.path.join(RESULTS_DIR, "BENCH_kernels.json"), "full",
-          lossy, klo)
-    _print_rows(rows, lossy, klo)
+          lossy, klo, exact_count)
+    _print_rows(rows, lossy, klo, exact_count)
     return 0
 
 

@@ -19,10 +19,10 @@ from .complexity import (
     tdm_rounds_bound,
     crossover_n,
 )
-from .fitting import loglog_slope, power_law_fit
+from .fitting import power_law_fit
 from .stats import summarize, Summary
 from .tables import render_table, render_markdown, rows_to_csv
-from .plotting import ascii_plot, ascii_series
+from .plotting import ascii_plot
 
 __all__ = [
     "klo_rounds",
@@ -30,7 +30,6 @@ __all__ = [
     "quiescence_rounds_bound",
     "tdm_rounds_bound",
     "crossover_n",
-    "loglog_slope",
     "power_law_fit",
     "summarize",
     "Summary",
@@ -38,5 +37,4 @@ __all__ = [
     "render_markdown",
     "rows_to_csv",
     "ascii_plot",
-    "ascii_series",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["loglog_slope", "power_law_fit", "PowerLawFit"]
+__all__ = ["power_law_fit", "PowerLawFit"]
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,3 @@ def power_law_fit(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return PowerLawFit(exponent=float(b), coefficient=float(np.exp(loga)),
                        r_squared=r2)
-
-
-def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Just the exponent ``b`` of :func:`power_law_fit`."""
-    return power_law_fit(xs, ys).exponent

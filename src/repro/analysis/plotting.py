@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
-__all__ = ["ascii_plot", "ascii_series"]
+__all__ = ["ascii_plot"]
 
 _GLYPHS = "ox+*#@%&"
 
@@ -31,11 +31,6 @@ def _ticks(lo: float, hi: float, log: bool, count: int) -> List[float]:
         count = 2
     raw = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     return [10 ** v if log else v for v in raw]
-
-
-def ascii_series(xs: Sequence[float], ys: Sequence[float], **kwargs) -> str:
-    """Single-series convenience wrapper over :func:`ascii_plot`."""
-    return ascii_plot({"series": (list(xs), list(ys))}, **kwargs)
 
 
 def ascii_plot(series: Dict[str, Tuple[Sequence[float], Sequence[float]]],

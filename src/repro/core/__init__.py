@@ -34,8 +34,6 @@ Problem front-ends:
 from .aggregation import (
     Aggregate,
     MaxAggregate,
-    MinAggregate,
-    OrAggregate,
     SetUnionAggregate,
     MinVectorAggregate,
     AggregateNode,
@@ -59,8 +57,6 @@ from .pipelined_exact import PipelinedExactCount
 __all__ = [
     "Aggregate",
     "MaxAggregate",
-    "MinAggregate",
-    "OrAggregate",
     "SetUnionAggregate",
     "MinVectorAggregate",
     "AggregateNode",

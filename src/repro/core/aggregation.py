@@ -38,8 +38,6 @@ S = TypeVar("S")
 __all__ = [
     "Aggregate",
     "MaxAggregate",
-    "MinAggregate",
-    "OrAggregate",
     "SetUnionAggregate",
     "MinVectorAggregate",
     "AggregateNode",
@@ -83,20 +81,6 @@ class MaxAggregate(Aggregate):
 
     def merge(self, a, b):
         return a if b is None else (b if a is None else max(a, b))
-
-
-class MinAggregate(Aggregate):
-    """Minimum of totally ordered values."""
-
-    def merge(self, a, b):
-        return a if b is None else (b if a is None else min(a, b))
-
-
-class OrAggregate(Aggregate):
-    """Boolean OR (the dissent/any-exists aggregate)."""
-
-    def merge(self, a, b):
-        return bool(a) or bool(b)
 
 
 class SetUnionAggregate(Aggregate):
@@ -233,7 +217,9 @@ class AggregateNode(Algorithm):
             self._encoded_payload = self.aggregate.encode(self.state)
         return self._encoded_payload
 
-    def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
+    def _merge_inbox(self, inbox: List[Any]) -> bool:
+        """Merge every payload of *inbox* into the state; returns (and
+        marks) whether the state changed."""
         old = self.state
         state = old
         cache = self._decode_cache
@@ -252,7 +238,10 @@ class AggregateNode(Algorithm):
         if changed:
             self.state = state
         self.mark_changed(changed)
-        verdict = self.controller.observe(changed)
+        return changed
+
+    def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
+        verdict = self.controller.observe(self._merge_inbox(inbox))
         if verdict == "retract":
             ctx.incr(f"{self.name}.retractions")
             self.retract()
@@ -282,14 +271,7 @@ class KnownBoundAggregateNode(AggregateNode):
         self.rounds_bound = require_positive_int(rounds_bound, "rounds_bound")
 
     def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
-        old = self.state
-        state = old
-        for payload in inbox:
-            state = self.aggregate.merge(state, self.aggregate.decode(payload))
-        changed = not (state is old or self.aggregate.equals(state, old))
-        if changed:
-            self.state = state
-        self.mark_changed(changed)
+        self._merge_inbox(inbox)
         if ctx.round_index >= self.rounds_bound:
             self.decide(self.extract_output(self.state))
             self.halt()

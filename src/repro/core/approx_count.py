@@ -32,7 +32,7 @@ import numpy as np
 
 from .._validate import require_positive_int
 from ..errors import ConfigurationError
-from ..simnet.batch import MinVectorBatchKernel, aggregate_batch_kernel
+from ..simnet.batch import MinVectorBatchKernel
 from .aggregation import (
     AggregateNode,
     KnownBoundAggregateNode,
@@ -98,11 +98,7 @@ class ApproxCount(AggregateNode):
     def extract_output(self, state: np.ndarray) -> float:
         return self.sketch.estimate(state)
 
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Min-vector batch kernel (see :mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(MinVectorBatchKernel.build, nodes,
-                                      known_bound=False)
+    __batch_kernel__ = MinVectorBatchKernel.build
 
 
 class ApproxCountKnownBound(KnownBoundAggregateNode):
@@ -125,8 +121,4 @@ class ApproxCountKnownBound(KnownBoundAggregateNode):
     def extract_output(self, state: np.ndarray) -> float:
         return self.sketch.estimate(state)
 
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Min-vector batch kernel (see :mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(MinVectorBatchKernel.build, nodes,
-                                      known_bound=True)
+    __batch_kernel__ = MinVectorBatchKernel.build

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..simnet.batch import (HeardSetBatchKernel, IdSetBatchKernel,
-                            aggregate_batch_kernel)
+from ..simnet.batch import HeardSetBatchKernel, IdSetBatchKernel
 from ..simnet.message import NodeId
 from .aggregation import (
     AggregateNode,
@@ -70,11 +69,7 @@ class ExactCount(AggregateNode):
     def extract_output(self, state: frozenset) -> int:
         return len(state)
 
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(HeardSetBatchKernel, nodes,
-                                      known_bound=False)
+    __batch_kernel__ = HeardSetBatchKernel.build
 
 
 class ExactCountKnownBound(KnownBoundAggregateNode):
@@ -91,8 +86,4 @@ class ExactCountKnownBound(KnownBoundAggregateNode):
     def extract_output(self, state: frozenset) -> int:
         return len(state)
 
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Bitset-union batch kernel (see :mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(IdSetBatchKernel, nodes,
-                                      known_bound=True)
+    __batch_kernel__ = IdSetBatchKernel.build

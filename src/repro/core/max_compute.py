@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..simnet.batch import MaxBatchKernel, aggregate_batch_kernel
+from ..simnet.batch import MaxBatchKernel
 from .aggregation import AggregateNode, KnownBoundAggregateNode, MaxAggregate
 
 __all__ = ["SublinearMax", "MaxKnownBound"]
@@ -55,11 +55,7 @@ class SublinearMax(AggregateNode):
     def extract_output(self, state):
         return state
 
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(MaxBatchKernel.build, nodes,
-                                      known_bound=False)
+    __batch_kernel__ = MaxBatchKernel.build
 
 
 class MaxKnownBound(KnownBoundAggregateNode):
@@ -83,8 +79,4 @@ class MaxKnownBound(KnownBoundAggregateNode):
     def extract_output(self, state):
         return state
 
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Segment-max batch kernel (see :mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(MaxBatchKernel.build, nodes,
-                                      known_bound=True)
+    __batch_kernel__ = MaxBatchKernel.build

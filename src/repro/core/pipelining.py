@@ -36,7 +36,7 @@ import numpy as np
 
 from .._validate import require_choice, require_positive_int
 from ..errors import ConfigurationError
-from ..simnet.batch import PipelinedSketchBatchKernel, aggregate_batch_kernel
+from ..simnet.batch import PipelinedSketchBatchKernel
 from ..simnet.node import Algorithm, RoundContext
 from .sketches import ExponentialCountSketch
 from .termination import QuiescenceController
@@ -132,8 +132,4 @@ class PipelinedApproxCount(Algorithm):
         elif verdict == "decide" and not self.decided:
             self.decide(self.sketch.estimate(state))
 
-    @classmethod
-    def __batch_kernel__(cls, nodes):
-        """Coordinate-masked min-fold kernel (:mod:`repro.simnet.batch`)."""
-        return aggregate_batch_kernel(PipelinedSketchBatchKernel.build,
-                                      nodes, known_bound=False)
+    __batch_kernel__ = PipelinedSketchBatchKernel.build

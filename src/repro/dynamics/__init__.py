@@ -44,7 +44,6 @@ from .topologies import (
 )
 from .interval import (
     StaticAdversary,
-    StableBackboneAdversary,
     OverlapHandoffAdversary,
     FreshSpanningAdversary,
     AlternatingMatchingsAdversary,
@@ -60,7 +59,6 @@ from .churn import EdgeChurnAdversary, RepairedMobilityAdversary
 from .verifier import (
     verify_t_interval_connectivity,
     is_connected_spanning,
-    window_intersection_edges,
 )
 from .diameter import dynamic_diameter, flooding_time_from
 from .combinators import dilate, union_schedules, concatenate, relabel
@@ -82,7 +80,6 @@ __all__ = [
     "TOPOLOGY_BUILDERS",
     "build_topology",
     "StaticAdversary",
-    "StableBackboneAdversary",
     "OverlapHandoffAdversary",
     "FreshSpanningAdversary",
     "AlternatingMatchingsAdversary",
@@ -95,7 +92,6 @@ __all__ = [
     "RepairedMobilityAdversary",
     "verify_t_interval_connectivity",
     "is_connected_spanning",
-    "window_intersection_edges",
     "dynamic_diameter",
     "flooding_time_from",
     "dilate",

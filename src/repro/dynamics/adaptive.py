@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .._validate import require_positive_int
 from ..errors import ScheduleError
 from .schedule import ExplicitSchedule, GraphSchedule, canonical_edges
 
@@ -181,10 +182,8 @@ class WindowedThrottleAdversary(AdaptiveSchedule):
     """
 
     def __init__(self, num_nodes: int, T: int) -> None:
-        super().__init__(num_nodes, interval=max(1, int(T)))
-        if T < 1:
-            raise ScheduleError(f"T must be >= 1, got {T}")
-        self.T = int(T)
+        self.T = require_positive_int(T, "T")
+        super().__init__(num_nodes, interval=self.T)
         self._paths: Dict[int, List[tuple]] = {}
 
     def _path_for_window(self, window: int,

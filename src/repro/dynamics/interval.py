@@ -31,7 +31,6 @@ from .topologies import random_tree_graph
 
 __all__ = [
     "StaticAdversary",
-    "StableBackboneAdversary",
     "OverlapHandoffAdversary",
     "FreshSpanningAdversary",
     "AlternatingMatchingsAdversary",
@@ -167,49 +166,6 @@ class StaticAdversary(FunctionSchedule):
 
     def stable_until(self, round_index: int) -> int:
         return STABLE_FOREVER
-
-
-class StableBackboneAdversary(FunctionSchedule):
-    """A fixed spanning backbone plus per-round random churn edges.
-
-    The backbone (any connected spanning edge set) is present in **every**
-    round, so the schedule is T-interval connected for every T
-    (``interval=None``); the churn edges change arbitrarily each round,
-    modelling the "topology can change arbitrarily from round to round"
-    clause of the abstract while the promise is kept by the backbone.
-
-    Parameters
-    ----------
-    num_nodes:
-        Number of nodes.
-    backbone:
-        Connected spanning edge set kept every round.
-    noise_edges:
-        Number of uniform random extra edges added per round.
-    seed:
-        Determinism root for the churn.
-    """
-
-    def __init__(self, num_nodes: int, backbone: object,
-                 noise_edges: int = 0, seed: int = 0) -> None:
-        self.backbone = canonical_edges(backbone, num_nodes)
-        self.noise_edges = require_nonnegative_int(noise_edges, "noise_edges")
-        self.seed = require_nonnegative_int(seed, "seed")
-
-        def fn(r: int) -> np.ndarray:
-            if self.noise_edges == 0:
-                return self.backbone
-            noise = random_noise_edges(
-                num_nodes, self.noise_edges, _rng_for(self.seed, r))
-            return np.concatenate([self.backbone, noise])
-
-        super().__init__(num_nodes, fn, interval=None,
-                         canonical=(self.noise_edges == 0))
-
-    def stable_until(self, round_index: int) -> int:
-        # With churn the graph is fresh every round; without it only the
-        # backbone remains, forever.
-        return round_index if self.noise_edges else STABLE_FOREVER
 
 
 class OverlapHandoffAdversary(FunctionSchedule):

@@ -37,7 +37,6 @@ from .schedule import GraphSchedule
 
 __all__ = [
     "is_connected_spanning",
-    "window_intersection_edges",
     "verify_t_interval_connectivity",
 ]
 
@@ -66,27 +65,6 @@ def _components(u: np.ndarray, v: np.ndarray,
     graph = coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)),
                        shape=(num_nodes, num_nodes))
     return connected_components(graph, directed=False)
-
-
-def window_intersection_edges(schedule: GraphSchedule, start: int,
-                              T: int) -> np.ndarray:
-    """Edges present in **every** round of ``[start, start+T-1]``.
-
-    Direct (non-incremental) computation; used for inspection and as the
-    oracle the fast verifier is property-tested against.
-    """
-    require_positive_int(start, "start")
-    require_positive_int(T, "T")
-    n = schedule.num_nodes
-    common: Optional[set] = None
-    for r in range(start, start + T):
-        keys = {int(u) * n + int(v) for u, v in schedule.edges(r)}
-        common = keys if common is None else (common & keys)
-        if not common:
-            break
-    common = common or set()
-    out = np.array(sorted((k // n, k % n) for k in common), dtype=np.int32)
-    return out.reshape(-1, 2)
 
 
 def verify_t_interval_connectivity(

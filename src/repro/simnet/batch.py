@@ -6,26 +6,31 @@ there the *algorithm layer* dominates at large ``N``.  The per-round
 updates of the aggregate-style algorithms, however, are associative
 reductions over neighbour payloads — max, set union, coordinate-wise
 min — which evaluate in one shot as NumPy segment-reduces over the
-schedule's cached CSR adjacency (:class:`MaxBatchKernel`,
-:class:`IdSetBatchKernel` and :class:`HeardSetBatchKernel`,
-:class:`MinVectorBatchKernel`; the known-bound variants, which are
-also the known-``N`` flooding baselines at ``rounds_bound = N - 1``,
-share them).  The KLO and random token-dissemination baselines fit the
-same mould: phase-structured min-folds (:class:`KCommitteeBatchKernel`)
-and per-node RNG picks of set bits (:class:`TokenBatchKernel`); so does
-the bandwidth-limited sketch of :mod:`repro.core.pipelining`, a
-coordinate-masked min-fold (:class:`PipelinedSketchBatchKernel`).
+schedule's cached CSR adjacency.  One fold serves them all
+(``_AggregateKernel``: one row array of 8-byte cells, one merge, one
+convergence test, one write-back); the families supply the cells and
+the fold ufunc (:class:`MaxBatchKernel`, :class:`IdSetBatchKernel` and
+:class:`HeardSetBatchKernel`, :class:`MinVectorBatchKernel`, and the
+coordinate-masked :class:`PipelinedSketchBatchKernel` for the
+bandwidth-limited sketch of :mod:`repro.core.pipelining`).  The
+known-bound variants, which are also the known-``N`` flooding
+baselines at ``rounds_bound = N - 1``, share them.  The KLO and random
+token-dissemination baselines fit the same mould: phase-structured
+min-folds (:class:`KCommitteeBatchKernel`) and per-node RNG picks of
+set bits (:class:`TokenBatchKernel`).
 
 This module defines the opt-in **batch kernel protocol**:
 
-* an algorithm class defines a classmethod hook
-  ``__batch_kernel__(nodes)`` returning a :class:`BatchKernel` (or
-  ``None`` when the concrete node population is not eligible —
-  heterogeneous bounds, ineligible values, or any state other than the
-  one a node holds before its first round: kernels are built only from
-  freshly constructed nodes).  :func:`build_batch_kernel` reads the
-  hook from the class's own ``__dict__``, so a subclass with overridden
-  semantics never inherits its parent's kernel;
+* an algorithm class defines a hook ``__batch_kernel__(nodes)`` in its
+  own body (a classmethod, or an aggregate family's ``build``, as in
+  ``__batch_kernel__ = MaxBatchKernel.build``) returning a
+  :class:`BatchKernel`, or ``None`` when the concrete node population
+  is not eligible: heterogeneous bounds, ineligible values, or any
+  state other than the one a node holds before its first round
+  (kernels are built only from freshly constructed nodes).
+  :func:`build_batch_kernel` reads the hook from the class's own
+  ``__dict__``, so a subclass with overridden semantics never inherits
+  its parent's kernel;
 * the kernel holds the whole population's state as struct-of-arrays
   (values, bitsets, sketch matrices, decided flags, quiescence windows)
   and implements ``compose``/``deliver`` over the entire population,
@@ -109,7 +114,6 @@ __all__ = [
     "engage_batch",
     "run_batch_round",
     "deactivate_batch",
-    "aggregate_batch_kernel",
     "lossy_delivery_view",
     "segment_reduce",
     "int_payload_bits",
@@ -446,31 +450,36 @@ class BatchQuiescence:
 
 
 # --------------------------------------------------------------------------
-# aggregate-family kernels (SublinearMax / ExactCount / ApproxCount + the
-# *KnownBound halting variants)
+# aggregate-family kernels (SublinearMax / ExactCount / ApproxCount, their
+# *KnownBound halting variants, and PipelinedApproxCount)
 # --------------------------------------------------------------------------
 
 class _AggregateKernel(BatchKernel):
-    """Common decide/retract/halt plumbing for aggregate-style kernels.
+    """One idempotent fold over the population's rows, plus the
+    decide/retract/halt plumbing.
 
-    Subclasses supply the array representation: ``_contribute`` (first
-    compose — must draw from ``ctx.rngs`` in ascending node order),
-    ``_merge`` (one delivery fold, returns the per-node changed mask),
-    ``_bits`` (per-node payload cost), ``_outputs`` (the decide values of
-    the nodes at the given indices, computed once per round for all of
-    them), ``_states`` (every node's state to write back, one shared
-    object per distinct immutable state) and ``_uniform`` (every row
-    equals row 0, byte for byte).  The nodes hold no state yet (see
-    :func:`aggregate_batch_kernel`), so the first ``compose``
+    The kernel owns the rows, ``(n, width)`` with 8-byte cells, and folds
+    them with the family's ``_fold`` ufunc.  A family supplies only what
+    differs: ``_accepts`` (eligibility), ``_contribute`` (the rows of the
+    first compose, which must draw from ``ctx.rngs`` in ascending node
+    order), ``_bits`` (per-node payload cost), ``_outputs`` (the decide
+    values of the nodes at the given indices, computed once per round for
+    all of them) and ``_states`` (every node's state to write back, one
+    shared object per distinct immutable state).  :meth:`build` takes
+    only nodes that hold no state yet, so the first ``compose``
     contributes.
 
-    Identical rows are a fixed point of the idempotent union, min and
-    max folds, whatever the graph or loss mask: once a merge changes no
-    node and every row is identical, the kernel is *converged* and stops
-    merging.  ``deliver`` then returns one shared all-False mask (the
-    controller still observes every round) and ``compose`` the bits
-    computed at convergence.
+    Every fold is monotone: max only rises, union only grows, min only
+    falls, and no draw is NaN.  So a merge changed exactly the cells that
+    differ from before it.  Identical rows are a fixed point of the fold,
+    whatever the graph or loss mask: once a merge changes no node and
+    every row is identical, the kernel is *converged* and stops merging.
+    ``deliver`` then returns one shared all-False mask (the controller
+    still observes every round) and ``compose`` the bits computed at
+    convergence.
     """
+
+    _fold: np.ufunc
 
     def __init__(self, algs: Sequence[Any],
                  controller: Optional[BatchQuiescence],
@@ -482,14 +491,37 @@ class _AggregateKernel(BatchKernel):
         self.rounds_bound = rounds_bound
         self.decided = np.zeros(self.n, dtype=bool)
         self.changed_last = np.ones(self.n, dtype=bool)
-        self._need_contribution = True
+        self._rows: Optional[np.ndarray] = None  # None until contributed
         self._converged = False
 
-    # hooks ------------------------------------------------------------------
-    def _contribute(self, ctx: BatchContext) -> None:
-        raise NotImplementedError
+    @classmethod
+    def build(cls, algs: Sequence[Any]) -> "Optional[_AggregateKernel]":
+        """The population's kernel, or ``None`` to decline it.
 
-    def _merge(self, csr: Any) -> np.ndarray:
+        This is the aggregate classes' ``__batch_kernel__`` hook.  Every
+        node must still hold its constructed ``state`` of ``None``.
+        Nodes with a ``rounds_bound`` halt, and need one bound for all:
+        staggered halting would break the kernel's all-alive invariant.
+        The others stabilize, under a :class:`BatchQuiescence` (declining
+        mixed growth factors).
+        """
+        if any(a.state is not None for a in algs) or not cls._accepts(algs):
+            return None
+        bound = getattr(algs[0], "rounds_bound", None)
+        if bound is not None:
+            if any(a.rounds_bound != bound for a in algs):
+                return None
+            return cls(algs, None, bound)
+        controller = BatchQuiescence.from_controllers(
+            [a.controller for a in algs])
+        return None if controller is None else cls(algs, controller, None)
+
+    # hooks ------------------------------------------------------------------
+    @classmethod
+    def _accepts(cls, algs: Sequence[Any]) -> bool:
+        return True
+
+    def _contribute(self, ctx: BatchContext) -> np.ndarray:
         raise NotImplementedError
 
     def _bits(self) -> np.ndarray:
@@ -501,8 +533,31 @@ class _AggregateKernel(BatchKernel):
     def _states(self) -> List[Any]:
         raise NotImplementedError
 
+    def _outbox(self) -> np.ndarray:
+        """The rows the nodes sent this round."""
+        return self._rows
+
+    def _write_back(self, nodes: Sequence[Any]) -> None:
+        """Write what a contributed node holds besides its state: an
+        aggregate node's contribution flag."""
+        for node in nodes:
+            node._contributed = True
+
+    # the fold ---------------------------------------------------------------
+    def _merge(self, csr: Any) -> np.ndarray:
+        """One delivery fold; returns the changed cells."""
+        old = self._rows
+        new = old.copy()
+        segment_reduce(self._fold, self._outbox().take(csr.indices, axis=0),
+                       csr.indptr, new)
+        self._rows = new
+        return new != old
+
     def _uniform(self) -> bool:
-        raise NotImplementedError
+        """Every row equals row 0 byte for byte: as ``uint64``, so rows
+        differing only in ``-0.0``/``0.0`` are not identical."""
+        cells = self._rows.view(np.uint64)
+        return bool((cells == cells[0]).all())
 
     def _converge(self) -> None:
         """Freeze what a fixed point leaves unchanged, read-only."""
@@ -515,9 +570,8 @@ class _AggregateKernel(BatchKernel):
     # protocol ---------------------------------------------------------------
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        if self._need_contribution:
-            self._contribute(ctx)
-            self._need_contribution = False
+        if self._rows is None:
+            self._rows = self._contribute(ctx)
         if self._converged:
             return None, self._fixed_bits
         return None, self._bits()
@@ -527,7 +581,7 @@ class _AggregateKernel(BatchKernel):
         if self._converged:
             changed = self._unchanged
         else:
-            changed = self._merge(csr)
+            changed = self._merge(csr).any(axis=1)
             if not changed.any() and self._uniform():
                 self._converge()
         self.changed_last = changed
@@ -558,91 +612,53 @@ class _AggregateKernel(BatchKernel):
 
     def finalize(self, nodes: Sequence[Any]) -> None:
         changed = self.changed_last.tolist()
-        contributed = not self._need_contribution
-        for node, state, changed_i in zip(nodes, self._states(), changed):
+        states = [None] * self.n if self._rows is None else self._states()
+        for node, state, changed_i in zip(nodes, states, changed):
             node.state = state
-            node._contributed = contributed
             node._state_changed = changed_i
+        if self._rows is not None:
+            self._write_back(nodes)
         if self.controller is not None:
             self.controller.restore([node.controller for node in nodes])
 
 
-def _eligible_int(value: Any) -> bool:
-    """Exactly-int payloads the int64 kernels can cost and compare."""
-    return type(value) is int and -2 ** 62 < value < 2 ** 62
-
-
 class MaxBatchKernel(_AggregateKernel):
-    """Segment-max kernel for the ``MaxAggregate`` family (int values)."""
+    """Segment-max kernel for the ``MaxAggregate`` family: one int64
+    column of values."""
 
-    def __init__(self, algs: Sequence[Any],
-                 controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int], values: np.ndarray) -> None:
-        super().__init__(algs, controller, rounds_bound)
-        self._values = values
-        self._state: Optional[np.ndarray] = None
+    _fold = np.maximum
 
     @classmethod
-    def build(cls, algs: Sequence[Any],
-              controller: Optional[BatchQuiescence],
-              rounds_bound: Optional[int]) -> "Optional[MaxBatchKernel]":
-        if not all(_eligible_int(a.value) for a in algs):
-            return None
-        values = np.array([a.value for a in algs], dtype=np.int64)
-        return cls(algs, controller, rounds_bound, values)
+    def _accepts(cls, algs: Sequence[Any]) -> bool:
+        # Exactly-int payloads the int64 rows can cost and compare.
+        return all(type(a.value) is int and -2 ** 62 < a.value < 2 ** 62
+                   for a in algs)
 
-    def _contribute(self, ctx: BatchContext) -> None:
+    def _contribute(self, ctx: BatchContext) -> np.ndarray:
         # make_contribution returns self.value and draws nothing; the
         # merge with the (None) initial state is the value itself.
-        self._state = self._values.copy()
-
-    def _merge(self, csr: Any) -> np.ndarray:
-        gathered = self._state[csr.indices]
-        new = self._state.copy()
-        segment_reduce(np.maximum, gathered, csr.indptr, new)
-        changed = new > self._state
-        self._state = new
-        return changed
+        return np.array([[a.value] for a in self._algs], dtype=np.int64)
 
     def _bits(self) -> np.ndarray:
-        return int_payload_bits(self._state)
+        return int_payload_bits(self._rows[:, 0])
 
     def _outputs(self, idx: np.ndarray) -> List[int]:
-        return self._state[idx].tolist()
-
-    def _uniform(self) -> bool:
-        return bool((self._state == self._state[0]).all())
+        return self._rows[idx, 0].tolist()
 
     def _states(self) -> List[Any]:
-        if self._state is None:
-            return [None] * self.n
-        return self._state.tolist()
+        return self._rows[:, 0].tolist()
 
 
 class IdSetBatchKernel(_AggregateKernel):
     """uint64-bitset kernel for the id-set union family (exact Count)."""
 
-    def __init__(self, algs: Sequence[Any],
-                 controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int]) -> None:
-        super().__init__(algs, controller, rounds_bound)
-        self._ids = np.array([a.node_id for a in algs], dtype=np.int64)
-        self._rows: Optional[np.ndarray] = None  # (n, W) uint64
-        self._words = (self.n + 63) // 64
+    _fold = np.bitwise_or
 
-    def _contribute(self, ctx: BatchContext) -> None:
-        rows = np.zeros((self.n, self._words), dtype=np.uint64)
+    def _contribute(self, ctx: BatchContext) -> np.ndarray:
+        rows = np.zeros((self.n, (self.n + 63) // 64), dtype=np.uint64)
         k = np.arange(self.n)
         rows[k, k >> 6] = np.uint64(1) << (k & 63).astype(np.uint64)
-        self._rows = rows
-
-    def _merge(self, csr: Any) -> np.ndarray:
-        gathered = self._rows[csr.indices]
-        new = self._rows.copy()
-        segment_reduce(np.bitwise_or, gathered, csr.indptr, new)
-        changed = (new != self._rows).any(axis=1)
-        self._rows = new
-        return changed
+        return rows
 
     def _counts(self) -> np.ndarray:
         return popcount64(self._rows).sum(axis=1)
@@ -653,19 +669,14 @@ class IdSetBatchKernel(_AggregateKernel):
     def _outputs(self, idx: np.ndarray) -> List[int]:
         return popcount64(self._rows[idx]).sum(axis=1).tolist()
 
-    def _uniform(self) -> bool:
-        return bool((self._rows == self._rows[0]).all())
-
     def _states(self) -> List[Any]:
-        if self._rows is None:
-            return [None] * self.n
         # One frozenset per distinct row, shared by every node holding it
         # (a converged population holds one row).
         first, inverse = _distinct_rows(self._rows)
         members = np.unpackbits(
             np.ascontiguousarray(self._rows[first]).view(np.uint8),
             axis=1, bitorder="little")[:, :self.n].astype(bool)
-        ids = self._ids
+        ids = np.array([a.node_id for a in self._algs], dtype=np.int64)
         sets = [frozenset(ids[row].tolist()) for row in members]
         return [sets[g] for g in inverse.tolist()]
 
@@ -690,39 +701,26 @@ class HeardSetBatchKernel(IdSetBatchKernel):
 class MinVectorBatchKernel(_AggregateKernel):
     """Coordinate-wise-minimum kernel for the sketch family (approx Count)."""
 
+    _fold = np.minimum
+
     def __init__(self, algs: Sequence[Any],
                  controller: Optional[BatchQuiescence],
-                 rounds_bound: Optional[int], width: int) -> None:
+                 rounds_bound: Optional[int]) -> None:
         super().__init__(algs, controller, rounds_bound)
-        self.width = width
-        self._matrix: Optional[np.ndarray] = None  # (n, width) float64
+        self.width = algs[0].sketch.width
 
     @classmethod
-    def build(cls, algs: Sequence[Any],
-              controller: Optional[BatchQuiescence],
-              rounds_bound: Optional[int]) -> "Optional[MinVectorBatchKernel]":
-        width = algs[0].aggregate.width
-        if any(a.aggregate.width != width for a in algs):
-            return None
-        sketch = type(algs[0].sketch)
-        if any(type(a.sketch) is not sketch for a in algs):
-            return None  # the decide values use one sketch's estimate
-        return cls(algs, controller, rounds_bound, width)
+    def _accepts(cls, algs: Sequence[Any]) -> bool:
+        # The decide values use one sketch's estimate.
+        shape = (algs[0].sketch.width, type(algs[0].sketch))
+        return all((a.sketch.width, type(a.sketch)) == shape for a in algs)
 
-    def _contribute(self, ctx: BatchContext) -> None:
+    def _contribute(self, ctx: BatchContext) -> np.ndarray:
         # One draw per node from its private stream, ascending node
         # order — byte-identical RNG consumption to the per-node path.
-        rows = [alg.make_contribution(ctx.rngs[i])
-                for i, alg in enumerate(self._algs)]
-        self._matrix = np.array(rows, dtype=np.float64)
-
-    def _merge(self, csr: Any) -> np.ndarray:
-        gathered = self._matrix[csr.indices]
-        new = self._matrix.copy()
-        segment_reduce(np.minimum, gathered, csr.indptr, new)
-        changed = (new < self._matrix).any(axis=1)
-        self._matrix = new
-        return changed
+        return np.array([a.sketch.draw(ctx.rngs[i])
+                         for i, a in enumerate(self._algs)],
+                        dtype=np.float64)
 
     def _bits(self) -> np.ndarray:
         bits = _CONTAINER_FRAMING_BITS + 64 * self.width
@@ -731,22 +729,14 @@ class MinVectorBatchKernel(_AggregateKernel):
     def _outputs(self, idx: np.ndarray) -> List[float]:
         # One estimate per distinct row; equal rows (byte for byte)
         # estimate equal floats, and the sketches share one type.
-        first, inverse = _distinct_rows(self._matrix[idx])
+        first, inverse = _distinct_rows(self._rows[idx])
         estimate = self._algs[0].sketch.estimate
-        values = [estimate(self._matrix[i]) for i in idx[first].tolist()]
+        values = [estimate(self._rows[i]) for i in idx[first].tolist()]
         return [values[g] for g in inverse.tolist()]
-
-    def _uniform(self) -> bool:
-        # As uint64, so rows differing only in -0.0/0.0 (or NaN payloads)
-        # are not identical.
-        bits = self._matrix.view(np.uint64)
-        return bool((bits == bits[0]).all())
 
     def _states(self) -> List[Any]:
         # Arrays are mutable: every node gets its own row copy.
-        if self._matrix is None:
-            return [None] * self.n
-        return [row.copy() for row in self._matrix]
+        return [row.copy() for row in self._rows]
 
 
 class PipelinedSketchBatchKernel(MinVectorBatchKernel):
@@ -759,16 +749,16 @@ class PipelinedSketchBatchKernel(MinVectorBatchKernel):
     plus each node's most recently improved coordinates (a row-wise
     stable argsort of ``_last``, the round each coordinate last
     improved).  An inbox folds in as the coordinate-wise minimum of what
-    the neighbours sent: a segment-min over the senders' rows with the
-    unsent coordinates masked to ``+inf``.  Every node is stabilizing,
-    with the quiescence controller of :class:`_AggregateKernel`.
+    the neighbours sent: the shared merge over the senders' rows with
+    the unsent coordinates masked to ``+inf``.
     """
 
     def __init__(self, algs: Sequence[Any],
-                 controller: BatchQuiescence) -> None:
+                 controller: Optional[BatchQuiescence],
+                 rounds_bound: Optional[int]) -> None:
+        super().__init__(algs, controller, rounds_bound)
         first = algs[0]
-        super().__init__(algs, controller, None, first.sketch.width)
-        self._last: Optional[np.ndarray] = None  # (n, width) int64
+        self._last = np.zeros((self.n, self.width), dtype=np.int64)
         self._w = first.w
         self._cycle = first.cycle
         self._recent = first._recent_share if first.strategy == "greedy" else 0
@@ -776,40 +766,26 @@ class PipelinedSketchBatchKernel(MinVectorBatchKernel):
         # framing, the coordinate's int bits and a 64-bit float.
         self._pair_bits = 8 + int_payload_bits(
             np.arange(self.width, dtype=np.int64)) + 64
-        self._sent = np.empty(0)
+        self._sends = np.empty(0, dtype=bool)
         self._round = 0
 
     @classmethod
-    def build(cls, algs: Sequence[Any], controller: Optional[BatchQuiescence],
-              rounds_bound: Optional[int]
-              ) -> "Optional[PipelinedSketchBatchKernel]":
+    def _accepts(cls, algs: Sequence[Any]) -> bool:
         first = algs[0]
         shape = (first.sketch.width, first.w, first.strategy, first.cycle,
                  type(first.sketch))
-        if controller is None or any(
-                (a.sketch.width, a.w, a.strategy, a.cycle, type(a.sketch))
-                != shape for a in algs):
-            return None
-        return cls(algs, controller)
-
-    def _contribute(self, ctx: BatchContext) -> None:
-        # One draw per node from its private stream, ascending node
-        # order, as each node's first compose draws.
-        rows = [alg.sketch.draw(ctx.rngs[i])
-                for i, alg in enumerate(self._algs)]
-        self._matrix = np.array(rows, dtype=np.float64)
-        self._last = np.zeros(self._matrix.shape, dtype=np.int64)
+        return all((a.sketch.width, a.w, a.strategy, a.cycle,
+                    type(a.sketch)) == shape for a in algs)
 
     def compose(self, ctx: BatchContext
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        if self._need_contribution:
-            self._contribute(ctx)
-            self._need_contribution = False
+        if self._rows is None:
+            self._rows = self._contribute(ctx)
         self._round = ctx.round_index
         block = (ctx.round_index - 1) % self._cycle
         share = self._w - self._recent
         lo, hi = block * share, min((block + 1) * share, self.width)
-        sends = np.zeros(self._matrix.shape, dtype=bool)
+        sends = np.zeros((self.n, self.width), dtype=bool)
         sends[:, lo:hi] = True
         if self._recent:
             order = np.argsort(-self._last, axis=1,
@@ -818,54 +794,20 @@ class PipelinedSketchBatchKernel(MinVectorBatchKernel):
             rows, picks = np.nonzero(
                 free & (np.cumsum(free, axis=1) <= self._recent))
             sends[rows, order[rows, picks]] = True
-        if not self._converged:  # a converged kernel folds nothing
-            self._sent = np.where(sends, self._matrix, np.inf)
+        self._sends = sends
         return None, 8 + sends.astype(np.int64) @ self._pair_bits
 
+    def _outbox(self) -> np.ndarray:
+        return np.where(self._sends, self._rows, np.inf)
+
     def _merge(self, csr: Any) -> np.ndarray:
-        new = self._matrix.copy()
-        segment_reduce(np.minimum, self._sent[csr.indices], csr.indptr, new)
-        improved = new < self._matrix
+        improved = super()._merge(csr)
         self._last[improved] = self._round
-        self._matrix = new
-        return improved.any(axis=1)
+        return improved
 
-    def finalize(self, nodes: Sequence[Any]) -> None:
-        changed = self.changed_last.tolist()
-        for i, node in enumerate(nodes):
-            if self._matrix is not None:
-                node.state = self._matrix[i].copy()
-                node._last_update = self._last[i].copy()
-            node._state_changed = changed[i]
-        if self.controller is not None:
-            self.controller.restore([node.controller for node in nodes])
-
-
-def aggregate_batch_kernel(build: Callable[..., Optional[BatchKernel]],
-                           nodes: Sequence[Any], *,
-                           known_bound: bool) -> Optional[BatchKernel]:
-    """Shared eligibility plumbing for the aggregate-family hooks.
-
-    *build* is a ``SomeKernel.build``-shaped callable taking
-    ``(nodes, controller, rounds_bound)``.  Every node must still hold
-    its constructed ``state`` of ``None`` (a node contributes in its
-    first ``compose``).  Stabilizing populations get a
-    :class:`BatchQuiescence` (bailing on mixed growth factors); halting
-    populations require a uniform ``rounds_bound`` — staggered halting
-    would break the kernels' all-alive invariant.
-    """
-    if any(node.state is not None for node in nodes):
-        return None
-    if known_bound:
-        bound = nodes[0].rounds_bound
-        if any(node.rounds_bound != bound for node in nodes):
-            return None
-        return build(nodes, None, bound)
-    controller = BatchQuiescence.from_controllers(
-        [node.controller for node in nodes])
-    if controller is None:
-        return None
-    return build(nodes, controller, None)
+    def _write_back(self, nodes: Sequence[Any]) -> None:
+        for node, last in zip(nodes, self._last):
+            node._last_update = last.copy()
 
 
 # --------------------------------------------------------------------------

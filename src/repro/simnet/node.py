@@ -88,8 +88,8 @@ class Algorithm:
     name: str = "algorithm"
 
     # Optional batch-kernel hook (see :mod:`repro.simnet.batch`): a
-    # classmethod ``__batch_kernel__(cls, nodes)`` defined on the
-    # concrete class, returning a ``BatchKernel`` driving the whole
+    # callable ``__batch_kernel__(nodes)`` defined in the concrete
+    # class's body, returning a ``BatchKernel`` driving the whole
     # homogeneous population with array operations, or ``None`` to
     # decline (the engine then runs the ordinary per-node path).  The
     # engine reads it from the class's own ``__dict__`` only, so a

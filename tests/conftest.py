@@ -62,3 +62,21 @@ def profiling():
         yield
     finally:
         set_profile_default(False)
+
+
+def window_intersection_edges(schedule, start, T):
+    """Edges present in **every** round of ``[start, start+T-1]``.
+
+    Direct (non-incremental) computation: the oracle the fast verifier
+    is property-tested against.
+    """
+    n = schedule.num_nodes
+    common = None
+    for r in range(start, start + T):
+        keys = {int(u) * n + int(v) for u, v in schedule.edges(r)}
+        common = keys if common is None else (common & keys)
+        if not common:
+            break
+    common = common or set()
+    out = np.array(sorted((k // n, k % n) for k in common), dtype=np.int32)
+    return out.reshape(-1, 2)

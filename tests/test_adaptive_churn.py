@@ -6,7 +6,7 @@ import pytest
 from repro import RngRegistry, Simulator
 from repro.baselines import FloodToken, RandomTokenDissemination
 from repro.baselines.token import dissemination_complete
-from repro.errors import ScheduleError
+from repro.errors import ConfigurationError, ScheduleError
 from repro.dynamics import (
     CutThrottleAdversary,
     EdgeChurnAdversary,
@@ -107,7 +107,7 @@ class TestWindowedThrottle:
         assert e1 <= e2 or e2 <= e1
 
     def test_invalid_T(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigurationError):
             WindowedThrottleAdversary(5, 0)
 
 

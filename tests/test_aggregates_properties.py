@@ -13,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregation import (
     MaxAggregate,
-    MinAggregate,
     MinVectorAggregate,
-    OrAggregate,
     SetUnionAggregate,
 )
 from repro.core.consensus import MinPairAggregate
@@ -35,8 +33,6 @@ def vectors(width=4):
 
 AGGREGATE_CASES = [
     (MaxAggregate(), ints),
-    (MinAggregate(), ints),
-    (OrAggregate(), st.booleans()),
     (SetUnionAggregate(), int_sets),
     (IdSetAggregate(), int_sets),
     (MinPairAggregate(), pairs),

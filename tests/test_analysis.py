@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     ascii_plot,
-    ascii_series,
     crossover_n,
     flood_rounds,
     klo_rounds,
-    loglog_slope,
     power_law_fit,
     quiescence_rounds_bound,
     render_markdown,
@@ -73,9 +71,6 @@ class TestPowerLawFit:
     def test_predict(self):
         fit = power_law_fit([1, 2, 4], [5, 10, 20])
         assert fit.predict(8) == pytest.approx(40.0)
-
-    def test_loglog_slope_shortcut(self):
-        assert loglog_slope([2, 4], [4, 16]) == pytest.approx(2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -192,7 +187,7 @@ class TestAsciiPlot:
             ascii_plot({"s": ([0, 1], [1, 2])}, logx=True)
 
     def test_single_point_ok(self):
-        text = ascii_series([5], [7])
+        text = ascii_plot({"series": ([5], [7])})
         assert "o" in text
 
     def test_validation(self):
@@ -204,7 +199,8 @@ class TestAsciiPlot:
             ascii_plot({str(i): ([1], [1]) for i in range(9)})
 
     def test_title_present(self):
-        assert ascii_series([1, 2], [1, 2], title="Ttl").startswith("Ttl")
+        assert ascii_plot({"series": ([1, 2], [1, 2])},
+                          title="Ttl").startswith("Ttl")
 
     def test_dimensions(self):
         text = ascii_plot({"s": ([1, 2], [3, 4])}, width=30, height=8)

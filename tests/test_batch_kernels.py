@@ -45,11 +45,9 @@ from repro.simnet import RngRegistry, Simulator
 from repro.simnet.batch import (
     BatchContext,
     BatchQuiescence,
-    IdSetBatchKernel,
     KCommitteeBatchKernel,
-    MaxBatchKernel,
     MinVectorBatchKernel,
-    PipelinedSketchBatchKernel,
+    _AggregateKernel,
     _BoundedDraws,
     _DeliveryView,
     _distinct_rows,
@@ -970,26 +968,22 @@ CONVERGING = [
 
 def _identical_rows(kernel):
     """Every state row equals row 0 byte for byte (not via the hook)."""
-    for name in ("_rows", "_matrix", "_state"):
-        rows = getattr(kernel, name, None)
-        if rows is not None:
-            raw = np.ascontiguousarray(rows).view(np.uint8).reshape(
-                len(rows), -1)
-            return bool((raw == raw[0]).all())
-    raise AssertionError("kernel holds no state rows")
+    raw = np.ascontiguousarray(kernel._rows).view(np.uint8).reshape(
+        kernel.n, -1)
+    return bool((raw == raw[0]).all())
 
 
 def _count_merges(monkeypatch):
-    """Patch every kernel's ``_merge`` to log ``(changed any, identical
-    rows after)`` per call; returns the log."""
+    """Patch the aggregate kernels' shared ``_merge`` to log ``(changed
+    any, identical rows after)`` per call; returns the log."""
     merges = []
-    for cls in (MaxBatchKernel, IdSetBatchKernel, MinVectorBatchKernel,
-                PipelinedSketchBatchKernel):
-        def counting(self, csr, merge=cls.__dict__["_merge"]):
-            changed = merge(self, csr)
-            merges.append((bool(changed.any()), _identical_rows(self)))
-            return changed
-        monkeypatch.setattr(cls, "_merge", counting)
+    merge = _AggregateKernel._merge
+
+    def counting(self, csr):
+        changed = merge(self, csr)
+        merges.append((bool(changed.any()), _identical_rows(self)))
+        return changed
+    monkeypatch.setattr(_AggregateKernel, "_merge", counting)
     return merges
 
 
@@ -1083,12 +1077,12 @@ def test_signed_zero_rows_are_not_converged():
     ctx = BatchContext(1, [rngs.for_node("node", i) for i in range(2)],
                        lambda *args: None)
     kernel.compose(ctx)
-    kernel._matrix = np.array([[0.0, 1.0], [-0.0, 1.0]])
+    kernel._rows = np.array([[0.0, 1.0], [-0.0, 1.0]])
     silent = _DeliveryView(np.zeros(0, dtype=np.int64),
                            np.zeros(3, dtype=np.int64))
     changed_any, _ = kernel.deliver(ctx, silent, None)
     assert not changed_any and not kernel._converged
-    kernel._matrix[1, 0] = 0.0
+    kernel._rows[1, 0] = 0.0
     kernel.deliver(ctx, silent, None)
     assert kernel._converged
     assert not kernel.deliver(ctx, silent, None)[0]

@@ -37,6 +37,7 @@ from repro.exec import specs
 from repro.exec.specs import TrialSpec
 from repro.obs import Recorder
 from repro.simnet import RngRegistry, Simulator
+from repro.simnet.engine import select_tier
 
 EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 
@@ -97,15 +98,59 @@ NODES = {
 }
 
 
+#: Node builder -> ``(node params, tier)``: the tier a fresh run of its
+#: population takes.  Eight populations have a batch kernel; the other
+#: three define no ``__batch_kernel__`` hook.
+TIERS = {
+    "exact_count": ({}, "batch"),
+    "exact_count_known_bound": ({"rounds_bound": 4}, "batch"),
+    "approx_count_known_bound": ({"rounds_bound": 4, "width": 4}, "batch"),
+    "approx_count": ({}, "batch"),
+    "klo_count": ({}, "batch"),
+    "token_dissemination": ({}, "batch"),
+    "sublinear_max_modvalue": ({}, "batch"),
+    "pipelined_approx_count": ({}, "batch"),
+    "hybrid_count": ({}, "reference"),
+    "sublinear_consensus": ({}, "reference"),
+    "pipelined_exact_count": ({}, "reference"),
+}
+
+
+def _builtin(table):
+    """The builders :mod:`repro.exec.specs` itself registers in *table*."""
+    return {name for name, fn in table.items()
+            if fn.__module__ == specs.__name__}
+
+
 def test_strategy_covers_every_builtin_builder():
     """A builder registered by :mod:`repro.exec.specs` cannot be left
     out of the generated specs."""
-    def builtin(table):
-        return {name for name, fn in table.items()
-                if fn.__module__ == specs.__name__}
+    assert _builtin(specs._SCHEDULES) == set(SCHEDULES)
+    assert _builtin(specs._NODES) == set(NODES)
 
-    assert builtin(specs._SCHEDULES) == set(SCHEDULES)
-    assert builtin(specs._NODES) == set(NODES)
+
+def test_every_builtin_builder_runs_on_its_pinned_tier():
+    """Each builder's fresh population runs every round on its pinned
+    tier.  The agreement checks still pass when a kernel silently
+    declines, so this is what catches a population that drops to the
+    reference tier."""
+    assert set(TIERS) == _builtin(specs._NODES)
+    n = 8
+    for nodes, (params, tier) in sorted(TIERS.items()):
+        spec = TrialSpec(schedule="lowdiam_handoff",
+                         schedule_params={"n": n, "T": 2}, nodes=nodes,
+                         node_params={"n": n, **params}, max_rounds=3,
+                         until="halted", allow_timeout=True)
+        schedule = spec.build_schedule(0)
+        population = spec.build_nodes(schedule, 0)
+        sim = Simulator(schedule, population, rng=RngRegistry(0))
+        declined = [] if tier == "batch" else [
+            ("batch", f"{type(population[0]).__name__} exposes no "
+                      f"__batch_kernel__ hook")]
+        assert select_tier(sim) == (tier, declined), nodes
+        result = sim.run(max_rounds=spec.max_rounds, until=spec.until,
+                         allow_timeout=True)
+        assert sim.tier_rounds[tier] == result.rounds == 3, nodes
 
 
 @st.composite

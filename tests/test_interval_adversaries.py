@@ -9,14 +9,13 @@ from repro.dynamics import (
     AlternatingMatchingsAdversary,
     FreshSpanningAdversary,
     OverlapHandoffAdversary,
-    StableBackboneAdversary,
     StaticAdversary,
     line_graph,
     random_noise_edges,
     verify_t_interval_connectivity,
-    window_intersection_edges,
 )
 from repro.dynamics.verifier import is_connected_spanning
+from tests.conftest import window_intersection_edges
 
 
 class TestStaticAdversary:
@@ -29,29 +28,6 @@ class TestStaticAdversary:
         for T in [1, 3, 7]:
             ok, _ = verify_t_interval_connectivity(adv, T, horizon=20)
             assert ok
-
-
-class TestStableBackbone:
-    def test_backbone_always_present(self):
-        backbone = line_graph(12)
-        adv = StableBackboneAdversary(12, backbone, noise_edges=6, seed=1)
-        for r in [1, 5, 33]:
-            edges = {tuple(e) for e in adv.edges(r)}
-            assert all(tuple(e) in edges for e in backbone)
-
-    def test_promise_all_T(self):
-        adv = StableBackboneAdversary(12, line_graph(12), noise_edges=6)
-        ok, _ = verify_t_interval_connectivity(adv, 5, horizon=30)
-        assert ok
-
-    def test_noise_changes_per_round(self):
-        adv = StableBackboneAdversary(12, line_graph(12), noise_edges=8, seed=1)
-        assert adv.edges(1).tolist() != adv.edges(2).tolist()
-
-    def test_deterministic_replay(self):
-        a = StableBackboneAdversary(12, line_graph(12), noise_edges=8, seed=1)
-        b = StableBackboneAdversary(12, line_graph(12), noise_edges=8, seed=1)
-        assert (a.edges(7) == b.edges(7)).all()
 
 
 class TestOverlapHandoff:

@@ -8,7 +8,8 @@ from repro.analysis import complexity, fitting, plotting, stats
 from repro.baselines import klo
 from repro.core import (aggregation, approx_count, hybrid_count, pipelining,
                         sketches)
-from repro.dynamics import StaticAdversary, diameter, line_graph
+from repro.dynamics import (StaticAdversary, WindowedThrottleAdversary,
+                            diameter, line_graph)
 from repro.errors import (
     AlgorithmViolation,
     ConfigurationError,
@@ -137,10 +138,14 @@ class TestErrorHierarchy:
                                      for i in range(9)}),
         lambda: plotting.ascii_plot({"a": ([1, 2], [1])}),
         lambda: plotting.ascii_plot({"a": ([], [])}),
-        lambda: plotting.ascii_series([0], [1], logx=True),
+        lambda: plotting.ascii_plot({"s": ([0], [1])}, logx=True),
         lambda: complexity.crossover_n(abs, abs, n_min=4, n_max=2),
         lambda: diameter.flooding_time_from(LINE3, sources=[7]),
         lambda: diameter.dynamic_diameter(LINE3, start_rounds=()),
+        lambda: WindowedThrottleAdversary(5, 0),
+        lambda: WindowedThrottleAdversary(5, 2.7),
+        lambda: WindowedThrottleAdversary(5, True),
+        lambda: WindowedThrottleAdversary(5, "3"),
     ])
     def test_invalid_arguments_raise_repro_error(self, call):
         """Every error the library raises on purpose derives from

@@ -20,8 +20,8 @@ from repro.dynamics import (
     line_graph,
     star_graph,
     verify_t_interval_connectivity,
-    window_intersection_edges,
 )
+from tests.conftest import window_intersection_edges
 
 
 class TestIsConnectedSpanning:
