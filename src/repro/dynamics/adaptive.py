@@ -70,6 +70,7 @@ class AdaptiveSchedule(GraphSchedule):
         raise NotImplementedError
 
     def edges(self, round_index: int) -> np.ndarray:
+        require_positive_int(round_index, "round_index")
         cached = self._recorded.get(round_index)
         if cached is not None:
             return cached
@@ -86,11 +87,11 @@ class AdaptiveSchedule(GraphSchedule):
     def stable_until(self, round_index: int) -> int:
         """No stability promise — adaptive graphs depend on node state.
 
-        The conservative hint forces the interval-aware adjacency cache
-        to query (and hence record) every round, which both keeps the
-        adversary adaptive and keeps the recording gap-free for
-        :meth:`to_explicit`.  Identical consecutive graphs are still
-        deduplicated downstream by content fingerprint.
+        The conservative hint makes :meth:`adjacency` query (and hence
+        record) every round, which both keeps the adversary adaptive and
+        keeps the recording gap-free for :meth:`to_explicit`.  A round
+        whose graph equals the previous round's still reuses that
+        round's CSR.
         """
         return round_index
 

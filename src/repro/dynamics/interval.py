@@ -25,8 +25,8 @@ import numpy as np
 from .._validate import require_nonnegative_int, require_positive_int
 from ..errors import ConfigurationError
 from .schedule import (STABLE_FOREVER, CSRAdjacency, FunctionSchedule,
-                       _canonical_keys, _keys_to_edges, _sorted_unique,
-                       build_csr, canonical_edges)
+                       GraphSchedule, _canonical_keys, _keys_to_edges,
+                       _sorted_unique, build_csr, canonical_edges)
 from .topologies import random_tree_graph
 
 __all__ = [
@@ -149,7 +149,7 @@ def _skip_self(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(v >= u, v + 1, v)
 
 
-class StaticAdversary(FunctionSchedule):
+class StaticAdversary(GraphSchedule):
     """The same graph every round.
 
     A static connected graph is T-interval connected for **every** T
@@ -160,15 +160,18 @@ class StaticAdversary(FunctionSchedule):
 
     def __init__(self, num_nodes: int, edges: object) -> None:
         fixed = canonical_edges(edges, num_nodes)
-        super().__init__(num_nodes, lambda r: fixed, interval=None,
-                         canonical=True)
+        super().__init__(num_nodes, interval=None)
         self.fixed_edges = fixed
+
+    def edges(self, round_index: int) -> np.ndarray:
+        require_positive_int(round_index, "round_index")
+        return self.fixed_edges
 
     def stable_until(self, round_index: int) -> int:
         return STABLE_FOREVER
 
 
-class OverlapHandoffAdversary(FunctionSchedule):
+class OverlapHandoffAdversary(GraphSchedule):
     """Exactly-T-interval adversary: a fresh backbone per T-round window,
     handed off with a (T-1)-round overlap.
 
@@ -219,15 +222,7 @@ class OverlapHandoffAdversary(FunctionSchedule):
         # from stream states derived _STATE_SPAN keys at a time.
         self._rng = np.random.Generator(np.random.PCG64(0))
         self._state_spans: dict[tuple[int, int], np.ndarray] = {}
-
-        def fn(r: int) -> np.ndarray:
-            if self.noise_edges:
-                return self._block(r).edges(r)
-            w, pos_in_window = divmod(r - 1, self.T)
-            return _keys_to_edges(
-                self._base_keys(w, pos_in_window > 0), num_nodes)
-
-        super().__init__(num_nodes, fn, interval=self.T, canonical=True)
+        super().__init__(num_nodes, interval=self.T)
         # Noisy rounds are generated in blocks of consecutive rounds.
         # Blocks grow from 8 rounds to a cap that shrinks with n, so short
         # large-n runs draw few rounds they never use.
@@ -243,6 +238,14 @@ class OverlapHandoffAdversary(FunctionSchedule):
         if pos_in_window == 0:
             return round_index
         return ((round_index - 1) // self.T + 1) * self.T
+
+    def edges(self, round_index: int) -> np.ndarray:
+        require_positive_int(round_index, "round_index")
+        if self.noise_edges:
+            return self._block(round_index).edges(round_index)
+        w, pos_in_window = divmod(round_index - 1, self.T)
+        return _keys_to_edges(self._base_keys(w, pos_in_window > 0),
+                              self.num_nodes)
 
     def _build_adjacency(self, round_index: int,
                          edge_arr: np.ndarray) -> CSRAdjacency:

@@ -16,32 +16,30 @@ Adaptive schedules cannot be pure; they derive from
 :class:`~repro.dynamics.adaptive.AdaptiveSchedule`, which records its
 generated rounds for later verification.
 
-Interval-aware adjacency caching
---------------------------------
+Interval-aware adjacency reuse
+------------------------------
 The T-interval model's defining property — the graph is *stable across
 whole windows of rounds* — is also a performance property: the engine
-should not rebuild adjacency for rounds it can prove are identical.  Two
-cooperating mechanisms exploit it:
+should not rebuild adjacency for rounds it can prove are identical.
+:meth:`GraphSchedule.adjacency` follows one rule:
 
-* :meth:`GraphSchedule.stable_until` — a schedule-specific hint, "the
-  graph of round ``r`` is unchanged through round ``stable_until(r)``".
-  Constructive adversaries override it (a static graph is stable forever;
-  an overlap-handoff window is stable to the window's end); adaptive
-  schedules keep the conservative default ``r`` so every round is still
-  generated and recorded.
-* a **content-fingerprint cache** — rounds whose hints cannot prove
-  stability (e.g. the odd rounds of an alternating-matchings schedule)
-  still share one :class:`CSRAdjacency` per *distinct graph*, because the
-  cache is keyed by a hash of the canonical edge bytes, not by the round
-  index.
+* serve the round from a **stable span** — :meth:`GraphSchedule.stable_until`
+  is a schedule-specific hint, "the graph of round ``r`` is unchanged
+  through round ``stable_until(r)``".  Constructive adversaries override
+  it (a static graph is stable forever; an overlap-handoff window is
+  stable to the window's end); adaptive schedules keep the conservative
+  default ``r`` so every round is still generated and recorded;
+* else fetch the round's edges and reuse the **previous round's** CSR when
+  the two edge arrays are equal (compared exactly, so a reuse can never
+  serve another graph);
+* else build the CSR once.
 
-:meth:`GraphSchedule.adjacency` is served from this cache; the engine's
-tiers consume the CSR form directly.
+The engine's tiers consume the CSR form directly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,17 +147,6 @@ def build_csr(edge_arr: np.ndarray, num_nodes: int) -> CSRAdjacency:
     return CSRAdjacency(indptr, indices, num_nodes)
 
 
-def _graph_fingerprint(edge_arr: np.ndarray) -> Hashable:
-    """Content fingerprint of a canonical edge array.
-
-    Canonical arrays are a unique representation per graph, so hashing
-    their bytes identifies the graph regardless of which round produced
-    it — the key that lets stable T-interval windows (and any other
-    repeats) share one adjacency build.
-    """
-    return (edge_arr.shape[0], hash(edge_arr.tobytes()))
-
-
 def canonical_edges(edges: object, num_nodes: int) -> np.ndarray:
     """Normalise *edges* into the canonical edge-array representation.
 
@@ -223,8 +210,8 @@ def _keys_to_edges(keys: np.ndarray, num_nodes: int) -> np.ndarray:
 class GraphSchedule:
     """Abstract base: a dynamic graph, one canonical edge array per round.
 
-    Subclasses implement :meth:`edges`.  The base provides the cached
-    CSR adjacency the engine consumes (:meth:`adjacency`).
+    Subclasses implement :meth:`edges`.  The base provides the CSR
+    adjacency the engine consumes (:meth:`adjacency`).
 
     Attributes
     ----------
@@ -236,31 +223,25 @@ class GraphSchedule:
         schedule may promise ``interval=None`` meaning "every T").
     """
 
-    #: maximum number of *distinct graphs* kept in the adjacency cache
-    #: (bounded LRU; one CSR per fingerprint, shared by every round that
-    #: realises the same graph)
-    _ADJACENCY_CACHE = 16
-
     def __init__(self, num_nodes: int, interval: Optional[int] = 1) -> None:
         self.num_nodes = require_positive_int(num_nodes, "num_nodes")
         if interval is not None:
             require_positive_int(interval, "interval")
         self.interval = interval
-        # fingerprint -> CSRAdjacency, insertion-ordered for LRU eviction
-        self._adj_cache: Dict[Hashable, CSRAdjacency] = {}
         # (lo, hi, csr): rounds lo..hi are known to share `csr` — set from
         # the stable_until hint so stable windows skip edges() entirely
         self._adj_span: Optional[Tuple[int, int, CSRAdjacency]] = None
-        #: Lifetime counters of the interval-aware adjacency cache:
-        #: ``span_hits`` (served from a known-stable span without calling
-        #: ``edges``), ``fingerprint_hits`` (distinct round, same graph),
-        #: ``builds`` (CSR constructed), ``evictions`` (LRU drops).  The
-        #: engine's observability layer reports per-run deltas of these
-        #: as ``CacheEvent``\ s; at most a few increments per round, so
-        #: they stay on unconditionally.
+        # (edges, csr) of the last round adjacency() fetched edges for
+        self._adj_last: Optional[Tuple[np.ndarray, CSRAdjacency]] = None
+        #: Lifetime counters of :meth:`adjacency`: ``span_hits`` (served
+        #: from a known-stable span without calling ``edges``),
+        #: ``repeat_hits`` (same edges as the previous fetched round) and
+        #: ``builds`` (CSR constructed).  The engine's observability
+        #: layer reports per-run deltas of these as ``CacheEvent``\ s; at
+        #: most a few increments per round, so they stay on
+        #: unconditionally.
         self.adjacency_stats: Dict[str, int] = {
-            "span_hits": 0, "fingerprint_hits": 0,
-            "builds": 0, "evictions": 0,
+            "span_hits": 0, "repeat_hits": 0, "builds": 0,
         }
 
     # -- abstract -------------------------------------------------------------
@@ -274,7 +255,7 @@ class GraphSchedule:
     def stable_until(self, round_index: int) -> int:
         """Last round through which the graph of *round_index* is unchanged.
 
-        The interval-aware cache contract: returning ``s >= round_index``
+        The stable-span contract: returning ``s >= round_index``
         promises ``edges(r) == edges(round_index)`` for every ``r`` in
         ``[round_index, s]``, letting :meth:`adjacency` serve the whole
         span from one build without re-querying :meth:`edges`.  The
@@ -290,12 +271,13 @@ class GraphSchedule:
     # -- derived --------------------------------------------------------------
 
     def adjacency(self, round_index: int) -> CSRAdjacency:
-        """CSR adjacency of the round's graph, interval-aware cached.
+        """CSR adjacency of the round's graph.
 
         Rounds inside a known-stable span (per :meth:`stable_until`)
         return the same :class:`CSRAdjacency` object without touching
-        :meth:`edges`; other rounds are deduplicated by content
-        fingerprint, so T identical rounds cost one build, not T.
+        :meth:`edges`; a round whose edges equal those of the previous
+        round fetched returns that round's object; any other round
+        builds once.
         """
         stats = self.adjacency_stats
         span = self._adj_span
@@ -303,18 +285,15 @@ class GraphSchedule:
             stats["span_hits"] += 1
             return span[2]
         edge_arr = self.edges(round_index)
-        key = _graph_fingerprint(edge_arr)
-        cache = self._adj_cache
-        csr = cache.pop(key, None)
-        if csr is None:
+        last = self._adj_last
+        if (last is not None and last[0].shape == edge_arr.shape
+                and np.array_equal(last[0], edge_arr)):
+            stats["repeat_hits"] += 1
+            csr = last[1]
+        else:
             stats["builds"] += 1
             csr = self._build_adjacency(round_index, edge_arr)
-            if len(cache) >= self._ADJACENCY_CACHE:
-                stats["evictions"] += 1
-                cache.pop(next(iter(cache)))
-        else:
-            stats["fingerprint_hits"] += 1
-        cache[key] = csr
+            self._adj_last = (edge_arr, csr)
         self._adj_span = (
             round_index, max(round_index, self.stable_until(round_index)), csr)
         return csr
@@ -323,7 +302,7 @@ class GraphSchedule:
                          edge_arr: np.ndarray) -> CSRAdjacency:
         """CSR of round *round_index*, whose canonical edges are *edge_arr*.
 
-        Called by :meth:`adjacency` on a cache miss.  Schedules that
+        Called by :meth:`adjacency` when it must build.  Schedules that
         generate many rounds at once override it to serve a CSR they
         already built alongside the edges.
         """
@@ -367,28 +346,28 @@ class ExplicitSchedule(GraphSchedule):
         return len(self._rounds)
 
     def stable_until(self, round_index: int) -> int:
-        """End of the run of byte-identical stored rounds containing *r*.
+        """End of the run of identical stored rounds containing *r*.
 
-        Computed once by fingerprinting each stored round and merging
-        adjacent equal ones; conservative across the cycle wrap (a run
-        never extends past the stored horizon).
+        Computed once by comparing each stored round with the next one
+        exactly; conservative across the cycle wrap (a run never extends
+        past the stored horizon).
         """
-        if len(self._rounds) == 1:
+        rounds = self._rounds
+        if len(rounds) == 1:
             return STABLE_FOREVER if self.cycle else round_index
         if self._run_end is None:
-            prints = [_graph_fingerprint(arr) for arr in self._rounds]
-            run_end = [0] * len(prints)
-            end = len(prints) - 1
-            for idx in range(len(prints) - 1, -1, -1):
-                if idx < len(prints) - 1 and prints[idx] != prints[idx + 1]:
-                    end = idx
-                run_end[idx] = end
+            run_end = [len(rounds) - 1] * len(rounds)
+            for idx in range(len(rounds) - 2, -1, -1):
+                if np.array_equal(rounds[idx], rounds[idx + 1]):
+                    run_end[idx] = run_end[idx + 1]
+                else:
+                    run_end[idx] = idx
             self._run_end = run_end
         idx = round_index - 1
-        if idx >= len(self._rounds):
+        if idx >= len(rounds):
             if not self.cycle:
                 return round_index
-            idx %= len(self._rounds)
+            idx %= len(rounds)
         return round_index + (self._run_end[idx] - idx)
 
     def edges(self, round_index: int) -> np.ndarray:
@@ -421,27 +400,14 @@ class FunctionSchedule(GraphSchedule):
         (see :meth:`GraphSchedule.stable_until`); combinators use this to
         propagate the hints of the schedules they wrap.  Subclasses may
         equivalently override the method.
-    canonical:
-        Promise that *fn* already returns arrays in the exact form
-        :func:`canonical_edges` would produce (sorted unique ``u < v``
-        int32 rows), letting :meth:`edges` skip the re-canonicalisation
-        sort.  Safe because :func:`canonical_edges` is idempotent — a
-        wrong promise changes performance characteristics only if the
-        promise is *kept*; adversaries set it only for code paths that
-        return canonical arrays they built themselves.
     """
 
     def __init__(self, num_nodes: int, fn: Callable[[int], object],
                  interval: Optional[int] = 1,
-                 stable_until: Optional[Callable[[int], int]] = None,
-                 canonical: bool = False) -> None:
+                 stable_until: Optional[Callable[[int], int]] = None) -> None:
         super().__init__(num_nodes, interval)
         self._fn = fn
         self._stable_until_fn = stable_until
-        self._fn_canonical = bool(canonical)
-        self._edge_cache: Dict[int, np.ndarray] = {}
-
-    _EDGE_CACHE = 8
 
     def stable_until(self, round_index: int) -> int:
         if self._stable_until_fn is not None:
@@ -450,14 +416,4 @@ class FunctionSchedule(GraphSchedule):
 
     def edges(self, round_index: int) -> np.ndarray:
         require_positive_int(round_index, "round_index")
-        cached = self._edge_cache.get(round_index)
-        if cached is not None:
-            return cached
-        if self._fn_canonical:
-            out = self._fn(round_index)
-        else:
-            out = canonical_edges(self._fn(round_index), self.num_nodes)
-        if len(self._edge_cache) >= self._EDGE_CACHE:
-            self._edge_cache.pop(next(iter(self._edge_cache)))
-        self._edge_cache[round_index] = out
-        return out
+        return canonical_edges(self._fn(round_index), self.num_nodes)

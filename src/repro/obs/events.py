@@ -181,9 +181,9 @@ class EngineTierEvent(Event):
 class CacheEvent(Event):
     """Cumulative hit/miss counters of one internal cache at run end.
 
-    ``cache`` names which one: ``"adjacency"`` (the schedule's
-    interval-aware CSR cache — ``detail`` splits hits into stable-span
-    vs content-fingerprint) or ``"payload_bits"`` (the engine's
+    ``cache`` names which one: ``"adjacency"`` (the schedule's CSR
+    reuse — ``detail`` splits hits into stable-span vs previous-round
+    repeats; misses are CSR builds) or ``"payload_bits"`` (the engine's
     payload bit-size memo).
     """
 

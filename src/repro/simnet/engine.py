@@ -362,8 +362,8 @@ class Simulator:
         self._rec_halted: Optional[set] = None
         self._rec_nodes_by_id: Optional[Dict[int, Algorithm]] = None
         #: Flat cache hit/miss counters of the last recorded run
-        #: (``adjacency_hits``/``_misses`` when the schedule keeps an
-        #: adjacency cache, ``payload_bits_hits``/``_misses``): the
+        #: (``adjacency_hits``/``_misses`` when the schedule counts its
+        #: adjacency reuse, ``payload_bits_hits``/``_misses``): the
         #: numbers of its cache events, shaped for ``cache.*`` row
         #: columns.  ``None`` when no recorder is attached.
         self.cache_counters: Optional[Dict[str, int]] = None
@@ -504,16 +504,14 @@ class Simulator:
             delta = {key: adj_stats[key] - base.get(key, 0)
                      for key in adj_stats}
             span_hits = delta.get("span_hits", 0)
-            fingerprint_hits = delta.get("fingerprint_hits", 0)
-            counters["adjacency_hits"] = span_hits + fingerprint_hits
+            repeat_hits = delta.get("repeat_hits", 0)
+            counters["adjacency_hits"] = span_hits + repeat_hits
             counters["adjacency_misses"] = delta.get("builds", 0)
             rec.emit(obs_events.CacheEvent(
                 round=self.round_index, cache="adjacency",
                 hits=counters["adjacency_hits"],
                 misses=counters["adjacency_misses"],
-                detail=(f"span_hits={span_hits} "
-                        f"fingerprint_hits={fingerprint_hits} "
-                        f"evictions={delta.get('evictions', 0)}")))
+                detail=f"span_hits={span_hits} repeat_hits={repeat_hits}"))
         counters["payload_bits_hits"] = self._bits_stats["hits"]
         counters["payload_bits_misses"] = self._bits_stats["misses"]
         rec.emit(obs_events.CacheEvent(

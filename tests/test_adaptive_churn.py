@@ -110,6 +110,34 @@ class TestWindowedThrottle:
         with pytest.raises(ConfigurationError):
             WindowedThrottleAdversary(5, 0)
 
+    def test_repeat_rounds_reuse_the_previous_rounds_csr(self):
+        """The first T-1 rounds of a window carry the same two paths, so
+        a token run reuses the previous round's CSR object there, and
+        builds exactly where the edges change."""
+        n = 16
+        adv = WindowedThrottleAdversary(n, 4)
+        adjacency, served = adv.adjacency, []
+
+        def recording_adjacency(r):
+            repeats = adv.adjacency_stats["repeat_hits"]
+            csr = adjacency(r)
+            served.append(
+                (r, csr, adv.adjacency_stats["repeat_hits"] > repeats))
+            return csr
+
+        adv.adjacency = recording_adjacency
+        nodes = [RandomTokenDissemination(i) for i in range(n)]
+        res = Simulator(adv, nodes, rng=RngRegistry(1)).run(
+            max_rounds=5000, stop_when=dissemination_complete,
+            allow_timeout=True)
+        stats = adv.adjacency_stats
+        assert stats["repeat_hits"] > 0 and stats["span_hits"] == 0
+        assert sum(stats.values()) == len(served) == res.rounds
+        for (r0, prev, _), (r1, csr, repeat) in zip(served, served[1:]):
+            assert r1 == r0 + 1
+            assert (csr is prev) == repeat
+            assert np.array_equal(adv.edges(r1), adv.edges(r0)) == repeat
+
 
 class TestEdgeChurn:
     def test_backbone_always_present(self, rng):

@@ -16,8 +16,8 @@ specification (``tests/test_generated_specs.py`` extends it to
 generated specs).
 
 Also covered here: the CSR adjacency construction itself (against a
-naive reference), the interval-aware cache (object identity across
-stable windows, content-fingerprint dedup across windows), the
+naive reference), the interval-aware reuse (object identity across
+stable windows and across consecutive equal rounds), the
 ``stable_until`` promise of every adversary, the bounded bit-size
 cache, and the per-phase profiling surface.
 """
@@ -378,21 +378,34 @@ def test_stable_window_shares_one_csr_object():
     assert schedule.adjacency(5) is not a2  # next window's handoff round
 
 
-def test_fingerprint_dedupes_repeating_graphs():
-    """Identical graphs in different rounds share one cached CSR."""
-    from repro.dynamics import ExplicitSchedule
+def test_consecutive_repeat_reuses_previous_csr():
+    """A round whose graph equals the previous round's shares its CSR
+    object; a graph seen earlier but not just before is built afresh,
+    with equal content."""
+    from repro.dynamics import ExplicitSchedule, FunctionSchedule
 
     ga = [(0, 1), (1, 2)]
     gb = [(0, 2)]
-    schedule = ExplicitSchedule(3, [ga, gb, ga, gb], cycle=True)
-    assert schedule.adjacency(1) is schedule.adjacency(3)
-    assert schedule.adjacency(2) is schedule.adjacency(4)
-    assert schedule.adjacency(1) is not schedule.adjacency(2)
-    # AlternatingMatchings repeats its full cycle on odd rounds only
-    # (even rounds drop a rotating edge) — dedup still kicks in there.
+    rounds = [ga, ga, gb, ga]
+    # The explicit schedule's stable span covers rounds 1-2; the function
+    # schedule promises nothing, so its round 2 is a previous-round repeat.
+    for schedule, stats in (
+            (ExplicitSchedule(3, rounds), (1, 0, 3)),
+            (FunctionSchedule(3, lambda r: rounds[r - 1]), (0, 1, 3))):
+        served = [schedule.adjacency(r) for r in range(1, 5)]
+        assert served[1] is served[0]
+        assert served[2] is not served[1]
+        assert served[3] is not served[0]
+        assert np.array_equal(served[3].indptr, served[0].indptr)
+        assert np.array_equal(served[3].indices, served[0].indices)
+        assert tuple(schedule.adjacency_stats[k] for k in (
+            "span_hits", "repeat_hits", "builds")) == stats
+    # AlternatingMatchings repeats its full ring on odd rounds only, with
+    # an even round between: each odd round builds its own equal CSR.
     alt = AlternatingMatchingsAdversary(12)
-    assert alt.adjacency(1) is alt.adjacency(3)
-    assert alt.adjacency(3) is alt.adjacency(5)
+    first, second, third = (alt.adjacency(r) for r in (1, 2, 3))
+    assert second is not first and third is not first
+    assert np.array_equal(third.indices, first.indices)
 
 
 def test_static_schedule_is_stable_forever():

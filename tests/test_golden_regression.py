@@ -250,59 +250,59 @@ def _schedule_digest(schedule, horizon):
     return digest.hexdigest()[:16]
 
 
-#: ``(n, T, seed, noise_edges) -> (digest, adjacency_stats)`` of rounds
-#: 1..300, read forward, captured from the per-round generator before
-#: the block generator replaced it.  Seed 1 with ``n // 8`` churn edges
+#: ``(n, T, seed, noise_edges) -> (digest, (span_hits, repeat_hits,
+#: builds))`` of rounds 1..300, read forward; the digests were captured
+#: from the per-round generator before the block generator replaced it.  Seed 1 with ``n // 8`` churn edges
 #: is ``lowdiam_handoff``; noise 0 is ``overlap_handoff``.
 SCHEDULE_DIGESTS = {
-    (16, 1, 1, 0): ("71c8695ef393006d", (0, 0, 300, 284)),
-    (16, 1, 1, 2): ("9e1d2b592b1b8c89", (0, 0, 300, 284)),
-    (16, 1, 2, 0): ("198de52f2114a810", (0, 0, 300, 284)),
-    (16, 2, 1, 0): ("5c5c68d8e283d1be", (0, 0, 300, 284)),
-    (16, 2, 1, 2): ("69a45cae302079ae", (0, 0, 300, 284)),
-    (16, 2, 2, 0): ("0e8fbf3d37080e3a", (0, 0, 300, 284)),
-    (16, 4, 1, 0): ("506399a9585c1205", (150, 0, 150, 134)),
-    (16, 4, 1, 2): ("bc9736cfddbc3b62", (0, 1, 299, 283)),
-    (16, 4, 2, 0): ("7ddad9e2153fe413", (150, 0, 150, 134)),
-    (16, 8, 1, 0): ("f371492fb7269579", (224, 0, 76, 60)),
-    (16, 8, 1, 2): ("6754c63b8036bbf2", (0, 0, 300, 284)),
-    (16, 8, 2, 0): ("3374b2feab33439e", (224, 0, 76, 60)),
-    (32, 1, 1, 0): ("c4e86d8da536aef3", (0, 0, 300, 284)),
-    (32, 1, 1, 4): ("668ae60d708765e2", (0, 0, 300, 284)),
-    (32, 1, 2, 0): ("9542a3604cceca76", (0, 0, 300, 284)),
-    (32, 2, 1, 0): ("9bf7d7a95c4b7197", (0, 0, 300, 284)),
-    (32, 2, 1, 4): ("c48b4529623ece6e", (0, 0, 300, 284)),
-    (32, 2, 2, 0): ("f33396312ad66a4c", (0, 0, 300, 284)),
-    (32, 4, 1, 0): ("78d2a38d04836553", (150, 0, 150, 134)),
-    (32, 4, 1, 4): ("4ab0f2567115c701", (0, 0, 300, 284)),
-    (32, 4, 2, 0): ("c3397a7166ffbde8", (150, 0, 150, 134)),
-    (32, 8, 1, 0): ("4d68ddee41087766", (224, 0, 76, 60)),
-    (32, 8, 1, 4): ("e47ba0326b0107fd", (0, 0, 300, 284)),
-    (32, 8, 2, 0): ("ef80b5f5c6dd372e", (224, 0, 76, 60)),
-    (128, 1, 1, 0): ("da334e248a0e5922", (0, 0, 300, 284)),
-    (128, 1, 1, 16): ("d2c6ce28242e4bd1", (0, 0, 300, 284)),
-    (128, 1, 2, 0): ("4b281b67aeb97b1c", (0, 0, 300, 284)),
-    (128, 2, 1, 0): ("a29a4fe4def38ab7", (0, 0, 300, 284)),
-    (128, 2, 1, 16): ("a6b07d97ad90dbc4", (0, 0, 300, 284)),
-    (128, 2, 2, 0): ("30cbcb5719abf818", (0, 0, 300, 284)),
-    (128, 4, 1, 0): ("3fa248cb8dc1df12", (150, 0, 150, 134)),
-    (128, 4, 1, 16): ("f526e076ce9d2e5c", (0, 0, 300, 284)),
-    (128, 4, 2, 0): ("03a43f8b0d7cef76", (150, 0, 150, 134)),
-    (128, 8, 1, 0): ("d702055160d77a36", (224, 0, 76, 60)),
-    (128, 8, 1, 16): ("5adee2a20c411a64", (0, 0, 300, 284)),
-    (128, 8, 2, 0): ("071c18374dfb0407", (224, 0, 76, 60)),
-    (512, 1, 1, 0): ("b4e1113c2d3a6376", (0, 0, 300, 284)),
-    (512, 1, 1, 64): ("e0d6815a47c2d5be", (0, 0, 300, 284)),
-    (512, 1, 2, 0): ("622254bd5f191e71", (0, 0, 300, 284)),
-    (512, 2, 1, 0): ("ffdede2ecbbe664a", (0, 0, 300, 284)),
-    (512, 2, 1, 64): ("59143104713e9983", (0, 0, 300, 284)),
-    (512, 2, 2, 0): ("d3092a7850ad866a", (0, 0, 300, 284)),
-    (512, 4, 1, 0): ("1374d139fb39d37c", (150, 0, 150, 134)),
-    (512, 4, 1, 64): ("5c4ee68767793acf", (0, 0, 300, 284)),
-    (512, 4, 2, 0): ("41ecd3bc14800350", (150, 0, 150, 134)),
-    (512, 8, 1, 0): ("eef270d2f8e1c739", (224, 0, 76, 60)),
-    (512, 8, 1, 64): ("62f62e07f1a81837", (0, 0, 300, 284)),
-    (512, 8, 2, 0): ("aa9e6fd8b2ed5731", (224, 0, 76, 60)),
+    (16, 1, 1, 0): ("71c8695ef393006d", (0, 0, 300)),
+    (16, 1, 1, 2): ("9e1d2b592b1b8c89", (0, 0, 300)),
+    (16, 1, 2, 0): ("198de52f2114a810", (0, 0, 300)),
+    (16, 2, 1, 0): ("5c5c68d8e283d1be", (0, 0, 300)),
+    (16, 2, 1, 2): ("69a45cae302079ae", (0, 0, 300)),
+    (16, 2, 2, 0): ("0e8fbf3d37080e3a", (0, 0, 300)),
+    (16, 4, 1, 0): ("506399a9585c1205", (150, 0, 150)),
+    (16, 4, 1, 2): ("bc9736cfddbc3b62", (0, 0, 300)),
+    (16, 4, 2, 0): ("7ddad9e2153fe413", (150, 0, 150)),
+    (16, 8, 1, 0): ("f371492fb7269579", (224, 0, 76)),
+    (16, 8, 1, 2): ("6754c63b8036bbf2", (0, 0, 300)),
+    (16, 8, 2, 0): ("3374b2feab33439e", (224, 0, 76)),
+    (32, 1, 1, 0): ("c4e86d8da536aef3", (0, 0, 300)),
+    (32, 1, 1, 4): ("668ae60d708765e2", (0, 0, 300)),
+    (32, 1, 2, 0): ("9542a3604cceca76", (0, 0, 300)),
+    (32, 2, 1, 0): ("9bf7d7a95c4b7197", (0, 0, 300)),
+    (32, 2, 1, 4): ("c48b4529623ece6e", (0, 0, 300)),
+    (32, 2, 2, 0): ("f33396312ad66a4c", (0, 0, 300)),
+    (32, 4, 1, 0): ("78d2a38d04836553", (150, 0, 150)),
+    (32, 4, 1, 4): ("4ab0f2567115c701", (0, 0, 300)),
+    (32, 4, 2, 0): ("c3397a7166ffbde8", (150, 0, 150)),
+    (32, 8, 1, 0): ("4d68ddee41087766", (224, 0, 76)),
+    (32, 8, 1, 4): ("e47ba0326b0107fd", (0, 0, 300)),
+    (32, 8, 2, 0): ("ef80b5f5c6dd372e", (224, 0, 76)),
+    (128, 1, 1, 0): ("da334e248a0e5922", (0, 0, 300)),
+    (128, 1, 1, 16): ("d2c6ce28242e4bd1", (0, 0, 300)),
+    (128, 1, 2, 0): ("4b281b67aeb97b1c", (0, 0, 300)),
+    (128, 2, 1, 0): ("a29a4fe4def38ab7", (0, 0, 300)),
+    (128, 2, 1, 16): ("a6b07d97ad90dbc4", (0, 0, 300)),
+    (128, 2, 2, 0): ("30cbcb5719abf818", (0, 0, 300)),
+    (128, 4, 1, 0): ("3fa248cb8dc1df12", (150, 0, 150)),
+    (128, 4, 1, 16): ("f526e076ce9d2e5c", (0, 0, 300)),
+    (128, 4, 2, 0): ("03a43f8b0d7cef76", (150, 0, 150)),
+    (128, 8, 1, 0): ("d702055160d77a36", (224, 0, 76)),
+    (128, 8, 1, 16): ("5adee2a20c411a64", (0, 0, 300)),
+    (128, 8, 2, 0): ("071c18374dfb0407", (224, 0, 76)),
+    (512, 1, 1, 0): ("b4e1113c2d3a6376", (0, 0, 300)),
+    (512, 1, 1, 64): ("e0d6815a47c2d5be", (0, 0, 300)),
+    (512, 1, 2, 0): ("622254bd5f191e71", (0, 0, 300)),
+    (512, 2, 1, 0): ("ffdede2ecbbe664a", (0, 0, 300)),
+    (512, 2, 1, 64): ("59143104713e9983", (0, 0, 300)),
+    (512, 2, 2, 0): ("d3092a7850ad866a", (0, 0, 300)),
+    (512, 4, 1, 0): ("1374d139fb39d37c", (150, 0, 150)),
+    (512, 4, 1, 64): ("5c4ee68767793acf", (0, 0, 300)),
+    (512, 4, 2, 0): ("41ecd3bc14800350", (150, 0, 150)),
+    (512, 8, 1, 0): ("eef270d2f8e1c739", (224, 0, 76)),
+    (512, 8, 1, 64): ("62f62e07f1a81837", (0, 0, 300)),
+    (512, 8, 2, 0): ("aa9e6fd8b2ed5731", (224, 0, 76)),
 }
 
 
@@ -314,7 +314,7 @@ class TestScheduleDigests:
         digest, stats = SCHEDULE_DIGESTS[key]
         assert _schedule_digest(schedule, 300) == digest
         assert tuple(schedule.adjacency_stats[k] for k in (
-            "span_hits", "fingerprint_hits", "builds", "evictions")) == stats
+            "span_hits", "repeat_hits", "builds")) == stats
 
 
 def _per_round_handoff(n, T, noise, seed):

@@ -25,6 +25,13 @@ from repro.simnet.node import Algorithm, FunctionalNode, RoundContext
 LINE3 = StaticAdversary(3, line_graph(3))
 
 
+def _bound_throttle():
+    """A windowed-throttle adversary bound to a flat progress vector."""
+    schedule = WindowedThrottleAdversary(4, 2)
+    schedule.bind(lambda: [0.0] * 4)
+    return schedule
+
+
 class TestAlgorithmLifecycle:
     def test_initial_state(self):
         node = FunctionalNode(3, lambda s, c: None, lambda s, c, i: None)
@@ -146,6 +153,10 @@ class TestErrorHierarchy:
         lambda: WindowedThrottleAdversary(5, 2.7),
         lambda: WindowedThrottleAdversary(5, True),
         lambda: WindowedThrottleAdversary(5, "3"),
+        lambda: _bound_throttle().edges(0),
+        lambda: _bound_throttle().edges(-1),
+        lambda: _bound_throttle().edges(2.5),
+        lambda: _bound_throttle().edges(True),
     ])
     def test_invalid_arguments_raise_repro_error(self, call):
         """Every error the library raises on purpose derives from

@@ -59,7 +59,7 @@ SAMPLES = [
     EngineTierEvent(round=0, tier="reference", action="select",
                     reason="population has no batch kernel"),
     CacheEvent(round=9, cache="adjacency", hits=7, misses=2,
-               detail="span_hits=7 fingerprint_hits=0 evictions=0"),
+               detail="span_hits=7 repeat_hits=0"),
     SummaryEvent(rounds=10, stop_reason="quiescent", broadcast_bits=6400,
                  delivered_messages=240, batch_rounds=10),
 ]

@@ -130,18 +130,6 @@ class TestFunctionSchedule:
         assert s.edges(1).tolist() == [[0, 1]]
         assert s.edges(2).tolist() == [[1, 2]]
 
-    def test_cache_returns_same_array(self):
-        calls = []
-
-        def fn(r):
-            calls.append(r)
-            return [(0, 1)]
-
-        s = FunctionSchedule(2, fn)
-        s.edges(1)
-        s.edges(1)
-        assert calls == [1]
-
 
 class _PathAdversary(AdaptiveSchedule):
     """Adaptive schedule serving the path 0-1-2 every round."""
