@@ -17,9 +17,13 @@ def median_pair(measure_fast, measure_slow, pairs=PAIRS):
     slow)`` rates of the pair whose ``fast / slow`` ratio is the median,
     so a row's rates and its speedup come from the same pair.
     """
-    runs = []
-    for _ in range(pairs):
-        fast = measure_fast()
-        runs.append((fast, measure_slow()))
-    runs.sort(key=lambda pair: pair[0] / pair[1])
+    return median_of_pairs(lambda: (measure_fast(), measure_slow()), pairs)
+
+
+def median_of_pairs(measure, pairs=PAIRS):
+    """Call *measure* *pairs* times; each call returns one ``(fast,
+    slow)`` pair of rates.  Returns the pair whose ``fast / slow`` ratio
+    is the median."""
+    runs = sorted((measure() for _ in range(pairs)),
+                  key=lambda pair: pair[0] / pair[1])
     return runs[len(runs) // 2]

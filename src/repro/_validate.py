@@ -8,6 +8,8 @@ returns the validated (possibly normalised) value so call sites can write
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Sequence, TypeVar
 
 from .errors import ConfigurationError
@@ -42,24 +44,37 @@ def require_int_in_range(value: int, name: str, lo: int, hi: int) -> int:
     return value
 
 
+def _require_real(value: float, name: str) -> float:
+    """*value* as a float when it is a real number (not ``bool``/``str``)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(
+            f"{name} must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
 def require_probability(value: float, name: str) -> float:
-    """Validate that *value* is a float in ``[0, 1]`` and return it."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be a float in [0, 1]") from None
+    """Validate that *value* is a real number in ``[0, 1]``; return it as
+    a float."""
+    value = _require_real(value, name)
     if not (0.0 <= value <= 1.0):
         raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
     return value
 
 
+def require_loss_rate(value: float, name: str) -> float:
+    """Validate that *value* is a real number in ``[0, 1)``; return it as
+    a float."""
+    value = _require_real(value, name)
+    if not (0.0 <= value < 1.0):
+        raise ConfigurationError(f"{name} must be in [0, 1), got {value}")
+    return value
+
+
 def require_positive_float(value: float, name: str) -> float:
-    """Validate that *value* is a finite float > 0 and return it."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be a positive float") from None
-    if not (value > 0.0) or value != value or value in (float("inf"),):
+    """Validate that *value* is a finite real number > 0; return it as a
+    float."""
+    value = _require_real(value, name)
+    if not (value > 0.0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be a finite float > 0, got {value}")
     return value
 

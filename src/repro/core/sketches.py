@@ -41,7 +41,8 @@ import functools
 
 import numpy as np
 
-from .._validate import require_positive_int, require_probability
+from .._validate import (require_positive_float, require_positive_int,
+                         require_probability)
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -54,6 +55,9 @@ __all__ = [
 
 #: Flajolet–Martin bias correction for the geometric estimator.
 _FM_PHI = 0.77351
+
+#: Widest sketch :func:`required_width` searches before giving up.
+_MAX_WIDTH = 1 << 20
 
 
 def estimate_from_minima(minima: np.ndarray) -> float:
@@ -90,33 +94,32 @@ def failure_probability(width: int, eps: float) -> float:
     return float(upper + lower)
 
 
-def required_width(eps: float, delta: float, max_width: int = 1 << 20) -> int:
+def required_width(eps: float, delta: float) -> int:
     """Smallest sketch width with ``P[|N̂/N - 1| > eps] <= delta``.
 
     Binary search over the exact failure probability (which is monotone
     decreasing in the width for fixed ``eps``).  The search is pure, so
-    its result is memoised per ``(eps, delta, max_width)``: a population
+    its result is memoised per ``(eps, delta)``: a population
     of approximate-count nodes sharing one target solves it once.  The
     argument checks run on every call, and a failed search raises again
-    (exceptions are not cached).
+    (exceptions are not cached).  A target needing a width above
+    :data:`_MAX_WIDTH` raises :class:`~repro.errors.ConfigurationError`.
     """
-    eps = float(eps)
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be > 0, got {eps}")
+    eps = require_positive_float(eps, "eps")
     delta = require_probability(delta, "delta")
     if delta <= 0:
         raise ConfigurationError("delta must be > 0")
-    return _solve_width(eps, delta, int(max_width))
+    return _solve_width(eps, delta)
 
 
 @functools.lru_cache(maxsize=None)
-def _solve_width(eps: float, delta: float, max_width: int) -> int:
+def _solve_width(eps: float, delta: float) -> int:
     lo, hi = 2, 4
     while failure_probability(hi, eps) > delta:
         hi *= 2
-        if hi > max_width:
+        if hi > _MAX_WIDTH:
             raise ConfigurationError(
-                f"required width exceeds {max_width} for eps={eps}, "
+                f"required width exceeds {_MAX_WIDTH} for eps={eps}, "
                 f"delta={delta}")
     while lo < hi:
         mid = (lo + hi) // 2

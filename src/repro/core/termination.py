@@ -79,10 +79,8 @@ class QuiescenceController:
     """
 
     def __init__(self, initial_window: int = 1, growth: int = 2) -> None:
-        self.initial_window = require_positive_int(initial_window,
-                                                   "initial_window")
+        self.window = require_positive_int(initial_window, "initial_window")
         self.growth = require_int_in_range(growth, "growth", 2, 64)
-        self.window = self.initial_window
         self.quiet_streak = 0
         self.holding = False  # currently holding a (tentative) decision
         self.retraction_count = 0
@@ -108,13 +106,6 @@ class QuiescenceController:
             self.holding = True
             return "decide"
         return None
-
-    def reset(self) -> None:
-        """Back to the initial state (new epoch / reuse in tests)."""
-        self.window = self.initial_window
-        self.quiet_streak = 0
-        self.holding = False
-        self.retraction_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"QuiescenceController(window={self.window}, "

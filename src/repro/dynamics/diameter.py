@@ -17,7 +17,7 @@ schedule the closure completes within ``n - 1`` rounds.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,16 +31,14 @@ __all__ = ["flooding_time_from", "dynamic_diameter"]
 def flooding_time_from(
     schedule: GraphSchedule,
     start_round: int = 1,
-    sources: Optional[Iterable[int]] = None,
     max_rounds: Optional[int] = None,
 ) -> int:
-    """Rounds until every node holds the token of every source.
+    """Rounds until every node holds the token of every node.
 
-    Tokens originate at *sources* (default: all nodes) at the start of
-    *start_round*; in each round every node broadcasts everything it
-    holds.  Returns the number of rounds executed when the last
-    ``(source, node)`` pair completes.  For ``n == 1`` (or empty sources)
-    the answer is 0.
+    Every node's token originates at the start of *start_round*; in each
+    round every node broadcasts everything it holds.  Returns the number
+    of rounds executed when the last ``(source, node)`` pair completes.
+    For ``n == 1`` the answer is 0.
 
     Raises
     ------
@@ -54,28 +52,16 @@ def flooding_time_from(
     n = schedule.num_nodes
     if n == 1:
         return 0
-    src_list = sorted(set(range(n) if sources is None else sources))
-    if not src_list:
-        return 0
-    for s in src_list:
-        if not (0 <= s < n):
-            raise ConfigurationError(f"source {s} out of range [0, {n})")
-    words = (n + 63) // 64
-    informed = np.zeros((n, words), dtype=np.uint64)
-    # Node v starts holding exactly the tokens of sources equal to v.
-    for s in src_list:
-        informed[s, s // 64] |= np.uint64(1) << np.uint64(s % 64)
-
-    # Target: every row holds every source's bit.
-    target = np.zeros(words, dtype=np.uint64)
-    for s in src_list:
-        target[s // 64] |= np.uint64(1) << np.uint64(s % 64)
+    # Node v starts holding exactly its own token; the target row holds
+    # every node's.
+    nodes = np.arange(n)
+    informed = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    informed[nodes, nodes // 64] = (
+        np.uint64(1) << (nodes % 64).astype(np.uint64))
+    target = np.bitwise_or.reduce(informed, axis=0)
 
     if max_rounds is None:
         max_rounds = 4 * n + 16
-
-    if bool((informed & target == target).all()):
-        return 0
 
     for step in range(1, max_rounds + 1):
         edge_arr = schedule.edges(start_round + step - 1)
@@ -84,7 +70,7 @@ def flooding_time_from(
             dst = np.concatenate([edge_arr[:, 1], edge_arr[:, 0]])
             contributions = informed[src]
             np.bitwise_or.at(informed, dst, contributions)
-        if bool((informed & target == target).all()):
+        if bool((informed == target).all()):
             return step
     raise NotTerminatedError(
         f"flood closure incomplete after {max_rounds} rounds from round "

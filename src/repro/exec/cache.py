@@ -24,8 +24,6 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from .specs import CODE_VERSION_SALT, TrialSpec
-
 __all__ = ["CacheStats", "ResultCache"]
 
 
@@ -57,21 +55,15 @@ class ResultCache:
         Cache directory (created on first write).  Entries live two
         levels deep (``root/ab/ab12…ef.json``) to keep directories small
         on big sweeps.
-    salt:
-        Code-version salt mixed into every key; changing it orphans all
-        existing entries without deleting them.
+
+    Keys are :meth:`~repro.exec.specs.TrialSpec.key` content addresses,
+    which mix in :data:`~repro.exec.specs.CODE_VERSION_SALT`; bumping it
+    orphans all existing entries without deleting them.
     """
 
-    def __init__(self, root: str, salt: str = CODE_VERSION_SALT) -> None:
+    def __init__(self, root: str) -> None:
         self.root = str(root)
-        self.salt = salt
         self.stats = CacheStats()
-
-    # -- keying ------------------------------------------------------------
-
-    def key(self, spec: TrialSpec, seed: int) -> str:
-        """Content address of (spec, seed) under this cache's salt."""
-        return spec.key(seed, salt=self.salt)
 
     def path(self, key: str) -> str:
         """Filesystem path of a cache entry."""
@@ -119,5 +111,5 @@ class ResultCache:
         self.stats.writes += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ResultCache(root={self.root!r}, salt={self.salt!r}, "
+        return (f"ResultCache(root={self.root!r}, "
                 f"stats={self.stats.as_dict()})")

@@ -136,7 +136,7 @@ class ParallelExecutor:
                     f"pairs; got {type(spec).__name__}")
         report = ExecutionReport(total=len(cells))
         started = time.monotonic()
-        keys = [self._key(spec, seed) for spec, seed in cells]
+        keys = [spec.key(seed) for spec, seed in cells]
 
         # Result slots by input index; filled from the cache, then by
         # execution.  A separate per-key index drives deduplication.
@@ -175,11 +175,6 @@ class ParallelExecutor:
 
     # -- result-source helpers ---------------------------------------------
 
-    def _key(self, spec: TrialSpec, seed: int) -> str:
-        if self.cache is not None:
-            return self.cache.key(spec, seed)
-        return spec.key(seed)
-
     def _complete(self, key: str, row: Dict[str, Any],
                   by_key: Dict[str, List[int]],
                   results: Dict[int, Dict[str, Any]],
@@ -187,14 +182,12 @@ class ParallelExecutor:
         for idx in by_key[key]:
             results[idx] = row
         # Profiled trials carry wall-clock phase.* columns and engine.*
-        # tier counts; recorded trials carry obs.* event counters and
-        # cache.* hit/miss counters.  None of that is deterministic row
-        # data (the tier split and cache behaviour are implementation
-        # observables that may change across engine versions, and
-        # recording is a run-mode choice), so it stays in the in-memory
-        # rows but never enters the content-addressed cache — which
-        # promises identical rows for identical (spec, seed), however
-        # the row was produced.
+        # tier counts.  Neither is deterministic row data (the tier split
+        # is an implementation observable that may change across engine
+        # versions, and profiling is a run-mode choice), so both stay in
+        # the in-memory rows but never enter the content-addressed cache
+        # — which promises identical rows for identical (spec, seed),
+        # however the row was produced.
         if cacheable and self.cache is not None:
             from ..harness.runner import durable_row
 

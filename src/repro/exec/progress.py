@@ -55,6 +55,9 @@ class ProgressSnapshot:
 
 ProgressCallback = Callable[[ProgressSnapshot], None]
 
+#: Minimum seconds between two repaints of a terminal status line.
+_MIN_INTERVAL = 0.1
+
 
 def _fmt_eta(seconds: Optional[float]) -> str:
     if seconds is None:
@@ -79,16 +82,15 @@ class ConsoleProgress:
     stream:
         Defaults to ``sys.stderr`` so progress never pollutes piped
         result output.
-    min_interval:
-        Minimum seconds between repaints (the final snapshot always
-        paints).
+
+    A terminal is repainted at most every :data:`_MIN_INTERVAL` seconds
+    (the final snapshot always paints).
     """
 
-    def __init__(self, label: str = "sweep", stream: Optional[TextIO] = None,
-                 min_interval: float = 0.1) -> None:
+    def __init__(self, label: str = "sweep",
+                 stream: Optional[TextIO] = None) -> None:
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
         self._last_paint = 0.0
         self._last_len = 0
 
@@ -97,7 +99,7 @@ class ConsoleProgress:
         finished = snap.done >= snap.total
         live = self.stream.isatty()
         if not finished and (not live
-                             or now - self._last_paint < self.min_interval):
+                             or now - self._last_paint < _MIN_INTERVAL):
             return
         self._last_paint = now
         parts = [

@@ -46,7 +46,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .._validate import require_choice, require_positive_int
+from .._validate import (require_choice, require_loss_rate,
+                         require_positive_int)
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -186,6 +187,7 @@ class TrialSpec:
         require_positive_int(self.max_rounds, "max_rounds")
         require_choice(self.until, "until", _UNTIL_CHOICES)
         require_positive_int(self.quiescence_window, "quiescence_window")
+        require_loss_rate(self.loss_rate, "loss_rate")
         if self.stop_when is not None:
             require_choice(self.stop_when, "stop_when",
                            tuple(sorted(_STOP_PREDICATES)))
@@ -204,17 +206,18 @@ class TrialSpec:
         out.pop("tags")
         return out
 
-    def key(self, seed: int, salt: str = CODE_VERSION_SALT) -> str:
+    def key(self, seed: int) -> str:
         """Stable content address of (spec, seed, code version).
 
         The sha256 of the canonical JSON of the spec payload plus the
-        trial seed and the *salt*.  Equal on every platform and in every
-        process for equal inputs — verified by the test suite across an
-        actual process boundary.
+        trial seed and :data:`CODE_VERSION_SALT`.  Equal on every
+        platform and in every process for equal inputs — verified by the
+        test suite across an actual process boundary.
         """
         # canonical_json({"spec": ..., "seed": ..., "salt": ...}) spelled
         # out, its keys in sorted order, around the memoised spec JSON.
-        blob = (f'{{"salt":{canonical_json(salt)},"seed":{int(seed)},'
+        blob = (f'{{"salt":{canonical_json(CODE_VERSION_SALT)},'
+                f'"seed":{int(seed)},'
                 f'"spec":{self._payload_json}}}')
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

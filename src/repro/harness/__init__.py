@@ -22,7 +22,7 @@ result cache (``--workers/--cache-dir`` on the CLI) on top of the same
 measurement semantics, and executes a cell that experiments share once.
 """
 
-from .runner import TrialResult, run_trial, run_replicates
+from .runner import TrialResult, run_trial
 from .experiments import (
     ExperimentResult,
     EXPERIMENTS,
@@ -34,7 +34,6 @@ from .claims import Claim, CLAIMS, check_claims, render_claims
 __all__ = [
     "TrialResult",
     "run_trial",
-    "run_replicates",
     "ExperimentResult",
     "EXPERIMENTS",
     "run_experiments",

@@ -25,12 +25,11 @@ __all__ = ["save_experiment", "load_rows"]
 def save_experiment(result: ExperimentResult, results_dir: str) -> str:
     """Write the experiment's artefacts; returns the experiment directory.
 
-    Telemetry columns (``phase.*`` timings, ``engine.*`` tier splits,
-    ``obs.*`` / ``cache.*`` counters — see
-    :data:`repro.harness.runner.NONDURABLE_ROW_PREFIXES`) are stripped
-    before persisting, so artefacts — and the generated documents
-    checked by ``repro.report --check`` — are identical whether the
-    rows came from a fresh profiled/recorded run or a cache hit.
+    Telemetry columns (``phase.*`` timings and ``engine.*`` tier splits
+    — see :data:`repro.harness.runner.NONDURABLE_ROW_PREFIXES`) are
+    stripped before persisting, so artefacts — and the generated
+    documents checked by ``repro.report --check`` — are identical
+    whether the rows came from a fresh profiled run or a cache hit.
     """
     exp_dir = os.path.join(results_dir, result.exp_id.lower())
     os.makedirs(exp_dir, exist_ok=True)

@@ -5,8 +5,7 @@ A *trial* is one simulation described by a declarative
 stop configuration, and an optional correctness oracle.
 :func:`run_trial` executes it and returns a :class:`TrialResult` with
 the standard measured quantities (rounds, last-final-decision round,
-bits, retractions, correctness); :func:`run_replicates` repeats over
-seeds.
+bits, retractions, correctness).
 
 The measured quantity of record for stabilizing algorithms is
 ``last_decision_round`` — the round in which the last node fixed the
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder, events_dir
@@ -28,26 +27,25 @@ from ..simnet.rng import RngRegistry
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..exec.specs import TrialSpec
 
-__all__ = ["TrialResult", "run_trial", "run_replicates",
+__all__ = ["TrialResult", "run_trial",
            "NONDURABLE_ROW_PREFIXES", "durable_row"]
 
 #: Row-column prefixes that are run-mode telemetry, not measured data:
-#: wall-clock ``phase.*`` timings, ``engine.*`` dispatch-tier round
-#: splits, ``obs.*`` event-stream counters, and ``cache.*`` hit/miss
-#: counters.  The executor strips them before a row enters the
-#: content-addressed result cache, and ``save_experiment``
-#: strips them from persisted artefacts, so a cache-hit rerun and a
-#: fresh (profiled or recorded) run produce byte-identical artefacts —
-#: the equality ``repro.report --check`` relies on.
-NONDURABLE_ROW_PREFIXES = ("phase.", "engine.", "obs.", "cache.")
+#: the wall-clock ``phase.*`` timings and ``engine.*`` dispatch-tier
+#: round splits of a profiled trial.  The executor strips them before a
+#: row enters the content-addressed result cache, and
+#: ``save_experiment`` strips them from persisted artefacts, so a
+#: cache-hit rerun and a fresh profiled run produce byte-identical
+#: artefacts — the equality ``repro.report --check`` relies on.
+NONDURABLE_ROW_PREFIXES = ("phase.", "engine.")
 
 
 def durable_row(row: Mapping[str, Any]) -> Dict[str, Any]:
     """*row* without telemetry columns (the same object when clean).
 
     Strips every :data:`NONDURABLE_ROW_PREFIXES` column; rows that carry
-    none are returned as-is (no copy) so the common unprofiled,
-    unrecorded path stays allocation-free.
+    none are returned as-is (no copy) so the common unprofiled path
+    stays allocation-free.
     """
     if any(key.startswith(NONDURABLE_ROW_PREFIXES) for key in row):
         return {key: value for key, value in row.items()
@@ -60,8 +58,8 @@ class TrialResult:
     """Measured quantities of one trial (flattened into result rows).
 
     *telemetry* holds the trial's run-mode columns, already prefixed
-    (:data:`NONDURABLE_ROW_PREFIXES`); it is empty for an unprofiled,
-    unrecorded trial.
+    (:data:`NONDURABLE_ROW_PREFIXES`); it is empty for an unprofiled
+    trial.
     """
 
     seed: int
@@ -134,12 +132,11 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
     record.  Recording never changes the measured results — the engine
     guarantees recorded and unrecorded runs are bit-identical.
 
-    Telemetry reaches the result only as prefixed columns of
-    ``TrialResult.telemetry``: a profiled trial carries the simulator's
-    ``phase.<phase>_s`` timings and ``engine.<tier>_rounds`` counts, a
-    recorded one its ``obs.<kind>`` event counts and ``cache.<name>``
-    hit/miss counters.  They are stripped wherever rows are persisted
-    (see :func:`durable_row`).
+    A profiled trial's telemetry reaches the result as prefixed columns
+    of ``TrialResult.telemetry``: the simulator's ``phase.<phase>_s``
+    timings and ``engine.<tier>_rounds`` counts.  They are stripped
+    wherever rows are persisted (see :func:`durable_row`).  A recorded
+    trial's event counts and cache counters live in its stream only.
     """
     schedule = spec.build_schedule(seed)
     nodes = spec.build_nodes(schedule, seed)
@@ -167,11 +164,6 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
             telemetry[f"phase.{name}_s"] = seconds
         for tier, rounds in sorted(sim.tier_rounds.items()):
             telemetry[f"engine.{tier}_rounds"] = rounds
-    if recorder is not None:
-        for kind, count in sorted(recorder.summary().items()):
-            telemetry[f"obs.{kind}"] = count
-        for name, count in sorted(sim.cache_counters.items()):
-            telemetry[f"cache.{name}"] = count
     correct = spec.judge(result.outputs, schedule)
     sample = next(iter(result.outputs.values()), None)
     return TrialResult(
@@ -189,8 +181,3 @@ def run_trial(spec: "TrialSpec", seed: int) -> TrialResult:
         telemetry=telemetry,
     )
 
-
-def run_replicates(spec: "TrialSpec",
-                   seeds: Sequence[int]) -> List[TrialResult]:
-    """Run the trial once per seed, collecting all results."""
-    return [run_trial(spec, seed) for seed in seeds]

@@ -11,7 +11,7 @@ The subsystem has three parts, each in its own module:
   streamed to JSONL), and the process-wide ``--events DIR`` plumbing;
 * :mod:`repro.obs.merge` — the executor-level merge folding per-trial
   streams into one deterministic artifact with trial provenance, and
-  the run-summary aggregator.
+  the run-summary aggregator (per-kind event counts, rounds by tier).
 
 Quick tour::
 
@@ -19,7 +19,7 @@ Quick tour::
     rec = Recorder.in_memory()
     Simulator(schedule, nodes, recorder=rec).run(5000, until="quiescent",
                                                  quiescence_window=64)
-    rec.summary()            # {'engine_tier': 1, 'round': 9, ...}
+    rec.of_kind("round")     # one RoundEvent per round, in order
     rec.of_kind("cache")     # adjacency + payload-bits hit/miss counters
 
 See ``docs/OBSERVABILITY.md`` for the event schema reference and the

@@ -9,8 +9,8 @@ byte-identical regardless of which worker finished first — the same
 input-order guarantee the executor gives for result rows.
 
 :func:`summarize_streams` is the run-summary aggregator: per-kind event
-counts, total rounds, per-tier round counts, and per-trial provenance
-rows, computed from the streams without loading them fully into memory.
+counts, total rounds and per-tier round counts, computed from the
+streams.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class StreamSummary:
     by_kind: Dict[str, int] = field(default_factory=dict)
     rounds: int = 0
     tier_rounds: Dict[str, int] = field(default_factory=dict)
-    trials: List[Dict[str, object]] = field(default_factory=list)
 
     def render(self) -> str:
         """One-paragraph accounting string for CLI output."""
@@ -95,24 +94,17 @@ def summarize_streams(paths: List[str]) -> StreamSummary:
     summary = StreamSummary()
     for path in paths:
         summary.streams += 1
-        provenance: Dict[str, object] = {"stream": os.path.basename(path)}
         for event in iter_stream(path):
             summary.events += 1
             summary.by_kind[event.kind] = (
                 summary.by_kind.get(event.kind, 0) + 1)
-            if isinstance(event, TrialEvent):
-                provenance.update(label=event.label, seed=event.seed,
-                                  spec=event.spec, engine=event.engine)
-            elif isinstance(event, SummaryEvent):
+            if isinstance(event, SummaryEvent):
                 summary.rounds += event.rounds
                 for tier in ("batch", "reference"):
                     count = getattr(event, f"{tier}_rounds")
                     if count:
                         summary.tier_rounds[tier] = (
                             summary.tier_rounds.get(tier, 0) + count)
-                provenance.update(rounds=event.rounds,
-                                  stop_reason=event.stop_reason)
-        summary.trials.append(provenance)
     return summary
 
 

@@ -2,7 +2,7 @@
 
 A recorder is attached to a :class:`~repro.simnet.engine.Simulator` (or
 threaded process-wide through :func:`set_events_dir`, which is what the
-CLIs' ``--events DIR`` flags do).  **When no recorder is attached the
+CLI's ``--events DIR`` flag does).  **When no recorder is attached the
 engine pays nothing**: the hot loops are guarded by a single
 ``recorder is None`` check per round and no event object is ever
 allocated — ``tests/test_obs.py`` asserts this by making every event
@@ -23,7 +23,7 @@ bookkeeping costs wall-clock.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
 from .events import Event, event_to_json
 
@@ -38,8 +38,8 @@ def set_events_dir(path: Optional[str]) -> None:
     When set, every :func:`repro.harness.runner.run_trial` attaches a
     fresh JSONL recorder writing ``trial-*.jsonl`` under *path*; the
     ``REPRO_EVENTS_DIR`` environment variable seeds the initial value so
-    executor worker processes inherit the setting.  The CLIs' ``--events
-    DIR`` flags call this (and export the variable for spawn-safety)
+    executor worker processes inherit the setting.  The CLI's ``--events
+    DIR`` flag calls this (and exports the variable for spawn-safety)
     before running anything.
     """
     global _EVENTS_DIR
@@ -56,7 +56,7 @@ def events_dir() -> Optional[str]:
 
 
 class Recorder:
-    """Counts events per kind and keeps them in memory or streams them.
+    """Keeps emitted events in memory or streams them to JSONL.
 
     Build one with :meth:`in_memory` (events retained on
     :attr:`events`) or :meth:`to_jsonl` (each event written to a JSONL
@@ -67,7 +67,6 @@ class Recorder:
 
     def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.events: List[Event] = []
-        self.counters: Dict[str, int] = {}
         self._stream = stream
 
     # -- construction helpers ------------------------------------------------
@@ -92,9 +91,7 @@ class Recorder:
     # -- emission ------------------------------------------------------------
 
     def emit(self, event: Event) -> None:
-        """Record one event: count it, then retain or stream it."""
-        kind = event.kind
-        self.counters[kind] = self.counters.get(kind, 0) + 1
+        """Record one event: retain or stream it."""
         if self._stream is None:
             self.events.append(event)
         else:
@@ -106,10 +103,6 @@ class Recorder:
     def of_kind(self, kind: str) -> List[Event]:
         """Retained events of one kind, in emission order."""
         return [e for e in self.events if e.kind == kind]
-
-    def summary(self) -> Dict[str, int]:
-        """Per-kind event counts."""
-        return dict(self.counters)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -123,6 +116,3 @@ class Recorder:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Recorder events={sum(self.counters.values())}>"

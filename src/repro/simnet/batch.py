@@ -104,7 +104,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional,
 import numpy as np
 
 from ..errors import AlgorithmViolation
-from .message import ID_BITS
+from .message import _CONTAINER_FRAMING_BITS, ID_BITS, bit_size
 
 __all__ = [
     "BatchContext",
@@ -131,8 +131,6 @@ __all__ = [
 #: one of ``"decide"`` / ``"retract"`` / ``"halt"`` (value ``None`` for
 #: the latter two), in ascending node-index order per kind.
 Events = List[Tuple[str, int, Any]]
-
-_CONTAINER_FRAMING_BITS = 8  # matches repro.simnet.message
 
 
 # --------------------------------------------------------------------------
@@ -992,11 +990,6 @@ _POLL, _REQUEST, _GRANT, _VERIFY, _DISSEMINATE = range(5)
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _int_bits(value: int) -> int:
-    """:func:`~repro.simnet.message.bit_size` of a Python int."""
-    return max(1, value.bit_length()) + 1
-
-
 #: The state :meth:`KCommitteeCount._reset_epoch_state` leaves, at epoch
 #: round 0: ``(epoch round, committee, poll minimum, grants made, granted
 #: ids, request table, grant table, polluted, count heard)``.
@@ -1129,10 +1122,10 @@ class KCommitteeBatchKernel(BatchKernel):
         then in dissemination."""
         k = self._k
         self._cycle, rem = divmod(self._t, 3 * k)
-        head = 24 + _int_bits(k)
+        head = 24 + bit_size(k)
         if self._cycle < k:
             self._kind, self._pr = divmod(rem, k)
-            return head + _int_bits(self._cycle)
+            return head + bit_size(self._cycle)
         past = self._t - 3 * k * k
         if past < k + 2:
             self._kind, self._pr = _VERIFY, past

@@ -102,8 +102,7 @@ Observability
 -------------
 Pass ``recorder=`` a :class:`repro.obs.Recorder` to stream structured
 events (per-round broadcast/delivery totals, decision lifecycles,
-engine-tier selection with reasons, cache hit/miss counters, the last
-also kept as :attr:`Simulator.cache_counters`).  The hook
+engine-tier selection with reasons, cache hit/miss counters).  The hook
 is zero-overhead when absent — one ``is None`` check per round, no event
 objects allocated; when present, rounds route through
 :meth:`Simulator._step_recorded`, which wraps the same tier round an
@@ -120,7 +119,8 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 import numpy as np
 
-from .._validate import require_choice, require_positive_int
+from .._validate import (require_choice, require_loss_rate,
+                         require_positive_int)
 from ..errors import (ConfigurationError, IncorrectOutputError,
                       NotTerminatedError)
 from ..obs import events as obs_events
@@ -142,7 +142,7 @@ __all__ = ["Simulator", "RunResult", "ENGINES",
 #: Phase names of the per-round profiling breakdown, in execution order.
 PHASES = ("compose", "reveal", "deliver", "drain")
 
-#: Every name ``Simulator(engine=...)``, ``REPRO_ENGINE`` and the CLIs'
+#: Every name ``Simulator(engine=...)``, ``REPRO_ENGINE`` and the CLI's
 #: ``--engine`` accept.
 ENGINES = ("fast", "reference")
 
@@ -162,7 +162,7 @@ def engine_default() -> str:
     """Process-wide default for ``Simulator(engine=None)``.
 
     The ``REPRO_ENGINE`` environment variable when set and non-empty
-    (the CLIs' ``--engine`` flags export it, so executor worker
+    (the CLI's ``--engine`` flag exports it, so executor worker
     processes inherit it), otherwise ``"fast"``.
     """
     return os.environ.get("REPRO_ENGINE", "") or "fast"
@@ -311,10 +311,7 @@ class Simulator:
         self.schedule = schedule
         self.nodes: List[Algorithm] = list(nodes)
         self.rng = rng if rng is not None else RngRegistry(0)
-        if not (0.0 <= float(loss_rate) < 1.0):
-            raise ConfigurationError(
-                f"loss_rate must be in [0, 1), got {loss_rate}")
-        self.loss_rate = float(loss_rate)
+        self.loss_rate = require_loss_rate(loss_rate, "loss_rate")
         self._loss_rng = self.rng.for_component("loss") if loss_rate else None
         self.metrics = MetricsCollector()
         self.round_index = 0
@@ -361,12 +358,6 @@ class Simulator:
         self._adj_stats_base: Optional[Dict[str, int]] = None
         self._rec_halted: Optional[set] = None
         self._rec_nodes_by_id: Optional[Dict[int, Algorithm]] = None
-        #: Flat cache hit/miss counters of the last recorded run
-        #: (``adjacency_hits``/``_misses`` when the schedule counts its
-        #: adjacency reuse, ``payload_bits_hits``/``_misses``): the
-        #: numbers of its cache events, shaped for ``cache.*`` row
-        #: columns.  ``None`` when no recorder is attached.
-        self.cache_counters: Optional[Dict[str, int]] = None
         if recorder is not None:
             self._rec_nodes_by_id = {node.node_id: node for node in self.nodes}
             self._rec_halted = {
@@ -496,8 +487,7 @@ class Simulator:
                 declined=[{"tier": tier, "reason": reason}]))
 
     def _emit_cache_events(self, rec: Recorder) -> None:
-        """Set :attr:`cache_counters`; emit one ``CacheEvent`` per cache."""
-        counters: Dict[str, int] = {}
+        """Emit one ``CacheEvent`` per cache."""
         adj_stats = getattr(self.schedule, "adjacency_stats", None)
         if adj_stats is not None:
             base = self._adj_stats_base or {}
@@ -505,21 +495,16 @@ class Simulator:
                      for key in adj_stats}
             span_hits = delta.get("span_hits", 0)
             repeat_hits = delta.get("repeat_hits", 0)
-            counters["adjacency_hits"] = span_hits + repeat_hits
-            counters["adjacency_misses"] = delta.get("builds", 0)
             rec.emit(obs_events.CacheEvent(
                 round=self.round_index, cache="adjacency",
-                hits=counters["adjacency_hits"],
-                misses=counters["adjacency_misses"],
+                hits=span_hits + repeat_hits,
+                misses=delta.get("builds", 0),
                 detail=f"span_hits={span_hits} repeat_hits={repeat_hits}"))
-        counters["payload_bits_hits"] = self._bits_stats["hits"]
-        counters["payload_bits_misses"] = self._bits_stats["misses"]
         rec.emit(obs_events.CacheEvent(
             round=self.round_index, cache="payload_bits",
-            hits=counters["payload_bits_hits"],
-            misses=counters["payload_bits_misses"],
+            hits=self._bits_stats["hits"],
+            misses=self._bits_stats["misses"],
             detail=f"entries={len(self._bits_cache)}"))
-        self.cache_counters = counters
 
     # -- stop-condition helpers ----------------------------------------------
 

@@ -19,7 +19,7 @@ Algorithms may add their own named counters (restarts, phases, ...) through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 __all__ = ["MetricsCollector", "RunMetrics"]
 
@@ -131,10 +131,6 @@ class MetricsCollector:
     def incr(self, name: str, amount: int = 1) -> None:
         """Increment the algorithm-defined counter *name* by *amount*."""
         self._counters[name] = self._counters.get(name, 0) + amount
-
-    def decided_nodes(self) -> Tuple[int, ...]:
-        """Node ids that currently hold a decision."""
-        return tuple(sorted(self._decision_rounds))
 
     def snapshot(self) -> RunMetrics:
         """Freeze the current totals into a :class:`RunMetrics`."""

@@ -182,33 +182,3 @@ class Algorithm:
         status = "halted" if self._halted else (
             f"decided={self._output!r}" if self._decided else "running")
         return f"<{type(self).__name__} id={self.node_id} {status}>"
-
-
-class FunctionalNode(Algorithm):
-    """Adapter turning a pair of callables into an :class:`Algorithm`.
-
-    Useful in tests and examples for tiny ad-hoc protocols::
-
-        node = FunctionalNode(3, compose=lambda s, ctx: s["x"],
-                              deliver=my_deliver, state={"x": 0})
-    """
-
-    name = "functional"
-
-    def __init__(self, node_id: int,
-                 compose: Callable[[dict, RoundContext], Any],
-                 deliver: Callable[[dict, RoundContext, List[Any]], None],
-                 state: Optional[dict] = None) -> None:
-        super().__init__(node_id)
-        self.state = dict(state or {})
-        self._compose = compose
-        self._deliver = deliver
-
-    def compose(self, ctx: RoundContext) -> Any:
-        return self._compose(self.state, ctx)
-
-    def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
-        self._deliver(self.state, ctx, inbox)
-
-
-__all__.append("FunctionalNode")

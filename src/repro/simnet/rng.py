@@ -80,16 +80,6 @@ class RngRegistry:
         require_nonnegative_int(node_id, "node_id")
         return self._get(component, node_id)
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. for a nested sub-experiment)."""
-        child_seed = int(
-            np.random.SeedSequence(
-                entropy=self._seed, spawn_key=(_key_entropy(name),)
-            ).generate_state(1, dtype=np.uint64)[0]
-            % (1 << 62)
-        )
-        return RngRegistry(child_seed)
-
     def _get(self, name: str, node_id: int) -> np.random.Generator:
         key = (name, node_id)
         gen = self._cache.get(key)

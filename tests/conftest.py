@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import RngRegistry, Simulator
+from repro.simnet.node import Algorithm
 from repro.dynamics import (
     OverlapHandoffAdversary,
     StaticAdversary,
@@ -62,6 +63,29 @@ def profiling():
         yield
     finally:
         set_profile_default(False)
+
+
+class FunctionalNode(Algorithm):
+    """Adapter turning a pair of callables into an :class:`Algorithm`,
+    for tiny ad-hoc protocols::
+
+        node = FunctionalNode(3, compose=lambda s, ctx: s["x"],
+                              deliver=my_deliver, state={"x": 0})
+    """
+
+    name = "functional"
+
+    def __init__(self, node_id, compose, deliver, state=None):
+        super().__init__(node_id)
+        self.state = dict(state or {})
+        self._compose = compose
+        self._deliver = deliver
+
+    def compose(self, ctx):
+        return self._compose(self.state, ctx)
+
+    def deliver(self, ctx, inbox):
+        self._deliver(self.state, ctx, inbox)
 
 
 def window_intersection_edges(schedule, start, T):

@@ -18,9 +18,9 @@ Covers:
    run the same tier round, with the same results, and on the reference
    tier the same payload bit-size memo counters as ``engine="reference"``.
 
-4. **Telemetry-column normalization**: recorded rows carry ``obs.*`` /
-   ``cache.*`` counters, and the executor's result cache
-   strips them so cache hits and fresh runs compare equal.
+4. **Telemetry carriers**: a recorded trial's event counts and cache
+   counters live in its event stream only, so its row equals an
+   unrecorded one and a cache hit serves the same row.
 """
 
 import pytest
@@ -31,7 +31,8 @@ from repro.errors import ConfigurationError
 from repro.exec.executor import ParallelExecutor
 from repro.exec.specs import TrialSpec
 from repro.harness.runner import durable_row, run_trial
-from repro.obs import Recorder
+from repro.obs import Recorder, iter_stream
+from repro.obs.merge import trial_stream_paths
 from repro.obs.recorder import set_events_dir
 from repro.simnet import RngRegistry, Simulator
 from repro.simnet.engine import ENGINES, engine_default, select_tier
@@ -241,7 +242,7 @@ def test_fast_tier_observed_runs_match_plain_runs(scenario):
 
 
 # --------------------------------------------------------------------------
-# telemetry-column normalization (obs.* / cache.* never enter the cache)
+# telemetry carriers (a recorded trial's counters live in its stream)
 # --------------------------------------------------------------------------
 
 _SPEC = TrialSpec(schedule="lowdiam_handoff",
@@ -251,6 +252,19 @@ _SPEC = TrialSpec(schedule="lowdiam_handoff",
                   oracle="count_exact")
 
 
+#: The (hits, misses) of ``_SPEC``'s two cache events at seeds 4 and 5
+#: (each run builds all 20 of its rounds' graphs and costs every payload
+#: on the batch tier, from its arrays).
+_SPEC_CACHE_EVENTS = {"adjacency": (0, 20), "payload_bits": (0, 0)}
+
+
+def _stream_cache_counts(events_dir):
+    """``{cache: (hits, misses)}`` of the one trial stream under *dir*."""
+    (path,) = trial_stream_paths(str(events_dir))
+    return {e.cache: (e.hits, e.misses)
+            for e in iter_stream(path) if e.kind == "cache"}
+
+
 def test_recorded_rows_normalize_to_unrecorded_rows(tmp_path):
     plain_row = run_trial(_SPEC, 4).as_row()
     set_events_dir(str(tmp_path))
@@ -258,16 +272,14 @@ def test_recorded_rows_normalize_to_unrecorded_rows(tmp_path):
         recorded_row = run_trial(_SPEC, 4).as_row()
     finally:
         set_events_dir(None)
-    assert any(k.startswith("obs.") for k in recorded_row)
-    assert any(k.startswith("cache.") for k in recorded_row)
-    assert not any(k.startswith(("obs.", "cache.")) for k in plain_row)
-    assert durable_row(recorded_row) == plain_row
+    assert recorded_row == plain_row  # no telemetry column
     assert durable_row(plain_row) is plain_row  # clean rows pass through
+    assert _stream_cache_counts(tmp_path) == _SPEC_CACHE_EVENTS
 
 
 def test_executor_cache_hits_match_recorded_fresh_rows(tmp_path):
-    """A warm rerun serves the stripped row; it must equal the durable
-    form of the fresh recorded row (``repro.report --check`` parity)."""
+    """A cache hit serves the same row as the fresh recorded run, and the
+    run's counters live only in its one event stream."""
     cells = [(_SPEC, 5)]
     events = tmp_path / "events"
     events.mkdir()
@@ -275,12 +287,12 @@ def test_executor_cache_hits_match_recorded_fresh_rows(tmp_path):
     try:
         fresh = ParallelExecutor(cache=str(tmp_path / "cache")).run(cells)
         assert fresh.executed == 1
-        assert any(k.startswith("obs.") for k in fresh.rows[0])
         warm = ParallelExecutor(cache=str(tmp_path / "cache")).run(cells)
     finally:
         set_events_dir(None)
     assert warm.executed == 0
     assert warm.cache_hits == 1
-    assert warm.rows[0] == durable_row(fresh.rows[0])
-    assert not any(k.startswith(("phase.", "engine.", "obs.", "cache."))
-                   for k in warm.rows[0])
+    assert warm.rows[0] == fresh.rows[0]
+    assert not any(k.startswith(("phase.", "engine.")) for k in fresh.rows[0])
+    # The hit emits no events: the one stream is the fresh run's.
+    assert _stream_cache_counts(events) == _SPEC_CACHE_EVENTS

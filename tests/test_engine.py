@@ -11,8 +11,9 @@ from repro.errors import (
 from repro.obs import Recorder
 from repro.simnet.engine import ENGINES
 from repro.simnet.message import bit_size
-from repro.simnet.node import Algorithm, FunctionalNode
+from repro.simnet.node import Algorithm
 from repro.dynamics import ExplicitSchedule, StaticAdversary, line_graph
+from tests.conftest import FunctionalNode
 
 
 class EchoOnce(Algorithm):

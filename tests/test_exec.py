@@ -31,6 +31,7 @@ from repro.exec import (
     execute_cell,
     register_nodes,
 )
+from repro.exec import specs as exec_specs
 from repro.exec.progress import ConsoleProgress, ProgressSnapshot
 from repro.harness.runner import run_trial
 
@@ -62,14 +63,15 @@ class TestTrialSpec:
         assert tr.correct is True
         assert tr.stop_reason == "quiescent"
 
-    def test_key_stable_and_tag_insensitive(self):
+    def test_key_stable_and_tag_insensitive(self, monkeypatch):
         a = tiny_spec().key(1)
         b = tiny_spec().key(1)
         assert a == b and len(a) == 64
         assert tiny_spec(label="x").key(1) == a  # tags excluded
         assert tiny_spec().key(2) != a           # seed included
         assert tiny_spec(n=9).key(1) != a        # params included
-        assert tiny_spec().key(1, salt="other") != a
+        monkeypatch.setattr(exec_specs, "CODE_VERSION_SALT", "other")
+        assert tiny_spec().key(1) != a           # salt included
 
     def test_key_stable_across_processes(self):
         spec = tiny_spec()
@@ -86,7 +88,8 @@ class TestTrialSpec:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == spec.key(1)
 
-    def test_key_hashes_one_canonical_json_of_spec_seed_and_salt(self):
+    def test_key_hashes_one_canonical_json_of_spec_seed_and_salt(
+            self, monkeypatch):
         """``key`` encodes the spec once but hashes the bytes of the
         whole ``{"spec", "seed", "salt"}`` object's canonical JSON."""
         odd = TrialSpec(
@@ -99,12 +102,15 @@ class TestTrialSpec:
         for spec in (tiny_spec(), tiny_spec(n=9, label="x"), odd):
             for seed in (0, 1, 2 ** 40):
                 for salt in (CODE_VERSION_SALT, 'q"uot\u00e9'):
+                    monkeypatch.setattr(exec_specs, "CODE_VERSION_SALT",
+                                        salt)
                     blob = canonical_json({"spec": spec.payload(),
                                            "seed": seed, "salt": salt})
-                    assert spec.key(seed, salt) == hashlib.sha256(
+                    assert spec.key(seed) == hashlib.sha256(
                         blob.encode("utf-8")).hexdigest()
         # The key as first published for this spec: caches stay warm.
-        assert tiny_spec().key(1, salt="pinned") == (
+        monkeypatch.setattr(exec_specs, "CODE_VERSION_SALT", "pinned")
+        assert tiny_spec().key(1) == (
             "94a856272d554de7ae266b43c873772338d2f0f4fddd0c8883da81b5dede801c")
 
     def test_rejects_non_json_params(self):
@@ -248,7 +254,7 @@ class TestExecutor:
         assert full.executed == 5
         cache = ResultCache(cache_dir)
         for spec, seed in cells[1:4]:
-            os.unlink(cache.path(cache.key(spec, seed)))
+            os.unlink(cache.path(spec.key(seed)))
         resumed = ParallelExecutor(cache=cache_dir).run(cells)
         assert resumed.cache_hits == 2
         assert resumed.executed == 3  # only the missing rows re-ran
@@ -300,8 +306,7 @@ class TestExecutor:
 
     def test_progress_off_a_terminal_writes_one_line(self):
         stream = io.StringIO()
-        ParallelExecutor(progress=ConsoleProgress("cells", stream=stream,
-                                                  min_interval=0.0)
+        ParallelExecutor(progress=ConsoleProgress("cells", stream=stream)
                          ).run(self.cells())
         text = stream.getvalue()
         assert "\r" not in text

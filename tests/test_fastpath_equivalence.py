@@ -554,7 +554,7 @@ def test_executor_strips_phase_columns_from_cache(tmp_path):
         row = report.rows[0]
         for name in PHASES:
             assert f"phase.{name}_s" in row
-        cached = executor.cache.get(executor.cache.key(spec, 7))
+        cached = executor.cache.get(spec.key(7))
         assert cached is not None
         assert not any(k.startswith("phase.") for k in cached)
     # A later unprofiled run served from the same cache stays clean.

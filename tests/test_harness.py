@@ -11,7 +11,6 @@ from repro.harness import (
     EXPERIMENTS,
     load_rows,
     run_experiments,
-    run_replicates,
     run_trial,
     save_experiment,
 )
@@ -51,11 +50,6 @@ class TestRunner:
         row = tr.as_row(algorithm="exact", n=16)
         assert row["algorithm"] == "exact"
         assert row["rounds"] == tr.rounds
-
-    def test_replicates_one_per_seed(self):
-        results = run_replicates(exact_count_spec(), seeds=[1, 2, 3])
-        assert len(results) == 3
-        assert [r.seed for r in results] == [1, 2, 3]
 
     def test_determinism_across_calls(self):
         a = run_trial(exact_count_spec(), seed=7)

@@ -61,5 +61,5 @@ class TestMetricsCollector:
         m = MetricsCollector()
         m.on_decision(5, 1)
         m.on_decision(2, 1)
-        assert m.decided_nodes() == (2, 5)
+        assert sorted(m.snapshot().decision_rounds) == [2, 5]
 

@@ -20,9 +20,19 @@ from repro.errors import (
     ScheduleError,
     SimulationError,
 )
-from repro.simnet.node import Algorithm, FunctionalNode, RoundContext
+from repro._validate import require_positive_float, require_probability
+from repro.exec import TrialSpec
+from repro.simnet import Simulator
+from repro.simnet.node import Algorithm, RoundContext
+from tests.conftest import FunctionalNode
 
 LINE3 = StaticAdversary(3, line_graph(3))
+
+
+def _idle_nodes(n):
+    """*n* nodes that broadcast nothing and ignore their inbox."""
+    return [FunctionalNode(i, lambda s, c: None, lambda s, c, i: None)
+            for i in range(n)]
 
 
 def _bound_throttle():
@@ -128,7 +138,7 @@ class TestErrorHierarchy:
         lambda: pipelining.PipelinedApproxCount(0, words_per_message=2),
         lambda: sketches.required_width(0, 0.1),
         lambda: sketches.required_width(0.1, 0),
-        lambda: sketches.required_width(0.01, 1e-9, max_width=8),
+        lambda: sketches.required_width(0.25, "0.05"),
         lambda: sketches.estimate_from_minima([1.0]),
         lambda: sketches.estimate_from_minima([0.0, 1.0]),
         lambda: sketches.ExponentialCountSketch(1),
@@ -139,7 +149,7 @@ class TestErrorHierarchy:
         lambda: fitting.power_law_fit([1, 2], [1]),
         lambda: fitting.power_law_fit([1, 2], [0, 1]),
         lambda: stats.summarize([]),
-        lambda: stats.summarize([1.0, 2.0], confidence=1.5),
+        lambda: hybrid_count.HybridCount(0, safety_factor="2"),
         lambda: plotting.ascii_plot({}),
         lambda: plotting.ascii_plot({str(i): ([1], [1])
                                      for i in range(9)}),
@@ -147,7 +157,7 @@ class TestErrorHierarchy:
         lambda: plotting.ascii_plot({"a": ([], [])}),
         lambda: plotting.ascii_plot({"s": ([0], [1])}, logx=True),
         lambda: complexity.crossover_n(abs, abs, n_min=4, n_max=2),
-        lambda: diameter.flooding_time_from(LINE3, sources=[7]),
+        lambda: require_probability(True, "p"),
         lambda: diameter.dynamic_diameter(LINE3, start_rounds=()),
         lambda: WindowedThrottleAdversary(5, 0),
         lambda: WindowedThrottleAdversary(5, 2.7),
@@ -157,6 +167,20 @@ class TestErrorHierarchy:
         lambda: _bound_throttle().edges(-1),
         lambda: _bound_throttle().edges(2.5),
         lambda: _bound_throttle().edges(True),
+        lambda: require_positive_float(True, "x"),
+        lambda: require_positive_float("2", "x"),
+        lambda: require_probability("0.5", "p"),
+        lambda: Simulator(LINE3, _idle_nodes(3), loss_rate="0.1"),
+        lambda: Simulator(LINE3, _idle_nodes(3), loss_rate=False),
+        lambda: TrialSpec(schedule="fresh_spanning", nodes="exact_count",
+                          max_rounds=10, loss_rate="0.1"),
+        lambda: TrialSpec(schedule="fresh_spanning", nodes="exact_count",
+                          max_rounds=10, loss_rate=True),
+        lambda: TrialSpec(schedule="fresh_spanning", nodes="exact_count",
+                          max_rounds=10, loss_rate=1.0),
+        lambda: sketches.required_width(1e-3, 1e-9),
+        lambda: sketches.required_width("0.25", 0.05),
+        lambda: sketches.required_width(True, 0.05),
     ])
     def test_invalid_arguments_raise_repro_error(self, call):
         """Every error the library raises on purpose derives from

@@ -163,7 +163,7 @@ def test_recorded_run_is_bit_identical(engine):
     assert recorded.stop_reason == base.stop_reason
     assert recorded.outputs == base.outputs
     assert recorded.metrics.as_dict() == base.metrics.as_dict()
-    assert rec.counters.get("round") == base.rounds
+    assert len(rec.of_kind("round")) == base.rounds
 
 
 def test_batch_tier_select_event_and_round_tiers():
@@ -190,18 +190,13 @@ def test_cache_events_present_with_counters():
     rec = Recorder.in_memory()
     # T=4: each handoff window's union graph is stable for T-1 = 3
     # rounds, so the stable-span cache must serve repeat rounds.
-    sim = _sim(recorder=rec, T=4)
-    sim.run(5000, until="quiescent", quiescence_window=32)
+    _sim(recorder=rec, T=4).run(5000, until="quiescent", quiescence_window=32)
     caches = {e.cache: e for e in rec.of_kind("cache")}
     assert set(caches) == {"adjacency", "payload_bits"}
     adjacency = caches["adjacency"]
     assert adjacency.hits > 0
     assert "span_hits=" in adjacency.detail
     assert "span_hits=0" not in adjacency.detail
-    # The cache.* row columns come from the same counters as the events.
-    assert sim.cache_counters == {
-        f"{name}_{field}": getattr(event, field)
-        for name, event in caches.items() for field in ("hits", "misses")}
 
 
 def test_summary_event_matches_run():
@@ -260,9 +255,13 @@ def test_merge_is_deterministic_with_provenance(events_dir):
     merged, summary = merge_event_streams(events_dir)
     first = open(merged, "rb").read()
     assert summary.streams == 3
-    assert [t["seed"] for t in summary.trials] == [3, 4, 5]  # sorted
-    assert all(t["stream"].startswith("trial-") for t in summary.trials)
-    assert summary.rounds == sum(t["rounds"] for t in summary.trials)
+    merged_events = list(iter_stream(merged))
+    headers = [e for e in merged_events if e.kind == "trial"]
+    assert [h.seed for h in headers] == [3, 4, 5]  # sorted
+    assert merged_events[0].kind == "trial"  # each stream heads itself
+    assert summary.by_kind["trial"] == 3
+    assert summary.rounds == sum(
+        e.rounds for e in merged_events if e.kind == "summary")
     # merging again (same inputs) is byte-identical
     merged2, _ = merge_event_streams(events_dir)
     assert open(merged2, "rb").read() == first

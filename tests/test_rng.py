@@ -47,13 +47,6 @@ class TestStreams:
         b = reg.for_node("n", 1).random(64)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.5
 
-    def test_spawn_derives_child_registry(self):
-        child1 = RngRegistry(5).spawn("phase2")
-        child2 = RngRegistry(5).spawn("phase2")
-        other = RngRegistry(5).spawn("phase3")
-        assert child1.seed == child2.seed
-        assert child1.seed != other.seed
-
 
 class TestValidation:
     def test_negative_seed_rejected(self):

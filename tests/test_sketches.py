@@ -108,7 +108,7 @@ class TestFailureProbability:
 
         monkeypatch.setattr(sketches, "failure_probability", recorded)
         for eps, delta in EVALUATION_TARGETS:
-            sketches._solve_width.__wrapped__(eps, delta, 1 << 20)
+            sketches._solve_width.__wrapped__(eps, delta)
         monkeypatch.undo()
         assert len(visited) > 20
         widths = sorted({int(k) for k in np.geomspace(2, 1 << 20, 60)}

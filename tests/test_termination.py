@@ -48,15 +48,6 @@ class TestBasicLifecycle:
         assert c.observe(False) == "decide"
         assert c.observe(False) is None  # stays held, no duplicate decide
 
-    def test_reset(self):
-        c = QuiescenceController(initial_window=1)
-        c.observe(False)
-        c.observe(True)
-        c.reset()
-        assert c.window == 1
-        assert c.retraction_count == 0
-        assert not c.holding
-
 
 class TestValidation:
     def test_initial_window_positive(self):
