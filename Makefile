@@ -13,13 +13,19 @@ test:
 test-fast:
 	$(PY) -m pytest tests/ -m "not slow" -x -q
 
-# The generated-spec tier-agreement property (tests/test_generated_specs.py)
-# with $(FUZZ_EXAMPLES) fresh random examples instead of tier 1's 25
-# derandomized ones; Hypothesis shrinks any failure to a minimal spec.
+# The generated-spec tier-agreement property (tests/test_generated_specs.py),
+# the block generator's stream and access-order properties against NumPy
+# and per-round generation, and the chunked verifier against its direct
+# per-window oracle, each with $(FUZZ_EXAMPLES) fresh random examples
+# instead of tier 1's few; Hypothesis shrinks any failure to a minimal case.
 FUZZ_EXAMPLES ?= 3000
+FUZZ_TESTS = \
+	tests/test_generated_specs.py::test_default_engine_agrees_with_reference \
+	tests/test_golden_regression.py::TestBlockWideStreams \
+	tests/test_golden_regression.py::TestBlockGeneratorAccessOrder \
+	tests/test_verifier_diameter.py::TestVerifierDifferential::test_matches_direct_oracle
 fuzz:
-	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PY) -m pytest \
-	    tests/test_generated_specs.py -q -k agrees
+	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PY) -m pytest $(FUZZ_TESTS) -q
 
 # Lint + strict type-check the engine's tier modules: the batch kernels
 # and their round (src/repro/simnet/batch.py) and the reference round

@@ -12,13 +12,16 @@ Determinism: the graph of round ``r`` is a pure function of
 mutable stream state — so schedules can be replayed by the verifier
 without being stored.  :class:`OverlapHandoffAdversary` derives the PCG64
 states of those same streams a span of keys at a time in array arithmetic
-(:func:`_seed_states`) and re-seeds one reused generator from them, which
-draws exactly what a fresh ``SeedSequence`` generator per round would.
+(:func:`_seed_states`).  It re-seeds one reused generator from them for
+each window's backbone, and draws a span of rounds' churn outputs in one
+array pass (:func:`_pcg64_raw`); both give exactly what a fresh
+``SeedSequence`` generator per window and per round would.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import functools
+from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,11 +54,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 #: Consecutive stream keys whose states :class:`OverlapHandoffAdversary`
 #: derives at once.
 _STATE_SPAN = 256
+
+#: Raw outputs per churn span of :class:`OverlapHandoffAdversary`: its
+#: ``uint64`` temporaries stay cache-sized.
+_CHURN_SPAN_OUTPUTS = 4096
 
 
 def _seed_states(seed: int, k0: int, keys: Sequence[int]) -> np.ndarray:
@@ -99,6 +107,67 @@ def _pcg64_state(words: Sequence[int]) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
+_U32, _S32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * b`` of ``uint64``
+    arrays, from products of their 32-bit halves."""
+    a0, a1 = a & _U32, a >> _S32
+    b0, b1 = b & _U32, b >> _S32
+    # Neither partial sum can reach 2**64.
+    t = a0 * b1 + (a0 * b0 >> _S32)
+    u = a1 * b0 + (t & _U32)
+    return a1 * b1 + (t >> _S32) + (u >> _S32)
+
+
+def _mul128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
+            b_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * b mod 2**128`` of 128-bit values held as ``uint64`` halves."""
+    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+@functools.lru_cache(maxsize=8)
+def _jump_coefficients(count: int) -> tuple[np.ndarray, ...]:
+    """``M**(k+2)`` and ``M**0 + … + M**(k+1)`` (mod ``2**128``, ``M`` the
+    LCG multiplier) for ``k < count``, each as ``uint64`` hi and lo
+    arrays: PCG64 seeded at ``x = initstate + inc`` is in state
+    ``M**(k+2) * x + (M**0 + … + M**(k+1)) * inc`` when it serves its
+    ``k``-th output."""
+    power, total, coefficients = _PCG64_MULT, 1, []
+    for _ in range(count):
+        total = (total + power) & _MASK128
+        power = power * _PCG64_MULT & _MASK128
+        coefficients.append((power, total))
+    return tuple(np.array([c[i] >> shift & _MASK64 for c in coefficients],
+                          dtype=np.uint64)
+                 for i in (0, 1) for shift in (64, 0))
+
+
+def _pcg64_raw(words: np.ndarray, count: int) -> np.ndarray:
+    """``PCG64`` seeded with each row of :func:`_seed_states` *words*:
+    the first *count* ``random_raw`` outputs, one row per key.
+
+    Each output jumps straight to its state (PCG64's ``srandom``, then
+    :func:`_jump_coefficients`) in ``uint64`` hi/lo arithmetic, then
+    applies PCG64's XSL-RR output function: the state's two halves
+    xored, rotated right by its top six bits.
+    """
+    one = np.uint64(1)
+    inc_hi = (words[:, 2:3] << one) | (words[:, 3:4] >> np.uint64(63))
+    inc_lo = (words[:, 3:4] << one) | one
+    x_lo = words[:, 1:2] + inc_lo
+    x_hi = words[:, 0:1] + inc_hi + (x_lo < inc_lo)
+    a_hi, a_lo, b_hi, b_lo = _jump_coefficients(count)
+    p_hi, p_lo = _mul128(x_hi, x_lo, a_hi, a_lo)
+    q_hi, q_lo = _mul128(inc_hi, inc_lo, b_hi, b_lo)
+    lo = p_lo + q_lo
+    hi = p_hi + q_hi + (lo < p_lo)
+    rot = hi >> np.uint64(58)
+    xored = hi ^ lo
+    return (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
 def _raw_words(raw: np.ndarray) -> np.ndarray:
     """The 32-bit words PCG64 serves from ``random_raw`` output, low half
     of each 64-bit output first, along the last axis."""
@@ -119,6 +188,21 @@ def _lemire(words: np.ndarray, bound: object) -> tuple[np.ndarray, np.ndarray]:
     m = words.astype(np.int64) * bound
     threshold = ((1 << 32) - bound) % bound
     return m >> 32, ((m & _MASK32) < threshold).any(axis=-1)
+
+
+_V = TypeVar("_V")
+
+
+def _memo(cache: dict, key: Hashable, limit: int, make: Callable[[], _V]) -> _V:
+    """``cache[key]``, made by *make* on a miss; the oldest entry goes
+    once *cache* holds *limit*."""
+    value = cache.get(key)
+    if value is None:
+        value = make()
+        if len(cache) >= limit:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
+    return value
 
 
 def random_noise_edges(n: int, count: int,
@@ -218,10 +302,18 @@ class OverlapHandoffAdversary(GraphSchedule):
         self.seed = require_nonnegative_int(seed, "seed")
         # (window, handoff) -> sorted packed keys of B_w (∪ B_{w+1})
         self._keys_cache: dict[tuple[int, bool], np.ndarray] = {}
-        # One generator, re-seeded at the start of each stream it draws,
-        # from stream states derived _STATE_SPAN keys at a time.
+        # One generator, re-seeded at the start of each backbone stream
+        # it draws, from stream states derived _STATE_SPAN keys at a time.
         self._rng = np.random.Generator(np.random.PCG64(0))
         self._state_spans: dict[tuple[int, int], np.ndarray] = {}
+        # Churn is drawn a span of rounds at a time (a power of two
+        # dividing _STATE_SPAN): first round of a span -> its rounds' raw
+        # churn outputs.
+        self._churn_span = _STATE_SPAN
+        while (self._churn_span > 16 and self._churn_span * self.noise_edges
+               > _CHURN_SPAN_OUTPUTS):
+            self._churn_span //= 2
+        self._churn_spans: dict[int, np.ndarray] = {}
         super().__init__(num_nodes, interval=self.T)
         # Noisy rounds are generated in blocks of consecutive rounds.
         # Blocks grow from 8 rounds to a cap that shrinks with n, so short
@@ -262,18 +354,41 @@ class OverlapHandoffAdversary(GraphSchedule):
         """
         if k > _MASK32:
             return _rng_for(self.seed, k0, k)
-        span_key = (k0, k // _STATE_SPAN)
-        span = self._state_spans.get(span_key)
-        if span is None:
-            first = k - k % _STATE_SPAN
-            span = _seed_states(self.seed, k0,
-                                np.arange(first, first + _STATE_SPAN))
-            if len(self._state_spans) >= 4:
-                self._state_spans.pop(next(iter(self._state_spans)))
-            self._state_spans[span_key] = span
+        first = k - k % _STATE_SPAN
         self._rng.bit_generator.state = _pcg64_state(
-            span[k % _STATE_SPAN].tolist())
+            self._states(k0, first)[k - first].tolist())
         return self._rng
+
+    def _states(self, k0: int, first: int) -> np.ndarray:
+        """:func:`_seed_states` of the :data:`_STATE_SPAN` keys from
+        *first*, a multiple of that span; up to four spans are kept."""
+        return _memo(self._state_spans, (k0, first), 4, lambda: _seed_states(
+            self.seed, k0, np.arange(first, first + _STATE_SPAN)))
+
+    def _churn_raw(self, start: int, stop: int) -> np.ndarray:
+        """The first ``noise_edges`` ``random_raw`` outputs of the
+        ``(seed, 1, r)`` stream of every round ``start .. stop-1``, one
+        row per round.
+
+        Rows come from cached spans of consecutive rounds, each drawn in
+        one :func:`_pcg64_raw` pass; keys of ``2**32`` and up take
+        ``SeedSequence`` itself.
+        """
+        c, size, rows, r = self.noise_edges, self._churn_span, [], start
+        while r < stop:
+            if r > _MASK32:
+                rows.append(_rng_for(self.seed, 1, r).bit_generator
+                            .random_raw(c)[None])
+                r += 1
+                continue
+            first = r - r % size
+            base = first - first % _STATE_SPAN
+            span = _memo(self._churn_spans, first, 2, lambda: _pcg64_raw(
+                self._states(1, base)[first - base:first - base + size], c))
+            end = min(stop, first + size)
+            rows.append(span[r - first:end - first])
+            r = end
+        return np.concatenate(rows)
 
     def _backbone_keys(self, first: int, stop: int) -> np.ndarray:
         """Packed keys of backbones ``B_first .. B_{stop-1}``, one
@@ -314,14 +429,13 @@ class OverlapHandoffAdversary(GraphSchedule):
         per round.
 
         Each round's stream serves :func:`_noise_draws`' words: ``c`` for
-        ``u`` and then ``c`` for ``v``.  Both are bounded for every round
+        ``u`` and then ``c`` for ``v``, the round's first ``c`` raw
+        outputs (:meth:`_churn_raw`).  Both are bounded for every round
         at once; a round whose words NumPy would reject is redrawn by the
         reference.
         """
         n, c = self.num_nodes, self.noise_edges
-        words = _raw_words(np.stack([
-            self._stream(1, r).bit_generator.random_raw(c)
-            for r in range(start, start + length)]))
+        words = _raw_words(self._churn_raw(start, start + length))
         u, u_rejected = _lemire(words[:, :c], n)
         v, v_rejected = _lemire(words[:, c:], n - 1)
         for i in np.flatnonzero(u_rejected | v_rejected):
@@ -333,18 +447,13 @@ class OverlapHandoffAdversary(GraphSchedule):
     def _base_keys(self, window: int, handoff: bool) -> np.ndarray:
         """Sorted packed keys (``u * n + v``) of ``B_w``, or of
         ``B_w ∪ B_{w+1}`` for a handoff round; memoized per window."""
-        cached = self._keys_cache.get((window, handoff))
-        if cached is None:
+        def make() -> np.ndarray:
             if handoff:
-                cached = _sorted_unique(np.concatenate([
+                return _sorted_unique(np.concatenate([
                     self._base_keys(window, False),
                     self._base_keys(window + 1, False)]))
-            else:
-                cached = np.sort(self._backbone_keys(window, window + 1)[0])
-            if len(self._keys_cache) >= 16:
-                self._keys_cache.pop(next(iter(self._keys_cache)))
-            self._keys_cache[(window, handoff)] = cached
-        return cached
+            return np.sort(self._backbone_keys(window, window + 1)[0])
+        return _memo(self._keys_cache, (window, handoff), 16, make)
 
     def _block(self, round_index: int) -> "_RoundBlock":
         """The generated block holding *round_index* (at most two kept)."""

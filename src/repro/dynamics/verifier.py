@@ -7,15 +7,18 @@ every sliding window in a horizon.  An edge belongs to the intersection
 of window ``[r, r+T-1]`` iff its consecutive-presence run ending at
 ``r+T-1`` has length ``≥ T``.
 
-Method.  Rounds are read in chunks of 256.  One ``lexsort`` of the
-chunk's packed edge keys by (key, round) lays every edge's presence
-runs out as stretches of adjacent entries, and a cumulative sum gives
-each entry's run length; runs still alive at a chunk's last round
-enter the next chunk as weighted entries.  The surviving edges of every
-window ending in the chunk form one block-diagonal graph (window ``i``
-owns nodes ``i*n .. i*n+n-1``), and one
-:func:`scipy.sparse.csgraph.connected_components` call checks all those
-windows at once.  Total time is ``O(E log E)`` for ``E`` edge-rounds
+Method.  Rounds are read in chunks of 256.  Each edge-round of a chunk
+is packed into one ``int64`` as ``key * 258 + offset``, where ``key =
+u * n + v`` and ``offset`` is the round's position in the chunk from 1;
+runs still alive at the previous chunk's last round enter as weighted
+entries at offset 0.  One ``np.sort`` of those values lays every edge's
+presence runs out as stretches of entries that step by exactly 1 (the
+unused offset 257 keeps one key's last round and the next key's carried
+run apart), and a cumulative sum gives each entry's run length.  The
+surviving edges of every window ending in the chunk form one
+block-diagonal graph (window ``i`` owns nodes ``i*n .. i*n+n-1``), and
+one :func:`scipy.sparse.csgraph.connected_components` call checks all
+those windows at once.  Total time is ``O(E log E)`` for ``E`` edge-rounds
 in the horizon, with a constant number of numpy calls per chunk on top
 of reading the schedule.
 
@@ -42,6 +45,10 @@ __all__ = [
 
 #: Rounds whose windows are checked together, as one block-diagonal graph.
 _CHUNK = 256
+
+#: Offsets per key in a chunk's packed entries: the carried runs' 0, the
+#: chunk's rounds 1 .. _CHUNK, and one never used.
+_STRIDE = _CHUNK + 2
 
 
 def is_connected_spanning(edges: np.ndarray, num_nodes: int) -> bool:
@@ -92,39 +99,40 @@ def verify_t_interval_connectivity(
         return True, None  # no complete window exists
 
     # Presence runs that end at the previous chunk's last round, as
-    # (key, length): they enter the next chunk as weighted entries.
+    # (key, length) in key order: they enter the next chunk at offset 0.
     carry_keys = carry_runs = np.empty(0, dtype=np.int64)
     for first in range(1, horizon + 1, _CHUNK):
         last = min(first + _CHUNK - 1, horizon)
         arrays = [schedule.edges(r) for r in range(first, last + 1)]
         edges = np.concatenate(arrays)
-        keys = np.concatenate(
-            [carry_keys, edges[:, 0].astype(np.int64) * n + edges[:, 1]])
-        rounds = np.repeat(np.arange(first - 1, last + 1),
-                           [len(carry_keys)] + [len(a) for a in arrays])
-        weight = np.concatenate(
-            [carry_runs, np.ones(len(edges), dtype=np.int64)])
-        order = np.lexsort((rounds, keys))
-        keys, rounds, weight = keys[order], rounds[order], weight[order]
+        offsets = np.repeat(np.arange(1, last - first + 2),
+                            [len(a) for a in arrays])
+        packed = np.sort(np.concatenate([
+            carry_keys * _STRIDE,
+            (edges[:, 0].astype(np.int64) * n + edges[:, 1]) * _STRIDE
+            + offsets]))
+        offsets = packed % _STRIDE
+        weight = np.ones(len(packed), dtype=np.int64)
+        weight[offsets == 0] = carry_runs
         # A presence run of one key over consecutive rounds is a stretch
-        # of adjacent entries; ``run`` is its length through each entry.
-        starts = np.ones(len(keys), dtype=bool)
-        starts[1:] = (keys[1:] != keys[:-1]) | (rounds[1:] != rounds[:-1] + 1)
+        # of entries stepping by 1; ``run`` is its length through each.
+        starts = np.ones(len(packed), dtype=bool)
+        starts[1:] = packed[1:] != packed[:-1] + 1
         run_start = np.maximum.accumulate(
-            np.where(starts, np.arange(len(keys)), 0))
+            np.where(starts, np.arange(len(packed)), 0))
         total = np.cumsum(weight)
         run = total - total[run_start] + weight[run_start]
-        at_last = rounds == last
-        carry_keys, carry_runs = keys[at_last], run[at_last]
+        at_last = offsets == last - first + 1
+        carry_keys, carry_runs = packed[at_last] // _STRIDE, run[at_last]
 
         # Windows ending in this chunk, as one block-diagonal graph: the
         # window ending at round ``e`` owns nodes ``(e - e0) * n + v``.
         e0 = max(first, T)
         if e0 > last:
             continue
-        survive = (run >= T) & (rounds >= e0)
-        owner = (rounds[survive] - e0) * n
-        k = keys[survive]
+        survive = (run >= T) & (offsets >= e0 - first + 1)
+        owner = (offsets[survive] - (e0 - first + 1)) * n
+        k = packed[survive] // _STRIDE
         windows = last - e0 + 1
         _, labels = _components(owner + k // n, owner + k % n, windows * n)
         labels = labels.reshape(windows, n)

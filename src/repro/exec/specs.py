@@ -187,7 +187,10 @@ class TrialSpec:
         require_positive_int(self.max_rounds, "max_rounds")
         require_choice(self.until, "until", _UNTIL_CHOICES)
         require_positive_int(self.quiescence_window, "quiescence_window")
-        require_loss_rate(self.loss_rate, "loss_rate")
+        # Stored as the float it validates to, so that ``loss_rate=0``
+        # and ``loss_rate=0.0`` share one content address.
+        object.__setattr__(self, "loss_rate",
+                           require_loss_rate(self.loss_rate, "loss_rate"))
         if self.stop_when is not None:
             require_choice(self.stop_when, "stop_when",
                            tuple(sorted(_STOP_PREDICATES)))

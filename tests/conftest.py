@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -86,6 +87,12 @@ class FunctionalNode(Algorithm):
 
     def deliver(self, ctx, inbox):
         self._deliver(self.state, ctx, inbox)
+
+
+def fuzz_examples(default):
+    """A property's ``max_examples``: ``REPRO_FUZZ_EXAMPLES`` when set
+    (``make fuzz``), else tier 1's *default*."""
+    return int(os.environ.get("REPRO_FUZZ_EXAMPLES", default))
 
 
 def window_intersection_edges(schedule, start, T):

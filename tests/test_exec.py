@@ -113,6 +113,17 @@ class TestTrialSpec:
         assert tiny_spec().key(1) == (
             "94a856272d554de7ae266b43c873772338d2f0f4fddd0c8883da81b5dede801c")
 
+    def test_int_loss_rate_shares_the_float_key(self):
+        """``loss_rate`` is stored as the float it validates to, so an
+        int rate and its float name one trial."""
+        def spec(rate):
+            return TrialSpec(schedule="fresh_spanning",
+                             schedule_params={"n": 8}, nodes="exact_count",
+                             node_params={"n": 8}, max_rounds=100,
+                             loss_rate=rate)
+        assert type(spec(0).loss_rate) is float
+        assert spec(0).key(1) == spec(0.0).key(1)
+
     def test_rejects_non_json_params(self):
         with pytest.raises(ConfigurationError, match="plain JSON"):
             TrialSpec(schedule="fresh_spanning",

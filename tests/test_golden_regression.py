@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import RngRegistry, Simulator
 from repro.baselines import KCommitteeCount
@@ -32,6 +32,7 @@ from repro.dynamics.interval import (_pcg64_state, _relabeled_random_tree,
                                      _rng_for, _seed_states)
 from repro.exec import canonical_json
 from repro.harness import run_experiments
+from tests.conftest import fuzz_examples
 
 
 class TestDeterministicGoldens:
@@ -346,7 +347,7 @@ _ACCESS_RUNS = st.lists(
 
 
 class TestBlockGeneratorAccessOrder:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=fuzz_examples(40), deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 5, 16, 40, 300]),
            T=st.integers(1, 4), noise=st.sampled_from([0, 1, 3]),
            seed=st.integers(0, 2 ** 16), runs=_ACCESS_RUNS)
@@ -378,15 +379,18 @@ class TestBlockGeneratorAccessOrder:
         assert schedule.adjacency_stats == oracle.adjacency_stats
 
 
+#: Seeds of one, two, three and five entropy words.
+_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 130 + 7]
+
+
 class TestBlockWideStreams:
     """The block generator derives each round's and window's stream state
-    in array arithmetic and bounds its draws block-wide; NumPy's own
+    in array arithmetic, draws each span's churn outputs in array
+    arithmetic, and bounds its draws block-wide; NumPy's own
     ``SeedSequence``/``PCG64``/``integers`` are the reference."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
-                                 2 ** 130 + 7]),
-           k0=st.sampled_from([0, 1]),
+    @settings(max_examples=fuzz_examples(60), deadline=None)
+    @given(seed=st.sampled_from(_SEEDS), k0=st.sampled_from([0, 1]),
            keys=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
                          max_size=4))
     def test_states_match_seed_sequence(self, seed, k0, keys):
@@ -398,6 +402,32 @@ class TestBlockWideStreams:
             assert np.array_equal(
                 schedule._stream(k0, k).integers(0, 2 ** 40, size=3),
                 np.random.Generator(reference).integers(0, 2 ** 40, size=3))
+
+    @settings(max_examples=fuzz_examples(40), deadline=None)
+    @given(seed=st.sampled_from(_SEEDS), c=st.sampled_from([1, 2, 16, 64]),
+           start=st.sampled_from([0, 1, 250, 255, 256, 2 ** 32 - 260,
+                                  2 ** 32 - 5]) | st.integers(0, 2 ** 32),
+           length=st.integers(1, 12), revisit=st.booleans())
+    @example(seed=0, c=16, start=250, length=12, revisit=False)
+    @example(seed=2 ** 64 + 3, c=2, start=2 ** 32 - 260, length=8,
+             revisit=True)
+    @example(seed=2 ** 130 + 7, c=64, start=2 ** 32 - 5, length=10,
+             revisit=True)
+    def test_churn_outputs_match_pcg64(self, seed, c, start, length,
+                                       revisit):
+        """Rows of the churn spans are each round's first ``c`` raw
+        outputs, at span edges (keys 255/256), across them, and across
+        the last single-word key ``2**32 - 1``; a revisit reads the
+        cached spans."""
+        schedule = OverlapHandoffAdversary(4, 2, noise_edges=c, seed=seed)
+        if revisit:
+            schedule._churn_raw(start, start + length)
+        raw = schedule._churn_raw(start, start + length)
+        assert raw.dtype == np.uint64 and raw.shape == (length, c)
+        for k, row in zip(range(start, start + length), raw):
+            reference = np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(1, k)))
+            assert np.array_equal(row, reference.random_raw(c))
 
     @pytest.mark.parametrize("bound", [3, 300, 2 ** 30 + 1])
     def test_lemire_matches_integers_on_unflagged_rows(self, bound):

@@ -21,7 +21,7 @@ from repro.dynamics import (
     star_graph,
     verify_t_interval_connectivity,
 )
-from tests.conftest import window_intersection_edges
+from tests.conftest import fuzz_examples, window_intersection_edges
 
 
 class TestIsConnectedSpanning:
@@ -128,7 +128,7 @@ class TestVerifierDifferential:
     """The chunked verifier against the direct per-window oracle, on
     horizons longer than its 256-round chunk."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=fuzz_examples(25), deadline=None)
     @given(n=st.integers(2, 9), T=st.sampled_from([1, 2, 3, 4, 8]),
            horizon=st.integers(250, 530), seed=st.integers(0, 2 ** 16),
            breaks=st.lists(st.one_of(st.integers(245, 270),
@@ -179,6 +179,58 @@ class TestVerifierDifferential:
             verify_t_interval_connectivity(schedule, T, horizon)
         assert (exc.value.window_start, exc.value.window_length) == (
             expected, T)
+
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_window_longer_than_a_chunk(self, ring):
+        """T = 300: every window spans two or three chunks, so its runs
+        are carried across one or two chunk boundaries.  Dropping one
+        line edge at round 450 breaks every window holding that round;
+        dropping one ring edge breaks none."""
+        n, T, horizon = 5, 300, 900
+        graph = [(i, (i + 1) % n) for i in range(n if ring else n - 1)]
+        rounds = [graph] * horizon
+        rounds[449] = graph[1:]
+        schedule = ExplicitSchedule(n, rounds)
+        expected = _oracle_first_bad_window(schedule, T, horizon)
+        assert expected == (None if ring else 450 - T + 1)
+        assert verify_t_interval_connectivity(
+            schedule, T, horizon, raise_on_failure=False) == (
+            expected is None, expected)
+
+    def test_carried_run_stays_apart_from_the_previous_key(self):
+        """Key 2's run carried into rounds 257.. sorts right after key
+        1's entry for round 512, the second chunk's last round; the two
+        runs must not join.  Edge (0, 2) is present only in rounds
+        255..257 and (1, 2) lacks round 257, so window [254, 257] is
+        the first without a spanning intersection."""
+        n, T, horizon = 3, 4, 600
+        rounds = [[(0, 1), (1, 2)]] * horizon
+        rounds[254:256] = [[(0, 1), (0, 2), (1, 2)]] * 2
+        rounds[256] = [(0, 1), (0, 2)]
+        schedule = ExplicitSchedule(n, rounds)
+        expected = _oracle_first_bad_window(schedule, T, horizon)
+        assert expected == 254
+        assert verify_t_interval_connectivity(
+            schedule, T, horizon, raise_on_failure=False) == (False, 254)
+
+    def test_keys_packed_past_int32(self):
+        """At n = 3000 the packed entries of the top edges exceed
+        ``2**31``; dropping the top line edge at round 4 breaks the
+        windows holding round 4."""
+        n, T, horizon = 3000, 2, 6
+        line = line_graph(n)
+        assert (int(line[-1, 0]) * n + int(line[-1, 1])) * 258 > 2 ** 31
+        rounds = [line] * horizon
+        rounds[3] = line[:-1]
+        schedule = ExplicitSchedule(n, rounds)
+        expected = _oracle_first_bad_window(schedule, T, horizon)
+        assert expected == 3
+        assert verify_t_interval_connectivity(
+            schedule, T, horizon, raise_on_failure=False) == (False, 3)
+        intact = ExplicitSchedule(n, [line] * horizon)
+        assert _oracle_first_bad_window(intact, T, horizon) is None
+        assert verify_t_interval_connectivity(intact, T, horizon) == (
+            True, None)
 
     def test_runs_carried_across_chunks(self):
         """A static graph keeps every run alive across every chunk."""
