@@ -8,7 +8,10 @@ pairs — through up to three result sources, cheapest first:
    atomically, so it is also what makes a crashed run resumable;
 2. **deduplication**: identical cells inside one run execute once;
 3. **execution**: serial in-process when ``workers <= 1``, otherwise a
-   ``concurrent.futures.ProcessPoolExecutor``.
+   ``concurrent.futures.ProcessPoolExecutor``.  A worker that dies
+   breaks the pool; each cell it left unfinished then reruns in its own
+   one-worker pool, and a cell that kills that worker too fails as any
+   raising cell does.
 
 Determinism guarantee: a cell's row depends only on (spec, seed) — every
 trial derives all randomness from ``RngRegistry(seed)`` inside
@@ -26,6 +29,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -61,17 +65,14 @@ def execute_cell(spec: TrialSpec, seed: int) -> Dict[str, Any]:
     return run_trial(spec, seed).as_row()
 
 
-def _pool_run_cell(payload: Cell) -> Tuple[str, Any]:
-    """Worker-process entry point: never raises across the pipe."""
+def _run_cell(payload: Cell) -> Tuple[str, Any]:
+    """``("ok", row)`` or ``("error", message)``: never raises, so no
+    exception crosses a worker's pipe."""
     spec, seed = payload
     try:
         return "ok", execute_cell(spec, seed)
     except Exception as exc:  # noqa: BLE001 - faithfully forwarded
         return "error", f"{type(exc).__name__}: {exc}"
-
-
-def _error_row(seed: int, message: str) -> Dict[str, Any]:
-    return {"seed": seed, "error": message}
 
 
 @dataclass
@@ -90,6 +91,19 @@ class ExecutionReport:
     deduped: int = 0
     errors: int = 0
     elapsed: float = 0.0
+
+
+@dataclass
+class _Pass:
+    """One :meth:`ParallelExecutor.run` call's state: rows found so far
+    by input index, and the input indices sharing each cache key."""
+
+    cells: List[Cell]
+    keys: List[str]
+    by_key: Dict[str, List[int]]
+    report: ExecutionReport
+    started: float
+    results: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
 
 class ParallelExecutor:
@@ -135,15 +149,13 @@ class ParallelExecutor:
                     "ParallelExecutor cells must be (TrialSpec, seed) "
                     f"pairs; got {type(spec).__name__}")
         report = ExecutionReport(total=len(cells))
-        started = time.monotonic()
         keys = [spec.key(seed) for spec, seed in cells]
-
-        # Result slots by input index; filled from the cache, then by
-        # execution.  A separate per-key index drives deduplication.
-        results: Dict[int, Dict[str, Any]] = {}
+        # Result slots by input index are filled from the cache, then by
+        # execution; the per-key index drives deduplication.
         by_key: Dict[str, List[int]] = {}
         for idx, key in enumerate(keys):
             by_key.setdefault(key, []).append(idx)
+        p = _Pass(cells, keys, by_key, report, time.monotonic())
 
         pending: List[int] = []     # first index of each key still to run
         for key, idxs in by_key.items():
@@ -151,36 +163,31 @@ class ParallelExecutor:
             if row is not None:
                 report.cache_hits += 1
                 for idx in idxs:
-                    results[idx] = row
+                    p.results[idx] = row
             else:
                 pending.append(idxs[0])
             report.deduped += len(idxs) - 1
 
-        self._notify(report, started, results, ())
-        if pending:
-            if self.workers == 1 or len(pending) == 1:
-                self._run_serial(cells, keys, by_key, pending,
-                                 results, report, started)
-            else:
-                self._run_pool(cells, keys, by_key, pending,
-                               results, report, started)
+        self._notify(p, ())
+        if self.workers > 1 and len(pending) > 1:
+            self._run_pool(p, pending)
+        else:
+            self._run_serial(p, pending)
 
         report.rows = [
-            {**results[idx], **dict(cells[idx][0].tags)}
+            {**p.results[idx], **dict(cells[idx][0].tags)}
             for idx in range(len(cells))
         ]
-        report.elapsed = time.monotonic() - started
-        self._notify(report, started, results, (), final=True)
+        report.elapsed = time.monotonic() - p.started
+        self._notify(p, (), final=True)
         return report
 
     # -- result-source helpers ---------------------------------------------
 
-    def _complete(self, key: str, row: Dict[str, Any],
-                  by_key: Dict[str, List[int]],
-                  results: Dict[int, Dict[str, Any]],
+    def _complete(self, p: _Pass, key: str, row: Dict[str, Any],
                   cacheable: bool = True) -> None:
-        for idx in by_key[key]:
-            results[idx] = row
+        for idx in p.by_key[key]:
+            p.results[idx] = row
         # Profiled trials carry wall-clock phase.* columns and engine.*
         # tier counts.  Neither is deterministic row data (the tier split
         # is an implementation observable that may change across engine
@@ -193,92 +200,82 @@ class ParallelExecutor:
 
             self.cache.put(key, durable_row(row))
 
-    def _notify(self, report: ExecutionReport, started: float,
-                results: Dict[int, Dict[str, Any]],
-                in_flight: Tuple[str, ...], final: bool = False) -> None:
+    def _notify(self, p: _Pass, in_flight: Tuple[str, ...],
+                final: bool = False) -> None:
         # Only the closing call reports a finished run, so a reporter
         # receives the finished snapshot once.
-        if self.progress is None or (len(results) == report.total
+        report = p.report
+        if self.progress is None or (len(p.results) == report.total
                                      and not final):
             return
         self.progress(ProgressSnapshot(
             total=report.total,
-            done=len(results),
+            done=len(p.results),
             executed=report.executed,
             cache_hits=report.cache_hits,
             errors=report.errors,
-            elapsed=time.monotonic() - started,
+            elapsed=time.monotonic() - p.started,
             in_flight=in_flight,
         ))
 
-    def _failure(self, cells: Sequence[Cell], idx: int, key: str,
-                 message: str, by_key: Dict[str, List[int]],
-                 results: Dict[int, Dict[str, Any]],
-                 report: ExecutionReport) -> None:
-        spec, seed = cells[idx]
+    def _finish(self, p: _Pass, idx: int, outcome: Tuple[str, Any]) -> None:
+        p.report.executed += 1
+        status, payload = outcome
+        if status == "ok":
+            self._complete(p, p.keys[idx], payload)
+            return
+        spec, seed = p.cells[idx]
         if self.on_error == "raise":
             raise ExecutionError(
-                f"cell {spec.label()} seed={seed} failed: {message} "
+                f"cell {spec.label()} seed={seed} failed: {payload} "
                 f"(completed cells are cached when a cache is set; a "
                 f"rerun executes only the missing ones)")
-        report.errors += 1
+        p.report.errors += 1
         # Error rows are never cached — a fixed bug should re-execute
         # the cell.
-        self._complete(key, _error_row(seed, message), by_key, results,
+        self._complete(p, p.keys[idx], {"seed": seed, "error": payload},
                        cacheable=False)
 
     # -- serial path ---------------------------------------------------------
 
-    def _run_serial(self, cells: Sequence[Cell], keys: Sequence[str],
-                    by_key: Dict[str, List[int]], pending: Sequence[int],
-                    results: Dict[int, Dict[str, Any]],
-                    report: ExecutionReport, started: float) -> None:
+    def _run_serial(self, p: _Pass, pending: Sequence[int]) -> None:
         for idx in pending:
-            spec, seed = cells[idx]
-            self._notify(report, started, results, (spec.label(),))
-            try:
-                row = execute_cell(spec, seed)
-            except Exception as exc:  # noqa: BLE001
-                report.executed += 1
-                self._failure(cells, idx, keys[idx],
-                              f"{type(exc).__name__}: {exc}",
-                              by_key, results, report)
-                continue
-            report.executed += 1
-            self._complete(keys[idx], row, by_key, results)
-            self._notify(report, started, results, ())
+            self._notify(p, (p.cells[idx][0].label(),))
+            self._finish(p, idx, _run_cell(p.cells[idx]))
+            self._notify(p, ())
 
     # -- parallel path -------------------------------------------------------
 
-    def _run_pool(self, cells: Sequence[Cell], keys: Sequence[str],
-                  by_key: Dict[str, List[int]], pending: Sequence[int],
-                  results: Dict[int, Dict[str, Any]],
-                  report: ExecutionReport, started: float) -> None:
-        workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for idx in pending:
-                spec, seed = cells[idx]
-                futures[pool.submit(_pool_run_cell, (spec, seed))] = idx
-            try:
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(not_done,
-                                          return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        idx = futures[fut]
-                        status, payload = fut.result()
-                        report.executed += 1
-                        if status == "ok":
-                            self._complete(keys[idx], payload, by_key,
-                                           results)
-                        else:
-                            self._failure(cells, idx, keys[idx], payload,
-                                          by_key, results, report)
-                        in_flight = tuple(
-                            cells[futures[f]][0].label() for f in not_done)
-                        self._notify(report, started, results, in_flight)
-            except BaseException:
-                for fut in futures:
-                    fut.cancel()
-                raise
+    def _run_pool(self, p: _Pass, pending: Sequence[int]) -> None:
+        # A dead worker breaks the whole pool: rerun each cell it left
+        # unfinished alone, so a cell that kills its own worker too is
+        # the culprit and the others still complete.
+        for idx in self._pool_pass(p, pending):
+            if self._pool_pass(p, [idx]):
+                self._finish(p, idx, ("error",
+                                      "BrokenProcessPool: the worker died"))
+
+    def _pool_pass(self, p: _Pass, pending: Sequence[int]) -> List[int]:
+        """Run *pending* on one fresh pool; returns, in input order, the
+        cells left unfinished when a worker died."""
+        lost: List[int] = []
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.workers, len(pending)))
+        try:
+            futures = {pool.submit(_run_cell, p.cells[idx]): idx
+                       for idx in pending}
+            not_done = set(futures)
+            while not_done:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    try:
+                        outcome = fut.result()
+                    except BrokenProcessPool:
+                        lost.append(futures[fut])
+                        continue
+                    self._finish(p, futures[fut], outcome)
+                    self._notify(p, tuple(p.cells[futures[f]][0].label()
+                                          for f in not_done))
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return sorted(lost)

@@ -16,8 +16,8 @@ bandwidth-limited sketch of :mod:`repro.core.pipelining`).  The
 known-bound variants, which are also the known-``N`` flooding
 baselines at ``rounds_bound = N - 1``, share them.  The KLO and random
 token-dissemination baselines fit the same mould: phase-structured
-min-folds (:class:`KCommitteeBatchKernel`) and per-node RNG picks of
-set bits (:class:`TokenBatchKernel`).
+min-folds (:class:`KCommitteeBatchKernel`) and per-node RNG picks
+from one flat index of membership rows (:class:`TokenBatchKernel`).
 
 This module defines the opt-in **batch kernel protocol**:
 
@@ -812,14 +812,6 @@ class PipelinedSketchBatchKernel(MinVectorBatchKernel):
 # baseline kernels (random token dissemination, KLO k-committee counting)
 # --------------------------------------------------------------------------
 
-#: Per byte value: its set bits (little-endian bit order), their count,
-#: and the position of its r-th set bit in column r.
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                           bitorder="little").astype(bool)
-_BYTE_ONES = _BYTE_BITS.sum(axis=1, dtype=np.int64)
-_BYTE_SELECT = np.argsort(~_BYTE_BITS, axis=1, kind="stable")
-
-
 #: Raw words :class:`_BoundedDraws` reads ahead per stream at a time.
 _DRAW_BLOCK = 256
 _WORD = np.uint64(1 << 32)
@@ -836,10 +828,13 @@ class _BoundedDraws:
     read ahead ``block`` words at a time through
     ``integers(0, 2**32, size=block, dtype=np.uint32)``, which consumes
     exactly those ``next_uint32`` words (PCG64's buffered half-word
-    included), so a round's draws are a few array operations over the
-    population.  :meth:`restore` rewinds each stream to its snapshot
-    from before its current block and replays the words actually used,
-    leaving it where the per-node calls would.  Until then the streams
+    included).  A draw's first try is one dense pass: refill the spent
+    blocks of streams with ``c > 1``, test every stream's word at its
+    ``used`` column (the zero pad column if it never drew; ``c == 1``
+    takes any word as ``0``) and advance ``used`` where ``c > 1``; only
+    rejected rows retry.  :meth:`restore` rewinds each stream to its
+    snapshot from before its current block and replays the words used,
+    so it stands where the per-node calls leave it.  Until then streams
     run ahead, so nothing else may draw from them.
     """
 
@@ -848,7 +843,8 @@ class _BoundedDraws:
         n = len(rngs)
         self._rngs = rngs
         self._block = block
-        self._words = np.zeros((n, block), dtype=np.uint32)
+        self._rows = np.arange(n)
+        self._words = np.zeros((n, block + 1), dtype=np.uint32)
         self._used = np.full(n, block, dtype=np.int64)
         self._snapshots: List[Optional[Mapping[str, Any]]] = [None] * n
 
@@ -856,21 +852,30 @@ class _BoundedDraws:
         for i in rows.tolist():
             rng = self._rngs[i]
             self._snapshots[i] = rng.bit_generator.state
-            self._words[i] = rng.integers(0, 1 << 32, size=self._block,
-                                          dtype=np.uint32)
+            self._words[i, :self._block] = rng.integers(
+                0, 1 << 32, size=self._block, dtype=np.uint32)
         self._used[rows] = 0
 
     def draw(self, counts: np.ndarray) -> np.ndarray:
-        picks = np.zeros(len(counts), dtype=np.int64)
-        rows = np.nonzero(counts > 1)[0]
-        bound = counts[rows].astype(np.uint64)
+        used = self._used
+        multi = counts > 1
+        spent = used == self._block
+        if spent.any():
+            self._refill(np.flatnonzero(spent & multi))
+        bound = counts.astype(np.uint64)
         threshold = (_WORD - bound) % bound
+        m = self._words[self._rows, used] * bound
+        used += multi
+        accept = (m & _LOW32) >= threshold
+        picks = (m >> 32).astype(np.int64)
+        if accept.all():
+            return picks
+        rows = np.flatnonzero(~accept)
+        bound, threshold = bound[rows], threshold[rows]
         while rows.size:
-            empty = rows[self._used[rows] == self._block]
-            if empty.size:
-                self._refill(empty)
-            m = self._words[rows, self._used[rows]] * bound
-            self._used[rows] += 1
+            self._refill(rows[used[rows] == self._block])
+            m = self._words[rows, used[rows]] * bound
+            used[rows] += 1
             accept = (m & _LOW32) >= threshold
             picks[rows[accept]] = m[accept] >> 32
             retry = ~accept
@@ -889,24 +894,20 @@ class _BoundedDraws:
         self._used[:] = self._block
 
 
-def _csr_receivers(csr: Any) -> np.ndarray:
-    """Receiver index of every CSR entry."""
-    indptr = csr.indptr
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-
-
 class TokenBatchKernel(BatchKernel):
     """Membership-row kernel for one-token-per-round random forwarding.
 
     Row *i* of the boolean ``(n, n)`` membership matrix marks the tokens
     node *i* knows, columns in ascending token-id order — the order of
-    the per-node sorted token list, so the ``idx``-th set bit of a row
-    is the token the per-node path picks.  Each round makes every
-    node's ``rngs[i].integers(0, count_i)`` draw at once, bit for bit
-    (:class:`_BoundedDraws`; ``finalize`` leaves each stream where the
-    per-node calls would), selects the picked bits from the byte-packed
-    rows, scatters the picks through the CSR, and decides a node once
-    its count reaches its target.
+    the per-node sorted token list.  ``flat = flatnonzero(known)`` lists
+    every row's known columns in that order, row after row; one
+    ``searchsorted`` of the row starts ``r * n`` gives each row's first
+    entry and count (:meth:`_index`, rebuilt after each ``deliver``).
+    Each round draws every node's ``rngs[i].integers(0, count_i)`` at
+    once, bit for bit (:class:`_BoundedDraws`; ``finalize`` leaves each
+    stream where the per-node calls would), picks row *r*'s ``idx``-th
+    token as ``flat[start + idx] - r * n``, scatters the picks through
+    the CSR, and decides a node once its count reaches its target.
     """
 
     def __init__(self, algs: Sequence[Any], token_ids: List[int],
@@ -914,14 +915,21 @@ class TokenBatchKernel(BatchKernel):
         self.n = len(algs)
         self._token_ids = token_ids   # column -> token id, ascending
         self._known = known
-        self._counts = np.count_nonzero(known, axis=1)
         self._targets = targets
         self._rows = np.arange(self.n)
+        self._bounds = np.arange(self.n + 1) * self.n  # row r's flat start
         self._bits = np.full(self.n, ID_BITS, dtype=np.int64)
-        self._picks = np.zeros(self.n, dtype=np.int64)
         self._draws: Optional[_BoundedDraws] = None
+        self._index()
         self.decided = np.zeros(self.n, dtype=bool)
         self.changed_last = np.ones(self.n, dtype=bool)
+
+    def _index(self) -> None:
+        """Rebuild the flat index of set columns and the row counts."""
+        self._flat = np.flatnonzero(self._known)
+        edges = np.searchsorted(self._flat, self._bounds)
+        self._starts = edges[:-1]
+        self._counts = edges[1:] - edges[:-1]
 
     @classmethod
     def build(cls, algs: Sequence[Any]) -> "Optional[TokenBatchKernel]":
@@ -943,30 +951,22 @@ class TokenBatchKernel(BatchKernel):
         if self._draws is None:
             self._draws = _BoundedDraws(ctx.rngs)
         idx = self._draws.draw(self._counts)
-        # Select the idx-th set bit per row: find its byte by a running
-        # popcount over the packed row, then its bit within the byte.
-        packed = np.packbits(self._known, axis=1, bitorder="little")
-        ones = _BYTE_ONES[packed]
-        seen = np.cumsum(ones, axis=1)
-        byte = np.count_nonzero(seen <= idx[:, None], axis=1)
-        rows = self._rows
-        rank = idx - seen[rows, byte] + ones[rows, byte]
-        self._picks = 8 * byte + _BYTE_SELECT[packed[rows, byte], rank]
+        self._picks = self._flat[self._starts + idx] - self._bounds[:-1]
         return None, self._bits
 
     def deliver(self, ctx: BatchContext, csr: Any,
                 sender_mask: Optional[np.ndarray]) -> Tuple[bool, Events]:
-        self._known[_csr_receivers(csr), self._picks[csr.indices]] = True
-        counts = np.count_nonzero(self._known, axis=1)
-        changed = counts != self._counts
-        self._counts = counts
-        self.changed_last = changed
-        events: Events = []
+        indptr = csr.indptr
+        receivers = np.repeat(self._rows, indptr[1:] - indptr[:-1])
+        self._known[receivers, self._picks[csr.indices]] = True
+        previous = self._counts
+        self._index()
+        counts = self._counts
+        self.changed_last = changed = counts != previous
         newly = ~self.decided & (counts >= self._targets)
-        if newly.any():
-            self.decided |= newly
-            for i in np.nonzero(newly)[0].tolist():
-                events.append(("decide", i, int(counts[i])))
+        self.decided |= newly
+        events: Events = [("decide", i, int(counts[i]))
+                          for i in np.flatnonzero(newly).tolist()]
         return bool(changed.any()), events
 
     def finalize(self, nodes: Sequence[Any]) -> None:
@@ -1433,13 +1433,15 @@ def run_batch_round(sim: Any) -> None:
         n_bcast = len(sim.nodes)
         sender_bits = bits
         sender_degrees = degrees
+        delivered = int(csr.indptr[-1])  # every indptr starts at 0
     else:
         n_bcast = int(mask.sum())
         sender_bits = bits[mask]
         sender_degrees = degrees[mask]
+        delivered = int(sender_degrees.sum())
     if n_bcast:
         metrics.broadcasts += n_bcast
-        metrics.delivered_messages += int(sender_degrees.sum())
+        metrics.delivered_messages += delivered
         metrics.broadcast_bits += int(sender_bits.sum())
         metrics.delivered_bits += int(sender_bits @ sender_degrees)
         max_bits = int(sender_bits.max())

@@ -50,6 +50,16 @@ def _failing_nodes(schedule, seed, *, n):
     raise RuntimeError(f"boom seed-dependent={seed}")
 
 
+@register_nodes("_test_dying_nodes")
+def _dying_nodes(schedule, seed, *, n, dies_on):
+    """Exact Count nodes, except that seed *dies_on* kills its worker."""
+    import multiprocessing
+
+    if seed == dies_on and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return exec_specs._NODES["exact_count"](schedule, seed, n=n)
+
+
 def failing_spec(n=4) -> TrialSpec:
     return TrialSpec(
         schedule="fresh_spanning", schedule_params={"n": n},
@@ -300,6 +310,24 @@ class TestExecutor:
         second = ParallelExecutor(cache=cache_dir,
                                   on_error="record").run(cells)
         assert second.executed == 1  # re-executed, not served from cache
+
+    @pytest.mark.parametrize("on_error", ["record", "raise"])
+    def test_dead_worker_fails_only_its_cell(self, on_error):
+        spec = dataclasses.replace(
+            tiny_spec(), nodes="_test_dying_nodes",
+            node_params={"n": 8, "dies_on": 2})
+        cells = [(spec, seed) for seed in (1, 2, 3, 4)]
+        executor = ParallelExecutor(workers=2, on_error=on_error)
+        if on_error == "raise":
+            with pytest.raises(ExecutionError, match="seed=2"):
+                executor.run(cells)
+            return
+        report = executor.run(cells)
+        assert report.errors == 1 and report.executed == 4
+        assert "BrokenProcessPool" in report.rows[1]["error"]
+        serial = ParallelExecutor().run(cells[:1] + cells[2:])
+        assert (canonical_json(report.rows[:1] + report.rows[2:])
+                == canonical_json(serial.rows))
 
     def test_rejects_trial_config_cells(self):
         not_a_spec = {"schedule": "fresh_spanning", "nodes": "exact_count"}
