@@ -13,7 +13,10 @@ Doubles as the CI smoke gate::
 
     python benchmarks/bench_kernels.py --smoke
 
-which gates four things against the committed
+which writes its measurements to the untracked
+``results/bench_smoke.json`` (so a smoke run leaves the committed
+``BENCH_kernels.json``, and the ``docs/RESULTS.md`` rendered from it,
+alone) and gates four things against the committed
 ``results/bench_kernels_baseline.json``.  Every gated kernel/reference
 ratio is the median of three pairs of runs that measure the two tiers
 alternately, so one slow moment on the machine moves one pair, not the
@@ -260,7 +263,7 @@ def run_smoke(baseline_path=None, out_path=None,
     """
     baseline_path = baseline_path or os.path.join(
         RESULTS_DIR, "bench_kernels_baseline.json")
-    out_path = out_path or os.path.join(RESULTS_DIR, "BENCH_kernels.json")
+    out_path = out_path or os.path.join(RESULTS_DIR, "bench_smoke.json")
     rows = kernel_comparison(rounds_by_n=SMOKE_ROUNDS)
     lossy = lossy_comparison()
     klo = klo_comparison()

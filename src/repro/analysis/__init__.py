@@ -7,7 +7,7 @@
   "exponent" each measured curve exhibits, for F1);
 * :mod:`~repro.analysis.stats` — replicate summaries (mean / std /
   confidence intervals);
-* :mod:`~repro.analysis.tables` — ASCII / Markdown / CSV table rendering;
+* :mod:`~repro.analysis.tables` — ASCII / Markdown table rendering;
 * :mod:`~repro.analysis.plotting` — dependency-free ASCII charts for the
   figure experiments (matplotlib is not available offline).
 """
@@ -21,7 +21,7 @@ from .complexity import (
 )
 from .fitting import power_law_fit
 from .stats import summarize, Summary
-from .tables import render_table, render_markdown, rows_to_csv
+from .tables import render_table, render_markdown
 from .plotting import ascii_plot
 
 __all__ = [
@@ -35,6 +35,5 @@ __all__ = [
     "Summary",
     "render_table",
     "render_markdown",
-    "rows_to_csv",
     "ascii_plot",
 ]

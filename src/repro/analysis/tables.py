@@ -1,8 +1,8 @@
 """Table rendering for experiment output.
 
 Experiments produce rows as lists of dicts; these helpers render them as
-aligned ASCII (for the terminal / bench logs), GitHub Markdown (for
-EXPERIMENTS.md), and CSV (for archival under ``results/``).
+aligned ASCII (for the terminal / bench logs) and GitHub Markdown (for
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["render_table", "render_markdown", "rows_to_csv"]
+__all__ = ["render_table", "render_markdown"]
 
 
 def _columns(rows: Sequence[Dict[str, object]],
@@ -80,16 +80,3 @@ def render_markdown(rows: Sequence[Dict[str, object]],
         out.write("| " + " | ".join(cell(row.get(c)) for c in cols) + " |\n")
     return out.getvalue().rstrip("\n")
 
-
-def rows_to_csv(rows: Sequence[Dict[str, object]],
-                columns: Optional[Sequence[str]] = None) -> str:
-    """CSV text (RFC-ish quoting via the stdlib csv module)."""
-    import csv
-
-    cols = _columns(rows, columns) if rows else list(columns or [])
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=cols, extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({c: row.get(c) for c in cols})
-    return out.getvalue()

@@ -8,13 +8,16 @@ term** under constant ``T``, being instead ``O(d)``/``Õ(d)`` in the
 dynamic diameter ``d`` — built from three pillars:
 
 * :mod:`~repro.core.aggregation` — repeated local broadcast of
-  commutative-idempotent aggregates (max / min / set-union / min-vector),
-  which converges to the global aggregate within exactly ``d`` rounds;
+  commutative-idempotent aggregates (max / min / id-set union /
+  min-vector, and products of them), which converges to the global
+  aggregate within exactly ``d`` rounds; every Count front-end merges
+  through it;
 * :mod:`~repro.core.termination` — the **quiescence controller**: a
   guess-and-verify doubling rule that turns convergence into *stabilizing
   decisions* with deterministic ``O(d)`` stabilization and all final
   decisions correct, with zero knowledge of ``N`` or ``d``
-  (the soundness lemma is proved in the module docstring);
+  (the soundness lemma is proved in the module docstring); its
+  ``settle`` is the one place a stabilizing node decides or retracts;
 * :mod:`~repro.core.sketches` — exponential-minima cardinality sketches
   making Count bandwidth-frugal (``Θ(ε⁻² log δ⁻¹)`` words instead of
   ``Θ(N)`` ids).
@@ -28,14 +31,17 @@ Problem front-ends:
   baseline it is compared against);
 * :class:`~repro.core.approx_count.ApproxCount` — ``(1±ε)`` Count w.h.p.
   in ``O(d)`` rounds with ``O(ε⁻² log δ⁻¹)``-word messages;
+* :class:`~repro.core.hybrid_count.HybridCount` — halting, w.h.p.-exact
+  Count in ``≈ 1.5N`` rounds: the id-set × min-vector product aggregate
+  plus one halt rule (extension, X1);
 * ``*KnownBound`` halting variants for the known-diameter-bound model.
 """
 
 from .aggregation import (
     Aggregate,
     MaxAggregate,
-    SetUnionAggregate,
     MinVectorAggregate,
+    ProductAggregate,
     AggregateNode,
     KnownBoundAggregateNode,
 )
@@ -57,8 +63,8 @@ from .pipelined_exact import PipelinedExactCount
 __all__ = [
     "Aggregate",
     "MaxAggregate",
-    "SetUnionAggregate",
     "MinVectorAggregate",
+    "ProductAggregate",
     "AggregateNode",
     "KnownBoundAggregateNode",
     "QuiescenceController",

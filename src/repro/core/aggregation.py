@@ -30,6 +30,7 @@ import numpy as np
 
 from .._validate import require_positive_int
 from ..errors import ConfigurationError
+from ..simnet.message import NodeId
 from ..simnet.node import Algorithm, RoundContext
 from .termination import QuiescenceController
 
@@ -38,8 +39,9 @@ S = TypeVar("S")
 __all__ = [
     "Aggregate",
     "MaxAggregate",
-    "SetUnionAggregate",
+    "IdSetAggregate",
     "MinVectorAggregate",
+    "ProductAggregate",
     "AggregateNode",
 ]
 
@@ -83,13 +85,13 @@ class MaxAggregate(Aggregate):
         return a if b is None else (b if a is None else max(a, b))
 
 
-class SetUnionAggregate(Aggregate):
-    """Union of frozensets (exact information dissemination).
+class IdSetAggregate(Aggregate):
+    """Union of frozensets of node ids (exact information dissemination).
 
     The state grows up to the full id set; messages are whole sets, so
     this aggregate lives in the unbounded-bandwidth regime (like the KLO
     baseline it is benchmarked against).  ``encode`` sends a sorted tuple
-    for stable costing.
+    of :class:`~repro.simnet.message.NodeId` for stable bit costing.
     """
 
     def merge(self, a: frozenset, b: frozenset) -> frozenset:
@@ -102,7 +104,7 @@ class SetUnionAggregate(Aggregate):
         return a | b
 
     def encode(self, state: frozenset) -> Any:
-        return tuple(sorted(state))
+        return tuple(NodeId(x) for x in sorted(state))
 
     def decode(self, payload: Any) -> frozenset:
         return frozenset(payload)
@@ -146,6 +148,40 @@ class MinVectorAggregate(Aggregate):
         if a is None or b is None:
             return a is b
         return bool((a == b).all())
+
+
+class ProductAggregate(Aggregate):
+    """Several aggregates run side by side; states are tuples of parts.
+
+    Every method works part by part, and a product of commutative
+    idempotent merges is one itself.  ``merge`` returns ``a`` itself when
+    no part changed, the identity :class:`AggregateNode`'s encode cache
+    and change detection rely on.
+    """
+
+    def __init__(self, *parts: Aggregate) -> None:
+        self.parts = parts
+
+    def merge(self, a: Optional[tuple], b: Optional[tuple]):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        merged = tuple(p.merge(x, y) for p, x, y in zip(self.parts, a, b))
+        if all(m is x for m, x in zip(merged, a)):
+            return a
+        return merged
+
+    def encode(self, state: tuple) -> Any:
+        return tuple(p.encode(x) for p, x in zip(self.parts, state))
+
+    def decode(self, payload: Any) -> tuple:
+        return tuple(p.decode(x) for p, x in zip(self.parts, payload))
+
+    def equals(self, a, b) -> bool:
+        if a is None or b is None:
+            return a is b
+        return all(p.equals(x, y) for p, x, y in zip(self.parts, a, b))
 
 
 class AggregateNode(Algorithm):
@@ -241,12 +277,8 @@ class AggregateNode(Algorithm):
         return changed
 
     def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
-        verdict = self.controller.observe(self._merge_inbox(inbox))
-        if verdict == "retract":
-            ctx.incr(f"{self.name}.retractions")
-            self.retract()
-        elif verdict == "decide" and not self.decided:
-            self.decide(self.extract_output(self.state))
+        self.controller.settle(self, ctx, self._merge_inbox(inbox),
+                               lambda: self.extract_output(self.state))
 
 
 class KnownBoundAggregateNode(AggregateNode):

@@ -25,21 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..simnet.batch import HeardSetBatchKernel, IdSetBatchKernel
-from ..simnet.message import NodeId
-from .aggregation import (
-    AggregateNode,
-    KnownBoundAggregateNode,
-    SetUnionAggregate,
-)
+from .aggregation import AggregateNode, IdSetAggregate, KnownBoundAggregateNode
 
-__all__ = ["ExactCount", "ExactCountKnownBound", "IdSetAggregate"]
-
-
-class IdSetAggregate(SetUnionAggregate):
-    """Set union whose encoding tags members as node ids for bit costing."""
-
-    def encode(self, state: frozenset):
-        return tuple(NodeId(x) for x in sorted(state))
+__all__ = ["ExactCount", "ExactCountKnownBound"]
 
 
 class ExactCount(AggregateNode):

@@ -6,8 +6,11 @@ knowledge but pays ``Θ(N²)``.  This algorithm sits between them and
 shows what the sketch machinery buys for *halting*:
 
 Protocol.  Every node aggregates, in one combined state, (a) the id-set
-union and (b) an exponential-minima count sketch.  At round ``r`` a node
-halts and outputs ``|ids|`` as soon as::
+union and (b) an exponential-minima count sketch: it is an
+:class:`~repro.core.aggregation.AggregateNode` over
+``ProductAggregate(IdSetAggregate(), MinVectorAggregate(width))``, and
+its one addition is the halt rule.  At round ``r`` a node halts and
+outputs ``|ids|`` as soon as::
 
     r >= c · N̂(r)        (N̂ = the sketch estimate of its current state)
 
@@ -39,21 +42,28 @@ deterministic) guarantee.  Experiment X1 measures the resulting
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List
 
 import numpy as np
 
 from .._validate import require_positive_float
 from ..errors import ConfigurationError
-from ..simnet.message import NodeId
-from ..simnet.node import Algorithm, RoundContext
+from ..simnet.node import RoundContext
+from .aggregation import (
+    AggregateNode,
+    IdSetAggregate,
+    MinVectorAggregate,
+    ProductAggregate,
+)
 from .sketches import ExponentialCountSketch
 
 __all__ = ["HybridCount"]
 
 
-class HybridCount(Algorithm):
+class HybridCount(AggregateNode):
     """Halting w.h.p.-exact Count without knowledge (see module docstring).
+
+    Payloads are ``(tuple of NodeId, tuple of float)``.
 
     Parameters
     ----------
@@ -71,49 +81,24 @@ class HybridCount(Algorithm):
 
     def __init__(self, node_id: int, safety_factor: float = 1.5,
                  width: int = 180) -> None:
-        super().__init__(node_id)
         self.safety_factor = require_positive_float(
             safety_factor, "safety_factor")
         if self.safety_factor <= 1.0:
             raise ConfigurationError(
                 f"safety_factor must be > 1, got {safety_factor}")
         self.sketch = ExponentialCountSketch(width)
-        self.ids: frozenset = frozenset((node_id,))
-        self.minima: Optional[np.ndarray] = None
-        self._encoded: Optional[Tuple[Any, Any]] = None
+        super().__init__(node_id, ProductAggregate(
+            IdSetAggregate(), MinVectorAggregate(self.sketch.width)))
 
-    def _payload(self) -> Any:
-        key = (self.ids, id(self.minima))
-        if self._encoded is None or self._encoded[0] != key:
-            payload = (tuple(NodeId(x) for x in sorted(self.ids)),
-                       tuple(float(v) for v in self.minima))
-            self._encoded = (key, payload)
-        return self._encoded[1]
+    def make_contribution(self, rng: np.random.Generator) -> tuple:
+        return frozenset((self.node_id,)), self.sketch.draw(rng)
 
-    def compose(self, ctx: RoundContext) -> Any:
-        if self.minima is None:
-            self.minima = self.sketch.draw(ctx.rng)
-        return self._payload()
+    def extract_output(self, state: tuple) -> int:
+        return len(state[0])
 
     def deliver(self, ctx: RoundContext, inbox: List[Any]) -> None:
-        changed = False
-        ids = self.ids
-        minima = self.minima
-        for their_ids, their_minima in inbox:
-            incoming = frozenset(int(x) for x in their_ids)
-            if not incoming.issubset(ids):
-                ids = ids | incoming
-                changed = True
-            arr = np.asarray(their_minima, dtype=np.float64)
-            if (arr < minima).any():
-                minima = np.minimum(minima, arr)
-                changed = True
-        if changed:
-            self.ids = ids
-            self.minima = minima
-        self.mark_changed(changed)
-
-        estimate = self.sketch.estimate(self.minima)
+        self._merge_inbox(inbox)
+        estimate = self.sketch.estimate(self.state[1])
         if ctx.round_index >= self.safety_factor * estimate:
-            self.decide(len(self.ids))
+            self.decide(self.extract_output(self.state))
             self.halt()

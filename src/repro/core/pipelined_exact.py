@@ -98,9 +98,5 @@ class PipelinedExactCount(Algorithm):
                     self.ids.append(token)
                     changed = True
         self.mark_changed(changed)
-        verdict = self.controller.observe(changed)
-        if verdict == "retract":
-            ctx.incr(f"{self.name}.retractions")
-            self.retract()
-        elif verdict == "decide" and not self.decided:
-            self.decide(len(self._known))
+        self.controller.settle(self, ctx, changed,
+                               lambda: len(self._known))

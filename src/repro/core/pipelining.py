@@ -35,10 +35,9 @@ from typing import Any, List, Optional
 import numpy as np
 
 from .._validate import require_choice, require_positive_int
-from ..errors import ConfigurationError
 from ..simnet.batch import PipelinedSketchBatchKernel
 from ..simnet.node import Algorithm, RoundContext
-from .sketches import ExponentialCountSketch
+from .approx_count import _make_sketch
 from .termination import QuiescenceController
 
 __all__ = ["PipelinedApproxCount"]
@@ -68,12 +67,7 @@ class PipelinedApproxCount(Algorithm):
                  initial_window: Optional[int] = None,
                  window_growth: int = 2) -> None:
         super().__init__(node_id)
-        if width is None:
-            if eps is None or delta is None:
-                raise ConfigurationError("pass either width or both eps and delta")
-            self.sketch = ExponentialCountSketch.for_accuracy(eps, delta)
-        else:
-            self.sketch = ExponentialCountSketch(require_positive_int(width, "width"))
+        self.sketch = _make_sketch(width, eps, delta, "exponential")
         self.w = require_positive_int(words_per_message, "words_per_message")
         self.strategy = require_choice(strategy, "strategy", ("tdm", "greedy"))
         if self.strategy == "greedy":
@@ -125,11 +119,7 @@ class PipelinedApproxCount(Algorithm):
                     last[j] = ctx.round_index
                     changed = True
         self.mark_changed(changed)
-        verdict = self.controller.observe(changed)
-        if verdict == "retract":
-            ctx.incr(f"{self.name}.retractions")
-            self.retract()
-        elif verdict == "decide" and not self.decided:
-            self.decide(self.sketch.estimate(state))
+        self.controller.settle(self, ctx, changed,
+                               lambda: self.sketch.estimate(state))
 
     __batch_kernel__ = PipelinedSketchBatchKernel.build

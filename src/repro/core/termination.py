@@ -56,6 +56,8 @@ post-hoc that no retraction follows it.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from .._validate import require_int_in_range, require_positive_int
 
 __all__ = ["QuiescenceController"]
@@ -73,9 +75,9 @@ class QuiescenceController:
         (T3 ablates 2 vs 4: larger growth means fewer retractions but a
         longer final wait.)
 
-    Usage: call :meth:`observe` once per round with "did my aggregate
-    state change this round?"; it returns ``"decide"``, ``"retract"``, or
-    ``None``.
+    Usage: call :meth:`settle` once per round with "did my aggregate
+    state change this round?"; it applies the verdict of :meth:`observe`
+    (``"decide"``, ``"retract"`` or ``None``) to the node.
     """
 
     def __init__(self, initial_window: int = 1, growth: int = 2) -> None:
@@ -106,6 +108,17 @@ class QuiescenceController:
             self.holding = True
             return "decide"
         return None
+
+    def settle(self, node: Any, ctx: Any, changed: bool,
+               output: Callable[[], Any]) -> None:
+        """Advance one round and apply its verdict to *node*: retract
+        (counted as ``<node.name>.retractions``) or decide ``output()``."""
+        verdict = self.observe(changed)
+        if verdict == "retract":
+            ctx.incr(f"{node.name}.retractions")
+            node.retract()
+        elif verdict == "decide" and not node.decided:
+            node.decide(output())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"QuiescenceController(window={self.window}, "

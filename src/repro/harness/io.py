@@ -2,8 +2,7 @@
 
 Each experiment's artefacts land under a results directory as::
 
-    results/<exp_id>/rows.csv      raw measured rows
-    results/<exp_id>/rows.json     same rows, JSON (types preserved)
+    results/<exp_id>/rows.json     raw measured rows, JSON (types preserved)
     results/<exp_id>/report.txt    rendered tables + ASCII figures
 
 so that EXPERIMENTS.md can reference stable paths and reruns diff cleanly.
@@ -15,7 +14,6 @@ import json
 import os
 from typing import Any, Dict, List
 
-from ..analysis.tables import rows_to_csv
 from .experiments import ExperimentResult
 from .runner import durable_row
 
@@ -34,8 +32,6 @@ def save_experiment(result: ExperimentResult, results_dir: str) -> str:
     exp_dir = os.path.join(results_dir, result.exp_id.lower())
     os.makedirs(exp_dir, exist_ok=True)
     rows = [durable_row(row) for row in result.rows]
-    with open(os.path.join(exp_dir, "rows.csv"), "w") as fh:
-        fh.write(rows_to_csv(rows))
     with open(os.path.join(exp_dir, "rows.json"), "w") as fh:
         json.dump({"exp_id": result.exp_id, "title": result.title,
                    "rows": rows}, fh, indent=2, default=str)

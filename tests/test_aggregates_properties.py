@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregation import (
+    IdSetAggregate,
     MaxAggregate,
     MinVectorAggregate,
-    SetUnionAggregate,
+    ProductAggregate,
 )
 from repro.core.consensus import MinPairAggregate
-from repro.core.exact_count import IdSetAggregate
+from repro.simnet.message import NodeId
 
 ints = st.integers(min_value=-(10**6), max_value=10**6)
 int_sets = st.frozensets(st.integers(min_value=0, max_value=200), max_size=12)
@@ -33,10 +34,11 @@ def vectors(width=4):
 
 AGGREGATE_CASES = [
     (MaxAggregate(), ints),
-    (SetUnionAggregate(), int_sets),
     (IdSetAggregate(), int_sets),
     (MinPairAggregate(), pairs),
     (MinVectorAggregate(4), vectors(4)),
+    (ProductAggregate(IdSetAggregate(), MinVectorAggregate(4)),
+     st.tuples(int_sets, vectors(4))),
 ]
 
 
@@ -116,11 +118,32 @@ class TestMinVectorSpecifics:
 
 
 class TestSetUnionSpecifics:
+    """Set union of node ids (`IdSetAggregate`)."""
+
     def test_subset_merge_preserves_identity(self):
-        agg = SetUnionAggregate()
+        agg = IdSetAggregate()
         a = frozenset({1, 2, 3})
         assert agg.merge(a, frozenset({2})) is a
 
     def test_encode_sorted(self):
-        agg = SetUnionAggregate()
+        agg = IdSetAggregate()
         assert agg.encode(frozenset({3, 1, 2})) == (1, 2, 3)
+
+    def test_encode_tags_node_ids(self):
+        encoded = IdSetAggregate().encode(frozenset({3, 1}))
+        assert all(type(x) is NodeId for x in encoded)
+
+
+class TestProductSpecifics:
+    def test_merge_preserves_identity_when_no_part_improves(self):
+        agg = ProductAggregate(IdSetAggregate(), MinVectorAggregate(2))
+        a = (frozenset({1, 2, 3}), np.array([1.0, 2.0]))
+        b = (frozenset({2}), np.array([3.0, 4.0]))
+        assert agg.merge(a, b) is a  # AggregateNode's encode cache
+
+    def test_merge_takes_each_part_that_improves(self):
+        agg = ProductAggregate(IdSetAggregate(), MinVectorAggregate(2))
+        a = (frozenset({1}), np.array([1.0, 2.0]))
+        merged = agg.merge(a, (frozenset({1}), np.array([3.0, 0.5])))
+        assert merged[0] is a[0]
+        assert merged[1].tolist() == [1.0, 0.5]

@@ -15,7 +15,6 @@ from repro.analysis import (
     quiescence_rounds_bound,
     render_markdown,
     render_table,
-    rows_to_csv,
     summarize,
     tdm_rounds_bound,
 )
@@ -163,15 +162,6 @@ class TestTables:
         md = render_markdown(self.ROWS)
         assert md.splitlines()[0] == "| a | b |"
         assert md.splitlines()[1] == "|---|---|"
-
-    def test_csv_roundtrip(self):
-        import csv
-        import io
-
-        text = rows_to_csv(self.ROWS)
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert rows[0]["a"] == "1"
-        assert rows[1]["a"] == "2.5"
 
 
 class TestAsciiPlot:

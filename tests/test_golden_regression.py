@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro import RngRegistry, Simulator
 from repro.baselines import KCommitteeCount
 from repro.baselines.klo import total_rounds_prediction
-from repro.core import ApproxCount, ExactCount
+from repro.core import ApproxCount, ExactCount, HybridCount
 from repro.core.sketches import required_width
 from repro.dynamics import (
     FunctionSchedule,
@@ -88,6 +88,25 @@ class TestSeededRunGoldens:
         assert result.unanimous_output() == pytest.approx(
             56.31518094904481, rel=1e-9)
         assert result.metrics.last_decision_round == 9
+
+    def test_hybrid_count_run_fingerprint(self):
+        """Halt round, bit totals and output, without and with loss."""
+        expected = {
+            0.0: (51, 20409504, 57974480),
+            0.2: (51, 20396000, 57939504),
+        }
+        for loss_rate, (rounds, bbits, dbits) in expected.items():
+            n = 32
+            sched = OverlapHandoffAdversary(n, 2, seed=1)
+            nodes = [HybridCount(i) for i in range(n)]
+            result = Simulator(sched, nodes, rng=RngRegistry(1),
+                               loss_rate=loss_rate).run(max_rounds=4000)
+            m = result.metrics
+            assert (result.rounds, m.broadcast_bits, m.delivered_bits) == (
+                rounds, bbits, dbits), loss_rate
+            assert m.max_broadcast_bits == 12568
+            assert m.first_decision_round == m.last_decision_round == 51
+            assert result.unanimous_output() == 32
 
     def test_node_rng_stream_fingerprint(self):
         gen = RngRegistry(7).for_node("node", 3)

@@ -126,7 +126,7 @@ class TestIo:
                                   rows=[{"a": 1, "b": "x"}],
                                   tables={"t": "TBL"})
         exp_dir = save_experiment(result, str(tmp_path))
-        assert os.path.exists(os.path.join(exp_dir, "rows.csv"))
+        assert not os.path.exists(os.path.join(exp_dir, "rows.csv"))
         assert os.path.exists(os.path.join(exp_dir, "report.txt"))
         rows = load_rows(str(tmp_path), "t9")
         assert rows == [{"a": 1, "b": "x"}]
@@ -205,4 +205,4 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "F4" in out
-        assert os.path.exists(tmp_path / "f4" / "rows.csv")
+        assert not os.path.exists(tmp_path / "f4" / "rows.csv")
